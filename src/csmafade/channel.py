@@ -39,7 +39,6 @@ SIGMA_FLOOR = 1e-12
 # until two successive estimates agree to QUAD_TOL.  Steep integrands (large
 # kappa against wide shadowing) only resolve at the high end of the ladder.
 QUAD_LADDER = (32, 64, 128, 256, 512, 1024, 2048)
-QUAD_NODES = QUAD_LADDER[0]
 QUAD_TOL = 1e-6
 
 # MGF matching of the detection sum: the fitted lognormal's Laplace transform
@@ -466,7 +465,7 @@ def lognormal_expectation(
     fn: Callable[[np.ndarray], np.ndarray],
     eta: float,
     sigma: float,
-    nodes: int = QUAD_NODES,
+    nodes: int = QUAD_LADDER[0],
 ) -> float:
     """E[fn(W)] for W = exp(Z), Z ~ N(eta, sigma^2), by Gauss-Hermite."""
     if sigma <= SIGMA_FLOOR:

@@ -18,15 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-
-# Contention subsets are enumerated exhaustively; 2^14 tables per link is the
-# supported ceiling.
-MAX_CONTENDERS = 14
 
 # Busy-channel probability is a duration-weighted rate and can exceed 1 at
 # high traffic; it is capped just below 1 to keep the chain formulas valid.
@@ -97,9 +92,6 @@ class LinkState:
     gamma: float
     b000: float
     q: float
-    q_succ: float = 0.0
-    q_cf: float = 0.0
-    q_cr: float = 0.0
 
     @property
     def alpha(self) -> float:
@@ -139,15 +131,13 @@ def cca_probability(
     q: float,
     mac: MacParams,
     timing: TimingParams,
-    q_succ: float = 0.0,
-    q_cf: float = 0.0,
-    q_cr: float = 0.0,
 ) -> tuple[float, float]:
     """Per-slot CCA probability tau and idle-state probability b000.
 
     Renewal-reward over one packet cycle: backoff-and-sense slots per CCA
     round, transaction durations, and the idle wait for the next arrival
-    (scaled by the queue-empty probabilities after each outcome).
+    after each outcome (single-packet queue, so the queue is always empty
+    when a packet leaves).
     """
     if not 0.0 <= alpha < 1.0:
         raise ValidationError(f"alpha {alpha} outside [0, 1)")
@@ -164,9 +154,9 @@ def cca_probability(
     backoff_slots = sum(alpha**j * (w + 1) / 2.0 for j, w in enumerate(mac.windows))
     service = (timing.ls * (1.0 - gamma) + timing.lc * gamma) * (1.0 - p_cf_attempt)
     idle = (
-        (1.0 - q_cf) / q * p_cf_attempt * geo_xi
-        + (1.0 - q_cr) / q * xi ** (mac.n + 1)
-        + (1.0 - q_succ) / q * (1.0 - gamma) * (1.0 - p_cf_attempt) * geo_xi
+        1.0 / q * p_cf_attempt * geo_xi
+        + 1.0 / q * xi ** (mac.n + 1)
+        + 1.0 / q * (1.0 - gamma) * (1.0 - p_cf_attempt) * geo_xi
     )
     inv_b000 = backoff_slots * geo_xi + service * geo_xi + idle
     b000 = 1.0 / inv_b000
@@ -182,41 +172,6 @@ def _bit_matrix(k: int) -> np.ndarray:
     """(2^k, k) bool matrix: row mask, column z -> link z in the subset."""
     masks = np.arange(2**k, dtype=np.uint32)
     return (masks[:, None] >> np.arange(k)[None, :]) & 1 == 1
-
-
-def subset_weights(taus: np.ndarray, alphas: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """Probability of each transmitter subset among the contending links.
-
-    A link is in the subset when it senses (tau) and finds the channel idle
-    (1 - alpha); otherwise it either did not sense or backed off again.
-    """
-    eff = taus * (1.0 - alphas)
-    return np.prod(np.where(bits, eff, 1.0 - eff), axis=1)
-
-
-def h_functional(
-    taus: Sequence[float],
-    alphas: Sequence[float],
-    chi: Callable[[tuple[int, ...]], float],
-) -> float:
-    """Sum of chi over non-empty transmitter subsets, subset-probability weighted.
-
-    chi receives the subset as a tuple of indices into taus.
-    """
-    k = len(taus)
-    if len(alphas) != k:
-        raise ValidationError("taus and alphas must have equal length")
-    if k > MAX_CONTENDERS:
-        raise ValidationError(
-            f"{k} contending links exceeds the enumeration cap {MAX_CONTENDERS}; "
-            "reduce the topology or split the scenario"
-        )
-    if k == 0:
-        return 0.0
-    bits = _bit_matrix(k)
-    weights = subset_weights(np.asarray(taus, float), np.asarray(alphas, float), bits)
-    members = [tuple(int(z) for z in np.nonzero(bits[mask])[0]) for mask in range(2**k)]
-    return float(sum(weights[mask] * chi(members[mask]) for mask in range(1, 2**k)))
 
 
 @dataclass
@@ -238,15 +193,20 @@ class LinkTables:
 
 @dataclass
 class ContentionSystem:
-    """Everything the fixed point needs: per-link arrivals, timing, tables."""
+    """Everything the fixed point needs: per-link arrivals, timing, tables.
+
+    The tables are stacked once into arrays with one row per link: `others`
+    (L, k), `p_det` and `p_out` (L, 2^k) indexed by subset mask, `p_fad` (L,).
+    """
 
     qs: np.ndarray
     mac: MacParams
     timing: TimingParams
     tables: list[LinkTables]
-    q_succ: np.ndarray | None = None
-    q_cf: np.ndarray | None = None
-    q_cr: np.ndarray | None = None
+    others: np.ndarray = field(init=False)
+    p_det: np.ndarray = field(init=False)
+    p_out: np.ndarray = field(init=False)
+    p_fad: np.ndarray = field(init=False)
     bits: np.ndarray = field(init=False)
     _counts: np.ndarray = field(init=False)
 
@@ -255,66 +215,65 @@ class ContentionSystem:
         if len(self.qs) != n:
             raise ValidationError("qs length must match table count")
         k = n - 1
-        if k > MAX_CONTENDERS:
-            raise ValidationError(
-                f"{k} contending links exceeds the enumeration cap {MAX_CONTENDERS}"
-            )
         for t in self.tables:
             if len(t.others) != k or len(t.p_det) != 2**k or len(t.p_out) != 2**k:
                 raise ValidationError("table sizes inconsistent with link count")
-        if self.q_succ is None:
-            self.q_succ = np.zeros(n)
-        if self.q_cf is None:
-            self.q_cf = np.zeros(n)
-        if self.q_cr is None:
-            self.q_cr = np.zeros(n)
+        self.others = np.array([t.others for t in self.tables], dtype=np.intp).reshape(n, k)
+        self.p_det = np.array([t.p_det for t in self.tables], dtype=float)
+        self.p_out = np.array([t.p_out for t in self.tables], dtype=float)
+        self.p_fad = np.array([t.p_fad for t in self.tables], dtype=float)
         self.bits = _bit_matrix(k)
         counts = self.bits.sum(axis=1).astype(float)
         counts[0] = 1.0  # unused empty-set slot, avoids divide-by-zero
         self._counts = counts
 
 
-def busy_channel(
-    link: int,
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products a[i] @ b[i].
+
+    A stack of (1, m) @ (m, 1) products runs the same BLAS dot as a 1-D `@`,
+    so each row is summed in the same order as `a[i] @ b[i]`; an elementwise
+    product summed by numpy would round differently in the last bits.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def contention_terms(
     system: ContentionSystem,
     taus: np.ndarray,
     alphas: np.ndarray,
     gammas: np.ndarray,
-) -> tuple[float, float]:
-    """Busy-channel components (alpha_pkt, alpha_ack) for one link.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Busy-channel components and packet loss of every link: (alpha_pkt, alpha_ack, gamma).
 
-    alpha_pkt weighs subset detection by the data duration; alpha_ack weighs
-    it by the ACK duration and the subsets' mean transmission success.
+    A contender is in the transmitting subset when it senses (tau) and finds
+    the channel idle (1 - alpha); the subset weights of all links form one
+    (L, 2^k) array, built by doubling over the contender columns.  alpha_pkt
+    weighs subset detection by the data duration; alpha_ack by the ACK
+    duration and the subset's mean transmission success.  gamma (clamped to
+    [0, 1]) adds fading-only loss when nobody else transmits, outage under
+    concurrent transmitters, and the hidden-terminal window where the
+    transmitter failed to detect them.
     """
-    t = system.tables[link]
-    idx = list(t.others)
-    weights = subset_weights(taus[idx], alphas[idx], system.bits)
-    a_pkt = system.timing.l_pkt * float(weights[1:] @ t.p_det[1:])
-    gamma_bar = (system.bits @ gammas[idx]) / system._counts
-    a_ack = system.timing.l_ack * float(weights[1:] @ ((1.0 - gamma_bar[1:]) * t.p_det[1:]))
-    return a_pkt, a_ack
+    timing = system.timing
+    eff = (taus * (1.0 - alphas))[system.others]
+    weights = np.ones((len(eff), 1))
+    for z in range(eff.shape[1]):
+        e = eff[:, z : z + 1]
+        weights = np.concatenate([weights * (1.0 - e), weights * e], axis=1)
+    w = weights[:, 1:]
+    p_det = system.p_det[:, 1:]
+    p_out = system.p_out[:, 1:]
 
+    gamma_bar = (gammas[system.others] @ system.bits.T)[:, 1:] / system._counts[1:]
+    a_pkt = timing.l_pkt * _rowdot(w, p_det)
+    a_ack = timing.l_ack * _rowdot(w, (1.0 - gamma_bar) * p_det)
 
-def packet_loss(
-    link: int,
-    system: ContentionSystem,
-    taus: np.ndarray,
-    alphas: np.ndarray,
-) -> float:
-    """Packet-loss probability gamma for one link (clamped to [0, 1]).
-
-    Fading-only loss when nobody else transmits, outage under concurrent
-    transmitters, and the hidden-terminal window where the transmitter failed
-    to detect them.
-    """
-    t = system.tables[link]
-    idx = list(t.others)
-    weights = subset_weights(taus[idx], alphas[idx], system.bits)
-    h_one = 1.0 - float(weights[0])
-    h_out = float(weights[1:] @ t.p_out[1:])
-    h_hidden = float(weights[1:] @ ((1.0 - t.p_det[1:]) * t.p_out[1:]))
-    raw = (1.0 - h_one) * t.p_fad + h_out + (2.0 * system.timing.l_pkt - 1.0) * h_hidden
-    return min(max(raw, 0.0), 1.0)
+    h_one = 1.0 - weights[:, 0]
+    h_out = _rowdot(w, p_out)
+    h_hidden = _rowdot(w, (1.0 - p_det) * p_out)
+    raw = (1.0 - h_one) * system.p_fad + h_out + (2.0 * timing.l_pkt - 1.0) * h_hidden
+    return a_pkt, a_ack, np.clip(raw, 0.0, 1.0)
 
 
 @dataclass
@@ -325,6 +284,19 @@ class SolveResult:
     iterations: int
     residual: float
     warnings: list[str]
+
+
+def _cca_pass(
+    system: ContentionSystem, alphas: np.ndarray, gammas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """tau and b000 of every link; links with q = 0 never transmit (both 0)."""
+    taus = np.zeros(len(system.qs))
+    b000s = np.zeros(len(system.qs))
+    for l in np.flatnonzero(np.asarray(system.qs) > 0.0):
+        taus[l], b000s[l] = cca_probability(
+            alphas[l], gammas[l], system.qs[l], system.mac, system.timing
+        )
+    return taus, b000s
 
 
 def solve_fixed_point(
@@ -338,44 +310,19 @@ def solve_fixed_point(
     with q = 0 never transmit and are held at tau = 0.
     """
     n = len(system.tables)
-    active = np.asarray(system.qs) > 0.0
     alphas = np.full(n, float(init[0]))
     gammas = np.full(n, float(init[1]))
-    taus = np.zeros(n)
-    b000s = np.zeros(n)
-    a_pkts = np.zeros(n)
-    a_acks = np.zeros(n)
     warnings: list[str] = []
     clamp_count = 0
     d = config.damping
 
     residual = math.inf
     for iteration in range(1, config.max_iter + 1):
-        for l in range(n):
-            if active[l]:
-                taus[l], b000s[l] = cca_probability(
-                    alphas[l],
-                    gammas[l],
-                    system.qs[l],
-                    system.mac,
-                    system.timing,
-                    q_succ=system.q_succ[l],
-                    q_cf=system.q_cf[l],
-                    q_cr=system.q_cr[l],
-                )
-            else:
-                taus[l], b000s[l] = 0.0, 0.0
-
-        new_alpha = np.empty(n)
-        new_gamma = np.empty(n)
-        for l in range(n):
-            a_pkts[l], a_acks[l] = busy_channel(l, system, taus, alphas, gammas)
-            raw_alpha = a_pkts[l] + a_acks[l]
-            if raw_alpha > ALPHA_CAP:
-                clamp_count += 1
-                raw_alpha = ALPHA_CAP
-            new_alpha[l] = raw_alpha
-            new_gamma[l] = packet_loss(l, system, taus, alphas)
+        taus, b000s = _cca_pass(system, alphas, gammas)
+        a_pkts, a_acks, new_gamma = contention_terms(system, taus, alphas, gammas)
+        raw_alpha = a_pkts + a_acks
+        clamp_count += int(np.count_nonzero(raw_alpha > ALPHA_CAP))
+        new_alpha = np.minimum(raw_alpha, ALPHA_CAP)
 
         residual = float(
             max(np.max(np.abs(new_alpha - alphas)), np.max(np.abs(new_gamma - gammas)))
@@ -385,18 +332,7 @@ def solve_fixed_point(
             # decoupled coordinates land exactly on their closed forms
             alphas = new_alpha
             gammas = new_gamma
-            for l in range(n):
-                if active[l]:
-                    taus[l], b000s[l] = cca_probability(
-                        alphas[l],
-                        gammas[l],
-                        system.qs[l],
-                        system.mac,
-                        system.timing,
-                        q_succ=system.q_succ[l],
-                        q_cf=system.q_cf[l],
-                        q_cr=system.q_cr[l],
-                    )
+            taus, b000s = _cca_pass(system, alphas, gammas)
             break
         alphas = (1.0 - d) * alphas + d * new_alpha
         gammas = (1.0 - d) * gammas + d * new_gamma
@@ -409,19 +345,15 @@ def solve_fixed_point(
     if clamp_count:
         warnings.append(f"alpha clamped to {ALPHA_CAP} in {clamp_count} update(s)")
 
-    states = []
-    for l in range(n):
-        states.append(
-            LinkState(
-                tau=float(taus[l]),
-                alpha_pkt=float(a_pkts[l]),
-                alpha_ack=float(a_acks[l]),
-                gamma=float(gammas[l]),
-                b000=float(b000s[l]),
-                q=float(system.qs[l]),
-                q_succ=float(system.q_succ[l]),
-                q_cf=float(system.q_cf[l]),
-                q_cr=float(system.q_cr[l]),
-            )
+    states = [
+        LinkState(
+            tau=float(taus[l]),
+            alpha_pkt=float(a_pkts[l]),
+            alpha_ack=float(a_acks[l]),
+            gamma=float(gammas[l]),
+            b000=float(b000s[l]),
+            q=float(system.qs[l]),
         )
+        for l in range(n)
+    ]
     return SolveResult(states=states, iterations=iteration, residual=residual, warnings=warnings)

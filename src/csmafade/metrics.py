@@ -98,13 +98,12 @@ class EnergyBreakdown:
     backoff: float
     sense: float
     transmit: float
-    receive: float
     queue: float
     relay: float
 
     @property
     def total(self) -> float:
-        return self.backoff + self.sense + self.transmit + self.receive + self.queue + self.relay
+        return self.backoff + self.sense + self.transmit + self.queue + self.relay
 
 
 def _mean_window(alpha: float, mac: MacParams) -> float:
@@ -134,14 +133,11 @@ def energy_rate(
     mac: MacParams,
     timing: TimingParams,
     children: list[list[int]] | None = None,
-    child_gammas: list[list[float]] | None = None,
 ) -> list[EnergyBreakdown]:
     """Average power per transmitting node, split by activity.
 
-    children[i] lists the state indices of links relayed through node i;
-    child_gammas[i] gives the loss probability of each such incoming link
-    (defaults to the child state's own gamma).  Nodes with children idle-listen
-    while waiting (relays), others sleep.
+    children[i] lists the state indices of links relayed through node i.
+    Nodes with children idle-listen while waiting (relays), others sleep.
     """
     if children is None:
         children = [[] for _ in states]
@@ -152,19 +148,13 @@ def energy_rate(
         e_b = profile.p_idle * (s.tau / 2.0) * (_mean_window(s.alpha, mac) + 1.0)
         e_s = profile.p_sense * s.tau
         e_t = _transaction_power(s.alpha, s.gamma, s.tau, profile, timing)
-        e_r = 0.0
         is_relay = bool(children[i])
         e_q = (profile.p_idle if is_relay else profile.p_sleep) * s.b000
         e_x = 0.0
-        for pos, c in enumerate(children[i]):
+        for c in children[i]:
             cs = states[c]
-            g = child_gammas[i][pos] if child_gammas is not None else cs.gamma
-            e_x += _transaction_power(cs.alpha, g, cs.tau, profile, timing)
-        out.append(
-            EnergyBreakdown(
-                backoff=e_b, sense=e_s, transmit=e_t, receive=e_r, queue=e_q, relay=e_x
-            )
-        )
+            e_x += _transaction_power(cs.alpha, cs.gamma, cs.tau, profile, timing)
+        out.append(EnergyBreakdown(backoff=e_b, sense=e_s, transmit=e_t, queue=e_q, relay=e_x))
     return out
 
 
@@ -202,10 +192,9 @@ def report(
     mac: MacParams,
     timing: TimingParams,
     children: list[list[int]] | None = None,
-    child_gammas: list[list[float]] | None = None,
 ) -> MetricsReport:
     """Assemble per-link reliability, delay, and power into one report."""
-    energies = energy_rate(states, profile, mac, timing, children, child_gammas)
+    energies = energy_rate(states, profile, mac, timing, children)
     links = []
     for s, e in zip(states, energies):
         p_cf, p_cr = discard_probabilities(s.alpha, s.gamma, mac)

@@ -41,6 +41,10 @@ from .units import db_to_neper
 
 SYMBOLS_PER_BYTE = 2  # 4 bits per symbol at the 2.4 GHz PHY
 
+# Contention subsets are enumerated exhaustively; 2^14 tables per link is the
+# supported ceiling.
+MAX_CONTENDERS = 14
+
 
 @dataclass(frozen=True)
 class Topology:
@@ -196,11 +200,16 @@ def build_contention_tables(scenario: Scenario) -> list[LinkTables]:
     link's own receiver pins outage to 1 (a transmitting radio hears
     nothing).
     """
-    chan, fading = scenario.channel, scenario.fading
-    positions = scenario.topology.positions()
     links = scenario.links()
     n_links = len(links)
     k = n_links - 1
+    if k > MAX_CONTENDERS:
+        raise ValidationError(
+            f"{k} contending links exceeds the enumeration cap {MAX_CONTENDERS}; "
+            "reduce the topology or split the scenario"
+        )
+    chan, fading = scenario.channel, scenario.fading
+    positions = scenario.topology.positions()
     bits = _bit_matrix(k)
     noise = PowerTerm(weight=chan.noise_mw)
 
@@ -333,7 +342,20 @@ def apply_override(config: dict, assignment: str) -> None:
 
 
 def scenario_from_config(config: dict, default_id: str = "scenario") -> Scenario:
-    """Validate a parsed config mapping into a Scenario with defaults."""
+    """Validate a parsed config mapping into a Scenario with defaults.
+
+    A value of the wrong type or form (say `lam: abc`, or a YAML 1.1 string
+    such as `1e-9` where a number belongs) is reported as ValidationError.
+    """
+    try:
+        return _build_scenario(config, default_id)
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"invalid config value: {exc}") from exc
+
+
+def _build_scenario(config: dict, default_id: str) -> Scenario:
     config = dict(config)
     config.pop("sweep", None)  # owned by the sweep layer
 

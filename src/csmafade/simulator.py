@@ -53,20 +53,12 @@ class SimConfig:
     replications: int = 20
     master_seed: int = 1
     ack_loss: bool = True  # ACK reception subject to the SINR rule
-    queue_capacity: int = 1
-    fading_redraw: str = "per_packet"
 
     def __post_init__(self) -> None:
         if self.horizon_seconds <= 0.0:
             raise ValidationError("horizon must be positive")
         if self.replications < 1:
             raise ValidationError("need at least one replication")
-        if self.queue_capacity != 1:
-            raise ValidationError("only single-packet queues are supported")
-        if self.fading_redraw != "per_packet":
-            raise ValidationError(
-                f"unsupported fading redraw policy {self.fading_redraw!r}"
-            )
 
 
 @dataclass(frozen=True)

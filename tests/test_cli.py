@@ -4,6 +4,7 @@ import csv
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -94,6 +95,28 @@ def test_bad_config_reports_json_error_and_nonzero(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValidationError"
     assert "nonagon" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "override", ["lam=abc", "topology.n_nodes=x", "sim.horizon_seconds=1e-9"]
+)
+def test_malformed_value_reports_json_error(config_file, tmp_path, capsys, override):
+    rc = main(["analyze", "--config", str(config_file), "--set", override,
+               "--out", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    assert "invalid config value" in err["message"]
+
+
+def test_contender_cap_fails_before_building_tables(config_file, tmp_path, capsys):
+    start = time.monotonic()
+    rc = main(["analyze", "--config", str(config_file), "--set", "topology.n_nodes=17",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    assert time.monotonic() - start < 5.0
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError" and "cap" in err["message"]
 
 
 def test_missing_file_reports_json_error(tmp_path, capsys):

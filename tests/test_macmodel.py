@@ -7,6 +7,7 @@ import pytest
 from pytest import approx
 
 import oracles
+from topo_helpers import contention_h
 from csmafade import channel, macmodel
 from csmafade.errors import ConvergenceError, ValidationError
 from csmafade.macmodel import (
@@ -16,12 +17,11 @@ from csmafade.macmodel import (
     SolverConfig,
     TimingParams,
     arrival_probability,
-    busy_channel,
     cca_probability,
-    h_functional,
-    packet_loss,
+    contention_terms,
     solve_fixed_point,
 )
+from csmafade.scenarios import build_contention_tables, scenario_from_config
 
 MAC = MacParams()
 TIMING = TimingParams()
@@ -132,18 +132,20 @@ def test_cca_probability_matches_chain_simulation():
 
 
 def test_h_functional_single_contender_closed_form():
-    assert h_functional([0.3], [0.4], lambda s: 0.7) == approx(0.3 * 0.6 * 0.7, rel=1e-12)
+    for h in contention_h([0.3], [0.4], lambda s: 0.7):
+        assert h == approx(0.3 * 0.6 * 0.7, rel=1e-12)
 
 
 def test_h_functional_vanishes_without_senders():
-    assert h_functional([0.0, 0.0, 0.0], [0.2, 0.5, 0.9], lambda s: 1.0) == 0.0
-    assert h_functional([], [], lambda s: 1.0) == 0.0
+    assert contention_h([0.0, 0.0, 0.0], [0.2, 0.5, 0.9], lambda s: 1.0) == (0.0, 0.0)
+    assert contention_h([], [], lambda s: 1.0) == (0.0, 0.0)
 
 
 def test_h_functional_two_link_example():
-    val = h_functional([0.1, 0.1], [0.2, 0.2], lambda s: 1.0)
-    assert val == approx(0.1536, abs=1e-12)
-    assert val == approx(oracles.h_literal([0.1, 0.1], [0.2, 0.2], lambda s: 1.0), rel=1e-12)
+    want = oracles.h_literal([0.1, 0.1], [0.2, 0.2], lambda s: 1.0)
+    for h in contention_h([0.1, 0.1], [0.2, 0.2], lambda s: 1.0):
+        assert h == approx(0.1536, abs=1e-12)
+        assert h == approx(want, rel=1e-12)
 
 
 def test_h_functional_matches_literal_triple_sum():
@@ -159,9 +161,9 @@ def test_h_functional_matches_literal_triple_sum():
             return math.prod(0.3 + 0.05 * z for z in subset)
 
         for chi in (chi_sum, chi_prod):
-            assert h_functional(taus, alphas, chi) == approx(
-                oracles.h_literal(taus, alphas, chi), rel=1e-12, abs=1e-15
-            )
+            want = oracles.h_literal(taus, alphas, chi)
+            for h in contention_h(taus, alphas, chi):
+                assert h == approx(want, rel=1e-12, abs=1e-15)
 
 
 def test_h_functional_of_one_has_product_closed_form():
@@ -171,7 +173,8 @@ def test_h_functional_of_one_has_product_closed_form():
         taus = rng.uniform(0.0, 1.0, k)
         alphas = rng.uniform(0.0, 1.0, k)
         expected = 1.0 - math.prod(1.0 - t * (1.0 - a) for t, a in zip(taus, alphas))
-        assert h_functional(taus, alphas, lambda s: 1.0) == approx(expected, rel=1e-12, abs=1e-15)
+        for h in contention_h(taus, alphas, lambda s: 1.0):
+            assert h == approx(expected, rel=1e-12, abs=1e-15)
 
 
 def test_h_functional_monotone_in_chi():
@@ -182,15 +185,22 @@ def test_h_functional_monotone_in_chi():
         alphas = rng.uniform(0.0, 1.0, k)
         lo = rng.uniform(0.0, 0.5)
 
-        h_lo = h_functional(taus, alphas, lambda s: lo)
-        h_hi = h_functional(taus, alphas, lambda s: lo + 0.3)
-        assert h_lo <= h_hi + 1e-15
+        h_lo = contention_h(taus, alphas, lambda s: lo)
+        h_hi = contention_h(taus, alphas, lambda s: lo + 0.3)
+        for a, b in zip(h_lo, h_hi):
+            assert a <= b + 1e-15
 
 
-def test_h_functional_rejects_oversized_topologies():
-    taus = [0.1] * 15
+def test_h_functional_rejects_oversized_topologies(monkeypatch):
+    # the enumeration cap is checked before any channel probability is computed
+    def no_channel_work(*args, **kwargs):
+        raise AssertionError("channel layer called before the cap check")
+
+    monkeypatch.setattr(channel, "outage_probability", no_channel_work)
+    monkeypatch.setattr(channel, "detection_probabilities", no_channel_work)
+    scenario = scenario_from_config({"topology": {"kind": "star", "n_nodes": 17}})
     with pytest.raises(ValidationError, match="cap"):
-        h_functional(taus, taus, lambda s: 1.0)
+        build_contention_tables(scenario)
 
 
 def _toy_system(n_links, p_det_fill, p_out_fill, p_fad, qs, mac=MAC, timing=TIMING):
@@ -215,34 +225,33 @@ def test_busy_channel_linear_in_frame_lengths():
     taus = np.array([0.0, 0.01])
     alphas = np.zeros(2)
     gammas = np.zeros(2)
-    a_pkt, a_ack = busy_channel(0, system, taus, alphas, gammas)
-    assert a_pkt == approx(0.07, rel=1e-12)
-    assert a_ack == approx(0.011, rel=1e-12)
+    a_pkt, a_ack, _ = contention_terms(system, taus, alphas, gammas)
+    assert a_pkt[0] == approx(0.07, rel=1e-12)
+    assert a_ack[0] == approx(0.011, rel=1e-12)
 
 
 def test_busy_channel_zero_without_contenders():
     system = _toy_system(2, 1.0, 0.0, 0.0, [0.003, 0.003])
-    a_pkt, a_ack = busy_channel(0, system, np.zeros(2), np.zeros(2), np.zeros(2))
-    assert a_pkt == 0.0 and a_ack == 0.0
+    a_pkt, a_ack, _ = contention_terms(system, np.zeros(2), np.zeros(2), np.zeros(2))
+    assert a_pkt[0] == 0.0 and a_ack[0] == 0.0
 
 
 def test_busy_channel_ack_component_scales_with_contender_success():
     system = _toy_system(2, 1.0, 0.0, 0.0, [0.003, 0.003])
     taus = np.array([0.0, 0.01])
-    _, ack_good = busy_channel(0, system, taus, np.zeros(2), np.array([0.0, 0.0]))
-    _, ack_bad = busy_channel(0, system, taus, np.zeros(2), np.array([0.0, 0.8]))
-    assert ack_bad == approx(0.2 * ack_good, rel=1e-12)
+    _, ack_good, _ = contention_terms(system, taus, np.zeros(2), np.array([0.0, 0.0]))
+    _, ack_bad, _ = contention_terms(system, taus, np.zeros(2), np.array([0.0, 0.8]))
+    assert ack_bad[0] == approx(0.2 * ack_good[0], rel=1e-12)
 
 
 def test_packet_loss_reduces_to_fading_when_alone():
     system = _toy_system(2, 1.0, 0.3, 0.05, [0.003, 0.003])
-    gamma = packet_loss(0, system, np.zeros(2), np.zeros(2))
-    assert gamma == approx(0.05, rel=1e-12)
+    _, _, gamma = contention_terms(system, np.zeros(2), np.zeros(2), np.zeros(2))
+    assert gamma[0] == approx(0.05, rel=1e-12)
 
 
 def test_packet_loss_longhand_single_contender():
     # p_fad=0.02, contender tau=0.1 alpha=0.2, p_det=0.9, p_out=0.3, L=7
-    k = 1
     tables = [
         LinkTables((1,), np.array([0.0, 0.9]), np.array([0.0, 0.3]), 0.02),
         LinkTables((0,), np.zeros(2), np.zeros(2), 0.0),
@@ -254,8 +263,8 @@ def test_packet_loss_longhand_single_contender():
     alphas = np.array([0.0, 0.2])
     w1 = 0.1 * 0.8
     expected = (1 - w1) * 0.02 + w1 * 0.3 + 13.0 * w1 * 0.1 * 0.3
-    gamma = packet_loss(0, system, taus, alphas)
-    assert gamma == approx(expected, rel=1e-12)
+    _, _, gamma = contention_terms(system, taus, alphas, np.zeros(2))
+    assert gamma[0] == approx(expected, rel=1e-12)
 
 
 def test_packet_loss_clamps_to_unit_interval():
@@ -267,8 +276,8 @@ def test_packet_loss_clamps_to_unit_interval():
     system = ContentionSystem(
         qs=np.array([0.003, 0.003]), mac=MAC, timing=TIMING, tables=tables
     )
-    gamma = packet_loss(0, system, np.array([0.0, 1.0]), np.zeros(2))
-    assert gamma == 1.0
+    _, _, gamma = contention_terms(system, np.array([0.0, 1.0]), np.zeros(2), np.zeros(2))
+    assert gamma[0] == 1.0
 
 
 def test_single_link_fixed_point_is_decoupled():

@@ -170,7 +170,7 @@ def test_energy_components_nonnegative():
             b000=rng.uniform(0, 1),
         )
         b = energy_rate([s], PowerProfile(), MAC, TIMING)[0]
-        for value in (b.backoff, b.sense, b.transmit, b.receive, b.queue, b.relay):
+        for value in (b.backoff, b.sense, b.transmit, b.queue, b.relay):
             assert value >= 0.0
 
 
@@ -195,5 +195,5 @@ def test_report_aggregates_and_discard_fractions():
 
 
 def test_energy_breakdown_total_sums_components():
-    b = EnergyBreakdown(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
-    assert b.total == 21.0
+    b = EnergyBreakdown(1.0, 2.0, 3.0, 5.0, 6.0)
+    assert b.total == 17.0

@@ -18,6 +18,7 @@ from csmafade.macmodel import (
     solve_fixed_point,
 )
 from csmafade.metrics import PowerProfile
+from csmafade.scenarios import scenario_from_config
 from csmafade.simulator import (
     IDLE,
     SLEEP,
@@ -289,10 +290,11 @@ def test_network_and_config_validation():
         SimConfig(horizon_seconds=0.0)
     with pytest.raises(ValidationError):
         SimConfig(replications=0)
-    with pytest.raises(ValidationError):
-        SimConfig(queue_capacity=2)
-    with pytest.raises(ValidationError):
-        SimConfig(fading_redraw="per_symbol")
+    # single-value knobs do not exist: a config that sets one is rejected
+    for knob, value in (("queue_capacity", 1), ("fading_redraw", "per_packet")):
+        config = {"topology": {"kind": "star", "n_nodes": 3}, "sim": {knob: value}}
+        with pytest.raises(ValidationError, match="unknown key"):
+            scenario_from_config(config)
     with pytest.raises(ValidationError):
         SimNetwork(
             mean_gain_mw=np.zeros((2, 3)),

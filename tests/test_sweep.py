@@ -3,6 +3,7 @@
 import csv
 import math
 import pathlib
+import time
 
 import pytest
 
@@ -125,6 +126,31 @@ def test_failing_point_is_reported_and_the_sweep_continues(tmp_path):
     assert len(bad) == 1 and bad[0]["metric"] == "error"
     assert "sigma" in bad[0]["warnings"] and bad[0]["analytic_value"] == ""
     assert len(good) == 9 and all(r["warnings"] == "" for r in good)
+
+
+def test_malformed_value_is_an_error_row_and_the_sweep_continues(tmp_path):
+    config = tiny_config()
+    config["sweep"]["engine"] = "analytic"
+    config["sweep"]["parameters"] = [{"path": "lam", "values": ["abc", 2.0]}]
+    rows = read_rows(run_sweep(config, sweep_from_config(config), out_dir=tmp_path))
+    bad = [r for r in rows if r["lam"] == "abc"]
+    good = [r for r in rows if r["lam"] == "2"]
+    assert len(bad) == 1 and bad[0]["metric"] == "error"
+    assert "invalid config value" in bad[0]["warnings"]
+    assert len(good) == 9 and all(r["warnings"] == "" for r in good)
+
+
+def test_point_over_the_contender_cap_fails_fast_and_the_sweep_continues(tmp_path):
+    config = tiny_config()
+    config["sweep"]["engine"] = "analytic"
+    config["sweep"]["parameters"] = [{"path": "topology.n_nodes", "values": [17, 3]}]
+    start = time.monotonic()
+    rows = read_rows(run_sweep(config, sweep_from_config(config), out_dir=tmp_path))
+    assert time.monotonic() - start < 5.0
+    big = [r for r in rows if r["topology.n_nodes"] == "17"]
+    small = [r for r in rows if r["topology.n_nodes"] == "3"]
+    assert big and all(r["analytic_value"] == "" and "cap" in r["warnings"] for r in big)
+    assert len(small) == 9 and all(r["warnings"] == "" for r in small)
 
 
 def test_strict_mode_raises_instead_of_recording(tmp_path):

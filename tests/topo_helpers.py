@@ -1,7 +1,8 @@
-"""Geometry-to-table construction shared by network-level tests.
+"""Table construction shared by network-level tests.
 
 Kept in the test tree, separate from the package's own scenario builder, so
-the two constructions can be checked against each other.
+the two constructions can be checked against each other.  `contention_h`
+feeds synthetic subset tables to the production contention functional.
 """
 
 import math
@@ -9,7 +10,14 @@ import math
 import numpy as np
 
 from csmafade import channel
-from csmafade.macmodel import LinkTables, _bit_matrix
+from csmafade.macmodel import (
+    ContentionSystem,
+    LinkTables,
+    MacParams,
+    TimingParams,
+    _bit_matrix,
+    contention_terms,
+)
 
 
 def build_tables(positions, links, chan, fading, tx_power_dbm=0.0):
@@ -103,3 +111,31 @@ def build_sim_network(positions, links, lam, chan, fading, mac=None, timing=None
         mac=mac or MacParams(),
         timing=timing or TimingParams(),
     )
+
+
+def contention_h(taus, alphas, chi):
+    """H(chi) over contenders (taus, alphas), as two outputs of contention_terms.
+
+    Link 0 hears links 1..k, whose subset tables p_det and p_out both hold
+    chi of the subset.  l_pkt = 1/2 zeroes the hidden-terminal factor
+    2*l_pkt - 1 and p_fad = 0 drops fading-only loss, so alpha_pkt = H/2
+    and gamma = H (chi <= 1 keeps gamma below its clamp).
+    """
+    k = len(taus)
+    chi_table = np.zeros(2**k)
+    for mask in range(1, 2**k):
+        chi_table[mask] = chi(tuple(z for z in range(k) if mask >> z & 1))
+    tables = [LinkTables(tuple(range(1, k + 1)), chi_table, chi_table, 0.0)]
+    for l in range(1, k + 1):
+        others = tuple(z for z in range(k + 1) if z != l)
+        tables.append(LinkTables(others, np.zeros(2**k), np.zeros(2**k), 0.0))
+    system = ContentionSystem(
+        qs=np.full(k + 1, 0.003),
+        mac=MacParams(),
+        timing=TimingParams(l_pkt=0.5),
+        tables=tables,
+    )
+    full_taus = np.concatenate([[0.0], taus])
+    full_alphas = np.concatenate([[0.0], alphas])
+    a_pkt, _, gamma = contention_terms(system, full_taus, full_alphas, np.zeros(k + 1))
+    return 2.0 * a_pkt[0], gamma[0]
