@@ -2,17 +2,23 @@
 
 Received power on a link is modeled as c0 * P_tx / r^k scaled by a unit-mean
 multipath power factor (Gamma with shape kappa) and a lognormal shadowing
-factor exp(y), y ~ N(0, sigma^2).  Sums of such terms are approximated by a
-single lognormal, fitted in one of two ways:
+factor exp(y), y ~ N(0, sigma^2), independent across transmitters.  Sums of
+such terms are approximated by a single lognormal, fitted in one of two ways:
 
-* Aggregate power at a sensing node (carrier detection, independent terms):
-  MGF matching -- the lognormal whose Laplace transform equals the sum's
-  exact one at two points (`mgf_fit`), solved for a whole table of subsets
-  at once (`detection_probabilities`).
-* Interference-plus-noise at a receiver (outage), and detection with an
-  explicit exponent correlation matrix: matching the first two exact
-  moments (`mma_fit`).  Outage adds a Gauss-Hermite quadrature when the
-  useful link also carries multipath fading.
+* Aggregate power at a sensing node (carrier detection): MGF matching -- the
+  lognormal whose Laplace transform equals the sum's exact one at two points
+  (`mgf_fit`), solved for a whole table of subsets at once
+  (`detection_probabilities`).
+* Interference-plus-noise at a receiver (outage): matching the first two
+  moments of the denominator normalized by the useful power.  They are
+  closed form in each subset's member sums, so `outage_probabilities` fits
+  and evaluates a whole table of subsets at once; when the useful link also
+  carries multipath, a Gauss-Hermite quadrature ladder runs over the rows
+  that have not yet converged.
+
+`mma_fit` is the general moment-matching fit (with an optional exponent
+correlation matrix), kept as the reference the batched outage moments
+reduce to.
 """
 
 from __future__ import annotations
@@ -40,6 +46,8 @@ SIGMA_FLOOR = 1e-12
 # kappa against wide shadowing) only resolve at the high end of the ladder.
 QUAD_LADDER = (32, 64, 128, 256, 512, 1024, 2048)
 QUAD_TOL = 1e-6
+# Nodes x rows per quadrature evaluation, which bounds its scratch arrays to 64 kB.
+QUAD_BLOCK = 8192
 
 # MGF matching of the detection sum: the fitted lognormal's Laplace transform
 # equals the sum's at s = MGF_POINTS / E[sum], both by MGF_NODES-point
@@ -102,29 +110,16 @@ class FadingParams:
 
     sigma: shadowing spread of the natural-log power exponent (nepers).
     kappa: multipath shape parameter; None disables the multipath factor.
-    rho: optional node-by-node shadowing correlation matrix (default independent).
     """
 
     sigma: float = 0.0
     kappa: float | None = None
-    rho: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.sigma < 0.0:
             raise ValidationError(f"sigma={self.sigma} must be >= 0")
         if self.kappa is not None and self.kappa < 0.5:
             raise ValidationError(f"kappa={self.kappa} must be >= 0.5 (or None)")
-        if self.rho is not None:
-            rho = np.asarray(self.rho, dtype=float)
-            if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-                raise ValidationError("rho must be a square matrix")
-            if not np.allclose(rho, rho.T, atol=1e-12):
-                raise ValidationError("rho must be symmetric")
-            if not np.allclose(np.diag(rho), 1.0, atol=1e-12):
-                raise ValidationError("rho must have unit diagonal")
-            if np.any(np.abs(rho) > 1.0 + 1e-12):
-                raise ValidationError("rho entries must lie in [-1, 1]")
-            object.__setattr__(self, "rho", rho)
 
     @property
     def multipath(self) -> bool:
@@ -243,6 +238,7 @@ def mma_fit(
 
 @functools.lru_cache(maxsize=None)
 def _gh_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # scipy, not numpy's hermgauss: that returns NaN weights from 512 nodes up
     return roots_hermite(n)
 
 
@@ -433,7 +429,11 @@ def detection_probabilities(
     if threshold_mw <= 0.0:
         raise ValidationError(f"threshold {threshold_mw} must be positive")
     eta, sigma = mgf_fit(terms, members, fading)
-    ln_t = math.log(threshold_mw)
+    return _lognormal_tails(eta, sigma, math.log(threshold_mw))
+
+
+def _lognormal_tails(eta: np.ndarray, sigma: np.ndarray, ln_t: float) -> np.ndarray:
+    """P[exp(Z) > exp(ln_t)] per row, Z ~ N(eta, sigma^2); a step where sigma is ~0."""
     spread = sigma > SIGMA_FLOOR
     tail = 0.5 * erfc((ln_t - eta) / np.where(spread, sigma, 1.0) / SQRT2)
     return np.where(spread, tail, (eta > ln_t).astype(float))
@@ -443,20 +443,16 @@ def detection_probability(
     terms: Sequence[PowerTerm],
     threshold_mw: float,
     fading: FadingParams | None = None,
-    corr: np.ndarray | None = None,
 ) -> float:
     """P[aggregate received power of the given terms exceeds threshold_mw].
 
-    Independent terms (corr omitted) are fitted by MGF matching, the same
-    routine build_contention_tables runs on whole subset tables; an explicit
-    exponent correlation matrix falls back to moment matching (mma_fit).
+    Fitted by MGF matching, the same routine build_contention_tables runs on
+    whole subset tables.
     """
     if threshold_mw <= 0.0:
         raise ValidationError(f"threshold {threshold_mw} must be positive")
     if not terms:
         return 0.0
-    if corr is not None:
-        return mma_fit(terms, corr=corr, fading=fading).tail_probability(threshold_mw)
     members = np.ones((1, len(terms)), dtype=bool)
     return float(detection_probabilities(terms, members, threshold_mw, fading)[0])
 
@@ -494,20 +490,36 @@ def _gamma_cdf_unit_mean(kappa: float, x: np.ndarray) -> np.ndarray:
     return gammainc(kappa, arg)
 
 
-def outage_probability(
+def outage_probabilities(
     useful: PowerTerm,
-    interferers: Sequence[PowerTerm],
+    terms: Sequence[PowerTerm],
+    members: np.ndarray,
     noise: PowerTerm,
     sinr_threshold: float,
     fading: FadingParams | None = None,
-    corr_y: np.ndarray | None = None,
-) -> float:
-    """P[SINR < threshold] for the useful term against interferers plus noise.
+) -> np.ndarray:
+    """P[SINR < sinr_threshold] of the useful term for every subset (row) of `members`.
 
-    The SINR denominator is normalized by the useful link's mean power and
-    shadowing, which adds a common -y_u component to every normalized term;
-    the induced covariance is built here.  corr_y, when given, is the
-    correlation matrix of the base exponents ordered (interferers..., useful).
+    members is a (rows, len(terms)) bool matrix whose row r selects the
+    interferers transmitting in subset r; the denominator is those plus
+    noise.  Normalized by the useful link's mean power and shadowing, it is
+    sum_n (w_n / w_u) f_n e^{y_n - y_u} + (N0 / w_u) e^{-y_u}.  The shared
+    -y_u makes its terms correlated, but with the term means
+    g_n = (w_n / w_u) e^{(sigma_n^2 + sigma_u^2)/2} and
+    g_0 = (N0 / w_u) e^{sigma_u^2/2} the first two moments stay closed form:
+
+        M1 = sum_n g_n + g_0
+        M2 = e^{sigma_u^2} M1^2 + sum_n g_n^2 (f2_n e^{sigma_n^2 + sigma_u^2} - e^{sigma_u^2})
+
+    (f2_n the multipath second moment), which is what mma_fit gives with the
+    induced exponent correlations.  The matched lognormal exp(Z) has
+    var Z = ln(M2 / M1^2) and E Z = ln M1 - var Z / 2.  Without multipath
+    on the useful link the outage is its tail above 1 / b; with it, the
+    outage is E[F(b exp(Z))] for the unit-mean Gamma CDF F, by the
+    Gauss-Hermite ladder of _outage_quadrature.
+
+    Member sums run column by column in term order, so a row's result does
+    not depend on the other rows or on columns it does not select.
     """
     if useful.weight <= 0.0:
         raise ValidationError("useful term must have positive weight")
@@ -517,83 +529,97 @@ def outage_probability(
         raise ValidationError("noise term must be deterministic (sigma 0, no multipath)")
     if sinr_threshold <= 0.0:
         raise ValidationError(f"SINR threshold {sinr_threshold} must be positive")
-
-    # Base exponents ordered (interferers..., noise); the noise base is
-    # deterministic (sigma 0).  rho_iu holds each base's correlation with y_u.
-    n_i = len(interferers)
-    base_sigma = np.array([t.sigma for t in interferers] + [0.0], dtype=float)
-    s_u = useful.sigma
-    base_corr = np.eye(n_i + 1)
-    rho_iu = np.zeros(n_i + 1)
-    if corr_y is not None:
-        given = np.asarray(corr_y, dtype=float)
-        if given.shape != (n_i + 1, n_i + 1):
-            raise ValidationError(
-                f"corr_y shape {given.shape} != ({n_i + 1}, {n_i + 1})"
-            )
-        if n_i:
-            base_corr[:n_i, :n_i] = given[:n_i, :n_i]
-            rho_iu[:n_i] = given[:n_i, n_i]
-
-    # Normalized denominator terms: interferer n becomes (w_n / w_u) with
-    # exponent y_n - y_u; noise becomes (N0 / w_u) with exponent -y_u.
-    sig2 = base_sigma**2 + s_u**2 - 2.0 * rho_iu * base_sigma * s_u
-    sig2 = np.maximum(sig2, 0.0)
-    tilde_sigma = np.sqrt(sig2)
-
-    denom_terms = [
-        PowerTerm(
-            weight=t.weight / useful.weight,
-            sigma=float(tilde_sigma[j]),
-            has_multipath=t.has_multipath,
+    members = np.asarray(members, dtype=bool)
+    if members.ndim != 2 or members.shape[1] != len(terms):
+        raise ValidationError(
+            f"members shape {members.shape} does not select from {len(terms)} terms"
         )
-        for j, t in enumerate(interferers)
-    ]
-    denom_terms.append(PowerTerm(weight=noise.weight / useful.weight, sigma=float(tilde_sigma[-1])))
 
-    m = n_i + 1
-    cov = np.empty((m, m))
-    for a in range(m):
-        for b in range(m):
-            cov[a, b] = (
-                base_corr[a, b] * base_sigma[a] * base_sigma[b]
-                - rho_iu[a] * base_sigma[a] * s_u
-                - rho_iu[b] * base_sigma[b] * s_u
-                + s_u**2
-            )
-    denom_corr = np.eye(m)
-    for a in range(m):
-        for b in range(m):
-            if a != b and tilde_sigma[a] > 0.0 and tilde_sigma[b] > 0.0:
-                denom_corr[a, b] = cov[a, b] / (tilde_sigma[a] * tilde_sigma[b])
+    s_u2 = useful.sigma**2
+    e_u = math.exp(s_u2)
+    m1 = np.zeros(len(members))
+    excess = np.zeros(len(members))  # M2 - e^{sigma_u^2} M1^2
+    for n, term in enumerate(terms):
+        sel = members[:, n]
+        s2 = term.sigma**2 + s_u2
+        g = term.weight / useful.weight * math.exp(0.5 * s2)
+        m1[sel] += g
+        excess[sel] += g * g * (_second_moment_factor(term, fading) * math.exp(s2) - e_u)
+    m1 += noise.weight / useful.weight * math.exp(0.5 * s_u2)
+    with np.errstate(all="ignore"):
+        var = s_u2 + np.log1p(excess / (e_u * m1 * m1))
+    if not np.all(np.isfinite(var)):
+        raise NumericsError(
+            f"outage moment matching overflowed (useful weight {useful.weight!r})"
+        )
+    eta = np.log(m1) - 0.5 * var
+    sigma = np.sqrt(var)
 
-    approx = mma_fit(denom_terms, corr=denom_corr, fading=fading)
+    if fading is not None and fading.multipath and useful.has_multipath:
+        return _outage_quadrature(eta, sigma, fading.kappa, sinr_threshold)
+    return _lognormal_tails(eta, sigma, -math.log(sinr_threshold))
 
-    multipath_useful = fading is not None and fading.multipath and useful.has_multipath
-    if not multipath_useful:
-        # SINR = exp(-ln S); outage when -ln S < ln b.
-        eta_y = -approx.eta
-        if approx.sigma <= SIGMA_FLOOR:
-            return 1.0 if eta_y < math.log(sinr_threshold) else 0.0
-        z = (math.log(sinr_threshold) - eta_y) / approx.sigma
-        return 1.0 - q_function(z)
 
-    kappa = fading.kappa
+def outage_probability(
+    useful: PowerTerm,
+    interferers: Sequence[PowerTerm],
+    noise: PowerTerm,
+    sinr_threshold: float,
+    fading: FadingParams | None = None,
+) -> float:
+    """P[SINR < threshold] for the useful term against interferers plus noise.
 
-    def integrand(wv: np.ndarray) -> np.ndarray:
-        return _gamma_cdf_unit_mean(kappa, sinr_threshold * wv)
-
-    prev = lognormal_expectation(integrand, approx.eta, approx.sigma, nodes=QUAD_LADDER[0])
-    diff = math.inf
-    for nodes in QUAD_LADDER[1:]:
-        val = lognormal_expectation(integrand, approx.eta, approx.sigma, nodes=nodes)
-        diff = abs(val - prev)
-        if diff <= QUAD_TOL:
-            return min(max(val, 0.0), 1.0)
-        prev = val
-    raise NumericsError(
-        f"outage quadrature did not converge at {QUAD_LADDER[-1]} nodes "
-        f"(last successive change {diff:.3e} > {QUAD_TOL}; "
-        f"eta={approx.eta:.4f}, sigma={approx.sigma:.4f}, kappa={kappa}, "
-        f"threshold={sinr_threshold:.4f})"
+    One row of outage_probabilities, which documents the fit.
+    """
+    members = np.ones((1, len(interferers)), dtype=bool)
+    return float(
+        outage_probabilities(useful, interferers, members, noise, sinr_threshold, fading)[0]
     )
+
+
+def _outage_quadrature(
+    eta: np.ndarray, sigma: np.ndarray, kappa: float, sinr_threshold: float
+) -> np.ndarray:
+    """E[F(b W)] per row for W = exp(Z), Z ~ N(eta, sigma^2), F the unit-mean Gamma CDF.
+
+    Every row climbs QUAD_LADDER until two successive Gauss-Hermite
+    estimates agree to QUAD_TOL, and leaves it there; each rung evaluates
+    the remaining rows QUAD_BLOCK nodes-times-rows at a time.  A row with
+    sigma ~0 is the point value F(b e^eta).
+    """
+    out = np.empty(len(eta))
+    point = sigma <= SIGMA_FLOOR
+    out[point] = _gamma_cdf_unit_mean(kappa, sinr_threshold * np.exp(eta[point]))
+
+    def expectation(rows: np.ndarray, nodes: int) -> np.ndarray:
+        t, wgt = _gh_nodes(nodes)
+        val = np.empty(len(rows))
+        step = max(1, QUAD_BLOCK // nodes)
+        for lo in range(0, len(rows), step):
+            r = rows[lo : lo + step]
+            x = np.exp(eta[r, None] + (SQRT2 * sigma[r])[:, None] * t)
+            f = _gamma_cdf_unit_mean(kappa, sinr_threshold * x)
+            # one BLAS dot per row, as a 1-D `wgt @ f`, whatever the block size
+            val[lo : lo + step] = np.matmul(f[:, None, :], wgt[:, None])[:, 0, 0] / SQRTPI
+        return val
+
+    active = np.nonzero(~point)[0]
+    prev = expectation(active, QUAD_LADDER[0])
+    for nodes in QUAD_LADDER[1:]:
+        if active.size == 0:
+            break
+        val = expectation(active, nodes)
+        diff = np.abs(val - prev)
+        done = diff <= QUAD_TOL
+        out[active[done]] = val[done]
+        active, prev, diff = active[~done], val[~done], diff[~done]
+    if active.size:
+        worst = int(np.argmax(diff))
+        row = active[worst]
+        raise NumericsError(
+            f"outage quadrature did not converge at {QUAD_LADDER[-1]} nodes for "
+            f"{active.size} of {len(eta)} rows (worst last change {diff[worst]:.3e} > "
+            f"{QUAD_TOL}; eta={eta[row]:.4f}, sigma={sigma[row]:.4f}, kappa={kappa}, "
+            f"threshold={sinr_threshold:.4f})"
+        )
+    return np.clip(out, 0.0, 1.0)

@@ -164,8 +164,8 @@ class Scenario:
             )
         hops = self.topology.hops()
         for i, rate in enumerate(self.lam):
-            if rate < 0.0:
-                raise ValidationError("generation rates must be >= 0")
+            if not 0.0 <= rate < math.inf:
+                raise ValidationError(f"generation rates must be finite and >= 0, got {rate}")
             if rate > 0.0 and hops[i] < 0:
                 raise ValidationError(
                     f"node {i} generates traffic but has no route"
@@ -198,7 +198,7 @@ def build_contention_tables(scenario: Scenario) -> list[LinkTables]:
     links: the probability the transmitter's CCA detects them, and the
     probability the receiver suffers outage.  A subset containing the
     link's own receiver pins outage to 1 (a transmitting radio hears
-    nothing).
+    nothing).  Each table is one batched channel call over all subsets.
     """
     links = scenario.links()
     n_links = len(links)
@@ -226,29 +226,24 @@ def build_contention_tables(scenario: Scenario) -> list[LinkTables]:
     tables = []
     for l, (tx, rx) in enumerate(links):
         others = tuple(i for i in range(n_links) if i != l)
-        useful = faded(mean_w(tx, rx))
-        p_fad = channel.outage_probability(
-            useful, [], noise, chan.sinr_threshold, fading
-        )
+        senders = [links[o][0] for o in others]
         p_det = channel.detection_probabilities(
-            [faded(mean_w(links[o][0], tx)) for o in others],
-            bits,
-            chan.cca_threshold_mw,
+            [faded(mean_w(s, tx)) for s in senders], bits, chan.cca_threshold_mw, fading
+        )
+        own = [z for z, s in enumerate(senders) if s == rx]  # the receiver transmits
+        heard = [z for z, s in enumerate(senders) if s != rx]
+        free = ~bits[:, own].any(axis=1)
+        p_out = np.ones(2**k)
+        p_out[free] = channel.outage_probabilities(
+            faded(mean_w(tx, rx)),
+            [faded(mean_w(senders[z], rx)) for z in heard],
+            bits[free][:, heard],
+            noise,
+            chan.sinr_threshold,
             fading,
         )
-        p_out = np.zeros(2**k)
-        for mask in range(1, 2**k):
-            senders = [links[others[z]][0] for z in range(k) if bits[mask, z]]
-            if rx in senders:
-                p_out[mask] = 1.0
-            else:
-                p_out[mask] = channel.outage_probability(
-                    useful,
-                    [faded(mean_w(s, rx)) for s in senders],
-                    noise,
-                    chan.sinr_threshold,
-                    fading,
-                )
+        p_fad = float(p_out[0])  # the empty subset: noise-only outage
+        p_out[0] = 0.0
         tables.append(LinkTables(others=others, p_det=p_det, p_out=p_out, p_fad=p_fad))
     return tables
 
@@ -396,6 +391,11 @@ def _build_scenario(config: dict, default_id: str) -> Scenario:
     n = topology.size
     hops = topology.hops()
     lam_value = config.get("lam", 0.0)
+    if isinstance(lam_value, str):  # one scalar, e.g. YAML 1.1 reads 1e-3 as a string
+        try:
+            lam_value = float(lam_value)
+        except ValueError:
+            raise ValueError(f"lam={lam_value!r} is not a number") from None
     if isinstance(lam_value, (int, float)):
         lam = tuple(
             float(lam_value) if hops[i] >= 0 else 0.0 for i in range(n)

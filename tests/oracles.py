@@ -15,6 +15,15 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gammainc
 
+from csmafade.channel import (
+    QUAD_LADDER,
+    QUAD_TOL,
+    PowerTerm,
+    _gamma_cdf_unit_mean,
+    lognormal_expectation,
+    mma_fit,
+)
+
 
 # ---------------------------------------------------------------------------
 # Monte Carlo channel oracles
@@ -102,6 +111,53 @@ def quad_outage_truth(kappa, sinr_threshold, eta, sigma) -> float:
 
     val, _ = integrate.quad(integrand, -12.0, 12.0, limit=400, epsabs=1e-13, epsrel=1e-13)
     return val / math.sqrt(math.pi)
+
+
+def outage_reference(useful, interferers, noise, sinr_threshold, fading=None) -> float:
+    """Per-subset SINR outage, built the long way round.
+
+    The denominator is normalized by the useful term (weights w_n / w_u,
+    exponents y_n - y_u), its exponent covariance is written out entry by
+    entry and turned into a correlation matrix, and the general mma_fit
+    matches the two moments.  The tail is then a Q-function, or the
+    scalar Gauss-Hermite ladder when the useful link carries multipath.
+    """
+    s_u = useful.sigma
+    base_sigma = [t.sigma for t in interferers] + [0.0]  # (interferers..., noise)
+    m = len(base_sigma)
+    tilde = [math.sqrt(s * s + s_u * s_u) for s in base_sigma]
+    terms = [
+        PowerTerm(t.weight / useful.weight, tilde[j], t.has_multipath)
+        for j, t in enumerate(interferers)
+    ]
+    terms.append(PowerTerm(noise.weight / useful.weight, tilde[-1]))
+    cov = np.empty((m, m))
+    for a in range(m):
+        for b in range(m):
+            cov[a, b] = (base_sigma[a] ** 2 if a == b else 0.0) + s_u * s_u
+    corr = np.eye(m)
+    for a in range(m):
+        for b in range(m):
+            if a != b and tilde[a] > 0.0 and tilde[b] > 0.0:
+                corr[a, b] = cov[a, b] / (tilde[a] * tilde[b])
+    fit = mma_fit(terms, corr=corr, fading=fading)
+
+    if fading is None or not fading.multipath or not useful.has_multipath:
+        if fit.sigma <= 1e-12:
+            return 1.0 if -fit.eta < math.log(sinr_threshold) else 0.0
+        z = (math.log(sinr_threshold) + fit.eta) / fit.sigma
+        return 1.0 - 0.5 * math.erfc(z / math.sqrt(2.0))
+
+    def integrand(w):
+        return _gamma_cdf_unit_mean(fading.kappa, sinr_threshold * w)
+
+    prev = lognormal_expectation(integrand, fit.eta, fit.sigma, nodes=QUAD_LADDER[0])
+    for nodes in QUAD_LADDER[1:]:
+        val = lognormal_expectation(integrand, fit.eta, fit.sigma, nodes=nodes)
+        if abs(val - prev) <= QUAD_TOL:
+            return min(max(val, 0.0), 1.0)
+        prev = val
+    raise AssertionError("reference quadrature did not converge")
 
 
 # ---------------------------------------------------------------------------

@@ -176,10 +176,6 @@ def test_fading_params_validation():
         FadingParams(sigma=-0.1)
     with pytest.raises(ValidationError):
         FadingParams(kappa=0.2)
-    with pytest.raises(ValidationError):
-        FadingParams(rho=np.array([[1.0, 0.5], [0.4, 1.0]]))
-    with pytest.raises(ValidationError):
-        FadingParams(rho=np.array([[1.0, 1.5], [1.5, 1.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +344,68 @@ def test_outage_validates_terms():
         outage_probability(PowerTerm(1.0), [], PowerTerm(1e-9, sigma=1.0), 4.0)
     with pytest.raises(ValidationError):
         outage_probability(PowerTerm(1.0), [], PowerTerm(1e-9), -1.0)
+
+
+@pytest.mark.parametrize("kappa", [None, 1.5, 2.0])
+@pytest.mark.parametrize("sigma", [0.0, 1.0, 2.0])
+def test_batched_outage_matches_per_subset_reference(sigma, kappa):
+    # closed-form subset moments against the explicit covariance + mma_fit
+    # construction, with interferer spreads unequal to the useful link's
+    chan = ChannelParams()
+    b = chan.sinr_threshold
+    noise = PowerTerm(chan.noise_mw)
+    fading = FadingParams(sigma=sigma, kappa=kappa)
+    rng = np.random.default_rng(int(10 * sigma) + (0 if kappa is None else int(10 * kappa)))
+    for k in (1, 3, 6):
+        useful = PowerTerm(
+            mean_rx_power(0.0, rng.uniform(1.0, 6.0), chan), sigma, kappa is not None
+        )
+        terms = [
+            PowerTerm(
+                mean_rx_power(0.0, rng.uniform(1.0, 12.0), chan),
+                sigma * rng.choice([0.0, 0.5, 1.0, 1.5]),
+                kappa is not None and bool(rng.integers(2)),
+            )
+            for _ in range(k)
+        ]
+        members = np.vstack(
+            [np.zeros(k, bool), np.ones(k, bool), rng.integers(0, 2, (12, k)).astype(bool)]
+        )
+        batch = channel.outage_probabilities(useful, terms, members, noise, b, fading)
+        for row, got in zip(members, batch):
+            chosen = [t for t, on in zip(terms, row) if on]
+            want = oracles.outage_reference(useful, chosen, noise, b, fading)
+            assert abs(got - want) <= 1e-12, (k, row, got, want)
+            # a row comes out of the batch exactly as it does alone
+            assert got == outage_probability(useful, chosen, noise, b, fading)
+
+
+def test_outage_quadrature_does_not_depend_on_its_block_size(monkeypatch):
+    chan = ChannelParams()
+    fading = FadingParams(sigma=1.5, kappa=2.0)
+    terms = [PowerTerm(mean_rx_power(0.0, r, chan), 1.5, True) for r in (1.5, 2.0, 3.0, 5.0)]
+    members = (np.arange(16)[:, None] >> np.arange(4) & 1).astype(bool)
+    args = (PowerTerm(mean_rx_power(0.0, 1.0, chan), 1.5, True), terms, members,
+            PowerTerm(chan.noise_mw), chan.sinr_threshold, fading)
+    blocked = channel.outage_probabilities(*args)
+    monkeypatch.setattr(channel, "QUAD_BLOCK", 1)
+    assert np.array_equal(channel.outage_probabilities(*args), blocked)
+
+
+def test_outage_refuses_an_unconverged_quadrature(monkeypatch):
+    monkeypatch.setattr(channel, "QUAD_TOL", -1.0)
+    with pytest.raises(NumericsError, match="did not converge"):
+        outage_probability(
+            PowerTerm(1e-6, 1.0, True), [PowerTerm(1e-7, 1.0)], PowerTerm(1e-9), 4.0,
+            fading=FadingParams(sigma=1.0, kappa=2.0),
+        )
+
+
+def test_outage_rejects_a_members_matrix_of_the_wrong_width():
+    with pytest.raises(ValidationError, match="members"):
+        channel.outage_probabilities(
+            PowerTerm(1.0), [PowerTerm(0.1)], np.ones((2, 3), bool), PowerTerm(1e-9), 4.0
+        )
 
 
 # ---------------------------------------------------------------------------

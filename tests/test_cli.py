@@ -109,6 +109,16 @@ def test_malformed_value_reports_json_error(config_file, tmp_path, capsys, overr
     assert "invalid config value" in err["message"]
 
 
+@pytest.mark.parametrize("override, field", [("lam=abc", "lam"), ("mac.m0=2.5", "mac.m0")])
+def test_malformed_value_names_its_field(config_file, tmp_path, capsys, override, field):
+    rc = main(["analyze", "--config", str(config_file), "--set", override,
+               "--out", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    assert field in err["message"]
+
+
 def test_contender_cap_fails_before_building_tables(config_file, tmp_path, capsys):
     start = time.monotonic()
     rc = main(["analyze", "--config", str(config_file), "--set", "topology.n_nodes=17",

@@ -197,6 +197,7 @@ def test_h_functional_rejects_oversized_topologies(monkeypatch):
         raise AssertionError("channel layer called before the cap check")
 
     monkeypatch.setattr(channel, "outage_probability", no_channel_work)
+    monkeypatch.setattr(channel, "outage_probabilities", no_channel_work)
     monkeypatch.setattr(channel, "detection_probabilities", no_channel_work)
     scenario = scenario_from_config({"topology": {"kind": "star", "n_nodes": 17}})
     with pytest.raises(ValidationError, match="cap"):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from csmafade import channel
 from csmafade.errors import ValidationError
 from csmafade.scenarios import (
     Topology,
@@ -49,6 +50,34 @@ def test_minimal_config_fills_documented_defaults():
 def test_scalar_rate_expands_to_transmitters_only():
     s = scenario_of(MINIMAL_STAR)
     assert s.lam == (0.0, 5.0, 5.0)
+
+
+def test_string_rate_is_one_scalar():
+    # YAML 1.1 reads 1e-3 (no dot) as a string; it must not be split per character
+    assert scenario_of(MINIMAL_STAR, set=["lam=1e-3"]).lam == (0.0, 0.001, 0.001)
+    assert scenario_of(MINIMAL_STAR.replace("5.0", "'055'")).lam == (0.0, 55.0, 55.0)
+
+
+def test_unparseable_string_rate_names_lam():
+    with pytest.raises(ValidationError, match="lam='abc'"):
+        scenario_of(MINIMAL_STAR, set=["lam=abc"])
+    for value in ("nan", ".inf", "-1"):
+        with pytest.raises(ValidationError, match="finite and >= 0"):
+            scenario_of(MINIMAL_STAR, set=[f"lam={value}"])
+
+
+def test_fading_rho_is_rejected_as_unknown_key():
+    text = MINIMAL_STAR + "fading: {sigma: 1, rho: [[1, .9, .9], [.9, 1, .9], [.9, .9, 1]]}\n"
+    with pytest.raises(ValidationError, match="unknown key 'rho'"):
+        scenario_of(text)
+
+
+def test_mac_fields_must_be_integers():
+    s = scenario_of(MINIMAL_STAR, set=["mac.m0=2.0", "mac.n=3"])
+    assert s.mac.m0 == 2 and type(s.mac.m0) is int
+    for bad in ("mac.m0=2.5", "mac.mb=x", "mac.m=true", "mac.n=1.5"):
+        with pytest.raises(ValidationError, match=r"mac\.\w+ must be an integer"):
+            scenario_of(MINIMAL_STAR, set=[bad])
 
 
 def test_sigma_db_uses_the_power_convention():
@@ -176,6 +205,28 @@ def test_batched_detection_table_equals_per_subset_detection(kappa):
     for mine, ref in zip(built, reference):
         assert len(mine.p_det) == 2**4
         _tables_equal(mine, ref)
+
+
+def test_tables_take_one_batched_channel_call_per_link(monkeypatch):
+    # no per-subset fit or quadrature may run while the tables are built
+    def per_subset_work(*args, **kwargs):
+        raise AssertionError("per-subset channel work in build_contention_tables")
+
+    for name in ("mma_fit", "lognormal_expectation", "outage_probability", "detection_probability"):
+        monkeypatch.setattr(channel, name, per_subset_work)
+    calls = {"outage_probabilities": 0, "detection_probabilities": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(channel, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(channel, name, counted)
+    s = scenario_of(
+        "topology: {kind: star, n_nodes: 10}\nlam: 5.0\nfading: {sigma: 1.5, kappa: 2}\n"
+    )
+    tables = build_contention_tables(s)
+    assert len(tables) == 9 and len(tables[0].p_out) == 2**8
+    assert calls == {"outage_probabilities": 9, "detection_probabilities": 9}
 
 
 def test_sim_network_matches_reference_construction():
