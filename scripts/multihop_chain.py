@@ -35,7 +35,7 @@ def main() -> None:
 
     for sigma in args.sigmas:
         scenario = chain_scenario(sigma, args.reps)
-        routing = scenario.routing()
+        routing = scenario.routing
         sol = solve_network(build_contention_tables(scenario), routing,
                             np.array(scenario.lam), scenario.mac, scenario.timing,
                             profile=scenario.power, config=scenario.solver)

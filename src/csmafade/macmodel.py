@@ -17,7 +17,6 @@ singularities at alpha = 1/2 and xi = 1.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,13 +38,6 @@ class MacParams:
     n: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("m0", "mb", "m", "n"):
-            value = getattr(self, name)
-            if isinstance(value, float) and value.is_integer():
-                value = int(value)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValidationError(f"mac.{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
         if not 0 <= self.m0 <= self.mb <= 8:
             raise ValidationError(f"require 0 <= m0 <= mb <= 8, got m0={self.m0}, mb={self.mb}")
         if not 0 <= self.m <= 5:

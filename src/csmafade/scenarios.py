@@ -23,8 +23,11 @@ back to defaults.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +39,7 @@ from .errors import ValidationError
 from .macmodel import LinkTables, MacParams, SolverConfig, TimingParams, _bit_matrix
 from .metrics import PowerProfile
 from .multihop import RoutingMatrix
-from .simulator import SimConfig, SimNetwork
+from .simulator import SimConfig, SimNetwork, symbol_timing
 from .units import db_to_neper
 
 SYMBOLS_PER_BYTE = 2  # 4 bits per symbol at the 2.4 GHz PHY
@@ -96,9 +99,23 @@ class Topology:
             return out
         if self.kind == "line":
             return [(h * self.spacing_m, 0.0) for h in range(self.n_nodes)]
-        # tree: breadth-first levels on concentric circles, children fanned
-        # inside their parent's angular sector
+        return self._tree()[0]
+
+    def hops(self) -> np.ndarray:
+        """next_hop per node, -1 where the node terminates traffic."""
+        if self.kind == "explicit":
+            return np.asarray(self.next_hop, dtype=int)
+        if self.kind == "star":
+            return np.array([-1] + [0] * (self.n_nodes - 1))
+        if self.kind == "line":
+            return np.array([-1] + list(range(self.n_nodes - 1)))
+        return self._tree()[1]
+
+    def _tree(self) -> tuple[list[tuple[float, float]], np.ndarray]:
+        """Positions and next hops from one breadth-first walk: levels on
+        concentric circles, children fanned inside their parent's sector."""
         out = [(0.0, 0.0)]
+        hops = np.full(self.n_nodes, -1)
         sectors = {0: (0.0, 2.0 * math.pi)}
         level = {0: 0}
         parent_queue = [0]
@@ -113,31 +130,12 @@ class Topology:
                 mid = 0.5 * (a + b)
                 radius = (level[parent] + 1) * self.spacing_m
                 out.append((radius * math.cos(mid), radius * math.sin(mid)))
+                hops[next_index] = parent
                 sectors[next_index] = (a, b)
                 level[next_index] = level[parent] + 1
                 parent_queue.append(next_index)
                 next_index += 1
-        return out
-
-    def hops(self) -> np.ndarray:
-        """next_hop per node, -1 where the node terminates traffic."""
-        if self.kind == "explicit":
-            return np.asarray(self.next_hop, dtype=int)
-        if self.kind == "star":
-            return np.array([-1] + [0] * (self.n_nodes - 1))
-        if self.kind == "line":
-            return np.array([-1] + list(range(self.n_nodes - 1)))
-        hops = np.full(self.n_nodes, -1)
-        parent_queue = [0]
-        assigned = 1
-        while assigned < self.n_nodes:
-            parent = parent_queue.pop(0)
-            kids = min(self.branching, self.n_nodes - assigned)
-            for _ in range(kids):
-                hops[assigned] = parent
-                parent_queue.append(assigned)
-                assigned += 1
-        return hops
+        return out, hops
 
 
 @dataclass(frozen=True)
@@ -162,33 +160,51 @@ class Scenario:
             raise ValidationError(
                 f"lam has {len(self.lam)} entries for {n} nodes"
             )
-        hops = self.topology.hops()
         for i, rate in enumerate(self.lam):
             if not 0.0 <= rate < math.inf:
                 raise ValidationError(f"generation rates must be finite and >= 0, got {rate}")
-            if rate > 0.0 and hops[i] < 0:
+            if rate > 0.0 and self.hops[i] < 0:
                 raise ValidationError(
                     f"node {i} generates traffic but has no route"
                 )
-        self.routing()  # validates hop indices and acyclicity
+        self.routing  # validates hop indices and acyclicity
+        symbol_timing(self.timing)  # both engines take only whole-symbol timing
 
-    def routing(self) -> RoutingMatrix:
+    # the geometry both engines share, derived once per scenario
+    @cached_property
+    def hops(self) -> np.ndarray:
+        """next_hop per node, -1 where the node terminates traffic."""
         hops = self.topology.hops()
-        n = len(hops)
-        sinks = [i for i, h in enumerate(hops) if h < 0]
+        hops.flags.writeable = False
+        return hops
+
+    @cached_property
+    def routing(self) -> RoutingMatrix:
+        n = len(self.hops)
+        sinks = [i for i, h in enumerate(self.hops) if h < 0]
         if not sinks:
             raise ValidationError("routing has no sink")
         matrix = np.zeros((n, n), dtype=int)
-        for i, h in enumerate(hops):
-            if h >= 0:
-                if h >= n:
-                    raise ValidationError(f"node {i} routes to missing node {h}")
-                matrix[i, h] = 1
+        for i, h in self.links:
+            if h >= n:
+                raise ValidationError(f"node {i} routes to missing node {h}")
+            matrix[i, h] = 1
         return RoutingMatrix(matrix=matrix, sink=sinks[0])
 
-    def links(self) -> list[tuple[int, int]]:
-        hops = self.topology.hops()
-        return [(i, int(h)) for i, h in enumerate(hops) if h >= 0]
+    @cached_property
+    def links(self) -> tuple[tuple[int, int], ...]:
+        """(transmitter, next hop) per link, in transmitter order."""
+        return tuple((i, int(h)) for i, h in enumerate(self.hops) if h >= 0)
+
+    @cached_property
+    def mean_gain_mw(self) -> np.ndarray:
+        """Mean power (mW) node j receives when node i transmits; 0 for i == j."""
+        pos = self.topology.positions()
+        gain = np.zeros((len(pos), len(pos)))
+        for i, j in itertools.permutations(range(len(pos)), 2):
+            gain[i, j] = mean_rx_power(self.tx_power_dbm, math.dist(pos[i], pos[j]), self.channel)
+        gain.flags.writeable = False
+        return gain
 
 
 def build_contention_tables(scenario: Scenario) -> list[LinkTables]:
@@ -200,7 +216,7 @@ def build_contention_tables(scenario: Scenario) -> list[LinkTables]:
     link's own receiver pins outage to 1 (a transmitting radio hears
     nothing).  Each table is one batched channel call over all subsets.
     """
-    links = scenario.links()
+    links = scenario.links
     n_links = len(links)
     k = n_links - 1
     if k > MAX_CONTENDERS:
@@ -209,7 +225,7 @@ def build_contention_tables(scenario: Scenario) -> list[LinkTables]:
             "reduce the topology or split the scenario"
         )
     chan, fading = scenario.channel, scenario.fading
-    positions = scenario.topology.positions()
+    gain = scenario.mean_gain_mw
     bits = _bit_matrix(k)
     noise = PowerTerm(weight=chan.noise_mw)
 
@@ -218,25 +234,20 @@ def build_contention_tables(scenario: Scenario) -> list[LinkTables]:
             weight=weight, sigma=fading.sigma, has_multipath=fading.multipath
         )
 
-    def mean_w(src: int, dst: int) -> float:
-        return mean_rx_power(
-            scenario.tx_power_dbm, math.dist(positions[src], positions[dst]), chan
-        )
-
     tables = []
     for l, (tx, rx) in enumerate(links):
         others = tuple(i for i in range(n_links) if i != l)
         senders = [links[o][0] for o in others]
         p_det = channel.detection_probabilities(
-            [faded(mean_w(s, tx)) for s in senders], bits, chan.cca_threshold_mw, fading
+            [faded(gain[s, tx]) for s in senders], bits, chan.cca_threshold_mw, fading
         )
         own = [z for z, s in enumerate(senders) if s == rx]  # the receiver transmits
         heard = [z for z, s in enumerate(senders) if s != rx]
         free = ~bits[:, own].any(axis=1)
         p_out = np.ones(2**k)
         p_out[free] = channel.outage_probabilities(
-            faded(mean_w(tx, rx)),
-            [faded(mean_w(senders[z], rx)) for z in heard],
+            faded(gain[tx, rx]),
+            [faded(gain[senders[z], rx]) for z in heard],
             bits[free][:, heard],
             noise,
             chan.sinr_threshold,
@@ -251,19 +262,10 @@ def build_contention_tables(scenario: Scenario) -> list[LinkTables]:
 def compile_sim_network(scenario: Scenario) -> SimNetwork:
     """Mean-gain matrix plus routing arrays for the event-driven engine."""
     chan = scenario.channel
-    positions = scenario.topology.positions()
-    n = len(positions)
-    gain = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                gain[i, j] = mean_rx_power(
-                    scenario.tx_power_dbm, math.dist(positions[i], positions[j]), chan
-                )
     return SimNetwork(
-        mean_gain_mw=gain,
+        mean_gain_mw=scenario.mean_gain_mw,
         lam=np.asarray(scenario.lam, dtype=float),
-        next_hop=scenario.topology.hops(),
+        next_hop=scenario.hops,
         sigma=scenario.fading.sigma,
         kappa=scenario.fading.kappa,
         cca_threshold_mw=chan.cca_threshold_mw,
@@ -287,12 +289,50 @@ def _require_mapping(value, where: str) -> dict:
 
 
 def _take(section: dict, cls, where: str):
-    """Build a dataclass from a config section, rejecting unknown keys."""
-    known = {f.name for f in fields(cls)}
-    for key in section:
-        if key not in known:
+    """Build a dataclass from a config section, rejecting unknown keys.
+
+    Numeric fields are checked against their annotations first, so a bad
+    value is reported under its dotted name.
+    """
+    types = _field_types(cls)
+    values = {}
+    for key, value in section.items():
+        if key not in types:
             raise ValidationError(f"unknown key {key!r} in {where}")
-    return cls(**section)
+        values[key] = _coerce(value, types[key], f"{where}.{key}")
+    try:
+        return cls(**values)
+    except ValidationError as exc:
+        raise ValidationError(f"invalid config value in {where}: {exc}") from exc
+
+
+@cache
+def _field_types(cls) -> dict:
+    return typing.get_type_hints(cls)
+
+
+def _coerce(value, annotation, name: str):
+    """Check a value for an int or float (or float | None) field.
+
+    A string in a float field is parsed with float(), since YAML 1.1 reads
+    1e-3 as a string; an int field takes integral numbers only.
+    """
+    if annotation is int:
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    elif annotation in (float, float | None):
+        if value is None and annotation is not float:
+            return None
+        if isinstance(value, str):
+            try:
+                value = float(value)
+            except ValueError:
+                pass
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
 
 
 def parse_config(text: str, source: str = "<config>") -> dict:
@@ -375,7 +415,8 @@ def _build_scenario(config: dict, default_id: str) -> Scenario:
     if "sigma_db" in fading_section:
         if "sigma" in fading_section:
             raise ValidationError("give fading.sigma or fading.sigma_db, not both")
-        fading_section["sigma"] = db_to_neper(float(fading_section.pop("sigma_db")))
+        sigma_db = _coerce(fading_section.pop("sigma_db"), float, "fading.sigma_db")
+        fading_section["sigma"] = db_to_neper(sigma_db)
 
     timing_section = _require_mapping(config.get("timing"), "timing")
     unit_symbols = 20.0  # symbols per backoff unit
@@ -385,11 +426,9 @@ def _build_scenario(config: dict, default_id: str) -> Scenario:
                 raise ValidationError(
                     f"give timing.{byte_key} or timing.{field_name}, not both"
                 )
-            nbytes = float(timing_section.pop(byte_key))
+            nbytes = _coerce(timing_section.pop(byte_key), float, f"timing.{byte_key}")
             timing_section[field_name] = nbytes * SYMBOLS_PER_BYTE / unit_symbols
 
-    n = topology.size
-    hops = topology.hops()
     lam_value = config.get("lam", 0.0)
     if isinstance(lam_value, str):  # one scalar, e.g. YAML 1.1 reads 1e-3 as a string
         try:
@@ -397,9 +436,7 @@ def _build_scenario(config: dict, default_id: str) -> Scenario:
         except ValueError:
             raise ValueError(f"lam={lam_value!r} is not a number") from None
     if isinstance(lam_value, (int, float)):
-        lam = tuple(
-            float(lam_value) if hops[i] >= 0 else 0.0 for i in range(n)
-        )
+        lam = tuple(float(lam_value) if h >= 0 else 0.0 for h in topology.hops())
     else:
         lam = tuple(float(v) for v in lam_value)
 

@@ -45,6 +45,25 @@ def _unit_symbols(units: float, what: str) -> int:
     return int(rounded)
 
 
+def symbol_timing(timing: TimingParams) -> tuple[int, int, int, int, int, int]:
+    """(data, ACK, CCA, turnaround, ACK timeout, success tail) in whole symbols.
+
+    Scenario validation calls this too, so both engines reject timing that
+    the symbol clock cannot represent.
+    """
+    data_sym = _unit_symbols(timing.l_pkt, "packet length")
+    ack_sym = _unit_symbols(timing.l_ack, "ACK length")
+    cca_sym = _unit_symbols(timing.t_sc, "CCA duration")
+    turn_sym = _unit_symbols(timing.turnaround, "turnaround")
+    ack_wait = turn_sym + ack_sym + SYMBOLS_PER_UNIT  # ACK timeout after data end
+    success_tail = _unit_symbols(
+        timing.t_ack + timing.l_ack + timing.ifs, "success tail"
+    )
+    if turn_sym + ack_sym > ack_wait or ack_wait > success_tail:
+        raise ValidationError("ACK timing is inconsistent with the transaction tail")
+    return data_sym, ack_sym, cca_sym, turn_sym, ack_wait, success_tail
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Execution settings for the event-driven engine."""
@@ -55,8 +74,8 @@ class SimConfig:
     ack_loss: bool = True  # ACK reception subject to the SINR rule
 
     def __post_init__(self) -> None:
-        if self.horizon_seconds <= 0.0:
-            raise ValidationError("horizon must be positive")
+        if not self.horizon_seconds >= SYMBOL_SECONDS:
+            raise ValidationError(f"horizon must be at least one symbol ({SYMBOL_SECONDS:g} s)")
         if self.replications < 1:
             raise ValidationError("need at least one replication")
 
@@ -228,18 +247,9 @@ def run_replication(
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=(config.master_seed, rep_index))
     )
-    mac, timing = net.mac, net.timing
+    mac = net.mac
     horizon = int(round(config.horizon_seconds / SYMBOL_SECONDS))
-    data_sym = _unit_symbols(timing.l_pkt, "packet length")
-    ack_sym = _unit_symbols(timing.l_ack, "ACK length")
-    cca_sym = _unit_symbols(timing.t_sc, "CCA duration")
-    turn_sym = _unit_symbols(timing.turnaround, "turnaround")
-    ack_wait = turn_sym + ack_sym + SYMBOLS_PER_UNIT  # ACK timeout after data end
-    success_tail = _unit_symbols(
-        timing.t_ack + timing.l_ack + timing.ifs, "success tail"
-    )
-    if turn_sym + ack_sym > ack_wait or ack_wait > success_tail:
-        raise ValidationError("ACK timing is inconsistent with the transaction tail")
+    data_sym, ack_sym, cca_sym, turn_sym, ack_wait, success_tail = symbol_timing(net.timing)
 
     transmitters = net.transmitters
     link_of = {node: l for l, node in enumerate(transmitters)}

@@ -15,8 +15,10 @@ Engines:
 
 Every point reuses the same simulator master seed (common random numbers),
 so differences between points reflect the parameters, not resampling noise.
-A point that fails to solve or validate contributes rows whose value cells
-are empty and whose warnings cell carries the error; the sweep continues.
+A failing point does not stop the sweep.  A point whose config fails to
+validate becomes one `error` row.  A point where an engine fails keeps its
+usual block: that engine's cells are empty, its message is in the warnings
+cell, and the other engine's cells are kept.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConvergenceError, NumericsError, ValidationError
-from .multihop import solve_network
+from .errors import NumericsError, ValidationError
+from .multihop import end_to_end_reliability, solve_network
 from .scenarios import build_contention_tables, compile_sim_network, scenario_from_config
 from .simulator import run_experiment
 
@@ -134,6 +136,79 @@ def _fmt(value) -> str:
     return str(value)
 
 
+LINK_METRICS = ("reliability", "delay_s", "power_mw")
+AGGREGATE_METRICS = ("mean_reliability", "mean_delay_s", "mean_power_mw")
+
+
+def _row_keys(scenario) -> list[tuple]:
+    """(src, dst, metric) of every row in a point's block, in output order."""
+    keys = [(src, dst, m) for src, dst in scenario.links for m in LINK_METRICS]
+    keys += [("", "", m) for m in AGGREGATE_METRICS]
+    paths = [scenario.routing.path(src) for src, _ in scenario.links]
+    if any(len(path) > 1 for path in paths):
+        keys += [(path[0][0], path[-1][1], "end_to_end_reliability") for path in paths]
+    return keys
+
+
+def _keyed(scenario, per_link, aggregates, end_to_end) -> dict:
+    """Key values by row: per-link triples in link order, the aggregate
+    triple, then end_to_end[origin] if the block has end-to-end rows."""
+    keys = _row_keys(scenario)
+    values = [v for triple in per_link for v in triple] + list(aggregates)
+    values += [end_to_end[src] for src, _, _ in keys[len(values):]]
+    return dict(zip(keys, values, strict=True))
+
+
+def _analytic(scenario) -> tuple[dict, list[str]]:
+    """Fixed-point model: {(src, dst, metric): value} plus warnings."""
+    tables = build_contention_tables(scenario)
+    solution = solve_network(tables, scenario.routing, scenario.lam, scenario.mac,
+                             scenario.timing, profile=scenario.power, config=scenario.solver)
+    rep = solution.report
+    values = _keyed(
+        scenario,
+        [(m.reliability, m.delay_seconds, m.power_mw) for m in rep.links],
+        (rep.mean_reliability, rep.mean_delay_seconds, rep.mean_power_mw),
+        solution.end_to_end,
+    )
+    warnings = list(solution.warnings)
+    if any(math.isnan(m.delay_seconds) for m in rep.links):
+        warnings.append("delay undefined on some links")
+    return values, warnings
+
+
+def _simulate(scenario, workers: int) -> tuple[dict, list[str]]:
+    """Event simulator: {(src, dst, metric): (mean, ci95_half)} plus warnings."""
+    net = compile_sim_network(scenario)
+    result = run_experiment(net, scenario.sim, scenario.power, workers=workers)
+    # reliability and delay arrays are per link, in transmitter order; power is per node
+    rel = list(zip(result.reliability_mean, result.reliability_ci95))
+    delay = list(zip(result.delay_mean_seconds, result.delay_ci95_seconds))
+    power = [(result.power_mean_mw[src], result.power_ci95_mw[src]) for src, _ in scenario.links]
+    link_rel = {link: mean for link, (mean, _) in zip(scenario.links, rel)}
+    end_to_end = {src: (end_to_end_reliability(scenario.routing, link_rel, src), math.nan)
+                  for src, _ in scenario.links}
+    aggregates = (_pooled(rel), _pooled(delay, finite_only=True), _pooled(power))
+    values = _keyed(scenario, list(zip(rel, delay, power)), aggregates, end_to_end)
+    if any(math.isnan(mean) for mean, _ in rel):
+        return values, ["no completed packets on some links"]
+    return values, []
+
+
+def _pooled(pairs, finite_only: bool = False) -> tuple[float, float]:
+    """Mean of per-link (mean, ci95_half) estimates, and its half-width.
+
+    The half-width is NaN if any link's is.  finite_only averages over the
+    links with a defined mean (delay is undefined where nothing completes).
+    """
+    means = [m for m, _ in pairs if not (finite_only and math.isnan(m))]
+    mean = float(sum(means) / len(means)) if means else math.nan
+    halves = [h for _, h in pairs]
+    if any(math.isnan(h) for h in halves):
+        return mean, math.nan
+    return mean, math.sqrt(sum(h * h for h in halves)) / len(halves)
+
+
 def evaluate_point(
     config: dict,
     assignments,
@@ -143,151 +218,45 @@ def evaluate_point(
 ) -> list[list[str]]:
     """Evaluate one grid point and return its formatted CSV rows.
 
-    With strict=False a failing point is reported inside the rows (empty
-    value cells, error text in the warnings column) so a sweep can keep
-    going; strict=True re-raises instead, for single-scenario runs.
+    With strict=False a failing point is reported inside the rows so a sweep
+    can keep going: a config failure as one `error` row, an engine failure
+    as empty cells for that engine with its message in the warnings column.
+    strict=True re-raises instead, for single-scenario runs.
     """
     point = copy.deepcopy(config)
     point.pop("sweep", None)
     for path, value in assignments:
         assign(point, path, value)
-
+    scenario_id = str(point.get("scenario_id", "scenario"))
     prefix = [_fmt(value) for _, value in assignments]
-    warnings: list[str] = []
     try:
-        scenario = scenario_from_config(point, default_id=str(point.get("scenario_id", "scenario")))
+        scenario = scenario_from_config(point, default_id=scenario_id)
     except (ValidationError, NumericsError) as exc:
         if strict:
             raise
-        row = [str(point.get("scenario_id", "scenario")), *prefix, "", "", "error",
-               "", "", "", "", f"config: {exc}"]
-        return [row]
+        return [[scenario_id, *prefix, "", "", "error", "", "", "", "", f"config: {exc}"]]
 
-    routing = scenario.routing()
-    links = scenario.links()
-    multihop = any(len(routing.path(node)) > 1 for node, _ in links)
-    origins = [node for node, _ in links]
-
-    analytic = {}  # metric name -> {key: value}
-    if engine in ("analytic", "compare"):
+    runners = {"analytic": lambda: _analytic(scenario),
+               "simulate": lambda: _simulate(scenario, sim_workers)}
+    results, warnings = {}, []
+    for name in runners if engine == "compare" else [engine]:
         try:
-            tables = build_contention_tables(scenario)
-            solution = solve_network(
-                tables,
-                routing,
-                scenario.lam,
-                scenario.mac,
-                scenario.timing,
-                profile=scenario.power,
-                config=scenario.solver,
-            )
-            rep = solution.report
-            analytic["link"] = {
-                links[l]: (m.reliability, m.delay_seconds, m.power_mw)
-                for l, m in enumerate(rep.links)
-            }
-            analytic["aggregate"] = (
-                rep.mean_reliability,
-                rep.mean_delay_seconds,
-                rep.mean_power_mw,
-            )
-            analytic["e2e"] = dict(solution.end_to_end)
-            for w in solution.warnings:
-                warnings.append(f"analytic: {w}")
-            if any(math.isnan(m.delay_seconds) for m in rep.links):
-                warnings.append("analytic: delay undefined on some links")
-        except (ConvergenceError, NumericsError, ValidationError) as exc:
+            results[name], notes = runners[name]()
+        except (NumericsError, ValidationError) as exc:
             if strict:
                 raise
-            warnings.append(f"analytic: {exc}")
-            analytic = {}
+            notes = [str(exc)]
+        warnings += [f"{name}: {note}" for note in notes]
+    analytic, sim = results.get("analytic", {}), results.get("simulate", {})
 
-    sim = {}
-    replications = None
-    if engine in ("simulate", "compare"):
-        try:
-            net = compile_sim_network(scenario)
-            result = run_experiment(net, scenario.sim, scenario.power, workers=sim_workers)
-            replications = scenario.sim.replications
-            rel_by_node = dict(zip(result.transmitters, zip(result.reliability_mean,
-                                                            result.reliability_ci95)))
-            delay_by_node = dict(zip(result.transmitters, zip(result.delay_mean_seconds,
-                                                              result.delay_ci95_seconds)))
-            sim["link"] = {
-                (src, dst): (
-                    rel_by_node[src],
-                    delay_by_node[src],
-                    (result.power_mean_mw[src], result.power_ci95_mw[src]),
-                )
-                for src, dst in links
-            }
-            rel_means = [rel_by_node[n][0] for n, _ in links]
-            delays = [delay_by_node[n][0] for n, _ in links]
-            finite = [d for d in delays if not math.isnan(d)]
-            powers = [result.power_mean_mw[n] for n, _ in links]
-
-            def pooled(cis):
-                usable = [c for c in cis if not math.isnan(c)]
-                if len(usable) < len(cis):
-                    return math.nan
-                return math.sqrt(sum(c * c for c in usable)) / len(cis)
-
-            sim["aggregate"] = (
-                (float(sum(rel_means) / len(rel_means)),
-                 pooled([rel_by_node[n][1] for n, _ in links])),
-                (float(sum(finite) / len(finite)) if finite else math.nan,
-                 pooled([delay_by_node[n][1] for n, _ in links])),
-                (float(sum(powers) / len(powers)),
-                 pooled([result.power_ci95_mw[n] for n, _ in links])),
-            )
-            e2e = {}
-            for node in origins:
-                product = 1.0
-                for src, _ in routing.path(node):
-                    product *= rel_by_node[src][0]
-                e2e[node] = product
-            sim["e2e"] = e2e
-            if any(math.isnan(rel_by_node[n][0]) for n, _ in links):
-                warnings.append("simulate: no completed packets on some links")
-        except (ConvergenceError, NumericsError, ValidationError) as exc:
-            if strict:
-                raise
-            warnings.append(f"simulate: {exc}")
-            sim = {}
-
-    warning_cell = "; ".join(warnings)
-    reps_cell = _fmt(replications)
     rows = []
-
-    def emit(src, dst, metric, analytic_value, sim_pair):
-        sim_mean, sim_ci = ("", "")
-        if sim_pair is not None:
-            sim_mean, sim_ci = _fmt(sim_pair[0]), _fmt(sim_pair[1])
+    for key in _row_keys(scenario):
+        sim_mean, sim_ci = sim.get(key, (None, None))
         rows.append([
-            scenario.scenario_id, *prefix,
-            _fmt(src), _fmt(dst), metric,
-            _fmt(analytic_value), sim_mean, sim_ci,
-            reps_cell if sim_pair is not None else "",
-            warning_cell,
+            scenario.scenario_id, *prefix, _fmt(key[0]), _fmt(key[1]), key[2],
+            _fmt(analytic.get(key)), _fmt(sim_mean), _fmt(sim_ci),
+            _fmt(scenario.sim.replications) if key in sim else "", "; ".join(warnings),
         ])
-
-    metric_names = ("reliability", "delay_s", "power_mw")
-    for src, dst in links:
-        a_vals = analytic.get("link", {}).get((src, dst), (None,) * 3)
-        s_vals = sim.get("link", {}).get((src, dst))
-        for i, metric in enumerate(metric_names):
-            emit(src, dst, metric, a_vals[i], s_vals[i] if s_vals is not None else None)
-    a_agg = analytic.get("aggregate", (None,) * 3)
-    s_agg = sim.get("aggregate")
-    for i, metric in enumerate(("mean_reliability", "mean_delay_s", "mean_power_mw")):
-        emit("", "", metric, a_agg[i], s_agg[i] if s_agg is not None else None)
-    if multihop:
-        for node in origins:
-            dst = routing.path(node)[-1][1]
-            a_val = analytic.get("e2e", {}).get(node)
-            s_val = sim.get("e2e", {}).get(node) if sim else None
-            emit(node, dst, "end_to_end_reliability",
-                 a_val, (s_val, math.nan) if s_val is not None else None)
     return rows
 
 

@@ -12,21 +12,9 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def linear_to_db(x: float) -> float:
-    if x <= 0.0:
-        raise ValueError("linear ratio must be positive")
-    return 10.0 * math.log10(x)
-
-
 def dbm_to_mw(dbm: float) -> float:
     """Convert a dBm power level to milliwatts."""
     return 10.0 ** (dbm / 10.0)
-
-
-def mw_to_dbm(mw: float) -> float:
-    if mw <= 0.0:
-        raise ValueError("power must be positive")
-    return 10.0 * math.log10(mw)
 
 
 def db_to_neper(db: float) -> float:
@@ -36,7 +24,3 @@ def db_to_neper(db: float) -> float:
     dB spread divides by 10/ln(10).
     """
     return db * LN10_OVER_10
-
-
-def neper_to_db(neper: float) -> float:
-    return neper / LN10_OVER_10

@@ -25,6 +25,13 @@ from csmafade.channel import (
 )
 
 
+def linear_to_db(x: float) -> float:
+    """A linear power ratio in dB."""
+    if x <= 0.0:
+        raise ValueError("linear ratio must be positive")
+    return 10.0 * math.log10(x)
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo channel oracles
 

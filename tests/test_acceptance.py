@@ -74,7 +74,7 @@ sim: {{horizon_seconds: {HORIZON}, replications: {reps}, master_seed: {SEED}}}
 def analytic_solution(scenario):
     return solve_network(
         build_contention_tables(scenario),
-        scenario.routing(),
+        scenario.routing,
         np.array(scenario.lam),
         scenario.mac,
         scenario.timing,
@@ -196,7 +196,7 @@ def test_criterion_6_end_to_end_reliability_decreases_per_hop():
     for sigma in (0.0, 2.0):
         scenario = line_scenario(2.0, sigma)
         solution = analytic_solution(scenario)
-        routing = scenario.routing()
+        routing = scenario.routing
         _, _, result = simulate(scenario)
         rel_by_node = dict(zip(result.transmitters, result.reliability_mean))
         model_e2e, sim_e2e = [], []
@@ -314,7 +314,7 @@ def _check_bernoulli_service_process():
 
 def _check_traffic_neumann():
     scenario = line_scenario(2.0, 0.0, n_tx=5, reps=1)
-    routing = scenario.routing()
+    routing = scenario.routing
     rel = {
         (node, routing.next_hop(node)): 0.9 - 0.05 * node
         for node in routing.transmitters

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import gammainc
 
 import oracles
+from oracles import linear_to_db
 from csmafade.channel import (
     ChannelParams,
     FadingParams,
@@ -24,7 +25,7 @@ from csmafade.channel import (
 )
 from csmafade import channel
 from csmafade.errors import NumericsError, ValidationError
-from csmafade.units import dbm_to_mw, linear_to_db
+from csmafade.units import dbm_to_mw
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,15 @@ def test_malformed_value_reports_json_error(config_file, tmp_path, capsys, overr
     assert "invalid config value" in err["message"]
 
 
-@pytest.mark.parametrize("override, field", [("lam=abc", "lam"), ("mac.m0=2.5", "mac.m0")])
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        ("lam=abc", "lam"),
+        ("mac.m0=2.5", "mac.m0"),
+        ("topology.n_nodes=x", "topology.n_nodes"),
+        ("sim.horizon_seconds=abc", "sim.horizon_seconds"),
+    ],
+)
 def test_malformed_value_names_its_field(config_file, tmp_path, capsys, override, field):
     rc = main(["analyze", "--config", str(config_file), "--set", override,
                "--out", str(tmp_path)])
@@ -117,6 +125,16 @@ def test_malformed_value_names_its_field(config_file, tmp_path, capsys, override
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValidationError"
     assert field in err["message"]
+
+
+def test_timing_the_simulator_cannot_run_is_rejected_by_analyze(config_file, tmp_path, capsys):
+    # 7.3 bytes is 14.6 symbols: the simulator's whole-symbol clock cannot
+    # run it, so neither engine accepts it
+    rc = main(["analyze", "--config", str(config_file), "--set", "timing.packet_bytes=7.3",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError" and "whole number of symbols" in err["message"]
 
 
 def test_contender_cap_fails_before_building_tables(config_file, tmp_path, capsys):

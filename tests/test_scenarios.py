@@ -85,6 +85,12 @@ def test_sigma_db_uses_the_power_convention():
     assert s.fading.sigma == pytest.approx(2.0, rel=1e-4)
 
 
+def test_numeric_string_in_a_float_field_is_parsed():
+    # YAML 1.1 reads 1e-3 (no decimal point) as a string
+    s = scenario_of(MINIMAL_STAR, set=["fading.sigma=1e-3"])
+    assert s.fading.sigma == 0.001
+
+
 def test_sigma_and_sigma_db_together_are_rejected():
     text = MINIMAL_STAR + "fading: {sigma: 1.0, sigma_db: 8.686}\n"
     with pytest.raises(ValidationError, match="sigma"):
@@ -147,6 +153,23 @@ def test_tree_topology_parents_follow_breadth_first_order():
     assert list(topo.hops()) == [-1, 0, 0, 1, 1, 2, 2]
 
 
+def test_timing_off_the_symbol_grid_is_rejected_for_both_engines():
+    with pytest.raises(ValidationError, match="whole number of symbols"):
+        scenario_of(MINIMAL_STAR + "timing: {packet_bytes: 7.3}\n")
+
+
+def test_geometry_is_derived_once_and_shared_by_both_engines():
+    s = scenario_of("topology: {kind: tree, n_nodes: 7, branching: 2}\nlam: 1.0\n")
+    assert s.hops is s.hops and s.routing is s.routing and s.links is s.links
+    assert compile_sim_network(s).mean_gain_mw is s.mean_gain_mw
+    assert not s.mean_gain_mw.flags.writeable
+    positions = s.topology.positions()
+    for i, j in [(1, 0), (0, 6), (3, 4)]:
+        d = math.dist(positions[i], positions[j])
+        assert s.mean_gain_mw[i, j] == channel.mean_rx_power(0.0, d, s.channel)
+    assert (np.diag(s.mean_gain_mw) == 0.0).all()
+
+
 def test_cyclic_explicit_routing_is_rejected():
     text = """
 topology:
@@ -181,7 +204,7 @@ def _tables_equal(a, b):
 def test_contention_tables_match_reference_construction():
     s = scenario_of(MINIMAL_STAR + "fading: {sigma: 1.5}\n")
     positions = s.topology.positions()
-    links = s.links()
+    links = s.links
     reference = topo_helpers.build_tables(positions, links, s.channel, s.fading)
     built = build_contention_tables(s)
     assert len(built) == len(reference) == 2
@@ -199,7 +222,7 @@ def test_batched_detection_table_equals_per_subset_detection(kappa):
         set=[f"fading.kappa={'null' if kappa is None else kappa}"],
     )
     assert s.fading.kappa == kappa
-    reference = topo_helpers.build_tables(s.topology.positions(), s.links(), s.channel, s.fading)
+    reference = topo_helpers.build_tables(s.topology.positions(), s.links, s.channel, s.fading)
     built = build_contention_tables(s)
     assert len(built) == len(reference) == 5
     for mine, ref in zip(built, reference):
@@ -232,7 +255,7 @@ def test_tables_take_one_batched_channel_call_per_link(monkeypatch):
 def test_sim_network_matches_reference_construction():
     s = scenario_of(MINIMAL_STAR + "fading: {sigma: 0.5}\n")
     positions = s.topology.positions()
-    links = s.links()
+    links = s.links
     ref = topo_helpers.build_sim_network(
         positions, links, list(s.lam), s.channel, s.fading
     )

@@ -8,7 +8,14 @@ import time
 import pytest
 
 from csmafade.errors import ValidationError
-from csmafade.scenarios import parse_config
+from csmafade.multihop import solve_network
+from csmafade.scenarios import (
+    build_contention_tables,
+    compile_sim_network,
+    parse_config,
+    scenario_from_config,
+)
+from csmafade.simulator import run_experiment
 from csmafade.sweep import SweepSpec, evaluate_point, run_sweep, sweep_from_config
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "tiny3_sweep.csv"
@@ -138,6 +145,66 @@ def test_malformed_value_is_an_error_row_and_the_sweep_continues(tmp_path):
     assert len(bad) == 1 and bad[0]["metric"] == "error"
     assert "invalid config value" in bad[0]["warnings"]
     assert len(good) == 9 and all(r["warnings"] == "" for r in good)
+
+
+def test_timing_off_the_symbol_grid_is_an_error_row(tmp_path):
+    config = tiny_config()
+    config["sweep"]["engine"] = "analytic"
+    config["sweep"]["parameters"] = [{"path": "timing.packet_bytes", "values": [7.3, 70]}]
+    rows = read_rows(run_sweep(config, sweep_from_config(config), out_dir=tmp_path))
+    bad = [r for r in rows if r["timing.packet_bytes"] == "7.3"]
+    good = [r for r in rows if r["timing.packet_bytes"] == "70"]
+    assert len(bad) == 1 and bad[0]["metric"] == "error"
+    assert "whole number of symbols" in bad[0]["warnings"]
+    assert len(good) == 9 and all(r["warnings"] == "" for r in good)
+
+
+def test_one_engine_failing_keeps_the_other_engines_cells(tmp_path):
+    config = tiny_config()
+    config["solver"] = {"max_iter": 1}
+    config["sim"]["replications"] = 2
+    rows = read_rows(run_sweep(config, sweep_from_config(config), out_dir=tmp_path))
+    assert len(rows) == 18
+    for r in rows:
+        assert r["analytic_value"] == ""
+        assert r["sim_mean"] != "" and r["replications"] == "2"
+        assert r["warnings"].startswith("analytic: fixed point did not converge")
+
+
+def test_rows_match_the_engines_when_link_order_differs_from_node_order():
+    # sink in the middle: links are (0, 1) and (2, 1), so link index 1 is node 2
+    config = parse_config(
+        """
+scenario_id: mid
+topology: {kind: explicit, positions_m: [[0, 0], [1, 0], [2.5, 0]], next_hop: [1, -1, 1]}
+lam: [2.0, 0.0, 6.0]
+fading: {sigma: 1.0}
+sim: {horizon_seconds: 10.0, replications: 3, master_seed: 5}
+""",
+        "mid.yaml",
+    )
+    s = scenario_from_config(config)
+    assert s.links == ((0, 1), (2, 1))
+    sim = run_experiment(compile_sim_network(s), s.sim, s.power)
+    report = solve_network(
+        build_contention_tables(s), s.routing, s.lam, s.mac, s.timing,
+        profile=s.power, config=s.solver,
+    ).report
+    rows = {
+        (r[1], r[2], r[3]): r for r in evaluate_point(config, (), "compare")
+    }
+    for l, (src, dst) in enumerate(s.links):
+        expected = {
+            "reliability": (report.links[l].reliability,
+                            sim.reliability_mean[l], sim.reliability_ci95[l]),
+            "delay_s": (report.links[l].delay_seconds,
+                        sim.delay_mean_seconds[l], sim.delay_ci95_seconds[l]),
+            "power_mw": (report.links[l].power_mw,
+                         sim.power_mean_mw[src], sim.power_ci95_mw[src]),
+        }
+        for metric, (analytic, mean, ci) in expected.items():
+            row = rows[str(src), str(dst), metric]
+            assert row[4:7] == [f"{analytic:.9g}", f"{mean:.9g}", f"{ci:.9g}"]
 
 
 def test_point_over_the_contender_cap_fails_fast_and_the_sweep_continues(tmp_path):
