@@ -1,5 +1,7 @@
 """Event-driven simulator: determinism, physics, and agreement checks."""
 
+import dataclasses
+import hashlib
 import io
 
 import numpy as np
@@ -18,7 +20,7 @@ from csmafade.macmodel import (
     solve_fixed_point,
 )
 from csmafade.metrics import PowerProfile
-from csmafade.scenarios import scenario_from_config
+from csmafade.scenarios import compile_sim_network, scenario_from_config
 from csmafade.simulator import (
     IDLE,
     SLEEP,
@@ -333,3 +335,65 @@ def test_reliability_against_model_at_moderate_load():
 
     predicted = reliability(states[0].alpha, states[0].gamma, MacParams())
     assert np.mean(result.reliability_mean) == approx(predicted, abs=0.02)
+
+
+# Exactness oracle for the event loop.  Each case is one short replication
+# built through the production config path; the digests cover every SimStats
+# array (name, dtype, shape, bytes) and, separately, the full event trace.
+# They were recorded at commit 8dbc3c69c05fc9eb637cd4b5a7d4c8d1ae69160f,
+# before the loop was restructured.  A mismatch means the random stream or
+# the event order moved: fix the simulator, never re-record the digests.
+FINGERPRINT_CASES = {
+    "star7-lam10-sigma1-kappa2": (
+        {"topology": {"kind": "star", "n_nodes": 8}, "lam": 10.0,
+         "fading": {"sigma": 1.0, "kappa": 2.0},
+         "sim": {"horizon_seconds": 20.0, "master_seed": 1}},
+        "4887e8398aa507285cb44d7610eaa638ef71ad41d26cee07de9a14129f926898",
+        "22902bfcea6373151a76be5bf2ae126ac49b690ad0531b3ac3f16a39b4b0695e",
+    ),
+    "line5-relay-sigma1": (
+        {"topology": {"kind": "line", "n_nodes": 6}, "lam": [0, 2.0, 2.0, 2.0, 2.0, 2.0],
+         "fading": {"sigma": 1.0},
+         "sim": {"horizon_seconds": 20.0, "master_seed": 1}},
+        "1d5e352edc7b731593519cfefe4a08a3e7997c80974596c7dfb9a08eec994e30",
+        "fbec8f511cb3cdedf4bf9825a66e099279b8dc59087d0f94d7c597bc341b0266",
+    ),
+    "tiny3-ack-loss": (
+        {"topology": {"kind": "star", "n_nodes": 3}, "lam": 20.0,
+         "fading": {"sigma": 3.0},
+         "sim": {"horizon_seconds": 10.0, "master_seed": 7, "ack_loss": True}},
+        "cd81864a83257f3af26b5c70568f9fe93fabde07fbfb776769bfb938b52fb41a",
+        "f2b48a49149295249f0e63bb30ee3bc2a6b4510913a2ae7134e6d5c4ecafa74b",
+    ),
+    "tiny3-no-ack-loss": (
+        {"topology": {"kind": "star", "n_nodes": 3}, "lam": 20.0,
+         "fading": {"sigma": 3.0},
+         "sim": {"horizon_seconds": 10.0, "master_seed": 7, "ack_loss": False}},
+        "d0ca6556b0945a01ce946ddca3c521fb3020866b11659327f0c410ad2d8a5ad6",
+        "abd815f42b36195ca923c5518778aee3adeba47271c7b16909537422e877a55d",
+    ),
+}
+
+
+def _stats_digest(stats):
+    h = hashlib.sha256()
+    h.update(repr((stats.transmitters, stats.horizon_symbols)).encode())
+    for field in dataclasses.fields(stats):
+        value = getattr(stats, field.name)
+        if isinstance(value, np.ndarray):
+            h.update(f"{field.name}:{value.dtype.str}:{value.shape}:".encode())
+            h.update(np.ascontiguousarray(value).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(FINGERPRINT_CASES))
+def test_replication_matches_recorded_fingerprint(case):
+    config, stats_sha, trace_sha = FINGERPRINT_CASES[case]
+    scenario = scenario_from_config(config)
+    net = compile_sim_network(scenario)
+    plain = run_replication(net, scenario.sim, 0)
+    buffer = io.StringIO()
+    traced = run_replication(net, scenario.sim, 0, trace=buffer)
+    assert _stats_digest(plain) == _stats_digest(traced)
+    assert _stats_digest(plain) == stats_sha
+    assert hashlib.sha256(buffer.getvalue().encode()).hexdigest() == trace_sha
