@@ -3,8 +3,9 @@
 Every command reads a YAML scenario file, applies --set overrides, runs one
 or both engines, and writes a CSV next to (or into) --out.  `analyze` runs
 the fixed-point model only, `simulate` the event simulator only, `compare`
-both, and `sweep` evaluates the config's sweep block.  On failure the exit
-code is nonzero and a one-line JSON error summary goes to stderr.
+both, and `sweep` evaluates the config's sweep block; `simulate --trace FILE`
+also writes the event trace of replication 0.  On failure the exit code is
+nonzero and a one-line JSON error summary goes to stderr.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import sys
 from pathlib import Path
 
 from .errors import ConvergenceError, NumericsError, ValidationError
-from .scenarios import load_config
+from .scenarios import compile_sim_network, load_config, scenario_from_config
+from .simulator import run_replication
 from .sweep import SweepSpec, run_sweep, sweep_from_config
 
 ENGINE_FOR = {"analyze": "analytic", "simulate": "simulate", "compare": "compare"}
@@ -46,7 +48,19 @@ def build_parser() -> argparse.ArgumentParser:
     commands.add_parser("sweep", help="evaluate the config's sweep block")
     for name, sub in commands.choices.items():
         _add_common(sub)
+    commands.choices["simulate"].add_argument(
+        "--trace", metavar="FILE", help="write replication 0's event trace (TSV) to FILE")
     return parser
+
+
+def _write_trace(config: dict, path: str) -> None:
+    """Run replication 0 of the scenario again, writing its events to path."""
+    scenario = scenario_from_config(config)
+    try:
+        with open(path, "w") as f:
+            run_replication(compile_sim_network(scenario), scenario.sim, 0, trace=f)
+    except OSError as exc:
+        raise ValidationError(f"cannot write trace {path}: {exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -71,6 +85,8 @@ def main(argv=None) -> int:
             out_name=f"{config['scenario_id']}_{args.command}.csv",
             strict=args.command != "sweep",
         )
+        if getattr(args, "trace", None):
+            _write_trace(config, args.trace)
     except (ValidationError, ConvergenceError, NumericsError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)

@@ -177,8 +177,11 @@ def solve_network(
     tv = None
     for outer in range(1, outer_max + 1):
         qs = np.array([arrival_probability(rates[node], timing.sb_seconds) for node in transmitters])
-        system = ContentionSystem(qs=qs, mac=mac, timing=timing, tables=tables)
-        result = solve_fixed_point(system, config=config)
+        # only transmitters' rates enter the fixed point: if none moved (a
+        # star's second pass changes just the sink's), the last solve stands
+        if result is None or not np.array_equal(qs, system.qs):
+            system = ContentionSystem(qs=qs, mac=mac, timing=timing, tables=tables)
+            result = solve_fixed_point(system, config=config)
         warnings = result.warnings
         link_r = {}
         for l, node in enumerate(transmitters):

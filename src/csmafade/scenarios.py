@@ -167,6 +167,8 @@ class Scenario:
                 raise ValidationError(
                     f"node {i} generates traffic but has no route"
                 )
+        if not self.links:
+            raise ValidationError("the topology has no link: no node has a next hop")
         self.routing  # validates hop indices and acyclicity
         symbol_timing(self.timing)  # both engines take only whole-symbol timing
 

@@ -16,6 +16,7 @@ counters, delay samples, and tick-exact radio-state residencies.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -201,21 +202,15 @@ def measure_energy(stats: SimStats, profile: PowerProfile) -> np.ndarray:
     return stats.residency @ draws / stats.horizon_symbols
 
 
-@dataclass
-class _Transmission:
-    owner: int
-    start: int
-    end: int
-    gains: np.ndarray  # drawn received power at every node, mW
-
-
 class _Node:
     __slots__ = (
         "index",
         "link",
+        "dest",
         "baseline",
         "radio",
         "radio_since",
+        "residency",
         "serving",
         "service_start",
         "nb",
@@ -228,9 +223,11 @@ class _Node:
     def __init__(self, index: int, link: int | None, baseline: int):
         self.index = index
         self.link = link  # row in the per-link counters, None for pure receivers
+        self.dest = None  # next-hop node, None for pure receivers
         self.baseline = baseline
         self.radio = baseline
         self.radio_since = 0
+        self.residency = [0] * len(STATE_NAMES)  # symbols spent in each radio state
         self.serving = False
         self.service_start = 0
         self.nb = 0
@@ -240,291 +237,275 @@ class _Node:
         self.ack_busy_until = 0
 
 
+# per-link counters of SimStats, kept as int lists while a replication runs
+_LINK_COUNTERS = (
+    "generated",
+    "success",
+    "discard_cf",
+    "discard_cr",
+    "queue_dropped",
+    "in_flight",
+    "cca_attempts",
+    "cca_busy",
+    "data_attempts",
+    "data_lost",
+    "ack_failed",
+    "delay_symbols_sum",
+    "delay_count",
+)
+
+# Event kinds, most frequent first (the dispatch tests them in this order).
+# DATA_END also restores the receiver's radio, ACK_START switches both ends
+# of the ACK, and ACK_END evaluates the ACK then forwards the packet.  Each
+# of those steps pushes nothing and was scheduled right after the event it
+# now ends, at the same tick, so no other event ever ran between the two and
+# the pop order and random stream are what separate events would give.
+# CCA_START stays separate: sensing from the backoff's end directly would
+# schedule CCA_END earlier in push order and reorder same-tick events.
+CCA_END, CCA_START, DATA_END, ACK_START, ACK_END, ARRIVAL, SERVICE_DONE, TX_FAIL = range(8)
+
+
 def run_replication(
     net: SimNetwork, config: SimConfig, rep_index: int, trace=None
 ) -> SimStats:
-    """One independent replication; deterministic for (master_seed, rep_index)."""
+    """One independent replication; deterministic for (master_seed, rep_index).
+
+    The event heap holds (time, seq, kind, node, data) entries; seq rises in
+    push order, so events at the same tick run in the order they were
+    scheduled.  A transmission is the tuple (owner, start, end, gains), with
+    gains the drawn received power at every node in mW.
+    """
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=(config.master_seed, rep_index))
     )
-    mac = net.mac
     horizon = int(round(config.horizon_seconds / SYMBOL_SECONDS))
     data_sym, ack_sym, cca_sym, turn_sym, ack_wait, success_tail = symbol_timing(net.timing)
+    m0, mb, max_nb, max_rt = net.mac.m0, net.mac.mb, net.mac.m, net.mac.n
+    sigma, kappa, n_nodes = net.sigma, net.kappa, net.n_nodes
+    floor, noise, cca_threshold = net.sinr_threshold, net.noise_mw, net.cca_threshold_mw
+    ack_loss = config.ack_loss
+    lam = net.lam.tolist()
+    next_hop = net.next_hop.tolist()
 
     transmitters = net.transmitters
     link_of = {node: l for l, node in enumerate(transmitters)}
-    n_links = len(transmitters)
-    n_nodes = net.n_nodes
+    counters = {name: [0] * len(transmitters) for name in _LINK_COUNTERS}
+    cca_attempts, cca_busy = counters["cca_attempts"], counters["cca_busy"]
+    data_attempts, data_lost = counters["data_attempts"], counters["data_lost"]
+    generated, queue_dropped = counters["generated"], counters["queue_dropped"]
+
     relay_like = net.has_children
-
-    stats = SimStats(
-        transmitters=transmitters,
-        horizon_symbols=horizon,
-        generated=np.zeros(n_links, dtype=np.int64),
-        success=np.zeros(n_links, dtype=np.int64),
-        discard_cf=np.zeros(n_links, dtype=np.int64),
-        discard_cr=np.zeros(n_links, dtype=np.int64),
-        queue_dropped=np.zeros(n_links, dtype=np.int64),
-        in_flight=np.zeros(n_links, dtype=np.int64),
-        cca_attempts=np.zeros(n_links, dtype=np.int64),
-        cca_busy=np.zeros(n_links, dtype=np.int64),
-        data_attempts=np.zeros(n_links, dtype=np.int64),
-        data_lost=np.zeros(n_links, dtype=np.int64),
-        ack_failed=np.zeros(n_links, dtype=np.int64),
-        delay_symbols_sum=np.zeros(n_links, dtype=np.int64),
-        delay_count=np.zeros(n_links, dtype=np.int64),
-        residency=np.zeros((n_nodes, 5), dtype=np.int64),
-    )
-
     nodes = [
         _Node(i, link_of.get(i), IDLE if relay_like[i] else SLEEP)
         for i in range(n_nodes)
     ]
-    active: list[_Transmission] = []
-    heap: list[tuple[int, int, str, tuple]] = []
-    seq = 0
-
-    def push(time: int, kind: str, payload: tuple) -> None:
-        nonlocal seq
-        heapq.heappush(heap, (time, seq, kind, payload))
-        seq += 1
+    for node, hop in zip(nodes, next_hop):
+        if hop >= 0:
+            node.dest = nodes[hop]
+    active: list[tuple] = []
+    heap: list[tuple] = []
+    seq = itertools.count()
+    push, pop = heapq.heappush, heapq.heappop
 
     def set_radio(node: _Node, state: int, now: int) -> None:
         if now > node.radio_since:
-            stats.residency[node.index, node.radio] += now - node.radio_since
+            node.residency[node.radio] += now - node.radio_since
         node.radio = state
         node.radio_since = now
 
-    def emit(now: int, node: int, event: str, detail: str = "") -> None:
-        if trace is not None:
-            trace.write(f"{now}\t{node}\t{event}\t{detail}\n")
-
-    def draw_gains(tx: int) -> np.ndarray:
+    def draw_gains(tx: int) -> list[float]:
         gains = net.mean_gain_mw[tx]
-        if net.sigma > 0.0:
-            gains = gains * np.exp(rng.normal(0.0, net.sigma, n_nodes))
-        if net.kappa is not None:
-            gains = gains * rng.gamma(net.kappa, 1.0 / net.kappa, n_nodes)
-        return gains
+        if sigma > 0.0:
+            gains = gains * np.exp(rng.normal(0.0, sigma, n_nodes))
+        if kappa is not None:
+            gains = gains * rng.gamma(kappa, 1.0 / kappa, n_nodes)
+        return gains.tolist()
 
-    def overlapping(window_start: int, window_end: int, skip):
-        return [
-            t
-            for t in active
-            if t is not skip and t.start < window_end and t.end > window_start
-        ]
-
-    def reception_ok(rx_node: int, frame: _Transmission) -> bool:
-        others = overlapping(frame.start, frame.end, frame)
-        if any(t.owner == rx_node for t in others):
+    def reception_ok(rx: int, frame: tuple) -> bool:
+        _, start, end, gains = frame
+        others = [t for t in active if t is not frame and t[1] < end and t[2] > start]
+        if not others:
+            return gains[rx] >= floor * noise
+        if any(t[0] == rx for t in others):
             return False  # a transmitting destination cannot hear anything
-        useful = frame.gains[rx_node]
-        floor = net.sinr_threshold
+        useful = gains[rx]
         # sweep interferer start boundaries for the worst aggregate power
-        if others:
-            bounds = {frame.start}
-            bounds.update(
-                t.start for t in others if frame.start < t.start < frame.end
-            )
-            for b in bounds:
-                total = 0.0
-                for t in others:
-                    if t.start <= b < t.end:
-                        total += t.gains[rx_node]
-                if useful < floor * (total + net.noise_mw):
-                    return False
-            return True
-        return useful >= floor * net.noise_mw
+        bounds = {start}
+        bounds.update(t[1] for t in others if start < t[1] < end)
+        for b in bounds:
+            total = 0.0
+            for _, t_start, t_end, t_gains in others:
+                if t_start <= b < t_end:
+                    total += t_gains[rx]
+            if useful < floor * (total + noise):
+                return False
+        return True
 
-    def schedule_arrival(node_idx: int, now: float) -> None:
-        gap = rng.exponential(1.0 / net.lam[node_idx]) / SYMBOL_SECONDS
-        push(int(math.ceil(now + gap)), "arrival", (node_idx,))
+    def schedule_arrival(node: _Node, now: float) -> None:
+        gap = rng.exponential(1.0 / lam[node.index]) / SYMBOL_SECONDS
+        push(heap, (math.ceil(now + gap), next(seq), ARRIVAL, node, None))
 
     def start_backoff(node: _Node, now: int) -> None:
         slots = int(rng.integers(0, 2**node.be))
         set_radio(node, IDLE, now)
-        push(now + slots * SYMBOLS_PER_UNIT, "cca_start", (node.index,))
-        emit(now, node.index, "backoff", f"{slots} slots")
-
-    def start_service(node: _Node, now: int) -> None:
-        node.serving = True
-        node.service_start = now
-        node.nb = 0
-        node.be = mac.m0
-        node.rt = 0
-        start_backoff(node, now)
+        push(heap, (now + slots * SYMBOLS_PER_UNIT, next(seq), CCA_START, node, None))
+        if trace is not None:
+            trace.write(f"{now}\t{node.index}\tbackoff\t{slots} slots\n")
 
     def finish_service(node: _Node, now: int, outcome: str) -> None:
         link = node.link
         if outcome == "success":
-            stats.success[link] += 1
-            stats.delay_symbols_sum[link] += now - node.service_start
-            stats.delay_count[link] += 1
+            counters["success"][link] += 1
+            counters["delay_symbols_sum"][link] += now - node.service_start
+            counters["delay_count"][link] += 1
         elif outcome == "cf":
-            stats.discard_cf[link] += 1
+            counters["discard_cf"][link] += 1
         else:
-            stats.discard_cr[link] += 1
+            counters["discard_cr"][link] += 1
         node.serving = False
         set_radio(node, node.baseline, now)
-        emit(now, node.index, "service_end", outcome)
+        if trace is not None:
+            trace.write(f"{now}\t{node.index}\tservice_end\t{outcome}\n")
 
     def offer_packet(node: _Node, now: int) -> None:
         """A packet (generated or forwarded) arrives at the node's queue."""
-        if node.link is None:
+        link = node.link
+        if link is None:
             return  # nodes without a route consume packets
-        stats.generated[node.link] += 1
+        generated[link] += 1
         if node.serving:
-            stats.queue_dropped[node.link] += 1
-            emit(now, node.index, "drop", "queue busy")
+            queue_dropped[link] += 1
+            if trace is not None:
+                trace.write(f"{now}\t{node.index}\tdrop\tqueue busy\n")
         else:
-            start_service(node, now)
-
-    def retry_or_discard(node: _Node, now: int) -> None:
-        node.rt += 1
-        if node.rt > mac.n:
-            finish_service(node, now, "cr")
-        else:
+            node.serving = True
+            node.service_start = now
             node.nb = 0
-            node.be = mac.m0
+            node.be = m0
+            node.rt = 0
             start_backoff(node, now)
 
-    def start_data(node: _Node, now: int) -> None:
-        frame = _Transmission(node.index, now, now + data_sym, draw_gains(node.index))
-        active.append(frame)
-        stats.data_attempts[node.link] += 1
-        set_radio(node, TX, now)
-        push(frame.end, "data_end", (node.index, frame))
-        emit(now, node.index, "data_tx")
-        dest = nodes[int(net.next_hop[node.index])]
-        if not dest.serving and dest.radio in (IDLE, SLEEP, RX):
-            if dest.radio != RX:
-                set_radio(dest, RX, now)
-            dest.rx_until = max(dest.rx_until, frame.end)
-            push(frame.end, "radio_restore", (dest.index,))
-
-    def handle_data_end(node: _Node, now: int, frame: _Transmission) -> None:
-        dest = nodes[int(net.next_hop[node.index])]
-        ok = reception_ok(dest.index, frame)
-        if ok and dest.ack_busy_until > now + turn_sym:
-            ok = False  # destination radio still busy with a previous ACK
-        set_radio(node, IDLE, now)  # turnaround, then listen for the ACK
-        if ok:
-            ack = _Transmission(
-                dest.index,
-                now + turn_sym,
-                now + turn_sym + ack_sym,
-                draw_gains(dest.index),
-            )
-            active.append(ack)
-            dest.ack_busy_until = ack.end
-            push(ack.start, "ack_tx_start", (dest.index,))
-            push(ack.start, "sender_rx", (node.index,))
-            push(ack.end, "ack_eval", (node.index, now, ack))
-            push(ack.end, "forward", (dest.index,))
-        else:
-            stats.data_lost[node.link] += 1
-            push(now + ack_wait, "tx_fail", (node.index,))
-        emit(now, node.index, "data_end", "ok" if ok else "lost")
-
-    def handle_ack_eval(node: _Node, now: int, data_end: int, ack: _Transmission) -> None:
-        ok = reception_ok(node.index, ack) if config.ack_loss else True
-        set_radio(node, IDLE, now)
-        if ok:
-            # hold the post-ACK spacing, then the transaction is complete
-            push(data_end + success_tail, "service_done", (node.index,))
-        else:
-            stats.ack_failed[node.link] += 1
-            push(data_end + ack_wait, "tx_fail", (node.index,))
-        emit(now, node.index, "ack", "ok" if ok else "lost")
-
     # prime the generation processes
-    for i in range(n_nodes):
-        if net.lam[i] > 0.0 and net.next_hop[i] >= 0:
-            schedule_arrival(i, 0.0)
+    for node, rate in zip(nodes, lam):
+        if rate > 0.0 and node.dest is not None:
+            schedule_arrival(node, 0.0)
 
     while heap and heap[0][0] < horizon:
-        now, _, kind, payload = heapq.heappop(heap)
+        now, _, kind, node, data = pop(heap)
 
-        if kind == "arrival":
-            (node_idx,) = payload
-            offer_packet(nodes[node_idx], now)
-            schedule_arrival(node_idx, now)
-
-        elif kind == "cca_start":
-            (node_idx,) = payload
-            node = nodes[node_idx]
-            set_radio(node, SENSE, now)
-            push(now + cca_sym, "cca_end", (node_idx,))
-
-        elif kind == "cca_end":
-            (node_idx,) = payload
-            node = nodes[node_idx]
-            stats.cca_attempts[node.link] += 1
+        if kind == CCA_END:
+            link = node.link
+            cca_attempts[link] += 1
             sample_at = now - 1  # aggregate power over the last sensing symbol
+            idx = node.index
             sensed = 0.0
-            for t in active:
-                if t.start <= sample_at < t.end and t.owner != node_idx:
-                    sensed += t.gains[node_idx]
-            if sensed > net.cca_threshold_mw:
-                stats.cca_busy[node.link] += 1
+            for owner, start, end, gains in active:
+                if start <= sample_at < end and owner != idx:
+                    sensed += gains[idx]
+            if sensed > cca_threshold:
+                cca_busy[link] += 1
                 node.nb += 1
-                node.be = min(node.be + 1, mac.mb)
-                if node.nb > mac.m:
+                node.be = min(node.be + 1, mb)
+                if node.nb > max_nb:
                     finish_service(node, now, "cf")
                 else:
                     start_backoff(node, now)
-                emit(now, node_idx, "cca", "busy")
+                if trace is not None:
+                    trace.write(f"{now}\t{idx}\tcca\tbusy\n")
+            else:  # channel clear: transmit the data frame
+                frame = (idx, now, now + data_sym, draw_gains(idx))
+                active.append(frame)
+                data_attempts[link] += 1
+                set_radio(node, TX, now)
+                dest = node.dest
+                # an idle destination listens until the frame ends
+                restore = not dest.serving and dest.radio in (IDLE, SLEEP, RX)
+                if restore:
+                    if dest.radio != RX:
+                        set_radio(dest, RX, now)
+                    dest.rx_until = max(dest.rx_until, frame[2])
+                push(heap, (frame[2], next(seq), DATA_END, node, (frame, restore)))
+                if trace is not None:
+                    trace.write(f"{now}\t{idx}\tdata_tx\t\n")
+
+        elif kind == CCA_START:
+            set_radio(node, SENSE, now)
+            push(heap, (now + cca_sym, next(seq), CCA_END, node, None))
+
+        elif kind == DATA_END:
+            frame, restore = data
+            dest = node.dest
+            ok = reception_ok(dest.index, frame)
+            if ok and dest.ack_busy_until > now + turn_sym:
+                ok = False  # destination radio still busy with a previous ACK
+            set_radio(node, IDLE, now)  # turnaround, then listen for the ACK
+            if ok:
+                ack_start = now + turn_sym
+                ack = (dest.index, ack_start, ack_start + ack_sym, draw_gains(dest.index))
+                active.append(ack)
+                dest.ack_busy_until = ack[2]
+                push(heap, (ack_start, next(seq), ACK_START, dest, node))
+                push(heap, (ack[2], next(seq), ACK_END, node, (now, ack)))
             else:
-                start_data(node, now)
+                data_lost[node.link] += 1
+                push(heap, (now + ack_wait, next(seq), TX_FAIL, node, None))
+            if trace is not None:
+                trace.write(f"{now}\t{node.index}\tdata_end\t{'ok' if ok else 'lost'}\n")
+            if restore and dest.radio == RX and not dest.serving and now >= dest.rx_until:
+                set_radio(dest, dest.baseline, now)
 
-        elif kind == "data_end":
-            node_idx, frame = payload
-            handle_data_end(nodes[node_idx], now, frame)
-
-        elif kind == "sender_rx":
-            (node_idx,) = payload
-            set_radio(nodes[node_idx], RX, now)
-
-        elif kind == "ack_tx_start":
-            (node_idx,) = payload
-            node = nodes[node_idx]
+        elif kind == ACK_START:  # node sends the ACK, data is the sender
             if not node.serving:
                 set_radio(node, TX, now)
+            set_radio(data, RX, now)
 
-        elif kind == "ack_eval":
-            node_idx, data_end, ack = payload
-            handle_ack_eval(nodes[node_idx], now, data_end, ack)
-            acker = nodes[ack.owner]
+        elif kind == ACK_END:
+            data_end, ack = data
+            ok = reception_ok(node.index, ack) if ack_loss else True
+            set_radio(node, IDLE, now)
+            if ok:
+                # hold the post-ACK spacing, then the transaction is complete
+                push(heap, (data_end + success_tail, next(seq), SERVICE_DONE, node, None))
+            else:
+                counters["ack_failed"][node.link] += 1
+                push(heap, (data_end + ack_wait, next(seq), TX_FAIL, node, None))
+            if trace is not None:
+                trace.write(f"{now}\t{node.index}\tack\t{'ok' if ok else 'lost'}\n")
+            acker = node.dest
             if not acker.serving and acker.radio == TX:
                 set_radio(acker, acker.baseline, now)
+            offer_packet(acker, now)  # the receiver forwards the packet
 
-        elif kind == "forward":
-            (node_idx,) = payload
-            offer_packet(nodes[node_idx], now)
+        elif kind == ARRIVAL:
+            offer_packet(node, now)
+            schedule_arrival(node, now)
 
-        elif kind == "tx_fail":
-            (node_idx,) = payload
-            retry_or_discard(nodes[node_idx], now)
+        elif kind == SERVICE_DONE:
+            finish_service(node, now, "success")
 
-        elif kind == "service_done":
-            (node_idx,) = payload
-            finish_service(nodes[node_idx], now, "success")
-
-        elif kind == "radio_restore":
-            (node_idx,) = payload
-            node = nodes[node_idx]
-            if node.radio == RX and not node.serving and now >= node.rx_until:
-                set_radio(node, node.baseline, now)
+        else:  # TX_FAIL
+            node.rt += 1
+            if node.rt > max_rt:
+                finish_service(node, now, "cr")
+            else:
+                node.nb = 0
+                node.be = m0
+                start_backoff(node, now)
 
         if len(active) > 16:
             watermark = now - 2 * data_sym
-            active[:] = [t for t in active if t.end > watermark]
+            active[:] = [t for t in active if t[2] > watermark]
 
     for node in nodes:
         set_radio(node, node.radio, horizon)
         if node.serving and node.link is not None:
-            stats.in_flight[node.link] += 1
-    return stats
+            counters["in_flight"][node.link] += 1
+    return SimStats(
+        transmitters=transmitters,
+        horizon_symbols=horizon,
+        **{name: np.array(values, dtype=np.int64) for name, values in counters.items()},
+        residency=np.array([node.residency for node in nodes], dtype=np.int64),
+    )
 
 
 def _rep_task(args) -> SimStats:

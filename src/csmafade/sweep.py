@@ -159,9 +159,35 @@ def _keyed(scenario, per_link, aggregates, end_to_end) -> dict:
     return dict(zip(keys, values, strict=True))
 
 
+# Contention tables built in this process, newest last; run_sweep empties it,
+# so points of one sweep share tables but separate sweeps do not.
+_table_cache: dict[tuple, list] = {}
+TABLE_CACHE_SIZE = 8
+
+
+def _contention_tables(scenario) -> list:
+    """build_contention_tables, reused by points whose tables cannot differ.
+
+    The tables read only the links, the mean gains, the channel and the
+    fading, so points that differ in rates, MAC, timing or simulator
+    settings share one build.  Shared arrays are made read-only.
+    """
+    key = (scenario.links, scenario.mean_gain_mw.tobytes(), scenario.channel, scenario.fading)
+    tables = _table_cache.get(key)
+    if tables is None:
+        tables = build_contention_tables(scenario)
+        for table in tables:
+            table.p_det.flags.writeable = False
+            table.p_out.flags.writeable = False
+        if len(_table_cache) >= TABLE_CACHE_SIZE:
+            del _table_cache[next(iter(_table_cache))]
+        _table_cache[key] = tables
+    return tables
+
+
 def _analytic(scenario) -> tuple[dict, list[str]]:
     """Fixed-point model: {(src, dst, metric): value} plus warnings."""
-    tables = build_contention_tables(scenario)
+    tables = _contention_tables(scenario)
     solution = solve_network(tables, scenario.routing, scenario.lam, scenario.mac,
                              scenario.timing, profile=scenario.power, config=scenario.solver)
     rep = solution.report
@@ -280,6 +306,7 @@ def run_sweep(
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / (out_name or f"{scenario_id}_sweep.csv")
 
+    _table_cache.clear()
     sim_workers = workers if len(points) == 1 else 1
     tasks = [(config, assignments, spec.engine, sim_workers, strict) for assignments in points]
     if workers > 1 and len(points) > 1:

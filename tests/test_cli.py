@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, overrides, and error reporting."""
 
 import csv
+import io
 import json
 import subprocess
 import sys
@@ -9,6 +10,8 @@ import time
 import pytest
 
 from csmafade.cli import main
+from csmafade.scenarios import compile_sim_network, load_scenario
+from csmafade.simulator import run_replication
 
 TINY = """
 topology:
@@ -145,6 +148,37 @@ def test_contender_cap_fails_before_building_tables(config_file, tmp_path, capsy
     assert time.monotonic() - start < 5.0
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValidationError" and "cap" in err["message"]
+
+
+def test_topology_without_a_link_reports_json_error(tmp_path, capsys):
+    no_link = tmp_path / "no_link.yaml"
+    no_link.write_text(
+        "topology: {kind: explicit, positions_m: [[0, 0], [1, 0]], next_hop: [-1, -1]}\n"
+        "lam: [0, 0]\n"
+    )
+    rc = main(["compare", "--config", str(no_link), "--out", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError" and "no link" in err["message"]
+
+
+def test_simulate_writes_the_event_trace_of_replication_0(config_file, tmp_path):
+    trace = tmp_path / "events.tsv"
+    rc = main(["simulate", "--config", str(config_file), "--out", str(tmp_path),
+               "--trace", str(trace)])
+    assert rc == 0
+    scenario = load_scenario(config_file)
+    expected = io.StringIO()
+    run_replication(compile_sim_network(scenario), scenario.sim, 0, trace=expected)
+    assert trace.read_text() == expected.getvalue()
+    assert all(len(line.split("\t")) == 4 for line in trace.read_text().splitlines())
+
+
+def test_unwritable_trace_reports_json_error(config_file, tmp_path, capsys):
+    rc = main(["simulate", "--config", str(config_file), "--out", str(tmp_path),
+               "--trace", str(tmp_path / "missing" / "events.tsv")])
+    assert rc == 1
+    assert "cannot write trace" in json.loads(capsys.readouterr().err)["message"]
 
 
 def test_missing_file_reports_json_error(tmp_path, capsys):

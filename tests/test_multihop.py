@@ -177,6 +177,23 @@ def test_single_hop_network_reduces_to_link_fixed_point():
     assert np.array_equal(solution.traffic.rates[1:], lam[1:])
 
 
+def test_star_solves_its_fixed_point_once(monkeypatch):
+    # the second outer pass of a star moves only the sink's rate, which no
+    # fixed point reads; a line's relays move, so it solves again
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve_fixed_point(*args, **kwargs)
+
+    monkeypatch.setattr(multihop, "solve_fixed_point", counting)
+    solution = solve_network(*_star_setup(), MAC, TIMING)
+    assert (len(calls), solution.outer_iterations) == (1, 2)
+    calls.clear()
+    solution = solve_network(*_line_setup(), MAC, TIMING)
+    assert len(calls) > 1
+
+
 def _line_setup(n_nodes=5, spacing=1.0, lam_rate=2.0, sigma=0.0):
     chan = channel.ChannelParams()
     fading = channel.FadingParams(sigma=sigma)

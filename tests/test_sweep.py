@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from csmafade import sweep
 from csmafade.errors import ValidationError
 from csmafade.multihop import solve_network
 from csmafade.scenarios import (
@@ -147,6 +148,18 @@ def test_malformed_value_is_an_error_row_and_the_sweep_continues(tmp_path):
     assert len(good) == 9 and all(r["warnings"] == "" for r in good)
 
 
+def test_topology_without_a_link_is_an_error_row(tmp_path):
+    config = parse_config(
+        "topology: {kind: explicit, positions_m: [[0, 0], [1, 0]], next_hop: [-1, 0]}\n"
+        "lam: 0.0\n"
+        "sweep: {engine: analytic, parameters: "
+        "[{path: topology.next_hop, values: [[-1, -1], [-1, 0]]}]}\n"
+    )
+    rows = read_rows(run_sweep(config, sweep_from_config(config), out_dir=tmp_path))
+    assert rows[0]["metric"] == "error" and "no link" in rows[0]["warnings"]
+    assert len(rows) == 1 + 6 and all(r["warnings"] == "" for r in rows[1:])
+
+
 def test_timing_off_the_symbol_grid_is_an_error_row(tmp_path):
     config = tiny_config()
     config["sweep"]["engine"] = "analytic"
@@ -218,6 +231,40 @@ def test_point_over_the_contender_cap_fails_fast_and_the_sweep_continues(tmp_pat
     small = [r for r in rows if r["topology.n_nodes"] == "3"]
     assert big and all(r["analytic_value"] == "" and "cap" in r["warnings"] for r in big)
     assert len(small) == 9 and all(r["warnings"] == "" for r in small)
+
+
+def test_points_that_differ_only_in_rate_share_their_tables(tmp_path, monkeypatch):
+    config = tiny_config()
+    config["sweep"]["engine"] = "analytic"
+    config["sweep"]["parameters"] = [
+        {"path": "lam", "values": [2.0, 10.0, 20.0]},
+        {"path": "fading.sigma", "values": [0.0, 1.0]},
+    ]
+    spec = sweep_from_config(config)
+    builds = []
+
+    def counting(scenario):
+        builds.append(scenario.fading.sigma)
+        return build_contention_tables(scenario)
+
+    monkeypatch.setattr(sweep, "build_contention_tables", counting)
+    shared = run_sweep(config, spec, out_dir=tmp_path, out_name="shared.csv")
+    assert sorted(builds) == [0.0, 1.0]
+    for tables in sweep._table_cache.values():
+        assert not any(t.p_det.flags.writeable or t.p_out.flags.writeable for t in tables)
+
+    # the same sweep with the cache emptied before every point
+    evaluate = sweep.evaluate_point
+
+    def uncached(*args, **kwargs):
+        sweep._table_cache.clear()
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, "evaluate_point", uncached)
+    builds.clear()
+    unshared = run_sweep(config, spec, out_dir=tmp_path, out_name="unshared.csv")
+    assert len(builds) == 6
+    assert shared.read_bytes() == unshared.read_bytes()
 
 
 def test_strict_mode_raises_instead_of_recording(tmp_path):
