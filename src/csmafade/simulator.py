@@ -254,7 +254,7 @@ _LINK_COUNTERS = (
     "delay_count",
 )
 
-# Event kinds, most frequent first (the dispatch tests them in this order).
+# Event kinds, roughly most frequent first (the dispatch tests them in order).
 # DATA_END also restores the receiver's radio, ACK_START switches both ends
 # of the ACK, and ACK_END evaluates the ACK then forwards the packet.  Each
 # of those steps pushes nothing and was scheduled right after the event it
