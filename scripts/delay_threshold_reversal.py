@@ -36,7 +36,7 @@ def analytic_delay(scenario):
     sol = solve_network(build_contention_tables(scenario), scenario.routing,
                         np.array(scenario.lam), scenario.mac, scenario.timing,
                         profile=scenario.power, config=scenario.solver)
-    return float(np.nanmean([lk.delay_seconds for lk in sol.report.links]))
+    return float(np.nanmean(sol.report.delay_seconds))
 
 
 def simulated_delay(scenario):

@@ -1,9 +1,10 @@
 """Performance models for unslotted CSMA/CA networks over fading channels.
 
 Two engines share one scenario description: an analytic engine that solves
-the coupled MAC/PHY equations link by link, and a discrete-event Monte Carlo
-simulator of the same system.  A command-line front end runs single scenarios,
-parameter sweeps, and model-versus-simulation comparisons.
+the coupled per-link MAC/PHY equations for all links at once, and a
+discrete-event Monte Carlo simulator of the same system.  A command-line
+front end runs single scenarios, parameter sweeps, and model-versus-simulation
+comparisons.
 """
 
 from .channel import (

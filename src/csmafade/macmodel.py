@@ -27,6 +27,9 @@ from .errors import ConvergenceError, ValidationError
 # high traffic; it is capped just below 1 to keep the chain formulas valid.
 ALPHA_CAP = 1.0 - 1e-9
 
+# One value or an array of per-link values: the chain formulas work elementwise.
+Values = float | np.ndarray
+
 
 @dataclass(frozen=True)
 class MacParams:
@@ -84,18 +87,17 @@ class TimingParams:
 
 @dataclass(frozen=True)
 class LinkState:
-    """Solved per-link MAC unknowns."""
+    """Solved MAC unknowns, one entry per link in each array."""
 
-    tau: float
-    alpha_pkt: float
-    alpha_ack: float
-    gamma: float
-    b000: float
-    q: float
+    tau: np.ndarray
+    alpha_pkt: np.ndarray
+    alpha_ack: np.ndarray
+    gamma: np.ndarray
+    b000: np.ndarray
 
     @property
-    def alpha(self) -> float:
-        return min(self.alpha_pkt + self.alpha_ack, ALPHA_CAP)
+    def alpha(self) -> np.ndarray:
+        return np.minimum(self.alpha_pkt + self.alpha_ack, ALPHA_CAP)
 
 
 @dataclass(frozen=True)
@@ -120,30 +122,26 @@ def arrival_probability(lambda_pkt_per_s: float, sb_seconds: float) -> float:
     return 1.0 - math.exp(-lambda_pkt_per_s * sb_seconds)
 
 
-def xi_value(alpha: float, gamma: float, mac: MacParams) -> float:
+def xi_value(alpha: Values, gamma: Values, mac: MacParams) -> Values:
     """Retry-branch probability: packet lost after a completed transmission."""
     return gamma * (1.0 - alpha ** (mac.m + 1))
 
 
 def cca_probability(
-    alpha: float,
-    gamma: float,
-    q: float,
-    mac: MacParams,
-    timing: TimingParams,
-) -> tuple[float, float]:
+    alpha: Values, gamma: Values, q: Values, mac: MacParams, timing: TimingParams
+) -> tuple[Values, Values]:
     """Per-slot CCA probability tau and idle-state probability b000.
 
     Renewal-reward over one packet cycle: backoff-and-sense slots per CCA
     round, transaction durations, and the idle wait for the next arrival
     after each outcome (single-packet queue, so the queue is always empty
-    when a packet leaves).
+    when a packet leaves).  Works elementwise on arrays.
     """
-    if not 0.0 <= alpha < 1.0:
+    if not np.all((0.0 <= alpha) & (alpha < 1.0)):
         raise ValidationError(f"alpha {alpha} outside [0, 1)")
-    if not 0.0 <= gamma <= 1.0:
+    if not np.all((0.0 <= gamma) & (gamma <= 1.0)):
         raise ValidationError(f"gamma {gamma} outside [0, 1]")
-    if not 0.0 < q <= 1.0:
+    if not np.all((0.0 < q) & (q <= 1.0)):
         raise ValidationError(f"arrival probability q {q} outside (0, 1]")
 
     xi = xi_value(alpha, gamma, mac)
@@ -212,7 +210,8 @@ class ContentionSystem:
 
     def __post_init__(self) -> None:
         n = len(self.tables)
-        if len(self.qs) != n:
+        self.qs = np.asarray(self.qs, dtype=float)
+        if self.qs.shape != (n,):
             raise ValidationError("qs length must match table count")
         k = n - 1
         for t in self.tables:
@@ -229,13 +228,14 @@ class ContentionSystem:
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products a[i] @ b[i].
+    """Dot products over the last axis, broadcast over the leading ones.
 
     A stack of (1, m) @ (m, 1) products runs the same BLAS dot as a 1-D `@`,
     so each row is summed in the same order as `a[i] @ b[i]`; an elementwise
-    product summed by numpy would round differently in the last bits.
+    product summed by numpy, or a matrix-vector `@`, would round differently
+    in the last bits.
     """
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def contention_terms(
@@ -280,23 +280,10 @@ def contention_terms(
 class SolveResult:
     """Fixed-point solution with diagnostics."""
 
-    states: list[LinkState]
+    state: LinkState
     iterations: int
     residual: float
     warnings: list[str]
-
-
-def _cca_pass(
-    system: ContentionSystem, alphas: np.ndarray, gammas: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """tau and b000 of every link; links with q = 0 never transmit (both 0)."""
-    taus = np.zeros(len(system.qs))
-    b000s = np.zeros(len(system.qs))
-    for l in np.flatnonzero(np.asarray(system.qs) > 0.0):
-        taus[l], b000s[l] = cca_probability(
-            alphas[l], gammas[l], system.qs[l], system.mac, system.timing
-        )
-    return taus, b000s
 
 
 def solve_fixed_point(
@@ -307,18 +294,24 @@ def solve_fixed_point(
     """Damped Jacobi iteration on (alpha, gamma) across all links.
 
     tau and b000 follow directly from (alpha, gamma, q) each sweep.  Links
-    with q = 0 never transmit and are held at tau = 0.
+    with q = 0 never transmit and are held at tau = b000 = 0.
     """
     n = len(system.tables)
     alphas = np.full(n, float(init[0]))
     gammas = np.full(n, float(init[1]))
+    taus = np.zeros(n)
+    b000s = np.zeros(n)
+    active = system.qs > 0.0
+    qs = system.qs[active]
     warnings: list[str] = []
     clamp_count = 0
     d = config.damping
 
     residual = math.inf
     for iteration in range(1, config.max_iter + 1):
-        taus, b000s = _cca_pass(system, alphas, gammas)
+        taus[active], b000s[active] = cca_probability(
+            alphas[active], gammas[active], qs, system.mac, system.timing
+        )
         a_pkts, a_acks, new_gamma = contention_terms(system, taus, alphas, gammas)
         raw_alpha = a_pkts + a_acks
         clamp_count += int(np.count_nonzero(raw_alpha > ALPHA_CAP))
@@ -332,7 +325,9 @@ def solve_fixed_point(
             # decoupled coordinates land exactly on their closed forms
             alphas = new_alpha
             gammas = new_gamma
-            taus, b000s = _cca_pass(system, alphas, gammas)
+            taus[active], b000s[active] = cca_probability(
+                alphas[active], gammas[active], qs, system.mac, system.timing
+            )
             break
         alphas = (1.0 - d) * alphas + d * new_alpha
         gammas = (1.0 - d) * gammas + d * new_gamma
@@ -345,15 +340,5 @@ def solve_fixed_point(
     if clamp_count:
         warnings.append(f"alpha clamped to {ALPHA_CAP} in {clamp_count} update(s)")
 
-    states = [
-        LinkState(
-            tau=float(taus[l]),
-            alpha_pkt=float(a_pkts[l]),
-            alpha_ack=float(a_acks[l]),
-            gamma=float(gammas[l]),
-            b000=float(b000s[l]),
-            q=float(system.qs[l]),
-        )
-        for l in range(n)
-    ]
-    return SolveResult(states=states, iterations=iteration, residual=residual, warnings=warnings)
+    state = LinkState(tau=taus, alpha_pkt=a_pkts, alpha_ack=a_acks, gamma=gammas, b000=b000s)
+    return SolveResult(state=state, iterations=iteration, residual=residual, warnings=warnings)

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericsError, ValidationError
-from .macmodel import LinkState, MacParams, TimingParams, xi_value
+from .errors import ValidationError
+from .macmodel import LinkState, MacParams, TimingParams, Values, _rowdot, xi_value
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,9 @@ class PowerProfile:
                 raise ValidationError(f"power draw {name} must be >= 0")
 
 
-def discard_probabilities(alpha: float, gamma: float, mac: MacParams) -> tuple[float, float]:
+def discard_probabilities(alpha: Values, gamma: Values, mac: MacParams) -> tuple[Values, Values]:
     """(p_cf, p_cr): discard by channel-access failure and by retry exhaustion."""
-    if not 0.0 <= alpha <= 1.0 or not 0.0 <= gamma <= 1.0:
+    if not np.all((0.0 <= alpha) & (alpha <= 1.0) & (0.0 <= gamma) & (gamma <= 1.0)):
         raise ValidationError(f"alpha={alpha}, gamma={gamma} must lie in [0, 1]")
     xi = xi_value(alpha, gamma, mac)
     p_cf = alpha ** (mac.m + 1) * sum(xi**j for j in range(mac.n + 1))
@@ -43,78 +43,72 @@ def discard_probabilities(alpha: float, gamma: float, mac: MacParams) -> tuple[f
     return p_cf, p_cr
 
 
-def reliability(alpha: float, gamma: float, mac: MacParams) -> float:
+def reliability(alpha: Values, gamma: Values, mac: MacParams) -> Values:
     """Probability that a packet leaving the queue is eventually delivered."""
     p_cf, p_cr = discard_probabilities(alpha, gamma, mac)
     return 1.0 - p_cf - p_cr
 
 
-def cca_rounds_distribution(alpha: float, mac: MacParams) -> np.ndarray:
-    """Pr[r busy CCAs before the clear one | access succeeds], r = 0..m."""
-    weights = np.array([alpha**r for r in range(mac.m + 1)])
-    return weights / weights.sum()
+def cca_rounds_distribution(alpha: Values, mac: MacParams) -> np.ndarray:
+    """Pr[r busy CCAs before the clear one | access succeeds], r = 0..m, on a last axis."""
+    weights = np.stack([alpha**r for r in range(mac.m + 1)], axis=-1)
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
-def retry_distribution(alpha: float, gamma: float, mac: MacParams) -> np.ndarray:
-    """Pr[h failed transmissions before the delivered one | success], h = 0..n."""
+def retry_distribution(alpha: Values, gamma: Values, mac: MacParams) -> np.ndarray:
+    """Pr[h failed transmissions before the delivered one | success], h = 0..n, on a last axis."""
     xi = xi_value(alpha, gamma, mac)
-    weights = np.array([xi**h for h in range(mac.n + 1)])
-    return weights / weights.sum()
+    weights = np.stack([xi**h for h in range(mac.n + 1)], axis=-1)
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
-def mean_access_time(alpha: float, mac: MacParams, timing: TimingParams) -> float:
+def mean_access_time(alpha: Values, mac: MacParams, timing: TimingParams) -> Values:
     """Mean backoff-and-sense time of one successful channel access, in backoff units."""
     rounds = cca_rounds_distribution(alpha, mac)
     cum_backoff = np.cumsum([(w - 1) / 2.0 for w in mac.windows])
-    per_round = np.array(
-        [(r + 1) * timing.t_sc + cum_backoff[r] for r in range(mac.m + 1)]
-    )
-    return float(rounds @ per_round)
+    per_round = np.arange(1, mac.m + 2) * timing.t_sc + cum_backoff
+    return _rowdot(rounds, per_round)
 
 
-def expected_delay(
-    alpha: float, gamma: float, mac: MacParams, timing: TimingParams
-) -> float:
-    """Mean delay of successfully delivered packets, in seconds."""
-    if reliability(alpha, gamma, mac) <= 1e-15:
-        raise NumericsError(
-            f"delay undefined: success probability is zero at alpha={alpha}, gamma={gamma}"
-        )
+def expected_delay(alpha: Values, gamma: Values, mac: MacParams, timing: TimingParams) -> Values:
+    """Mean delay of successfully delivered packets, in seconds.
+
+    NaN where the success probability is zero (at most 1e-15).
+    """
     retries = retry_distribution(alpha, gamma, mac)
     e_t = mean_access_time(alpha, mac, timing)
-    backoff_units = float(
-        sum(
-            retries[h] * (timing.ls + h * timing.lc + (h + 1) * e_t)
-            for h in range(mac.n + 1)
-        )
+    backoff_units = sum(
+        retries[..., h] * (timing.ls + h * timing.lc + (h + 1) * e_t)
+        for h in range(mac.n + 1)
     )
-    return backoff_units * timing.sb_seconds
+    success = reliability(alpha, gamma, mac) > 1e-15
+    return np.where(success, backoff_units * timing.sb_seconds, math.nan)[()]
 
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
-    """Average power in mW split by radio activity."""
+    """Average power in mW split by radio activity, one entry per link."""
 
-    backoff: float
-    sense: float
-    transmit: float
-    queue: float
-    relay: float
+    backoff: np.ndarray
+    sense: np.ndarray
+    transmit: np.ndarray
+    queue: np.ndarray
+    relay: np.ndarray
 
     @property
-    def total(self) -> float:
+    def total(self) -> np.ndarray:
         return self.backoff + self.sense + self.transmit + self.queue + self.relay
 
 
-def _mean_window(alpha: float, mac: MacParams) -> float:
+def _mean_window(alpha: Values, mac: MacParams) -> Values:
     """Backoff window averaged over CCA rounds, capped at 2^mb."""
     weights = [alpha**j for j in range(mac.m + 1)]
     return sum(w * win for w, win in zip(weights, mac.windows)) / sum(weights)
 
 
 def _transaction_power(
-    alpha: float, gamma: float, tau: float, profile: PowerProfile, timing: TimingParams
-) -> float:
+    alpha: Values, gamma: Values, tau: Values, profile: PowerProfile, timing: TimingParams
+) -> Values:
     """Average power of the transmit stage including the ACK window."""
     return (
         (1.0 - alpha)
@@ -128,89 +122,74 @@ def _transaction_power(
 
 
 def energy_rate(
-    states: list[LinkState],
+    state: LinkState,
     profile: PowerProfile,
     mac: MacParams,
     timing: TimingParams,
-    children: list[list[int]] | None = None,
-) -> list[EnergyBreakdown]:
-    """Average power per transmitting node, split by activity.
+    next_link: np.ndarray | None = None,
+) -> EnergyBreakdown:
+    """Average power of every transmitting node, split by activity.
 
-    children[i] lists the state indices of links relayed through node i.
-    Nodes with children idle-listen while waiting (relays), others sleep.
+    next_link[l] is the index of the link whose transmitter relays link l's
+    packets, or -1 where l delivers to a node that does not transmit.
+    Transmitters that relay idle-listen while waiting, the others sleep.
     """
-    if children is None:
-        children = [[] for _ in states]
-    if len(children) != len(states):
-        raise ValidationError("children list must match the state count")
-    out = []
-    for i, s in enumerate(states):
-        e_b = profile.p_idle * (s.tau / 2.0) * (_mean_window(s.alpha, mac) + 1.0)
-        e_s = profile.p_sense * s.tau
-        e_t = _transaction_power(s.alpha, s.gamma, s.tau, profile, timing)
-        is_relay = bool(children[i])
-        e_q = (profile.p_idle if is_relay else profile.p_sleep) * s.b000
-        e_x = 0.0
-        for c in children[i]:
-            cs = states[c]
-            e_x += _transaction_power(cs.alpha, cs.gamma, cs.tau, profile, timing)
-        out.append(EnergyBreakdown(backoff=e_b, sense=e_s, transmit=e_t, queue=e_q, relay=e_x))
-    return out
-
-
-@dataclass
-class LinkMetrics:
-    """Solved indicators for one link."""
-
-    reliability: float
-    p_cf: float
-    p_cr: float
-    delay_seconds: float  # NaN when no packet can succeed
-    power_mw: float
-    energy: EnergyBreakdown
+    n = len(state.tau)
+    next_link = np.full(n, -1) if next_link is None else np.asarray(next_link, dtype=int)
+    if next_link.shape != (n,):
+        raise ValidationError("next_link must have one entry per link")
+    relayed = next_link >= 0
+    alpha = state.alpha
+    e_t = _transaction_power(alpha, state.gamma, state.tau, profile, timing)
+    is_relay = np.isin(np.arange(n), next_link)
+    e_x = np.zeros(n)
+    np.add.at(e_x, next_link[relayed], e_t[relayed])  # adds children in link order
+    return EnergyBreakdown(
+        backoff=profile.p_idle * (state.tau / 2.0) * (_mean_window(alpha, mac) + 1.0),
+        sense=profile.p_sense * state.tau,
+        transmit=e_t,
+        queue=np.where(is_relay, profile.p_idle, profile.p_sleep) * state.b000,
+        relay=e_x,
+    )
 
 
 @dataclass
 class MetricsReport:
-    """Per-link metrics plus aggregate means."""
+    """Per-link metrics as arrays in link order, plus aggregate means."""
 
-    links: list[LinkMetrics]
+    reliability: np.ndarray
+    p_cf: np.ndarray
+    p_cr: np.ndarray
+    delay_seconds: np.ndarray  # NaN where no packet can succeed
+    energy: EnergyBreakdown
     mean_reliability: float = field(init=False)
     mean_delay_seconds: float = field(init=False)
     mean_power_mw: float = field(init=False)
 
     def __post_init__(self) -> None:
-        self.mean_reliability = float(np.mean([m.reliability for m in self.links]))
-        delays = [m.delay_seconds for m in self.links if math.isfinite(m.delay_seconds)]
-        self.mean_delay_seconds = float(np.mean(delays)) if delays else math.nan
-        self.mean_power_mw = float(np.mean([m.power_mw for m in self.links]))
+        self.mean_reliability = float(np.mean(self.reliability))
+        delays = self.delay_seconds[np.isfinite(self.delay_seconds)]
+        self.mean_delay_seconds = float(np.mean(delays)) if delays.size else math.nan
+        self.mean_power_mw = float(np.mean(self.power_mw))
+
+    @property
+    def power_mw(self) -> np.ndarray:
+        return self.energy.total
 
 
 def report(
-    states: list[LinkState],
+    state: LinkState,
     profile: PowerProfile,
     mac: MacParams,
     timing: TimingParams,
-    children: list[list[int]] | None = None,
+    next_link: np.ndarray | None = None,
 ) -> MetricsReport:
     """Assemble per-link reliability, delay, and power into one report."""
-    energies = energy_rate(states, profile, mac, timing, children)
-    links = []
-    for s, e in zip(states, energies):
-        p_cf, p_cr = discard_probabilities(s.alpha, s.gamma, mac)
-        rel = 1.0 - p_cf - p_cr
-        try:
-            delay = expected_delay(s.alpha, s.gamma, mac, timing)
-        except NumericsError:
-            delay = math.nan
-        links.append(
-            LinkMetrics(
-                reliability=rel,
-                p_cf=p_cf,
-                p_cr=p_cr,
-                delay_seconds=delay,
-                power_mw=e.total,
-                energy=e,
-            )
-        )
-    return MetricsReport(links=links)
+    p_cf, p_cr = discard_probabilities(state.alpha, state.gamma, mac)
+    return MetricsReport(
+        reliability=1.0 - p_cf - p_cr,
+        p_cf=p_cf,
+        p_cr=p_cr,
+        delay_seconds=expected_delay(state.alpha, state.gamma, mac, timing),
+        energy=energy_rate(state, profile, mac, timing, next_link),
+    )

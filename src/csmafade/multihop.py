@@ -133,9 +133,9 @@ def traffic_vector(
 
 @dataclass
 class NetworkSolution:
-    """Converged network state: per-link MAC states, traffic, and metrics."""
+    """Converged network state: per-link MAC state arrays, traffic, and metrics."""
 
-    states: list[LinkState]
+    state: LinkState
     traffic: TrafficVector
     link_reliability: dict[tuple[int, int], float]
     end_to_end: dict[int, float]
@@ -171,6 +171,7 @@ def solve_network(
     if outer_max < 1:
         raise ValidationError("outer_max must be >= 1")
 
+    links = [(node, routing.next_hop(node)) for node in transmitters]
     rates = lam.copy()
     warnings: list[str] = []
     result = None
@@ -183,12 +184,8 @@ def solve_network(
             system = ContentionSystem(qs=qs, mac=mac, timing=timing, tables=tables)
             result = solve_fixed_point(system, config=config)
         warnings = result.warnings
-        link_r = {}
-        for l, node in enumerate(transmitters):
-            state = result.states[l]
-            link_r[(node, routing.next_hop(node))] = metrics.reliability(
-                state.alpha, state.gamma, mac
-            )
+        state = result.state
+        link_r = dict(zip(links, metrics.reliability(state.alpha, state.gamma, mac).tolist()))
         tv = traffic_vector(lam, traffic_matrix(routing, link_r), timing.sb_seconds)
         residual = float(np.max(np.abs(tv.rates - rates)))
         rates = tv.rates
@@ -203,16 +200,13 @@ def solve_network(
     end_to_end = {
         node: end_to_end_reliability(routing, link_r, node) for node in transmitters
     }
-    link_index = {node: l for l, node in enumerate(transmitters)}
-    children = [
-        [link_index[c] for c in routing.children(node) if c in link_index]
-        for node in transmitters
-    ]
-    rep = metrics.report(
-        result.states, profile or metrics.PowerProfile(), mac, timing, children=children
-    )
+    # link l's packets go on over the link whose transmitter is l's receiver
+    link_of = np.full(routing.n_nodes, -1)
+    link_of[list(transmitters)] = np.arange(len(transmitters))
+    next_link = link_of[[rx for _, rx in links]]
+    rep = metrics.report(state, profile or metrics.PowerProfile(), mac, timing, next_link)
     return NetworkSolution(
-        states=result.states,
+        state=state,
         traffic=tv,
         link_reliability=link_r,
         end_to_end=end_to_end,

@@ -70,6 +70,11 @@ class Topology:
                 )
             if len(self.positions_m) != len(self.next_hop):
                 raise ValidationError("positions_m and next_hop lengths differ")
+            for p in self.positions_m:
+                if len(p) != 2 or not all(math.isfinite(c) for c in p):
+                    raise ValidationError(
+                        f"positions_m entries must be (x, y) pairs of finite numbers, got {p}"
+                    )
         else:
             if self.n_nodes < 2:
                 raise ValidationError("need at least one transmitter and a sink")
@@ -160,6 +165,8 @@ class Scenario:
             raise ValidationError(
                 f"lam has {len(self.lam)} entries for {n} nodes"
             )
+        if not math.isfinite(self.tx_power_dbm):
+            raise ValidationError(f"tx_power_dbm must be finite, got {self.tx_power_dbm}")
         for i, rate in enumerate(self.lam):
             if not 0.0 <= rate < math.inf:
                 raise ValidationError(f"generation rates must be finite and >= 0, got {rate}")
@@ -170,6 +177,7 @@ class Scenario:
         if not self.links:
             raise ValidationError("the topology has no link: no node has a next hop")
         self.routing  # validates hop indices and acyclicity
+        self.mean_gain_mw  # rejects coincident nodes
         symbol_timing(self.timing)  # both engines take only whole-symbol timing
 
     # the geometry both engines share, derived once per scenario
@@ -356,26 +364,35 @@ def parse_config(text: str, source: str = "<config>") -> dict:
     return data
 
 
+def assign(config: dict, path: str, value) -> None:
+    """Set a dotted path inside a nested config mapping, creating levels.
+
+    A missing or empty level becomes a mapping; a level holding anything
+    else (say the scalar `lam` in `lam.x`) is an error, not overwritten.
+    """
+    keys = path.split(".")
+    if not all(keys):
+        raise ValidationError(f"config path {path!r} has an empty key")
+    node = config
+    for key in keys[:-1]:
+        if node.get(key) is None:
+            node[key] = {}
+        node = node[key]
+        if not isinstance(node, dict):
+            raise ValidationError(f"cannot descend into {key!r} in {path!r}: not a mapping")
+    node[keys[-1]] = value
+
+
 def apply_override(config: dict, assignment: str) -> None:
     """Apply one dotted-path override, e.g. "fading.sigma=2"."""
     if "=" not in assignment:
         raise ValidationError(f"override {assignment!r} is not key=value")
     path, raw = assignment.split("=", 1)
-    keys = [k.strip() for k in path.strip().split(".")]
-    if not all(keys):
-        raise ValidationError(f"override {assignment!r} has an empty key")
     try:
         value = yaml.safe_load(raw)
     except yaml.YAMLError:
         value = raw
-    node = config
-    for key in keys[:-1]:
-        child = node.get(key)
-        if not isinstance(child, dict):
-            child = {}
-            node[key] = child
-        node = child
-    node[keys[-1]] = value
+    assign(config, ".".join(key.strip() for key in path.split(".")), value)
 
 
 def scenario_from_config(config: dict, default_id: str = "scenario") -> Scenario:
@@ -406,9 +423,14 @@ def _build_scenario(config: dict, default_id: str) -> Scenario:
 
     topo_section = _require_mapping(config.get("topology"), "topology")
     if "positions_m" in topo_section:
-        topo_section["positions_m"] = tuple(
-            tuple(float(c) for c in p) for p in topo_section["positions_m"]
-        )
+        try:
+            topo_section["positions_m"] = tuple(
+                tuple(float(c) for c in p) for p in topo_section["positions_m"]
+            )
+        except (TypeError, ValueError):
+            raise ValidationError(
+                "topology.positions_m must be a list of (x, y) pairs of numbers"
+            ) from None
     if "next_hop" in topo_section:
         topo_section["next_hop"] = tuple(int(h) for h in topo_section["next_hop"])
     topology = _take(topo_section, Topology, "topology")
@@ -456,7 +478,7 @@ def _build_scenario(config: dict, default_id: str) -> Scenario:
         solver=_take(_require_mapping(config.get("solver"), "solver"),
                      SolverConfig, "solver"),
         sim=_take(_require_mapping(config.get("sim"), "sim"), SimConfig, "sim"),
-        tx_power_dbm=float(config.get("tx_power_dbm", 0.0)),
+        tx_power_dbm=float(_coerce(config.get("tx_power_dbm", 0.0), float, "tx_power_dbm")),
     )
 
 

@@ -31,9 +31,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import NumericsError, ValidationError
 from .multihop import end_to_end_reliability, solve_network
-from .scenarios import build_contention_tables, compile_sim_network, scenario_from_config
+from .scenarios import (assign, build_contention_tables, compile_sim_network,
+                        scenario_from_config)
 from .simulator import run_experiment
 
 ENGINES = ("analytic", "simulate", "compare")
@@ -112,17 +115,6 @@ def sweep_from_config(config: dict) -> SweepSpec:
     return SweepSpec(parameters=tuple(parameters), engine=block.get("engine", "compare"))
 
 
-def assign(config: dict, path: str, value) -> None:
-    """Set a dotted path inside a nested config mapping, creating levels."""
-    keys = path.split(".")
-    node = config
-    for key in keys[:-1]:
-        node = node.setdefault(key, {})
-        if not isinstance(node, dict):
-            raise ValidationError(f"cannot descend into {key!r} in {path!r}")
-    node[keys[-1]] = value
-
-
 def _fmt(value) -> str:
     """Serialize one CSV cell; floats get 9 significant digits."""
     if value is None:
@@ -193,12 +185,12 @@ def _analytic(scenario) -> tuple[dict, list[str]]:
     rep = solution.report
     values = _keyed(
         scenario,
-        [(m.reliability, m.delay_seconds, m.power_mw) for m in rep.links],
+        zip(rep.reliability, rep.delay_seconds, rep.power_mw),
         (rep.mean_reliability, rep.mean_delay_seconds, rep.mean_power_mw),
         solution.end_to_end,
     )
     warnings = list(solution.warnings)
-    if any(math.isnan(m.delay_seconds) for m in rep.links):
+    if np.isnan(rep.delay_seconds).any():
         warnings.append("delay undefined on some links")
     return values, warnings
 

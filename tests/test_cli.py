@@ -162,6 +162,45 @@ def test_topology_without_a_link_reports_json_error(tmp_path, capsys):
     assert err["error"] == "ValidationError" and "no link" in err["message"]
 
 
+@pytest.mark.parametrize(
+    "positions, message",
+    [
+        ("[[0, 0], [1, 0, 0]]", "(x, y) pairs"),
+        ("[[0, 0], [.nan, 0]]", "(x, y) pairs"),
+        ("[[0, 0], [0, 0]]", "distance 0.0"),
+    ],
+)
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_malformed_positions_report_json_error(tmp_path, capsys, command, positions, message):
+    path = tmp_path / "explicit.yaml"
+    path.write_text(
+        f"topology: {{kind: explicit, positions_m: {positions}, next_hop: [-1, 0]}}\n"
+        "lam: [0, 2]\nsim: {horizon_seconds: 2.0, replications: 1}\n"
+    )
+    rc = main([command, "--config", str(path), "--out", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError" and message in err["message"]
+
+
+@pytest.mark.parametrize("value", [".nan", ".inf", "abc"])
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_malformed_tx_power_reports_json_error(config_file, tmp_path, capsys, command, value):
+    rc = main([command, "--config", str(config_file), "--set", f"tx_power_dbm={value}",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError" and "tx_power_dbm" in err["message"]
+
+
+def test_override_below_a_scalar_names_it(config_file, tmp_path, capsys):
+    rc = main(["analyze", "--config", str(config_file), "--set", "lam.x=1",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError" and "'lam'" in err["message"]
+
+
 def test_simulate_writes_the_event_trace_of_replication_0(config_file, tmp_path):
     trace = tmp_path / "events.tsv"
     rc = main(["simulate", "--config", str(config_file), "--out", str(tmp_path),

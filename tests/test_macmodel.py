@@ -285,12 +285,12 @@ def test_single_link_fixed_point_is_decoupled():
     tables = [LinkTables((), np.ones(1), np.ones(1), 0.05)]
     system = ContentionSystem(qs=np.array([0.003]), mac=MAC, timing=TIMING, tables=tables)
     result = solve_fixed_point(system)
-    state = result.states[0]
+    state = result.state
     tau_ref, b_ref = cca_probability(0.0, 0.05, 0.003, MAC, TIMING)
-    assert state.alpha == 0.0
-    assert state.gamma == approx(0.05, abs=1e-12)
-    assert state.tau == approx(tau_ref, rel=1e-9)
-    assert state.b000 == approx(b_ref, rel=1e-9)
+    assert state.alpha[0] == 0.0
+    assert state.gamma[0] == approx(0.05, abs=1e-12)
+    assert state.tau[0] == approx(tau_ref, rel=1e-9)
+    assert state.b000[0] == approx(b_ref, rel=1e-9)
     assert result.residual < 1e-8
 
 
@@ -349,46 +349,42 @@ def test_star_fixed_point_matches_ideal_contention_benchmark():
     result = solve_fixed_point(system)
     q = arrival_probability(lam, TIMING.sb_seconds)
     ideal = oracles.ideal_star_fixed_point(6, q)
-    for state in result.states:
-        xi = state.gamma * (1.0 - state.alpha**5)
-        reliability = 1.0 - state.alpha**5 - xi
-        assert reliability == approx(ideal["reliability"], abs=0.02)
-        assert state.tau == approx(ideal["tau"], abs=1e-6)
-        assert state.gamma == approx(ideal["gamma"], abs=1e-6)
+    state = result.state
+    xi = state.gamma * (1.0 - state.alpha**5)
+    reliability = 1.0 - state.alpha**5 - xi
+    assert reliability == approx(ideal["reliability"], abs=0.02)
+    assert state.tau == approx(ideal["tau"], abs=1e-6)
+    assert state.gamma == approx(ideal["gamma"], abs=1e-6)
 
 
 def test_star_fixed_point_symmetry():
     result = solve_fixed_point(_star_system(lam=10.0))
-    taus = [s.tau for s in result.states]
-    gammas = [s.gamma for s in result.states]
-    assert max(taus) - min(taus) < 1e-9
-    assert max(gammas) - min(gammas) < 1e-9
+    assert np.ptp(result.state.tau) < 1e-9
+    assert np.ptp(result.state.gamma) < 1e-9
 
 
 def test_fixed_point_independent_of_initialization():
     system = _star_system(lam=10.0)
     a = solve_fixed_point(system, init=(0.0, 0.0))
     b = solve_fixed_point(system, init=(0.5, 0.5))
-    for sa, sb in zip(a.states, b.states):
-        assert abs(sa.tau - sb.tau) < 1e-6
-        assert abs(sa.alpha - sb.alpha) < 1e-6
-        assert abs(sa.gamma - sb.gamma) < 1e-6
+    for name in ("tau", "alpha", "gamma"):
+        assert np.max(np.abs(getattr(a.state, name) - getattr(b.state, name))) < 1e-6
 
 
 def test_fixed_point_outputs_stay_in_unit_interval_under_shadowing():
     system = _star_system(lam=10.0, sigma=2.0)
     result = solve_fixed_point(system)
     assert result.residual < 1e-8
-    for state in result.states:
-        for value in (
-            state.tau,
-            state.alpha_pkt,
-            state.alpha_ack,
-            state.alpha,
-            state.gamma,
-            state.b000,
-        ):
-            assert 0.0 <= value <= 1.0
+    state = result.state
+    for values in (
+        state.tau,
+        state.alpha_pkt,
+        state.alpha_ack,
+        state.alpha,
+        state.gamma,
+        state.b000,
+    ):
+        assert np.all((0.0 <= values) & (values <= 1.0))
 
 
 def test_fixed_point_holds_inactive_links_silent():
@@ -400,11 +396,11 @@ def test_fixed_point_holds_inactive_links_silent():
         qs=np.array([0.003, 0.0]), mac=MAC, timing=TIMING, tables=tables
     )
     result = solve_fixed_point(system)
-    silent = result.states[1]
-    assert silent.tau == 0.0 and silent.b000 == 0.0
+    state = result.state
+    assert state.tau[1] == 0.0 and state.b000[1] == 0.0
     # with its only contender silent, the active link decouples
-    assert result.states[0].gamma == approx(0.05, abs=1e-12)
-    assert result.states[0].alpha == 0.0
+    assert state.gamma[0] == approx(0.05, abs=1e-12)
+    assert state.alpha[0] == 0.0
 
 
 def test_fixed_point_nonconvergence_raises_with_residual():
@@ -422,17 +418,15 @@ def test_fixed_point_reports_alpha_clamping():
     )
     result = solve_fixed_point(system)
     assert any("clamped" in w for w in result.warnings)
-    for state in result.states:
-        assert state.alpha <= macmodel.ALPHA_CAP
+    assert np.all(result.state.alpha <= macmodel.ALPHA_CAP)
 
 
 def test_permissive_thresholds_leave_contention_only_losses():
     # perfect detection with no outage: gamma -> 0, failures only from access
     system = _toy_system(3, p_det_fill=1.0, p_out_fill=0.0, p_fad=0.0, qs=[0.2] * 3)
     result = solve_fixed_point(system)
-    for state in result.states:
-        assert state.gamma == 0.0
-        assert state.alpha > 0.0
+    assert np.all(result.state.gamma == 0.0)
+    assert np.all(result.state.alpha > 0.0)
 
 
 def test_solver_config_validation():

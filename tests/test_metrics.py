@@ -8,8 +8,8 @@ from pytest import approx
 
 import oracles
 from csmafade import metrics
-from csmafade.errors import NumericsError, ValidationError
-from csmafade.macmodel import LinkState, MacParams, TimingParams
+from csmafade.errors import ValidationError
+from csmafade.macmodel import LinkState, MacParams, TimingParams, cca_probability
 from csmafade.metrics import (
     EnergyBreakdown,
     PowerProfile,
@@ -28,8 +28,10 @@ MAC_RETRY = MacParams(n=3)
 TIMING = TimingParams()
 
 
-def _state(tau=0.0, alpha=0.0, gamma=0.0, b000=0.0, q=0.003):
-    return LinkState(tau=tau, alpha_pkt=alpha, alpha_ack=0.0, gamma=gamma, b000=b000, q=q)
+def _state(tau=0.0, alpha=0.0, gamma=0.0, b000=0.0):
+    """A LinkState of one link, or of several where lists are given."""
+    tau, alpha, gamma, b000 = np.broadcast_arrays(*map(np.atleast_1d, (tau, alpha, gamma, b000)))
+    return LinkState(tau, alpha_pkt=alpha, alpha_ack=0.0 * alpha, gamma=gamma, b000=b000)
 
 
 def test_power_profile_rejects_negative_draws():
@@ -109,10 +111,28 @@ def test_expected_delay_matches_attempt_simulation():
 
 
 def test_expected_delay_undefined_without_success():
-    with pytest.raises(NumericsError, match="delay undefined"):
-        expected_delay(0.0, 1.0, MAC, TIMING)
-    with pytest.raises(NumericsError, match="delay undefined"):
-        expected_delay(1.0, 0.0, MAC, TIMING)
+    assert math.isnan(expected_delay(0.0, 1.0, MAC, TIMING))
+    assert math.isnan(expected_delay(1.0, 0.0, MAC, TIMING))
+
+
+def test_array_inputs_match_scalar_calls():
+    # numpy's vectorised pow may differ from the scalar libm pow in the last
+    # bit, which the formulas carry through a few dozen roundings at most
+    tol = 64 * np.finfo(float).eps
+    rng = np.random.default_rng(11)
+    alpha = np.concatenate([[0.0, 0.5, 0.999], rng.uniform(0.0, 0.99, 20)])
+    gamma = np.concatenate([[1.0, 0.2, 0.0], rng.uniform(0.0, 1.0, 20)])
+    q = np.concatenate([[0.003, 1.0, 0.2], rng.uniform(1e-4, 1.0, 20)])
+    for mac in (MAC, MAC_RETRY):
+        tau, b000 = cca_probability(alpha, gamma, q, mac, TIMING)
+        rel = reliability(alpha, gamma, mac)
+        delay = expected_delay(alpha, gamma, mac, TIMING)
+        for i, (a, g, qi) in enumerate(zip(alpha.tolist(), gamma.tolist(), q.tolist())):
+            scalar = cca_probability(a, g, qi, mac, TIMING)
+            assert (tau[i], b000[i]) == approx(scalar, rel=tol)
+            assert rel[i] == approx(reliability(a, g, mac), rel=tol, abs=tol)
+            assert delay[i] == approx(expected_delay(a, g, mac, TIMING), rel=tol, nan_ok=True)
+        assert math.isnan(delay[0]) and not np.isnan(delay[1:]).any()
 
 
 def test_expected_delay_increases_with_alpha():
@@ -122,75 +142,68 @@ def test_expected_delay_increases_with_alpha():
 
 
 def test_energy_idle_only_node_sleeps():
-    states = [_state(b000=0.9)]
-    breakdown = energy_rate(states, PowerProfile(), MAC, TIMING)[0]
-    assert breakdown.total == approx(PowerProfile().p_sleep * 0.9, rel=1e-12)
+    breakdown = energy_rate(_state(b000=0.9), PowerProfile(), MAC, TIMING)
+    assert breakdown.total == approx([PowerProfile().p_sleep * 0.9], rel=1e-12)
 
 
 def test_energy_relay_idles_while_waiting():
-    relay = _state(b000=0.9)
-    child = _state()  # silent child: no relay traffic cost
-    states = [relay, child]
-    breakdown = energy_rate(states, PowerProfile(), MAC, TIMING, children=[[1], []])[0]
-    assert breakdown.queue == approx(PowerProfile().p_idle * 0.9, rel=1e-12)
-    assert breakdown.relay == 0.0
+    # link 1 (a silent child: no relay traffic cost) is relayed by link 0
+    states = _state(b000=[0.9, 0.0])
+    breakdown = energy_rate(states, PowerProfile(), MAC, TIMING, next_link=[-1, 0])
+    assert breakdown.queue[0] == approx(PowerProfile().p_idle * 0.9, rel=1e-12)
+    assert breakdown.relay[0] == 0.0
 
 
 def test_energy_backoff_collapses_at_alpha_zero():
-    states = [_state(tau=0.01, b000=0.5)]
-    breakdown = energy_rate(states, PowerProfile(), MAC, TIMING)[0]
-    assert breakdown.backoff == approx(PowerProfile().p_idle * 0.005 * (2**3 + 1), rel=1e-12)
+    breakdown = energy_rate(_state(tau=0.01, b000=0.5), PowerProfile(), MAC, TIMING)
+    assert breakdown.backoff == approx([PowerProfile().p_idle * 0.005 * (2**3 + 1)], rel=1e-12)
 
 
 def test_energy_transaction_longhand():
     profile = PowerProfile(p_idle=3.0, p_sense=5.0, p_tx=7.0, p_rx=11.0, p_sleep=0.1)
-    states = [_state(tau=0.01, alpha=0.2, gamma=0.3, b000=0.4)]
-    breakdown = energy_rate(states, profile, MAC, TIMING)[0]
+    breakdown = energy_rate(_state(tau=0.01, alpha=0.2, gamma=0.3, b000=0.4), profile, MAC, TIMING)
     expected = 0.8 * 0.01 * (7.0 * 7.0 + 3.0 + (11.0 * 0.7 + 3.0 * 0.3) * 1.1)
-    assert breakdown.transmit == approx(expected, rel=1e-12)
-    assert breakdown.sense == approx(5.0 * 0.01, rel=1e-12)
+    assert breakdown.transmit == approx([expected], rel=1e-12)
+    assert breakdown.sense == approx([5.0 * 0.01], rel=1e-12)
 
 
 def test_energy_relay_cost_mirrors_child_transaction():
     profile = PowerProfile(p_idle=3.0, p_sense=5.0, p_tx=7.0, p_rx=11.0, p_sleep=0.1)
-    child = _state(tau=0.01, alpha=0.2, gamma=0.3, b000=0.4)
-    relay = _state(b000=0.9)
-    breakdowns = energy_rate([relay, child], profile, MAC, TIMING, children=[[1], []])
-    assert breakdowns[0].relay == approx(breakdowns[1].transmit, rel=1e-12)
-    assert breakdowns[1].relay == 0.0
+    # link 0 relays link 1
+    states = _state(tau=[0.0, 0.01], alpha=[0.0, 0.2], gamma=[0.0, 0.3], b000=[0.9, 0.4])
+    breakdown = energy_rate(states, profile, MAC, TIMING, next_link=[-1, 0])
+    assert breakdown.relay[0] == approx(breakdown.transmit[1], rel=1e-12)
+    assert breakdown.relay[1] == 0.0
 
 
 def test_energy_components_nonnegative():
     rng = np.random.default_rng(3)
-    for _ in range(30):
-        s = _state(
-            tau=rng.uniform(0, 0.2),
-            alpha=rng.uniform(0, 0.9),
-            gamma=rng.uniform(0, 1),
-            b000=rng.uniform(0, 1),
-        )
-        b = energy_rate([s], PowerProfile(), MAC, TIMING)[0]
-        for value in (b.backoff, b.sense, b.transmit, b.queue, b.relay):
-            assert value >= 0.0
+    states = _state(
+        tau=rng.uniform(0, 0.2, 30),
+        alpha=rng.uniform(0, 0.9, 30),
+        gamma=rng.uniform(0, 1, 30),
+        b000=rng.uniform(0, 1, 30),
+    )
+    b = energy_rate(states, PowerProfile(), MAC, TIMING)
+    for values in (b.backoff, b.sense, b.transmit, b.queue, b.relay):
+        assert np.all(values >= 0.0)
 
 
-def test_energy_rejects_mismatched_children():
+def test_energy_rejects_mismatched_next_link():
     with pytest.raises(ValidationError):
-        energy_rate([_state()], PowerProfile(), MAC, TIMING, children=[[], []])
+        energy_rate(_state(), PowerProfile(), MAC, TIMING, next_link=[-1, -1])
 
 
 def test_report_aggregates_and_discard_fractions():
-    good = _state(tau=0.004, alpha=0.3, gamma=0.2, b000=0.4)
-    dead = _state(tau=0.004, alpha=0.0, gamma=1.0, b000=0.4)
-    rep = report([good, dead], PowerProfile(), MAC, TIMING)
-    assert rep.links[0].p_cf + rep.links[0].p_cr + rep.links[0].reliability == approx(
-        1.0, abs=1e-12
-    )
-    assert rep.links[1].reliability == 0.0
-    assert math.isnan(rep.links[1].delay_seconds)
+    # link 0 can deliver, link 1 never can
+    states = _state(tau=0.004, alpha=[0.3, 0.0], gamma=[0.2, 1.0], b000=0.4)
+    rep = report(states, PowerProfile(), MAC, TIMING)
+    assert rep.p_cf[0] + rep.p_cr[0] + rep.reliability[0] == approx(1.0, abs=1e-12)
+    assert rep.reliability[1] == 0.0
+    assert math.isnan(rep.delay_seconds[1])
     # aggregate delay averages only links that can succeed
-    assert rep.mean_delay_seconds == approx(rep.links[0].delay_seconds, rel=1e-12)
-    assert rep.mean_reliability == approx((rep.links[0].reliability + 0.0) / 2, rel=1e-12)
+    assert rep.mean_delay_seconds == approx(rep.delay_seconds[0], rel=1e-12)
+    assert rep.mean_reliability == approx((rep.reliability[0] + 0.0) / 2, rel=1e-12)
     assert rep.mean_power_mw > 0.0
 
 

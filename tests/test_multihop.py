@@ -22,6 +22,7 @@ from csmafade.multihop import (
     traffic_matrix,
     traffic_vector,
 )
+from csmafade.scenarios import build_contention_tables, parse_config, scenario_from_config
 
 MAC = MacParams()
 TIMING = TimingParams()
@@ -165,10 +166,9 @@ def test_single_hop_network_reduces_to_link_fixed_point():
         qs=np.full(7, q), mac=MAC, timing=TIMING, tables=tables
     )
     direct = solve_fixed_point(system)
-    for got, want in zip(solution.states, direct.states):
-        assert got.tau == approx(want.tau, rel=1e-12)
-        assert got.alpha == approx(want.alpha, rel=1e-12)
-        assert got.gamma == approx(want.gamma, rel=1e-12)
+    for name in ("tau", "alpha", "gamma"):
+        got, want = getattr(solution.state, name), getattr(direct.state, name)
+        assert got == approx(want, rel=1e-12)
     # end-to-end over one hop is just the link reliability
     for node in routing.transmitters:
         assert solution.end_to_end[node] == approx(
@@ -237,9 +237,9 @@ def test_network_solution_is_outer_fixed_point():
     )
     system = ContentionSystem(qs=qs, mac=MAC, timing=TIMING, tables=tables)
     re_solved = solve_fixed_point(system)
+    rel = reliability(re_solved.state.alpha, re_solved.state.gamma, MAC)
     link_r = {
-        (node, routing.next_hop(node)): reliability(s.alpha, s.gamma, MAC)
-        for node, s in zip(routing.transmitters, re_solved.states)
+        (node, routing.next_hop(node)): r for node, r in zip(routing.transmitters, rel)
     }
     tv = traffic_vector(lam, traffic_matrix(routing, link_r), TIMING.sb_seconds)
     assert float(np.max(np.abs(tv.rates - solution.traffic.rates))) < 1e-10
@@ -248,14 +248,26 @@ def test_network_solution_is_outer_fixed_point():
 def test_network_relay_energy_profile():
     tables, routing, lam = _line_setup()
     solution = solve_network(tables, routing, lam, MAC, TIMING)
-    links = solution.report.links  # transmitter order (1, 2, 3, 4)
-    for relay_link in links[:3]:
-        assert relay_link.energy.relay > 0.0
-    leaf = links[3]
-    assert leaf.energy.relay == 0.0
-    relay_state, leaf_state = solution.states[0], solution.states[3]
-    assert links[0].energy.queue == approx(56.4 * relay_state.b000, rel=1e-9)
-    assert leaf.energy.queue == approx(0.06 * leaf_state.b000, rel=1e-9)
+    energy = solution.report.energy  # transmitter order (1, 2, 3, 4)
+    assert np.all(energy.relay[:3] > 0.0)
+    assert energy.relay[3] == 0.0
+    b000 = solution.state.b000
+    assert energy.queue[0] == approx(56.4 * b000[0], rel=1e-9)
+    assert energy.queue[3] == approx(0.06 * b000[3], rel=1e-9)
+
+
+def test_relay_power_sums_its_childrens_transmit_power():
+    # 10-node tree, branching 3: node 1 relays nodes 4, 5 and 6
+    s = scenario_from_config(parse_config(
+        "topology: {kind: tree, n_nodes: 10, branching: 3}\nlam: 7.0\nfading: {sigma: 1.0}"
+    ))
+    solution = solve_network(build_contention_tables(s), s.routing, s.lam, s.mac, s.timing)
+    link = {src: l for l, (src, _) in enumerate(s.links)}
+    energy = solution.report.energy
+    children = [link[c] for c in s.routing.children(1)]
+    assert [s.links[c][0] for c in children] == [4, 5, 6]
+    assert energy.relay[link[1]] == approx(energy.transmit[children].sum(), rel=1e-12)
+    assert energy.relay[link[4]] == 0.0
 
 
 def test_network_nonconvergence_raises():

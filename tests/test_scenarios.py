@@ -131,6 +131,31 @@ def test_override_parses_yaml_scalars():
         apply_override(config, "no-equals-sign")
 
 
+def test_override_keeps_scalars_and_fills_empty_levels():
+    config = parse_config(MINIMAL_STAR + "fading:\n", "inline.yaml")
+    with pytest.raises(ValidationError, match="'lam'"):
+        apply_override(config, "lam.x=1")
+    assert config["lam"] == 5.0
+    apply_override(config, " fading . sigma =2")
+    assert config["fading"] == {"sigma": 2}
+    with pytest.raises(ValidationError, match="empty key"):
+        apply_override(config, "fading..sigma=1")
+
+
+def test_explicit_positions_must_be_finite_pairs():
+    with pytest.raises(ValidationError, match=r"\(x, y\) pairs"):
+        Topology(kind="explicit", positions_m=((0.0, 0.0), (1.0, 0.0, 0.0)), next_hop=(-1, 0))
+    with pytest.raises(ValidationError, match=r"\(x, y\) pairs"):
+        Topology(kind="explicit", positions_m=((0.0, 0.0), (math.inf, 0.0)), next_hop=(-1, 0))
+    with pytest.raises(ValidationError, match="positions_m"):
+        scenario_of("topology: {kind: explicit, positions_m: [[0, 0], 5], next_hop: [-1, 0]}")
+
+
+def test_coincident_nodes_are_a_config_error():
+    with pytest.raises(ValidationError, match="distance"):
+        scenario_of("topology: {kind: explicit, positions_m: [[1, 2], [1, 2]], next_hop: [-1, 0]}")
+
+
 def test_line_topology_hops_and_spacing():
     topo = Topology(kind="line", n_nodes=4, spacing_m=2.0)
     assert list(topo.hops()) == [-1, 0, 1, 2]

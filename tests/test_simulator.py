@@ -57,7 +57,7 @@ def analytic_star(lam, sigma=0.0, n_tx=7, radius=1.0):
     system = ContentionSystem(
         qs=(q,) * n_tx, mac=MacParams(), timing=TimingParams(), tables=tables
     )
-    return solve_fixed_point(system).states
+    return solve_fixed_point(system).state
 
 
 def test_replications_are_reproducible():
@@ -160,7 +160,7 @@ def test_busy_cca_rate_matches_model():
     result = run_experiment(
         star_net(1.0), SimConfig(horizon_seconds=200.0, replications=4, master_seed=41)
     )
-    alpha = analytic_star(1.0)[0].alpha
+    alpha = analytic_star(1.0).alpha[0]
     assert np.mean(result.busy_cca_mean) == approx(alpha, abs=0.02)
 
 
@@ -169,7 +169,7 @@ def test_frame_loss_rate_matches_model_under_shadowing():
         star_net(10.0, sigma=3.0),
         SimConfig(horizon_seconds=100.0, replications=6, master_seed=51),
     )
-    gamma = analytic_star(10.0, sigma=3.0)[0].gamma
+    gamma = analytic_star(10.0, sigma=3.0).gamma[0]
     assert np.mean(result.data_loss_mean) == approx(gamma, abs=0.03)
 
 
@@ -177,8 +177,8 @@ def test_transmit_airtime_matches_model():
     result = run_experiment(
         star_net(2.0), SimConfig(horizon_seconds=100.0, replications=4, master_seed=21)
     )
-    state = analytic_star(2.0)[0]
-    predicted = (1.0 - state.alpha) * state.tau * TimingParams().l_pkt
+    state = analytic_star(2.0)
+    predicted = (1.0 - state.alpha[0]) * state.tau[0] * TimingParams().l_pkt
     fraction = np.mean(
         [s.residency[1:, TX] / s.horizon_symbols for s in result.stats]
     )
@@ -330,10 +330,10 @@ def test_reliability_against_model_at_moderate_load():
         star_net(5.0, sigma=1.0),
         SimConfig(horizon_seconds=100.0, replications=6, master_seed=77),
     )
-    states = analytic_star(5.0, sigma=1.0)
+    state = analytic_star(5.0, sigma=1.0)
     from csmafade.metrics import reliability
 
-    predicted = reliability(states[0].alpha, states[0].gamma, MacParams())
+    predicted = reliability(state.alpha[0], state.gamma[0], MacParams())
     assert np.mean(result.reliability_mean) == approx(predicted, abs=0.02)
 
 

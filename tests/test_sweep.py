@@ -160,6 +160,21 @@ def test_topology_without_a_link_is_an_error_row(tmp_path):
     assert len(rows) == 1 + 6 and all(r["warnings"] == "" for r in rows[1:])
 
 
+def test_malformed_positions_are_error_rows(tmp_path):
+    config = parse_config(
+        "topology: {kind: explicit, positions_m: [[0, 0], [1, 0]], next_hop: [-1, 0]}\n"
+        "lam: [0.0, 2.0]\n"
+        "sweep: {engine: simulate, parameters: [{path: topology.positions_m, values: "
+        "[[[0, 0], [1, 0, 0]], [[0, 0], [.nan, 0]], [[0, 0], [0, 0]], [[0, 0], [1, 0]]]}]}\n"
+        "sim: {horizon_seconds: 2.0, replications: 1}\n"
+    )
+    rows = read_rows(run_sweep(config, sweep_from_config(config), out_dir=tmp_path))
+    assert [r["metric"] for r in rows[:3]] == ["error"] * 3
+    assert "(x, y) pairs" in rows[0]["warnings"] and "(x, y) pairs" in rows[1]["warnings"]
+    assert "distance 0.0" in rows[2]["warnings"]
+    assert len(rows) == 3 + 6 and all(r["warnings"] == "" for r in rows[3:])
+
+
 def test_timing_off_the_symbol_grid_is_an_error_row(tmp_path):
     config = tiny_config()
     config["sweep"]["engine"] = "analytic"
@@ -208,11 +223,11 @@ sim: {horizon_seconds: 10.0, replications: 3, master_seed: 5}
     }
     for l, (src, dst) in enumerate(s.links):
         expected = {
-            "reliability": (report.links[l].reliability,
+            "reliability": (report.reliability[l],
                             sim.reliability_mean[l], sim.reliability_ci95[l]),
-            "delay_s": (report.links[l].delay_seconds,
+            "delay_s": (report.delay_seconds[l],
                         sim.delay_mean_seconds[l], sim.delay_ci95_seconds[l]),
-            "power_mw": (report.links[l].power_mw,
+            "power_mw": (report.power_mw[l],
                          sim.power_mean_mw[src], sim.power_ci95_mw[src]),
         }
         for metric, (analytic, mean, ci) in expected.items():
