@@ -16,6 +16,13 @@ such terms are approximated by a single lognormal, fitted in one of two ways:
   carries multipath, a Gauss-Hermite quadrature ladder runs over the rows
   that have not yet converged.
 
+Both batched fits first put the terms in one canonical order, ascending
+(weight, sigma, has_multipath), and every per-row sum runs over the terms in
+that order.  A row's result therefore depends only on the multiset of terms
+it selects, bit for bit: the same sum listed in another order, or picked out
+of another table's columns, gives the same probability.  This is what lets
+`scenarios.build_contention_tables` fit each distinct subset sum once.
+
 `mma_fit` is the general moment-matching fit (with an optional exponent
 correlation matrix), kept as the reference the batched outage moments
 reduce to.
@@ -319,6 +326,23 @@ def _mgf_newton(target: np.ndarray, start: np.ndarray) -> np.ndarray:
     )
 
 
+def _canonical(
+    terms: Sequence[PowerTerm], members: np.ndarray
+) -> tuple[list[PowerTerm], np.ndarray]:
+    """The terms in ascending (weight, sigma, has_multipath) order, with the columns
+    of the (rows, len(terms)) bool `members` matrix permuted to match."""
+    members = np.asarray(members, dtype=bool)
+    if members.ndim != 2 or members.shape[1] != len(terms):
+        raise ValidationError(
+            f"members shape {members.shape} does not select from {len(terms)} terms"
+        )
+    order = sorted(
+        range(len(terms)),
+        key=lambda n: (terms[n].weight, terms[n].sigma, terms[n].has_multipath),
+    )
+    return [terms[n] for n in order], members[:, order]
+
+
 def _sum_log_laplace(
     terms: Sequence[PowerTerm],
     members: np.ndarray,
@@ -364,12 +388,12 @@ def mgf_fit(
     below MGF_VAR_FLOOR (a point mass to working precision, e.g. every term
     with sigma 0 and no multipath) keeps the moment-matched fit; a row with no
     positive-weight term gets eta = -inf, sigma = 0.
+
+    The moments and the transform target are summed over the terms in
+    canonical order (see _canonical), so a row's fit depends only on the
+    multiset of terms it selects, not on their order or on other columns.
     """
-    members = np.asarray(members, dtype=bool)
-    if members.ndim != 2 or members.shape[1] != len(terms):
-        raise ValidationError(
-            f"members shape {members.shape} does not select from {len(terms)} terms"
-        )
+    terms, members = _canonical(terms, members)
     kappa = fading.kappa if fading is not None and fading.multipath else None
     rows = len(members)
     m1 = np.zeros(rows)
@@ -518,8 +542,10 @@ def outage_probabilities(
     outage is E[F(b exp(Z))] for the unit-mean Gamma CDF F, by the
     Gauss-Hermite ladder of _outage_quadrature.
 
-    Member sums run column by column in term order, so a row's result does
-    not depend on the other rows or on columns it does not select.
+    Member sums run column by column in canonical term order (see
+    _canonical), so a row's result depends only on the multiset of
+    interferers it selects: not on the other rows, on columns it does not
+    select, or on the order the terms are listed in.
     """
     if useful.weight <= 0.0:
         raise ValidationError("useful term must have positive weight")
@@ -529,11 +555,7 @@ def outage_probabilities(
         raise ValidationError("noise term must be deterministic (sigma 0, no multipath)")
     if sinr_threshold <= 0.0:
         raise ValidationError(f"SINR threshold {sinr_threshold} must be positive")
-    members = np.asarray(members, dtype=bool)
-    if members.ndim != 2 or members.shape[1] != len(terms):
-        raise ValidationError(
-            f"members shape {members.shape} does not select from {len(terms)} terms"
-        )
+    terms, members = _canonical(terms, members)
 
     s_u2 = useful.sigma**2
     e_u = math.exp(s_u2)

@@ -212,7 +212,12 @@ class Scenario:
         pos = self.topology.positions()
         gain = np.zeros((len(pos), len(pos)))
         for i, j in itertools.permutations(range(len(pos)), 2):
-            gain[i, j] = mean_rx_power(self.tx_power_dbm, math.dist(pos[i], pos[j]), self.channel)
+            distance = math.dist(pos[i], pos[j])
+            if distance == 0.0:
+                raise ValidationError(
+                    f"topology.positions_m: nodes {i} and {j} coincide at {pos[i]} (distance 0.0)"
+                )
+            gain[i, j] = mean_rx_power(self.tx_power_dbm, distance, self.channel)
         gain.flags.writeable = False
         return gain
 
@@ -224,7 +229,16 @@ def build_contention_tables(scenario: Scenario) -> list[LinkTables]:
     links: the probability the transmitter's CCA detects them, and the
     probability the receiver suffers outage.  A subset containing the
     link's own receiver pins outage to 1 (a transmitting radio hears
-    nothing).  Each table is one batched channel call over all subsets.
+    nothing).
+
+    The channel fits a row from the multiset of its terms alone (see the
+    channel module), and most rows repeat another's: in a star every
+    subset of equally distant interferers is one outage sum.  So each
+    distinct row of the whole table set is fitted once -- a detection row
+    keyed by its sorted gains, an outage row by its useful gain and sorted
+    interferer gains -- in at most one batched detection and one batched
+    outage call per link, on the link where the row first occurs, and
+    copied to its repeats.
     """
     links = scenario.links
     n_links = len(links)
@@ -244,29 +258,79 @@ def build_contention_tables(scenario: Scenario) -> list[LinkTables]:
             weight=weight, sigma=fading.sigma, has_multipath=fading.multipath
         )
 
-    tables = []
-    for l, (tx, rx) in enumerate(links):
-        others = tuple(i for i in range(n_links) if i != l)
-        senders = [links[o][0] for o in others]
-        p_det = channel.detection_probabilities(
-            [faded(gain[s, tx]) for s in senders], bits, chan.cca_threshold_mw, fading
-        )
-        own = [z for z, s in enumerate(senders) if s == rx]  # the receiver transmits
-        heard = [z for z, s in enumerate(senders) if s != rx]
-        free = ~bits[:, own].any(axis=1)
-        p_out = np.ones(2**k)
-        p_out[free] = channel.outage_probabilities(
-            faded(gain[tx, rx]),
-            [faded(gain[senders[z], rx]) for z in heard],
-            bits[free][:, heard],
-            noise,
-            chan.sinr_threshold,
-            fading,
-        )
-        p_fad = float(p_out[0])  # the empty subset: noise-only outage
-        p_out[0] = 0.0
-        tables.append(LinkTables(others=others, p_det=p_det, p_out=p_out, p_fad=p_fad))
-    return tables
+    tx, rx = np.array(links).T
+    others = [tuple(o for o in range(n_links) if o != l) for l in range(n_links)]
+    senders = tx[np.array(others, dtype=int).reshape(n_links, k)]
+    det_gain = gain[senders, tx[:, None]]  # (L, k): power at each transmitter
+    out_gain = gain[senders, rx[:, None]]  # at each receiver; 0 where the receiver sends
+    useful = gain[tx, rx]
+    # every term shares the fading's sigma and multipath, so its gain identifies it;
+    # keys hold gains as ranks from 1 up, 0 marking an unselected column
+    _, rank = np.unique(np.hstack([det_gain, out_gain, useful[:, None]]), return_inverse=True)
+    rank = (rank.reshape(n_links, 2 * k + 1) + 1).astype(np.min_scalar_type(rank.size + 1))
+    det_rank, out_rank, useful_rank = rank[:, :k], rank[:, k : 2 * k], rank[:, 2 * k :]
+
+    det_keys = np.sort(np.where(bits, det_rank[:, None, :], 0), axis=-1)
+    p_det = _fit_distinct(
+        det_keys,
+        np.ones((n_links, 2**k), dtype=bool),
+        lambda l, masks: channel.detection_probabilities(
+            [faded(w) for w in det_gain[l]], bits[masks], chan.cca_threshold_mw, fading
+        ),
+    ).reshape(n_links, 2**k)
+
+    out_keys = np.concatenate(
+        [
+            np.broadcast_to(useful_rank[:, None], (n_links, 2**k, 1)),
+            np.sort(np.where(bits, out_rank[:, None, :], 0), axis=-1),
+        ],
+        axis=-1,
+    )
+    free = ~(bits & (senders == rx[:, None])[:, None, :]).any(axis=-1)  # receiver silent
+    p_out = np.ones((n_links, 2**k))
+    p_out[free] = _fit_distinct(
+        out_keys,
+        free,
+        lambda l, masks: channel.outage_probabilities(
+            faded(useful[l]), [faded(w) for w in out_gain[l]], bits[masks],
+            noise, chan.sinr_threshold, fading,
+        ),
+    )
+    p_fad = p_out[:, 0].copy()  # the empty subset: noise-only outage
+    p_out[:, 0] = 0.0
+    return [
+        LinkTables(others=others[l], p_det=p_det[l], p_out=p_out[l], p_fad=float(p_fad[l]))
+        for l in range(n_links)
+    ]
+
+
+def _fit_distinct(keys: np.ndarray, rows: np.ndarray, fit) -> np.ndarray:
+    """fit() each distinct key among the selected rows once, and copy it to its repeats.
+
+    keys is (links, 2^k, width), one key per subset row of each link's
+    table, and rows a (links, 2^k) bool mask of the rows wanted.
+    fit(l, masks) returns the values of link l's subsets `masks`; it runs
+    once for each link holding the first occurrence of some key, on those
+    rows only.  Returns the values of the selected rows in C order.
+    """
+    at = np.flatnonzero(rows)
+    first, group = _distinct_rows(keys.reshape(rows.size, keys.shape[-1])[at])
+    link, mask = np.divmod(at[first], rows.shape[1])
+    values = np.empty(len(first))
+    for l in np.unique(link):
+        values[link == l] = fit(int(l), mask[link == l])
+    return values[group]
+
+
+def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of the first occurrence of each distinct row of `keys`, and
+    the position in that index array of every row's distinct row."""
+    order = np.lexsort(keys.T) if keys.shape[1] else np.arange(len(keys))
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
+    group = np.empty(len(keys), dtype=int)
+    group[order] = np.cumsum(new) - 1
+    return order[new], group  # lexsort is stable: each group's earliest row
 
 
 def compile_sim_network(scenario: Scenario) -> SimNetwork:

@@ -243,15 +243,15 @@ def evaluate_point(
     """
     point = copy.deepcopy(config)
     point.pop("sweep", None)
-    for path, value in assignments:
-        assign(point, path, value)
-    scenario_id = str(point.get("scenario_id", "scenario"))
     prefix = [_fmt(value) for _, value in assignments]
     try:
-        scenario = scenario_from_config(point, default_id=scenario_id)
+        for path, value in assignments:
+            assign(point, path, value)
+        scenario = scenario_from_config(point, default_id="scenario")
     except (ValidationError, NumericsError) as exc:
         if strict:
             raise
+        scenario_id = str(point.get("scenario_id", "scenario"))
         return [[scenario_id, *prefix, "", "", "error", "", "", "", "", f"config: {exc}"]]
 
     runners = {"analytic": lambda: _analytic(scenario),

@@ -413,6 +413,50 @@ def test_outage_rejects_a_members_matrix_of_the_wrong_width():
 # quadrature machinery
 
 
+@pytest.mark.parametrize("kappa", [None, 2.0])
+def test_subset_fits_do_not_depend_on_term_order(kappa):
+    # every per-row sum runs in one canonical term order, so listing the same
+    # terms in another order (ties included) gives the same bits on every row
+    chan = ChannelParams()
+    fading = FadingParams(sigma=1.5, kappa=kappa)
+    rng = np.random.default_rng(7 if kappa is None else 8)
+    terms = [
+        PowerTerm(
+            mean_rx_power(0.0, rng.uniform(3.0, 12.0), chan),
+            float(1.5 * rng.choice([0.0, 0.5, 1.0])),
+            kappa is not None and bool(rng.integers(2)),
+        )
+        for _ in range(6)
+    ]
+    terms += [terms[1], terms[4], PowerTerm(terms[2].weight, 0.25)]  # equal weights
+    k = len(terms)
+    members = np.vstack(
+        [np.zeros(k, bool), np.ones(k, bool), rng.integers(0, 2, (40, k)).astype(bool)]
+    )
+    useful = PowerTerm(mean_rx_power(0.0, 1.0, chan), 1.5, kappa is not None)
+    noise = PowerTerm(chan.noise_mw)
+    b, thr = chan.sinr_threshold, 0.5 * sum(t.weight for t in terms)
+
+    p_det = channel.detection_probabilities(terms, members, thr, fading)
+    p_out = channel.outage_probabilities(useful, terms, members, noise, b, fading)
+    assert np.sum((p_det > 1e-3) & (p_det < 0.999)) > 10
+    assert np.sum((p_out > 1e-3) & (p_out < 0.999)) > 10
+    for _ in range(5):
+        perm = rng.permutation(k)
+        shuffled = [terms[n] for n in perm]
+        assert np.array_equal(
+            channel.detection_probabilities(shuffled, members[:, perm], thr, fading), p_det
+        )
+        assert np.array_equal(
+            channel.outage_probabilities(useful, shuffled, members[:, perm], noise, b, fading),
+            p_out,
+        )
+    for row, want_det, want_out in zip(members[2:8], p_det[2:8], p_out[2:8]):
+        chosen = [terms[n] for n in rng.permutation(k) if row[n]]
+        assert detection_probability(chosen, thr, fading) == want_det
+        assert outage_probability(useful, chosen, noise, b, fading) == want_out
+
+
 def test_gamma_cdf_integer_series_matches_gammainc():
     xs = np.logspace(-3, 1.5, 40)
     for kappa in (1.0, 2.0, 3.0, 8.0, 64.0):

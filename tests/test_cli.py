@@ -201,6 +201,16 @@ def test_override_below_a_scalar_names_it(config_file, tmp_path, capsys):
     assert err["error"] == "ValidationError" and "'lam'" in err["message"]
 
 
+def test_sweep_over_an_unassignable_axis_writes_error_rows(tmp_path, capsys):
+    path = tmp_path / "tiny.yaml"
+    path.write_text(TINY.replace("path: lam\n", "path: lam.x\n"))
+    rc = main(["sweep", "--config", str(path), "--out", str(tmp_path)])
+    assert rc == 0
+    rows = read_rows(tmp_path / "tiny_sweep.csv")
+    assert [(r["lam.x"], r["metric"]) for r in rows] == [("1", "error"), ("4", "error")]
+    assert all("cannot descend into 'lam'" in r["warnings"] for r in rows)
+
+
 def test_simulate_writes_the_event_trace_of_replication_0(config_file, tmp_path):
     trace = tmp_path / "events.tsv"
     rc = main(["simulate", "--config", str(config_file), "--out", str(tmp_path),

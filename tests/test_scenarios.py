@@ -8,6 +8,7 @@ import pytest
 
 from csmafade import channel
 from csmafade.errors import ValidationError
+from csmafade.macmodel import _bit_matrix
 from csmafade.scenarios import (
     Topology,
     apply_override,
@@ -154,6 +155,11 @@ def test_explicit_positions_must_be_finite_pairs():
 def test_coincident_nodes_are_a_config_error():
     with pytest.raises(ValidationError, match="distance"):
         scenario_of("topology: {kind: explicit, positions_m: [[1, 2], [1, 2]], next_hop: [-1, 0]}")
+    with pytest.raises(ValidationError, match=r"topology\.positions_m: nodes 1 and 3 coincide"):
+        scenario_of(
+            "topology: {kind: explicit, positions_m: [[0, 0], [1, 2], [3, 0], [1, 2]], "
+            "next_hop: [-1, 0, 0, 0]}"
+        )
 
 
 def test_line_topology_hops_and_spacing():
@@ -255,26 +261,79 @@ def test_batched_detection_table_equals_per_subset_detection(kappa):
         _tables_equal(mine, ref)
 
 
-def test_tables_take_one_batched_channel_call_per_link(monkeypatch):
+@pytest.mark.parametrize("kappa", [None, 2.0])
+@pytest.mark.parametrize(
+    "topology",
+    [
+        "{kind: star, n_nodes: 2}",
+        "{kind: star, n_nodes: 8}",
+        "{kind: line, n_nodes: 7}",
+        "{kind: tree, n_nodes: 10, branching: 3}",
+    ],
+)
+def test_shared_rows_equal_the_per_link_construction(topology, kappa):
+    # a row fitted once and copied to its repeats, on whichever link it first
+    # occurs, must carry the bits each link's own batched call gives it
+    s = scenario_of(
+        f"topology: {topology}\nlam: 5.0\nfading: {{sigma: 1.5}}\n",
+        set=[f"fading.kappa={'null' if kappa is None else kappa}"],
+    )
+    reference = topo_helpers.build_tables_per_link(s.mean_gain_mw, s.links, s.channel, s.fading)
+    built = build_contention_tables(s)
+    assert len(built) == len(reference) == len(s.links)
+    for mine, ref in zip(built, reference):
+        _tables_equal(mine, ref)
+
+
+def test_tables_fit_each_distinct_subset_sum_once(monkeypatch):
     # no per-subset fit or quadrature may run while the tables are built
     def per_subset_work(*args, **kwargs):
         raise AssertionError("per-subset channel work in build_contention_tables")
 
     for name in ("mma_fit", "lognormal_expectation", "outage_probability", "detection_probability"):
         monkeypatch.setattr(channel, name, per_subset_work)
-    calls = {"outage_probabilities": 0, "detection_probabilities": 0}
-    for name in calls:
-        def counted(*args, _fn=getattr(channel, name), _name=name, **kwargs):
+    fitted = {"detection_probabilities": [], "outage_probabilities": []}
+
+    def chosen(terms, members):
+        return [tuple(sorted(t.weight for t, on in zip(terms, row) if on)) for row in members]
+
+    def detection(terms, members, *args, _fn=channel.detection_probabilities):
+        fitted["detection_probabilities"] += chosen(terms, members)
+        return _fn(terms, members, *args)
+
+    def outage(useful, terms, members, *args, _fn=channel.outage_probabilities):
+        fitted["outage_probabilities"] += [(useful.weight, *c) for c in chosen(terms, members)]
+        return _fn(useful, terms, members, *args)
+
+    calls = {name: 0 for name in fitted}
+    for name, fn in (("detection_probabilities", detection), ("outage_probabilities", outage)):
+        def counted(*args, _fn=fn, _name=name):
             calls[_name] += 1
-            return _fn(*args, **kwargs)
+            return _fn(*args)
 
         monkeypatch.setattr(channel, name, counted)
     s = scenario_of(
         "topology: {kind: star, n_nodes: 10}\nlam: 5.0\nfading: {sigma: 1.5, kappa: 2}\n"
     )
     tables = build_contention_tables(s)
-    assert len(tables) == 9 and len(tables[0].p_out) == 2**8
-    assert calls == {"outage_probabilities": 9, "detection_probabilities": 9}
+    n_links, k = len(s.links), len(s.links) - 1
+    assert len(tables) == n_links == 9 and len(tables[0].p_out) == 2**k
+    assert 1 <= calls["detection_probabilities"] <= n_links
+    assert 1 <= calls["outage_probabilities"] <= n_links
+
+    # the distinct multisets of gains over all links' subsets, counted the long way
+    gain, bits = s.mean_gain_mw, _bit_matrix(k)
+    det, out = set(), set()
+    for l, (tx, rx) in enumerate(s.links):
+        senders = [s.links[o][0] for o in tables[l].others]
+        for row in bits:
+            on = [z for z in range(k) if row[z]]
+            det.add(tuple(sorted(gain[senders[z], tx] for z in on)))
+            if rx not in [senders[z] for z in on]:
+                out.add((gain[tx, rx], *sorted(gain[senders[z], rx] for z in on)))
+    assert sorted(fitted["detection_probabilities"]) == sorted(det)
+    assert sorted(fitted["outage_probabilities"]) == sorted(out)
+    assert len(det) < n_links * 2**k // 10 and len(out) == k + 1
 
 
 def test_sim_network_matches_reference_construction():

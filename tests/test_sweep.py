@@ -288,6 +288,19 @@ def test_strict_mode_raises_instead_of_recording(tmp_path):
         evaluate_point(config, (("fading.sigma", -1.0),), "analytic", strict=True)
 
 
+def test_unassignable_axis_is_an_error_row_per_point(tmp_path):
+    # `lam` is a scalar, so `lam.x` cannot be set: every point is an error row
+    config = tiny_config()
+    config["sweep"]["engine"] = "analytic"
+    config["sweep"]["parameters"] = [{"path": "lam.x", "values": [1, 2]}]
+    rows = read_rows(run_sweep(config, sweep_from_config(config), out_dir=tmp_path))
+    assert [r["lam.x"] for r in rows] == ["1", "2"]
+    assert all(r["metric"] == "error" and "cannot descend into 'lam'" in r["warnings"]
+               for r in rows)
+    with pytest.raises(ValidationError, match="cannot descend into 'lam'"):
+        evaluate_point(config, (("lam.x", 1),), "analytic", strict=True)
+
+
 def test_multihop_sweeps_emit_end_to_end_rows(tmp_path):
     config = parse_config(
         """

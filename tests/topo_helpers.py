@@ -65,6 +65,43 @@ def build_tables(positions, links, chan, fading, tx_power_dbm=0.0):
     return tables
 
 
+def build_tables_per_link(gain, links, chan, fading):
+    """Per-link subset tables without sharing rows across links or within one.
+
+    One batched detection and one batched outage call per link over all of
+    its subsets, from the mean-gain matrix `gain`: the construction the
+    package's row de-duplication must reproduce bit for bit.
+    """
+    n_links = len(links)
+    k = n_links - 1
+    bits = _bit_matrix(k)
+    noise = channel.PowerTerm(weight=chan.noise_mw)
+
+    def term(weight):
+        return channel.PowerTerm(
+            weight=weight, sigma=fading.sigma, has_multipath=fading.multipath
+        )
+
+    tables = []
+    for l, (tx, rx) in enumerate(links):
+        others = tuple(i for i in range(n_links) if i != l)
+        senders = [links[o][0] for o in others]
+        p_det = channel.detection_probabilities(
+            [term(gain[s, tx]) for s in senders], bits, chan.cca_threshold_mw, fading
+        )
+        heard = [z for z, s in enumerate(senders) if s != rx]
+        free = ~bits[:, [z for z, s in enumerate(senders) if s == rx]].any(axis=1)
+        p_out = np.ones(2**k)
+        p_out[free] = channel.outage_probabilities(
+            term(gain[tx, rx]), [term(gain[senders[z], rx]) for z in heard],
+            bits[free][:, heard], noise, chan.sinr_threshold, fading,
+        )
+        p_fad = float(p_out[0])
+        p_out[0] = 0.0
+        tables.append(LinkTables(others=others, p_det=p_det, p_out=p_out, p_fad=p_fad))
+    return tables
+
+
 def star_positions(n_tx, radius):
     """n_tx transmitters on a circle around a sink at the origin (index 0)."""
     positions = [(0.0, 0.0)]
