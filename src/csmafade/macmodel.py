@@ -17,6 +17,7 @@ singularities at alpha = 1/2 and xi = 1.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -290,28 +291,36 @@ def solve_fixed_point(
     system: ContentionSystem,
     config: SolverConfig = SolverConfig(),
     init: tuple[float, float] = (0.0, 0.0),
+    arrivals: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> SolveResult:
     """Damped Jacobi iteration on (alpha, gamma) across all links.
 
-    tau and b000 follow directly from (alpha, gamma, q) each sweep.  Links
-    with q = 0 never transmit and are held at tau = b000 = 0.
+    tau and b000 follow directly from (alpha, gamma, q) each sweep.  The
+    arrival probabilities q are `system.qs` throughout, or, when `arrivals`
+    is given, arrivals(alpha, gamma) of the current state at the start of
+    each sweep (forwarded traffic).  Links with q = 0 never transmit and are
+    held at tau = b000 = 0.
     """
     n = len(system.tables)
     alphas = np.full(n, float(init[0]))
     gammas = np.full(n, float(init[1]))
-    taus = np.zeros(n)
-    b000s = np.zeros(n)
-    active = system.qs > 0.0
-    qs = system.qs[active]
     warnings: list[str] = []
     clamp_count = 0
     d = config.damping
 
+    def cca(alphas: np.ndarray, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        qs = system.qs if arrivals is None else arrivals(alphas, gammas)
+        active = qs > 0.0
+        taus = np.zeros(n)
+        b000s = np.zeros(n)
+        taus[active], b000s[active] = cca_probability(
+            alphas[active], gammas[active], qs[active], system.mac, system.timing
+        )
+        return taus, b000s
+
     residual = math.inf
     for iteration in range(1, config.max_iter + 1):
-        taus[active], b000s[active] = cca_probability(
-            alphas[active], gammas[active], qs, system.mac, system.timing
-        )
+        taus, b000s = cca(alphas, gammas)
         a_pkts, a_acks, new_gamma = contention_terms(system, taus, alphas, gammas)
         raw_alpha = a_pkts + a_acks
         clamp_count += int(np.count_nonzero(raw_alpha > ALPHA_CAP))
@@ -325,9 +334,7 @@ def solve_fixed_point(
             # decoupled coordinates land exactly on their closed forms
             alphas = new_alpha
             gammas = new_gamma
-            taus[active], b000s[active] = cca_probability(
-                alphas[active], gammas[active], qs, system.mac, system.timing
-            )
+            taus, b000s = cca(alphas, gammas)
             break
         alphas = (1.0 - d) * alphas + d * new_alpha
         gammas = (1.0 - d) * gammas + d * new_gamma

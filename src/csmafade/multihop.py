@@ -2,11 +2,12 @@
 
 Forwarded traffic raises the arrival rate of relay nodes, which changes
 their MAC operating point, which changes per-link reliabilities, which
-changes the forwarded traffic.  The outer loop here iterates that cycle:
-traffic vector -> per-link fixed point -> reliabilities -> traffic vector,
-until the traffic vector is stable.  Only successfully received packets are
-forwarded, so the traffic recursion is Lambda = lambda + T' Lambda with
-T = M * R; acyclic routing makes T' nilpotent and the Neumann series exact.
+changes the forwarded traffic.  That cycle is closed inside the MAC fixed
+point: each iteration maps its current state to reliabilities, then to the
+traffic vector and the arrival probabilities it uses.  Only successfully
+received packets are forwarded, so the traffic recursion is
+Lambda = lambda + T' Lambda with T = M * R; acyclic routing makes T'
+nilpotent and the Neumann series exact.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .errors import ConvergenceError, ValidationError
+from .errors import ValidationError
 from .macmodel import (
     ContentionSystem,
     LinkState,
@@ -133,7 +134,12 @@ def traffic_vector(
 
 @dataclass
 class NetworkSolution:
-    """Converged network state: per-link MAC state arrays, traffic, and metrics."""
+    """Converged network state: per-link MAC state arrays, traffic, and metrics.
+
+    outer_iterations counts the fixed-point iterations in which forwarded
+    traffic moved a transmitter's arrival probability; it is 0 for a star,
+    whose transmitters carry only their own traffic.
+    """
 
     state: LinkState
     traffic: TrafficVector
@@ -152,11 +158,12 @@ def solve_network(
     timing: TimingParams,
     profile: metrics.PowerProfile | None = None,
     config: SolverConfig = SolverConfig(),
-    outer_tol: float = 1e-8,
-    outer_max: int = 200,
 ) -> NetworkSolution:
-    """Outer loop coupling forwarded traffic with per-link fixed points.
+    """Per-link fixed points and forwarded traffic, solved as one fixed point.
 
+    When some transmitter relays, every iteration of the MAC fixed point
+    takes its arrival probabilities from the traffic vector of its current
+    (alpha, gamma), so config.tol bounds the residual of the joint map.
     tables[l] must describe the link of routing.transmitters[l]; contending
     link indices inside each table refer to positions in that same order.
     """
@@ -168,41 +175,37 @@ def solve_network(
     lam = np.asarray(lambda_pkt_per_s, dtype=float)
     if lam.shape[0] != routing.n_nodes:
         raise ValidationError("rate vector length must match the node count")
-    if outer_max < 1:
-        raise ValidationError("outer_max must be >= 1")
 
     links = [(node, routing.next_hop(node)) for node in transmitters]
-    rates = lam.copy()
-    warnings: list[str] = []
-    result = None
-    tv = None
-    for outer in range(1, outer_max + 1):
-        qs = np.array([arrival_probability(rates[node], timing.sb_seconds) for node in transmitters])
-        # only transmitters' rates enter the fixed point: if none moved (a
-        # star's second pass changes just the sink's), the last solve stands
-        if result is None or not np.array_equal(qs, system.qs):
-            system = ContentionSystem(qs=qs, mac=mac, timing=timing, tables=tables)
-            result = solve_fixed_point(system, config=config)
-        warnings = result.warnings
-        state = result.state
-        link_r = dict(zip(links, metrics.reliability(state.alpha, state.gamma, mac).tolist()))
-        tv = traffic_vector(lam, traffic_matrix(routing, link_r), timing.sb_seconds)
-        residual = float(np.max(np.abs(tv.rates - rates)))
-        rates = tv.rates
-        if residual < outer_tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"traffic loop did not converge after {outer_max} iterations "
-            f"(last residual {residual:.3e})"
-        )
+    tx = list(transmitters)
+
+    def traffic(alpha, gamma) -> tuple[dict[tuple[int, int], float], TrafficVector]:
+        link_r = dict(zip(links, metrics.reliability(alpha, gamma, mac).tolist()))
+        return link_r, traffic_vector(lam, traffic_matrix(routing, link_r), timing.sb_seconds)
+
+    qs = np.array([arrival_probability(lam[node], timing.sb_seconds) for node in tx])
+    system = ContentionSystem(qs=qs, mac=mac, timing=timing, tables=tables)
+    moved = 0
+
+    def arrivals(alpha, gamma):
+        nonlocal qs, moved
+        new_qs = traffic(alpha, gamma)[1].qs[tx]
+        moved += not np.array_equal(new_qs, qs)
+        qs = new_qs
+        return qs
+
+    # without a relay, no transmitter's traffic depends on the state
+    relays = bool(routing.matrix[:, tx].any())
+    result = solve_fixed_point(system, config=config, arrivals=arrivals if relays else None)
+    state = result.state
+    link_r, tv = traffic(state.alpha, state.gamma)
 
     end_to_end = {
         node: end_to_end_reliability(routing, link_r, node) for node in transmitters
     }
     # link l's packets go on over the link whose transmitter is l's receiver
     link_of = np.full(routing.n_nodes, -1)
-    link_of[list(transmitters)] = np.arange(len(transmitters))
+    link_of[tx] = np.arange(len(tx))
     next_link = link_of[[rx for _, rx in links]]
     rep = metrics.report(state, profile or metrics.PowerProfile(), mac, timing, next_link)
     return NetworkSolution(
@@ -211,8 +214,8 @@ def solve_network(
         link_reliability=link_r,
         end_to_end=end_to_end,
         report=rep,
-        outer_iterations=outer,
-        warnings=warnings,
+        outer_iterations=moved,
+        warnings=result.warnings,
     )
 
 

@@ -15,6 +15,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gammainc
 
+from csmafade import metrics
 from csmafade.channel import (
     QUAD_LADDER,
     QUAD_TOL,
@@ -22,6 +23,19 @@ from csmafade.channel import (
     _gamma_cdf_unit_mean,
     lognormal_expectation,
     mma_fit,
+)
+from csmafade.errors import ConvergenceError, ValidationError
+from csmafade.macmodel import (
+    ContentionSystem,
+    SolverConfig,
+    arrival_probability,
+    solve_fixed_point,
+)
+from csmafade.multihop import (
+    NetworkSolution,
+    end_to_end_reliability,
+    traffic_matrix,
+    traffic_vector,
 )
 
 
@@ -356,3 +370,80 @@ def ideal_star_fixed_point(
     xi = gamma * (1.0 - alpha ** (m + 1))
     reliability = 1.0 - alpha ** (m + 1) * sum(xi**h for h in range(n + 1)) - xi ** (n + 1)
     return {"tau": tau, "alpha": alpha, "gamma": gamma, "reliability": reliability}
+
+
+# ---------------------------------------------------------------------------
+# multihop traffic oracle
+
+
+def solve_network_nested(
+    tables,
+    routing,
+    lambda_pkt_per_s,
+    mac,
+    timing,
+    profile=None,
+    config=SolverConfig(),
+    outer_tol: float = 1e-8,
+    outer_max: int = 200,
+):
+    """Outer loop coupling forwarded traffic with per-link fixed points.
+
+    The nested form of `solve_network`: every outer pass solves the whole
+    MAC fixed point for fixed arrival rates, then recomputes the traffic
+    vector from its reliabilities, until the traffic vector is stable.
+    """
+    transmitters = routing.transmitters
+    if len(tables) != len(transmitters):
+        raise ValidationError(
+            f"{len(tables)} link tables for {len(transmitters)} transmitting nodes"
+        )
+    lam = np.asarray(lambda_pkt_per_s, dtype=float)
+    if lam.shape[0] != routing.n_nodes:
+        raise ValidationError("rate vector length must match the node count")
+    if outer_max < 1:
+        raise ValidationError("outer_max must be >= 1")
+
+    links = [(node, routing.next_hop(node)) for node in transmitters]
+    rates = lam.copy()
+    warnings: list[str] = []
+    result = None
+    tv = None
+    for outer in range(1, outer_max + 1):
+        qs = np.array([arrival_probability(rates[node], timing.sb_seconds) for node in transmitters])
+        # only transmitters' rates enter the fixed point: if none moved (a
+        # star's second pass changes just the sink's), the last solve stands
+        if result is None or not np.array_equal(qs, system.qs):
+            system = ContentionSystem(qs=qs, mac=mac, timing=timing, tables=tables)
+            result = solve_fixed_point(system, config=config)
+        warnings = result.warnings
+        state = result.state
+        link_r = dict(zip(links, metrics.reliability(state.alpha, state.gamma, mac).tolist()))
+        tv = traffic_vector(lam, traffic_matrix(routing, link_r), timing.sb_seconds)
+        residual = float(np.max(np.abs(tv.rates - rates)))
+        rates = tv.rates
+        if residual < outer_tol:
+            break
+    else:
+        raise ConvergenceError(
+            f"traffic loop did not converge after {outer_max} iterations "
+            f"(last residual {residual:.3e})"
+        )
+
+    end_to_end = {
+        node: end_to_end_reliability(routing, link_r, node) for node in transmitters
+    }
+    # link l's packets go on over the link whose transmitter is l's receiver
+    link_of = np.full(routing.n_nodes, -1)
+    link_of[list(transmitters)] = np.arange(len(transmitters))
+    next_link = link_of[[rx for _, rx in links]]
+    rep = metrics.report(state, profile or metrics.PowerProfile(), mac, timing, next_link)
+    return NetworkSolution(
+        state=state,
+        traffic=tv,
+        link_reliability=link_r,
+        end_to_end=end_to_end,
+        report=rep,
+        outer_iterations=outer,
+        warnings=warnings,
+    )

@@ -363,6 +363,22 @@ def test_star_fixed_point_symmetry():
     assert np.ptp(result.state.gamma) < 1e-9
 
 
+def test_constant_arrivals_iterate_exactly_like_fixed_qs():
+    system = _star_system(lam=10.0, sigma=2.0)
+    calls = []
+
+    def arrivals(alpha, gamma):
+        calls.append(1)
+        return system.qs.copy()
+
+    hooked = solve_fixed_point(system, arrivals=arrivals)
+    plain = solve_fixed_point(system)
+    assert hooked.iterations == plain.iterations
+    assert len(calls) == plain.iterations + 1  # every sweep and the polish
+    for name in ("tau", "alpha_pkt", "alpha_ack", "gamma", "b000"):
+        assert np.array_equal(getattr(hooked.state, name), getattr(plain.state, name))
+
+
 def test_fixed_point_independent_of_initialization():
     system = _star_system(lam=10.0)
     a = solve_fixed_point(system, init=(0.0, 0.0))

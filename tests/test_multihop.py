@@ -1,15 +1,17 @@
-"""Tests for routing, traffic accumulation, and the network outer loop."""
+"""Tests for routing, traffic accumulation, and the joint network fixed point."""
 
 import numpy as np
 import pytest
 from pytest import approx
 
+from oracles import solve_network_nested
 from topo_helpers import build_tables, line_positions, star_positions
 from csmafade import channel, multihop
 from csmafade.errors import ConvergenceError, ValidationError
 from csmafade.macmodel import (
     ContentionSystem,
     MacParams,
+    SolverConfig,
     TimingParams,
     arrival_probability,
     solve_fixed_point,
@@ -166,9 +168,9 @@ def test_single_hop_network_reduces_to_link_fixed_point():
         qs=np.full(7, q), mac=MAC, timing=TIMING, tables=tables
     )
     direct = solve_fixed_point(system)
-    for name in ("tau", "alpha", "gamma"):
-        got, want = getattr(solution.state, name), getattr(direct.state, name)
-        assert got == approx(want, rel=1e-12)
+    # a star's arrival probabilities never move, so neither do its iterates
+    for name in ("tau", "alpha_pkt", "alpha_ack", "gamma", "b000"):
+        assert np.array_equal(getattr(solution.state, name), getattr(direct.state, name))
     # end-to-end over one hop is just the link reliability
     for node in routing.transmitters:
         assert solution.end_to_end[node] == approx(
@@ -178,8 +180,8 @@ def test_single_hop_network_reduces_to_link_fixed_point():
 
 
 def test_star_solves_its_fixed_point_once(monkeypatch):
-    # the second outer pass of a star moves only the sink's rate, which no
-    # fixed point reads; a line's relays move, so it solves again
+    # forwarded traffic is part of the fixed-point map, so every network
+    # makes one solve; only a relay's arrival probability ever moves
     calls = []
 
     def counting(*args, **kwargs):
@@ -188,10 +190,10 @@ def test_star_solves_its_fixed_point_once(monkeypatch):
 
     monkeypatch.setattr(multihop, "solve_fixed_point", counting)
     solution = solve_network(*_star_setup(), MAC, TIMING)
-    assert (len(calls), solution.outer_iterations) == (1, 2)
+    assert (len(calls), solution.outer_iterations) == (1, 0)
     calls.clear()
     solution = solve_network(*_line_setup(), MAC, TIMING)
-    assert len(calls) > 1
+    assert len(calls) == 1 and solution.outer_iterations > 0
 
 
 def _line_setup(n_nodes=5, spacing=1.0, lam_rate=2.0, sigma=0.0):
@@ -270,10 +272,50 @@ def test_relay_power_sums_its_childrens_transmit_power():
     assert energy.relay[link[4]] == 0.0
 
 
+def _tree_setup(n_nodes, lam_rate):
+    s = scenario_from_config(parse_config(
+        f"topology: {{kind: tree, n_nodes: {n_nodes}, branching: 3}}\n"
+        f"lam: {lam_rate}\nfading: {{sigma: 1.0}}"
+    ))
+    return build_contention_tables(s), s.routing, s.lam
+
+
+@pytest.mark.parametrize(
+    "setup",
+    [
+        lambda: _line_setup(sigma=0.0),
+        lambda: _line_setup(sigma=2.0),
+        lambda: _line_setup(n_nodes=9, lam_rate=30.0),
+        lambda: _line_setup(n_nodes=9, lam_rate=50.0),
+        lambda: _line_setup(n_nodes=9, lam_rate=100.0),
+        lambda: _tree_setup(10, 7.0),
+        lambda: _tree_setup(13, 30.0),
+    ],
+    ids=["line5-s0", "line5-s2", "line9-l30", "line9-l50", "line9-l100", "tree10", "tree13"],
+)
+def test_joint_solve_matches_nested_traffic_loop(setup):
+    tables, routing, lam = setup()
+    joint = solve_network(tables, routing, lam, MAC, TIMING)
+    nested = solve_network_nested(tables, routing, lam, MAC, TIMING)
+    assert joint.state.alpha == approx(nested.state.alpha, rel=0, abs=1e-7)
+    assert joint.state.gamma == approx(nested.state.gamma, rel=0, abs=1e-7)
+    assert joint.link_reliability.keys() == nested.link_reliability.keys()
+    for link, r in nested.link_reliability.items():
+        assert joint.link_reliability[link] == approx(r, rel=0, abs=1e-7)
+
+
+def test_reported_traffic_solves_the_traffic_recursion():
+    for tables, routing, lam in (_line_setup(n_nodes=9, lam_rate=30.0), _tree_setup(13, 30.0)):
+        solution = solve_network(tables, routing, lam, MAC, TIMING)
+        t = traffic_matrix(routing, solution.link_reliability)
+        rates = solution.traffic.rates
+        assert rates == approx(lam + t.T @ rates, rel=1e-12)
+
+
 def test_network_nonconvergence_raises():
     tables, routing, lam = _line_setup()
-    with pytest.raises(ConvergenceError, match="traffic loop"):
-        solve_network(tables, routing, lam, MAC, TIMING, outer_max=1)
+    with pytest.raises(ConvergenceError, match="fixed point did not converge"):
+        solve_network(tables, routing, lam, MAC, TIMING, config=SolverConfig(max_iter=5))
 
 
 def test_network_input_validation():
@@ -282,5 +324,3 @@ def test_network_input_validation():
         solve_network(tables[:-1], routing, lam, MAC, TIMING)
     with pytest.raises(ValidationError, match="rate vector"):
         solve_network(tables, routing, lam[:-1], MAC, TIMING)
-    with pytest.raises(ValidationError, match="outer_max"):
-        solve_network(tables, routing, lam, MAC, TIMING, outer_max=0)
