@@ -33,7 +33,7 @@ sim: {{horizon_seconds: 200.0, replications: {reps}, master_seed: 1}}
 
 
 def analytic_delay(scenario):
-    sol = solve_network(build_contention_tables(scenario), scenario.routing,
+    sol = solve_network(build_contention_tables(scenario), scenario.hops,
                         np.array(scenario.lam), scenario.mac, scenario.timing,
                         profile=scenario.power, config=scenario.solver)
     return float(np.nanmean(sol.report.delay_seconds))

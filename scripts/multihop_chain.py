@@ -13,7 +13,7 @@ import numpy as np
 
 from csmafade.scenarios import (build_contention_tables, compile_sim_network,
                                 parse_config, scenario_from_config)
-from csmafade.multihop import solve_network
+from csmafade.multihop import end_to_end_reliability, route, solve_network
 from csmafade.simulator import run_experiment
 
 
@@ -35,8 +35,7 @@ def main() -> None:
 
     for sigma in args.sigmas:
         scenario = chain_scenario(sigma, args.reps)
-        routing = scenario.routing
-        sol = solve_network(build_contention_tables(scenario), routing,
+        sol = solve_network(build_contention_tables(scenario), scenario.hops,
                             np.array(scenario.lam), scenario.mac, scenario.timing,
                             profile=scenario.power, config=scenario.solver)
         result = run_experiment(compile_sim_network(scenario), scenario.sim)
@@ -44,11 +43,11 @@ def main() -> None:
 
         print(f"sigma = {sigma}")
         print(f"  {'origin':>6} {'hops':>5} {'model e2e':>10} {'sim e2e':>10} {'gap':>7}")
-        for origin in sorted(sol.end_to_end, key=lambda n: len(routing.path(n))):
-            path = routing.path(origin)
-            sim_e2e = float(np.prod([sim_link[src] for src, _ in path]))
+        for origin in sorted(sol.end_to_end, key=lambda n: len(route(scenario.hops, n))):
+            hops = len(route(scenario.hops, origin)) - 1
+            sim_e2e = end_to_end_reliability(scenario.hops, sim_link, origin)
             model = sol.end_to_end[origin]
-            print(f"  {origin:>6} {len(path):>5} {model:>10.5f} {sim_e2e:>10.5f}"
+            print(f"  {origin:>6} {hops:>5} {model:>10.5f} {sim_e2e:>10.5f}"
                   f" {abs(model - sim_e2e):>7.4f}")
         print()
 

@@ -29,13 +29,7 @@ from .macmodel import (
     solve_fixed_point,
 )
 from .metrics import PowerProfile, expected_delay, reliability, report
-from .multihop import (
-    NetworkSolution,
-    RoutingMatrix,
-    end_to_end_reliability,
-    solve_network,
-    traffic_vector,
-)
+from .multihop import NetworkSolution, end_to_end_reliability, solve_network
 from .scenarios import Scenario, Topology, load_config, load_scenario
 from .simulator import SimConfig, SimNetwork, SimStats, run_experiment, run_replication
 from .sweep import SweepSpec, run_sweep, sweep_from_config
@@ -52,7 +46,6 @@ __all__ = [
     "NumericsError",
     "PowerProfile",
     "PowerTerm",
-    "RoutingMatrix",
     "Scenario",
     "SimConfig",
     "SimNetwork",
@@ -80,5 +73,4 @@ __all__ = [
     "solve_fixed_point",
     "solve_network",
     "sweep_from_config",
-    "traffic_vector",
 ]

@@ -305,7 +305,6 @@ def solve_fixed_point(
     alphas = np.full(n, float(init[0]))
     gammas = np.full(n, float(init[1]))
     warnings: list[str] = []
-    clamp_count = 0
     d = config.damping
 
     def cca(alphas: np.ndarray, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -323,7 +322,6 @@ def solve_fixed_point(
         taus, b000s = cca(alphas, gammas)
         a_pkts, a_acks, new_gamma = contention_terms(system, taus, alphas, gammas)
         raw_alpha = a_pkts + a_acks
-        clamp_count += int(np.count_nonzero(raw_alpha > ALPHA_CAP))
         new_alpha = np.minimum(raw_alpha, ALPHA_CAP)
 
         residual = float(
@@ -344,8 +342,10 @@ def solve_fixed_point(
             f"(last residual {residual:.3e})"
         )
 
-    if clamp_count:
-        warnings.append(f"alpha clamped to {ALPHA_CAP} in {clamp_count} update(s)")
+    # iterates may overshoot the cap on the way; only a clamped solution warns
+    clamped = int(np.count_nonzero(raw_alpha > ALPHA_CAP))
+    if clamped:
+        warnings.append(f"alpha clamped to {ALPHA_CAP} on {clamped} link(s)")
 
     state = LinkState(tau=taus, alpha_pkt=a_pkts, alpha_ack=a_acks, gamma=gammas, b000=b000s)
     return SolveResult(state=state, iterations=iteration, residual=residual, warnings=warnings)

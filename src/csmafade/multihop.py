@@ -1,13 +1,19 @@
 """Routing and traffic coupling for multi-hop networks.
 
+Routes are one next-hop array over the nodes: next_hop[i] is the node that
+node i sends to, or negative where i's packets end (a sink).  Each node with
+a next hop transmits over one link; links are numbered in node order, and
+next_link[l] is the link that carries link l's packets on (the one whose
+transmitter is l's receiver), or -1 where they reach a sink.
+
 Forwarded traffic raises the arrival rate of relay nodes, which changes
 their MAC operating point, which changes per-link reliabilities, which
 changes the forwarded traffic.  That cycle is closed inside the MAC fixed
 point: each iteration maps its current state to reliabilities, then to the
-traffic vector and the arrival probabilities it uses.  Only successfully
-received packets are forwarded, so the traffic recursion is
-Lambda = lambda + T' Lambda with T = M * R; acyclic routing makes T'
-nilpotent and the Neumann series exact.
+link traffic and the arrival probabilities it uses.  Only successfully
+received packets are forwarded, so link l carries
+Lambda_l = lambda_l + sum of R_c Lambda_c over the links c with
+next_link[c] = l; acyclic routes make this Neumann series finite and exact.
 """
 
 from __future__ import annotations
@@ -31,119 +37,85 @@ from .macmodel import (
 )
 
 
-@dataclass(frozen=True)
-class RoutingMatrix:
-    """Next-hop relation over all nodes: entry (i, j) = 1 iff j is i's next hop."""
+def route_links(next_hop) -> tuple[np.ndarray, np.ndarray]:
+    """(transmitters, next_link) of a next-hop array, which it checks.
 
-    matrix: np.ndarray
-    sink: int
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError(f"routing matrix must be square, got shape {m.shape}")
-        n = m.shape[0]
-        if not 0 <= self.sink < n:
-            raise ValidationError(f"sink index {self.sink} outside node range")
-        if not np.isin(m, (0, 1)).all():
-            raise ValidationError("routing matrix entries must be 0 or 1")
-        if (m.sum(axis=1) > 1).any():
-            raise ValidationError("each node may have at most one next hop")
-        if m[self.sink].any():
-            raise ValidationError("the sink must not have a next hop")
-        power = m.astype(bool)
-        for _ in range(n):
-            power = power @ m.astype(bool)
-        if power.any():
-            raise ValidationError("routing contains a cycle")
-        object.__setattr__(self, "matrix", m.astype(np.int64))
-
-    @property
-    def n_nodes(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def transmitters(self) -> tuple[int, ...]:
-        """Nodes with a next hop, in index order: one link each."""
-        return tuple(int(i) for i in np.nonzero(self.matrix.sum(axis=1))[0])
-
-    def next_hop(self, node: int) -> int | None:
-        hops = np.nonzero(self.matrix[node])[0]
-        return int(hops[0]) if hops.size else None
-
-    def children(self, node: int) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.nonzero(self.matrix[:, node])[0])
-
-    def path(self, node: int) -> list[tuple[int, int]]:
-        """Hop sequence from node to the sink as (tx, rx) pairs."""
-        hops = []
-        current = node
-        while (nxt := self.next_hop(current)) is not None:
-            hops.append((current, nxt))
-            current = nxt
-        return hops
+    transmitters are the nodes with a next hop, in index order: one link
+    each.  Hops to a missing node or to the node itself, cycles, and routes
+    without any link raise ValidationError.
+    """
+    hops = np.asarray(next_hop, dtype=int)
+    succ = hops.tolist()
+    n = len(succ)
+    for i, hop in enumerate(succ):
+        if hop >= n or hop == i:
+            raise ValidationError(f"node {i} has invalid next hop {hop}")
+    # 0: not yet seen, 1: on the current walk, 2: known to reach a sink
+    seen = [0] * n
+    for start in range(n):
+        walk = []
+        node = start
+        while node >= 0 and not seen[node]:
+            seen[node] = 1
+            walk.append(node)
+            node = succ[node]
+        if node >= 0 and seen[node] == 1:
+            raise ValidationError(
+                f"routing has a cycle through node {node}: its packets never reach a sink"
+            )
+        for node in walk:
+            seen[node] = 2
+    transmitters = np.flatnonzero(hops >= 0)
+    if not transmitters.size:
+        raise ValidationError("the topology has no link: no node has a next hop")
+    link_of = np.full(n, -1)
+    link_of[transmitters] = np.arange(len(transmitters))
+    return transmitters, link_of[hops[transmitters]]
 
 
-def traffic_matrix(
-    routing: RoutingMatrix, link_reliability: dict[tuple[int, int], float]
-) -> np.ndarray:
-    """T = M * R: per-hop forwarding probabilities."""
-    t = np.zeros_like(routing.matrix, dtype=float)
-    for i in routing.transmitters:
-        j = routing.next_hop(i)
-        if (i, j) not in link_reliability:
-            raise ValidationError(f"missing reliability for routed link {i}->{j}")
-        r = link_reliability[(i, j)]
-        if not 0.0 <= r <= 1.0:
-            raise ValidationError(f"reliability {r} for link {i}->{j} outside [0, 1]")
-        t[i, j] = r
-    return t
+def route(next_hop, node: int) -> list[int]:
+    """Nodes from node to the sink its packets reach, both included.
+
+    next_hop must have passed route_links.
+    """
+    nodes = [int(node)]
+    while next_hop[nodes[-1]] >= 0:
+        nodes.append(int(next_hop[nodes[-1]]))
+    return nodes
 
 
-@dataclass(frozen=True)
-class TrafficVector:
-    """Aggregate per-node packet rates and the derived arrival probabilities."""
+def link_traffic(lam: np.ndarray, next_link: np.ndarray, reliability: np.ndarray) -> np.ndarray:
+    """Packet rate per link: own generation plus the delivered rate of its children.
 
-    rates: np.ndarray
-    qs: np.ndarray
-    sb_seconds: float
-
-
-def traffic_vector(
-    lambda_pkt_per_s: np.ndarray, t_matrix: np.ndarray, sb_seconds: float
-) -> TrafficVector:
-    """Lambda = sum_k (T')^k lambda, exact for nilpotent T' (acyclic routing)."""
-    lam = np.asarray(lambda_pkt_per_s, dtype=float)
-    if (lam < 0).any():
-        raise ValidationError("generation rates must be >= 0")
-    n = lam.shape[0]
-    if t_matrix.shape != (n, n):
-        raise ValidationError("traffic matrix shape must match the rate vector")
+    Lambda = sum_k (T')^k lam with T[c, next_link[c]] = reliability[c]; each
+    term adds a link's children in link order.  lam and reliability are per
+    link; next_link must come from route_links.
+    """
+    relayed = next_link >= 0
+    parents = next_link[relayed]
+    forwarded = reliability[relayed]
     total = lam.copy()
-    term = lam.copy()
-    for _ in range(n):
-        term = t_matrix.T @ term
+    term = lam
+    for _ in range(len(lam)):
+        term = np.bincount(parents, weights=forwarded * term[relayed], minlength=len(lam))
         if not term.any():
             break
         total += term
-    else:
-        raise ValidationError("traffic accumulation did not terminate: routing has a cycle")
-    qs = np.array([arrival_probability(rate, sb_seconds) for rate in total])
-    return TrafficVector(rates=total, qs=qs, sb_seconds=sb_seconds)
+    return total
 
 
 @dataclass
 class NetworkSolution:
     """Converged network state: per-link MAC state arrays, traffic, and metrics.
 
+    traffic[l] is the packet rate link l carries, its own and forwarded.
     outer_iterations counts the fixed-point iterations in which forwarded
     traffic moved a transmitter's arrival probability; it is 0 for a star,
     whose transmitters carry only their own traffic.
     """
 
     state: LinkState
-    traffic: TrafficVector
-    link_reliability: dict[tuple[int, int], float]
+    traffic: np.ndarray
     end_to_end: dict[int, float]
     report: metrics.MetricsReport
     outer_iterations: int
@@ -152,7 +124,7 @@ class NetworkSolution:
 
 def solve_network(
     tables: list[LinkTables],
-    routing: RoutingMatrix,
+    next_hop: np.ndarray,
     lambda_pkt_per_s: np.ndarray,
     mac: MacParams,
     timing: TimingParams,
@@ -162,65 +134,54 @@ def solve_network(
     """Per-link fixed points and forwarded traffic, solved as one fixed point.
 
     When some transmitter relays, every iteration of the MAC fixed point
-    takes its arrival probabilities from the traffic vector of its current
+    takes its arrival probabilities from the link traffic of its current
     (alpha, gamma), so config.tol bounds the residual of the joint map.
-    tables[l] must describe the link of routing.transmitters[l]; contending
-    link indices inside each table refer to positions in that same order.
+    tables[l] must describe the link of the l-th node with a next hop;
+    contending link indices inside each table refer to positions in that
+    same order.
     """
-    transmitters = routing.transmitters
+    transmitters, next_link = route_links(next_hop)
     if len(tables) != len(transmitters):
         raise ValidationError(
             f"{len(tables)} link tables for {len(transmitters)} transmitting nodes"
         )
     lam = np.asarray(lambda_pkt_per_s, dtype=float)
-    if lam.shape[0] != routing.n_nodes:
+    if lam.shape[0] != len(next_hop):
         raise ValidationError("rate vector length must match the node count")
+    lam = lam[transmitters]
 
-    links = [(node, routing.next_hop(node)) for node in transmitters]
-    tx = list(transmitters)
+    def probabilities(rates: np.ndarray) -> np.ndarray:
+        return np.array([arrival_probability(rate, timing.sb_seconds) for rate in rates])
 
-    def traffic(alpha, gamma) -> tuple[dict[tuple[int, int], float], TrafficVector]:
-        link_r = dict(zip(links, metrics.reliability(alpha, gamma, mac).tolist()))
-        return link_r, traffic_vector(lam, traffic_matrix(routing, link_r), timing.sb_seconds)
-
-    qs = np.array([arrival_probability(lam[node], timing.sb_seconds) for node in tx])
+    qs = probabilities(lam)
     system = ContentionSystem(qs=qs, mac=mac, timing=timing, tables=tables)
     moved = 0
 
     def arrivals(alpha, gamma):
         nonlocal qs, moved
-        new_qs = traffic(alpha, gamma)[1].qs[tx]
+        new_qs = probabilities(link_traffic(lam, next_link, metrics.reliability(alpha, gamma, mac)))
         moved += not np.array_equal(new_qs, qs)
         qs = new_qs
         return qs
 
     # without a relay, no transmitter's traffic depends on the state
-    relays = bool(routing.matrix[:, tx].any())
+    relays = bool((next_link >= 0).any())
     result = solve_fixed_point(system, config=config, arrivals=arrivals if relays else None)
-    state = result.state
-    link_r, tv = traffic(state.alpha, state.gamma)
-
-    end_to_end = {
-        node: end_to_end_reliability(routing, link_r, node) for node in transmitters
-    }
-    # link l's packets go on over the link whose transmitter is l's receiver
-    link_of = np.full(routing.n_nodes, -1)
-    link_of[tx] = np.arange(len(tx))
-    next_link = link_of[[rx for _, rx in links]]
-    rep = metrics.report(state, profile or metrics.PowerProfile(), mac, timing, next_link)
+    rep = metrics.report(result.state, profile or metrics.PowerProfile(), mac, timing, next_link)
+    by_node = dict(zip(transmitters.tolist(), rep.reliability.tolist()))
     return NetworkSolution(
-        state=state,
-        traffic=tv,
-        link_reliability=link_r,
-        end_to_end=end_to_end,
+        state=result.state,
+        traffic=link_traffic(lam, next_link, rep.reliability),
+        end_to_end={node: end_to_end_reliability(next_hop, by_node, node) for node in by_node},
         report=rep,
         outer_iterations=moved,
         warnings=result.warnings,
     )
 
 
-def end_to_end_reliability(
-    routing: RoutingMatrix, link_reliability: dict[tuple[int, int], float], node: int
-) -> float:
-    """Product of per-hop reliabilities along the node's path to the sink."""
-    return math.prod(link_reliability[hop] for hop in routing.path(node))
+def end_to_end_reliability(next_hop, reliability, node: int) -> float:
+    """Product of per-hop reliabilities along the node's route, first hop first.
+
+    reliability[t] is the reliability of the link that node t transmits on.
+    """
+    return math.prod(reliability[t] for t in route(next_hop, node)[:-1])

@@ -38,7 +38,7 @@ from . import channel
 from .errors import ValidationError
 from .macmodel import LinkTables, MacParams, SolverConfig, TimingParams, _bit_matrix
 from .metrics import PowerProfile
-from .multihop import RoutingMatrix
+from .multihop import route_links
 from .simulator import SimConfig, SimNetwork, symbol_timing
 from .units import db_to_neper
 
@@ -174,9 +174,7 @@ class Scenario:
                 raise ValidationError(
                     f"node {i} generates traffic but has no route"
                 )
-        if not self.links:
-            raise ValidationError("the topology has no link: no node has a next hop")
-        self.routing  # validates hop indices and acyclicity
+        route_links(self.hops)  # rejects bad hops, cycles and a topology with no link
         self.mean_gain_mw  # rejects coincident nodes
         symbol_timing(self.timing)  # both engines take only whole-symbol timing
 
@@ -187,19 +185,6 @@ class Scenario:
         hops = self.topology.hops()
         hops.flags.writeable = False
         return hops
-
-    @cached_property
-    def routing(self) -> RoutingMatrix:
-        n = len(self.hops)
-        sinks = [i for i, h in enumerate(self.hops) if h < 0]
-        if not sinks:
-            raise ValidationError("routing has no sink")
-        matrix = np.zeros((n, n), dtype=int)
-        for i, h in self.links:
-            if h >= n:
-                raise ValidationError(f"node {i} routes to missing node {h}")
-            matrix[i, h] = 1
-        return RoutingMatrix(matrix=matrix, sink=sinks[0])
 
     @cached_property
     def links(self) -> tuple[tuple[int, int], ...]:

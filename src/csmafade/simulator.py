@@ -26,6 +26,7 @@ import numpy as np
 from .errors import NumericsError, ValidationError
 from .macmodel import MacParams, TimingParams
 from .metrics import PowerProfile
+from .multihop import route_links
 
 SYMBOL_SECONDS = 16e-6
 SYMBOLS_PER_UNIT = 20  # one backoff unit
@@ -108,9 +109,7 @@ class SimNetwork:
             raise ValidationError("lam and next_hop must have one entry per node")
         if (self.lam < 0).any():
             raise ValidationError("generation rates must be >= 0")
-        for i, hop in enumerate(self.next_hop):
-            if hop >= 0 and (hop >= n or hop == i):
-                raise ValidationError(f"node {i} has invalid next hop {hop}")
+        route_links(self.next_hop)
         if self.sigma < 0:
             raise ValidationError("sigma must be >= 0")
         if self.kappa is not None and self.kappa <= 0:

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .multihop import end_to_end_reliability, solve_network
+from .multihop import end_to_end_reliability, route, solve_network
 from .scenarios import (assign, build_contention_tables, compile_sim_network,
                         scenario_from_config)
 from .simulator import run_experiment
@@ -136,9 +136,9 @@ def _row_keys(scenario) -> list[tuple]:
     """(src, dst, metric) of every row in a point's block, in output order."""
     keys = [(src, dst, m) for src, dst in scenario.links for m in LINK_METRICS]
     keys += [("", "", m) for m in AGGREGATE_METRICS]
-    paths = [scenario.routing.path(src) for src, _ in scenario.links]
-    if any(len(path) > 1 for path in paths):
-        keys += [(path[0][0], path[-1][1], "end_to_end_reliability") for path in paths]
+    routes = [route(scenario.hops, src) for src, _ in scenario.links]
+    if any(len(nodes) > 2 for nodes in routes):
+        keys += [(nodes[0], nodes[-1], "end_to_end_reliability") for nodes in routes]
     return keys
 
 
@@ -180,7 +180,7 @@ def _contention_tables(scenario) -> list:
 def _analytic(scenario) -> tuple[dict, list[str]]:
     """Fixed-point model: {(src, dst, metric): value} plus warnings."""
     tables = _contention_tables(scenario)
-    solution = solve_network(tables, scenario.routing, scenario.lam, scenario.mac,
+    solution = solve_network(tables, scenario.hops, scenario.lam, scenario.mac,
                              scenario.timing, profile=scenario.power, config=scenario.solver)
     rep = solution.report
     values = _keyed(
@@ -203,9 +203,9 @@ def _simulate(scenario, workers: int) -> tuple[dict, list[str]]:
     rel = list(zip(result.reliability_mean, result.reliability_ci95))
     delay = list(zip(result.delay_mean_seconds, result.delay_ci95_seconds))
     power = [(result.power_mean_mw[src], result.power_ci95_mw[src]) for src, _ in scenario.links]
-    link_rel = {link: mean for link, (mean, _) in zip(scenario.links, rel)}
-    end_to_end = {src: (end_to_end_reliability(scenario.routing, link_rel, src), math.nan)
-                  for src, _ in scenario.links}
+    by_node = {src: mean for (src, _), (mean, _) in zip(scenario.links, rel)}
+    end_to_end = {src: (end_to_end_reliability(scenario.hops, by_node, src), math.nan)
+                  for src in by_node}
     aggregates = (_pooled(rel), _pooled(delay, finite_only=True), _pooled(power))
     values = _keyed(scenario, list(zip(rel, delay, power)), aggregates, end_to_end)
     if any(math.isnan(mean) for mean, _ in rel):

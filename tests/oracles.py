@@ -31,12 +31,7 @@ from csmafade.macmodel import (
     arrival_probability,
     solve_fixed_point,
 )
-from csmafade.multihop import (
-    NetworkSolution,
-    end_to_end_reliability,
-    traffic_matrix,
-    traffic_vector,
-)
+from csmafade.multihop import NetworkSolution, end_to_end_reliability, route_links
 
 
 def linear_to_db(x: float) -> float:
@@ -376,9 +371,33 @@ def ideal_star_fixed_point(
 # multihop traffic oracle
 
 
+def traffic_neumann(next_hop, lam, reliability) -> np.ndarray:
+    """Per-node packet rates Lambda = sum_k (T')^k lam over the dense n x n matrix.
+
+    T[i, next_hop[i]] = reliability[i] for every node i with a next hop, so
+    reliability is indexed by node.  The series is summed until a term
+    vanishes; ValidationError if it does not within n terms (a cycle).
+    """
+    n = len(next_hop)
+    t = np.zeros((n, n))
+    for i, hop in enumerate(next_hop):
+        if hop >= 0:
+            t[i, hop] = reliability[i]
+    total = np.array(lam, dtype=float)
+    term = total.copy()
+    for _ in range(n):
+        term = t.T @ term
+        if not term.any():
+            break
+        total += term
+    else:
+        raise ValidationError("traffic accumulation did not terminate: routing has a cycle")
+    return total
+
+
 def solve_network_nested(
     tables,
-    routing,
+    next_hop,
     lambda_pkt_per_s,
     mac,
     timing,
@@ -390,25 +409,24 @@ def solve_network_nested(
     """Outer loop coupling forwarded traffic with per-link fixed points.
 
     The nested form of `solve_network`: every outer pass solves the whole
-    MAC fixed point for fixed arrival rates, then recomputes the traffic
-    vector from its reliabilities, until the traffic vector is stable.
+    MAC fixed point for fixed arrival rates, then recomputes the per-node
+    traffic from its reliabilities by the dense Neumann series, until the
+    traffic is stable.
     """
-    transmitters = routing.transmitters
+    transmitters, next_link = route_links(next_hop)
     if len(tables) != len(transmitters):
         raise ValidationError(
             f"{len(tables)} link tables for {len(transmitters)} transmitting nodes"
         )
     lam = np.asarray(lambda_pkt_per_s, dtype=float)
-    if lam.shape[0] != routing.n_nodes:
+    if lam.shape[0] != len(next_hop):
         raise ValidationError("rate vector length must match the node count")
     if outer_max < 1:
         raise ValidationError("outer_max must be >= 1")
 
-    links = [(node, routing.next_hop(node)) for node in transmitters]
     rates = lam.copy()
     warnings: list[str] = []
     result = None
-    tv = None
     for outer in range(1, outer_max + 1):
         qs = np.array([arrival_probability(rates[node], timing.sb_seconds) for node in transmitters])
         # only transmitters' rates enter the fixed point: if none moved (a
@@ -418,10 +436,11 @@ def solve_network_nested(
             result = solve_fixed_point(system, config=config)
         warnings = result.warnings
         state = result.state
-        link_r = dict(zip(links, metrics.reliability(state.alpha, state.gamma, mac).tolist()))
-        tv = traffic_vector(lam, traffic_matrix(routing, link_r), timing.sb_seconds)
-        residual = float(np.max(np.abs(tv.rates - rates)))
-        rates = tv.rates
+        by_node = dict(zip(transmitters.tolist(),
+                           metrics.reliability(state.alpha, state.gamma, mac).tolist()))
+        new_rates = traffic_neumann(next_hop, lam, by_node)
+        residual = float(np.max(np.abs(new_rates - rates)))
+        rates = new_rates
         if residual < outer_tol:
             break
     else:
@@ -430,19 +449,11 @@ def solve_network_nested(
             f"(last residual {residual:.3e})"
         )
 
-    end_to_end = {
-        node: end_to_end_reliability(routing, link_r, node) for node in transmitters
-    }
-    # link l's packets go on over the link whose transmitter is l's receiver
-    link_of = np.full(routing.n_nodes, -1)
-    link_of[list(transmitters)] = np.arange(len(transmitters))
-    next_link = link_of[[rx for _, rx in links]]
     rep = metrics.report(state, profile or metrics.PowerProfile(), mac, timing, next_link)
     return NetworkSolution(
         state=state,
-        traffic=tv,
-        link_reliability=link_r,
-        end_to_end=end_to_end,
+        traffic=rates[transmitters],
+        end_to_end={node: end_to_end_reliability(next_hop, by_node, node) for node in by_node},
         report=rep,
         outer_iterations=outer,
         warnings=warnings,

@@ -27,7 +27,7 @@ from csmafade.channel import (
 from csmafade.channel import _gamma_cdf_unit_mean
 from csmafade.macmodel import MacParams, TimingParams
 from csmafade.metrics import expected_delay, reliability
-from csmafade.multihop import solve_network, traffic_matrix, traffic_vector
+from csmafade.multihop import end_to_end_reliability, link_traffic, route_links, solve_network
 from csmafade.scenarios import (
     build_contention_tables,
     compile_sim_network,
@@ -74,7 +74,7 @@ sim: {{horizon_seconds: {HORIZON}, replications: {reps}, master_seed: {SEED}}}
 def analytic_solution(scenario):
     return solve_network(
         build_contention_tables(scenario),
-        scenario.routing,
+        scenario.hops,
         np.array(scenario.lam),
         scenario.mac,
         scenario.timing,
@@ -196,15 +196,12 @@ def test_criterion_6_end_to_end_reliability_decreases_per_hop():
     for sigma in (0.0, 2.0):
         scenario = line_scenario(2.0, sigma)
         solution = analytic_solution(scenario)
-        routing = scenario.routing
         _, _, result = simulate(scenario)
         rel_by_node = dict(zip(result.transmitters, result.reliability_mean))
         model_e2e, sim_e2e = [], []
         for node in sorted(solution.end_to_end):
             model_e2e.append(solution.end_to_end[node])
-            sim_e2e.append(
-                math.prod(rel_by_node[src] for src, _ in routing.path(node))
-            )
+            sim_e2e.append(end_to_end_reliability(scenario.hops, rel_by_node, node))
         print(
             f"\ncriterion 6: sigma={sigma}: model e2e per hop "
             f"{[f'{r:.4f}' for r in model_e2e]}, "
@@ -314,12 +311,12 @@ def _check_bernoulli_service_process():
 
 def _check_traffic_neumann():
     scenario = line_scenario(2.0, 0.0, n_tx=5, reps=1)
-    routing = scenario.routing
-    rel = {
-        (node, routing.next_hop(node)): 0.9 - 0.05 * node
-        for node in routing.transmitters
-    }
-    t = traffic_matrix(routing, rel)
+    hops = scenario.hops
+    rel = 0.9 - 0.05 * np.arange(len(hops))  # per node
+    t = np.zeros((len(hops), len(hops)))
+    for node, hop in enumerate(hops):
+        if hop >= 0:
+            t[node, hop] = rel[node]
     lam = np.array(scenario.lam)
     neumann = np.zeros_like(lam)
     power = np.eye(len(lam))
@@ -327,10 +324,11 @@ def _check_traffic_neumann():
         neumann = neumann + power @ lam
         power = power @ t.T
     assert not power.any(), "routing transpose is not nilpotent"
-    got = traffic_vector(lam, t, scenario.timing.sb_seconds).rates
-    worst = float(np.max(np.abs(got - neumann)))
-    assert got == pytest.approx(neumann, rel=1e-12, abs=1e-15)
-    return f"traffic vector vs Neumann series worst abs {worst:.1e}"
+    tx, next_link = route_links(hops)
+    got = link_traffic(lam[tx], next_link, rel[tx])
+    worst = float(np.max(np.abs(got - neumann[tx])))
+    assert got == pytest.approx(neumann[tx], rel=1e-12, abs=1e-15)
+    return f"link traffic vs Neumann series worst abs {worst:.1e}"
 
 
 def _check_quadrature_refinement():

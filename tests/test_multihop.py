@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
-from oracles import solve_network_nested
+from oracles import solve_network_nested, traffic_neumann
 from topo_helpers import build_tables, line_positions, star_positions
 from csmafade import channel, multihop
 from csmafade.errors import ConvergenceError, ValidationError
@@ -18,11 +20,11 @@ from csmafade.macmodel import (
 )
 from csmafade.metrics import reliability
 from csmafade.multihop import (
-    RoutingMatrix,
     end_to_end_reliability,
+    link_traffic,
+    route,
+    route_links,
     solve_network,
-    traffic_matrix,
-    traffic_vector,
 )
 from csmafade.scenarios import build_contention_tables, parse_config, scenario_from_config
 
@@ -30,120 +32,154 @@ MAC = MacParams()
 TIMING = TimingParams()
 
 
-def _chain_routing(n_nodes):
-    m = np.zeros((n_nodes, n_nodes), dtype=int)
-    for h in range(1, n_nodes):
-        m[h, h - 1] = 1
-    return RoutingMatrix(matrix=m, sink=0)
+def _chain_hops(n_nodes):
+    return np.arange(-1, n_nodes - 1)
 
 
-def test_routing_matrix_validation():
-    good = _chain_routing(3)
-    assert good.transmitters == (1, 2)
-    with pytest.raises(ValidationError, match="at most one"):
-        RoutingMatrix(matrix=np.array([[0, 0, 0], [1, 0, 1], [0, 1, 0]]), sink=0)
-    with pytest.raises(ValidationError, match="sink"):
-        RoutingMatrix(matrix=np.array([[0, 1], [0, 0]]), sink=0)
+def test_route_links_validation():
+    transmitters, next_link = route_links(_chain_hops(3))
+    assert transmitters.tolist() == [1, 2] and next_link.tolist() == [-1, 0]
+    with pytest.raises(ValidationError, match="invalid next hop 5"):
+        route_links([-1, 5, 0])
+    with pytest.raises(ValidationError, match="node 1 has invalid next hop 1"):
+        route_links([-1, 1])
     with pytest.raises(ValidationError, match="cycle"):
-        RoutingMatrix(matrix=np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]]), sink=0)
-    with pytest.raises(ValidationError, match="0 or 1"):
-        RoutingMatrix(matrix=np.array([[0.0, 0.0], [0.5, 0.0]]), sink=0)
-    with pytest.raises(ValidationError, match="square"):
-        RoutingMatrix(matrix=np.zeros((2, 3)), sink=0)
+        route_links([-1, 2, 1])  # node 0 is a sink, nodes 1 and 2 send to each other
+    with pytest.raises(ValidationError, match="sink"):
+        route_links([1, 0])
+    with pytest.raises(ValidationError, match="no link"):
+        route_links([-1, -1])
 
 
-def test_routing_matrix_navigation():
-    routing = _chain_routing(5)
-    assert routing.next_hop(4) == 3
-    assert routing.next_hop(0) is None
-    assert routing.children(0) == (1,)
-    assert routing.children(3) == (4,)
-    assert routing.path(4) == [(4, 3), (3, 2), (2, 1), (1, 0)]
-    assert routing.path(0) == []
-
-
-def test_traffic_matrix_construction():
-    routing = _chain_routing(3)
-    t = traffic_matrix(routing, {(1, 0): 1.0, (2, 1): 1.0})
-    assert np.array_equal(t, routing.matrix.astype(float))
-    t = traffic_matrix(routing, {(1, 0): 0.0, (2, 1): 0.0})
-    assert not t.any()
-    t = traffic_matrix(routing, {(1, 0): 1.0, (2, 1): 0.5})
-    assert t[2, 1] == 0.5 and t[1, 0] == 1.0
-    with pytest.raises(ValidationError, match="missing reliability"):
-        traffic_matrix(routing, {(1, 0): 1.0})
-    with pytest.raises(ValidationError, match="outside"):
-        traffic_matrix(routing, {(1, 0): 1.0, (2, 1): 1.5})
+def test_route_and_next_link_navigation():
+    hops = _chain_hops(5)
+    assert route(hops, 4) == [4, 3, 2, 1, 0]
+    assert route(hops, 0) == [0]
+    # links are numbered in node order; each forwards to its receiver's link
+    tree = [-1, 0, 0, 1, 1, 2, 2]
+    transmitters, next_link = route_links(tree)
+    assert transmitters.tolist() == [1, 2, 3, 4, 5, 6]
+    assert next_link.tolist() == [-1, -1, 0, 0, 1, 1]
+    assert route(tree, 5) == [5, 2, 0]
+    # the sink in the middle: links (0, 1) and (2, 1) both end there
+    assert route_links([1, -1, 1])[1].tolist() == [-1, -1]
 
 
 def test_traffic_vector_trivials():
-    lam = np.array([0.0, 1.0, 1.0])
-    tv = traffic_vector(lam, np.zeros((3, 3)), 320e-6)
-    assert np.array_equal(tv.rates, lam)
-
-    routing = _chain_routing(3)
-    t = traffic_matrix(routing, {(1, 0): 1.0, (2, 1): 1.0})
-    tv = traffic_vector(lam, t, 320e-6)
-    assert tv.rates[1] == approx(2.0, rel=1e-12)
-    assert tv.rates[2] == approx(1.0, rel=1e-12)
-
-    t = traffic_matrix(routing, {(1, 0): 1.0, (2, 1): 0.5})
-    tv = traffic_vector(lam, t, 320e-6)
-    assert tv.rates[1] == approx(1.5, rel=1e-12)
-    assert tv.qs[1] == approx(arrival_probability(1.5, 320e-6), rel=1e-12)
+    lam = np.array([1.0, 1.0])  # links 2->1 and 1->0 of a 3-node chain, in link order
+    next_link = route_links(_chain_hops(3))[1]
+    assert np.array_equal(link_traffic(lam, next_link, np.zeros(2)), lam)
+    assert link_traffic(lam, next_link, np.ones(2)) == approx([2.0, 1.0], rel=1e-12)
+    assert link_traffic(lam, next_link, np.array([1.0, 0.5])) == approx([1.5, 1.0], rel=1e-12)
 
 
 def _random_dag(n_nodes, seed):
     rng = np.random.default_rng(seed)
-    m = np.zeros((n_nodes, n_nodes), dtype=int)
+    hops = np.full(n_nodes, -1)
     for i in range(1, n_nodes):
-        m[i, rng.integers(0, i)] = 1  # next hop always lower-indexed: acyclic
-    routing = RoutingMatrix(matrix=m, sink=0)
-    rel = {
-        (i, routing.next_hop(i)): float(rng.uniform(0.3, 1.0)) for i in routing.transmitters
-    }
+        hops[i] = rng.integers(0, i)  # next hop always lower-indexed: acyclic
+    rel = rng.uniform(0.3, 1.0, n_nodes)  # per node; only transmitters' entries count
     lam = rng.uniform(0.0, 5.0, n_nodes)
     lam[0] = 0.0
-    return routing, rel, lam
+    return hops, rel, lam
+
+
+def _link_matrix(next_link, rel):
+    """T over the links: T[c, next_link[c]] = rel[c]."""
+    t = np.zeros((len(next_link), len(next_link)))
+    for c, parent in enumerate(next_link):
+        if parent >= 0:
+            t[c, parent] = rel[c]
+    return t
 
 
 def test_traffic_vector_matches_direct_linear_solve():
     for seed in (1, 2, 3):
-        routing, rel, lam = _random_dag(8, seed)
-        t = traffic_matrix(routing, rel)
-        tv = traffic_vector(lam, t, 320e-6)
-        direct = np.linalg.solve(np.eye(8) - t.T, lam)
-        assert tv.rates == approx(direct, rel=1e-12)
+        hops, rel, lam = _random_dag(8, seed)
+        tx, next_link = route_links(hops)
+        got = link_traffic(lam[tx], next_link, rel[tx])
+        direct = np.linalg.solve(np.eye(len(tx)) - _link_matrix(next_link, rel[tx]).T, lam[tx])
+        assert got == approx(direct, rel=1e-12)
 
 
 def test_traffic_matrix_transpose_is_nilpotent():
-    routing, rel, _ = _random_dag(8, 4)
-    t = traffic_matrix(routing, rel)
-    assert not np.linalg.matrix_power(t.T, 8).any()
+    # acyclic routes end every link's chain of next links, so the series is finite
+    hops, rel, _ = _random_dag(8, 4)
+    tx, next_link = route_links(hops)
+    t = _link_matrix(next_link, rel[tx])
+    assert not np.linalg.matrix_power(t.T, len(tx)).any()
 
 
 def test_traffic_vector_dominates_generation_and_grows_with_reliability():
-    routing, rel, lam = _random_dag(8, 5)
-    base = traffic_vector(lam, traffic_matrix(routing, rel), 320e-6)
-    assert np.all(base.rates >= lam - 1e-15)
-    bumped = dict(rel)
-    key = next(iter(bumped))
-    bumped[key] = 1.0
-    higher = traffic_vector(lam, traffic_matrix(routing, bumped), 320e-6)
-    assert np.all(higher.rates >= base.rates - 1e-15)
+    hops, rel, lam = _random_dag(8, 5)
+    tx, next_link = route_links(hops)
+    base = link_traffic(lam[tx], next_link, rel[tx])
+    assert np.all(base >= lam[tx] - 1e-15)
+    bumped = rel[tx].copy()
+    bumped[-1] = 1.0
+    higher = link_traffic(lam[tx], next_link, bumped)
+    assert np.all(higher >= base - 1e-15)
 
 
 def test_traffic_vector_rejects_cycles():
-    t = np.array([[0.0, 0.5], [0.5, 0.0]])
     with pytest.raises(ValidationError, match="cycle"):
-        traffic_vector(np.array([1.0, 1.0]), t, 320e-6)
+        traffic_neumann([1, 0], [1.0, 1.0], [0.5, 0.5])
+    with pytest.raises(ValidationError, match="cycle"):
+        solve_network([], [1, 0], [1.0, 1.0], MAC, TIMING)
 
 
 def test_end_to_end_products_match_hand_computation():
-    routing = _chain_routing(3)
-    rel = {(2, 1): 0.6, (1, 0): 0.8}
-    assert end_to_end_reliability(routing, rel, 2) == approx(0.48, rel=1e-12)
-    assert end_to_end_reliability(routing, rel, 1) == approx(0.8, rel=1e-12)
+    hops = _chain_hops(3)
+    rel = {2: 0.6, 1: 0.8}  # per transmitting node
+    assert end_to_end_reliability(hops, rel, 2) == approx(0.48, rel=1e-12)
+    assert end_to_end_reliability(hops, rel, 1) == approx(0.8, rel=1e-12)
+
+
+@st.composite
+def _forests(draw):
+    """A random next-hop forest of 2-12 nodes with at least one link.
+
+    Nodes are visited in a random order and each sends to an earlier node
+    or to none, so every route ends at a sink.
+    """
+    n = draw(st.integers(2, 12))
+    order = draw(st.permutations(range(n)))
+    hops = [-1] * n
+    for k in range(1, n):
+        hops[order[k]] = draw(st.sampled_from([-1, *order[:k]]))
+    if all(h < 0 for h in hops):
+        hops[order[1]] = order[0]
+    unit = st.floats(0.0, 1.0, allow_subnormal=False)
+    rel = draw(st.lists(unit, min_size=n, max_size=n))
+    lam = draw(st.lists(st.floats(0.0, 100.0, allow_subnormal=False), min_size=n, max_size=n))
+    return np.array(hops), np.array(rel), np.array(lam)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(forest=_forests(), data=st.data())
+def test_random_forests_match_the_dense_traffic_oracle(forest, data):
+    hops, rel, lam = forest
+    tx, next_link = route_links(hops)
+    got = link_traffic(lam[tx], next_link, rel[tx])
+    assert got == approx(traffic_neumann(hops, lam, rel)[tx], rel=1e-12)
+
+    by_node = dict(zip(tx.tolist(), rel[tx].tolist()))
+    for l, node in enumerate(tx.tolist()):
+        product, link = 1, l
+        while link >= 0:
+            product *= rel[tx][link]
+            link = next_link[link]
+        assert end_to_end_reliability(hops, by_node, node) == product
+
+    # send a transmitter to itself or to a node routed through it: its
+    # tree's sink is still a sink, but the routes now hold a cycle
+    node = data.draw(st.sampled_from(tx.tolist()))
+    upstream = [i for i in range(len(hops)) if node in route(hops, i)]
+    bad = hops.copy()
+    bad[node] = data.draw(st.sampled_from(upstream))
+    assert (bad < 0).any()
+    with pytest.raises(ValidationError, match="invalid next hop|cycle"):
+        route_links(bad)
 
 
 def _star_setup(n_tx=7, radius=1.0, lam_rate=5.0, sigma=0.0):
@@ -151,18 +187,15 @@ def _star_setup(n_tx=7, radius=1.0, lam_rate=5.0, sigma=0.0):
     fading = channel.FadingParams(sigma=sigma)
     positions, links = star_positions(n_tx, radius)
     tables = build_tables(positions, links, chan, fading)
-    m = np.zeros((n_tx + 1, n_tx + 1), dtype=int)
-    for i in range(1, n_tx + 1):
-        m[i, 0] = 1
-    routing = RoutingMatrix(matrix=m, sink=0)
+    hops = np.array([-1] + [0] * n_tx)
     lam = np.full(n_tx + 1, lam_rate)
     lam[0] = 0.0
-    return tables, routing, lam
+    return tables, hops, lam
 
 
 def test_single_hop_network_reduces_to_link_fixed_point():
-    tables, routing, lam = _star_setup()
-    solution = solve_network(tables, routing, lam, MAC, TIMING)
+    tables, hops, lam = _star_setup()
+    solution = solve_network(tables, hops, lam, MAC, TIMING)
     q = arrival_probability(5.0, TIMING.sb_seconds)
     system = ContentionSystem(
         qs=np.full(7, q), mac=MAC, timing=TIMING, tables=tables
@@ -172,11 +205,9 @@ def test_single_hop_network_reduces_to_link_fixed_point():
     for name in ("tau", "alpha_pkt", "alpha_ack", "gamma", "b000"):
         assert np.array_equal(getattr(solution.state, name), getattr(direct.state, name))
     # end-to-end over one hop is just the link reliability
-    for node in routing.transmitters:
-        assert solution.end_to_end[node] == approx(
-            solution.link_reliability[(node, 0)], rel=1e-12
-        )
-    assert np.array_equal(solution.traffic.rates[1:], lam[1:])
+    for l, node in enumerate(range(1, 8)):
+        assert solution.end_to_end[node] == approx(solution.report.reliability[l], rel=1e-12)
+    assert np.array_equal(solution.traffic, lam[1:])
 
 
 def test_star_solves_its_fixed_point_once(monkeypatch):
@@ -201,16 +232,15 @@ def _line_setup(n_nodes=5, spacing=1.0, lam_rate=2.0, sigma=0.0):
     fading = channel.FadingParams(sigma=sigma)
     positions, links = line_positions(n_nodes, spacing)
     tables = build_tables(positions, links, chan, fading)
-    routing = _chain_routing(n_nodes)
     lam = np.full(n_nodes, lam_rate)
     lam[0] = 0.0
-    return tables, routing, lam
+    return tables, _chain_hops(n_nodes), lam
 
 
 def test_line_end_to_end_reliability_decreases_with_hops():
     for sigma in (0.0, 2.0):
-        tables, routing, lam = _line_setup(sigma=sigma)
-        solution = solve_network(tables, routing, lam, MAC, TIMING)
+        tables, hops, lam = _line_setup(sigma=sigma)
+        solution = solve_network(tables, hops, lam, MAC, TIMING)
         e2e = [solution.end_to_end[node] for node in (1, 2, 3, 4)]
         assert e2e[0] < 1.0
         for nearer, farther in zip(e2e, e2e[1:]):
@@ -218,38 +248,30 @@ def test_line_end_to_end_reliability_decreases_with_hops():
 
 
 def test_line_relays_accumulate_forwarded_traffic():
-    tables, routing, lam = _line_setup()
-    solution = solve_network(tables, routing, lam, MAC, TIMING)
-    rates = solution.traffic.rates
-    assert rates[1] > rates[2] > rates[3] > rates[4]
-    assert rates[4] == approx(2.0, rel=1e-12)
+    tables, hops, lam = _line_setup()
+    solution = solve_network(tables, hops, lam, MAC, TIMING)
+    rates = solution.traffic  # links of nodes 1, 2, 3, 4
+    assert rates[0] > rates[1] > rates[2] > rates[3]
+    assert rates[3] == approx(2.0, rel=1e-12)
     # node 3 carries its own traffic plus node 4's delivered share
-    r43 = solution.link_reliability[(4, 3)]
-    assert rates[3] == approx(2.0 + r43 * 2.0, rel=1e-9)
+    r43 = solution.report.reliability[3]
+    assert rates[2] == approx(2.0 + r43 * 2.0, rel=1e-9)
 
 
 def test_network_solution_is_outer_fixed_point():
-    tables, routing, lam = _line_setup()
-    solution = solve_network(tables, routing, lam, MAC, TIMING)
-    qs = np.array(
-        [
-            arrival_probability(solution.traffic.rates[node], TIMING.sb_seconds)
-            for node in routing.transmitters
-        ]
-    )
+    tables, hops, lam = _line_setup()
+    solution = solve_network(tables, hops, lam, MAC, TIMING)
+    qs = np.array([arrival_probability(rate, TIMING.sb_seconds) for rate in solution.traffic])
     system = ContentionSystem(qs=qs, mac=MAC, timing=TIMING, tables=tables)
     re_solved = solve_fixed_point(system)
     rel = reliability(re_solved.state.alpha, re_solved.state.gamma, MAC)
-    link_r = {
-        (node, routing.next_hop(node)): r for node, r in zip(routing.transmitters, rel)
-    }
-    tv = traffic_vector(lam, traffic_matrix(routing, link_r), TIMING.sb_seconds)
-    assert float(np.max(np.abs(tv.rates - solution.traffic.rates))) < 1e-10
+    rates = traffic_neumann(hops, lam, dict(zip(range(1, len(hops)), rel)))
+    assert float(np.max(np.abs(rates[1:] - solution.traffic))) < 1e-10
 
 
 def test_network_relay_energy_profile():
-    tables, routing, lam = _line_setup()
-    solution = solve_network(tables, routing, lam, MAC, TIMING)
+    tables, hops, lam = _line_setup()
+    solution = solve_network(tables, hops, lam, MAC, TIMING)
     energy = solution.report.energy  # transmitter order (1, 2, 3, 4)
     assert np.all(energy.relay[:3] > 0.0)
     assert energy.relay[3] == 0.0
@@ -263,10 +285,10 @@ def test_relay_power_sums_its_childrens_transmit_power():
     s = scenario_from_config(parse_config(
         "topology: {kind: tree, n_nodes: 10, branching: 3}\nlam: 7.0\nfading: {sigma: 1.0}"
     ))
-    solution = solve_network(build_contention_tables(s), s.routing, s.lam, s.mac, s.timing)
+    solution = solve_network(build_contention_tables(s), s.hops, s.lam, s.mac, s.timing)
     link = {src: l for l, (src, _) in enumerate(s.links)}
     energy = solution.report.energy
-    children = [link[c] for c in s.routing.children(1)]
+    children = [link[c] for c, hop in enumerate(s.hops) if hop == 1]
     assert [s.links[c][0] for c in children] == [4, 5, 6]
     assert energy.relay[link[1]] == approx(energy.transmit[children].sum(), rel=1e-12)
     assert energy.relay[link[4]] == 0.0
@@ -277,7 +299,7 @@ def _tree_setup(n_nodes, lam_rate):
         f"topology: {{kind: tree, n_nodes: {n_nodes}, branching: 3}}\n"
         f"lam: {lam_rate}\nfading: {{sigma: 1.0}}"
     ))
-    return build_contention_tables(s), s.routing, s.lam
+    return build_contention_tables(s), s.hops, s.lam
 
 
 @pytest.mark.parametrize(
@@ -294,33 +316,36 @@ def _tree_setup(n_nodes, lam_rate):
     ids=["line5-s0", "line5-s2", "line9-l30", "line9-l50", "line9-l100", "tree10", "tree13"],
 )
 def test_joint_solve_matches_nested_traffic_loop(setup):
-    tables, routing, lam = setup()
-    joint = solve_network(tables, routing, lam, MAC, TIMING)
-    nested = solve_network_nested(tables, routing, lam, MAC, TIMING)
+    tables, hops, lam = setup()
+    joint = solve_network(tables, hops, lam, MAC, TIMING)
+    nested = solve_network_nested(tables, hops, lam, MAC, TIMING)
     assert joint.state.alpha == approx(nested.state.alpha, rel=0, abs=1e-7)
     assert joint.state.gamma == approx(nested.state.gamma, rel=0, abs=1e-7)
-    assert joint.link_reliability.keys() == nested.link_reliability.keys()
-    for link, r in nested.link_reliability.items():
-        assert joint.link_reliability[link] == approx(r, rel=0, abs=1e-7)
+    assert joint.report.reliability.shape == nested.report.reliability.shape
+    assert joint.report.reliability == approx(nested.report.reliability, rel=0, abs=1e-7)
+    assert joint.end_to_end.keys() == nested.end_to_end.keys()
 
 
 def test_reported_traffic_solves_the_traffic_recursion():
-    for tables, routing, lam in (_line_setup(n_nodes=9, lam_rate=30.0), _tree_setup(13, 30.0)):
-        solution = solve_network(tables, routing, lam, MAC, TIMING)
-        t = traffic_matrix(routing, solution.link_reliability)
-        rates = solution.traffic.rates
-        assert rates == approx(lam + t.T @ rates, rel=1e-12)
+    for tables, hops, lam in (_line_setup(n_nodes=9, lam_rate=30.0), _tree_setup(13, 30.0)):
+        solution = solve_network(tables, hops, lam, MAC, TIMING)
+        tx, next_link = route_links(hops)
+        t = _link_matrix(next_link, solution.report.reliability)
+        rates = solution.traffic
+        assert rates == approx(np.asarray(lam)[tx] + t.T @ rates, rel=1e-12)
 
 
 def test_network_nonconvergence_raises():
-    tables, routing, lam = _line_setup()
+    tables, hops, lam = _line_setup()
     with pytest.raises(ConvergenceError, match="fixed point did not converge"):
-        solve_network(tables, routing, lam, MAC, TIMING, config=SolverConfig(max_iter=5))
+        solve_network(tables, hops, lam, MAC, TIMING, config=SolverConfig(max_iter=5))
 
 
 def test_network_input_validation():
-    tables, routing, lam = _line_setup()
+    tables, hops, lam = _line_setup()
     with pytest.raises(ValidationError, match="link tables"):
-        solve_network(tables[:-1], routing, lam, MAC, TIMING)
+        solve_network(tables[:-1], hops, lam, MAC, TIMING)
     with pytest.raises(ValidationError, match="rate vector"):
-        solve_network(tables, routing, lam[:-1], MAC, TIMING)
+        solve_network(tables, hops, lam[:-1], MAC, TIMING)
+    with pytest.raises(ValidationError, match="invalid next hop"):
+        solve_network(tables, [-1, 0, 1, 2, 4], lam, MAC, TIMING)

@@ -191,7 +191,7 @@ def test_timing_off_the_symbol_grid_is_rejected_for_both_engines():
 
 def test_geometry_is_derived_once_and_shared_by_both_engines():
     s = scenario_of("topology: {kind: tree, n_nodes: 7, branching: 2}\nlam: 1.0\n")
-    assert s.hops is s.hops and s.routing is s.routing and s.links is s.links
+    assert s.hops is s.hops and s.links is s.links
     assert compile_sim_network(s).mean_gain_mw is s.mean_gain_mw
     assert not s.mean_gain_mw.flags.writeable
     positions = s.topology.positions()

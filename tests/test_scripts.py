@@ -18,9 +18,11 @@ PACKAGE_DIR = str(Path(csmafade.__file__).resolve().parents[1])
     [
         ("delay_threshold_reversal.py", ["--skip-sim"]),
         ("multihop_chain.py", ["--reps", "1", "--sigmas", "0"]),
+        ("traffic_shadowing_grid.py", ["--reps", "1", "--out", "{tmp_path}"]),
     ],
 )
-def test_script_exits_zero(script, args):
+def test_script_exits_zero(script, args, tmp_path):
+    args = [arg.format(tmp_path=tmp_path) for arg in args]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_DIR, env.get("PYTHONPATH")]))
     proc = subprocess.run(

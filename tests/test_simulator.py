@@ -310,19 +310,22 @@ def test_network_and_config_validation():
             mac=MacParams(),
             timing=TimingParams(),
         )
-    with pytest.raises(ValidationError):
-        SimNetwork(
-            mean_gain_mw=np.zeros((2, 2)),
-            lam=np.zeros(2),
-            next_hop=np.array([1, 1]),  # node 1 routes to itself
-            sigma=0.0,
-            kappa=None,
-            cca_threshold_mw=1.0,
-            noise_mw=1.0,
-            sinr_threshold=1.0,
-            mac=MacParams(),
-            timing=TimingParams(),
-        )
+    # node 1 routes to itself; nodes 1 and 2 route to each other beside a sink
+    for next_hop in ([1, 1], [-1, 2, 1]):
+        n = len(next_hop)
+        with pytest.raises(ValidationError, match="invalid next hop|cycle"):
+            SimNetwork(
+                mean_gain_mw=np.zeros((n, n)),
+                lam=np.zeros(n),
+                next_hop=np.array(next_hop),
+                sigma=0.0,
+                kappa=None,
+                cca_threshold_mw=1.0,
+                noise_mw=1.0,
+                sinr_threshold=1.0,
+                mac=MacParams(),
+                timing=TimingParams(),
+            )
 
 
 def test_reliability_against_model_at_moderate_load():

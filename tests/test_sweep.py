@@ -215,7 +215,7 @@ sim: {horizon_seconds: 10.0, replications: 3, master_seed: 5}
     assert s.links == ((0, 1), (2, 1))
     sim = run_experiment(compile_sim_network(s), s.sim, s.power)
     report = solve_network(
-        build_contention_tables(s), s.routing, s.lam, s.mac, s.timing,
+        build_contention_tables(s), s.hops, s.lam, s.mac, s.timing,
         profile=s.power, config=s.solver,
     ).report
     rows = {
