@@ -5,8 +5,9 @@ probability, the busy-channel probability seen by the transmitter, and the
 packet-loss probability at the receiver.  They are coupled across links
 through a contention functional that enumerates which subsets of the other
 nodes transmit concurrently, weighting per-subset channel probabilities that
-are precomputed once per scenario.  A damped Jacobi iteration closes the
-system.
+are precomputed once per scenario.  Anderson acceleration of the Jacobi
+map (Walker & Ni, "Anderson acceleration for fixed-point iterations", SIAM
+J. Numer. Anal. 2011) closes the system.
 
 All chain formulas are evaluated as direct finite sums over backoff stages
 and retry attempts (windows capped at 2^mb), which is algebraically identical
@@ -103,15 +104,14 @@ class LinkState:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Damped Jacobi iteration settings."""
+    """Fixed-point settings: tol bounds the largest alpha or gamma change of
+    one application of the map at the solution; max_iter caps the map's
+    applications.  The step needs no tuning (see solve_fixed_point)."""
 
-    damping: float = 0.5
     tol: float = 1e-8
     max_iter: int = 10_000
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.damping <= 1.0:
-            raise ValidationError(f"damping {self.damping} outside (0, 1]")
         if self.tol <= 0.0 or self.max_iter < 1:
             raise ValidationError("tol must be positive and max_iter >= 1")
 
@@ -287,25 +287,40 @@ class SolveResult:
     warnings: list[str]
 
 
+# Anderson acceleration: how many past iterates a step mixes, and the
+# mixing of the plain step it starts from.  A residual that sets no new low
+# for STALL iterations halves the mixing and restarts from the best iterate;
+# a stall below MIN_MIXING gives the point up.
+ANDERSON_DEPTH = 5
+MIXING = 0.5
+STALL = 20
+MIN_MIXING = MIXING / 2**6
+
+
 def solve_fixed_point(
     system: ContentionSystem,
     config: SolverConfig = SolverConfig(),
     init: tuple[float, float] = (0.0, 0.0),
     arrivals: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> SolveResult:
-    """Damped Jacobi iteration on (alpha, gamma) across all links.
+    """Anderson-accelerated iteration of the (alpha, gamma) map of all links.
 
-    tau and b000 follow directly from (alpha, gamma, q) each sweep.  The
-    arrival probabilities q are `system.qs` throughout, or, when `arrivals`
-    is given, arrivals(alpha, gamma) of the current state at the start of
-    each sweep (forwarded traffic).  Links with q = 0 never transmit and are
-    held at tau = b000 = 0.
+    One application of the map takes x = (alpha, gamma) to g(x): tau and
+    b000 from (alpha, gamma, q), then the contention terms.  The arrival
+    probabilities q are `system.qs` throughout, or, when `arrivals` is
+    given, arrivals(alpha, gamma) of the current state (forwarded traffic).
+    Links with q = 0 never transmit and are held at tau = b000 = 0.
+
+    The first step is x + MIXING * f with residual f = g(x) - x; each later
+    step mixes the last ANDERSON_DEPTH + 1 iterates and residuals by a
+    least-squares fit of the residual differences (Walker & Ni 2011), and
+    is clipped into the map's domain.  Converged when max |f| < config.tol;
+    the returned state is then g(x) itself.
     """
     n = len(system.tables)
-    alphas = np.full(n, float(init[0]))
-    gammas = np.full(n, float(init[1]))
+    x = np.concatenate([np.full(n, float(init[0])), np.full(n, float(init[1]))])
+    upper = np.concatenate([np.full(n, ALPHA_CAP), np.ones(n)])
     warnings: list[str] = []
-    d = config.damping
 
     def cca(alphas: np.ndarray, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         qs = system.qs if arrivals is None else arrivals(alphas, gammas)
@@ -317,16 +332,19 @@ def solve_fixed_point(
         )
         return taus, b000s
 
+    mixing = MIXING
+    xs: list[np.ndarray] = []  # the last iterates and their residuals, oldest first
+    fs: list[np.ndarray] = []
+    best, best_x, best_f, since_best = math.inf, x, np.zeros_like(x), 0
     residual = math.inf
     for iteration in range(1, config.max_iter + 1):
+        alphas, gammas = x[:n], x[n:]
         taus, b000s = cca(alphas, gammas)
         a_pkts, a_acks, new_gamma = contention_terms(system, taus, alphas, gammas)
         raw_alpha = a_pkts + a_acks
         new_alpha = np.minimum(raw_alpha, ALPHA_CAP)
-
-        residual = float(
-            max(np.max(np.abs(new_alpha - alphas)), np.max(np.abs(new_gamma - gammas)))
-        )
+        f = np.concatenate([new_alpha, new_gamma]) - x
+        residual = float(np.max(np.abs(f)))
         if residual < config.tol:
             # undamped polish: return the update map's own values so that
             # decoupled coordinates land exactly on their closed forms
@@ -334,8 +352,30 @@ def solve_fixed_point(
             gammas = new_gamma
             taus, b000s = cca(alphas, gammas)
             break
-        alphas = (1.0 - d) * alphas + d * new_alpha
-        gammas = (1.0 - d) * gammas + d * new_gamma
+        if residual < best:
+            best, best_x, best_f, since_best = residual, x, f, 0
+        else:
+            since_best += 1
+        if since_best >= STALL:
+            mixing /= 2.0
+            if mixing < MIN_MIXING:
+                raise ConvergenceError(
+                    f"fixed point stalled after {iteration} iterations "
+                    f"(best residual {best:.3e}, last residual {residual:.3e})"
+                )
+            x, f, since_best = best_x, best_f, 0
+            xs.clear()
+            fs.clear()
+        xs.append(x)
+        fs.append(f)
+        step = x + mixing * f
+        if len(xs) > 1:
+            del xs[: -ANDERSON_DEPTH - 1], fs[: -ANDERSON_DEPTH - 1]
+            d_x = np.diff(xs, axis=0).T
+            d_f = np.diff(fs, axis=0).T
+            coef = np.linalg.lstsq(d_f, f, rcond=None)[0]
+            step -= (d_x + mixing * d_f) @ coef
+        x = np.clip(step, 0.0, upper)
     else:
         raise ConvergenceError(
             f"fixed point did not converge after {config.max_iter} iterations "

@@ -11,7 +11,7 @@ except the topology:
     mac: {m0: 3, mb: 5, m: 4, n: 0}
     timing: {packet_bytes: 70, ack_bytes: 11}
     power: {p_idle: 56.4, p_sense: 56.4, p_tx: 52.2, p_rx: 56.4, p_sleep: 0.06}
-    solver: {damping: 0.5, tol: 1.0e-8, max_iter: 10000}
+    solver: {tol: 1.0e-8, max_iter: 10000}
     sim: {horizon_seconds: 200.0, replications: 20, master_seed: 1, ack_loss: true}
     tx_power_dbm: 0.0
     sweep: {engine: compare, parameters: [{path: lam, values: [0.5, 2]}]}
@@ -106,6 +106,24 @@ class Topology:
             return [(h * self.spacing_m, 0.0) for h in range(self.n_nodes)]
         return self._tree()[0]
 
+    def distances(self) -> list[list[float]]:
+        """Node-to-node distances in meters.
+
+        A generated star takes them from its geometry, not its rounded
+        coordinates: the sink is spacing_m from every ring node, and ring
+        nodes d steps apart (the shorter way round) are the chord
+        2 R sin(pi d / n) apart.  So equal distances are bit-equal, and so
+        are the gains and the contention rows they key.
+        """
+        if self.kind != "star":
+            pos = self.positions()
+            return [[math.dist(p, q) for q in pos] for p in pos]
+        n_tx = self.n_nodes - 1
+        chord = [2.0 * self.spacing_m * math.sin(math.pi * d / n_tx) for d in range(n_tx)]
+        ring = [[chord[min(abs(i - j), n_tx - abs(i - j))] for j in range(n_tx)]
+                for i in range(n_tx)]
+        return [[0.0] + [self.spacing_m] * n_tx] + [[self.spacing_m] + row for row in ring]
+
     def hops(self) -> np.ndarray:
         """next_hop per node, -1 where the node terminates traffic."""
         if self.kind == "explicit":
@@ -194,13 +212,14 @@ class Scenario:
     @cached_property
     def mean_gain_mw(self) -> np.ndarray:
         """Mean power (mW) node j receives when node i transmits; 0 for i == j."""
-        pos = self.topology.positions()
-        gain = np.zeros((len(pos), len(pos)))
-        for i, j in itertools.permutations(range(len(pos)), 2):
-            distance = math.dist(pos[i], pos[j])
+        dist = self.topology.distances()
+        gain = np.zeros((len(dist), len(dist)))
+        for i, j in itertools.permutations(range(len(dist)), 2):
+            distance = dist[i][j]
             if distance == 0.0:
                 raise ValidationError(
-                    f"topology.positions_m: nodes {i} and {j} coincide at {pos[i]} (distance 0.0)"
+                    f"topology.positions_m: nodes {i} and {j} coincide at "
+                    f"{self.topology.positions()[i]} (distance 0.0)"
                 )
             gain[i, j] = mean_rx_power(self.tx_power_dbm, distance, self.channel)
         gain.flags.writeable = False

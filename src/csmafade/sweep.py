@@ -152,7 +152,8 @@ def _keyed(scenario, per_link, aggregates, end_to_end) -> dict:
 
 
 # Contention tables built in this process, newest last; run_sweep empties it,
-# so points of one sweep share tables but separate sweeps do not.
+# so points of one sweep share tables but separate sweeps do not.  Pool
+# workers are forked from the process that filled it, and inherit it.
 _table_cache: dict[tuple, list] = {}
 TABLE_CACHE_SIZE = 8
 
@@ -175,6 +176,21 @@ def _contention_tables(scenario) -> list:
             del _table_cache[next(iter(_table_cache))]
         _table_cache[key] = tables
     return tables
+
+
+def _prebuild_tables(config: dict, points) -> None:
+    """Build the distinct table sets of the grid's points, as many as the cache holds.
+
+    A point whose config or tables fail is skipped: it reports the failure
+    itself when it runs.
+    """
+    for assignments in points:
+        if len(_table_cache) >= TABLE_CACHE_SIZE:
+            return
+        try:
+            _contention_tables(_point_scenario(copy.deepcopy(config), assignments))
+        except (ValidationError, NumericsError):
+            pass
 
 
 def _analytic(scenario) -> tuple[dict, list[str]]:
@@ -245,9 +261,7 @@ def evaluate_point(
     point.pop("sweep", None)
     prefix = [_fmt(value) for _, value in assignments]
     try:
-        for path, value in assignments:
-            assign(point, path, value)
-        scenario = scenario_from_config(point, default_id="scenario")
+        scenario = _point_scenario(point, assignments)
     except (ValidationError, NumericsError) as exc:
         if strict:
             raise
@@ -278,6 +292,13 @@ def evaluate_point(
     return rows
 
 
+def _point_scenario(point: dict, assignments):
+    """Assign a grid point's values into point, a copy of the sweep's config, and validate it."""
+    for path, value in assignments:
+        assign(point, path, value)
+    return scenario_from_config(point, default_id="scenario")
+
+
 def _point_task(args):
     config, assignments, engine, sim_workers, strict = args
     return evaluate_point(config, assignments, engine, sim_workers, strict)
@@ -302,6 +323,8 @@ def run_sweep(
     sim_workers = workers if len(points) == 1 else 1
     tasks = [(config, assignments, spec.engine, sim_workers, strict) for assignments in points]
     if workers > 1 and len(points) > 1:
+        if spec.engine != "simulate":
+            _prebuild_tables(config, points)  # once here, not once per worker
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_point_task, tasks))
     else:

@@ -26,9 +26,14 @@ from csmafade.channel import (
 )
 from csmafade.errors import ConvergenceError, ValidationError
 from csmafade.macmodel import (
+    ALPHA_CAP,
     ContentionSystem,
+    LinkState,
+    SolveResult,
     SolverConfig,
     arrival_probability,
+    cca_probability,
+    contention_terms,
     solve_fixed_point,
 )
 from csmafade.multihop import NetworkSolution, end_to_end_reliability, route_links
@@ -365,6 +370,70 @@ def ideal_star_fixed_point(
     xi = gamma * (1.0 - alpha ** (m + 1))
     reliability = 1.0 - alpha ** (m + 1) * sum(xi**h for h in range(n + 1)) - xi ** (n + 1)
     return {"tau": tau, "alpha": alpha, "gamma": gamma, "reliability": reliability}
+
+
+def solve_fixed_point_damped(
+    system: ContentionSystem,
+    config: SolverConfig = SolverConfig(),
+    damping: float = 0.5,
+    init: tuple[float, float] = (0.0, 0.0),
+    arrivals=None,
+) -> SolveResult:
+    """Damped Jacobi iteration on (alpha, gamma) across all links.
+
+    The plain form of `solve_fixed_point`: every sweep moves the state a
+    fixed fraction `damping` of the way to the map's value, and the same
+    undamped polish ends it.  Slow, and at heavy load it converges only
+    with a damping tuned by hand.
+    """
+    n = len(system.tables)
+    alphas = np.full(n, float(init[0]))
+    gammas = np.full(n, float(init[1]))
+    warnings: list[str] = []
+    d = damping
+
+    def cca(alphas: np.ndarray, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        qs = system.qs if arrivals is None else arrivals(alphas, gammas)
+        active = qs > 0.0
+        taus = np.zeros(n)
+        b000s = np.zeros(n)
+        taus[active], b000s[active] = cca_probability(
+            alphas[active], gammas[active], qs[active], system.mac, system.timing
+        )
+        return taus, b000s
+
+    residual = math.inf
+    for iteration in range(1, config.max_iter + 1):
+        taus, b000s = cca(alphas, gammas)
+        a_pkts, a_acks, new_gamma = contention_terms(system, taus, alphas, gammas)
+        raw_alpha = a_pkts + a_acks
+        new_alpha = np.minimum(raw_alpha, ALPHA_CAP)
+
+        residual = float(
+            max(np.max(np.abs(new_alpha - alphas)), np.max(np.abs(new_gamma - gammas)))
+        )
+        if residual < config.tol:
+            # undamped polish: return the update map's own values so that
+            # decoupled coordinates land exactly on their closed forms
+            alphas = new_alpha
+            gammas = new_gamma
+            taus, b000s = cca(alphas, gammas)
+            break
+        alphas = (1.0 - d) * alphas + d * new_alpha
+        gammas = (1.0 - d) * gammas + d * new_gamma
+    else:
+        raise ConvergenceError(
+            f"fixed point did not converge after {config.max_iter} iterations "
+            f"(last residual {residual:.3e})"
+        )
+
+    # iterates may overshoot the cap on the way; only a clamped solution warns
+    clamped = int(np.count_nonzero(raw_alpha > ALPHA_CAP))
+    if clamped:
+        warnings.append(f"alpha clamped to {ALPHA_CAP} on {clamped} link(s)")
+
+    state = LinkState(tau=taus, alpha_pkt=a_pkts, alpha_ack=a_acks, gamma=gammas, b000=b000s)
+    return SolveResult(state=state, iterations=iteration, residual=residual, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,15 @@ def test_override_below_a_scalar_names_it(config_file, tmp_path, capsys):
     assert err["error"] == "ValidationError" and "'lam'" in err["message"]
 
 
+def test_solver_damping_is_an_unknown_key(config_file, tmp_path, capsys):
+    rc = main(["analyze", "--config", str(config_file), "--set", "solver.damping=0.2",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    assert "unknown key 'damping' in solver" in err["message"]
+
+
 def test_sweep_over_an_unassignable_axis_writes_error_rows(tmp_path, capsys):
     path = tmp_path / "tiny.yaml"
     path.write_text(TINY.replace("path: lam\n", "path: lam.x\n"))

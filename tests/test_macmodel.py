@@ -425,6 +425,42 @@ def test_fixed_point_nonconvergence_raises_with_residual():
         solve_fixed_point(system, config=SolverConfig(max_iter=2))
 
 
+def _heavy_star_system(n_tx):
+    scenario = scenario_from_config(
+        {"topology": {"kind": "star", "n_nodes": n_tx + 1}, "lam": 200.0, "fading": {"sigma": 1.0}}
+    )
+    q = arrival_probability(200.0, scenario.timing.sb_seconds)
+    return ContentionSystem(qs=np.full(n_tx, q), mac=scenario.mac, timing=scenario.timing,
+                            tables=build_contention_tables(scenario))
+
+
+@pytest.mark.parametrize("n_tx", [11, 14])
+def test_heavy_load_star_converges_with_default_settings(n_tx):
+    # a damping of 0.5 oscillates here without end; the accelerated step needs no tuning
+    system = _heavy_star_system(n_tx)
+    result = solve_fixed_point(system)
+    reference = oracles.solve_fixed_point_damped(system, damping=0.1)
+    assert result.iterations < reference.iterations
+    for name in ("tau", "alpha", "gamma", "b000"):
+        got, want = getattr(result.state, name), getattr(reference.state, name)
+        assert np.max(np.abs(got - want)) < 1e-7, name
+
+
+def test_stalled_iteration_gives_up_long_before_max_iter():
+    # arrivals that jump between heavy and light load across an alpha threshold
+    # leave the map without a fixed point: the residual cannot drop below the jump
+    system = _toy_system(2, p_det_fill=1.0, p_out_fill=0.0, p_fad=0.0, qs=[0.2, 0.2])
+    calls = []
+
+    def arrivals(alpha, gamma):
+        calls.append(1)
+        return np.full(2, 0.2 if alpha[0] < 0.1 else 0.001)
+
+    with pytest.raises(ConvergenceError, match="stalled .* residual"):
+        solve_fixed_point(system, config=SolverConfig(max_iter=10_000), arrivals=arrivals)
+    assert len(calls) < 500
+
+
 def test_transient_alpha_overshoot_does_not_warn():
     # long frames at high load overshoot L*H past 1 early in the iteration;
     # the solution is interior, so the clamped iterates leave no warning
@@ -459,10 +495,12 @@ def test_permissive_thresholds_leave_contention_only_losses():
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValidationError):
-        SolverConfig(damping=0.0)
-    with pytest.raises(ValidationError):
-        SolverConfig(damping=1.5)
+    # the step has no damping knob: a config that sets one names the unknown key
+    star = {"topology": {"kind": "star", "n_nodes": 3}}
+    with pytest.raises(ValidationError, match="unknown key 'damping' in solver"):
+        scenario_from_config({**star, "solver": {"damping": 0.5}})
+    with pytest.raises(ValidationError, match="unknown key 'damping' in solver"):
+        scenario_from_config({**star, "solver": {"damping": 0.1, "tol": 1e-10}})
     with pytest.raises(ValidationError):
         SolverConfig(tol=-1.0)
 

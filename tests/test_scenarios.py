@@ -179,6 +179,22 @@ def test_star_topology_is_a_sink_plus_a_ring():
         assert math.hypot(*p) == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("n_tx", [2, 7, 11, 14])
+def test_star_gains_are_exactly_symmetric(n_tx):
+    # equal distances give bit-equal gains, so equal contention rows match exactly
+    s = scenario_of(f"topology: {{kind: star, n_nodes: {n_tx + 1}, spacing_m: 1.5}}\nlam: 1.0\n")
+    gain = s.mean_gain_mw
+    ring = gain[1:, 1:]
+    np.testing.assert_array_equal(np.roll(ring, 1, axis=(0, 1)), ring)
+    np.testing.assert_array_equal(ring, ring.T)
+    assert len(set(ring[~np.eye(n_tx, dtype=bool)])) == n_tx // 2
+    assert len(set(gain[0, 1:])) == len(set(gain[1:, 0])) == 1
+    positions = s.topology.positions()
+    for i, j in [(0, 1), (1, 2), (1, n_tx // 2 + 1), (n_tx, 1)]:
+        d = math.dist(positions[i], positions[j])
+        assert gain[i, j] == pytest.approx(channel.mean_rx_power(0.0, d, s.channel), rel=1e-12)
+
+
 def test_tree_topology_parents_follow_breadth_first_order():
     topo = Topology(kind="tree", n_nodes=7, branching=2)
     assert list(topo.hops()) == [-1, 0, 0, 1, 1, 2, 2]

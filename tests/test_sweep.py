@@ -2,6 +2,7 @@
 
 import csv
 import math
+import os
 import pathlib
 import time
 
@@ -148,6 +149,16 @@ def test_malformed_value_is_an_error_row_and_the_sweep_continues(tmp_path):
     assert len(good) == 9 and all(r["warnings"] == "" for r in good)
 
 
+def test_solver_damping_is_an_error_row_per_point(tmp_path):
+    config = tiny_config()
+    config["sweep"]["engine"] = "analytic"
+    config["sweep"]["parameters"] = [{"path": "solver.damping", "values": [0.2]},
+                                     {"path": "lam", "values": [1.0, 2.0]}]
+    rows = read_rows(run_sweep(config, sweep_from_config(config), out_dir=tmp_path))
+    assert [r["metric"] for r in rows] == ["error", "error"]
+    assert all("unknown key 'damping' in solver" in r["warnings"] for r in rows)
+
+
 def test_topology_without_a_link_is_an_error_row(tmp_path):
     config = parse_config(
         "topology: {kind: explicit, positions_m: [[0, 0], [1, 0]], next_hop: [-1, 0]}\n"
@@ -280,6 +291,28 @@ def test_points_that_differ_only_in_rate_share_their_tables(tmp_path, monkeypatc
     unshared = run_sweep(config, spec, out_dir=tmp_path, out_name="unshared.csv")
     assert len(builds) == 6
     assert shared.read_bytes() == unshared.read_bytes()
+
+
+def test_pooled_sweep_builds_each_table_set_once(tmp_path, monkeypatch):
+    config = tiny_config()
+    config["sweep"]["engine"] = "analytic"
+    config["sweep"]["parameters"] = [
+        {"path": "lam", "values": [2.0, 10.0, 20.0]},
+        {"path": "fading.sigma", "values": [0.0, 1.0]},
+    ]
+    spec = sweep_from_config(config)
+    log = tmp_path / "builds.log"  # pool workers log their builds here too
+
+    def logging_build(scenario):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {scenario.fading.sigma}\n")
+        return build_contention_tables(scenario)
+
+    monkeypatch.setattr(sweep, "build_contention_tables", logging_build)
+    pooled = run_sweep(config, spec, out_dir=tmp_path, out_name="pooled.csv", workers=2)
+    assert sorted(log.read_text().splitlines()) == [f"{os.getpid()} 0.0", f"{os.getpid()} 1.0"]
+    serial = run_sweep(config, spec, out_dir=tmp_path, out_name="serial.csv", workers=1)
+    assert pooled.read_bytes() == serial.read_bytes()
 
 
 def test_strict_mode_raises_instead_of_recording(tmp_path):
