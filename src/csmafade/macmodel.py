@@ -13,6 +13,9 @@ All chain formulas are evaluated as direct finite sums over backoff stages
 and retry attempts (windows capped at 2^mb), which is algebraically identical
 to the usual two-branch closed forms but free of their removable
 singularities at alpha = 1/2 and xi = 1.
+
+Durations count backoff units of the one symbol clock both engines run on,
+defined here next to TimingParams.
 """
 
 from __future__ import annotations
@@ -56,11 +59,20 @@ class MacParams:
         return tuple(2 ** min(self.m0 + j, self.mb) for j in range(self.m + 1))
 
 
+# IEEE 802.15.4-2006 at 2.4 GHz: 16 us symbols of 4 bits, and a backoff unit
+# (aUnitBackoffPeriod) of 20 symbols.  UNIT_SECONDS is written out: the
+# product 20 * 16e-6 rounds to 0.00031999999999999997 in binary64, which
+# would move every analytic result in its last bits.
+SYMBOL_SECONDS = 16e-6
+SYMBOLS_PER_UNIT = 20
+SYMBOLS_PER_BYTE = 2
+UNIT_SECONDS = 320e-6
+
+
 @dataclass(frozen=True)
 class TimingParams:
-    """Frame and MAC durations in backoff units (one unit = sb_seconds)."""
+    """Frame and MAC durations in backoff units, each a whole number of symbols."""
 
-    sb_seconds: float = 320e-6
     l_pkt: float = 7.0
     l_ack: float = 1.1
     t_ack: float = 2.7
@@ -70,11 +82,25 @@ class TimingParams:
     t_sc: float = 0.4
 
     def __post_init__(self) -> None:
-        for name in ("sb_seconds", "l_pkt", "l_ack", "t_ack", "t_m_ack", "ifs", "turnaround", "t_sc"):
-            if getattr(self, name) < 0.0:
-                raise ValidationError(f"timing field {name} must be >= 0")
-        if self.sb_seconds == 0.0:
-            raise ValidationError("sb_seconds must be positive")
+        for name in ("l_pkt", "l_ack", "t_ack", "t_m_ack", "ifs", "turnaround", "t_sc"):
+            units = getattr(self, name)
+            if not 0.0 <= units < math.inf:
+                raise ValidationError(f"timing field {name} must be finite and >= 0")
+            if abs(units * SYMBOLS_PER_UNIT - round(units * SYMBOLS_PER_UNIT)) > 1e-9:
+                raise ValidationError(
+                    f"timing field {name} = {units} backoff units is not a whole number of symbols"
+                )
+        ack_wait, success_tail = self.symbols[4:]
+        if ack_wait > success_tail:
+            raise ValidationError("ACK timing is inconsistent with the transaction tail")
+
+    @property
+    def symbols(self) -> tuple[int, int, int, int, int, int]:
+        """(data, ACK, CCA, turnaround, ACK timeout, success tail) in whole symbols;
+        the ACK timeout (macAckWaitDuration) is turnaround, ACK and one unit."""
+        data, ack, cca, turn, tail = (round(units * SYMBOLS_PER_UNIT) for units in (
+            self.l_pkt, self.l_ack, self.t_sc, self.turnaround, self.t_ack + self.l_ack + self.ifs))
+        return data, ack, cca, turn, turn + ack + SYMBOLS_PER_UNIT, tail
 
     @property
     def ls(self) -> float:
@@ -116,11 +142,11 @@ class SolverConfig:
             raise ValidationError("tol must be positive and max_iter >= 1")
 
 
-def arrival_probability(lambda_pkt_per_s: float, sb_seconds: float) -> float:
+def arrival_probability(lambda_pkt_per_s: float) -> float:
     """Per-backoff-unit probability of at least one Poisson arrival."""
     if lambda_pkt_per_s < 0.0:
         raise ValidationError(f"arrival rate {lambda_pkt_per_s} must be >= 0")
-    return 1.0 - math.exp(-lambda_pkt_per_s * sb_seconds)
+    return 1.0 - math.exp(-lambda_pkt_per_s * UNIT_SECONDS)
 
 
 def xi_value(alpha: Values, gamma: Values, mac: MacParams) -> Values:
@@ -168,23 +194,30 @@ def cca_probability(
 
 
 def _bit_matrix(k: int) -> np.ndarray:
-    """(2^k, k) bool matrix: row mask, column z -> link z in the subset."""
+    """(2^k, k) bool matrix: row mask, column z -> contender z in the subset."""
     masks = np.arange(2**k, dtype=np.uint32)
     return (masks[:, None] >> np.arange(k)[None, :]) & 1 == 1
+
+
+def _other_links(n: int) -> np.ndarray:
+    """(n, n - 1) array: row l lists the links other than l, ascending."""
+    z = np.arange(n - 1)
+    return z + (z >= np.arange(n)[:, None])
 
 
 @dataclass
 class LinkTables:
     """Per-subset channel probabilities for one link, precomputed per scenario.
 
-    others: contending link indices in mask-bit order.
+    Each table is indexed by subset mask over the other links, ascending:
+    bit z of link l's mask is link z for z < l, and link z + 1 otherwise.
+
     p_det: detection probability of each subset's aggregate power at this
-        link's transmitter (index = subset mask over `others`).
+        link's transmitter.
     p_out: SINR outage probability at this link's receiver under each subset.
     p_fad: no-interferer outage probability of the link itself.
     """
 
-    others: tuple[int, ...]
     p_det: np.ndarray
     p_out: np.ndarray
     p_fad: float
@@ -194,8 +227,9 @@ class LinkTables:
 class ContentionSystem:
     """Everything the fixed point needs: per-link arrivals, timing, tables.
 
-    The tables are stacked once into arrays with one row per link: `others`
-    (L, k), `p_det` and `p_out` (L, 2^k) indexed by subset mask, `p_fad` (L,).
+    The tables are stacked once into arrays with one row per link: `p_det`
+    and `p_out` (L, 2^k) indexed by subset mask, `p_fad` (L,), and `others`
+    (L, k), the contender of each mask bit (see LinkTables).
     """
 
     qs: np.ndarray
@@ -216,9 +250,9 @@ class ContentionSystem:
             raise ValidationError("qs length must match table count")
         k = n - 1
         for t in self.tables:
-            if len(t.others) != k or len(t.p_det) != 2**k or len(t.p_out) != 2**k:
+            if len(t.p_det) != 2**k or len(t.p_out) != 2**k:
                 raise ValidationError("table sizes inconsistent with link count")
-        self.others = np.array([t.others for t in self.tables], dtype=np.intp).reshape(n, k)
+        self.others = _other_links(n)
         self.p_det = np.array([t.p_det for t in self.tables], dtype=float)
         self.p_out = np.array([t.p_out for t in self.tables], dtype=float)
         self.p_fad = np.array([t.p_fad for t in self.tables], dtype=float)

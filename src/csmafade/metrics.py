@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .macmodel import LinkState, MacParams, TimingParams, Values, _rowdot, xi_value
+from .macmodel import UNIT_SECONDS, LinkState, MacParams, TimingParams, Values, _rowdot, xi_value
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def expected_delay(alpha: Values, gamma: Values, mac: MacParams, timing: TimingP
         for h in range(mac.n + 1)
     )
     success = reliability(alpha, gamma, mac) > 1e-15
-    return np.where(success, backoff_units * timing.sb_seconds, math.nan)[()]
+    return np.where(success, backoff_units * UNIT_SECONDS, math.nan)[()]
 
 
 @dataclass(frozen=True)

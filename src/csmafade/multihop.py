@@ -151,7 +151,7 @@ def solve_network(
     lam = lam[transmitters]
 
     def probabilities(rates: np.ndarray) -> np.ndarray:
-        return np.array([arrival_probability(rate, timing.sb_seconds) for rate in rates])
+        return np.array([arrival_probability(rate) for rate in rates])
 
     qs = probabilities(lam)
     system = ContentionSystem(qs=qs, mac=mac, timing=timing, tables=tables)

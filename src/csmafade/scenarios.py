@@ -36,13 +36,12 @@ import yaml
 from .channel import ChannelParams, FadingParams, PowerTerm, mean_rx_power
 from . import channel
 from .errors import ValidationError
-from .macmodel import LinkTables, MacParams, SolverConfig, TimingParams, _bit_matrix
+from .macmodel import SYMBOLS_PER_BYTE, SYMBOLS_PER_UNIT, LinkTables, MacParams, SolverConfig
+from .macmodel import TimingParams, _bit_matrix, _other_links
 from .metrics import PowerProfile
 from .multihop import route_links
-from .simulator import SimConfig, SimNetwork, symbol_timing
+from .simulator import SimConfig, SimNetwork
 from .units import db_to_neper
-
-SYMBOLS_PER_BYTE = 2  # 4 bits per symbol at the 2.4 GHz PHY
 
 # Contention subsets are enumerated exhaustively; 2^14 tables per link is the
 # supported ceiling.
@@ -194,7 +193,6 @@ class Scenario:
                 )
         route_links(self.hops)  # rejects bad hops, cycles and a topology with no link
         self.mean_gain_mw  # rejects coincident nodes
-        symbol_timing(self.timing)  # both engines take only whole-symbol timing
 
     # the geometry both engines share, derived once per scenario
     @cached_property
@@ -263,8 +261,7 @@ def build_contention_tables(scenario: Scenario) -> list[LinkTables]:
         )
 
     tx, rx = np.array(links).T
-    others = [tuple(o for o in range(n_links) if o != l) for l in range(n_links)]
-    senders = tx[np.array(others, dtype=int).reshape(n_links, k)]
+    senders = tx[_other_links(n_links)]
     det_gain = gain[senders, tx[:, None]]  # (L, k): power at each transmitter
     out_gain = gain[senders, rx[:, None]]  # at each receiver; 0 where the receiver sends
     useful = gain[tx, rx]
@@ -303,7 +300,7 @@ def build_contention_tables(scenario: Scenario) -> list[LinkTables]:
     p_fad = p_out[:, 0].copy()  # the empty subset: noise-only outage
     p_out[:, 0] = 0.0
     return [
-        LinkTables(others=others[l], p_det=p_det[l], p_out=p_out[l], p_fad=float(p_fad[l]))
+        LinkTables(p_det=p_det[l], p_out=p_out[l], p_fad=float(p_fad[l]))
         for l in range(n_links)
     ]
 
@@ -511,7 +508,6 @@ def _build_scenario(config: dict, default_id: str) -> Scenario:
         fading_section["sigma"] = db_to_neper(sigma_db)
 
     timing_section = _require_mapping(config.get("timing"), "timing")
-    unit_symbols = 20.0  # symbols per backoff unit
     for byte_key, field_name in (("packet_bytes", "l_pkt"), ("ack_bytes", "l_ack")):
         if byte_key in timing_section:
             if field_name in timing_section:
@@ -519,7 +515,7 @@ def _build_scenario(config: dict, default_id: str) -> Scenario:
                     f"give timing.{byte_key} or timing.{field_name}, not both"
                 )
             nbytes = _coerce(timing_section.pop(byte_key), float, f"timing.{byte_key}")
-            timing_section[field_name] = nbytes * SYMBOLS_PER_BYTE / unit_symbols
+            timing_section[field_name] = nbytes * SYMBOLS_PER_BYTE / SYMBOLS_PER_UNIT
 
     lam_value = config.get("lam", 0.0)
     if isinstance(lam_value, str):  # one scalar, e.g. YAML 1.1 reads 1e-3 as a string

@@ -1,13 +1,14 @@
 """Discrete-event Monte Carlo of unslotted CSMA/CA over the fading channel.
 
-Time advances in integer PHY symbols (16 us).  Each node runs the standard
-backoff/CCA/transmit/ACK cycle; the channel applies distance-dependent mean
-power with per-packet shadowing and multipath draws toward every listener.
-A CCA samples the aggregate power of everything on air over the last symbol
-of its window; a reception fails if the instantaneous SINR dips below the
-capture threshold at any point during the frame, if the destination itself
-transmits meanwhile, or (optionally) if the returning ACK fails the same
-SINR test.
+Time advances in integer PHY symbols of 16 us, on the clock that macmodel
+defines for both engines; frame and MAC durations are the symbol counts of
+TimingParams.symbols.  Each node runs the standard backoff/CCA/transmit/ACK
+cycle; the channel applies distance-dependent mean power with per-packet
+shadowing and multipath draws toward every listener.  A CCA samples the
+aggregate power of everything on air over the last symbol of its window; a
+reception fails if the instantaneous SINR dips below the capture threshold
+at any point during the frame, if the destination itself transmits
+meanwhile, or (optionally) if the returning ACK fails the same SINR test.
 
 Replications use independent, reproducible RNG streams and return per-link
 counters, delay samples, and tick-exact radio-state residencies.
@@ -24,46 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .macmodel import MacParams, TimingParams
+from .macmodel import SYMBOL_SECONDS, SYMBOLS_PER_UNIT, MacParams, TimingParams
 from .metrics import PowerProfile
 from .multihop import route_links
-
-SYMBOL_SECONDS = 16e-6
-SYMBOLS_PER_UNIT = 20  # one backoff unit
 
 # radio-state indices in the residency table
 SLEEP, IDLE, SENSE, TX, RX = range(5)
 STATE_NAMES = ("sleep", "idle", "sense", "tx", "rx")
-
-
-def _unit_symbols(units: float, what: str) -> int:
-    """Convert backoff units to symbols, requiring an exact tick count."""
-    symbols = units * SYMBOLS_PER_UNIT
-    rounded = round(symbols)
-    if abs(symbols - rounded) > 1e-9:
-        raise ValidationError(
-            f"{what} = {units} backoff units is not a whole number of symbols"
-        )
-    return int(rounded)
-
-
-def symbol_timing(timing: TimingParams) -> tuple[int, int, int, int, int, int]:
-    """(data, ACK, CCA, turnaround, ACK timeout, success tail) in whole symbols.
-
-    Scenario validation calls this too, so both engines reject timing that
-    the symbol clock cannot represent.
-    """
-    data_sym = _unit_symbols(timing.l_pkt, "packet length")
-    ack_sym = _unit_symbols(timing.l_ack, "ACK length")
-    cca_sym = _unit_symbols(timing.t_sc, "CCA duration")
-    turn_sym = _unit_symbols(timing.turnaround, "turnaround")
-    ack_wait = turn_sym + ack_sym + SYMBOLS_PER_UNIT  # ACK timeout after data end
-    success_tail = _unit_symbols(
-        timing.t_ack + timing.l_ack + timing.ifs, "success tail"
-    )
-    if turn_sym + ack_sym > ack_wait or ack_wait > success_tail:
-        raise ValidationError("ACK timing is inconsistent with the transaction tail")
-    return data_sym, ack_sym, cca_sym, turn_sym, ack_wait, success_tail
 
 
 @dataclass(frozen=True)
@@ -278,7 +246,7 @@ def run_replication(
         np.random.SeedSequence(entropy=(config.master_seed, rep_index))
     )
     horizon = int(round(config.horizon_seconds / SYMBOL_SECONDS))
-    data_sym, ack_sym, cca_sym, turn_sym, ack_wait, success_tail = symbol_timing(net.timing)
+    data_sym, ack_sym, cca_sym, turn_sym, ack_wait, success_tail = net.timing.symbols
     m0, mb, max_nb, max_rt = net.mac.m0, net.mac.mb, net.mac.m, net.mac.n
     sigma, kappa, n_nodes = net.sigma, net.kappa, net.n_nodes
     floor, noise, cca_threshold = net.sinr_threshold, net.noise_mw, net.cca_threshold_mw

@@ -497,7 +497,7 @@ def solve_network_nested(
     warnings: list[str] = []
     result = None
     for outer in range(1, outer_max + 1):
-        qs = np.array([arrival_probability(rates[node], timing.sb_seconds) for node in transmitters])
+        qs = np.array([arrival_probability(rates[node]) for node in transmitters])
         # only transmitters' rates enter the fixed point: if none moved (a
         # star's second pass changes just the sink's), the last solve stands
         if result is None or not np.array_equal(qs, system.qs):

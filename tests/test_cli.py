@@ -210,6 +210,16 @@ def test_solver_damping_is_an_unknown_key(config_file, tmp_path, capsys):
     assert "unknown key 'damping' in solver" in err["message"]
 
 
+def test_timing_sb_seconds_is_an_unknown_key(config_file, tmp_path, capsys):
+    # the backoff unit is the PHY's 320 us, for both engines alike
+    rc = main(["analyze", "--config", str(config_file), "--set", "timing.sb_seconds=0.00064",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    assert "unknown key 'sb_seconds' in timing" in err["message"]
+
+
 def test_sweep_over_an_unassignable_axis_writes_error_rows(tmp_path, capsys):
     path = tmp_path / "tiny.yaml"
     path.write_text(TINY.replace("path: lam\n", "path: lam.x\n"))

@@ -11,6 +11,9 @@ from topo_helpers import contention_h
 from csmafade import channel, macmodel
 from csmafade.errors import ConvergenceError, ValidationError
 from csmafade.macmodel import (
+    SYMBOL_SECONDS,
+    SYMBOLS_PER_UNIT,
+    UNIT_SECONDS,
     ContentionSystem,
     LinkTables,
     MacParams,
@@ -48,16 +51,28 @@ def test_timing_params_transaction_durations():
     assert TIMING.lc == approx(7.0 + 2.1, rel=1e-12)
     with pytest.raises(ValidationError):
         TimingParams(l_pkt=-1.0)
-    with pytest.raises(ValidationError):
-        TimingParams(sb_seconds=0.0)
+    with pytest.raises(ValidationError, match="t_m_ack = 2.125 backoff units is not a whole"):
+        TimingParams(t_m_ack=2.125)
+
+
+def test_timing_params_count_whole_symbols_on_the_one_clock():
+    # the default frames of IEEE 802.15.4-2006 at 2.4 GHz, 20 symbols per unit;
+    # the ACK timeout (macAckWaitDuration) is turnaround + ACK + one unit
+    assert TIMING.symbols == (140, 22, 8, 12, 54, 116)
+    assert UNIT_SECONDS == 320e-6
+    assert SYMBOLS_PER_UNIT * SYMBOL_SECONDS == approx(UNIT_SECONDS, rel=1e-15)
+    with pytest.raises(ValidationError, match="finite"):
+        TimingParams(l_pkt=math.inf)
+    with pytest.raises(ValidationError, match="inconsistent"):
+        TimingParams(t_ack=0.0, ifs=0.0)
 
 
 def test_arrival_probability_examples():
-    assert arrival_probability(0.0, 320e-6) == 0.0
-    assert arrival_probability(10.0, 320e-6) == approx(0.0031949, abs=1e-7)
-    assert arrival_probability(20.0, 320e-6) > arrival_probability(10.0, 320e-6)
+    assert arrival_probability(0.0) == 0.0
+    assert arrival_probability(10.0) == approx(0.0031949, abs=1e-7)
+    assert arrival_probability(20.0) > arrival_probability(10.0)
     with pytest.raises(ValidationError):
-        arrival_probability(-1.0, 320e-6)
+        arrival_probability(-1.0)
 
 
 def test_cca_probability_idle_channel_collapses_to_first_terms():
@@ -209,10 +224,8 @@ def _toy_system(n_links, p_det_fill, p_out_fill, p_fad, qs, mac=MAC, timing=TIMI
     k = n_links - 1
     tables = []
     for l in range(n_links):
-        others = tuple(z for z in range(n_links) if z != l)
         tables.append(
             LinkTables(
-                others=others,
                 p_det=np.full(2**k, p_det_fill),
                 p_out=np.full(2**k, p_out_fill),
                 p_fad=p_fad,
@@ -254,8 +267,8 @@ def test_packet_loss_reduces_to_fading_when_alone():
 def test_packet_loss_longhand_single_contender():
     # p_fad=0.02, contender tau=0.1 alpha=0.2, p_det=0.9, p_out=0.3, L=7
     tables = [
-        LinkTables((1,), np.array([0.0, 0.9]), np.array([0.0, 0.3]), 0.02),
-        LinkTables((0,), np.zeros(2), np.zeros(2), 0.0),
+        LinkTables(np.array([0.0, 0.9]), np.array([0.0, 0.3]), 0.02),
+        LinkTables(np.zeros(2), np.zeros(2), 0.0),
     ]
     system = ContentionSystem(
         qs=np.array([0.003, 0.003]), mac=MAC, timing=TIMING, tables=tables
@@ -271,8 +284,8 @@ def test_packet_loss_longhand_single_contender():
 def test_packet_loss_clamps_to_unit_interval():
     # certain contention with poor detection pushes the raw sum past 1
     tables = [
-        LinkTables((1,), np.array([0.0, 0.1]), np.array([0.0, 0.9]), 0.0),
-        LinkTables((0,), np.zeros(2), np.zeros(2), 0.0),
+        LinkTables(np.array([0.0, 0.1]), np.array([0.0, 0.9]), 0.0),
+        LinkTables(np.zeros(2), np.zeros(2), 0.0),
     ]
     system = ContentionSystem(
         qs=np.array([0.003, 0.003]), mac=MAC, timing=TIMING, tables=tables
@@ -282,7 +295,7 @@ def test_packet_loss_clamps_to_unit_interval():
 
 
 def test_single_link_fixed_point_is_decoupled():
-    tables = [LinkTables((), np.ones(1), np.ones(1), 0.05)]
+    tables = [LinkTables(np.ones(1), np.ones(1), 0.05)]
     system = ContentionSystem(qs=np.array([0.003]), mac=MAC, timing=TIMING, tables=tables)
     result = solve_fixed_point(system)
     state = result.state
@@ -335,9 +348,9 @@ def _star_system(n_tx=7, radius=1.0, lam=5.0, sigma=0.0):
             p_out[mask] = channel.outage_probability(
                 useful, int_terms, noise, chan.sinr_threshold, fading
             )
-        tables.append(LinkTables(others=others, p_det=p_det, p_out=p_out, p_fad=p_fad))
+        tables.append(LinkTables(p_det=p_det, p_out=p_out, p_fad=p_fad))
 
-    q = arrival_probability(lam, TIMING.sb_seconds)
+    q = arrival_probability(lam)
     return ContentionSystem(qs=np.full(n_tx, q), mac=MAC, timing=TIMING, tables=tables)
 
 
@@ -347,7 +360,7 @@ def test_star_fixed_point_matches_ideal_contention_benchmark():
     lam = 5.0
     system = _star_system(lam=lam)
     result = solve_fixed_point(system)
-    q = arrival_probability(lam, TIMING.sb_seconds)
+    q = arrival_probability(lam)
     ideal = oracles.ideal_star_fixed_point(6, q)
     state = result.state
     xi = state.gamma * (1.0 - state.alpha**5)
@@ -405,8 +418,8 @@ def test_fixed_point_outputs_stay_in_unit_interval_under_shadowing():
 
 def test_fixed_point_holds_inactive_links_silent():
     tables = [
-        LinkTables((1,), np.array([0.0, 1.0]), np.array([0.0, 1.0]), 0.05),
-        LinkTables((0,), np.array([0.0, 1.0]), np.array([0.0, 1.0]), 0.05),
+        LinkTables(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 0.05),
+        LinkTables(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 0.05),
     ]
     system = ContentionSystem(
         qs=np.array([0.003, 0.0]), mac=MAC, timing=TIMING, tables=tables
@@ -429,7 +442,7 @@ def _heavy_star_system(n_tx):
     scenario = scenario_from_config(
         {"topology": {"kind": "star", "n_nodes": n_tx + 1}, "lam": 200.0, "fading": {"sigma": 1.0}}
     )
-    q = arrival_probability(200.0, scenario.timing.sb_seconds)
+    q = arrival_probability(200.0)
     return ContentionSystem(qs=np.full(n_tx, q), mac=scenario.mac, timing=scenario.timing,
                             tables=build_contention_tables(scenario))
 
@@ -506,12 +519,18 @@ def test_solver_config_validation():
 
 
 def test_contention_system_validates_table_sizes():
-    tables = [LinkTables((), np.ones(1), np.ones(1), 0.0)]
+    tables = [LinkTables(np.ones(1), np.ones(1), 0.0)]
     with pytest.raises(ValidationError):
         ContentionSystem(qs=np.array([0.1, 0.2]), mac=MAC, timing=TIMING, tables=tables)
     bad = [
-        LinkTables((1,), np.ones(3), np.ones(2), 0.0),
-        LinkTables((0,), np.ones(2), np.ones(2), 0.0),
+        LinkTables(np.ones(3), np.ones(2), 0.0),
+        LinkTables(np.ones(2), np.ones(2), 0.0),
     ]
     with pytest.raises(ValidationError):
         ContentionSystem(qs=np.array([0.1, 0.2]), mac=MAC, timing=TIMING, tables=bad)
+
+
+def test_contention_system_derives_contenders_in_mask_bit_order():
+    # mask bit z of link l's table is the z-th other link, ascending
+    system = _toy_system(4, 0.0, 0.0, 0.0, [0.1] * 4)
+    assert system.others.tolist() == [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]

@@ -9,7 +9,7 @@ from pytest import approx
 import oracles
 from csmafade import metrics
 from csmafade.errors import ValidationError
-from csmafade.macmodel import LinkState, MacParams, TimingParams, cca_probability
+from csmafade.macmodel import UNIT_SECONDS, LinkState, MacParams, TimingParams, cca_probability
 from csmafade.metrics import (
     EnergyBreakdown,
     PowerProfile,
@@ -92,7 +92,7 @@ def test_distributions_are_normalized_everywhere():
 
 def test_expected_delay_single_attempt_closed_form():
     delay = expected_delay(0.0, 0.0, MAC, TIMING)
-    assert delay / TIMING.sb_seconds == approx(12.8 + 0.4 + 3.5, rel=1e-12)
+    assert delay / UNIT_SECONDS == approx(12.8 + 0.4 + 3.5, rel=1e-12)
 
 
 def test_mean_access_time_weights_capped_windows():
@@ -106,7 +106,7 @@ def test_mean_access_time_weights_capped_windows():
 
 def test_expected_delay_matches_attempt_simulation():
     # frozen from oracles.simulate_attempt_process(0.3, 0.2, 0.003, n=3, n_packets=1e6, seed=7)
-    delay_units = expected_delay(0.3, 0.2, MAC_RETRY, TIMING) / TIMING.sb_seconds
+    delay_units = expected_delay(0.3, 0.2, MAC_RETRY, TIMING) / UNIT_SECONDS
     assert delay_units == approx(25.131177, rel=0.01)
 
 

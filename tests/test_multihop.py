@@ -196,7 +196,7 @@ def _star_setup(n_tx=7, radius=1.0, lam_rate=5.0, sigma=0.0):
 def test_single_hop_network_reduces_to_link_fixed_point():
     tables, hops, lam = _star_setup()
     solution = solve_network(tables, hops, lam, MAC, TIMING)
-    q = arrival_probability(5.0, TIMING.sb_seconds)
+    q = arrival_probability(5.0)
     system = ContentionSystem(
         qs=np.full(7, q), mac=MAC, timing=TIMING, tables=tables
     )
@@ -261,7 +261,7 @@ def test_line_relays_accumulate_forwarded_traffic():
 def test_network_solution_is_outer_fixed_point():
     tables, hops, lam = _line_setup()
     solution = solve_network(tables, hops, lam, MAC, TIMING)
-    qs = np.array([arrival_probability(rate, TIMING.sb_seconds) for rate in solution.traffic])
+    qs = np.array([arrival_probability(rate) for rate in solution.traffic])
     system = ContentionSystem(qs=qs, mac=MAC, timing=TIMING, tables=tables)
     re_solved = solve_fixed_point(system)
     rel = reliability(re_solved.state.alpha, re_solved.state.gamma, MAC)

@@ -1,0 +1,38 @@
+"""The benchmark's tracer patches `src/` names by string; each must still exist.
+
+`perfbench/tracing.py` wraps layer entry points by looking them up on the
+modules where callers find them.  A `src/` change that renames or deletes
+one of them breaks traced benchmark runs, and nothing else would notice.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from csmafade import channel, multihop, simulator, sweep
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _tracing_module():
+    path = ROOT / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_uninstalls_every_hook(tmp_path):
+    tracer = _tracing_module().Tracer(tmp_path)
+    modules = (channel, multihop, simulator, sweep)
+    before = [dict(vars(m)) for m in modules]
+    tracer.install()
+    try:
+        hooked = {(m.__name__, attr) for m, attr, _ in tracer._patched}
+        assert len(tracer._patched) == len(hooked) == 12
+        assert ("csmafade.sweep", "compile_sim_network") in hooked
+        assert ("csmafade.simulator", "run_replication") in hooked
+        for m, attr, original in tracer._patched:
+            assert getattr(m, attr) is not original
+    finally:
+        tracer.uninstall()
+    assert [dict(vars(m)) for m in modules] == before

@@ -53,7 +53,7 @@ def star_net(lam, sigma=0.0, n_tx=7, radius=1.0):
 def analytic_star(lam, sigma=0.0, n_tx=7, radius=1.0):
     positions, links = star_positions(n_tx, radius)
     tables = build_tables(positions, links, CHAN, FadingParams(sigma=sigma))
-    q = arrival_probability(lam, TimingParams().sb_seconds)
+    q = arrival_probability(lam)
     system = ContentionSystem(
         qs=(q,) * n_tx, mac=MacParams(), timing=TimingParams(), tables=tables
     )
@@ -269,21 +269,9 @@ def test_event_trace_is_well_formed():
 
 
 def test_rejects_timing_not_on_the_symbol_grid():
-    net = single_link_net(2.0)
-    bad = SimNetwork(
-        mean_gain_mw=net.mean_gain_mw,
-        lam=net.lam,
-        next_hop=net.next_hop,
-        sigma=0.0,
-        kappa=None,
-        cca_threshold_mw=net.cca_threshold_mw,
-        noise_mw=net.noise_mw,
-        sinr_threshold=net.sinr_threshold,
-        mac=MacParams(),
-        timing=TimingParams(l_pkt=7.015),
-    )
-    with pytest.raises(ValidationError, match="symbols"):
-        run_replication(bad, SimConfig(horizon_seconds=1.0, master_seed=1), 0)
+    # the timing itself refuses durations the symbol clock cannot run
+    with pytest.raises(ValidationError, match="whole number of symbols"):
+        TimingParams(l_pkt=7.015)
 
 
 def test_network_and_config_validation():

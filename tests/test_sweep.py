@@ -159,6 +159,16 @@ def test_solver_damping_is_an_error_row_per_point(tmp_path):
     assert all("unknown key 'damping' in solver" in r["warnings"] for r in rows)
 
 
+def test_timing_sb_seconds_is_an_error_row_per_point(tmp_path):
+    config = tiny_config()
+    config["sweep"]["engine"] = "analytic"
+    config["sweep"]["parameters"] = [{"path": "timing.sb_seconds", "values": [0.00064]},
+                                     {"path": "lam", "values": [1.0, 2.0]}]
+    rows = read_rows(run_sweep(config, sweep_from_config(config), out_dir=tmp_path))
+    assert [r["metric"] for r in rows] == ["error", "error"]
+    assert all("unknown key 'sb_seconds' in timing" in r["warnings"] for r in rows)
+
+
 def test_topology_without_a_link_is_an_error_row(tmp_path):
     config = parse_config(
         "topology: {kind: explicit, positions_m: [[0, 0], [1, 0]], next_hop: [-1, 0]}\n"

@@ -61,7 +61,7 @@ def build_tables(positions, links, chan, fading, tx_power_dbm=0.0):
                 p_out[mask] = channel.outage_probability(
                     useful, int_terms, noise, chan.sinr_threshold, fading
                 )
-        tables.append(LinkTables(others=others, p_det=p_det, p_out=p_out, p_fad=p_fad))
+        tables.append(LinkTables(p_det=p_det, p_out=p_out, p_fad=p_fad))
     return tables
 
 
@@ -98,7 +98,7 @@ def build_tables_per_link(gain, links, chan, fading):
         )
         p_fad = float(p_out[0])
         p_out[0] = 0.0
-        tables.append(LinkTables(others=others, p_det=p_det, p_out=p_out, p_fad=p_fad))
+        tables.append(LinkTables(p_det=p_det, p_out=p_out, p_fad=p_fad))
     return tables
 
 
@@ -162,10 +162,8 @@ def contention_h(taus, alphas, chi):
     chi_table = np.zeros(2**k)
     for mask in range(1, 2**k):
         chi_table[mask] = chi(tuple(z for z in range(k) if mask >> z & 1))
-    tables = [LinkTables(tuple(range(1, k + 1)), chi_table, chi_table, 0.0)]
-    for l in range(1, k + 1):
-        others = tuple(z for z in range(k + 1) if z != l)
-        tables.append(LinkTables(others, np.zeros(2**k), np.zeros(2**k), 0.0))
+    tables = [LinkTables(chi_table, chi_table, 0.0)]
+    tables += [LinkTables(np.zeros(2**k), np.zeros(2**k), 0.0) for _ in range(k)]
     system = ContentionSystem(
         qs=np.full(k + 1, 0.003),
         mac=MacParams(),
