@@ -11,7 +11,11 @@ at any point during the frame, if the destination itself transmits
 meanwhile, or (optionally) if the returning ACK fails the same SINR test.
 
 Replications use independent, reproducible RNG streams and return per-link
-counters, delay samples, and tick-exact radio-state residencies.
+counters, delay samples, and tick-exact radio-state residencies.  A stream
+is NumPy's PCG64 with its normal, gamma and exponential draws; the backoff
+slot is read from the generator's raw 64-bit outputs (backoff_slots) as the
+exact value Generator.integers would return, which ties the stream to PCG64
+and NumPy's bounded-integer method as well.
 """
 
 from __future__ import annotations
@@ -232,6 +236,34 @@ _LINK_COUNTERS = (
 CCA_END, CCA_START, DATA_END, ACK_START, ACK_END, ARRIVAL, SERVICE_DONE, TX_FAIL = range(8)
 
 
+def backoff_slots(rng: np.random.Generator):
+    """Return draw(be), which equals int(rng.integers(0, 2**be)) for 0 <= be <= 32.
+
+    For a window that fits in 32 bits, NumPy's bounded integers take one
+    32-bit output per draw, and Lemire's method never rejects when the
+    window is a power of two: the result is the output's top be bits.  PCG64
+    serves 32-bit outputs as the low, then the high half of one 64-bit
+    output, so draw keeps the high half for the next call.  This holds while
+    nothing else draws 32-bit values from rng; NumPy's float64 normal,
+    exponential and gamma draws read whole 64-bit outputs.
+    """
+    raw = rng.bit_generator.random_raw
+    spare = -1  # the unused high half of the last 64-bit output, if any
+
+    def draw(be: int) -> int:
+        nonlocal spare
+        if not be:
+            return 0  # a window of one slot draws nothing
+        if spare < 0:
+            word = raw()
+            half, spare = word & 0xFFFFFFFF, word >> 32
+        else:
+            half, spare = spare, -1
+        return half >> (32 - be)
+
+    return draw
+
+
 def run_replication(
     net: SimNetwork, config: SimConfig, rep_index: int, trace=None
 ) -> SimStats:
@@ -245,8 +277,13 @@ def run_replication(
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=(config.master_seed, rep_index))
     )
+    draw_slots = backoff_slots(rng)
+    draw_exponential = rng.standard_exponential
     horizon = int(round(config.horizon_seconds / SYMBOL_SECONDS))
     data_sym, ack_sym, cca_sym, turn_sym, ack_wait, success_tail = net.timing.symbols
+    # No frame still to be judged or sensed overlaps one that ended frame_life
+    # symbols ago, so such a frame leaves `active`: it is in no sum any more.
+    frame_life = max(data_sym, ack_sym)
     m0, mb, max_nb, max_rt = net.mac.m0, net.mac.mb, net.mac.m, net.mac.n
     sigma, kappa, n_nodes = net.sigma, net.kappa, net.n_nodes
     floor, noise, cca_threshold = net.sinr_threshold, net.noise_mw, net.cca_threshold_mw
@@ -260,6 +297,8 @@ def run_replication(
     cca_attempts, cca_busy = counters["cca_attempts"], counters["cca_busy"]
     data_attempts, data_lost = counters["data_attempts"], counters["data_lost"]
     generated, queue_dropped = counters["generated"], counters["queue_dropped"]
+    success, delay_sum, delay_count = (
+        counters["success"], counters["delay_symbols_sum"], counters["delay_count"])
 
     relay_like = net.has_children
     nodes = [
@@ -274,19 +313,17 @@ def run_replication(
     seq = itertools.count()
     push, pop = heapq.heappush, heapq.heappop
 
-    def set_radio(node: _Node, state: int, now: int) -> None:
-        if now > node.radio_since:
-            node.residency[node.radio] += now - node.radio_since
-        node.radio = state
-        node.radio_since = now
+    if sigma == 0.0 and kappa is None:  # no fading: every frame has the mean gains
+        draw_gains = [row.tolist() for row in net.mean_gain_mw].__getitem__
+    else:
 
-    def draw_gains(tx: int) -> list[float]:
-        gains = net.mean_gain_mw[tx]
-        if sigma > 0.0:
-            gains = gains * np.exp(rng.normal(0.0, sigma, n_nodes))
-        if kappa is not None:
-            gains = gains * rng.gamma(kappa, 1.0 / kappa, n_nodes)
-        return gains.tolist()
+        def draw_gains(tx: int) -> list[float]:
+            gains = net.mean_gain_mw[tx]
+            if sigma > 0.0:
+                gains = gains * np.exp(rng.normal(0.0, sigma, n_nodes))
+            if kappa is not None:
+                gains = gains * rng.gamma(kappa, 1.0 / kappa, n_nodes)
+            return gains.tolist()
 
     def reception_ok(rx: int, frame: tuple) -> bool:
         _, start, end, gains = frame
@@ -309,28 +346,21 @@ def run_replication(
         return True
 
     def schedule_arrival(node: _Node, now: float) -> None:
-        gap = rng.exponential(1.0 / lam[node.index]) / SYMBOL_SECONDS
+        gap = (1.0 / lam[node.index]) * draw_exponential() / SYMBOL_SECONDS
         push(heap, (math.ceil(now + gap), next(seq), ARRIVAL, node, None))
 
     def start_backoff(node: _Node, now: int) -> None:
-        slots = int(rng.integers(0, 2**node.be))
-        set_radio(node, IDLE, now)
+        slots = draw_slots(node.be)
+        node.residency[node.radio] += now - node.radio_since
+        node.radio, node.radio_since = IDLE, now
         push(heap, (now + slots * SYMBOLS_PER_UNIT, next(seq), CCA_START, node, None))
         if trace is not None:
             trace.write(f"{now}\t{node.index}\tbackoff\t{slots} slots\n")
 
-    def finish_service(node: _Node, now: int, outcome: str) -> None:
-        link = node.link
-        if outcome == "success":
-            counters["success"][link] += 1
-            counters["delay_symbols_sum"][link] += now - node.service_start
-            counters["delay_count"][link] += 1
-        elif outcome == "cf":
-            counters["discard_cf"][link] += 1
-        else:
-            counters["discard_cr"][link] += 1
+    def end_service(node: _Node, now: int, outcome: str) -> None:
         node.serving = False
-        set_radio(node, node.baseline, now)
+        node.residency[node.radio] += now - node.radio_since
+        node.radio, node.radio_since = node.baseline, now
         if trace is not None:
             trace.write(f"{now}\t{node.index}\tservice_end\t{outcome}\n")
 
@@ -374,29 +404,35 @@ def run_replication(
                 node.nb += 1
                 node.be = min(node.be + 1, mb)
                 if node.nb > max_nb:
-                    finish_service(node, now, "cf")
+                    counters["discard_cf"][link] += 1
+                    end_service(node, now, "cf")
                 else:
                     start_backoff(node, now)
                 if trace is not None:
                     trace.write(f"{now}\t{idx}\tcca\tbusy\n")
             else:  # channel clear: transmit the data frame
+                watermark = now - frame_life
+                active[:] = [t for t in active if t[2] > watermark]
                 frame = (idx, now, now + data_sym, draw_gains(idx))
                 active.append(frame)
                 data_attempts[link] += 1
-                set_radio(node, TX, now)
+                node.residency[node.radio] += now - node.radio_since
+                node.radio, node.radio_since = TX, now
                 dest = node.dest
                 # an idle destination listens until the frame ends
                 restore = not dest.serving and dest.radio in (IDLE, SLEEP, RX)
                 if restore:
                     if dest.radio != RX:
-                        set_radio(dest, RX, now)
+                        dest.residency[dest.radio] += now - dest.radio_since
+                        dest.radio, dest.radio_since = RX, now
                     dest.rx_until = max(dest.rx_until, frame[2])
                 push(heap, (frame[2], next(seq), DATA_END, node, (frame, restore)))
                 if trace is not None:
                     trace.write(f"{now}\t{idx}\tdata_tx\t\n")
 
         elif kind == CCA_START:
-            set_radio(node, SENSE, now)
+            node.residency[node.radio] += now - node.radio_since
+            node.radio, node.radio_since = SENSE, now
             push(heap, (now + cca_sym, next(seq), CCA_END, node, None))
 
         elif kind == DATA_END:
@@ -405,7 +441,9 @@ def run_replication(
             ok = reception_ok(dest.index, frame)
             if ok and dest.ack_busy_until > now + turn_sym:
                 ok = False  # destination radio still busy with a previous ACK
-            set_radio(node, IDLE, now)  # turnaround, then listen for the ACK
+            # turnaround, then listen for the ACK
+            node.residency[node.radio] += now - node.radio_since
+            node.radio, node.radio_since = IDLE, now
             if ok:
                 ack_start = now + turn_sym
                 ack = (dest.index, ack_start, ack_start + ack_sym, draw_gains(dest.index))
@@ -419,17 +457,21 @@ def run_replication(
             if trace is not None:
                 trace.write(f"{now}\t{node.index}\tdata_end\t{'ok' if ok else 'lost'}\n")
             if restore and dest.radio == RX and not dest.serving and now >= dest.rx_until:
-                set_radio(dest, dest.baseline, now)
+                dest.residency[RX] += now - dest.radio_since
+                dest.radio, dest.radio_since = dest.baseline, now
 
         elif kind == ACK_START:  # node sends the ACK, data is the sender
             if not node.serving:
-                set_radio(node, TX, now)
-            set_radio(data, RX, now)
+                node.residency[node.radio] += now - node.radio_since
+                node.radio, node.radio_since = TX, now
+            data.residency[data.radio] += now - data.radio_since
+            data.radio, data.radio_since = RX, now
 
         elif kind == ACK_END:
             data_end, ack = data
             ok = reception_ok(node.index, ack) if ack_loss else True
-            set_radio(node, IDLE, now)
+            node.residency[node.radio] += now - node.radio_since
+            node.radio, node.radio_since = IDLE, now
             if ok:
                 # hold the post-ACK spacing, then the transaction is complete
                 push(heap, (data_end + success_tail, next(seq), SERVICE_DONE, node, None))
@@ -440,7 +482,8 @@ def run_replication(
                 trace.write(f"{now}\t{node.index}\tack\t{'ok' if ok else 'lost'}\n")
             acker = node.dest
             if not acker.serving and acker.radio == TX:
-                set_radio(acker, acker.baseline, now)
+                acker.residency[TX] += now - acker.radio_since
+                acker.radio, acker.radio_since = acker.baseline, now
             offer_packet(acker, now)  # the receiver forwards the packet
 
         elif kind == ARRIVAL:
@@ -448,23 +491,24 @@ def run_replication(
             schedule_arrival(node, now)
 
         elif kind == SERVICE_DONE:
-            finish_service(node, now, "success")
+            link = node.link
+            success[link] += 1
+            delay_sum[link] += now - node.service_start
+            delay_count[link] += 1
+            end_service(node, now, "success")
 
         else:  # TX_FAIL
             node.rt += 1
             if node.rt > max_rt:
-                finish_service(node, now, "cr")
+                counters["discard_cr"][node.link] += 1
+                end_service(node, now, "cr")
             else:
                 node.nb = 0
                 node.be = m0
                 start_backoff(node, now)
 
-        if len(active) > 16:
-            watermark = now - 2 * data_sym
-            active[:] = [t for t in active if t[2] > watermark]
-
     for node in nodes:
-        set_radio(node, node.radio, horizon)
+        node.residency[node.radio] += horizon - node.radio_since
         if node.serving and node.link is not None:
             counters["in_flight"][node.link] += 1
     return SimStats(
@@ -514,11 +558,14 @@ def run_experiment(
     profile: PowerProfile | None = None,
     workers: int = 1,
 ) -> ExperimentResult:
-    """Run all replications (optionally in parallel) and aggregate them."""
+    """Run all replications, in a pool of at most one process per
+    replication if workers > 1, and aggregate them."""
+    if workers < 1:
+        raise ValidationError(f"workers must be at least 1, got {workers}")
     profile = profile or PowerProfile()
     reps = config.replications
     if workers > 1 and reps > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, reps)) as pool:
             stats = list(pool.map(_rep_task, [(net, config, r) for r in range(reps)]))
     else:
         stats = [run_replication(net, config, r) for r in range(reps)]

@@ -178,19 +178,41 @@ def _contention_tables(scenario) -> list:
     return tables
 
 
-def _prebuild_tables(config: dict, points) -> None:
-    """Build the distinct table sets of the grid's points, as many as the cache holds.
+def _parse_points(config: dict, points) -> list:
+    """Each grid point's validated scenario, None where its config fails.
 
-    A point whose config or tables fail is skipped: it reports the failure
-    itself when it runs.
+    A failing point reports the failure itself when it runs.
     """
+    scenarios = []
     for assignments in points:
+        try:
+            scenarios.append(_point_scenario(copy.deepcopy(config), assignments))
+        except (ValidationError, NumericsError):
+            scenarios.append(None)
+    return scenarios
+
+
+def _prebuild_tables(scenarios) -> None:
+    """Build the distinct table sets of the parsed points, as many as the cache holds.
+
+    A point whose tables fail is skipped: it reports the failure itself when
+    it runs.
+    """
+    for scenario in scenarios:
         if len(_table_cache) >= TABLE_CACHE_SIZE:
             return
-        try:
-            _contention_tables(_point_scenario(copy.deepcopy(config), assignments))
-        except (ValidationError, NumericsError):
-            pass
+        if scenario is not None:
+            try:
+                _contention_tables(scenario)
+            except (ValidationError, NumericsError):
+                pass
+
+
+def _sim_work(scenario) -> float:
+    """Packets a point's replications generate: sum of rates x horizon x replications."""
+    if scenario is None:
+        return 0.0
+    return sum(scenario.lam) * scenario.sim.horizon_seconds * scenario.sim.replications
 
 
 def _analytic(scenario) -> tuple[dict, list[str]]:
@@ -312,7 +334,15 @@ def run_sweep(
     out_name: str | None = None,
     strict: bool = False,
 ) -> Path:
-    """Evaluate every grid point and write one CSV; returns the file path."""
+    """Evaluate every grid point and write one CSV; returns the file path.
+
+    With workers > 1 the points run in a process pool of at most one worker
+    per point.  Simulated points are dispatched heaviest first (by
+    _sim_work), so that no worker is left alone with a long point at the
+    end; the blocks are written in grid order all the same.
+    """
+    if workers < 1:
+        raise ValidationError(f"workers must be at least 1, got {workers}")
     points = spec.points()
     scenario_id = str(config.get("scenario_id", "scenario"))
     out_dir = Path(out_dir)
@@ -323,10 +353,15 @@ def run_sweep(
     sim_workers = workers if len(points) == 1 else 1
     tasks = [(config, assignments, spec.engine, sim_workers, strict) for assignments in points]
     if workers > 1 and len(points) > 1:
+        scenarios = _parse_points(config, points)
         if spec.engine != "simulate":
-            _prebuild_tables(config, points)  # once here, not once per worker
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_point_task, tasks))
+            _prebuild_tables(scenarios)  # once here, not once per worker
+        order = list(range(len(tasks)))
+        if spec.engine != "analytic":
+            order.sort(key=lambda i: _sim_work(scenarios[i]), reverse=True)
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            done = dict(zip(order, pool.map(_point_task, [tasks[i] for i in order])))
+        blocks = [done[i] for i in range(len(tasks))]
     else:
         blocks = [_point_task(t) for t in tasks]
 

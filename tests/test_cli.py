@@ -100,6 +100,14 @@ def test_bad_config_reports_json_error_and_nonzero(tmp_path, capsys):
     assert "nonagon" in err["message"]
 
 
+def test_workers_below_one_report_json_error(config_file, tmp_path, capsys):
+    rc = main(["sweep", "--config", str(config_file), "--out", str(tmp_path), "--workers", "0"])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    assert "workers" in err["message"]
+
+
 @pytest.mark.parametrize(
     "override", ["lam=abc", "topology.n_nodes=x", "sim.horizon_seconds=1e-9"]
 )

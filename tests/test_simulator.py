@@ -29,6 +29,7 @@ from csmafade.simulator import (
     SimConfig,
     SimNetwork,
     SimStats,
+    backoff_slots,
     measure_energy,
     run_experiment,
     run_replication,
@@ -245,6 +246,33 @@ def test_parallel_workers_reproduce_serial_run():
         assert np.array_equal(a.generated, b.generated)
         assert np.array_equal(a.delay_symbols_sum, b.delay_symbols_sum)
         assert np.array_equal(a.residency, b.residency)
+
+
+def test_backoff_slots_match_generator_integers():
+    emulated = np.random.default_rng(np.random.SeedSequence(entropy=(11, 3)))
+    reference = np.random.default_rng(np.random.SeedSequence(entropy=(11, 3)))
+    draw = backoff_slots(emulated)
+    for i in range(4000):
+        be = i % 9
+        assert draw(be) == reference.integers(0, 2**be), (i, be)
+        # the simulator's other draws, interleaved in varying patterns
+        if i % 2:
+            assert emulated.normal(0.0, 1.5, 8).tolist() == reference.normal(0.0, 1.5, 8).tolist()
+        if i % 3:
+            assert emulated.standard_exponential() == reference.exponential(1.0)
+        if i % 5 < 2:
+            kappa = 0.5 if i % 5 else 2.0
+            assert (emulated.gamma(kappa, 1.0 / kappa, 8).tolist()
+                    == reference.gamma(kappa, 1.0 / kappa, 8).tolist())
+    # both consumed the same 64-bit outputs (the generator's own buffered
+    # 32-bit half differs: the emulation keeps that half itself)
+    assert emulated.bit_generator.state["state"] == reference.bit_generator.state["state"]
+
+
+def test_workers_below_one_are_rejected():
+    net = star_net(5.0, n_tx=2)
+    with pytest.raises(ValidationError, match="workers"):
+        run_experiment(net, SimConfig(horizon_seconds=1.0, replications=2), workers=0)
 
 
 def test_event_trace_is_well_formed():

@@ -5,10 +5,11 @@ import math
 import os
 import pathlib
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from csmafade import sweep
+from csmafade import simulator, sweep
 from csmafade.errors import ValidationError
 from csmafade.multihop import solve_network
 from csmafade.scenarios import (
@@ -17,7 +18,7 @@ from csmafade.scenarios import (
     parse_config,
     scenario_from_config,
 )
-from csmafade.simulator import run_experiment
+from csmafade.simulator import SimConfig, run_experiment
 from csmafade.sweep import SweepSpec, evaluate_point, run_sweep, sweep_from_config
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "tiny3_sweep.csv"
@@ -65,6 +66,81 @@ def test_rerun_and_parallel_assembly_are_byte_identical(tmp_path):
     again = run_sweep(config, spec, out_dir=tmp_path, out_name="b.csv")
     parallel = run_sweep(config, spec, out_dir=tmp_path, out_name="c.csv", workers=2)
     assert first.read_bytes() == again.read_bytes() == parallel.read_bytes()
+
+
+def test_pooled_compare_sweep_runs_the_heaviest_points_first(tmp_path, monkeypatch):
+    config = tiny_config()
+    config["sweep"]["parameters"] = [{"path": "lam", "values": [2.0, 5.0, 10.0]}]
+    spec = sweep_from_config(config)
+    submitted = []  # recorded in this process, before the pool's workers see the tasks
+
+    class RecordingPool(ProcessPoolExecutor):
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            submitted.extend(assignments for _, assignments, *_ in tasks)
+            return super().map(fn, tasks)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    pooled = run_sweep(config, spec, out_dir=tmp_path, out_name="pooled.csv", workers=2)
+    serial = run_sweep(config, spec, out_dir=tmp_path, out_name="serial.csv", workers=1)
+    assert pooled.read_bytes() == serial.read_bytes()
+    # work is sum(lam) x horizon x replications, and only lam varies
+    assert submitted == [(("lam", 10.0),), (("lam", 5.0),), (("lam", 2.0),)]
+
+
+@pytest.fixture()
+def inline_pool(monkeypatch):
+    """Stand in for both process pools: record each pool's size and tasks, run
+    the tasks in this process, and start no process."""
+    log = {"sizes": [], "tasks": []}
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            log["sizes"].append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            log["tasks"].append(tasks)
+            return [fn(task) for task in tasks]
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", InlinePool)
+    return log
+
+
+def test_pools_are_capped_at_their_task_count(tmp_path, inline_pool):
+    config = tiny_config()  # 2 points of 4 replications
+    spec = sweep_from_config(config)
+    run_sweep(config, spec, out_dir=tmp_path, out_name="points.csv", workers=5)
+    one_point = SweepSpec(parameters=(), engine="simulate")
+    run_sweep(config, one_point, out_dir=tmp_path, out_name="reps.csv", workers=9)
+    assert inline_pool["sizes"] == [2, 4]
+    net = compile_sim_network(scenario_from_config(config))
+    run_experiment(net, SimConfig(horizon_seconds=1.0, replications=3), workers=8)
+    assert inline_pool["sizes"] == [2, 4, 3]
+
+
+def test_analytic_pool_keeps_grid_order(tmp_path, inline_pool):
+    config = tiny_config()
+    config["sweep"]["engine"] = "analytic"
+    config["sweep"]["parameters"] = [{"path": "lam", "values": [2.0, 5.0, 10.0]}]
+    run_sweep(config, sweep_from_config(config), out_dir=tmp_path, workers=2)
+    [tasks] = inline_pool["tasks"]
+    assert [assignments for _, assignments, *_ in tasks] == [
+        (("lam", 2.0),), (("lam", 5.0),), (("lam", 10.0),)]
+
+
+def test_workers_below_one_are_rejected(tmp_path):
+    config = tiny_config()
+    with pytest.raises(ValidationError, match="workers"):
+        run_sweep(config, sweep_from_config(config), out_dir=tmp_path, workers=0)
+    assert not list(tmp_path.iterdir())
 
 
 def test_header_names_the_sweep_parameters(tmp_path):
