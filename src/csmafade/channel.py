@@ -68,6 +68,9 @@ MGF_TOL = 1e-12
 MGF_MAX_ITER = 100
 MGF_VAR_FLOOR = 1e-12
 MGF_BLOCK = 128  # rows per batched solve, which bounds its scratch arrays to ~0.1 MB
+# dB and dBm levels (powers, thresholds) must lie within +-LEVEL_LIMIT_DB: no
+# radio comes near it, and their linear values and squares stay inside a float
+LEVEL_LIMIT_DB = 300.0
 
 
 @dataclass(frozen=True)
@@ -97,6 +100,10 @@ class ChannelParams:
             )
         if not 1.5 <= self.k <= 6.0:
             raise ValidationError(f"path-loss exponent k={self.k} outside [1.5, 6]")
+        for name in ("n0_dbm", "a_dbm", "b_db"):
+            level = getattr(self, name)
+            if not abs(level) <= LEVEL_LIMIT_DB:
+                raise ValidationError(f"{name}={level} beyond +-{LEVEL_LIMIT_DB:g} dB")
 
     @property
     def noise_mw(self) -> float:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import typing
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -33,7 +34,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .channel import ChannelParams, FadingParams, PowerTerm, mean_rx_power
+from .channel import LEVEL_LIMIT_DB, ChannelParams, FadingParams, PowerTerm, mean_rx_power
 from . import channel
 from .errors import ValidationError
 from .macmodel import SYMBOLS_PER_BYTE, SYMBOLS_PER_UNIT, LinkTables, MacParams, SolverConfig
@@ -182,8 +183,8 @@ class Scenario:
             raise ValidationError(
                 f"lam has {len(self.lam)} entries for {n} nodes"
             )
-        if not math.isfinite(self.tx_power_dbm):
-            raise ValidationError(f"tx_power_dbm must be finite, got {self.tx_power_dbm}")
+        if not abs(self.tx_power_dbm) <= LEVEL_LIMIT_DB:
+            raise ValidationError(f"tx_power_dbm={self.tx_power_dbm} beyond +-{LEVEL_LIMIT_DB:g} dBm")
         for i, rate in enumerate(self.lam):
             if not 0.0 <= rate < math.inf:
                 raise ValidationError(f"generation rates must be finite and >= 0, got {rate}")
@@ -387,12 +388,16 @@ def _field_types(cls) -> dict:
 
 
 def _coerce(value, annotation, name: str):
-    """Check a value for an int or float (or float | None) field.
+    """Check a value for a bool, int or float (or float | None) field.
 
     A string in a float field is parsed with float(), since YAML 1.1 reads
-    1e-3 as a string; an int field takes integral numbers only.
+    1e-3 as a string; a float field takes finite numbers only, an int field
+    integral numbers only, and a bool field true or false only.
     """
-    if annotation is int:
+    if annotation is bool:
+        if not isinstance(value, bool):
+            raise ValueError(f"{name} must be true or false, got {value!r}")
+    elif annotation is int:
         if isinstance(value, float) and value.is_integer():
             value = int(value)
         if isinstance(value, bool) or not isinstance(value, int):
@@ -405,8 +410,10 @@ def _coerce(value, annotation, name: str):
                 value = float(value)
             except ValueError:
                 pass
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
-            raise ValueError(f"{name} must be a number, got {value!r}")
+        # abs() <= max fails for NaN, +-inf and ints beyond the float range
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not abs(value) <= sys.float_info.max):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
     return value
 
 
@@ -464,13 +471,14 @@ def scenario_from_config(config: dict, default_id: str = "scenario") -> Scenario
     """Validate a parsed config mapping into a Scenario with defaults.
 
     A value of the wrong type or form (say `lam: abc`, or a YAML 1.1 string
-    such as `1e-9` where a number belongs) is reported as ValidationError.
+    such as `1e-9` where a number belongs), or one that overflows a float on
+    the way in, is reported as ValidationError.
     """
     try:
         return _build_scenario(config, default_id)
     except ValidationError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"invalid config value: {exc}") from exc
 
 

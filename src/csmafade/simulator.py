@@ -23,6 +23,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -544,11 +545,13 @@ class ExperimentResult:
 
 
 def _mean_ci(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = np.nanmean(samples, axis=0)
-    n = samples.shape[0]
-    if n < 2:
-        return mean, np.full_like(mean, np.nan)
-    half = 1.96 * np.nanstd(samples, axis=0, ddof=1) / math.sqrt(n)
+    with warnings.catch_warnings():  # a link with no sample gets NaN, and no warning
+        warnings.simplefilter("ignore", RuntimeWarning)
+        mean = np.nanmean(samples, axis=0)
+        n = samples.shape[0]
+        if n < 2:
+            return mean, np.full_like(mean, np.nan)
+        half = 1.96 * np.nanstd(samples, axis=0, ddof=1) / math.sqrt(n)
     return mean, half
 
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import NumericsError, ValidationError
 from .multihop import end_to_end_reliability, route, solve_network
-from .scenarios import (assign, build_contention_tables, compile_sim_network,
+from .scenarios import (Scenario, assign, build_contention_tables, compile_sim_network,
                         scenario_from_config)
 from .simulator import run_experiment
 
@@ -178,30 +178,33 @@ def _contention_tables(scenario) -> list:
     return tables
 
 
-def _parse_points(config: dict, points) -> list:
-    """Each grid point's validated scenario, None where its config fails.
+def _parse_point(config: dict, assignments, strict: bool):
+    """Assign a grid point's values into a copy of the sweep's config and validate it.
 
-    A failing point reports the failure itself when it runs.
+    Returns the point's Scenario, or for a config error the error row's
+    (scenario_id, message); strict=True re-raises the error instead.
     """
-    scenarios = []
-    for assignments in points:
-        try:
-            scenarios.append(_point_scenario(copy.deepcopy(config), assignments))
-        except (ValidationError, NumericsError):
-            scenarios.append(None)
-    return scenarios
+    point = copy.deepcopy(config)
+    try:
+        for path, value in assignments:
+            assign(point, path, value)
+        return scenario_from_config(point, default_id="scenario")
+    except (ValidationError, NumericsError) as exc:
+        if strict:
+            raise
+        return str(point.get("scenario_id", "scenario")), f"config: {exc}"
 
 
-def _prebuild_tables(scenarios) -> None:
+def _prebuild_tables(parsed) -> None:
     """Build the distinct table sets of the parsed points, as many as the cache holds.
 
     A point whose tables fail is skipped: it reports the failure itself when
     it runs.
     """
-    for scenario in scenarios:
+    for scenario in parsed:
         if len(_table_cache) >= TABLE_CACHE_SIZE:
             return
-        if scenario is not None:
+        if isinstance(scenario, Scenario):
             try:
                 _contention_tables(scenario)
             except (ValidationError, NumericsError):
@@ -210,7 +213,7 @@ def _prebuild_tables(scenarios) -> None:
 
 def _sim_work(scenario) -> float:
     """Packets a point's replications generate: sum of rates x horizon x replications."""
-    if scenario is None:
+    if not isinstance(scenario, Scenario):
         return 0.0
     return sum(scenario.lam) * scenario.sim.horizon_seconds * scenario.sim.replications
 
@@ -265,34 +268,18 @@ def _pooled(pairs, finite_only: bool = False) -> tuple[float, float]:
     return mean, math.sqrt(sum(h * h for h in halves)) / len(halves)
 
 
-def evaluate_point(
-    config: dict,
-    assignments,
-    engine: str,
-    sim_workers: int = 1,
-    strict: bool = False,
-) -> list[list[str]]:
-    """Evaluate one grid point and return its formatted CSV rows.
+def _point_task(args):
+    """Run the engines on one parsed point: ({engine: values}, warnings).
 
-    With strict=False a failing point is reported inside the rows so a sweep
-    can keep going: a config failure as one `error` row, an engine failure
-    as empty cells for that engine with its message in the warnings column.
-    strict=True re-raises instead, for single-scenario runs.
+    An engine that fails is left out, with its message in the warnings, or
+    with strict=True is raised.  A config error runs nothing.
     """
-    point = copy.deepcopy(config)
-    point.pop("sweep", None)
-    prefix = [_fmt(value) for _, value in assignments]
-    try:
-        scenario = _point_scenario(point, assignments)
-    except (ValidationError, NumericsError) as exc:
-        if strict:
-            raise
-        scenario_id = str(point.get("scenario_id", "scenario"))
-        return [[scenario_id, *prefix, "", "", "error", "", "", "", "", f"config: {exc}"]]
-
+    scenario, _, engine, sim_workers, strict = args
+    results, warnings = {}, []
+    if not isinstance(scenario, Scenario):
+        return results, warnings
     runners = {"analytic": lambda: _analytic(scenario),
                "simulate": lambda: _simulate(scenario, sim_workers)}
-    results, warnings = {}, []
     for name in runners if engine == "compare" else [engine]:
         try:
             results[name], notes = runners[name]()
@@ -301,8 +288,17 @@ def evaluate_point(
                 raise
             notes = [str(exc)]
         warnings += [f"{name}: {note}" for note in notes]
-    analytic, sim = results.get("analytic", {}), results.get("simulate", {})
+    return results, warnings
 
+
+def _block(scenario, assignments, results: dict, warnings: list[str]) -> list[list[str]]:
+    """A point's CSV rows: one error row for a config error, else its block,
+    with empty cells for an engine that did not run."""
+    prefix = [_fmt(value) for _, value in assignments]
+    if not isinstance(scenario, Scenario):
+        scenario_id, message = scenario
+        return [[scenario_id, *prefix, "", "", "error", "", "", "", "", message]]
+    analytic, sim = results.get("analytic", {}), results.get("simulate", {})
     rows = []
     for key in _row_keys(scenario):
         sim_mean, sim_ci = sim.get(key, (None, None))
@@ -312,18 +308,6 @@ def evaluate_point(
             _fmt(scenario.sim.replications) if key in sim else "", "; ".join(warnings),
         ])
     return rows
-
-
-def _point_scenario(point: dict, assignments):
-    """Assign a grid point's values into point, a copy of the sweep's config, and validate it."""
-    for path, value in assignments:
-        assign(point, path, value)
-    return scenario_from_config(point, default_id="scenario")
-
-
-def _point_task(args):
-    config, assignments, engine, sim_workers, strict = args
-    return evaluate_point(config, assignments, engine, sim_workers, strict)
 
 
 def run_sweep(
@@ -336,6 +320,8 @@ def run_sweep(
 ) -> Path:
     """Evaluate every grid point and write one CSV; returns the file path.
 
+    Each point is parsed once, here: a config error becomes its error row,
+    or with strict=True is raised, as is an engine failure.
     With workers > 1 the points run in a process pool of at most one worker
     per point.  Simulated points are dispatched heaviest first (by
     _sim_work), so that no worker is left alone with a long point at the
@@ -350,25 +336,24 @@ def run_sweep(
     out_path = out_dir / (out_name or f"{scenario_id}_sweep.csv")
 
     _table_cache.clear()
+    parsed = [_parse_point(config, assignments, strict) for assignments in points]
     sim_workers = workers if len(points) == 1 else 1
-    tasks = [(config, assignments, spec.engine, sim_workers, strict) for assignments in points]
+    order = list(range(len(points)))
+    if spec.engine != "analytic":
+        order.sort(key=lambda i: _sim_work(parsed[i]), reverse=True)
+    tasks = [(parsed[i], points[i], spec.engine, sim_workers, strict) for i in order]
     if workers > 1 and len(points) > 1:
-        scenarios = _parse_points(config, points)
         if spec.engine != "simulate":
-            _prebuild_tables(scenarios)  # once here, not once per worker
-        order = list(range(len(tasks)))
-        if spec.engine != "analytic":
-            order.sort(key=lambda i: _sim_work(scenarios[i]), reverse=True)
+            _prebuild_tables(parsed)  # once here, not once per worker
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            done = dict(zip(order, pool.map(_point_task, [tasks[i] for i in order])))
-        blocks = [done[i] for i in range(len(tasks))]
+            done = dict(zip(order, pool.map(_point_task, tasks)))
     else:
-        blocks = [_point_task(t) for t in tasks]
+        done = dict(zip(order, map(_point_task, tasks)))
 
     header = ["scenario_id", *spec.paths, *FIXED_COLUMNS]
     with open(out_path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
-        for block in blocks:
-            writer.writerows(block)
+        for i, (scenario, assignments) in enumerate(zip(parsed, points)):
+            writer.writerows(_block(scenario, assignments, *done[i]))
     return out_path

@@ -109,7 +109,11 @@ def test_workers_below_one_report_json_error(config_file, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "override", ["lam=abc", "topology.n_nodes=x", "sim.horizon_seconds=1e-9"]
+    "override", ["lam=abc", "topology.n_nodes=x", "sim.horizon_seconds=1e-9",
+                 "solver.tol=.inf", "sim.horizon_seconds=.inf", "topology.spacing_m=1e400",
+                 'sim.ack_loss="false"', "sim.ack_loss=3",
+                 # int(.inf), and 10 ** (6000 / 10) for the gain at 1e-300 m
+                 "topology.next_hop=[-1, .inf, 0]", "topology.spacing_m=1e-300"]
 )
 def test_malformed_value_reports_json_error(config_file, tmp_path, capsys, override):
     rc = main(["analyze", "--config", str(config_file), "--set", override,
@@ -127,6 +131,20 @@ def test_malformed_value_reports_json_error(config_file, tmp_path, capsys, overr
         ("mac.m0=2.5", "mac.m0"),
         ("topology.n_nodes=x", "topology.n_nodes"),
         ("sim.horizon_seconds=abc", "sim.horizon_seconds"),
+        ("solver.tol=.inf", "solver.tol"),
+        ("sim.horizon_seconds=.inf", "sim.horizon_seconds"),
+        ("topology.spacing_m=.inf", "topology.spacing_m"),
+        ("topology.spacing_m=-.inf", "topology.spacing_m"),
+        ("topology.spacing_m=1e400", "topology.spacing_m"),
+        pytest.param("topology.spacing_m=1" + "0" * 400, "topology.spacing_m",
+                     id="topology.spacing_m=10**400"),
+        ('sim.ack_loss="false"', "sim.ack_loss"),
+        ("sim.ack_loss=3", "sim.ack_loss"),
+        # 10 ** (1e308 / 10) overflows a float
+        ("tx_power_dbm=1e308", "tx_power_dbm"),
+        ("channel.n0_dbm=1e308", "n0_dbm"),
+        ("channel.b_db=1e308", "b_db"),
+        ("channel.a_dbm=-1e308", "a_dbm"),
     ],
 )
 def test_malformed_value_names_its_field(config_file, tmp_path, capsys, override, field):

@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import io
+import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from csmafade.macmodel import (
     solve_fixed_point,
 )
 from csmafade.metrics import PowerProfile
-from csmafade.scenarios import compile_sim_network, scenario_from_config
+from csmafade.scenarios import compile_sim_network, load_scenario, scenario_from_config
 from csmafade.simulator import (
     IDLE,
     SLEEP,
@@ -35,6 +37,7 @@ from csmafade.simulator import (
     run_replication,
 )
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 CHAN = ChannelParams()
 NO_FADING = FadingParams()
 
@@ -215,6 +218,18 @@ def test_energy_accounting_gap_is_an_error():
     s.residency[0, IDLE] -= 1
     with pytest.raises(NumericsError):
         measure_energy(s, PowerProfile())
+
+
+def test_links_without_a_completed_packet_raise_no_numpy_warning():
+    # at 0.5 packets/s for 1 s some of star7's links complete nothing
+    scenario = load_scenario(ROOT / "configs" / "star7.yaml",
+                             ["lam=0.5", "sim.horizon_seconds=1", "sim.replications=2"])
+    net = compile_sim_network(scenario)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_experiment(net, scenario.sim, scenario.power)
+    assert np.isnan(result.reliability_mean).any()
+    assert np.isnan(result.delay_ci95_seconds).any()
 
 
 def test_ack_loss_toggle_only_adds_failures():

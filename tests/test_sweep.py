@@ -19,7 +19,7 @@ from csmafade.scenarios import (
     scenario_from_config,
 )
 from csmafade.simulator import SimConfig, run_experiment
-from csmafade.sweep import SweepSpec, evaluate_point, run_sweep, sweep_from_config
+from csmafade.sweep import SweepSpec, run_sweep, sweep_from_config
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "tiny3_sweep.csv"
 
@@ -272,6 +272,20 @@ def test_malformed_positions_are_error_rows(tmp_path):
     assert len(rows) == 3 + 6 and all(r["warnings"] == "" for r in rows[3:])
 
 
+@pytest.mark.parametrize(
+    "path, default", [("tx_power_dbm", 0.0), ("channel.n0_dbm", -91.0), ("channel.b_db", 6.0)]
+)
+def test_level_beyond_the_float_range_is_an_error_row(tmp_path, path, default):
+    config = tiny_config()
+    config["sweep"]["engine"] = "analytic"
+    config["sweep"]["parameters"] = [{"path": path, "values": [1e308, -1e308, default]}]
+    rows = read_rows(run_sweep(config, sweep_from_config(config), out_dir=tmp_path))
+    assert [(r[path], r["metric"]) for r in rows[:2]] == [("1e+308", "error"), ("-1e+308", "error")]
+    assert all(path.split(".")[-1] in r["warnings"] for r in rows[:2])
+    good = rows[2:]
+    assert len(good) == 9 and all(r["warnings"] == "" and r["analytic_value"] for r in good)
+
+
 def test_timing_off_the_symbol_grid_is_an_error_row(tmp_path):
     config = tiny_config()
     config["sweep"]["engine"] = "analytic"
@@ -296,7 +310,7 @@ def test_one_engine_failing_keeps_the_other_engines_cells(tmp_path):
         assert r["warnings"].startswith("analytic: fixed point did not converge")
 
 
-def test_rows_match_the_engines_when_link_order_differs_from_node_order():
+def test_rows_match_the_engines_when_link_order_differs_from_node_order(tmp_path):
     # sink in the middle: links are (0, 1) and (2, 1), so link index 1 is node 2
     config = parse_config(
         """
@@ -315,9 +329,9 @@ sim: {horizon_seconds: 10.0, replications: 3, master_seed: 5}
         build_contention_tables(s), s.hops, s.lam, s.mac, s.timing,
         profile=s.power, config=s.solver,
     ).report
-    rows = {
-        (r[1], r[2], r[3]): r for r in evaluate_point(config, (), "compare")
-    }
+    out = run_sweep(config, SweepSpec(parameters=(), engine="compare"), out_dir=tmp_path)
+    with open(out, newline="") as f:
+        rows = {(r[1], r[2], r[3]): r for r in list(csv.reader(f))[1:]}
     for l, (src, dst) in enumerate(s.links):
         expected = {
             "reliability": (report.reliability[l],
@@ -366,13 +380,13 @@ def test_points_that_differ_only_in_rate_share_their_tables(tmp_path, monkeypatc
         assert not any(t.p_det.flags.writeable or t.p_out.flags.writeable for t in tables)
 
     # the same sweep with the cache emptied before every point
-    evaluate = sweep.evaluate_point
+    point_task = sweep._point_task
 
-    def uncached(*args, **kwargs):
+    def uncached(args):
         sweep._table_cache.clear()
-        return evaluate(*args, **kwargs)
+        return point_task(args)
 
-    monkeypatch.setattr(sweep, "evaluate_point", uncached)
+    monkeypatch.setattr(sweep, "_point_task", uncached)
     builds.clear()
     unshared = run_sweep(config, spec, out_dir=tmp_path, out_name="unshared.csv")
     assert len(builds) == 6
@@ -401,10 +415,29 @@ def test_pooled_sweep_builds_each_table_set_once(tmp_path, monkeypatch):
     assert pooled.read_bytes() == serial.read_bytes()
 
 
+def test_pooled_sweep_parses_each_point_once_in_the_parent(tmp_path, monkeypatch):
+    config = tiny_config()
+    config["sweep"]["engine"] = "analytic"
+    config["sweep"]["parameters"] = [{"path": "lam", "values": [2.0, 5.0, 10.0]}]
+    spec = sweep_from_config(config)
+    log = tmp_path / "parses.log"  # pool workers would log their parses here too
+
+    def logging_parse(point, default_id):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return scenario_from_config(point, default_id)
+
+    monkeypatch.setattr(sweep, "scenario_from_config", logging_parse)
+    run_sweep(config, spec, out_dir=tmp_path, workers=2)
+    assert log.read_text().splitlines() == [str(os.getpid())] * spec.n_points
+
+
 def test_strict_mode_raises_instead_of_recording(tmp_path):
     config = tiny_config()
+    spec = SweepSpec(parameters=(("fading.sigma", (-1.0,)),), engine="analytic")
     with pytest.raises(ValidationError, match="sigma"):
-        evaluate_point(config, (("fading.sigma", -1.0),), "analytic", strict=True)
+        run_sweep(config, spec, out_dir=tmp_path, strict=True)
+    assert not list(tmp_path.iterdir())
 
 
 def test_unassignable_axis_is_an_error_row_per_point(tmp_path):
@@ -416,8 +449,10 @@ def test_unassignable_axis_is_an_error_row_per_point(tmp_path):
     assert [r["lam.x"] for r in rows] == ["1", "2"]
     assert all(r["metric"] == "error" and "cannot descend into 'lam'" in r["warnings"]
                for r in rows)
+    spec = SweepSpec(parameters=(("lam.x", (1,)),), engine="analytic")
     with pytest.raises(ValidationError, match="cannot descend into 'lam'"):
-        evaluate_point(config, (("lam.x", 1),), "analytic", strict=True)
+        run_sweep(config, spec, out_dir=tmp_path, out_name="strict.csv", strict=True)
+    assert not (tmp_path / "strict.csv").exists()
 
 
 def test_multihop_sweeps_emit_end_to_end_rows(tmp_path):
