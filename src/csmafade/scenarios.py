@@ -220,7 +220,13 @@ class Scenario:
                     f"topology.positions_m: nodes {i} and {j} coincide at "
                     f"{self.topology.positions()[i]} (distance 0.0)"
                 )
-            gain[i, j] = mean_rx_power(self.tx_power_dbm, distance, self.channel)
+            try:
+                gain[i, j] = mean_rx_power(self.tx_power_dbm, distance, self.channel)
+            except ValidationError as exc:
+                field = "positions_m" if self.topology.kind == "explicit" else "spacing_m"
+                raise ValidationError(
+                    f"invalid config value in topology.{field}: nodes {i} and {j}: {exc}"
+                ) from None
         gain.flags.writeable = False
         return gain
 
@@ -505,7 +511,9 @@ def _build_scenario(config: dict, default_id: str) -> Scenario:
                 "topology.positions_m must be a list of (x, y) pairs of numbers"
             ) from None
     if "next_hop" in topo_section:
-        topo_section["next_hop"] = tuple(int(h) for h in topo_section["next_hop"])
+        topo_section["next_hop"] = tuple(
+            _coerce(h, int, "topology.next_hop") for h in topo_section["next_hop"]
+        )
     topology = _take(topo_section, Topology, "topology")
 
     fading_section = _require_mapping(config.get("fading"), "fading")

@@ -1,12 +1,17 @@
 """Channel-layer probability tests: moment matching, detection, outage."""
 
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammainc
+from scipy.special import gammainc, roots_hermite
 
 import oracles
 from oracles import linear_to_db
@@ -23,9 +28,12 @@ from csmafade.channel import (
     q_function,
     _gamma_cdf_unit_mean,
 )
+import csmafade
 from csmafade import channel
 from csmafade.errors import NumericsError, ValidationError
 from csmafade.units import dbm_to_mw
+
+PACKAGE_DIR = str(Path(csmafade.__file__).resolve().parents[1])
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +64,14 @@ def test_mean_rx_power_rejects_bad_distance():
         mean_rx_power(0.0, 0.0, chan)
     with pytest.raises(ValidationError):
         mean_rx_power(0.0, -2.0, chan)
+
+
+def test_mean_rx_power_rejects_a_level_beyond_the_limit():
+    chan = ChannelParams()  # c0 = -55 dB, k = 2: 0 dBm gives -55 - 20 log10(d) dBm
+    assert mean_rx_power(0.0, 10.0 ** 12.2, chan) == pytest.approx(dbm_to_mw(-299.0))
+    for distance in (1e-300, 10.0 ** 12.3):
+        with pytest.raises(ValidationError, match="received level"):
+            mean_rx_power(0.0, distance, chan)
 
 
 def test_channel_params_validation():
@@ -463,6 +479,59 @@ def test_gamma_cdf_integer_series_matches_gammainc():
         series = _gamma_cdf_unit_mean(kappa, xs)
         direct = gammainc(kappa, kappa * xs)
         assert np.max(np.abs(series - direct)) < 1e-12
+
+
+@pytest.mark.parametrize("n", sorted(set(channel.QUAD_LADDER) | {channel.MGF_NODES}))
+def test_gauss_hermite_rule_matches_scipy(n):
+    nodes, weights = channel._gh_nodes(n)
+    want_nodes, want_weights = roots_hermite(n)
+    assert np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))
+    assert np.max(np.abs(nodes - want_nodes)) <= 1e-13
+    assert np.max(np.abs(weights - want_weights)) <= 1e-14
+    big = want_weights > 1e-250
+    assert np.max(np.abs(weights[big] / want_weights[big] - 1.0)) <= 1e-10
+    assert weights.sum() == pytest.approx(math.sqrt(math.pi), rel=1e-15)
+
+
+def test_gauss_hermite_rule_rejects_an_odd_count():
+    with pytest.raises(ValidationError, match="even"):
+        channel._gh_nodes(33)
+
+
+@pytest.mark.parametrize("kappa", [0.5, 1.5, 2.5, 7.3, 20.5])
+def test_incomplete_gamma_matches_scipy(kappa):
+    edge = kappa + 1.0  # where the series hands over to the continued fraction
+    xs = np.concatenate([
+        np.geomspace(1e-6, 1e3, 400),
+        [edge, np.nextafter(edge, 0.0), np.nextafter(edge, math.inf), 0.0, 1e19, math.inf],
+    ])
+    start = time.monotonic()
+    got = channel._gammainc(kappa, xs)
+    assert time.monotonic() - start < 1.0
+    want = gammainc(kappa, xs)
+    err = np.abs(got - want)
+    assert np.all((err <= 1e-13 * want) | (err <= 1e-14))
+    assert got[-3:].tolist() == [0.0, 1.0, 1.0]
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    # a fresh interpreter: the tests themselves import scipy as an oracle
+    script = (
+        "import sys\n"
+        "from csmafade import run_sweep, SweepSpec\n"
+        "for kappa in (2.0, 1.5):\n"
+        "    config = {'topology': {'kind': 'star', 'n_nodes': 3}, 'lam': 5.0,\n"
+        "              'fading': {'sigma': 1.0, 'kappa': kappa}}\n"
+        "    run_sweep(config, SweepSpec(parameters=(), engine='analytic'),\n"
+        "              out_dir=sys.argv[1], out_name=f'k{kappa}.csv', strict=True)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0].startswith('scipy')))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_DIR, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_lognormal_expectation_degenerate_sigma():

@@ -112,7 +112,7 @@ def test_workers_below_one_report_json_error(config_file, tmp_path, capsys):
     "override", ["lam=abc", "topology.n_nodes=x", "sim.horizon_seconds=1e-9",
                  "solver.tol=.inf", "sim.horizon_seconds=.inf", "topology.spacing_m=1e400",
                  'sim.ack_loss="false"', "sim.ack_loss=3",
-                 # int(.inf), and 10 ** (6000 / 10) for the gain at 1e-300 m
+                 # a hop that is not an integer, and a mean received level of 5945 dBm
                  "topology.next_hop=[-1, .inf, 0]", "topology.spacing_m=1e-300"]
 )
 def test_malformed_value_reports_json_error(config_file, tmp_path, capsys, override):
@@ -145,6 +145,10 @@ def test_malformed_value_reports_json_error(config_file, tmp_path, capsys, overr
         ("channel.n0_dbm=1e308", "n0_dbm"),
         ("channel.b_db=1e308", "b_db"),
         ("channel.a_dbm=-1e308", "a_dbm"),
+        # a mean received level of 5945 dBm
+        ("topology.spacing_m=1e-300", "topology.spacing_m"),
+        ("topology.next_hop=[-1, .inf, 0]", "topology.next_hop"),
+        ("topology.next_hop=[-1, 0, 1.5]", "topology.next_hop"),
     ],
 )
 def test_malformed_value_names_its_field(config_file, tmp_path, capsys, override, field):

@@ -272,6 +272,28 @@ def test_malformed_positions_are_error_rows(tmp_path):
     assert len(rows) == 3 + 6 and all(r["warnings"] == "" for r in rows[3:])
 
 
+def test_overflowing_geometry_is_an_error_row(tmp_path):
+    config = parse_config(
+        "topology: {kind: explicit, positions_m: [[0, 0], [1, 0]], next_hop: [-1, 0]}\n"
+        "lam: [0.0, 2.0]\n"
+        "sweep: {engine: analytic, parameters: [{path: topology.next_hop, values: "
+        "[[-1, .inf], [-1, 0]]}]}\n"
+    )
+    rows = read_rows(run_sweep(config, sweep_from_config(config), out_dir=tmp_path))
+    assert rows[0]["metric"] == "error" and "topology.next_hop" in rows[0]["warnings"]
+    assert len(rows) == 1 + 6 and all(r["warnings"] == "" for r in rows[1:])
+
+    config = tiny_config()
+    config["sweep"]["engine"] = "analytic"
+    config["sweep"]["parameters"] = [{"path": "topology.spacing_m", "values": [1e-300, 1.0]}]
+    rows = read_rows(run_sweep(config, sweep_from_config(config), out_dir=tmp_path))
+    bad = [r for r in rows if r["topology.spacing_m"] == "1e-300"]
+    good = [r for r in rows if r["topology.spacing_m"] == "1"]
+    assert len(bad) == 1 and bad[0]["metric"] == "error"
+    assert "topology.spacing_m" in bad[0]["warnings"]
+    assert len(good) == 9 and all(r["warnings"] == "" for r in good)
+
+
 @pytest.mark.parametrize(
     "path, default", [("tx_power_dbm", 0.0), ("channel.n0_dbm", -91.0), ("channel.b_db", 6.0)]
 )
