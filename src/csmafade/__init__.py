@@ -7,17 +7,7 @@ front end runs single scenarios, parameter sweeps, and model-versus-simulation
 comparisons.
 """
 
-from .channel import (
-    ChannelParams,
-    FadingParams,
-    LognormalApprox,
-    PowerTerm,
-    detection_probability,
-    mean_rx_power,
-    mma_fit,
-    outage_probability,
-    q_function,
-)
+from .channel import ChannelParams, FadingParams, PowerTerm, mean_rx_power
 from .errors import ConvergenceError, NumericsError, ValidationError
 from .macmodel import (
     ContentionSystem,
@@ -30,7 +20,7 @@ from .macmodel import (
 )
 from .metrics import PowerProfile, expected_delay, reliability, report
 from .multihop import NetworkSolution, end_to_end_reliability, solve_network
-from .scenarios import Scenario, Topology, load_config, load_scenario
+from .scenarios import Scenario, Topology, load_config
 from .simulator import SimConfig, SimNetwork, SimStats, run_experiment, run_replication
 from .sweep import SweepSpec, run_sweep, sweep_from_config
 
@@ -40,7 +30,6 @@ __all__ = [
     "ConvergenceError",
     "FadingParams",
     "LinkTables",
-    "LognormalApprox",
     "MacParams",
     "NetworkSolution",
     "NumericsError",
@@ -56,15 +45,10 @@ __all__ = [
     "Topology",
     "ValidationError",
     "arrival_probability",
-    "detection_probability",
     "end_to_end_reliability",
     "expected_delay",
     "load_config",
-    "load_scenario",
     "mean_rx_power",
-    "mma_fit",
-    "outage_probability",
-    "q_function",
     "reliability",
     "report",
     "run_experiment",

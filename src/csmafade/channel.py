@@ -8,13 +8,17 @@ such terms are approximated by a single lognormal, fitted in one of two ways:
 * Aggregate power at a sensing node (carrier detection): MGF matching -- the
   lognormal whose Laplace transform equals the sum's exact one at two points
   (`mgf_fit`), solved for a whole table of subsets at once
-  (`detection_probabilities`).
+  (`detection_probability`).
 * Interference-plus-noise at a receiver (outage): matching the first two
   moments of the denominator normalized by the useful power.  They are
-  closed form in each subset's member sums, so `outage_probabilities` fits
+  closed form in each subset's member sums, so `outage_probability` fits
   and evaluates a whole table of subsets at once; when the useful link also
   carries multipath, a Gauss-Hermite quadrature ladder runs over the rows
   that have not yet converged.
+
+These two are the only entry points for the probabilities: each takes a
+bool `members` matrix with one row per subset, and a single sum is a
+one-row matrix.
 
 Both batched fits first put the terms in one canonical order, ascending
 (weight, sigma, has_multipath), and every per-row sum runs over the terms in
@@ -25,7 +29,8 @@ of another table's columns, gives the same probability.  This is what lets
 
 `mma_fit` is the general moment-matching fit (with an optional exponent
 correlation matrix), kept as the reference the batched outage moments
-reduce to.
+reduce to.  It, `LognormalApprox`, `q_function` and `lognormal_expectation`
+are scalar references that no production path calls.
 """
 
 from __future__ import annotations
@@ -508,7 +513,7 @@ def mgf_fit(
     return eta, sigma
 
 
-def detection_probabilities(
+def detection_probability(
     terms: Sequence[PowerTerm],
     members: np.ndarray,
     threshold_mw: float,
@@ -530,24 +535,6 @@ def _lognormal_tails(eta: np.ndarray, sigma: np.ndarray, ln_t: float) -> np.ndar
     spread = sigma > SIGMA_FLOOR
     tail = 0.5 * _erfc((ln_t - eta) / np.where(spread, sigma, 1.0) / SQRT2)
     return np.where(spread, tail, (eta > ln_t).astype(float))
-
-
-def detection_probability(
-    terms: Sequence[PowerTerm],
-    threshold_mw: float,
-    fading: FadingParams | None = None,
-) -> float:
-    """P[aggregate received power of the given terms exceeds threshold_mw].
-
-    Fitted by MGF matching, the same routine build_contention_tables runs on
-    whole subset tables.
-    """
-    if threshold_mw <= 0.0:
-        raise ValidationError(f"threshold {threshold_mw} must be positive")
-    if not terms:
-        return 0.0
-    members = np.ones((1, len(terms)), dtype=bool)
-    return float(detection_probabilities(terms, members, threshold_mw, fading)[0])
 
 
 def lognormal_expectation(
@@ -653,7 +640,7 @@ def _gammaincc_fraction(a: float, x: np.ndarray) -> np.ndarray:
     )
 
 
-def outage_probabilities(
+def outage_probability(
     useful: PowerTerm,
     terms: Sequence[PowerTerm],
     members: np.ndarray,
@@ -719,23 +706,6 @@ def outage_probabilities(
     if fading is not None and fading.multipath and useful.has_multipath:
         return _outage_quadrature(eta, sigma, fading.kappa, sinr_threshold)
     return _lognormal_tails(eta, sigma, -math.log(sinr_threshold))
-
-
-def outage_probability(
-    useful: PowerTerm,
-    interferers: Sequence[PowerTerm],
-    noise: PowerTerm,
-    sinr_threshold: float,
-    fading: FadingParams | None = None,
-) -> float:
-    """P[SINR < threshold] for the useful term against interferers plus noise.
-
-    One row of outage_probabilities, which documents the fit.
-    """
-    members = np.ones((1, len(interferers)), dtype=bool)
-    return float(
-        outage_probabilities(useful, interferers, members, noise, sinr_threshold, fading)[0]
-    )
 
 
 def _outage_quadrature(

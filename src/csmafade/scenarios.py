@@ -245,9 +245,9 @@ def build_contention_tables(scenario: Scenario) -> list[LinkTables]:
     subset of equally distant interferers is one outage sum.  So each
     distinct row of the whole table set is fitted once -- a detection row
     keyed by its sorted gains, an outage row by its useful gain and sorted
-    interferer gains -- in at most one batched detection and one batched
-    outage call per link, on the link where the row first occurs, and
-    copied to its repeats.
+    interferer gains -- in at most one `channel.detection_probability` and
+    one `channel.outage_probability` call per link, on the link where the
+    row first occurs, and copied to its repeats.
     """
     links = scenario.links
     n_links = len(links)
@@ -282,7 +282,7 @@ def build_contention_tables(scenario: Scenario) -> list[LinkTables]:
     p_det = _fit_distinct(
         det_keys,
         np.ones((n_links, 2**k), dtype=bool),
-        lambda l, masks: channel.detection_probabilities(
+        lambda l, masks: channel.detection_probability(
             [faded(w) for w in det_gain[l]], bits[masks], chan.cca_threshold_mw, fading
         ),
     ).reshape(n_links, 2**k)
@@ -299,7 +299,7 @@ def build_contention_tables(scenario: Scenario) -> list[LinkTables]:
     p_out[free] = _fit_distinct(
         out_keys,
         free,
-        lambda l, masks: channel.outage_probabilities(
+        lambda l, masks: channel.outage_probability(
             faded(useful[l]), [faded(w) for w in out_gain[l]], bits[masks],
             noise, chan.sinr_threshold, fading,
         ),
@@ -573,9 +573,3 @@ def load_config(path, overrides=()) -> dict:
     for assignment in overrides:
         apply_override(config, assignment)
     return config
-
-
-def load_scenario(path, overrides=()) -> Scenario:
-    """Parse, override, validate: the one-call entry point."""
-    config = load_config(path, overrides)
-    return scenario_from_config(config, default_id=Path(path).stem)

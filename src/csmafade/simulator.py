@@ -53,6 +53,8 @@ class SimConfig:
             raise ValidationError(f"horizon must be at least one symbol ({SYMBOL_SECONDS:g} s)")
         if self.replications < 1:
             raise ValidationError("need at least one replication")
+        if self.master_seed < 0:
+            raise ValidationError(f"master_seed={self.master_seed} must be >= 0")
 
 
 @dataclass(frozen=True)

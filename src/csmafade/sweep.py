@@ -310,6 +310,24 @@ def _block(scenario, assignments, results: dict, warnings: list[str]) -> list[li
     return rows
 
 
+def _csv_path(out_dir, name: str) -> Path:
+    """out_dir/name, once out_dir exists and a file can be opened there for writing.
+
+    Checked before any point runs, and no file is left behind; an OSError
+    becomes a ValidationError that names the path.
+    """
+    path = Path(out_dir) / name
+    try:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        existed = path.exists()
+        open(path, "a").close()
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+    if not existed:
+        path.unlink()
+    return path
+
+
 def run_sweep(
     config: dict,
     spec: SweepSpec,
@@ -320,8 +338,10 @@ def run_sweep(
 ) -> Path:
     """Evaluate every grid point and write one CSV; returns the file path.
 
-    Each point is parsed once, here: a config error becomes its error row,
-    or with strict=True is raised, as is an engine failure.
+    An output path that cannot be written is a ValidationError before
+    any point runs.  Each point is parsed once, here: a config error
+    becomes its error row, or with strict=True is raised, as is an engine
+    failure.
     With workers > 1 the points run in a process pool of at most one worker
     per point.  Simulated points are dispatched heaviest first (by
     _sim_work), so that no worker is left alone with a long point at the
@@ -331,9 +351,7 @@ def run_sweep(
         raise ValidationError(f"workers must be at least 1, got {workers}")
     points = spec.points()
     scenario_id = str(config.get("scenario_id", "scenario"))
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / (out_name or f"{scenario_id}_sweep.csv")
+    out_path = _csv_path(out_dir, out_name or f"{scenario_id}_sweep.csv")
 
     _table_cache.clear()
     parsed = [_parse_point(config, assignments, strict) for assignments in points]

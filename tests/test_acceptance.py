@@ -38,7 +38,7 @@ from csmafade.simulator import run_experiment, run_replication
 from csmafade.sweep import run_sweep, sweep_from_config
 
 import oracles
-from topo_helpers import contention_h
+from topo_helpers import contention_h, one_row
 
 HORIZON = 200.0
 REPS = 20
@@ -255,7 +255,7 @@ def _check_mma_grid():
         for tail in (0.01, 0.05, 0.1, 0.5, 0.9):
             thr = float(np.quantile(total, 1.0 - tail))
             mc = float(np.mean(total > thr))
-            err = abs(detection_probability(terms, thr) - mc)
+            err = abs(detection_probability(terms, one_row(len(terms)), thr)[0] - mc)
             if tail <= 0.1:
                 if err > worst_tail:
                     worst_tail = err
@@ -279,10 +279,11 @@ def _check_rayleigh_closed_form():
         got = outage_probability(
             PowerTerm(pbar, 0.0, True),
             [],
+            one_row(0),
             PowerTerm(chan.noise_mw),
             chan.sinr_threshold,
             fading=FadingParams(sigma=0.0, kappa=1.0),
-        )
+        )[0]
         want = 1.0 - math.exp(-chan.sinr_threshold * chan.noise_mw / pbar)
         worst = max(worst, abs(got - want))
     assert worst <= 1e-10, worst
@@ -349,10 +350,11 @@ def _check_quadrature_refinement():
         production = outage_probability(
             PowerTerm(pbar, sigma, True),
             [],
+            one_row(0),
             PowerTerm(chan.noise_mw),
             b,
             fading=FadingParams(sigma=sigma, kappa=float(kappa)),
-        )
+        )[0]
         worst = max(worst, abs(v32 - v64), abs(production - v64))
     assert worst <= 1e-6, worst
     return f"32- vs 64-node quadrature worst abs {worst:.1e}"

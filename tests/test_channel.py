@@ -15,6 +15,7 @@ from scipy.special import gammainc, roots_hermite
 
 import oracles
 from oracles import linear_to_db
+from topo_helpers import one_row
 from csmafade.channel import (
     ChannelParams,
     FadingParams,
@@ -200,17 +201,18 @@ def test_fading_params_validation():
 
 
 def test_detection_threshold_below_support():
-    assert detection_probability([PowerTerm(1.0, 0.7)], 1e-300) == pytest.approx(1.0)
-    assert detection_probability([PowerTerm(1.0, 0.0)], 1e-300) == pytest.approx(1.0)
+    assert detection_probability([PowerTerm(1.0, 0.7)], one_row(1), 1e-300)[0] == pytest.approx(1.0)
+    assert detection_probability([PowerTerm(1.0, 0.0)], one_row(1), 1e-300)[0] == pytest.approx(1.0)
 
 
 def test_detection_at_median():
     fit = mma_fit([PowerTerm(3.0, 1.1)])
-    assert detection_probability([PowerTerm(3.0, 1.1)], math.exp(fit.eta)) == pytest.approx(0.5)
+    p = detection_probability([PowerTerm(3.0, 1.1)], one_row(1), math.exp(fit.eta))[0]
+    assert p == pytest.approx(0.5)
 
 
 def test_detection_no_transmitters():
-    assert detection_probability([], dbm_to_mw(-76.0)) == 0.0
+    assert detection_probability([], one_row(0), dbm_to_mw(-76.0))[0] == 0.0
 
 
 def test_detection_star_three_terms_vs_monte_carlo():
@@ -219,7 +221,8 @@ def test_detection_star_three_terms_vs_monte_carlo():
     dists = [2.0 * math.sin(math.pi * d / 7.0) for d in (1, 2, 3)]
     weights = [mean_rx_power(0.0, d, chan) for d in dists]
     a_mw = dbm_to_mw(-76.0)
-    model = detection_probability([PowerTerm(w, 2.0) for w in weights], a_mw)
+    terms = [PowerTerm(w, 2.0) for w in weights]
+    model = detection_probability(terms, one_row(3), a_mw)[0]
     mc = oracles.mc_tail_probability(
         weights, [2.0] * 3, [False] * 3, None, a_mw, n_samples=10**7, seed=12
     )
@@ -240,18 +243,19 @@ def test_detection_multipath_sum_vs_monte_carlo(kappa):
         mc = oracles.mc_tail_probability(
             weights, sigmas, multipath, kappa, thr, n_samples=2 * 10**6, seed=32
         )
-        assert abs(detection_probability(terms, thr, fading) - mc) <= 0.015, (tail, mc)
+        model = detection_probability(terms, one_row(8), thr, fading)[0]
+        assert abs(model - mc) <= 0.015, (tail, mc)
 
 
 def test_detection_refuses_an_unconverged_mgf_fit(monkeypatch):
     monkeypatch.setattr(channel, "MGF_MAX_ITER", 1)
     with pytest.raises(NumericsError, match="MGF matching did not converge"):
-        detection_probability([PowerTerm(1.0, 1.0), PowerTerm(0.5, 1.0)], 1.0)
+        detection_probability([PowerTerm(1.0, 1.0), PowerTerm(0.5, 1.0)], one_row(2), 1.0)
 
 
 def test_detection_monotone_in_threshold():
     terms = [PowerTerm(1.0, 1.0), PowerTerm(0.5, 2.0)]
-    probs = [detection_probability(terms, t) for t in np.logspace(-4, 2, 25)]
+    probs = [detection_probability(terms, one_row(2), t)[0] for t in np.logspace(-4, 2, 25)]
     assert all(a >= b - 1e-15 for a, b in zip(probs, probs[1:]))
 
 
@@ -266,10 +270,11 @@ def test_outage_rayleigh_closed_form():
     p = outage_probability(
         PowerTerm(pbar, 0.0, True),
         [],
+        one_row(0),
         PowerTerm(chan.noise_mw),
         b,
         fading=FadingParams(sigma=0.0, kappa=1.0),
-    )
+    )[0]
     assert p == pytest.approx(1.0 - math.exp(-b * chan.noise_mw / pbar), abs=1e-10)
 
 
@@ -280,17 +285,19 @@ def test_outage_large_kappa_approaches_no_multipath():
     with_mp = outage_probability(
         PowerTerm(pbar, 2.0, True),
         [],
+        one_row(0),
         PowerTerm(chan.noise_mw),
         b,
         fading=FadingParams(sigma=2.0, kappa=64.0),
-    )
+    )[0]
     without = outage_probability(
         PowerTerm(pbar, 2.0),
         [],
+        one_row(0),
         PowerTerm(chan.noise_mw),
         b,
         fading=FadingParams(sigma=2.0),
-    )
+    )[0]
     assert abs(with_mp - without) < 5e-3
 
 
@@ -303,8 +310,9 @@ def test_outage_kappa2_one_interferer_vs_monte_carlo():
 
     # interferer as a plain lognormal term
     model = outage_probability(
-        PowerTerm(pbar, 1.0, True), [PowerTerm(pbar, 1.0)], PowerTerm(n0), b, fading=fading
-    )
+        PowerTerm(pbar, 1.0, True), [PowerTerm(pbar, 1.0)], one_row(1), PowerTerm(n0), b,
+        fading=fading,
+    )[0]
     mc = oracles.mc_sinr_outage(
         pbar, 1.0, True, [pbar], [1.0], [False], n0, b, 2.0, n_samples=10**7, seed=13
     )
@@ -314,8 +322,9 @@ def test_outage_kappa2_one_interferer_vs_monte_carlo():
     # smooths the Gamma factor and carries a known body-region error (~0.018
     # measured here), inherent to the approximation rather than a bug.
     model_full = outage_probability(
-        PowerTerm(pbar, 1.0, True), [PowerTerm(pbar, 1.0, True)], PowerTerm(n0), b, fading=fading
-    )
+        PowerTerm(pbar, 1.0, True), [PowerTerm(pbar, 1.0, True)], one_row(1), PowerTerm(n0), b,
+        fading=fading,
+    )[0]
     mc_full = oracles.mc_sinr_outage(
         pbar, 1.0, True, [pbar], [1.0], [True], n0, b, 2.0, n_samples=10**7, seed=13
     )
@@ -325,9 +334,9 @@ def test_outage_kappa2_one_interferer_vs_monte_carlo():
 def test_outage_sigma0_is_exact_step():
     n0 = 1e-9
     # SNR comfortably above threshold: no outage
-    assert outage_probability(PowerTerm(1.0), [], PowerTerm(n0), 4.0) == 0.0
+    assert outage_probability(PowerTerm(1.0), [], one_row(0), PowerTerm(n0), 4.0)[0] == 0.0
     # mean power below threshold*noise: certain outage
-    assert outage_probability(PowerTerm(1e-10), [], PowerTerm(n0), 4.0) == 1.0
+    assert outage_probability(PowerTerm(1e-10), [], one_row(0), PowerTerm(n0), 4.0)[0] == 1.0
 
 
 def test_outage_monotone_in_threshold_and_interference():
@@ -338,15 +347,17 @@ def test_outage_monotone_in_threshold_and_interference():
         mp = fading.multipath
         by_b = [
             outage_probability(
-                PowerTerm(pbar, 1.0, mp), [PowerTerm(0.3 * pbar, 1.0)], PowerTerm(n0), b, fading=fading
-            )
+                PowerTerm(pbar, 1.0, mp), [PowerTerm(0.3 * pbar, 1.0)], one_row(1), PowerTerm(n0),
+                b, fading=fading,
+            )[0]
             for b in np.logspace(-1.5, 1.5, 9)
         ]
         assert all(x <= y + 1e-12 for x, y in zip(by_b, by_b[1:]))
         by_w = [
             outage_probability(
-                PowerTerm(pbar, 1.0, mp), [PowerTerm(w * pbar, 1.0)], PowerTerm(n0), 3.98, fading=fading
-            )
+                PowerTerm(pbar, 1.0, mp), [PowerTerm(w * pbar, 1.0)], one_row(1), PowerTerm(n0),
+                3.98, fading=fading,
+            )[0]
             for w in (0.0, 0.1, 0.5, 1.0, 2.0)
         ]
         assert all(x <= y + 1e-12 for x, y in zip(by_w, by_w[1:]))
@@ -354,13 +365,13 @@ def test_outage_monotone_in_threshold_and_interference():
 
 def test_outage_validates_terms():
     with pytest.raises(ValidationError):
-        outage_probability(PowerTerm(0.0), [], PowerTerm(1e-9), 4.0)
+        outage_probability(PowerTerm(0.0), [], one_row(0), PowerTerm(1e-9), 4.0)
     with pytest.raises(ValidationError):
-        outage_probability(PowerTerm(1.0), [], PowerTerm(0.0), 4.0)
+        outage_probability(PowerTerm(1.0), [], one_row(0), PowerTerm(0.0), 4.0)
     with pytest.raises(ValidationError):
-        outage_probability(PowerTerm(1.0), [], PowerTerm(1e-9, sigma=1.0), 4.0)
+        outage_probability(PowerTerm(1.0), [], one_row(0), PowerTerm(1e-9, sigma=1.0), 4.0)
     with pytest.raises(ValidationError):
-        outage_probability(PowerTerm(1.0), [], PowerTerm(1e-9), -1.0)
+        outage_probability(PowerTerm(1.0), [], one_row(0), PowerTerm(1e-9), -1.0)
 
 
 @pytest.mark.parametrize("kappa", [None, 1.5, 2.0])
@@ -388,13 +399,14 @@ def test_batched_outage_matches_per_subset_reference(sigma, kappa):
         members = np.vstack(
             [np.zeros(k, bool), np.ones(k, bool), rng.integers(0, 2, (12, k)).astype(bool)]
         )
-        batch = channel.outage_probabilities(useful, terms, members, noise, b, fading)
+        batch = channel.outage_probability(useful, terms, members, noise, b, fading)
         for row, got in zip(members, batch):
             chosen = [t for t, on in zip(terms, row) if on]
             want = oracles.outage_reference(useful, chosen, noise, b, fading)
             assert abs(got - want) <= 1e-12, (k, row, got, want)
             # a row comes out of the batch exactly as it does alone
-            assert got == outage_probability(useful, chosen, noise, b, fading)
+            alone = outage_probability(useful, chosen, one_row(len(chosen)), noise, b, fading)
+            assert got == alone[0]
 
 
 def test_outage_quadrature_does_not_depend_on_its_block_size(monkeypatch):
@@ -404,23 +416,23 @@ def test_outage_quadrature_does_not_depend_on_its_block_size(monkeypatch):
     members = (np.arange(16)[:, None] >> np.arange(4) & 1).astype(bool)
     args = (PowerTerm(mean_rx_power(0.0, 1.0, chan), 1.5, True), terms, members,
             PowerTerm(chan.noise_mw), chan.sinr_threshold, fading)
-    blocked = channel.outage_probabilities(*args)
+    blocked = channel.outage_probability(*args)
     monkeypatch.setattr(channel, "QUAD_BLOCK", 1)
-    assert np.array_equal(channel.outage_probabilities(*args), blocked)
+    assert np.array_equal(channel.outage_probability(*args), blocked)
 
 
 def test_outage_refuses_an_unconverged_quadrature(monkeypatch):
     monkeypatch.setattr(channel, "QUAD_TOL", -1.0)
     with pytest.raises(NumericsError, match="did not converge"):
         outage_probability(
-            PowerTerm(1e-6, 1.0, True), [PowerTerm(1e-7, 1.0)], PowerTerm(1e-9), 4.0,
+            PowerTerm(1e-6, 1.0, True), [PowerTerm(1e-7, 1.0)], one_row(1), PowerTerm(1e-9), 4.0,
             fading=FadingParams(sigma=1.0, kappa=2.0),
         )
 
 
 def test_outage_rejects_a_members_matrix_of_the_wrong_width():
     with pytest.raises(ValidationError, match="members"):
-        channel.outage_probabilities(
+        channel.outage_probability(
             PowerTerm(1.0), [PowerTerm(0.1)], np.ones((2, 3), bool), PowerTerm(1e-9), 4.0
         )
 
@@ -453,24 +465,25 @@ def test_subset_fits_do_not_depend_on_term_order(kappa):
     noise = PowerTerm(chan.noise_mw)
     b, thr = chan.sinr_threshold, 0.5 * sum(t.weight for t in terms)
 
-    p_det = channel.detection_probabilities(terms, members, thr, fading)
-    p_out = channel.outage_probabilities(useful, terms, members, noise, b, fading)
+    p_det = channel.detection_probability(terms, members, thr, fading)
+    p_out = channel.outage_probability(useful, terms, members, noise, b, fading)
     assert np.sum((p_det > 1e-3) & (p_det < 0.999)) > 10
     assert np.sum((p_out > 1e-3) & (p_out < 0.999)) > 10
     for _ in range(5):
         perm = rng.permutation(k)
         shuffled = [terms[n] for n in perm]
         assert np.array_equal(
-            channel.detection_probabilities(shuffled, members[:, perm], thr, fading), p_det
+            channel.detection_probability(shuffled, members[:, perm], thr, fading), p_det
         )
         assert np.array_equal(
-            channel.outage_probabilities(useful, shuffled, members[:, perm], noise, b, fading),
+            channel.outage_probability(useful, shuffled, members[:, perm], noise, b, fading),
             p_out,
         )
     for row, want_det, want_out in zip(members[2:8], p_det[2:8], p_out[2:8]):
         chosen = [terms[n] for n in rng.permutation(k) if row[n]]
-        assert detection_probability(chosen, thr, fading) == want_det
-        assert outage_probability(useful, chosen, noise, b, fading) == want_out
+        assert detection_probability(chosen, one_row(len(chosen)), thr, fading)[0] == want_det
+        alone = outage_probability(useful, chosen, one_row(len(chosen)), noise, b, fading)
+        assert alone[0] == want_out
 
 
 def test_gamma_cdf_integer_series_matches_gammainc():
@@ -553,10 +566,11 @@ def test_outage_quadrature_matches_adaptive_integration():
                 model = outage_probability(
                     PowerTerm(pbar, sigma, True),
                     [],
+                    one_row(0),
                     PowerTerm(n0),
                     b,
                     fading=FadingParams(sigma=sigma, kappa=kappa),
-                )
+                )[0]
                 truth = oracles.quad_outage_truth(kappa, b, math.log(n0 / pbar), sigma)
                 assert model == pytest.approx(truth, abs=2e-6)
 
@@ -574,7 +588,7 @@ def test_outage_quadrature_matches_adaptive_integration():
     thr=st.floats(1e-6, 100.0),
 )
 def test_detection_probability_in_unit_interval(w1, w2, s1, s2, thr):
-    p = detection_probability([PowerTerm(w1, s1), PowerTerm(w2, s2)], thr)
+    p = detection_probability([PowerTerm(w1, s1), PowerTerm(w2, s2)], one_row(2), thr)[0]
     assert 0.0 <= p <= 1.0
 
 
@@ -592,10 +606,11 @@ def test_outage_probability_in_unit_interval(wu, wi, su, si, b, kappa):
     p = outage_probability(
         PowerTerm(wu, su, kappa is not None),
         [PowerTerm(wi, si)],
+        one_row(1),
         PowerTerm(1e-6),
         b,
         fading=fading,
-    )
+    )[0]
     assert 0.0 <= p <= 1.0
 
 

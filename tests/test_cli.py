@@ -9,8 +9,9 @@ import time
 
 import pytest
 
+from csmafade import sweep
 from csmafade.cli import main
-from csmafade.scenarios import compile_sim_network, load_scenario
+from csmafade.scenarios import compile_sim_network, load_config, scenario_from_config
 from csmafade.simulator import run_replication
 
 TINY = """
@@ -149,6 +150,7 @@ def test_malformed_value_reports_json_error(config_file, tmp_path, capsys, overr
         ("topology.spacing_m=1e-300", "topology.spacing_m"),
         ("topology.next_hop=[-1, .inf, 0]", "topology.next_hop"),
         ("topology.next_hop=[-1, 0, 1.5]", "topology.next_hop"),
+        ("sim.master_seed=-1", "master_seed"),
     ],
 )
 def test_malformed_value_names_its_field(config_file, tmp_path, capsys, override, field):
@@ -158,6 +160,35 @@ def test_malformed_value_names_its_field(config_file, tmp_path, capsys, override
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValidationError"
     assert field in err["message"]
+
+
+def test_output_directory_that_is_a_file_is_a_json_error(config_file, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    rc = main(["analyze", "--config", str(config_file), "--out", str(taken)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    assert f"cannot write {taken / 'tiny_analyze.csv'}" in err["message"]
+    assert taken.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+def test_unwritable_output_name_fails_before_any_point_runs(
+    config_file, tmp_path, capsys, monkeypatch, command
+):
+    # the scenario id names the CSV; "a/b" puts it in a directory that does not exist
+    def no_point(args):
+        raise AssertionError("a sweep point ran before the output path was checked")
+
+    monkeypatch.setattr(sweep, "_point_task", no_point)
+    rc = main([command, "--config", str(config_file), "--set", "scenario_id=a/b",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    assert f"cannot write {tmp_path / 'a' / f'b_{command}.csv'}" in err["message"]
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_timing_the_simulator_cannot_run_is_rejected_by_analyze(config_file, tmp_path, capsys):
@@ -265,7 +296,7 @@ def test_simulate_writes_the_event_trace_of_replication_0(config_file, tmp_path)
     rc = main(["simulate", "--config", str(config_file), "--out", str(tmp_path),
                "--trace", str(trace)])
     assert rc == 0
-    scenario = load_scenario(config_file)
+    scenario = scenario_from_config(load_config(config_file))
     expected = io.StringIO()
     run_replication(compile_sim_network(scenario), scenario.sim, 0, trace=expected)
     assert trace.read_text() == expected.getvalue()

@@ -7,7 +7,7 @@ import pytest
 from pytest import approx
 
 import oracles
-from topo_helpers import contention_h
+from topo_helpers import contention_h, one_row
 from csmafade import channel, macmodel
 from csmafade.errors import ConvergenceError, ValidationError
 from csmafade.macmodel import (
@@ -212,8 +212,7 @@ def test_h_functional_rejects_oversized_topologies(monkeypatch):
         raise AssertionError("channel layer called before the cap check")
 
     monkeypatch.setattr(channel, "outage_probability", no_channel_work)
-    monkeypatch.setattr(channel, "outage_probabilities", no_channel_work)
-    monkeypatch.setattr(channel, "detection_probabilities", no_channel_work)
+    monkeypatch.setattr(channel, "detection_probability", no_channel_work)
     scenario = scenario_from_config({"topology": {"kind": "star", "n_nodes": 17}})
     with pytest.raises(ValidationError, match="cap"):
         build_contention_tables(scenario)
@@ -327,7 +326,9 @@ def _star_system(n_tx=7, radius=1.0, lam=5.0, sigma=0.0):
         p_det = np.zeros(2**k)
         p_out = np.zeros(2**k)
         useful = channel.PowerTerm(weight=useful_w, sigma=sigma, has_multipath=fading.multipath)
-        p_fad = channel.outage_probability(useful, [], noise, chan.sinr_threshold, fading)
+        p_fad = channel.outage_probability(
+            useful, [], one_row(0), noise, chan.sinr_threshold, fading
+        )[0]
         for mask in range(1, 2**k):
             members = [others[z] for z in range(k) if bits[mask, z]]
             det_terms = [
@@ -340,14 +341,16 @@ def _star_system(n_tx=7, radius=1.0, lam=5.0, sigma=0.0):
                 )
                 for z in members
             ]
-            p_det[mask] = channel.detection_probability(det_terms, chan.cca_threshold_mw, fading)
+            p_det[mask] = channel.detection_probability(
+                det_terms, one_row(len(det_terms)), chan.cca_threshold_mw, fading
+            )[0]
             int_terms = [
                 channel.PowerTerm(weight=useful_w, sigma=sigma, has_multipath=fading.multipath)
                 for _ in members
             ]
             p_out[mask] = channel.outage_probability(
-                useful, int_terms, noise, chan.sinr_threshold, fading
-            )
+                useful, int_terms, one_row(len(int_terms)), noise, chan.sinr_threshold, fading
+            )[0]
         tables.append(LinkTables(p_det=p_det, p_out=p_out, p_fad=p_fad))
 
     q = arrival_probability(lam)

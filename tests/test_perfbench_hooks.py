@@ -3,12 +3,15 @@
 `perfbench/tracing.py` wraps layer entry points by looking them up on the
 modules where callers find them.  A `src/` change that renames or deletes
 one of them breaks traced benchmark runs, and nothing else would notice.
+Nor would anything notice a name that still exists but that production no
+longer calls: its metrics would read 0.
 """
 
 import importlib.util
 from pathlib import Path
 
 from csmafade import channel, multihop, simulator, sweep
+from csmafade.scenarios import load_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,3 +39,18 @@ def test_tracer_installs_and_uninstalls_every_hook(tmp_path):
     finally:
         tracer.uninstall()
     assert [dict(vars(m)) for m in modules] == before
+
+
+def test_traced_analytic_sweep_times_the_channel_fits(tmp_path):
+    tracing = _tracing_module()
+    tracer = tracing.Tracer(tmp_path / "spool")
+    config = load_config(ROOT / "configs" / "tiny3.yaml")
+    spec = sweep.SweepSpec(engine="analytic")
+    tracer.install()
+    try:
+        tracer.sweep(sweep.run_sweep, config, spec, out_dir=tmp_path)
+    finally:
+        tracer.uninstall()
+    names = [span[tracing.NAME] for span in tracer.spans]
+    assert names.count("sweep.point") == 1
+    assert "channel.detection" in names and "channel.outage" in names

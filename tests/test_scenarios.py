@@ -14,7 +14,7 @@ from csmafade.scenarios import (
     apply_override,
     build_contention_tables,
     compile_sim_network,
-    load_scenario,
+    load_config,
     parse_config,
     scenario_from_config,
 )
@@ -261,7 +261,7 @@ def test_contention_tables_match_reference_construction():
 @pytest.mark.parametrize("kappa", [None, 2.0])
 def test_batched_detection_table_equals_per_subset_detection(kappa):
     # build_contention_tables fits every subset of a link in one batch; the
-    # reference calls detection_probability once per subset, so each row must
+    # reference fits each subset alone, as a one-row batch, so each row must
     # come out of the batch exactly as it does alone
     s = scenario_of(
         "topology: {kind: star, n_nodes: 6}\nlam: 5.0\nfading: {sigma: 1.5}\n",
@@ -301,40 +301,40 @@ def test_shared_rows_equal_the_per_link_construction(topology, kappa):
 
 
 def test_tables_fit_each_distinct_subset_sum_once(monkeypatch):
-    # no per-subset fit or quadrature may run while the tables are built
-    def per_subset_work(*args, **kwargs):
-        raise AssertionError("per-subset channel work in build_contention_tables")
+    # at most one batched detection and one batched outage call per link, which
+    # see each distinct subset sum once; no moment-matching reference fit or
+    # scalar quadrature may run while the tables are built
+    def reference_work(*args, **kwargs):
+        raise AssertionError("reference channel work in build_contention_tables")
 
-    for name in ("mma_fit", "lognormal_expectation", "outage_probability", "detection_probability"):
-        monkeypatch.setattr(channel, name, per_subset_work)
-    fitted = {"detection_probabilities": [], "outage_probabilities": []}
+    for name in ("mma_fit", "lognormal_expectation"):
+        monkeypatch.setattr(channel, name, reference_work)
+    fitted = {"detection_probability": [], "outage_probability": []}
+    calls = {name: 0 for name in fitted}
 
     def chosen(terms, members):
         return [tuple(sorted(t.weight for t, on in zip(terms, row) if on)) for row in members]
 
-    def detection(terms, members, *args, _fn=channel.detection_probabilities):
-        fitted["detection_probabilities"] += chosen(terms, members)
+    def detection(terms, members, *args, _fn=channel.detection_probability):
+        calls["detection_probability"] += 1
+        fitted["detection_probability"] += chosen(terms, members)
         return _fn(terms, members, *args)
 
-    def outage(useful, terms, members, *args, _fn=channel.outage_probabilities):
-        fitted["outage_probabilities"] += [(useful.weight, *c) for c in chosen(terms, members)]
+    def outage(useful, terms, members, *args, _fn=channel.outage_probability):
+        calls["outage_probability"] += 1
+        fitted["outage_probability"] += [(useful.weight, *c) for c in chosen(terms, members)]
         return _fn(useful, terms, members, *args)
 
-    calls = {name: 0 for name in fitted}
-    for name, fn in (("detection_probabilities", detection), ("outage_probabilities", outage)):
-        def counted(*args, _fn=fn, _name=name):
-            calls[_name] += 1
-            return _fn(*args)
-
-        monkeypatch.setattr(channel, name, counted)
+    monkeypatch.setattr(channel, "detection_probability", detection)
+    monkeypatch.setattr(channel, "outage_probability", outage)
     s = scenario_of(
         "topology: {kind: star, n_nodes: 10}\nlam: 5.0\nfading: {sigma: 1.5, kappa: 2}\n"
     )
     tables = build_contention_tables(s)
     n_links, k = len(s.links), len(s.links) - 1
     assert len(tables) == n_links == 9 and len(tables[0].p_out) == 2**k
-    assert 1 <= calls["detection_probabilities"] <= n_links
-    assert 1 <= calls["outage_probabilities"] <= n_links
+    assert 1 <= calls["detection_probability"] <= n_links
+    assert 1 <= calls["outage_probability"] <= n_links
 
     # the distinct multisets of gains over all links' subsets, counted the long way
     gain, bits = s.mean_gain_mw, _bit_matrix(k)
@@ -346,8 +346,8 @@ def test_tables_fit_each_distinct_subset_sum_once(monkeypatch):
             det.add(tuple(sorted(gain[senders[z], tx] for z in on)))
             if rx not in [senders[z] for z in on]:
                 out.add((gain[tx, rx], *sorted(gain[senders[z], rx] for z in on)))
-    assert sorted(fitted["detection_probabilities"]) == sorted(det)
-    assert sorted(fitted["outage_probabilities"]) == sorted(out)
+    assert sorted(fitted["detection_probability"]) == sorted(det)
+    assert sorted(fitted["outage_probability"]) == sorted(out)
     assert len(det) < n_links * 2**k // 10 and len(out) == k + 1
 
 
@@ -374,4 +374,4 @@ def test_bundled_configs_all_validate():
     names = sorted(p.name for p in root.glob("*.yaml"))
     assert names, "no bundled configs found"
     for name in names:
-        load_scenario(root / name)
+        scenario_from_config(load_config(root / name))

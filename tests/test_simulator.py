@@ -22,7 +22,7 @@ from csmafade.macmodel import (
     solve_fixed_point,
 )
 from csmafade.metrics import PowerProfile
-from csmafade.scenarios import compile_sim_network, load_scenario, scenario_from_config
+from csmafade.scenarios import compile_sim_network, load_config, scenario_from_config
 from csmafade.simulator import (
     IDLE,
     SLEEP,
@@ -222,8 +222,9 @@ def test_energy_accounting_gap_is_an_error():
 
 def test_links_without_a_completed_packet_raise_no_numpy_warning():
     # at 0.5 packets/s for 1 s some of star7's links complete nothing
-    scenario = load_scenario(ROOT / "configs" / "star7.yaml",
-                             ["lam=0.5", "sim.horizon_seconds=1", "sim.replications=2"])
+    scenario = scenario_from_config(load_config(
+        ROOT / "configs" / "star7.yaml", ["lam=0.5", "sim.horizon_seconds=1", "sim.replications=2"]
+    ))
     net = compile_sim_network(scenario)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

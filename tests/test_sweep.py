@@ -15,13 +15,16 @@ from csmafade.multihop import solve_network
 from csmafade.scenarios import (
     build_contention_tables,
     compile_sim_network,
+    load_config,
     parse_config,
     scenario_from_config,
 )
 from csmafade.simulator import SimConfig, run_experiment
 from csmafade.sweep import SweepSpec, run_sweep, sweep_from_config
 
-GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "tiny3_sweep.csv"
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+GOLDEN = GOLDEN_DIR / "tiny3_sweep.csv"
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 TINY = """
 scenario_id: tiny3
@@ -57,6 +60,28 @@ def test_golden_csv_is_reproduced(tmp_path):
     config = tiny_config()
     out = run_sweep(config, sweep_from_config(config), out_dir=tmp_path)
     assert out.read_bytes() == GOLDEN.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "golden, config_name, overrides, axes",
+    [
+        # five transmitters: the closed-form tail, the incomplete gamma
+        # (kappa 1.5), the integer-kappa series and the quadrature ladder
+        ("star6_kappa_sweep.csv", "star7.yaml",
+         ["scenario_id=star6", "topology.n_nodes=6", "lam=10"],
+         [("fading.kappa", [None, 1.5, 2.0]), ("fading.sigma", [1.0, 2.0])]),
+        # the 8-hop relay line: the traffic loop, end-to-end rows, and
+        # aggregates over 8 links
+        ("line9_sweep.csv", "line5.yaml", ["scenario_id=line9", "topology.n_nodes=9"],
+         [("lam", [2.0, 30.0]), ("fading.sigma", [0.0, 2.0])]),
+    ],
+)
+def test_analytic_golden_csv_is_reproduced(tmp_path, golden, config_name, overrides, axes):
+    config = load_config(CONFIGS / config_name, overrides)
+    config["sweep"] = {"engine": "analytic",
+                       "parameters": [{"path": p, "values": v} for p, v in axes]}
+    out = run_sweep(config, sweep_from_config(config), out_dir=tmp_path)
+    assert out.read_bytes() == (GOLDEN_DIR / golden).read_bytes()
 
 
 def test_rerun_and_parallel_assembly_are_byte_identical(tmp_path):
@@ -222,6 +247,18 @@ def test_malformed_value_is_an_error_row_and_the_sweep_continues(tmp_path):
     good = [r for r in rows if r["lam"] == "2"]
     assert len(bad) == 1 and bad[0]["metric"] == "error"
     assert "invalid config value" in bad[0]["warnings"]
+    assert len(good) == 9 and all(r["warnings"] == "" for r in good)
+
+
+def test_negative_seed_is_an_error_row_and_the_sweep_continues(tmp_path):
+    config = tiny_config()
+    config["sweep"]["engine"] = "analytic"
+    config["sweep"]["parameters"] = [{"path": "sim.master_seed", "values": [-5, 7]}]
+    rows = read_rows(run_sweep(config, sweep_from_config(config), out_dir=tmp_path))
+    bad = [r for r in rows if r["sim.master_seed"] == "-5"]
+    good = [r for r in rows if r["sim.master_seed"] == "7"]
+    assert len(bad) == 1 and bad[0]["metric"] == "error"
+    assert "master_seed=-5 must be >= 0" in bad[0]["warnings"]
     assert len(good) == 9 and all(r["warnings"] == "" for r in good)
 
 

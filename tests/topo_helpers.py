@@ -20,6 +20,11 @@ from csmafade.macmodel import (
 )
 
 
+def one_row(n_terms):
+    """A members matrix with one row that selects all n_terms terms: a single subset."""
+    return np.ones((1, n_terms), dtype=bool)
+
+
 def build_tables(positions, links, chan, fading, tx_power_dbm=0.0):
     """Per-link subset tables for nodes at the given (x, y) positions.
 
@@ -47,20 +52,22 @@ def build_tables(positions, links, chan, fading, tx_power_dbm=0.0):
         p_det = np.zeros(2**k)
         p_out = np.zeros(2**k)
         useful = term(mean_w(tx, positions[rx]))
-        p_fad = channel.outage_probability(useful, [], noise, chan.sinr_threshold, fading)
+        p_fad = channel.outage_probability(
+            useful, [], one_row(0), noise, chan.sinr_threshold, fading
+        )[0]
         for mask in range(1, 2**k):
             senders = [links[others[z]][0] for z in range(k) if bits[mask, z]]
             det_terms = [term(mean_w(src, positions[tx])) for src in senders]
             p_det[mask] = channel.detection_probability(
-                det_terms, chan.cca_threshold_mw, fading
-            )
+                det_terms, one_row(len(det_terms)), chan.cca_threshold_mw, fading
+            )[0]
             if rx in senders:
                 p_out[mask] = 1.0
             else:
                 int_terms = [term(mean_w(src, positions[rx])) for src in senders]
                 p_out[mask] = channel.outage_probability(
-                    useful, int_terms, noise, chan.sinr_threshold, fading
-                )
+                    useful, int_terms, one_row(len(int_terms)), noise, chan.sinr_threshold, fading
+                )[0]
         tables.append(LinkTables(p_det=p_det, p_out=p_out, p_fad=p_fad))
     return tables
 
@@ -86,13 +93,13 @@ def build_tables_per_link(gain, links, chan, fading):
     for l, (tx, rx) in enumerate(links):
         others = tuple(i for i in range(n_links) if i != l)
         senders = [links[o][0] for o in others]
-        p_det = channel.detection_probabilities(
+        p_det = channel.detection_probability(
             [term(gain[s, tx]) for s in senders], bits, chan.cca_threshold_mw, fading
         )
         heard = [z for z, s in enumerate(senders) if s != rx]
         free = ~bits[:, [z for z, s in enumerate(senders) if s == rx]].any(axis=1)
         p_out = np.ones(2**k)
-        p_out[free] = channel.outage_probabilities(
+        p_out[free] = channel.outage_probability(
             term(gain[tx, rx]), [term(gain[senders[z], rx]) for z in heard],
             bits[free][:, heard], noise, chan.sinr_threshold, fading,
         )
