@@ -10,11 +10,11 @@ such terms are approximated by a single lognormal, fitted in one of two ways:
   (`mgf_fit`), solved for a whole table of subsets at once
   (`detection_probability`).
 * Interference-plus-noise at a receiver (outage): matching the first two
-  moments of the denominator normalized by the useful power.  They are
-  closed form in each subset's member sums, so `outage_probability` fits
-  and evaluates a whole table of subsets at once; when the useful link also
-  carries multipath, a Gauss-Hermite quadrature ladder runs over the rows
-  that have not yet converged.
+  moments of the denominator normalized by the useful power (`mma_fit`,
+  closed form in each subset's member sums).  The outage is then the
+  fitted lognormal's tail or, when the useful link also carries multipath,
+  the expectation of the Gamma CDF over it (`lognormal_expectation`, a
+  Gauss-Hermite ladder over the rows that have not yet converged).
 
 These two are the only entry points for the probabilities: each takes a
 bool `members` matrix with one row per subset, and a single sum is a
@@ -26,11 +26,6 @@ that order.  A row's result therefore depends only on the multiset of terms
 it selects, bit for bit: the same sum listed in another order, or picked out
 of another table's columns, gives the same probability.  This is what lets
 `scenarios.build_contention_tables` fit each distinct subset sum once.
-
-`mma_fit` is the general moment-matching fit (with an optional exponent
-correlation matrix), kept as the reference the batched outage moments
-reduce to.  It, `LognormalApprox`, `q_function` and `lognormal_expectation`
-are scalar references that no production path calls.
 """
 
 from __future__ import annotations
@@ -174,31 +169,6 @@ class PowerTerm:
             raise ValidationError(f"term sigma {self.sigma} must be >= 0")
 
 
-@dataclass(frozen=True)
-class LognormalApprox:
-    """Lognormal exp(Z), Z ~ N(eta, sigma^2), fitted to a power sum."""
-
-    eta: float
-    sigma: float
-
-    def mean(self) -> float:
-        return math.exp(self.eta + 0.5 * self.sigma**2)
-
-    def tail_probability(self, threshold: float) -> float:
-        """P[exp(Z) > threshold]; degenerates to a step when sigma == 0."""
-        if threshold <= 0.0:
-            return 1.0
-        ln_t = math.log(threshold)
-        if self.sigma <= SIGMA_FLOOR:
-            return 1.0 if self.eta > ln_t else 0.0
-        return q_function((ln_t - self.eta) / self.sigma)
-
-
-def q_function(z: float) -> float:
-    """Standard normal tail probability Q(z)."""
-    return 0.5 * math.erfc(z / SQRT2)
-
-
 # math.erfc over an array; numpy has no erfc of its own
 _erfc = np.vectorize(math.erfc, otypes=[float])
 
@@ -222,56 +192,6 @@ def _second_moment_factor(term: PowerTerm, fading: FadingParams | None) -> float
         kap = fading.kappa
         return (kap + 1.0) / kap
     return 1.0
-
-
-def mma_fit(
-    terms: Sequence[PowerTerm],
-    corr: np.ndarray | None = None,
-    fading: FadingParams | None = None,
-) -> LognormalApprox:
-    """Fit a lognormal to sum_n w_n * f_n * exp(y_n) by matching two moments.
-
-    corr is the correlation matrix of the exponents y_n (independent when
-    omitted).  Multipath factors are independent across terms, unit mean,
-    with second moment (kappa+1)/kappa.
-    """
-    if not terms:
-        raise ValidationError("mma_fit requires at least one term")
-    n = len(terms)
-    w = np.array([t.weight for t in terms], dtype=float)
-    s = np.array([t.sigma for t in terms], dtype=float)
-    if np.all(w == 0.0):
-        raise ValidationError("mma_fit requires at least one positive weight")
-    if corr is None:
-        rho = np.eye(n)
-    else:
-        rho = np.asarray(corr, dtype=float)
-        if rho.shape != (n, n):
-            raise ValidationError(f"corr shape {rho.shape} != ({n}, {n})")
-
-    m1 = float(np.sum(w * np.exp(0.5 * s**2)))
-
-    # E[A_m A_n] exp((s_m^2 + s_n^2)/2 + rho_mn s_m s_n); the diagonal carries
-    # the multipath second moment, cross terms the product of unit means.
-    f2 = np.array([_second_moment_factor(t, fading) for t in terms])
-    cross = np.outer(w, w) * np.exp(
-        0.5 * (s**2)[:, None] + 0.5 * (s**2)[None, :] + rho * np.outer(s, s)
-    )
-    diag_scale = np.ones((n, n))
-    np.fill_diagonal(diag_scale, f2)
-    m2 = float(np.sum(cross * diag_scale))
-
-    if not (math.isfinite(m1) and math.isfinite(m2)) or m1 <= 0.0 or m2 <= 0.0:
-        raise NumericsError(f"moment matching overflowed: M1={m1!r}, M2={m2!r}")
-    var = math.log(m2) - 2.0 * math.log(m1)
-    if var < -1e-9:
-        raise NumericsError(
-            f"moment matching produced negative log-variance {var:.3e}; "
-            "check the supplied correlation matrix"
-        )
-    var = max(var, 0.0)
-    eta = 2.0 * math.log(m1) - 0.5 * math.log(m2)
-    return LognormalApprox(eta=eta, sigma=math.sqrt(var))
 
 
 def _hermite_ratios(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -537,20 +457,6 @@ def _lognormal_tails(eta: np.ndarray, sigma: np.ndarray, ln_t: float) -> np.ndar
     return np.where(spread, tail, (eta > ln_t).astype(float))
 
 
-def lognormal_expectation(
-    fn: Callable[[np.ndarray], np.ndarray],
-    eta: float,
-    sigma: float,
-    nodes: int = QUAD_LADDER[0],
-) -> float:
-    """E[fn(W)] for W = exp(Z), Z ~ N(eta, sigma^2), by Gauss-Hermite."""
-    if sigma <= SIGMA_FLOOR:
-        return float(fn(np.array([math.exp(eta)]))[0])
-    t, wgt = _gh_nodes(nodes)
-    x = np.exp(eta + SQRT2 * sigma * t)
-    return float(wgt @ np.asarray(fn(x), dtype=float)) / SQRTPI
-
-
 def _gamma_cdf_unit_mean(kappa: float, x: np.ndarray) -> np.ndarray:
     """CDF of the unit-mean Gamma multipath factor (shape kappa, scale 1/kappa) at x.
 
@@ -640,15 +546,14 @@ def _gammaincc_fraction(a: float, x: np.ndarray) -> np.ndarray:
     )
 
 
-def outage_probability(
+def mma_fit(
     useful: PowerTerm,
     terms: Sequence[PowerTerm],
     members: np.ndarray,
     noise: PowerTerm,
-    sinr_threshold: float,
     fading: FadingParams | None = None,
-) -> np.ndarray:
-    """P[SINR < sinr_threshold] of the useful term for every subset (row) of `members`.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lognormal (eta, sigma) fitted to the useful-normalized denominator of every subset.
 
     members is a (rows, len(terms)) bool matrix whose row r selects the
     interferers transmitting in subset r; the denominator is those plus
@@ -661,26 +566,16 @@ def outage_probability(
         M1 = sum_n g_n + g_0
         M2 = e^{sigma_u^2} M1^2 + sum_n g_n^2 (f2_n e^{sigma_n^2 + sigma_u^2} - e^{sigma_u^2})
 
-    (f2_n the multipath second moment), which is what mma_fit gives with the
-    induced exponent correlations.  The matched lognormal exp(Z) has
-    var Z = ln(M2 / M1^2) and E Z = ln M1 - var Z / 2.  Without multipath
-    on the useful link the outage is its tail above 1 / b; with it, the
-    outage is E[F(b exp(Z))] for the unit-mean Gamma CDF F, by the
-    Gauss-Hermite ladder of _outage_quadrature.
+    (f2_n the multipath second moment), which is what moment matching
+    (Fenton-Wilkinson) gives with the induced exponent correlations.  The
+    matched lognormal exp(Z) has var Z = ln(M2 / M1^2) and
+    E Z = ln M1 - var Z / 2.
 
     Member sums run column by column in canonical term order (see
-    _canonical), so a row's result depends only on the multiset of
+    _canonical), so a row's fit depends only on the multiset of
     interferers it selects: not on the other rows, on columns it does not
     select, or on the order the terms are listed in.
     """
-    if useful.weight <= 0.0:
-        raise ValidationError("useful term must have positive weight")
-    if noise.weight <= 0.0:
-        raise ValidationError("noise term must have positive weight")
-    if noise.sigma != 0.0 or noise.has_multipath:
-        raise ValidationError("noise term must be deterministic (sigma 0, no multipath)")
-    if sinr_threshold <= 0.0:
-        raise ValidationError(f"SINR threshold {sinr_threshold} must be positive")
     terms, members = _canonical(terms, members)
 
     s_u2 = useful.sigma**2
@@ -700,27 +595,23 @@ def outage_probability(
         raise NumericsError(
             f"outage moment matching overflowed (useful weight {useful.weight!r})"
         )
-    eta = np.log(m1) - 0.5 * var
-    sigma = np.sqrt(var)
-
-    if fading is not None and fading.multipath and useful.has_multipath:
-        return _outage_quadrature(eta, sigma, fading.kappa, sinr_threshold)
-    return _lognormal_tails(eta, sigma, -math.log(sinr_threshold))
+    return np.log(m1) - 0.5 * var, np.sqrt(var)
 
 
-def _outage_quadrature(
-    eta: np.ndarray, sigma: np.ndarray, kappa: float, sinr_threshold: float
+def lognormal_expectation(
+    fn: Callable[[np.ndarray], np.ndarray], eta: np.ndarray, sigma: np.ndarray
 ) -> np.ndarray:
-    """E[F(b W)] per row for W = exp(Z), Z ~ N(eta, sigma^2), F the unit-mean Gamma CDF.
+    """E[fn(W)] per row for W = exp(Z), Z ~ N(eta, sigma^2), by Gauss-Hermite.
 
-    Every row climbs QUAD_LADDER until two successive Gauss-Hermite
-    estimates agree to QUAD_TOL, and leaves it there; each rung evaluates
-    the remaining rows QUAD_BLOCK nodes-times-rows at a time.  A row with
-    sigma ~0 is the point value F(b e^eta).
+    fn maps an array of W values to fn elementwise.  Every row climbs
+    QUAD_LADDER until two successive estimates agree to QUAD_TOL, and
+    leaves it there; each rung evaluates the remaining rows QUAD_BLOCK
+    nodes-times-rows at a time.  A row with sigma ~0 is the point value
+    fn(e^eta).
     """
     out = np.empty(len(eta))
     point = sigma <= SIGMA_FLOOR
-    out[point] = _gamma_cdf_unit_mean(kappa, sinr_threshold * np.exp(eta[point]))
+    out[point] = fn(np.exp(eta[point]))
 
     def expectation(rows: np.ndarray, nodes: int) -> np.ndarray:
         t, wgt = _gh_nodes(nodes)
@@ -728,8 +619,7 @@ def _outage_quadrature(
         step = max(1, QUAD_BLOCK // nodes)
         for lo in range(0, len(rows), step):
             r = rows[lo : lo + step]
-            x = np.exp(eta[r, None] + (SQRT2 * sigma[r])[:, None] * t)
-            f = _gamma_cdf_unit_mean(kappa, sinr_threshold * x)
+            f = fn(np.exp(eta[r, None] + (SQRT2 * sigma[r])[:, None] * t))
             # one BLAS dot per row, as a 1-D `wgt @ f`, whatever the block size
             val[lo : lo + step] = np.matmul(f[:, None, :], wgt[:, None])[:, 0, 0] / SQRTPI
         return val
@@ -748,9 +638,42 @@ def _outage_quadrature(
         worst = int(np.argmax(diff))
         row = active[worst]
         raise NumericsError(
-            f"outage quadrature did not converge at {QUAD_LADDER[-1]} nodes for "
+            f"lognormal expectation did not converge at {QUAD_LADDER[-1]} nodes for "
             f"{active.size} of {len(eta)} rows (worst last change {diff[worst]:.3e} > "
-            f"{QUAD_TOL}; eta={eta[row]:.4f}, sigma={sigma[row]:.4f}, kappa={kappa}, "
-            f"threshold={sinr_threshold:.4f})"
+            f"{QUAD_TOL}; eta={eta[row]:.4f}, sigma={sigma[row]:.4f})"
         )
-    return np.clip(out, 0.0, 1.0)
+    return out
+
+
+def outage_probability(
+    useful: PowerTerm,
+    terms: Sequence[PowerTerm],
+    members: np.ndarray,
+    noise: PowerTerm,
+    sinr_threshold: float,
+    fading: FadingParams | None = None,
+) -> np.ndarray:
+    """P[SINR < sinr_threshold] of the useful term for every subset (row) of `members`.
+
+    The denominator over the useful power, interferers plus noise, is fitted
+    by mma_fit as exp(Z).  Without multipath on the useful link the outage
+    is its tail above 1 / b; with it, the outage is E[F(b exp(Z))] for the
+    unit-mean Gamma CDF F, by lognormal_expectation.
+    """
+    if useful.weight <= 0.0:
+        raise ValidationError("useful term must have positive weight")
+    if noise.weight <= 0.0:
+        raise ValidationError("noise term must have positive weight")
+    if noise.sigma != 0.0 or noise.has_multipath:
+        raise ValidationError("noise term must be deterministic (sigma 0, no multipath)")
+    if sinr_threshold <= 0.0:
+        raise ValidationError(f"SINR threshold {sinr_threshold} must be positive")
+    eta, sigma = mma_fit(useful, terms, members, noise, fading)
+    if fading is not None and fading.multipath and useful.has_multipath:
+        kappa = fading.kappa
+
+        def outage(w: np.ndarray) -> np.ndarray:
+            return _gamma_cdf_unit_mean(kappa, sinr_threshold * w)
+
+        return np.clip(lognormal_expectation(outage, eta, sigma), 0.0, 1.0)
+    return _lognormal_tails(eta, sigma, -math.log(sinr_threshold))

@@ -76,6 +76,11 @@ class Topology:
                         f"positions_m entries must be (x, y) pairs of finite numbers, got {p}"
                     )
         else:
+            for name in ("positions_m", "next_hop"):
+                if getattr(self, name) is not None:
+                    raise ValidationError(
+                        f"{name} is read by kind 'explicit' only, not {self.kind!r}"
+                    )
             if self.n_nodes < 2:
                 raise ValidationError("need at least one transmitter and a sink")
             if self.spacing_m <= 0.0:

@@ -313,15 +313,18 @@ def _block(scenario, assignments, results: dict, warnings: list[str]) -> list[li
 def _csv_path(out_dir, name: str) -> Path:
     """out_dir/name, once out_dir exists and a file can be opened there for writing.
 
-    Checked before any point runs, and no file is left behind; an OSError
+    Checked before any point runs, and no file is left behind.  A name that
+    is not a bare file name, or an OSError or ValueError (a null byte),
     becomes a ValidationError that names the path.
     """
     path = Path(out_dir) / name
+    if Path(name).name != name:
+        raise ValidationError(f"cannot write {path}: {name!r} is not a bare file name")
     try:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
         existed = path.exists()
         open(path, "a").close()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
     if not existed:
         path.unlink()

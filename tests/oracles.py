@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import integrate
@@ -19,12 +21,16 @@ from csmafade import metrics
 from csmafade.channel import (
     QUAD_LADDER,
     QUAD_TOL,
+    SIGMA_FLOOR,
+    SQRT2,
+    SQRTPI,
+    FadingParams,
     PowerTerm,
     _gamma_cdf_unit_mean,
-    lognormal_expectation,
-    mma_fit,
+    _gh_nodes,
+    _second_moment_factor,
 )
-from csmafade.errors import ConvergenceError, ValidationError
+from csmafade.errors import ConvergenceError, NumericsError, ValidationError
 from csmafade.macmodel import (
     ALPHA_CAP,
     ContentionSystem,
@@ -44,6 +50,96 @@ def linear_to_db(x: float) -> float:
     if x <= 0.0:
         raise ValueError("linear ratio must be positive")
     return 10.0 * math.log10(x)
+
+
+# ---------------------------------------------------------------------------
+# Scalar lognormal fits: one sum at a time, with a general correlation matrix
+
+
+@dataclass(frozen=True)
+class ScalarLognormal:
+    """Lognormal exp(Z), Z ~ N(eta, sigma^2), fitted to a power sum."""
+
+    eta: float
+    sigma: float
+
+    def tail_probability(self, threshold: float) -> float:
+        """P[exp(Z) > threshold]; degenerates to a step when sigma == 0."""
+        if threshold <= 0.0:
+            return 1.0
+        ln_t = math.log(threshold)
+        if self.sigma <= SIGMA_FLOOR:
+            return 1.0 if self.eta > ln_t else 0.0
+        return gaussian_tail((ln_t - self.eta) / self.sigma)
+
+
+def gaussian_tail(z: float) -> float:
+    """Standard normal tail probability Q(z)."""
+    return 0.5 * math.erfc(z / SQRT2)
+
+
+def scalar_moment_fit(
+    terms: Sequence[PowerTerm],
+    corr: np.ndarray | None = None,
+    fading: FadingParams | None = None,
+) -> ScalarLognormal:
+    """Fit a lognormal to sum_n w_n * f_n * exp(y_n) by matching two moments.
+
+    corr is the correlation matrix of the exponents y_n (independent when
+    omitted).  Multipath factors are independent across terms, unit mean,
+    with second moment (kappa+1)/kappa.
+    """
+    if not terms:
+        raise ValidationError("scalar_moment_fit requires at least one term")
+    n = len(terms)
+    w = np.array([t.weight for t in terms], dtype=float)
+    s = np.array([t.sigma for t in terms], dtype=float)
+    if np.all(w == 0.0):
+        raise ValidationError("scalar_moment_fit requires at least one positive weight")
+    if corr is None:
+        rho = np.eye(n)
+    else:
+        rho = np.asarray(corr, dtype=float)
+        if rho.shape != (n, n):
+            raise ValidationError(f"corr shape {rho.shape} != ({n}, {n})")
+
+    m1 = float(np.sum(w * np.exp(0.5 * s**2)))
+
+    # E[A_m A_n] exp((s_m^2 + s_n^2)/2 + rho_mn s_m s_n); the diagonal carries
+    # the multipath second moment, cross terms the product of unit means.
+    f2 = np.array([_second_moment_factor(t, fading) for t in terms])
+    cross = np.outer(w, w) * np.exp(
+        0.5 * (s**2)[:, None] + 0.5 * (s**2)[None, :] + rho * np.outer(s, s)
+    )
+    diag_scale = np.ones((n, n))
+    np.fill_diagonal(diag_scale, f2)
+    m2 = float(np.sum(cross * diag_scale))
+
+    if not (math.isfinite(m1) and math.isfinite(m2)) or m1 <= 0.0 or m2 <= 0.0:
+        raise NumericsError(f"moment matching overflowed: M1={m1!r}, M2={m2!r}")
+    var = math.log(m2) - 2.0 * math.log(m1)
+    if var < -1e-9:
+        raise NumericsError(
+            f"moment matching produced negative log-variance {var:.3e}; "
+            "check the supplied correlation matrix"
+        )
+    var = max(var, 0.0)
+    eta = 2.0 * math.log(m1) - 0.5 * math.log(m2)
+    return ScalarLognormal(eta=eta, sigma=math.sqrt(var))
+
+
+def scalar_gh_expectation(
+    fn: Callable[[np.ndarray], np.ndarray],
+    eta: float,
+    sigma: float,
+    nodes: int = QUAD_LADDER[0],
+) -> float:
+    """E[fn(W)] for W = exp(Z), Z ~ N(eta, sigma^2), by one nodes-point Gauss-Hermite rule."""
+    if sigma <= SIGMA_FLOOR:
+        return float(fn(np.array([math.exp(eta)]))[0])
+    t, wgt = _gh_nodes(nodes)
+    x = np.exp(eta + SQRT2 * sigma * t)
+    return float(wgt @ np.asarray(fn(x), dtype=float)) / SQRTPI
 
 
 # ---------------------------------------------------------------------------
@@ -134,14 +230,13 @@ def quad_outage_truth(kappa, sinr_threshold, eta, sigma) -> float:
     return val / math.sqrt(math.pi)
 
 
-def outage_reference(useful, interferers, noise, sinr_threshold, fading=None) -> float:
-    """Per-subset SINR outage, built the long way round.
+def outage_fit_reference(useful, interferers, noise, fading=None) -> ScalarLognormal:
+    """One subset's lognormal fit of the SINR denominator, built the long way round.
 
     The denominator is normalized by the useful term (weights w_n / w_u,
     exponents y_n - y_u), its exponent covariance is written out entry by
-    entry and turned into a correlation matrix, and the general mma_fit
-    matches the two moments.  The tail is then a Q-function, or the
-    scalar Gauss-Hermite ladder when the useful link carries multipath.
+    entry and turned into a correlation matrix, and the general
+    scalar_moment_fit matches the two moments.
     """
     s_u = useful.sigma
     base_sigma = [t.sigma for t in interferers] + [0.0]  # (interferers..., noise)
@@ -161,8 +256,13 @@ def outage_reference(useful, interferers, noise, sinr_threshold, fading=None) ->
         for b in range(m):
             if a != b and tilde[a] > 0.0 and tilde[b] > 0.0:
                 corr[a, b] = cov[a, b] / (tilde[a] * tilde[b])
-    fit = mma_fit(terms, corr=corr, fading=fading)
+    return scalar_moment_fit(terms, corr=corr, fading=fading)
 
+
+def outage_reference(useful, interferers, noise, sinr_threshold, fading=None) -> float:
+    """Per-subset SINR outage from outage_fit_reference: its tail, a Q-function, or the
+    scalar Gauss-Hermite ladder when the useful link carries multipath."""
+    fit = outage_fit_reference(useful, interferers, noise, fading)
     if fading is None or not fading.multipath or not useful.has_multipath:
         if fit.sigma <= 1e-12:
             return 1.0 if -fit.eta < math.log(sinr_threshold) else 0.0
@@ -172,9 +272,9 @@ def outage_reference(useful, interferers, noise, sinr_threshold, fading=None) ->
     def integrand(w):
         return _gamma_cdf_unit_mean(fading.kappa, sinr_threshold * w)
 
-    prev = lognormal_expectation(integrand, fit.eta, fit.sigma, nodes=QUAD_LADDER[0])
+    prev = scalar_gh_expectation(integrand, fit.eta, fit.sigma, nodes=QUAD_LADDER[0])
     for nodes in QUAD_LADDER[1:]:
-        val = lognormal_expectation(integrand, fit.eta, fit.sigma, nodes=nodes)
+        val = scalar_gh_expectation(integrand, fit.eta, fit.sigma, nodes=nodes)
         if abs(val - prev) <= QUAD_TOL:
             return min(max(val, 0.0), 1.0)
         prev = val

@@ -19,9 +19,7 @@ from csmafade.channel import (
     FadingParams,
     PowerTerm,
     detection_probability,
-    lognormal_expectation,
     mean_rx_power,
-    mma_fit,
     outage_probability,
 )
 from csmafade.channel import _gamma_cdf_unit_mean
@@ -340,13 +338,13 @@ def _check_quadrature_refinement():
         (1, 2, 3), (0.25, 0.5, 1.0), (1.0, 3.0, 8.0)
     ):
         pbar = mean_rx_power(0.0, r, chan)
-        approx = mma_fit([PowerTerm(chan.noise_mw / pbar, sigma)])
+        approx = oracles.scalar_moment_fit([PowerTerm(chan.noise_mw / pbar, sigma)])
 
         def integrand(wv):
             return _gamma_cdf_unit_mean(kappa, b * wv)
 
-        v32 = lognormal_expectation(integrand, approx.eta, approx.sigma, nodes=32)
-        v64 = lognormal_expectation(integrand, approx.eta, approx.sigma, nodes=64)
+        v32 = oracles.scalar_gh_expectation(integrand, approx.eta, approx.sigma, nodes=32)
+        v64 = oracles.scalar_gh_expectation(integrand, approx.eta, approx.sigma, nodes=64)
         production = outage_probability(
             PowerTerm(pbar, sigma, True),
             [],

@@ -14,19 +14,17 @@ from hypothesis import strategies as st
 from scipy.special import gammainc, roots_hermite
 
 import oracles
-from oracles import linear_to_db
+from oracles import ScalarLognormal, gaussian_tail, linear_to_db, scalar_moment_fit
 from topo_helpers import one_row
 from csmafade.channel import (
     ChannelParams,
     FadingParams,
-    LognormalApprox,
     PowerTerm,
     detection_probability,
     lognormal_expectation,
     mean_rx_power,
     mma_fit,
     outage_probability,
-    q_function,
     _gamma_cdf_unit_mean,
 )
 import csmafade
@@ -89,17 +87,17 @@ def test_channel_params_validation():
 
 
 def test_q_function_reference_points():
-    assert q_function(0.0) == pytest.approx(0.5)
-    assert q_function(1.6448536) == pytest.approx(0.05, abs=1e-6)
-    assert q_function(-8.0) == pytest.approx(1.0, abs=1e-12)
+    assert gaussian_tail(0.0) == pytest.approx(0.5)
+    assert gaussian_tail(1.6448536) == pytest.approx(0.05, abs=1e-6)
+    assert gaussian_tail(-8.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_q_function_symmetry_and_monotonicity():
     zs = np.linspace(-6.0, 6.0, 41)
-    vals = [q_function(z) for z in zs]
+    vals = [gaussian_tail(z) for z in zs]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     for z in zs:
-        assert q_function(z) + q_function(-z) == pytest.approx(1.0, abs=1e-14)
+        assert gaussian_tail(z) + gaussian_tail(-z) == pytest.approx(1.0, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -107,25 +105,25 @@ def test_q_function_symmetry_and_monotonicity():
 
 
 def test_mma_single_term_is_exact():
-    fit = mma_fit([PowerTerm(1.0, 0.5)])
+    fit = scalar_moment_fit([PowerTerm(1.0, 0.5)])
     assert fit.eta == pytest.approx(0.0, abs=1e-12)
     assert fit.sigma == pytest.approx(0.5, abs=1e-12)
 
 
 def test_mma_single_term_cdf_matches_lognormal_everywhere():
     w, s = 2.3, 1.2
-    fit = mma_fit([PowerTerm(w, s)])
+    fit = scalar_moment_fit([PowerTerm(w, s)])
     for z in np.linspace(-3.0, 3.0, 20):
         t = math.exp(math.log(w) + s * z)
-        exact = q_function((math.log(t) - math.log(w)) / s)
+        exact = gaussian_tail((math.log(t) - math.log(w)) / s)
         assert fit.tail_probability(t) == pytest.approx(exact, abs=1e-12)
 
 
 def test_mma_weight_scaling_shifts_eta_only():
     terms = [PowerTerm(1.0, 0.8), PowerTerm(0.4, 1.5)]
-    base = mma_fit(terms)
+    base = scalar_moment_fit(terms)
     for c in (0.01, 0.5, 3.0, 250.0):
-        scaled = mma_fit([PowerTerm(c * t.weight, t.sigma) for t in terms])
+        scaled = scalar_moment_fit([PowerTerm(c * t.weight, t.sigma) for t in terms])
         assert scaled.eta - base.eta == pytest.approx(math.log(c), abs=1e-10)
         assert scaled.sigma == pytest.approx(base.sigma, abs=1e-12)
 
@@ -163,14 +161,14 @@ def test_mma_reproduces_exact_moments():
         ),
     ]
     for terms, corr, fad in cases:
-        fit = mma_fit(terms, corr=np.array(corr) if corr else None, fading=fad)
+        fit = scalar_moment_fit(terms, corr=np.array(corr) if corr else None, fading=fad)
         m1, m2 = _direct_moments(terms, corr, fad)
         assert math.exp(fit.eta + 0.5 * fit.sigma**2) == pytest.approx(m1, rel=1e-12)
         assert math.exp(2.0 * fit.eta + 2.0 * fit.sigma**2) == pytest.approx(m2, rel=1e-12)
 
 
 def test_mma_two_term_moments_vs_monte_carlo():
-    fit = mma_fit([PowerTerm(1.0, 1.0), PowerTerm(1.0, 1.0)])
+    fit = scalar_moment_fit([PowerTerm(1.0, 1.0), PowerTerm(1.0, 1.0)])
     model_mean = math.exp(fit.eta + 0.5 * fit.sigma**2)
     model_var = (math.exp(fit.sigma**2) - 1.0) * math.exp(2 * fit.eta + fit.sigma**2)
     mc_mean, mc_var, _, _ = oracles.mc_sum_moments(
@@ -182,11 +180,11 @@ def test_mma_two_term_moments_vs_monte_carlo():
 
 def test_mma_rejects_bad_input():
     with pytest.raises(ValidationError):
-        mma_fit([])
+        scalar_moment_fit([])
     with pytest.raises(ValidationError):
-        mma_fit([PowerTerm(0.0, 1.0)])
+        scalar_moment_fit([PowerTerm(0.0, 1.0)])
     with pytest.raises(ValidationError):
-        mma_fit([PowerTerm(1.0, 1.0)], corr=np.eye(3))
+        scalar_moment_fit([PowerTerm(1.0, 1.0)], corr=np.eye(3))
 
 
 def test_fading_params_validation():
@@ -206,7 +204,7 @@ def test_detection_threshold_below_support():
 
 
 def test_detection_at_median():
-    fit = mma_fit([PowerTerm(3.0, 1.1)])
+    fit = scalar_moment_fit([PowerTerm(3.0, 1.1)])
     p = detection_probability([PowerTerm(3.0, 1.1)], one_row(1), math.exp(fit.eta))[0]
     assert p == pytest.approx(0.5)
 
@@ -377,8 +375,9 @@ def test_outage_validates_terms():
 @pytest.mark.parametrize("kappa", [None, 1.5, 2.0])
 @pytest.mark.parametrize("sigma", [0.0, 1.0, 2.0])
 def test_batched_outage_matches_per_subset_reference(sigma, kappa):
-    # closed-form subset moments against the explicit covariance + mma_fit
-    # construction, with interferer spreads unequal to the useful link's
+    # closed-form subset moments against the explicit covariance +
+    # scalar_moment_fit construction, with interferer spreads unequal to the
+    # useful link's
     chan = ChannelParams()
     b = chan.sinr_threshold
     noise = PowerTerm(chan.noise_mw)
@@ -548,8 +547,36 @@ def test_runtime_imports_no_scipy(tmp_path):
 
 
 def test_lognormal_expectation_degenerate_sigma():
-    val = lognormal_expectation(lambda w: w**2, eta=0.3, sigma=0.0)
-    assert val == pytest.approx(math.exp(0.6), rel=1e-12)
+    # E[W^2] = exp(2 eta + 2 sigma^2); a sigma-0 row is the point value
+    eta, sigma = np.array([0.3, 0.3, -1.0]), np.array([0.0, 0.5, 1e-13])
+    val = lognormal_expectation(lambda w: w**2, eta, sigma)
+    assert val == pytest.approx(np.exp(2.0 * eta + 2.0 * sigma**2), rel=1e-12)
+    assert val[2] == math.exp(-1.0) ** 2
+    scalar = oracles.scalar_gh_expectation(lambda w: w**2, eta=0.3, sigma=0.0)
+    assert scalar == pytest.approx(math.exp(0.6), rel=1e-12)
+
+
+@pytest.mark.parametrize("kappa", [None, 2.0])
+def test_mma_fit_matches_the_scalar_fit_with_induced_correlation(kappa):
+    # the closed-form subset moments against the explicit covariance and the
+    # general correlated fit, subset by subset
+    chan = ChannelParams()
+    fading = FadingParams(sigma=1.5, kappa=kappa)
+    rng = np.random.default_rng(5)
+    useful = PowerTerm(mean_rx_power(0.0, 2.0, chan), 1.5, kappa is not None)
+    terms = [
+        PowerTerm(mean_rx_power(0.0, rng.uniform(1.0, 12.0), chan),
+                  float(rng.choice([0.0, 0.75, 1.5])), kappa is not None and bool(n % 2))
+        for n in range(5)
+    ]
+    members = (np.arange(32)[:, None] >> np.arange(5) & 1).astype(bool)
+    noise = PowerTerm(chan.noise_mw)
+    eta, sigma = mma_fit(useful, terms, members, noise, fading)
+    for row, e, s in zip(members, eta, sigma):
+        chosen = [t for t, on in zip(terms, row) if on]
+        want = oracles.outage_fit_reference(useful, chosen, noise, fading)
+        assert e == pytest.approx(want.eta, abs=1e-12)
+        assert s == pytest.approx(want.sigma, abs=1e-12)
 
 
 def test_outage_quadrature_matches_adaptive_integration():
@@ -615,7 +642,7 @@ def test_outage_probability_in_unit_interval(wu, wi, su, si, b, kappa):
 
 
 def test_lognormal_approx_tail_is_valid_probability():
-    fit = LognormalApprox(eta=-1.0, sigma=0.0)  # point mass at exp(-1) ~ 0.368
+    fit = ScalarLognormal(eta=-1.0, sigma=0.0)  # point mass at exp(-1) ~ 0.368
     assert fit.tail_probability(0.3) == 1.0
     assert fit.tail_probability(0.5) == 0.0
     assert fit.tail_probability(-3.0) == 1.0

@@ -150,6 +150,8 @@ def test_malformed_value_reports_json_error(config_file, tmp_path, capsys, overr
         ("topology.spacing_m=1e-300", "topology.spacing_m"),
         ("topology.next_hop=[-1, .inf, 0]", "topology.next_hop"),
         ("topology.next_hop=[-1, 0, 1.5]", "topology.next_hop"),
+        # a star routes itself: an explicit next_hop would be ignored
+        ("topology.next_hop=[-1, -1, 0]", "next_hop is read by kind 'explicit' only"),
         ("sim.master_seed=-1", "master_seed"),
     ],
 )
@@ -177,17 +179,21 @@ def test_output_directory_that_is_a_file_is_a_json_error(config_file, tmp_path, 
 def test_unwritable_output_name_fails_before_any_point_runs(
     config_file, tmp_path, capsys, monkeypatch, command
 ):
-    # the scenario id names the CSV; "a/b" puts it in a directory that does not exist
+    # the scenario id names the CSV: it must be a bare file name, so neither
+    # "a/b" nor "../escaped" reaches another directory, and a null byte is refused
     def no_point(args):
         raise AssertionError("a sweep point ran before the output path was checked")
 
     monkeypatch.setattr(sweep, "_point_task", no_point)
-    rc = main([command, "--config", str(config_file), "--set", "scenario_id=a/b",
-               "--out", str(tmp_path)])
-    assert rc == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ValidationError"
-    assert f"cannot write {tmp_path / 'a' / f'b_{command}.csv'}" in err["message"]
+    out = tmp_path / "out"
+    for scenario_id, name in (("a/b", "a/b"), ("../escaped", "../escaped"),
+                              ('"a\\x00b"', "a\x00b")):
+        rc = main([command, "--config", str(config_file), "--set", f"scenario_id={scenario_id}",
+                   "--out", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError"
+        assert f"cannot write {out / f'{name}_{command}.csv'}" in err["message"]
     assert not list(tmp_path.rglob("*.csv"))
 
 

@@ -42,15 +42,18 @@ def test_tracer_installs_and_uninstalls_every_hook(tmp_path):
 
 
 def test_traced_analytic_sweep_times_the_channel_fits(tmp_path):
+    # the kappa = 2 point takes the quadrature path of the outage
     tracing = _tracing_module()
     tracer = tracing.Tracer(tmp_path / "spool")
     config = load_config(ROOT / "configs" / "tiny3.yaml")
-    spec = sweep.SweepSpec(engine="analytic")
+    spec = sweep.SweepSpec(parameters=(("fading.kappa", (None, 2.0)),), engine="analytic")
     tracer.install()
     try:
         tracer.sweep(sweep.run_sweep, config, spec, out_dir=tmp_path)
     finally:
         tracer.uninstall()
     names = [span[tracing.NAME] for span in tracer.spans]
-    assert names.count("sweep.point") == 1
-    assert "channel.detection" in names and "channel.outage" in names
+    assert names.count("sweep.point") == 2
+    for name in ("channel.detection", "channel.outage", "channel.mma_fit", "channel.quad"):
+        assert name in names, name
+    assert names.count("channel.mma_fit") == names.count("channel.outage")

@@ -152,6 +152,14 @@ def test_explicit_positions_must_be_finite_pairs():
         scenario_of("topology: {kind: explicit, positions_m: [[0, 0], 5], next_hop: [-1, 0]}")
 
 
+@pytest.mark.parametrize("kind", ["star", "line", "tree"])
+def test_generated_topologies_refuse_explicit_routing_and_placement(kind):
+    with pytest.raises(ValidationError, match=f"next_hop .* only, not '{kind}'"):
+        Topology(kind=kind, n_nodes=3, next_hop=(-1, -1, 0))
+    with pytest.raises(ValidationError, match=r"invalid config value in topology: positions_m"):
+        scenario_of(f"topology: {{kind: {kind}, n_nodes: 2, positions_m: [[0, 0], [1, 0]]}}")
+
+
 def test_coincident_nodes_are_a_config_error():
     with pytest.raises(ValidationError, match="distance"):
         scenario_of("topology: {kind: explicit, positions_m: [[1, 2], [1, 2]], next_hop: [-1, 0]}")
@@ -302,15 +310,11 @@ def test_shared_rows_equal_the_per_link_construction(topology, kappa):
 
 def test_tables_fit_each_distinct_subset_sum_once(monkeypatch):
     # at most one batched detection and one batched outage call per link, which
-    # see each distinct subset sum once; no moment-matching reference fit or
-    # scalar quadrature may run while the tables are built
-    def reference_work(*args, **kwargs):
-        raise AssertionError("reference channel work in build_contention_tables")
-
-    for name in ("mma_fit", "lognormal_expectation"):
-        monkeypatch.setattr(channel, name, reference_work)
+    # see each distinct subset sum once; each outage call makes one moment fit
+    # and, the useful link carrying multipath, one quadrature pass, both over
+    # its whole table
     fitted = {"detection_probability": [], "outage_probability": []}
-    calls = {name: 0 for name in fitted}
+    calls = {name: 0 for name in (*fitted, "mma_fit", "lognormal_expectation")}
 
     def chosen(terms, members):
         return [tuple(sorted(t.weight for t, on in zip(terms, row) if on)) for row in members]
@@ -325,6 +329,17 @@ def test_tables_fit_each_distinct_subset_sum_once(monkeypatch):
         fitted["outage_probability"] += [(useful.weight, *c) for c in chosen(terms, members)]
         return _fn(useful, terms, members, *args)
 
+    def counted(name):
+        fn = getattr(channel, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("mma_fit", "lognormal_expectation"):
+        monkeypatch.setattr(channel, name, counted(name))
     monkeypatch.setattr(channel, "detection_probability", detection)
     monkeypatch.setattr(channel, "outage_probability", outage)
     s = scenario_of(
@@ -335,6 +350,7 @@ def test_tables_fit_each_distinct_subset_sum_once(monkeypatch):
     assert len(tables) == n_links == 9 and len(tables[0].p_out) == 2**k
     assert 1 <= calls["detection_probability"] <= n_links
     assert 1 <= calls["outage_probability"] <= n_links
+    assert calls["mma_fit"] == calls["lognormal_expectation"] == calls["outage_probability"]
 
     # the distinct multisets of gains over all links' subsets, counted the long way
     gain, bits = s.mean_gain_mw, _bit_matrix(k)

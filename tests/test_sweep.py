@@ -262,6 +262,22 @@ def test_negative_seed_is_an_error_row_and_the_sweep_continues(tmp_path):
     assert len(good) == 9 and all(r["warnings"] == "" for r in good)
 
 
+def test_routing_on_a_generated_topology_is_an_error_row(tmp_path):
+    # a star or a line makes its own routing and placement, so an explicit
+    # next_hop or positions_m would be ignored: the point is refused instead
+    config = tiny_config()
+    config["topology"] = {"kind": "explicit", "positions_m": [[0, 0], [1, 0], [0, 1]],
+                          "next_hop": [-1, 0, 0]}
+    config["sweep"]["engine"] = "analytic"
+    config["sweep"]["parameters"] = [{"path": "topology.kind", "values": ["line", "explicit"]}]
+    rows = read_rows(run_sweep(config, sweep_from_config(config), out_dir=tmp_path))
+    bad = [r for r in rows if r["topology.kind"] == "line"]
+    good = [r for r in rows if r["topology.kind"] == "explicit"]
+    assert len(bad) == 1 and bad[0]["metric"] == "error"
+    assert "positions_m is read by kind 'explicit' only, not 'line'" in bad[0]["warnings"]
+    assert len(good) > 1 and all(r["metric"] != "error" for r in good)
+
+
 def test_solver_damping_is_an_error_row_per_point(tmp_path):
     config = tiny_config()
     config["sweep"]["engine"] = "analytic"
