@@ -10,6 +10,7 @@ comparisons.
 from .channel import ChannelParams, FadingParams, PowerTerm, mean_rx_power
 from .errors import ConvergenceError, NumericsError, ValidationError
 from .macmodel import (
+    Chain,
     ContentionSystem,
     LinkTables,
     MacParams,
@@ -18,13 +19,14 @@ from .macmodel import (
     arrival_probability,
     solve_fixed_point,
 )
-from .metrics import PowerProfile, expected_delay, reliability, report
+from .metrics import PowerProfile, expected_delay, report
 from .multihop import NetworkSolution, end_to_end_reliability, solve_network
 from .scenarios import Scenario, Topology, load_config
 from .simulator import SimConfig, SimNetwork, SimStats, run_experiment, run_replication
 from .sweep import SweepSpec, run_sweep, sweep_from_config
 
 __all__ = [
+    "Chain",
     "ChannelParams",
     "ContentionSystem",
     "ConvergenceError",
@@ -49,7 +51,6 @@ __all__ = [
     "expected_delay",
     "load_config",
     "mean_rx_power",
-    "reliability",
     "report",
     "run_experiment",
     "run_replication",

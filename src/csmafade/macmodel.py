@@ -9,9 +9,10 @@ are precomputed once per scenario.  Anderson acceleration of the Jacobi
 map (Walker & Ni, "Anderson acceleration for fixed-point iterations", SIAM
 J. Numer. Anal. 2011) closes the system.
 
-All chain formulas are evaluated as direct finite sums over backoff stages
-and retry attempts (windows capped at 2^mb), which is algebraically identical
-to the usual two-branch closed forms but free of their removable
+The chain's sums over CCA rounds and retry attempts live in one place,
+`Chain`, which the fixed point, the relay traffic and the metrics all read.
+They are direct finite sums (windows capped at 2^mb), algebraically
+identical to the usual two-branch closed forms but free of their removable
 singularities at alpha = 1/2 and xi = 1.
 
 Durations count backoff units of the one symbol clock both engines run on,
@@ -149,14 +150,33 @@ def arrival_probability(lambda_pkt_per_s: float) -> float:
     return 1.0 - math.exp(-lambda_pkt_per_s * UNIT_SECONDS)
 
 
-def xi_value(alpha: Values, gamma: Values, mac: MacParams) -> Values:
-    """Retry-branch probability: packet lost after a completed transmission."""
-    return gamma * (1.0 - alpha ** (mac.m + 1))
+class Chain:
+    """One evaluation of the CSMA/CA chain of CCA rounds and retries at (alpha, gamma).
+
+    CCA round j is reached with weight rounds[j] = alpha^j, and all m + 1
+    rounds find the channel busy with probability busy = alpha^(m+1).  An
+    attempt that gets the channel is lost with probability xi = gamma (1 - busy),
+    and attempt h is reached with weight retries[h] = xi^h.  Each sum is taken
+    in index order.  Works elementwise on arrays.
+    """
+
+    def __init__(self, alpha: Values, gamma: Values, mac: MacParams) -> None:
+        if not np.all((0.0 <= alpha) & (alpha <= 1.0) & (0.0 <= gamma) & (gamma <= 1.0)):
+            raise ValidationError(f"alpha={alpha}, gamma={gamma} must lie in [0, 1]")
+        self.alpha, self.gamma, self.mac = alpha, gamma, mac
+        self.rounds = [alpha**j for j in range(mac.m + 1)]
+        self.busy = alpha ** (mac.m + 1)
+        self.xi = gamma * (1.0 - self.busy)
+        self.retries = [self.xi**h for h in range(mac.n + 1)]
+        self.round_sum = sum(self.rounds)
+        self.retry_sum = sum(self.retries)
+        # discard by channel-access failure, and by retry exhaustion
+        self.p_cf = self.busy * self.retry_sum
+        self.p_cr = self.xi ** (mac.n + 1)
+        self.reliability = 1.0 - self.p_cf - self.p_cr
 
 
-def cca_probability(
-    alpha: Values, gamma: Values, q: Values, mac: MacParams, timing: TimingParams
-) -> tuple[Values, Values]:
+def cca_probability(chain: Chain, q: Values, timing: TimingParams) -> tuple[Values, Values]:
     """Per-slot CCA probability tau and idle-state probability b000.
 
     Renewal-reward over one packet cycle: backoff-and-sense slots per CCA
@@ -164,28 +184,22 @@ def cca_probability(
     after each outcome (single-packet queue, so the queue is always empty
     when a packet leaves).  Works elementwise on arrays.
     """
-    if not np.all((0.0 <= alpha) & (alpha < 1.0)):
-        raise ValidationError(f"alpha {alpha} outside [0, 1)")
-    if not np.all((0.0 <= gamma) & (gamma <= 1.0)):
-        raise ValidationError(f"gamma {gamma} outside [0, 1]")
+    if not np.all(chain.alpha < 1.0):
+        raise ValidationError(f"alpha {chain.alpha} outside [0, 1)")
     if not np.all((0.0 < q) & (q <= 1.0)):
         raise ValidationError(f"arrival probability q {q} outside (0, 1]")
 
-    xi = xi_value(alpha, gamma, mac)
-    geo_alpha = sum(alpha**j for j in range(mac.m + 1))
-    geo_xi = sum(xi**h for h in range(mac.n + 1))
-    p_cf_attempt = alpha ** (mac.m + 1)
-
-    backoff_slots = sum(alpha**j * (w + 1) / 2.0 for j, w in enumerate(mac.windows))
-    service = (timing.ls * (1.0 - gamma) + timing.lc * gamma) * (1.0 - p_cf_attempt)
+    gamma, busy, geo_xi = chain.gamma, chain.busy, chain.retry_sum
+    backoff_slots = sum(r * (w + 1) / 2.0 for r, w in zip(chain.rounds, chain.mac.windows))
+    service = (timing.ls * (1.0 - gamma) + timing.lc * gamma) * (1.0 - busy)
     idle = (
-        1.0 / q * p_cf_attempt * geo_xi
-        + 1.0 / q * xi ** (mac.n + 1)
-        + 1.0 / q * (1.0 - gamma) * (1.0 - p_cf_attempt) * geo_xi
+        1.0 / q * busy * geo_xi
+        + 1.0 / q * chain.p_cr
+        + 1.0 / q * (1.0 - gamma) * (1.0 - busy) * geo_xi
     )
     inv_b000 = backoff_slots * geo_xi + service * geo_xi + idle
     b000 = 1.0 / inv_b000
-    tau = geo_alpha * geo_xi * b000
+    tau = chain.round_sum * geo_xi * b000
     return tau, b000
 
 
@@ -335,15 +349,16 @@ def solve_fixed_point(
     system: ContentionSystem,
     config: SolverConfig = SolverConfig(),
     init: tuple[float, float] = (0.0, 0.0),
-    arrivals: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+    arrivals: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> SolveResult:
     """Anderson-accelerated iteration of the (alpha, gamma) map of all links.
 
-    One application of the map takes x = (alpha, gamma) to g(x): tau and
-    b000 from (alpha, gamma, q), then the contention terms.  The arrival
-    probabilities q are `system.qs` throughout, or, when `arrivals` is
-    given, arrivals(alpha, gamma) of the current state (forwarded traffic).
-    Links with q = 0 never transmit and are held at tau = b000 = 0.
+    One application of the map takes x = (alpha, gamma) to g(x): one Chain
+    of x, tau and b000 from the chain and q, then the contention terms.
+    The arrival probabilities q are `system.qs` throughout, or, when
+    `arrivals` is given, arrivals(reliability) of the chain's per-link
+    reliability (forwarded traffic).  Links with q = 0 never transmit and
+    are held at tau = b000 = 0.
 
     The first step is x + MIXING * f with residual f = g(x) - x; each later
     step mixes the last ANDERSON_DEPTH + 1 iterates and residuals by a
@@ -357,14 +372,12 @@ def solve_fixed_point(
     warnings: list[str] = []
 
     def cca(alphas: np.ndarray, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        qs = system.qs if arrivals is None else arrivals(alphas, gammas)
+        chain = Chain(alphas, gammas, system.mac)
+        qs = system.qs if arrivals is None else arrivals(chain.reliability)
         active = qs > 0.0
-        taus = np.zeros(n)
-        b000s = np.zeros(n)
-        taus[active], b000s[active] = cca_probability(
-            alphas[active], gammas[active], qs[active], system.mac, system.timing
-        )
-        return taus, b000s
+        # a silent link's chain is evaluated at q = 1 and its result dropped
+        taus, b000s = cca_probability(chain, np.where(active, qs, 1.0), system.timing)
+        return np.where(active, taus, 0.0), np.where(active, b000s, 0.0)
 
     mixing = MIXING
     xs: list[np.ndarray] = []  # the last iterates and their residuals, oldest first

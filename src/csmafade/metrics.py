@@ -1,9 +1,10 @@
 """Closed-form performance indicators from solved per-link MAC states.
 
 Reliability, mean delay of successfully delivered packets, and average power
-draw all follow from (tau, alpha, gamma, b000) of each link.  Geometric
-factors are evaluated as finite sums over backoff rounds and retry attempts,
-so the expressions stay defined at the usual removable singularities.
+draw all follow from (tau, alpha, gamma, b000) of each link.  The sums over
+backoff rounds and retry attempts they need are read from one `Chain`
+evaluation per state (see macmodel), so the expressions stay defined at the
+usual removable singularities.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .macmodel import UNIT_SECONDS, LinkState, MacParams, TimingParams, Values, _rowdot, xi_value
+from .macmodel import UNIT_SECONDS, Chain, LinkState, MacParams, TimingParams, Values
 
 
 @dataclass(frozen=True)
@@ -33,55 +34,19 @@ class PowerProfile:
                 raise ValidationError(f"power draw {name} must be >= 0")
 
 
-def discard_probabilities(alpha: Values, gamma: Values, mac: MacParams) -> tuple[Values, Values]:
-    """(p_cf, p_cr): discard by channel-access failure and by retry exhaustion."""
-    if not np.all((0.0 <= alpha) & (alpha <= 1.0) & (0.0 <= gamma) & (gamma <= 1.0)):
-        raise ValidationError(f"alpha={alpha}, gamma={gamma} must lie in [0, 1]")
-    xi = xi_value(alpha, gamma, mac)
-    p_cf = alpha ** (mac.m + 1) * sum(xi**j for j in range(mac.n + 1))
-    p_cr = xi ** (mac.n + 1)
-    return p_cf, p_cr
-
-
-def reliability(alpha: Values, gamma: Values, mac: MacParams) -> Values:
-    """Probability that a packet leaving the queue is eventually delivered."""
-    p_cf, p_cr = discard_probabilities(alpha, gamma, mac)
-    return 1.0 - p_cf - p_cr
-
-
-def cca_rounds_distribution(alpha: Values, mac: MacParams) -> np.ndarray:
-    """Pr[r busy CCAs before the clear one | access succeeds], r = 0..m, on a last axis."""
-    weights = np.stack([alpha**r for r in range(mac.m + 1)], axis=-1)
-    return weights / weights.sum(axis=-1, keepdims=True)
-
-
-def retry_distribution(alpha: Values, gamma: Values, mac: MacParams) -> np.ndarray:
-    """Pr[h failed transmissions before the delivered one | success], h = 0..n, on a last axis."""
-    xi = xi_value(alpha, gamma, mac)
-    weights = np.stack([xi**h for h in range(mac.n + 1)], axis=-1)
-    return weights / weights.sum(axis=-1, keepdims=True)
-
-
-def mean_access_time(alpha: Values, mac: MacParams, timing: TimingParams) -> Values:
-    """Mean backoff-and-sense time of one successful channel access, in backoff units."""
-    rounds = cca_rounds_distribution(alpha, mac)
-    cum_backoff = np.cumsum([(w - 1) / 2.0 for w in mac.windows])
-    per_round = np.arange(1, mac.m + 2) * timing.t_sc + cum_backoff
-    return _rowdot(rounds, per_round)
-
-
-def expected_delay(alpha: Values, gamma: Values, mac: MacParams, timing: TimingParams) -> Values:
+def expected_delay(chain: Chain, timing: TimingParams) -> Values:
     """Mean delay of successfully delivered packets, in seconds.
 
     NaN where the success probability is zero (at most 1e-15).
     """
-    retries = retry_distribution(alpha, gamma, mac)
-    e_t = mean_access_time(alpha, mac, timing)
+    cum_backoff = np.cumsum([(w - 1) / 2.0 for w in chain.mac.windows])
+    per_round = (np.arange(1, chain.mac.m + 2) * timing.t_sc + cum_backoff).tolist()
+    e_t = sum(r / chain.round_sum * t for r, t in zip(chain.rounds, per_round))
     backoff_units = sum(
-        retries[..., h] * (timing.ls + h * timing.lc + (h + 1) * e_t)
-        for h in range(mac.n + 1)
+        x / chain.retry_sum * (timing.ls + h * timing.lc + (h + 1) * e_t)
+        for h, x in enumerate(chain.retries)
     )
-    success = reliability(alpha, gamma, mac) > 1e-15
+    success = chain.reliability > 1e-15
     return np.where(success, backoff_units * UNIT_SECONDS, math.nan)[()]
 
 
@@ -98,12 +63,6 @@ class EnergyBreakdown:
     @property
     def total(self) -> np.ndarray:
         return self.backoff + self.sense + self.transmit + self.queue + self.relay
-
-
-def _mean_window(alpha: Values, mac: MacParams) -> Values:
-    """Backoff window averaged over CCA rounds, capped at 2^mb."""
-    weights = [alpha**j for j in range(mac.m + 1)]
-    return sum(w * win for w, win in zip(weights, mac.windows)) / sum(weights)
 
 
 def _transaction_power(
@@ -123,8 +82,8 @@ def _transaction_power(
 
 def energy_rate(
     state: LinkState,
+    chain: Chain,
     profile: PowerProfile,
-    mac: MacParams,
     timing: TimingParams,
     next_link: np.ndarray | None = None,
 ) -> EnergyBreakdown:
@@ -133,19 +92,21 @@ def energy_rate(
     next_link[l] is the index of the link whose transmitter relays link l's
     packets, or -1 where l delivers to a node that does not transmit.
     Transmitters that relay idle-listen while waiting, the others sleep.
+    chain is the chain of the state's (alpha, gamma).
     """
     n = len(state.tau)
     next_link = np.full(n, -1) if next_link is None else np.asarray(next_link, dtype=int)
     if next_link.shape != (n,):
         raise ValidationError("next_link must have one entry per link")
     relayed = next_link >= 0
-    alpha = state.alpha
-    e_t = _transaction_power(alpha, state.gamma, state.tau, profile, timing)
+    e_t = _transaction_power(chain.alpha, chain.gamma, state.tau, profile, timing)
     is_relay = np.isin(np.arange(n), next_link)
     e_x = np.zeros(n)
     np.add.at(e_x, next_link[relayed], e_t[relayed])  # adds children in link order
+    # the backoff window averaged over the CCA rounds reached
+    mean_window = sum(r * w for r, w in zip(chain.rounds, chain.mac.windows)) / chain.round_sum
     return EnergyBreakdown(
-        backoff=profile.p_idle * (state.tau / 2.0) * (_mean_window(alpha, mac) + 1.0),
+        backoff=profile.p_idle * (state.tau / 2.0) * (mean_window + 1.0),
         sense=profile.p_sense * state.tau,
         transmit=e_t,
         queue=np.where(is_relay, profile.p_idle, profile.p_sleep) * state.b000,
@@ -185,11 +146,11 @@ def report(
     next_link: np.ndarray | None = None,
 ) -> MetricsReport:
     """Assemble per-link reliability, delay, and power into one report."""
-    p_cf, p_cr = discard_probabilities(state.alpha, state.gamma, mac)
+    chain = Chain(state.alpha, state.gamma, mac)
     return MetricsReport(
-        reliability=1.0 - p_cf - p_cr,
-        p_cf=p_cf,
-        p_cr=p_cr,
-        delay_seconds=expected_delay(state.alpha, state.gamma, mac, timing),
-        energy=energy_rate(state, profile, mac, timing, next_link),
+        reliability=chain.reliability,
+        p_cf=chain.p_cf,
+        p_cr=chain.p_cr,
+        delay_seconds=expected_delay(chain, timing),
+        energy=energy_rate(state, chain, profile, timing, next_link),
     )

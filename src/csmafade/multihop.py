@@ -135,7 +135,7 @@ def solve_network(
 
     When some transmitter relays, every iteration of the MAC fixed point
     takes its arrival probabilities from the link traffic of its current
-    (alpha, gamma), so config.tol bounds the residual of the joint map.
+    per-link reliability, so config.tol bounds the residual of the joint map.
     tables[l] must describe the link of the l-th node with a next hop;
     contending link indices inside each table refer to positions in that
     same order.
@@ -157,9 +157,9 @@ def solve_network(
     system = ContentionSystem(qs=qs, mac=mac, timing=timing, tables=tables)
     moved = 0
 
-    def arrivals(alpha, gamma):
+    def arrivals(reliability):
         nonlocal qs, moved
-        new_qs = probabilities(link_traffic(lam, next_link, metrics.reliability(alpha, gamma, mac)))
+        new_qs = probabilities(link_traffic(lam, next_link, reliability))
         moved += not np.array_equal(new_qs, qs)
         qs = new_qs
         return qs

@@ -47,6 +47,9 @@ from .units import db_to_neper
 # Contention subsets are enumerated exhaustively; 2^14 tables per link is the
 # supported ceiling.
 MAX_CONTENDERS = 14
+# Every scenario derives distances and mean gains of all node pairs when it
+# is built; the node count is checked before that O(n^2) work starts.
+MAX_NODES = 1024
 
 
 @dataclass(frozen=True)
@@ -87,6 +90,8 @@ class Topology:
                 raise ValidationError("spacing_m must be positive")
             if self.kind == "tree" and self.branching < 1:
                 raise ValidationError("tree branching must be >= 1")
+        if self.size > MAX_NODES:
+            raise ValidationError(f"{self.size} topology nodes, beyond the limit of {MAX_NODES}")
 
     @property
     def size(self) -> int:

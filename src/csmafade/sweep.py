@@ -315,16 +315,21 @@ def _csv_path(out_dir, name: str) -> Path:
 
     Checked before any point runs, and no file is left behind.  A name that
     is not a bare file name, or an OSError or ValueError (a null byte),
-    becomes a ValidationError that names the path.
+    becomes a ValidationError that names the path; the directories this
+    call created for it are removed again, deepest first.
     """
     path = Path(out_dir) / name
     if Path(name).name != name:
         raise ValidationError(f"cannot write {path}: {name!r} is not a bare file name")
+    missing = [d for d in (Path(out_dir), *Path(out_dir).parents) if not d.exists()]
     try:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
         existed = path.exists()
         open(path, "a").close()
     except (OSError, ValueError) as exc:
+        for made in missing:
+            if made.is_dir():
+                made.rmdir()
         raise ValidationError(f"cannot write {path}: {exc}") from exc
     if not existed:
         path.unlink()

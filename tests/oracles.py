@@ -33,12 +33,16 @@ from csmafade.channel import (
 from csmafade.errors import ConvergenceError, NumericsError, ValidationError
 from csmafade.macmodel import (
     ALPHA_CAP,
+    UNIT_SECONDS,
     ContentionSystem,
     LinkState,
+    MacParams,
     SolveResult,
     SolverConfig,
+    TimingParams,
+    Values,
+    _rowdot,
     arrival_probability,
-    cca_probability,
     contention_terms,
     solve_fixed_point,
 )
@@ -313,6 +317,111 @@ def h_literal(taus, alphas, chi) -> float:
 
 
 # ---------------------------------------------------------------------------
+# The chain quantities one function each, every one with its own sums and
+# range checks: the form the package had before one `Chain` fed them all.
+# tau, b000, p_cf, p_cr and reliability of the package must equal these
+# bit for bit; delay and the mean window differ only in summation order.
+
+
+def xi_value(alpha: Values, gamma: Values, mac: MacParams) -> Values:
+    """Retry-branch probability: packet lost after a completed transmission."""
+    return gamma * (1.0 - alpha ** (mac.m + 1))
+
+
+def cca_reference(
+    alpha: Values, gamma: Values, q: Values, mac: MacParams, timing: TimingParams
+) -> tuple[Values, Values]:
+    """Per-slot CCA probability tau and idle-state probability b000.
+
+    Renewal-reward over one packet cycle: backoff-and-sense slots per CCA
+    round, transaction durations, and the idle wait for the next arrival
+    after each outcome (single-packet queue, so the queue is always empty
+    when a packet leaves).  Works elementwise on arrays.
+    """
+    if not np.all((0.0 <= alpha) & (alpha < 1.0)):
+        raise ValidationError(f"alpha {alpha} outside [0, 1)")
+    if not np.all((0.0 <= gamma) & (gamma <= 1.0)):
+        raise ValidationError(f"gamma {gamma} outside [0, 1]")
+    if not np.all((0.0 < q) & (q <= 1.0)):
+        raise ValidationError(f"arrival probability q {q} outside (0, 1]")
+
+    xi = xi_value(alpha, gamma, mac)
+    geo_alpha = sum(alpha**j for j in range(mac.m + 1))
+    geo_xi = sum(xi**h for h in range(mac.n + 1))
+    p_cf_attempt = alpha ** (mac.m + 1)
+
+    backoff_slots = sum(alpha**j * (w + 1) / 2.0 for j, w in enumerate(mac.windows))
+    service = (timing.ls * (1.0 - gamma) + timing.lc * gamma) * (1.0 - p_cf_attempt)
+    idle = (
+        1.0 / q * p_cf_attempt * geo_xi
+        + 1.0 / q * xi ** (mac.n + 1)
+        + 1.0 / q * (1.0 - gamma) * (1.0 - p_cf_attempt) * geo_xi
+    )
+    inv_b000 = backoff_slots * geo_xi + service * geo_xi + idle
+    b000 = 1.0 / inv_b000
+    tau = geo_alpha * geo_xi * b000
+    return tau, b000
+
+
+def discard_probabilities(alpha: Values, gamma: Values, mac: MacParams) -> tuple[Values, Values]:
+    """(p_cf, p_cr): discard by channel-access failure and by retry exhaustion."""
+    if not np.all((0.0 <= alpha) & (alpha <= 1.0) & (0.0 <= gamma) & (gamma <= 1.0)):
+        raise ValidationError(f"alpha={alpha}, gamma={gamma} must lie in [0, 1]")
+    xi = xi_value(alpha, gamma, mac)
+    p_cf = alpha ** (mac.m + 1) * sum(xi**j for j in range(mac.n + 1))
+    p_cr = xi ** (mac.n + 1)
+    return p_cf, p_cr
+
+
+def reliability(alpha: Values, gamma: Values, mac: MacParams) -> Values:
+    """Probability that a packet leaving the queue is eventually delivered."""
+    p_cf, p_cr = discard_probabilities(alpha, gamma, mac)
+    return 1.0 - p_cf - p_cr
+
+
+def cca_rounds_distribution(alpha: Values, mac: MacParams) -> np.ndarray:
+    """Pr[r busy CCAs before the clear one | access succeeds], r = 0..m, on a last axis."""
+    weights = np.stack([alpha**r for r in range(mac.m + 1)], axis=-1)
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
+def retry_distribution(alpha: Values, gamma: Values, mac: MacParams) -> np.ndarray:
+    """Pr[h failed transmissions before the delivered one | success], h = 0..n, on a last axis."""
+    xi = xi_value(alpha, gamma, mac)
+    weights = np.stack([xi**h for h in range(mac.n + 1)], axis=-1)
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
+def mean_access_time(alpha: Values, mac: MacParams, timing: TimingParams) -> Values:
+    """Mean backoff-and-sense time of one successful channel access, in backoff units."""
+    rounds = cca_rounds_distribution(alpha, mac)
+    cum_backoff = np.cumsum([(w - 1) / 2.0 for w in mac.windows])
+    per_round = np.arange(1, mac.m + 2) * timing.t_sc + cum_backoff
+    return _rowdot(rounds, per_round)
+
+
+def delay_reference(alpha: Values, gamma: Values, mac: MacParams, timing: TimingParams) -> Values:
+    """Mean delay of successfully delivered packets, in seconds.
+
+    NaN where the success probability is zero (at most 1e-15).
+    """
+    retries = retry_distribution(alpha, gamma, mac)
+    e_t = mean_access_time(alpha, mac, timing)
+    backoff_units = sum(
+        retries[..., h] * (timing.ls + h * timing.lc + (h + 1) * e_t)
+        for h in range(mac.n + 1)
+    )
+    success = reliability(alpha, gamma, mac) > 1e-15
+    return np.where(success, backoff_units * UNIT_SECONDS, math.nan)[()]
+
+
+def mean_window(alpha: Values, mac: MacParams) -> Values:
+    """Backoff window averaged over CCA rounds, capped at 2^mb."""
+    weights = [alpha**j for j in range(mac.m + 1)]
+    return sum(w * win for w, win in zip(weights, mac.windows)) / sum(weights)
+
+
+# ---------------------------------------------------------------------------
 # Bernoulli attempt-process simulation (MAC service cycle)
 
 
@@ -477,14 +586,13 @@ def solve_fixed_point_damped(
     config: SolverConfig = SolverConfig(),
     damping: float = 0.5,
     init: tuple[float, float] = (0.0, 0.0),
-    arrivals=None,
 ) -> SolveResult:
     """Damped Jacobi iteration on (alpha, gamma) across all links.
 
     The plain form of `solve_fixed_point`: every sweep moves the state a
     fixed fraction `damping` of the way to the map's value, and the same
     undamped polish ends it.  Slow, and at heavy load it converges only
-    with a damping tuned by hand.
+    with a damping tuned by hand.  Each sweep evaluates `cca_reference`.
     """
     n = len(system.tables)
     alphas = np.full(n, float(init[0]))
@@ -493,11 +601,11 @@ def solve_fixed_point_damped(
     d = damping
 
     def cca(alphas: np.ndarray, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        qs = system.qs if arrivals is None else arrivals(alphas, gammas)
+        qs = system.qs
         active = qs > 0.0
         taus = np.zeros(n)
         b000s = np.zeros(n)
-        taus[active], b000s[active] = cca_probability(
+        taus[active], b000s[active] = cca_reference(
             alphas[active], gammas[active], qs[active], system.mac, system.timing
         )
         return taus, b000s
@@ -606,7 +714,7 @@ def solve_network_nested(
         warnings = result.warnings
         state = result.state
         by_node = dict(zip(transmitters.tolist(),
-                           metrics.reliability(state.alpha, state.gamma, mac).tolist()))
+                           reliability(state.alpha, state.gamma, mac).tolist()))
         new_rates = traffic_neumann(next_hop, lam, by_node)
         residual = float(np.max(np.abs(new_rates - rates)))
         rates = new_rates

@@ -23,8 +23,8 @@ from csmafade.channel import (
     outage_probability,
 )
 from csmafade.channel import _gamma_cdf_unit_mean
-from csmafade.macmodel import UNIT_SECONDS, MacParams, TimingParams
-from csmafade.metrics import expected_delay, reliability
+from csmafade.macmodel import UNIT_SECONDS, Chain, MacParams, TimingParams
+from csmafade.metrics import expected_delay
 from csmafade.multihop import end_to_end_reliability, link_traffic, route_links, solve_network
 from csmafade.scenarios import (
     build_contention_tables,
@@ -292,14 +292,15 @@ def _check_bernoulli_service_process():
     mac, mac_retry = MacParams(), MacParams(n=3)
     timing = TimingParams()
     sim = oracles.simulate_attempt_process(0.3, 0.2, 0.003, n_packets=10**6, seed=42)
-    rel_gap = abs(reliability(0.3, 0.2, mac) - sim["reliability"])
-    delay_units = expected_delay(0.3, 0.2, mac, timing) / UNIT_SECONDS
+    chain, chain_retry = Chain(0.3, 0.2, mac), Chain(0.3, 0.2, mac_retry)
+    rel_gap = abs(chain.reliability - sim["reliability"])
+    delay_units = expected_delay(chain, timing) / UNIT_SECONDS
     delay_gap = abs(delay_units - sim["mean_delay"]) / sim["mean_delay"]
     sim_retry = oracles.simulate_attempt_process(
         0.3, 0.2, 0.003, n=3, n_packets=10**6, seed=7
     )
-    rel_gap = max(rel_gap, abs(reliability(0.3, 0.2, mac_retry) - sim_retry["reliability"]))
-    delay_retry = expected_delay(0.3, 0.2, mac_retry, timing) / UNIT_SECONDS
+    rel_gap = max(rel_gap, abs(chain_retry.reliability - sim_retry["reliability"]))
+    delay_retry = expected_delay(chain_retry, timing) / UNIT_SECONDS
     delay_gap = max(
         delay_gap, abs(delay_retry - sim_retry["mean_delay"]) / sim_retry["mean_delay"]
     )

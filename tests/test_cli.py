@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from csmafade import sweep
+from csmafade import scenarios, sweep
 from csmafade.cli import main
 from csmafade.scenarios import compile_sim_network, load_config, scenario_from_config
 from csmafade.simulator import run_replication
@@ -197,6 +197,22 @@ def test_unwritable_output_name_fails_before_any_point_runs(
     assert not list(tmp_path.rglob("*.csv"))
 
 
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+def test_refused_output_name_leaves_no_directory_behind(config_file, tmp_path, capsys, command):
+    # a null byte fails the first file-system call, an over-long name the
+    # open; the directories made for --out go again, one that existed stays
+    new = tmp_path / "new"
+    for scenario_id in ('"a\\x00b"', "x" * 300):
+        for out in (new / "sub", tmp_path):
+            rc = main([command, "--config", str(config_file), "--set",
+                       f"scenario_id={scenario_id}", "--out", str(out)])
+            assert rc == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "ValidationError" and "cannot write" in err["message"]
+            assert not new.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.yaml"]
+
+
 def test_timing_the_simulator_cannot_run_is_rejected_by_analyze(config_file, tmp_path, capsys):
     # 7.3 bytes is 14.6 symbols: the simulator's whole-symbol clock cannot
     # run it, so neither engine accepts it
@@ -215,6 +231,50 @@ def test_contender_cap_fails_before_building_tables(config_file, tmp_path, capsy
     assert time.monotonic() - start < 5.0
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValidationError" and "cap" in err["message"]
+
+
+def _no_geometry(*args, **kwargs):
+    raise AssertionError("node-pair geometry built for an oversized topology")
+
+
+def test_oversized_topology_fails_before_its_geometry(config_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(scenarios.Topology, "distances", _no_geometry)
+    monkeypatch.setattr(scenarios, "mean_rx_power", _no_geometry)
+    n = scenarios.MAX_NODES + 1
+    explicit = tmp_path / "explicit.yaml"
+    explicit.write_text(
+        f"topology: {{kind: explicit, positions_m: {[[i, 0] for i in range(n)]}, "
+        f"next_hop: {[-1] + list(range(n - 1))}}}\n"
+    )
+    for path, override in ((config_file, "topology.n_nodes=100000"),
+                           (config_file, f"topology.n_nodes={n}"),
+                           (explicit, "lam=1")):
+        start = time.monotonic()
+        rc = main(["analyze", "--config", str(path), "--set", override, "--out", str(tmp_path)])
+        assert rc == 1
+        assert time.monotonic() - start < 1.0
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError"
+        assert f"beyond the limit of {scenarios.MAX_NODES}" in err["message"]
+
+
+def test_oversized_topology_is_an_error_row_in_a_sweep(tmp_path, monkeypatch):
+    path = tmp_path / "tiny.yaml"
+    path.write_text(TINY.replace("path: lam\n      values: [1.0, 4.0]",
+                                 "path: topology.n_nodes\n      values: [100000, 3]"))
+    real_distances = scenarios.Topology.distances
+
+    def small_only(topology):
+        assert topology.size <= 3, "node-pair geometry built for an oversized topology"
+        return real_distances(topology)
+
+    monkeypatch.setattr(scenarios.Topology, "distances", small_only)
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 0
+    rows = read_rows(tmp_path / "tiny_sweep.csv")
+    errors = [r for r in rows if r["metric"] == "error"]
+    assert [r["topology.n_nodes"] for r in errors] == ["100000"]
+    assert "beyond the limit" in errors[0]["warnings"]
+    assert any(r["topology.n_nodes"] == "3" and r["metric"] == "mean_reliability" for r in rows)
 
 
 def test_topology_without_a_link_reports_json_error(tmp_path, capsys):

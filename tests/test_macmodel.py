@@ -14,6 +14,7 @@ from csmafade.macmodel import (
     SYMBOL_SECONDS,
     SYMBOLS_PER_UNIT,
     UNIT_SECONDS,
+    Chain,
     ContentionSystem,
     LinkTables,
     MacParams,
@@ -77,7 +78,7 @@ def test_arrival_probability_examples():
 
 def test_cca_probability_idle_channel_collapses_to_first_terms():
     q = 0.003
-    tau, b000 = cca_probability(0.0, 0.0, q, MAC, TIMING)
+    tau, b000 = cca_probability(Chain(0.0, 0.0, MAC), q, TIMING)
     assert b000 == approx(1.0 / ((2**3 + 1) / 2 + 12.8 + 1 / q), rel=1e-12)
     assert tau == b000
 
@@ -91,7 +92,7 @@ def test_cca_probability_matches_longhand_cycle_accounting():
     idle = (0.3**5 + xi + 0.8 * (1.0 - 0.3**5)) / q
     b_expect = 1.0 / (backoff + service + idle)
     geo_alpha = sum(0.3**j for j in range(5))
-    tau, b000 = cca_probability(alpha, gamma, q, MAC, TIMING)
+    tau, b000 = cca_probability(Chain(alpha, gamma, MAC), q, TIMING)
     assert b000 == approx(b_expect, rel=1e-12)
     assert tau == approx(geo_alpha * b_expect, rel=1e-12)
 
@@ -104,7 +105,7 @@ def test_cca_probability_matches_two_branch_closed_form():
         for alpha in (0.05, 0.3, 0.45, 0.55, 0.8):
             for gamma in (0.1, 0.5, 0.9):
                 for q in (0.003, 0.2):
-                    tau, b000 = cca_probability(alpha, gamma, q, mac, TIMING)
+                    tau, b000 = cca_probability(Chain(alpha, gamma, mac), q, TIMING)
                     tau_ref, b_ref = oracles.cca_closed_form(
                         alpha, gamma, q, m=m, n=n, ls=TIMING.ls, lc=TIMING.lc
                     )
@@ -114,7 +115,7 @@ def test_cca_probability_matches_two_branch_closed_form():
 
 def test_cca_probability_finite_at_closed_form_singularities():
     # alpha = 1/2 (the (1-2alpha) pole) equals the two-sided closed-form limit
-    tau_mid, b_mid = cca_probability(0.5, 0.2, 0.003, MAC, TIMING)
+    tau_mid, b_mid = cca_probability(Chain(0.5, 0.2, MAC), 0.003, TIMING)
     tau_lo, b_lo = oracles.cca_closed_form(0.5 - 1e-7, 0.2, 0.003)
     tau_hi, b_hi = oracles.cca_closed_form(0.5 + 1e-7, 0.2, 0.003)
     assert tau_mid == approx((tau_lo + tau_hi) / 2, rel=1e-6)
@@ -122,22 +123,22 @@ def test_cca_probability_finite_at_closed_form_singularities():
     # xi = 1 (alpha=0, gamma=1 with retries): geometric factor becomes n+1
     mac = MacParams(n=3)
     q = 0.003
-    tau, b000 = cca_probability(0.0, 1.0, q, mac, TIMING)
+    tau, b000 = cca_probability(Chain(0.0, 1.0, mac), q, TIMING)
     assert b000 == approx(1.0 / (4.5 * 4 + 9.1 * 4 + 1.0 / q), rel=1e-12)
     assert tau == approx(4 * b000, rel=1e-12)
 
 
 def test_cca_probability_rejects_out_of_range_inputs():
     with pytest.raises(ValidationError):
-        cca_probability(1.0, 0.2, 0.003, MAC, TIMING)
+        cca_probability(Chain(1.0, 0.2, MAC), 0.003, TIMING)
     with pytest.raises(ValidationError):
-        cca_probability(0.3, 1.2, 0.003, MAC, TIMING)
+        cca_probability(Chain(0.3, 1.2, MAC), 0.003, TIMING)
     with pytest.raises(ValidationError):
-        cca_probability(0.3, 0.2, 0.0, MAC, TIMING)
+        cca_probability(Chain(0.3, 0.2, MAC), 0.0, TIMING)
 
 
 def test_cca_probability_matches_chain_simulation():
-    tau, b000 = cca_probability(0.3, 0.2, 0.003, MAC, TIMING)
+    tau, b000 = cca_probability(Chain(0.3, 0.2, MAC), 0.003, TIMING)
     sim = oracles.simulate_attempt_process(0.3, 0.2, 0.003, n_packets=10**6, seed=42)
     assert tau == approx(sim["tau"], abs=1e-3)
     assert b000 == approx(sim["b000"], abs=1e-3)
@@ -298,7 +299,7 @@ def test_single_link_fixed_point_is_decoupled():
     system = ContentionSystem(qs=np.array([0.003]), mac=MAC, timing=TIMING, tables=tables)
     result = solve_fixed_point(system)
     state = result.state
-    tau_ref, b_ref = cca_probability(0.0, 0.05, 0.003, MAC, TIMING)
+    tau_ref, b_ref = cca_probability(Chain(0.0, 0.05, MAC), 0.003, TIMING)
     assert state.alpha[0] == 0.0
     assert state.gamma[0] == approx(0.05, abs=1e-12)
     assert state.tau[0] == approx(tau_ref, rel=1e-9)
@@ -383,7 +384,7 @@ def test_constant_arrivals_iterate_exactly_like_fixed_qs():
     system = _star_system(lam=10.0, sigma=2.0)
     calls = []
 
-    def arrivals(alpha, gamma):
+    def arrivals(reliability):
         calls.append(1)
         return system.qs.copy()
 
@@ -393,6 +394,28 @@ def test_constant_arrivals_iterate_exactly_like_fixed_qs():
     assert len(calls) == plain.iterations + 1  # every sweep and the polish
     for name in ("tau", "alpha_pkt", "alpha_ack", "gamma", "b000"):
         assert np.array_equal(getattr(hooked.state, name), getattr(plain.state, name))
+
+
+def test_one_chain_per_map_application_feeds_the_arrivals_hook(monkeypatch):
+    # the hook gets the reliability of the very chain tau and b000 are read from
+    system = _star_system(lam=10.0, sigma=2.0)
+    iterates, received = [], []
+
+    class RecordedChain(Chain):
+        def __init__(self, alpha, gamma, mac):
+            super().__init__(alpha, gamma, mac)
+            iterates.append((alpha.copy(), gamma.copy()))
+
+    def arrivals(reliability):
+        received.append(reliability.copy())
+        return system.qs.copy()
+
+    monkeypatch.setattr(macmodel, "Chain", RecordedChain)
+    result = solve_fixed_point(system, arrivals=arrivals)
+    assert len(iterates) == len(received) == result.iterations + 1  # every sweep and the polish
+    for (alpha, gamma), reliability in zip(iterates, received):
+        assert np.array_equal(reliability, Chain(alpha, gamma, MAC).reliability)
+        assert np.array_equal(reliability, oracles.reliability(alpha, gamma, MAC))
 
 
 def test_fixed_point_independent_of_initialization():
@@ -468,9 +491,10 @@ def test_stalled_iteration_gives_up_long_before_max_iter():
     system = _toy_system(2, p_det_fill=1.0, p_out_fill=0.0, p_fad=0.0, qs=[0.2, 0.2])
     calls = []
 
-    def arrivals(alpha, gamma):
+    def arrivals(reliability):
         calls.append(1)
-        return np.full(2, 0.2 if alpha[0] < 0.1 else 0.001)
+        # gamma stays 0, so reliability is 1 - alpha^5: the jump sits at alpha = 0.1
+        return np.full(2, 0.2 if reliability[0] > 1.0 - 0.1**5 else 0.001)
 
     with pytest.raises(ConvergenceError, match="stalled .* residual"):
         solve_fixed_point(system, config=SolverConfig(max_iter=10_000), arrivals=arrivals)

@@ -11,6 +11,7 @@ from topo_helpers import build_tables, line_positions, star_positions
 from csmafade import channel, multihop
 from csmafade.errors import ConvergenceError, ValidationError
 from csmafade.macmodel import (
+    Chain,
     ContentionSystem,
     MacParams,
     SolverConfig,
@@ -18,7 +19,6 @@ from csmafade.macmodel import (
     arrival_probability,
     solve_fixed_point,
 )
-from csmafade.metrics import reliability
 from csmafade.multihop import (
     end_to_end_reliability,
     link_traffic,
@@ -264,7 +264,7 @@ def test_network_solution_is_outer_fixed_point():
     qs = np.array([arrival_probability(rate) for rate in solution.traffic])
     system = ContentionSystem(qs=qs, mac=MAC, timing=TIMING, tables=tables)
     re_solved = solve_fixed_point(system)
-    rel = reliability(re_solved.state.alpha, re_solved.state.gamma, MAC)
+    rel = Chain(re_solved.state.alpha, re_solved.state.gamma, MAC).reliability
     rates = traffic_neumann(hops, lam, dict(zip(range(1, len(hops)), rel)))
     assert float(np.max(np.abs(rates[1:] - solution.traffic))) < 1e-10
 

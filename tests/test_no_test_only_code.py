@@ -4,8 +4,10 @@ A definition that nothing in `src/csmafade/` or `scripts/` refers to by name
 is reached, if at all, only from the tests: it is a reference implementation
 and belongs in `tests/oracles.py`.  References are counted by bare name (a
 variable, an attribute or an imported name), so a use of any same-named
-object counts; references inside the definition itself do not.  Dunder
-methods are called by Python itself and are not checked.
+object counts; references inside the definition itself do not, and neither
+do the names a package's `__init__.py` imports: a re-export makes a name
+reachable, not used.  Dunder methods are called by Python itself and are
+not checked.
 """
 
 import ast
@@ -44,7 +46,9 @@ def _definitions(tree: ast.Module):
 
 def unreferenced(paths, root: Path = ROOT) -> list[str]:
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
-    everywhere = sum((_names(tree) for tree in trees.values()), Counter())
+    everywhere = sum(
+        (_names(tree) for path, tree in trees.items() if path.name != "__init__.py"), Counter()
+    )
     unused = []
     for path, tree in trees.items():
         for qualname, node in _definitions(tree):
@@ -79,3 +83,16 @@ def test_a_definition_only_tests_call_is_reported(tmp_path):
     assert unreferenced([module, caller], tmp_path) == [
         "module.py: recursive", "module.py: Box.unused_method"
     ]
+
+
+def test_a_re_export_is_not_a_use(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("from .module import exported, used\n")
+    (package / "module.py").write_text(
+        "def exported():\n    return 1\n\n\n"
+        "def used():\n    return 2\n\n\n"
+        "VALUE = used()\n"
+    )
+    paths = [package / "__init__.py", package / "module.py"]
+    assert unreferenced(paths, tmp_path) == ["pkg/module.py: exported"]

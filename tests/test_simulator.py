@@ -15,6 +15,7 @@ from topo_helpers import build_sim_network, build_tables, line_positions, star_p
 from csmafade.channel import ChannelParams, FadingParams
 from csmafade.errors import NumericsError, ValidationError
 from csmafade.macmodel import (
+    Chain,
     ContentionSystem,
     MacParams,
     TimingParams,
@@ -366,9 +367,7 @@ def test_reliability_against_model_at_moderate_load():
         SimConfig(horizon_seconds=100.0, replications=6, master_seed=77),
     )
     state = analytic_star(5.0, sigma=1.0)
-    from csmafade.metrics import reliability
-
-    predicted = reliability(state.alpha[0], state.gamma[0], MacParams())
+    predicted = Chain(state.alpha[0], state.gamma[0], MacParams()).reliability
     assert np.mean(result.reliability_mean) == approx(predicted, abs=0.02)
 
 
