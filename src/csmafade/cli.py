@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConvergenceError, NumericsError, ValidationError
-from .scenarios import compile_sim_network, load_config, scenario_from_config
+from .scenarios import compile_sim_network, load_config, scenario_from_config, scenario_id
 from .simulator import run_replication
 from .sweep import SweepSpec, run_sweep, sweep_from_config
 
@@ -82,7 +82,7 @@ def main(argv=None) -> int:
             spec,
             out_dir=args.out,
             workers=args.workers,
-            out_name=f"{config['scenario_id']}_{args.command}.csv",
+            out_name=f"{scenario_id(config)}_{args.command}.csv",
             strict=args.command != "sweep",
         )
         if getattr(args, "trace", None):

@@ -241,7 +241,7 @@ class Scenario:
         return gain
 
 
-def build_contention_tables(scenario: Scenario) -> list[LinkTables]:
+def build_contention_tables(scenario: Scenario, plans: dict | None = None) -> list[LinkTables]:
     """Geometry-dependent probability tables for the analytic engine.
 
     For every link and every subset of concurrently transmitting other
@@ -258,6 +258,11 @@ def build_contention_tables(scenario: Scenario) -> list[LinkTables]:
     interferer gains -- in at most one `channel.detection_probability` and
     one `channel.outage_probability` call per link, on the link where the
     row first occurs, and copied to its repeats.
+
+    Which rows those are (the RowPlan) depends on the links and on which
+    gains are equal, not on their values, the fading or the thresholds.
+    `plans` maps (links, gain ranks) to a plan; the plan is looked up
+    there, or worked out and stored there.
     """
     links = scenario.links
     n_links = len(links)
@@ -269,7 +274,6 @@ def build_contention_tables(scenario: Scenario) -> list[LinkTables]:
         )
     chan, fading = scenario.channel, scenario.fading
     gain = scenario.mean_gain_mw
-    bits = _bit_matrix(k)
     noise = PowerTerm(weight=chan.noise_mw)
 
     def faded(weight: float) -> PowerTerm:
@@ -286,17 +290,67 @@ def build_contention_tables(scenario: Scenario) -> list[LinkTables]:
     # keys hold gains as ranks from 1 up, 0 marking an unselected column
     _, rank = np.unique(np.hstack([det_gain, out_gain, useful[:, None]]), return_inverse=True)
     rank = (rank.reshape(n_links, 2 * k + 1) + 1).astype(np.min_scalar_type(rank.size + 1))
-    det_rank, out_rank, useful_rank = rank[:, :k], rank[:, k : 2 * k], rank[:, 2 * k :]
+    plans = {} if plans is None else plans
+    key = (links, rank.tobytes())
+    plan = plans.get(key) or _row_plan(rank, senders, rx)
 
-    det_keys = np.sort(np.where(bits, det_rank[:, None, :], 0), axis=-1)
-    p_det = _fit_distinct(
-        det_keys,
-        np.ones((n_links, 2**k), dtype=bool),
-        lambda l, masks: channel.detection_probability(
-            [faded(w) for w in det_gain[l]], bits[masks], chan.cca_threshold_mw, fading
+    p_det = plan.det.fit(
+        lambda l, members: channel.detection_probability(
+            [faded(w) for w in det_gain[l]], members, chan.cca_threshold_mw, fading
         ),
     ).reshape(n_links, 2**k)
+    p_out = np.ones((n_links, 2**k))
+    p_out[plan.free] = plan.out.fit(
+        lambda l, members: channel.outage_probability(
+            faded(useful[l]), [faded(w) for w in out_gain[l]], members,
+            noise, chan.sinr_threshold, fading,
+        ),
+    )
+    p_fad = p_out[:, 0].copy()  # the empty subset: noise-only outage
+    p_out[:, 0] = 0.0
+    plans[key] = plan  # stored once its fits have run
+    return [
+        LinkTables(p_det=p_det[l], p_out=p_out[l], p_fad=float(p_fad[l]))
+        for l in range(n_links)
+    ]
 
+
+@dataclass(frozen=True)
+class DistinctRows:
+    """The fits that give a table's selected rows, and where each row's value lands.
+
+    fits holds (link, members) per fit call, links ascending: members are
+    the subset bit rows whose key first occurs on that link.  group gives,
+    for each selected row in C order, its position among the fits' values
+    laid end to end.
+    """
+
+    fits: tuple[tuple[int, np.ndarray], ...]
+    group: np.ndarray
+
+    def fit(self, probability) -> np.ndarray:
+        """The selected rows' values: probability(link, members) once per entry of fits."""
+        return np.concatenate([probability(l, members) for l, members in self.fits])[self.group]
+
+
+@dataclass(frozen=True)
+class RowPlan:
+    """The geometry stage of a table build: detection rows, outage rows, and
+    `free`, the (L, 2^k) mask of rows whose receiver is silent (the outage
+    rows that are fitted; the others are 1)."""
+
+    det: DistinctRows
+    out: DistinctRows
+    free: np.ndarray
+
+
+def _row_plan(rank: np.ndarray, senders: np.ndarray, rx: np.ndarray) -> RowPlan:
+    """The RowPlan of links whose det/out/useful gains have ranks `rank`
+    ((L, 2k + 1), from 1 up); senders is (L, k), each link's contenders."""
+    n_links, k = senders.shape
+    bits = _bit_matrix(k)
+    det_rank, out_rank, useful_rank = rank[:, :k], rank[:, k : 2 * k], rank[:, 2 * k :]
+    det_keys = np.sort(np.where(bits, det_rank[:, None, :], 0), axis=-1)
     out_keys = np.concatenate(
         [
             np.broadcast_to(useful_rank[:, None], (n_links, 2**k, 1)),
@@ -304,40 +358,24 @@ def build_contention_tables(scenario: Scenario) -> list[LinkTables]:
         ],
         axis=-1,
     )
-    free = ~(bits & (senders == rx[:, None])[:, None, :]).any(axis=-1)  # receiver silent
-    p_out = np.ones((n_links, 2**k))
-    p_out[free] = _fit_distinct(
-        out_keys,
-        free,
-        lambda l, masks: channel.outage_probability(
-            faded(useful[l]), [faded(w) for w in out_gain[l]], bits[masks],
-            noise, chan.sinr_threshold, fading,
-        ),
+    free = ~(bits & (senders == rx[:, None])[:, None, :]).any(axis=-1)
+    return RowPlan(
+        det=_distinct(det_keys, np.ones((n_links, 2**k), dtype=bool), bits),
+        out=_distinct(out_keys, free, bits),
+        free=free,
     )
-    p_fad = p_out[:, 0].copy()  # the empty subset: noise-only outage
-    p_out[:, 0] = 0.0
-    return [
-        LinkTables(p_det=p_det[l], p_out=p_out[l], p_fad=float(p_fad[l]))
-        for l in range(n_links)
-    ]
 
 
-def _fit_distinct(keys: np.ndarray, rows: np.ndarray, fit) -> np.ndarray:
-    """fit() each distinct key among the selected rows once, and copy it to its repeats.
-
-    keys is (links, 2^k, width), one key per subset row of each link's
-    table, and rows a (links, 2^k) bool mask of the rows wanted.
-    fit(l, masks) returns the values of link l's subsets `masks`; it runs
-    once for each link holding the first occurrence of some key, on those
-    rows only.  Returns the values of the selected rows in C order.
-    """
+def _distinct(keys: np.ndarray, rows: np.ndarray, bits: np.ndarray) -> DistinctRows:
+    """DistinctRows of the rows selected by the (links, 2^k) mask `rows`,
+    keyed by keys, (links, 2^k, width); each distinct key is fitted on the
+    link holding its first occurrence."""
     at = np.flatnonzero(rows)
     first, group = _distinct_rows(keys.reshape(rows.size, keys.shape[-1])[at])
     link, mask = np.divmod(at[first], rows.shape[1])
-    values = np.empty(len(first))
-    for l in np.unique(link):
-        values[link == l] = fit(int(l), mask[link == l])
-    return values[group]
+    by_link = np.argsort(link, kind="stable")  # the fits' order of the distinct rows
+    fits = tuple((int(l), bits[mask[link == l]]) for l in np.unique(link))
+    return DistinctRows(fits, np.argsort(by_link)[group])
 
 
 def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -433,6 +471,23 @@ def _coerce(value, annotation, name: str):
     return value
 
 
+def _rate(value, name: str) -> float:
+    """A generation rate read by _coerce, its error naming the rate."""
+    try:
+        return float(_coerce(value, float, name))
+    except ValueError:
+        raise ValueError(f"{name}={value!r}: rates must be numbers, finite and >= 0") from None
+
+
+def scenario_id(config: dict, default: str = "scenario") -> str:
+    """The config's scenario_id as text.  It names the output CSV, so it
+    must be a string or a number."""
+    value = config.get("scenario_id", default)
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValidationError(f"scenario_id must be a string or a number, got {value!r}")
+    return str(value)
+
+
 def parse_config(text: str, source: str = "<config>") -> dict:
     """Parse YAML/JSON text into a mapping, with line info on errors."""
     try:
@@ -514,11 +569,12 @@ def _build_scenario(config: dict, default_id: str) -> Scenario:
     if "positions_m" in topo_section:
         try:
             topo_section["positions_m"] = tuple(
-                tuple(float(c) for c in p) for p in topo_section["positions_m"]
+                tuple(float(_coerce(c, float, f"topology.positions_m[{i}]")) for c in p)
+                for i, p in enumerate(topo_section["positions_m"])
             )
-        except (TypeError, ValueError):
+        except (TypeError, ValueError) as exc:
             raise ValidationError(
-                "topology.positions_m must be a list of (x, y) pairs of numbers"
+                f"topology.positions_m must be a list of (x, y) pairs of numbers: {exc}"
             ) from None
     if "next_hop" in topo_section:
         topo_section["next_hop"] = tuple(
@@ -544,18 +600,14 @@ def _build_scenario(config: dict, default_id: str) -> Scenario:
             timing_section[field_name] = nbytes * SYMBOLS_PER_BYTE / SYMBOLS_PER_UNIT
 
     lam_value = config.get("lam", 0.0)
-    if isinstance(lam_value, str):  # one scalar, e.g. YAML 1.1 reads 1e-3 as a string
-        try:
-            lam_value = float(lam_value)
-        except ValueError:
-            raise ValueError(f"lam={lam_value!r} is not a number") from None
-    if isinstance(lam_value, (int, float)):
-        lam = tuple(float(lam_value) if h >= 0 else 0.0 for h in topology.hops())
+    if isinstance(lam_value, (list, tuple)):
+        lam = tuple(_rate(v, f"lam[{i}]") for i, v in enumerate(lam_value))
     else:
-        lam = tuple(float(v) for v in lam_value)
+        rate = _rate(lam_value, "lam")
+        lam = tuple(rate if h >= 0 else 0.0 for h in topology.hops())
 
     return Scenario(
-        scenario_id=str(config.get("scenario_id", default_id)),
+        scenario_id=scenario_id(config, default_id),
         topology=topology,
         lam=lam,
         channel=_take(_require_mapping(config.get("channel"), "channel"),

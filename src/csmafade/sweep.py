@@ -35,8 +35,8 @@ import numpy as np
 
 from .errors import NumericsError, ValidationError
 from .multihop import end_to_end_reliability, route, solve_network
-from .scenarios import (Scenario, assign, build_contention_tables, compile_sim_network,
-                        scenario_from_config)
+from .scenarios import (RowPlan, Scenario, assign, build_contention_tables,
+                        compile_sim_network, scenario_from_config, scenario_id)
 from .simulator import run_experiment
 
 ENGINES = ("analytic", "simulate", "compare")
@@ -151,10 +151,13 @@ def _keyed(scenario, per_link, aggregates, end_to_end) -> dict:
     return dict(zip(keys, values, strict=True))
 
 
-# Contention tables built in this process, newest last; run_sweep empties it,
-# so points of one sweep share tables but separate sweeps do not.  Pool
-# workers are forked from the process that filled it, and inherit it.
+# Contention tables built in this process, newest last, and the row plans
+# (see scenarios.RowPlan) they were built from, one per geometry and gain
+# rank pattern.  run_sweep empties both, so points of one sweep share tables
+# and plans but separate sweeps do not.  Pool workers are forked from the
+# process that filled them, and inherit them.
 _table_cache: dict[tuple, list] = {}
+_plan_cache: dict[tuple, RowPlan] = {}
 TABLE_CACHE_SIZE = 8
 
 
@@ -163,18 +166,22 @@ def _contention_tables(scenario) -> list:
 
     The tables read only the links, the mean gains, the channel and the
     fading, so points that differ in rates, MAC, timing or simulator
-    settings share one build.  Shared arrays are made read-only.
+    settings share one build.  Points whose gains rank alike (say, that
+    differ only in fading, thresholds or transmit power) share one row
+    plan, so their builds only refit.  Shared arrays are made read-only.
     """
     key = (scenario.links, scenario.mean_gain_mw.tobytes(), scenario.channel, scenario.fading)
     tables = _table_cache.get(key)
     if tables is None:
-        tables = build_contention_tables(scenario)
+        tables = build_contention_tables(scenario, _plan_cache)
         for table in tables:
             table.p_det.flags.writeable = False
             table.p_out.flags.writeable = False
         if len(_table_cache) >= TABLE_CACHE_SIZE:
             del _table_cache[next(iter(_table_cache))]
         _table_cache[key] = tables
+        if len(_plan_cache) > TABLE_CACHE_SIZE:  # a build adds at most one plan
+            del _plan_cache[next(iter(_plan_cache))]
     return tables
 
 
@@ -296,8 +303,8 @@ def _block(scenario, assignments, results: dict, warnings: list[str]) -> list[li
     with empty cells for an engine that did not run."""
     prefix = [_fmt(value) for _, value in assignments]
     if not isinstance(scenario, Scenario):
-        scenario_id, message = scenario
-        return [[scenario_id, *prefix, "", "", "error", "", "", "", "", message]]
+        point_id, message = scenario
+        return [[point_id, *prefix, "", "", "error", "", "", "", "", message]]
     analytic, sim = results.get("analytic", {}), results.get("simulate", {})
     rows = []
     for key in _row_keys(scenario):
@@ -358,10 +365,10 @@ def run_sweep(
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")
     points = spec.points()
-    scenario_id = str(config.get("scenario_id", "scenario"))
-    out_path = _csv_path(out_dir, out_name or f"{scenario_id}_sweep.csv")
+    out_path = _csv_path(out_dir, out_name or f"{scenario_id(config)}_sweep.csv")
 
     _table_cache.clear()
+    _plan_cache.clear()
     parsed = [_parse_point(config, assignments, strict) for assignments in points]
     sim_workers = workers if len(points) == 1 else 1
     order = list(range(len(points)))

@@ -153,6 +153,13 @@ def test_malformed_value_reports_json_error(config_file, tmp_path, capsys, overr
         # a star routes itself: an explicit next_hop would be ignored
         ("topology.next_hop=[-1, -1, 0]", "next_hop is read by kind 'explicit' only"),
         ("sim.master_seed=-1", "master_seed"),
+        # a rate is a number, not a boolean, nothing, or a mapping
+        ("lam=true", "lam=True"),
+        ("lam=null", "lam=None"),
+        ("lam={a: 1}", "lam={'a': 1}"),
+        ("lam=[0, true, 1]", "lam[1]=True"),
+        ("topology={kind: explicit, positions_m: [[0, 0], [true, 0], [0, 1]], "
+         "next_hop: [-1, 0, 0]}", "topology.positions_m[1] must be a finite number, got True"),
     ],
 )
 def test_malformed_value_names_its_field(config_file, tmp_path, capsys, override, field):
@@ -162,6 +169,24 @@ def test_malformed_value_names_its_field(config_file, tmp_path, capsys, override
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValidationError"
     assert field in err["message"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+@pytest.mark.parametrize("value", ["null", "[1]", "{a: 1}", "true"])
+def test_scenario_id_must_be_a_string_or_a_number(config_file, tmp_path, capsys, command, value):
+    rc = main([command, "--config", str(config_file), "--set", f"scenario_id={value}",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    assert "scenario_id must be a string or a number" in err["message"]
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_numeric_scenario_id_names_the_csv(config_file, tmp_path, capsys):
+    assert main(["analyze", "--config", str(config_file), "--set", "scenario_id=7",
+                 "--out", str(tmp_path)]) == 0
+    assert [p.name for p in tmp_path.glob("*.csv")] == ["7_analyze.csv"]
 
 
 def test_output_directory_that_is_a_file_is_a_json_error(config_file, tmp_path, capsys):

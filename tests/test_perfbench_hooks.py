@@ -8,9 +8,12 @@ longer calls: its metrics would read 0.
 """
 
 import importlib.util
+import time
 from pathlib import Path
 
-from csmafade import channel, multihop, simulator, sweep
+import pytest
+
+from csmafade import channel, multihop, scenarios, simulator, sweep
 from csmafade.scenarios import load_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -57,3 +60,39 @@ def test_traced_analytic_sweep_times_the_channel_fits(tmp_path):
     for name in ("channel.detection", "channel.outage", "channel.mma_fit", "channel.quad"):
         assert name in names, name
     assert names.count("channel.mma_fit") == names.count("channel.outage")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_row_plans_are_worked_out_inside_a_traced_table_build(tmp_path, monkeypatch, workers):
+    # the tracer times sweep.build_contention_tables; a plan made outside that
+    # call would drop out of scenarios.tables_s and tables_self_s
+    tracing = _tracing_module()
+    tracer = tracing.Tracer(tmp_path / "spool")
+    config = load_config(ROOT / "configs" / "star7.yaml", ["topology.n_nodes=6", "lam=10"])
+    spec = sweep.SweepSpec(
+        parameters=(("fading.kappa", (None, 2.0)), ("fading.sigma", (1.0, 2.0))),
+        engine="analytic",
+    )
+    planned = []
+    row_plan = scenarios._row_plan
+
+    def timed(*args):
+        start = time.perf_counter()
+        plan = row_plan(*args)
+        planned.append((start, time.perf_counter()))
+        return plan
+
+    monkeypatch.setattr(scenarios, "_row_plan", timed)
+    tracer.install()
+    try:
+        tracer.sweep(sweep.run_sweep, config, spec, out_dir=tmp_path, workers=workers)
+    finally:
+        tracer.uninstall()
+    tables = [(s[tracing.START], s[tracing.END]) for s in tracer.spans
+              if s[tracing.NAME] == "scenarios.tables"]
+    assert len(planned) == 1
+    for start, end in planned:
+        assert any(lo <= start and end <= hi for lo, hi in tables)
+    metrics = tracing.layer_metrics(tracer.spans, wall_s=1.0)
+    assert metrics["scenarios.table_builds"] == 4
+    assert metrics["channel.detection_calls"] == metrics["channel.outage_calls"] == 4

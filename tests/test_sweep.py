@@ -9,7 +9,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from csmafade import simulator, sweep
+from csmafade import scenarios, simulator, sweep
 from csmafade.errors import ValidationError
 from csmafade.multihop import solve_network
 from csmafade.scenarios import (
@@ -250,6 +250,19 @@ def test_malformed_value_is_an_error_row_and_the_sweep_continues(tmp_path):
     assert len(good) == 9 and all(r["warnings"] == "" for r in good)
 
 
+def test_rate_that_is_not_a_number_is_an_error_row_naming_lam(tmp_path):
+    config = tiny_config()
+    config["sweep"]["engine"] = "analytic"
+    config["sweep"]["parameters"] = [
+        {"path": "lam", "values": [True, None, {"a": 1}, [0.0, 1.0, False], 2.0]}]
+    rows = read_rows(run_sweep(config, sweep_from_config(config), out_dir=tmp_path))
+    bad, good = rows[:4], rows[4:]
+    assert [r["metric"] for r in bad] == ["error"] * 4
+    for row, named in zip(bad, ("lam=True", "lam=None", "lam={'a': 1}", "lam[2]=False")):
+        assert f"{named}: rates must be numbers" in row["warnings"]
+    assert len(good) == 9 and all(r["warnings"] == "" for r in good)
+
+
 def test_negative_seed_is_an_error_row_and_the_sweep_continues(tmp_path):
     config = tiny_config()
     config["sweep"]["engine"] = "analytic"
@@ -444,28 +457,129 @@ def test_points_that_differ_only_in_rate_share_their_tables(tmp_path, monkeypatc
     spec = sweep_from_config(config)
     builds = []
 
-    def counting(scenario):
+    def counting(scenario, plans=None):
         builds.append(scenario.fading.sigma)
-        return build_contention_tables(scenario)
+        return build_contention_tables(scenario, plans)
 
     monkeypatch.setattr(sweep, "build_contention_tables", counting)
+    plans = count_plans(monkeypatch)
     shared = run_sweep(config, spec, out_dir=tmp_path, out_name="shared.csv")
     assert sorted(builds) == [0.0, 1.0]
+    assert len(plans) == 1
     for tables in sweep._table_cache.values():
         assert not any(t.p_det.flags.writeable or t.p_out.flags.writeable for t in tables)
 
-    # the same sweep with the cache emptied before every point
+    # the same sweep with both caches emptied before every point
+    build_every_point(monkeypatch)
+    builds.clear()
+    plans.clear()
+    unshared = run_sweep(config, spec, out_dir=tmp_path, out_name="unshared.csv")
+    assert len(builds) == len(plans) == 6
+    assert shared.read_bytes() == unshared.read_bytes()
+
+
+def build_every_point(monkeypatch) -> None:
+    """Empty the table and plan caches before every point of later sweeps."""
     point_task = sweep._point_task
 
     def uncached(args):
         sweep._table_cache.clear()
+        sweep._plan_cache.clear()
         return point_task(args)
 
     monkeypatch.setattr(sweep, "_point_task", uncached)
-    builds.clear()
-    unshared = run_sweep(config, spec, out_dir=tmp_path, out_name="unshared.csv")
-    assert len(builds) == 6
-    assert shared.read_bytes() == unshared.read_bytes()
+
+
+def count_plans(monkeypatch, log=None) -> list:
+    """Record each row plan worked out, as the pid that made it; with a log
+    file, pool workers append their pids there too."""
+    made = []
+    row_plan = scenarios._row_plan
+
+    def counting(*args):
+        made.append(os.getpid())
+        if log is not None:
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()}\n")
+        return row_plan(*args)
+
+    monkeypatch.setattr(scenarios, "_row_plan", counting)
+    return made
+
+
+def test_fading_and_power_points_on_one_star_share_one_plan(tmp_path, monkeypatch):
+    # kappa, sigma and tx_power_dbm move no gain's rank, so 8 table sets refit one plan
+    config = tiny_config()
+    config["topology"]["n_nodes"] = 5
+    config["sweep"]["engine"] = "analytic"
+    config["sweep"]["parameters"] = [
+        {"path": "fading.kappa", "values": [None, 2.0]},
+        {"path": "fading.sigma", "values": [1.0, 2.0]},
+        {"path": "tx_power_dbm", "values": [0.0, -3.0]},
+    ]
+    spec = sweep_from_config(config)
+    plans = count_plans(monkeypatch)
+    planned = run_sweep(config, spec, out_dir=tmp_path, out_name="planned.csv")
+    assert plans == [os.getpid()]
+    assert len(sweep._table_cache) == 8 and len(sweep._plan_cache) == 1
+
+    # the same sweep, each point from scratch
+    build_every_point(monkeypatch)
+    plans.clear()
+    unplanned = run_sweep(config, spec, out_dir=tmp_path, out_name="unplanned.csv")
+    assert len(plans) == 8
+    assert planned.read_bytes() == unplanned.read_bytes()
+
+
+def test_each_geometry_has_its_own_plan_and_the_cache_stays_bounded(tmp_path, monkeypatch):
+    n_geometries = sweep.TABLE_CACHE_SIZE + 2
+    config = tiny_config()
+    config["sweep"]["engine"] = "analytic"
+    config["sweep"]["parameters"] = [
+        {"path": "topology.n_nodes", "values": list(range(3, 3 + n_geometries))},
+        {"path": "fading.sigma", "values": [0.0, 1.0]},
+    ]
+    plans = count_plans(monkeypatch)
+    run_sweep(config, sweep_from_config(config), out_dir=tmp_path)
+    assert len(plans) == n_geometries
+    assert len(sweep._plan_cache) == len(sweep._table_cache) == sweep.TABLE_CACHE_SIZE
+
+
+def test_links_whose_gains_rank_differently_do_not_share_a_plan(tmp_path, monkeypatch):
+    # the same two links, with equal and then unequal interferer distances
+    config = parse_config(
+        "topology: {kind: explicit, positions_m: [[0, 0], [1, 0], [-1, 0]], next_hop: [-1, 0, 0]}\n"
+        "lam: 5.0\nfading: {sigma: 1.0}\n"
+        "sweep: {engine: analytic, parameters: [{path: topology.positions_m, values: "
+        "[[[0, 0], [1, 0], [-1, 0]], [[0, 0], [1, 0], [-2, 0]], [[0, 0], [2, 0], [-1, 0]]]}]}\n"
+    )
+    spec = sweep_from_config(config)
+    plans = count_plans(monkeypatch)
+    planned = run_sweep(config, spec, out_dir=tmp_path, out_name="planned.csv")
+    assert len(plans) == 3
+    build_every_point(monkeypatch)
+    unplanned = run_sweep(config, spec, out_dir=tmp_path, out_name="unplanned.csv")
+    assert planned.read_bytes() == unplanned.read_bytes()
+
+
+def test_a_second_sweep_starts_with_an_empty_plan_cache(tmp_path, monkeypatch):
+    config = tiny_config()
+    config["sweep"]["engine"] = "analytic"
+    spec = sweep_from_config(config)
+    run_sweep(config, spec, out_dir=tmp_path)
+    assert len(sweep._plan_cache) == 1
+    seen = []
+    parse_point = sweep._parse_point
+
+    def parse_and_look(*args):
+        seen.append(len(sweep._plan_cache))
+        return parse_point(*args)
+
+    monkeypatch.setattr(sweep, "_parse_point", parse_and_look)
+    plans = count_plans(monkeypatch)
+    run_sweep(config, spec, out_dir=tmp_path)
+    assert seen == [0] * spec.n_points
+    assert len(plans) == 1
 
 
 def test_pooled_sweep_builds_each_table_set_once(tmp_path, monkeypatch):
@@ -478,14 +592,17 @@ def test_pooled_sweep_builds_each_table_set_once(tmp_path, monkeypatch):
     spec = sweep_from_config(config)
     log = tmp_path / "builds.log"  # pool workers log their builds here too
 
-    def logging_build(scenario):
+    def logging_build(scenario, plans=None):
         with open(log, "a") as f:
             f.write(f"{os.getpid()} {scenario.fading.sigma}\n")
-        return build_contention_tables(scenario)
+        return build_contention_tables(scenario, plans)
 
     monkeypatch.setattr(sweep, "build_contention_tables", logging_build)
+    plan_log = tmp_path / "plans.log"
+    count_plans(monkeypatch, plan_log)
     pooled = run_sweep(config, spec, out_dir=tmp_path, out_name="pooled.csv", workers=2)
     assert sorted(log.read_text().splitlines()) == [f"{os.getpid()} 0.0", f"{os.getpid()} 1.0"]
+    assert plan_log.read_text().splitlines() == [str(os.getpid())]
     serial = run_sweep(config, spec, out_dir=tmp_path, out_name="serial.csv", workers=1)
     assert pooled.read_bytes() == serial.read_bytes()
 
