@@ -11,8 +11,6 @@ from .channel import ChannelParams, FadingParams, PowerTerm, mean_rx_power
 from .errors import ConvergenceError, NumericsError, ValidationError
 from .macmodel import (
     Chain,
-    ContentionSystem,
-    LinkTables,
     MacParams,
     SolverConfig,
     TimingParams,
@@ -28,10 +26,8 @@ from .sweep import SweepSpec, run_sweep, sweep_from_config
 __all__ = [
     "Chain",
     "ChannelParams",
-    "ContentionSystem",
     "ConvergenceError",
     "FadingParams",
-    "LinkTables",
     "MacParams",
     "NetworkSolution",
     "NumericsError",

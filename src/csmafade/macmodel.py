@@ -21,9 +21,10 @@ defined here next to TimingParams.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -207,73 +208,55 @@ def cca_probability(chain: Chain, q: Values, timing: TimingParams) -> tuple[Valu
 # contention functional
 
 
-def _bit_matrix(k: int) -> np.ndarray:
-    """(2^k, k) bool matrix: row mask, column z -> contender z in the subset."""
+@functools.cache
+def _subsets(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(bits, sizes) of the 2^k subsets of k contenders, both read-only:
+    bits (2^k, k) has row mask, column z -> contender z in the subset, and
+    sizes[mask] is the subset's member count."""
     masks = np.arange(2**k, dtype=np.uint32)
-    return (masks[:, None] >> np.arange(k)[None, :]) & 1 == 1
+    bits = (masks[:, None] >> np.arange(k)[None, :]) & 1 == 1
+    sizes = bits.sum(axis=1)
+    bits.flags.writeable = sizes.flags.writeable = False
+    return bits, sizes
 
 
+@functools.cache
 def _other_links(n: int) -> np.ndarray:
-    """(n, n - 1) array: row l lists the links other than l, ascending."""
+    """(n, n - 1) read-only array: row l lists the links other than l, ascending."""
     z = np.arange(n - 1)
-    return z + (z >= np.arange(n)[:, None])
+    others = z + (z >= np.arange(n)[:, None])
+    others.flags.writeable = False
+    return others
 
 
-@dataclass
-class LinkTables:
-    """Per-subset channel probabilities for one link, precomputed per scenario.
+def contention_tables(p_det, p_out, p_fad) -> np.recarray:
+    """The per-subset channel probabilities of L links, as one read-only record array.
 
-    Each table is indexed by subset mask over the other links, ascending:
-    bit z of link l's mask is link z for z < l, and link z + 1 otherwise.
+    Record l holds link l's tables, indexed by subset mask over the other
+    links: bit z of link l's mask is link z for z < l, and link z + 1
+    otherwise (see _other_links and _subsets).
 
-    p_det: detection probability of each subset's aggregate power at this
-        link's transmitter.
-    p_out: SINR outage probability at this link's receiver under each subset.
-    p_fad: no-interferer outage probability of the link itself.
+    p_det: (L, 2^(L-1)) detection probability of each subset's aggregate
+        power at the link's transmitter.
+    p_out: (L, 2^(L-1)) SINR outage probability at the link's receiver
+        under each subset.
+    p_fad: (L,) no-interferer outage probability of the link itself.
+
+    `tables.p_det` is the (L, 2^(L-1)) stack; `tables[l].p_det` is link l's row.
     """
-
-    p_det: np.ndarray
-    p_out: np.ndarray
-    p_fad: float
-
-
-@dataclass
-class ContentionSystem:
-    """Everything the fixed point needs: per-link arrivals, timing, tables.
-
-    The tables are stacked once into arrays with one row per link: `p_det`
-    and `p_out` (L, 2^k) indexed by subset mask, `p_fad` (L,), and `others`
-    (L, k), the contender of each mask bit (see LinkTables).
-    """
-
-    qs: np.ndarray
-    mac: MacParams
-    timing: TimingParams
-    tables: list[LinkTables]
-    others: np.ndarray = field(init=False)
-    p_det: np.ndarray = field(init=False)
-    p_out: np.ndarray = field(init=False)
-    p_fad: np.ndarray = field(init=False)
-    bits: np.ndarray = field(init=False)
-    _counts: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        n = len(self.tables)
-        self.qs = np.asarray(self.qs, dtype=float)
-        if self.qs.shape != (n,):
-            raise ValidationError("qs length must match table count")
-        k = n - 1
-        for t in self.tables:
-            if len(t.p_det) != 2**k or len(t.p_out) != 2**k:
-                raise ValidationError("table sizes inconsistent with link count")
-        self.others = _other_links(n)
-        self.p_det = np.array([t.p_det for t in self.tables], dtype=float)
-        self.p_out = np.array([t.p_out for t in self.tables], dtype=float)
-        self.p_fad = np.array([t.p_fad for t in self.tables], dtype=float)
-        self.bits = _bit_matrix(k)
-        counts = self.bits.sum(axis=1).astype(float)
-        counts[0] = 1.0  # unused empty-set slot, avoids divide-by-zero
-        self._counts = counts
+    p_det, p_out, p_fad = (np.asarray(a, dtype=float) for a in (p_det, p_out, p_fad))
+    n = len(p_det) if p_det.ndim else 0
+    if p_det.shape != (n, 2 ** (n - 1)) or p_out.shape != p_det.shape or p_fad.shape != (n,):
+        raise ValidationError(
+            f"table sizes p_det {p_det.shape}, p_out {p_out.shape}, p_fad {p_fad.shape}: "
+            "L links need (L, 2^(L-1)), (L, 2^(L-1)) and (L,)"
+        )
+    row = p_det.shape[1:]
+    tables = np.rec.fromarrays(
+        (p_det, p_out, p_fad), dtype=[("p_det", float, row), ("p_out", float, row), ("p_fad", float)]
+    )
+    tables.flags.writeable = False
+    return tables
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -288,7 +271,8 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def contention_terms(
-    system: ContentionSystem,
+    tables: np.recarray,
+    timing: TimingParams,
     taus: np.ndarray,
     alphas: np.ndarray,
     gammas: np.ndarray,
@@ -304,24 +288,25 @@ def contention_terms(
     concurrent transmitters, and the hidden-terminal window where the
     transmitter failed to detect them.
     """
-    timing = system.timing
-    eff = (taus * (1.0 - alphas))[system.others]
+    others = _other_links(len(tables))
+    bits, sizes = _subsets(others.shape[1])
+    eff = (taus * (1.0 - alphas))[others]
     weights = np.ones((len(eff), 1))
     for z in range(eff.shape[1]):
         e = eff[:, z : z + 1]
         weights = np.concatenate([weights * (1.0 - e), weights * e], axis=1)
     w = weights[:, 1:]
-    p_det = system.p_det[:, 1:]
-    p_out = system.p_out[:, 1:]
+    p_det = tables["p_det"][:, 1:]
+    p_out = tables["p_out"][:, 1:]
 
-    gamma_bar = (gammas[system.others] @ system.bits.T)[:, 1:] / system._counts[1:]
+    gamma_bar = (gammas[others] @ bits.T)[:, 1:] / sizes[1:]
     a_pkt = timing.l_pkt * _rowdot(w, p_det)
     a_ack = timing.l_ack * _rowdot(w, (1.0 - gamma_bar) * p_det)
 
     h_one = 1.0 - weights[:, 0]
     h_out = _rowdot(w, p_out)
     h_hidden = _rowdot(w, (1.0 - p_det) * p_out)
-    raw = (1.0 - h_one) * system.p_fad + h_out + (2.0 * timing.l_pkt - 1.0) * h_hidden
+    raw = (1.0 - h_one) * tables["p_fad"] + h_out + (2.0 * timing.l_pkt - 1.0) * h_hidden
     return a_pkt, a_ack, np.clip(raw, 0.0, 1.0)
 
 
@@ -346,7 +331,10 @@ MIN_MIXING = MIXING / 2**6
 
 
 def solve_fixed_point(
-    system: ContentionSystem,
+    tables: np.recarray,
+    qs: np.ndarray,
+    mac: MacParams,
+    timing: TimingParams,
     config: SolverConfig = SolverConfig(),
     init: tuple[float, float] = (0.0, 0.0),
     arrivals: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -355,7 +343,7 @@ def solve_fixed_point(
 
     One application of the map takes x = (alpha, gamma) to g(x): one Chain
     of x, tau and b000 from the chain and q, then the contention terms.
-    The arrival probabilities q are `system.qs` throughout, or, when
+    The arrival probabilities q are `qs` throughout, or, when
     `arrivals` is given, arrivals(reliability) of the chain's per-link
     reliability (forwarded traffic).  Links with q = 0 never transmit and
     are held at tau = b000 = 0.
@@ -366,17 +354,20 @@ def solve_fixed_point(
     is clipped into the map's domain.  Converged when max |f| < config.tol;
     the returned state is then g(x) itself.
     """
-    n = len(system.tables)
+    n = len(tables)
+    qs = np.asarray(qs, dtype=float)
+    if qs.shape != (n,):
+        raise ValidationError("qs length must match table count")
     x = np.concatenate([np.full(n, float(init[0])), np.full(n, float(init[1]))])
     upper = np.concatenate([np.full(n, ALPHA_CAP), np.ones(n)])
     warnings: list[str] = []
 
     def cca(alphas: np.ndarray, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        chain = Chain(alphas, gammas, system.mac)
-        qs = system.qs if arrivals is None else arrivals(chain.reliability)
-        active = qs > 0.0
+        chain = Chain(alphas, gammas, mac)
+        q = qs if arrivals is None else arrivals(chain.reliability)
+        active = q > 0.0
         # a silent link's chain is evaluated at q = 1 and its result dropped
-        taus, b000s = cca_probability(chain, np.where(active, qs, 1.0), system.timing)
+        taus, b000s = cca_probability(chain, np.where(active, q, 1.0), timing)
         return np.where(active, taus, 0.0), np.where(active, b000s, 0.0)
 
     mixing = MIXING
@@ -387,7 +378,7 @@ def solve_fixed_point(
     for iteration in range(1, config.max_iter + 1):
         alphas, gammas = x[:n], x[n:]
         taus, b000s = cca(alphas, gammas)
-        a_pkts, a_acks, new_gamma = contention_terms(system, taus, alphas, gammas)
+        a_pkts, a_acks, new_gamma = contention_terms(tables, timing, taus, alphas, gammas)
         raw_alpha = a_pkts + a_acks
         new_alpha = np.minimum(raw_alpha, ALPHA_CAP)
         f = np.concatenate([new_alpha, new_gamma]) - x

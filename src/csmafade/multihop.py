@@ -26,9 +26,7 @@ import numpy as np
 from . import metrics
 from .errors import ValidationError
 from .macmodel import (
-    ContentionSystem,
     LinkState,
-    LinkTables,
     MacParams,
     SolverConfig,
     TimingParams,
@@ -123,7 +121,7 @@ class NetworkSolution:
 
 
 def solve_network(
-    tables: list[LinkTables],
+    tables: np.recarray,
     next_hop: np.ndarray,
     lambda_pkt_per_s: np.ndarray,
     mac: MacParams,
@@ -136,9 +134,9 @@ def solve_network(
     When some transmitter relays, every iteration of the MAC fixed point
     takes its arrival probabilities from the link traffic of its current
     per-link reliability, so config.tol bounds the residual of the joint map.
-    tables[l] must describe the link of the l-th node with a next hop;
-    contending link indices inside each table refer to positions in that
-    same order.
+    tables come from macmodel.contention_tables, which gives their mask
+    layout: tables[l] must describe the link of the l-th node with a next
+    hop, and the contending links of each mask are numbered in that order.
     """
     transmitters, next_link = route_links(next_hop)
     if len(tables) != len(transmitters):
@@ -154,7 +152,6 @@ def solve_network(
         return np.array([arrival_probability(rate) for rate in rates])
 
     qs = probabilities(lam)
-    system = ContentionSystem(qs=qs, mac=mac, timing=timing, tables=tables)
     moved = 0
 
     def arrivals(reliability):
@@ -166,7 +163,8 @@ def solve_network(
 
     # without a relay, no transmitter's traffic depends on the state
     relays = bool((next_link >= 0).any())
-    result = solve_fixed_point(system, config=config, arrivals=arrivals if relays else None)
+    result = solve_fixed_point(tables, qs, mac, timing, config=config,
+                               arrivals=arrivals if relays else None)
     rep = metrics.report(result.state, profile or metrics.PowerProfile(), mac, timing, next_link)
     by_node = dict(zip(transmitters.tolist(), rep.reliability.tolist()))
     return NetworkSolution(

@@ -37,14 +37,14 @@ import yaml
 from .channel import LEVEL_LIMIT_DB, ChannelParams, FadingParams, PowerTerm, mean_rx_power
 from . import channel
 from .errors import ValidationError
-from .macmodel import SYMBOLS_PER_BYTE, SYMBOLS_PER_UNIT, LinkTables, MacParams, SolverConfig
-from .macmodel import TimingParams, _bit_matrix, _other_links
+from .macmodel import SYMBOLS_PER_BYTE, SYMBOLS_PER_UNIT, MacParams, SolverConfig, TimingParams
+from .macmodel import _other_links, _subsets, contention_tables
 from .metrics import PowerProfile
 from .multihop import route_links
 from .simulator import SimConfig, SimNetwork
 from .units import db_to_neper
 
-# Contention subsets are enumerated exhaustively; 2^14 tables per link is the
+# Contention subsets are enumerated exhaustively; 2^14 rows per link is the
 # supported ceiling.
 MAX_CONTENDERS = 14
 # Every scenario derives distances and mean gains of all node pairs when it
@@ -241,8 +241,9 @@ class Scenario:
         return gain
 
 
-def build_contention_tables(scenario: Scenario, plans: dict | None = None) -> list[LinkTables]:
-    """Geometry-dependent probability tables for the analytic engine.
+def build_contention_tables(scenario: Scenario, plans: dict | None = None) -> np.recarray:
+    """Geometry-dependent probability tables for the analytic engine (see
+    macmodel.contention_tables for their layout).
 
     For every link and every subset of concurrently transmitting other
     links: the probability the transmitter's CCA detects them, and the
@@ -309,10 +310,7 @@ def build_contention_tables(scenario: Scenario, plans: dict | None = None) -> li
     p_fad = p_out[:, 0].copy()  # the empty subset: noise-only outage
     p_out[:, 0] = 0.0
     plans[key] = plan  # stored once its fits have run
-    return [
-        LinkTables(p_det=p_det[l], p_out=p_out[l], p_fad=float(p_fad[l]))
-        for l in range(n_links)
-    ]
+    return contention_tables(p_det, p_out, p_fad)
 
 
 @dataclass(frozen=True)
@@ -348,7 +346,7 @@ def _row_plan(rank: np.ndarray, senders: np.ndarray, rx: np.ndarray) -> RowPlan:
     """The RowPlan of links whose det/out/useful gains have ranks `rank`
     ((L, 2k + 1), from 1 up); senders is (L, k), each link's contenders."""
     n_links, k = senders.shape
-    bits = _bit_matrix(k)
+    bits, _ = _subsets(k)
     det_rank, out_rank, useful_rank = rank[:, :k], rank[:, k : 2 * k], rank[:, 2 * k :]
     det_keys = np.sort(np.where(bits, det_rank[:, None, :], 0), axis=-1)
     out_keys = np.concatenate(

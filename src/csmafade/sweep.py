@@ -69,6 +69,10 @@ class SweepSpec:
         for path, values in self.parameters:
             if not isinstance(path, str) or not path:
                 raise ValidationError("sweep parameter paths must be non-empty strings")
+            if path.split(".")[0] == "scenario_id":
+                raise ValidationError(
+                    f"sweep parameter {path!r}: scenario_id is the first column of every row"
+                )
             if path in seen:
                 raise ValidationError(f"duplicate sweep parameter {path!r}")
             seen.add(path)
@@ -156,27 +160,25 @@ def _keyed(scenario, per_link, aggregates, end_to_end) -> dict:
 # rank pattern.  run_sweep empties both, so points of one sweep share tables
 # and plans but separate sweeps do not.  Pool workers are forked from the
 # process that filled them, and inherit them.
-_table_cache: dict[tuple, list] = {}
+_table_cache: dict[tuple, np.recarray] = {}
 _plan_cache: dict[tuple, RowPlan] = {}
 TABLE_CACHE_SIZE = 8
 
 
-def _contention_tables(scenario) -> list:
+def _contention_tables(scenario) -> np.recarray:
     """build_contention_tables, reused by points whose tables cannot differ.
 
     The tables read only the links, the mean gains, the channel and the
     fading, so points that differ in rates, MAC, timing or simulator
     settings share one build.  Points whose gains rank alike (say, that
     differ only in fading, thresholds or transmit power) share one row
-    plan, so their builds only refit.  Shared arrays are made read-only.
+    plan, so their builds only refit.  The tables are read-only, so they
+    can be shared.
     """
     key = (scenario.links, scenario.mean_gain_mw.tobytes(), scenario.channel, scenario.fading)
     tables = _table_cache.get(key)
     if tables is None:
         tables = build_contention_tables(scenario, _plan_cache)
-        for table in tables:
-            table.p_det.flags.writeable = False
-            table.p_out.flags.writeable = False
         if len(_table_cache) >= TABLE_CACHE_SIZE:
             del _table_cache[next(iter(_table_cache))]
         _table_cache[key] = tables
@@ -189,7 +191,7 @@ def _parse_point(config: dict, assignments, strict: bool):
     """Assign a grid point's values into a copy of the sweep's config and validate it.
 
     Returns the point's Scenario, or for a config error the error row's
-    (scenario_id, message); strict=True re-raises the error instead.
+    message; strict=True re-raises the error instead.
     """
     point = copy.deepcopy(config)
     try:
@@ -199,7 +201,7 @@ def _parse_point(config: dict, assignments, strict: bool):
     except (ValidationError, NumericsError) as exc:
         if strict:
             raise
-        return str(point.get("scenario_id", "scenario")), f"config: {exc}"
+        return f"config: {exc}"
 
 
 def _prebuild_tables(parsed) -> None:
@@ -298,19 +300,20 @@ def _point_task(args):
     return results, warnings
 
 
-def _block(scenario, assignments, results: dict, warnings: list[str]) -> list[list[str]]:
-    """A point's CSV rows: one error row for a config error, else its block,
-    with empty cells for an engine that did not run."""
+def _block(sweep_id: str, scenario, assignments, results: dict,
+           warnings: list[str]) -> list[list[str]]:
+    """A point's CSV rows, each starting with the sweep's id: one error row
+    for a config error, else its block, with empty cells for an engine that
+    did not run."""
     prefix = [_fmt(value) for _, value in assignments]
     if not isinstance(scenario, Scenario):
-        point_id, message = scenario
-        return [[point_id, *prefix, "", "", "error", "", "", "", "", message]]
+        return [[sweep_id, *prefix, "", "", "error", "", "", "", "", scenario]]
     analytic, sim = results.get("analytic", {}), results.get("simulate", {})
     rows = []
     for key in _row_keys(scenario):
         sim_mean, sim_ci = sim.get(key, (None, None))
         rows.append([
-            scenario.scenario_id, *prefix, _fmt(key[0]), _fmt(key[1]), key[2],
+            sweep_id, *prefix, _fmt(key[0]), _fmt(key[1]), key[2],
             _fmt(analytic.get(key)), _fmt(sim_mean), _fmt(sim_ci),
             _fmt(scenario.sim.replications) if key in sim else "", "; ".join(warnings),
         ])
@@ -353,10 +356,10 @@ def run_sweep(
 ) -> Path:
     """Evaluate every grid point and write one CSV; returns the file path.
 
-    An output path that cannot be written is a ValidationError before
-    any point runs.  Each point is parsed once, here: a config error
-    becomes its error row, or with strict=True is raised, as is an engine
-    failure.
+    An output path that cannot be written, or a refused scenario_id (even
+    with out_name given), is a ValidationError before any point runs.
+    Each point is parsed once, here: a config error becomes its error row,
+    or with strict=True is raised, as is an engine failure.
     With workers > 1 the points run in a process pool of at most one worker
     per point.  Simulated points are dispatched heaviest first (by
     _sim_work), so that no worker is left alone with a long point at the
@@ -365,7 +368,8 @@ def run_sweep(
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")
     points = spec.points()
-    out_path = _csv_path(out_dir, out_name or f"{scenario_id(config)}_sweep.csv")
+    sweep_id = scenario_id(config)  # no axis can set it (see SweepSpec)
+    out_path = _csv_path(out_dir, out_name or f"{sweep_id}_sweep.csv")
 
     _table_cache.clear()
     _plan_cache.clear()
@@ -388,5 +392,5 @@ def run_sweep(
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
         for i, (scenario, assignments) in enumerate(zip(parsed, points)):
-            writer.writerows(_block(scenario, assignments, *done[i]))
+            writer.writerows(_block(sweep_id, scenario, assignments, *done[i]))
     return out_path

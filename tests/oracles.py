@@ -34,7 +34,6 @@ from csmafade.errors import ConvergenceError, NumericsError, ValidationError
 from csmafade.macmodel import (
     ALPHA_CAP,
     UNIT_SECONDS,
-    ContentionSystem,
     LinkState,
     MacParams,
     SolveResult,
@@ -582,7 +581,10 @@ def ideal_star_fixed_point(
 
 
 def solve_fixed_point_damped(
-    system: ContentionSystem,
+    tables: np.recarray,
+    qs: np.ndarray,
+    mac: MacParams,
+    timing: TimingParams,
     config: SolverConfig = SolverConfig(),
     damping: float = 0.5,
     init: tuple[float, float] = (0.0, 0.0),
@@ -594,26 +596,25 @@ def solve_fixed_point_damped(
     undamped polish ends it.  Slow, and at heavy load it converges only
     with a damping tuned by hand.  Each sweep evaluates `cca_reference`.
     """
-    n = len(system.tables)
+    n = len(tables)
     alphas = np.full(n, float(init[0]))
     gammas = np.full(n, float(init[1]))
     warnings: list[str] = []
     d = damping
 
     def cca(alphas: np.ndarray, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        qs = system.qs
         active = qs > 0.0
         taus = np.zeros(n)
         b000s = np.zeros(n)
         taus[active], b000s[active] = cca_reference(
-            alphas[active], gammas[active], qs[active], system.mac, system.timing
+            alphas[active], gammas[active], qs[active], mac, timing
         )
         return taus, b000s
 
     residual = math.inf
     for iteration in range(1, config.max_iter + 1):
         taus, b000s = cca(alphas, gammas)
-        a_pkts, a_acks, new_gamma = contention_terms(system, taus, alphas, gammas)
+        a_pkts, a_acks, new_gamma = contention_terms(tables, timing, taus, alphas, gammas)
         raw_alpha = a_pkts + a_acks
         new_alpha = np.minimum(raw_alpha, ALPHA_CAP)
 
@@ -708,9 +709,9 @@ def solve_network_nested(
         qs = np.array([arrival_probability(rates[node]) for node in transmitters])
         # only transmitters' rates enter the fixed point: if none moved (a
         # star's second pass changes just the sink's), the last solve stands
-        if result is None or not np.array_equal(qs, system.qs):
-            system = ContentionSystem(qs=qs, mac=mac, timing=timing, tables=tables)
-            result = solve_fixed_point(system, config=config)
+        if result is None or not np.array_equal(qs, solved_qs):
+            solved_qs = qs
+            result = solve_fixed_point(tables, qs, mac, timing, config=config)
         warnings = result.warnings
         state = result.state
         by_node = dict(zip(transmitters.tolist(),

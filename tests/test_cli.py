@@ -382,6 +382,17 @@ def test_sweep_over_an_unassignable_axis_writes_error_rows(tmp_path, capsys):
     assert all("cannot descend into 'lam'" in r["warnings"] for r in rows)
 
 
+def test_sweep_over_scenario_id_reports_json_error(tmp_path, capsys):
+    path = tmp_path / "tiny.yaml"
+    path.write_text(TINY.replace("path: lam\n", "path: scenario_id\n"))
+    rc = main(["sweep", "--config", str(path), "--out", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    assert "scenario_id is the first column" in err["message"]
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_simulate_writes_the_event_trace_of_replication_0(config_file, tmp_path):
     trace = tmp_path / "events.tsv"
     rc = main(["simulate", "--config", str(config_file), "--out", str(tmp_path),

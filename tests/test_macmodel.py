@@ -15,13 +15,12 @@ from csmafade.macmodel import (
     SYMBOLS_PER_UNIT,
     UNIT_SECONDS,
     Chain,
-    ContentionSystem,
-    LinkTables,
     MacParams,
     SolverConfig,
     TimingParams,
     arrival_probability,
     cca_probability,
+    contention_tables,
     contention_terms,
     solve_fixed_point,
 )
@@ -219,85 +218,84 @@ def test_h_functional_rejects_oversized_topologies(monkeypatch):
         build_contention_tables(scenario)
 
 
-def _toy_system(n_links, p_det_fill, p_out_fill, p_fad, qs, mac=MAC, timing=TIMING):
-    """Synthetic contention system with constant per-subset probabilities."""
-    k = n_links - 1
-    tables = []
-    for l in range(n_links):
-        tables.append(
-            LinkTables(
-                p_det=np.full(2**k, p_det_fill),
-                p_out=np.full(2**k, p_out_fill),
-                p_fad=p_fad,
-            )
-        )
-    return ContentionSystem(qs=np.asarray(qs, float), mac=mac, timing=timing, tables=tables)
+def test_star_at_the_contender_cap_builds_one_table_and_solves():
+    # 16 nodes: 15 links, each with k = 14 contenders, the enumeration cap
+    scenario = scenario_from_config(
+        {"topology": {"kind": "star", "n_nodes": 16}, "lam": 10.0, "fading": {"sigma": 1.0}}
+    )
+    tables = build_contention_tables(scenario)
+    assert tables.p_det.shape == tables.p_out.shape == (15, 2**14)
+    assert not (tables.flags.writeable or tables.p_det.flags.writeable)
+    result = solve_fixed_point(tables, np.full(15, arrival_probability(10.0)), MAC, TIMING)
+    assert result.residual < 1e-8
+    assert np.ptp(result.state.gamma) < 1e-9 and 0.0 < result.state.gamma[0] < 1.0
+
+
+def _toy_tables(n_links, p_det_fill, p_out_fill, p_fad):
+    """Synthetic contention tables with constant per-subset probabilities."""
+    shape = (n_links, 2 ** (n_links - 1))
+    return contention_tables(
+        np.full(shape, p_det_fill), np.full(shape, p_out_fill), np.full(n_links, p_fad)
+    )
 
 
 def test_busy_channel_linear_in_frame_lengths():
-    system = _toy_system(2, p_det_fill=1.0, p_out_fill=0.0, p_fad=0.0, qs=[0.003, 0.003])
+    tables = _toy_tables(2, p_det_fill=1.0, p_out_fill=0.0, p_fad=0.0)
     taus = np.array([0.0, 0.01])
     alphas = np.zeros(2)
     gammas = np.zeros(2)
-    a_pkt, a_ack, _ = contention_terms(system, taus, alphas, gammas)
+    a_pkt, a_ack, _ = contention_terms(tables, TIMING, taus, alphas, gammas)
     assert a_pkt[0] == approx(0.07, rel=1e-12)
     assert a_ack[0] == approx(0.011, rel=1e-12)
 
 
 def test_busy_channel_zero_without_contenders():
-    system = _toy_system(2, 1.0, 0.0, 0.0, [0.003, 0.003])
-    a_pkt, a_ack, _ = contention_terms(system, np.zeros(2), np.zeros(2), np.zeros(2))
+    tables = _toy_tables(2, 1.0, 0.0, 0.0)
+    a_pkt, a_ack, _ = contention_terms(tables, TIMING, np.zeros(2), np.zeros(2), np.zeros(2))
     assert a_pkt[0] == 0.0 and a_ack[0] == 0.0
 
 
 def test_busy_channel_ack_component_scales_with_contender_success():
-    system = _toy_system(2, 1.0, 0.0, 0.0, [0.003, 0.003])
+    tables = _toy_tables(2, 1.0, 0.0, 0.0)
     taus = np.array([0.0, 0.01])
-    _, ack_good, _ = contention_terms(system, taus, np.zeros(2), np.array([0.0, 0.0]))
-    _, ack_bad, _ = contention_terms(system, taus, np.zeros(2), np.array([0.0, 0.8]))
+    _, ack_good, _ = contention_terms(tables, TIMING, taus, np.zeros(2), np.array([0.0, 0.0]))
+    _, ack_bad, _ = contention_terms(tables, TIMING, taus, np.zeros(2), np.array([0.0, 0.8]))
     assert ack_bad[0] == approx(0.2 * ack_good[0], rel=1e-12)
 
 
 def test_packet_loss_reduces_to_fading_when_alone():
-    system = _toy_system(2, 1.0, 0.3, 0.05, [0.003, 0.003])
-    _, _, gamma = contention_terms(system, np.zeros(2), np.zeros(2), np.zeros(2))
+    tables = _toy_tables(2, 1.0, 0.3, 0.05)
+    _, _, gamma = contention_terms(tables, TIMING, np.zeros(2), np.zeros(2), np.zeros(2))
     assert gamma[0] == approx(0.05, rel=1e-12)
 
 
 def test_packet_loss_longhand_single_contender():
     # p_fad=0.02, contender tau=0.1 alpha=0.2, p_det=0.9, p_out=0.3, L=7
-    tables = [
-        LinkTables(np.array([0.0, 0.9]), np.array([0.0, 0.3]), 0.02),
-        LinkTables(np.zeros(2), np.zeros(2), 0.0),
-    ]
-    system = ContentionSystem(
-        qs=np.array([0.003, 0.003]), mac=MAC, timing=TIMING, tables=tables
+    tables = contention_tables(
+        [[0.0, 0.9], [0.0, 0.0]], [[0.0, 0.3], [0.0, 0.0]], [0.02, 0.0]
     )
     taus = np.array([0.0, 0.1])
     alphas = np.array([0.0, 0.2])
     w1 = 0.1 * 0.8
     expected = (1 - w1) * 0.02 + w1 * 0.3 + 13.0 * w1 * 0.1 * 0.3
-    _, _, gamma = contention_terms(system, taus, alphas, np.zeros(2))
+    _, _, gamma = contention_terms(tables, TIMING, taus, alphas, np.zeros(2))
     assert gamma[0] == approx(expected, rel=1e-12)
 
 
 def test_packet_loss_clamps_to_unit_interval():
     # certain contention with poor detection pushes the raw sum past 1
-    tables = [
-        LinkTables(np.array([0.0, 0.1]), np.array([0.0, 0.9]), 0.0),
-        LinkTables(np.zeros(2), np.zeros(2), 0.0),
-    ]
-    system = ContentionSystem(
-        qs=np.array([0.003, 0.003]), mac=MAC, timing=TIMING, tables=tables
+    tables = contention_tables(
+        [[0.0, 0.1], [0.0, 0.0]], [[0.0, 0.9], [0.0, 0.0]], [0.0, 0.0]
     )
-    _, _, gamma = contention_terms(system, np.array([0.0, 1.0]), np.zeros(2), np.zeros(2))
+    _, _, gamma = contention_terms(
+        tables, TIMING, np.array([0.0, 1.0]), np.zeros(2), np.zeros(2)
+    )
     assert gamma[0] == 1.0
 
 
 def test_single_link_fixed_point_is_decoupled():
-    tables = [LinkTables(np.ones(1), np.ones(1), 0.05)]
-    system = ContentionSystem(qs=np.array([0.003]), mac=MAC, timing=TIMING, tables=tables)
-    result = solve_fixed_point(system)
+    tables = contention_tables([[1.0]], [[1.0]], [0.05])
+    result = solve_fixed_point(tables, [0.003], MAC, TIMING)
     state = result.state
     tau_ref, b_ref = cca_probability(Chain(0.0, 0.05, MAC), 0.003, TIMING)
     assert state.alpha[0] == 0.0
@@ -308,8 +306,8 @@ def test_single_link_fixed_point_is_decoupled():
 
 
 def _star_system(n_tx=7, radius=1.0, lam=5.0, sigma=0.0):
-    """Transmitters on a circle, sink at the center, per-subset tables built
-    from the channel layer."""
+    """(tables, qs) of transmitters on a circle, sink at the center, with
+    per-subset tables built from the channel layer."""
     chan = channel.ChannelParams()
     fading = channel.FadingParams(sigma=sigma)
     pos = [
@@ -317,11 +315,11 @@ def _star_system(n_tx=7, radius=1.0, lam=5.0, sigma=0.0):
         for i in range(n_tx)
     ]
     k = n_tx - 1
-    bits = macmodel._bit_matrix(k)
+    bits, _ = macmodel._subsets(k)
     noise = channel.PowerTerm(weight=chan.noise_mw)
     useful_w = channel.mean_rx_power(0.0, radius, chan)
 
-    tables = []
+    tables = []  # (p_det, p_out, p_fad) per link
     for l in range(n_tx):
         others = tuple(z for z in range(n_tx) if z != l)
         p_det = np.zeros(2**k)
@@ -352,18 +350,16 @@ def _star_system(n_tx=7, radius=1.0, lam=5.0, sigma=0.0):
             p_out[mask] = channel.outage_probability(
                 useful, int_terms, one_row(len(int_terms)), noise, chan.sinr_threshold, fading
             )[0]
-        tables.append(LinkTables(p_det=p_det, p_out=p_out, p_fad=p_fad))
+        tables.append((p_det, p_out, p_fad))
 
-    q = arrival_probability(lam)
-    return ContentionSystem(qs=np.full(n_tx, q), mac=MAC, timing=TIMING, tables=tables)
+    return contention_tables(*zip(*tables)), np.full(n_tx, arrival_probability(lam))
 
 
 def test_star_fixed_point_matches_ideal_contention_benchmark():
     # sigma=0 at close range resolves every threshold, so the coupled model
     # must land on the perfect-sensing, collisions-fatal benchmark
     lam = 5.0
-    system = _star_system(lam=lam)
-    result = solve_fixed_point(system)
+    result = solve_fixed_point(*_star_system(lam=lam), MAC, TIMING)
     q = arrival_probability(lam)
     ideal = oracles.ideal_star_fixed_point(6, q)
     state = result.state
@@ -375,21 +371,21 @@ def test_star_fixed_point_matches_ideal_contention_benchmark():
 
 
 def test_star_fixed_point_symmetry():
-    result = solve_fixed_point(_star_system(lam=10.0))
+    result = solve_fixed_point(*_star_system(lam=10.0), MAC, TIMING)
     assert np.ptp(result.state.tau) < 1e-9
     assert np.ptp(result.state.gamma) < 1e-9
 
 
 def test_constant_arrivals_iterate_exactly_like_fixed_qs():
-    system = _star_system(lam=10.0, sigma=2.0)
+    tables, qs = _star_system(lam=10.0, sigma=2.0)
     calls = []
 
     def arrivals(reliability):
         calls.append(1)
-        return system.qs.copy()
+        return qs.copy()
 
-    hooked = solve_fixed_point(system, arrivals=arrivals)
-    plain = solve_fixed_point(system)
+    hooked = solve_fixed_point(tables, qs, MAC, TIMING, arrivals=arrivals)
+    plain = solve_fixed_point(tables, qs, MAC, TIMING)
     assert hooked.iterations == plain.iterations
     assert len(calls) == plain.iterations + 1  # every sweep and the polish
     for name in ("tau", "alpha_pkt", "alpha_ack", "gamma", "b000"):
@@ -398,7 +394,7 @@ def test_constant_arrivals_iterate_exactly_like_fixed_qs():
 
 def test_one_chain_per_map_application_feeds_the_arrivals_hook(monkeypatch):
     # the hook gets the reliability of the very chain tau and b000 are read from
-    system = _star_system(lam=10.0, sigma=2.0)
+    tables, qs = _star_system(lam=10.0, sigma=2.0)
     iterates, received = [], []
 
     class RecordedChain(Chain):
@@ -408,10 +404,10 @@ def test_one_chain_per_map_application_feeds_the_arrivals_hook(monkeypatch):
 
     def arrivals(reliability):
         received.append(reliability.copy())
-        return system.qs.copy()
+        return qs.copy()
 
     monkeypatch.setattr(macmodel, "Chain", RecordedChain)
-    result = solve_fixed_point(system, arrivals=arrivals)
+    result = solve_fixed_point(tables, qs, MAC, TIMING, arrivals=arrivals)
     assert len(iterates) == len(received) == result.iterations + 1  # every sweep and the polish
     for (alpha, gamma), reliability in zip(iterates, received):
         assert np.array_equal(reliability, Chain(alpha, gamma, MAC).reliability)
@@ -419,16 +415,15 @@ def test_one_chain_per_map_application_feeds_the_arrivals_hook(monkeypatch):
 
 
 def test_fixed_point_independent_of_initialization():
-    system = _star_system(lam=10.0)
-    a = solve_fixed_point(system, init=(0.0, 0.0))
-    b = solve_fixed_point(system, init=(0.5, 0.5))
+    tables, qs = _star_system(lam=10.0)
+    a = solve_fixed_point(tables, qs, MAC, TIMING, init=(0.0, 0.0))
+    b = solve_fixed_point(tables, qs, MAC, TIMING, init=(0.5, 0.5))
     for name in ("tau", "alpha", "gamma"):
         assert np.max(np.abs(getattr(a.state, name) - getattr(b.state, name))) < 1e-6
 
 
 def test_fixed_point_outputs_stay_in_unit_interval_under_shadowing():
-    system = _star_system(lam=10.0, sigma=2.0)
-    result = solve_fixed_point(system)
+    result = solve_fixed_point(*_star_system(lam=10.0, sigma=2.0), MAC, TIMING)
     assert result.residual < 1e-8
     state = result.state
     for values in (
@@ -443,14 +438,8 @@ def test_fixed_point_outputs_stay_in_unit_interval_under_shadowing():
 
 
 def test_fixed_point_holds_inactive_links_silent():
-    tables = [
-        LinkTables(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 0.05),
-        LinkTables(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 0.05),
-    ]
-    system = ContentionSystem(
-        qs=np.array([0.003, 0.0]), mac=MAC, timing=TIMING, tables=tables
-    )
-    result = solve_fixed_point(system)
+    tables = contention_tables([[0.0, 1.0]] * 2, [[0.0, 1.0]] * 2, [0.05, 0.05])
+    result = solve_fixed_point(tables, [0.003, 0.0], MAC, TIMING)
     state = result.state
     assert state.tau[1] == 0.0 and state.b000[1] == 0.0
     # with its only contender silent, the active link decouples
@@ -459,9 +448,8 @@ def test_fixed_point_holds_inactive_links_silent():
 
 
 def test_fixed_point_nonconvergence_raises_with_residual():
-    system = _star_system(lam=10.0)
     with pytest.raises(ConvergenceError, match="residual"):
-        solve_fixed_point(system, config=SolverConfig(max_iter=2))
+        solve_fixed_point(*_star_system(lam=10.0), MAC, TIMING, config=SolverConfig(max_iter=2))
 
 
 def _heavy_star_system(n_tx):
@@ -469,16 +457,15 @@ def _heavy_star_system(n_tx):
         {"topology": {"kind": "star", "n_nodes": n_tx + 1}, "lam": 200.0, "fading": {"sigma": 1.0}}
     )
     q = arrival_probability(200.0)
-    return ContentionSystem(qs=np.full(n_tx, q), mac=scenario.mac, timing=scenario.timing,
-                            tables=build_contention_tables(scenario))
+    return build_contention_tables(scenario), np.full(n_tx, q), scenario.mac, scenario.timing
 
 
 @pytest.mark.parametrize("n_tx", [11, 14])
 def test_heavy_load_star_converges_with_default_settings(n_tx):
     # a damping of 0.5 oscillates here without end; the accelerated step needs no tuning
     system = _heavy_star_system(n_tx)
-    result = solve_fixed_point(system)
-    reference = oracles.solve_fixed_point_damped(system, damping=0.1)
+    result = solve_fixed_point(*system)
+    reference = oracles.solve_fixed_point_damped(*system, damping=0.1)
     assert result.iterations < reference.iterations
     for name in ("tau", "alpha", "gamma", "b000"):
         got, want = getattr(result.state, name), getattr(reference.state, name)
@@ -488,7 +475,7 @@ def test_heavy_load_star_converges_with_default_settings(n_tx):
 def test_stalled_iteration_gives_up_long_before_max_iter():
     # arrivals that jump between heavy and light load across an alpha threshold
     # leave the map without a fixed point: the residual cannot drop below the jump
-    system = _toy_system(2, p_det_fill=1.0, p_out_fill=0.0, p_fad=0.0, qs=[0.2, 0.2])
+    tables = _toy_tables(2, p_det_fill=1.0, p_out_fill=0.0, p_fad=0.0)
     calls = []
 
     def arrivals(reliability):
@@ -497,7 +484,8 @@ def test_stalled_iteration_gives_up_long_before_max_iter():
         return np.full(2, 0.2 if reliability[0] > 1.0 - 0.1**5 else 0.001)
 
     with pytest.raises(ConvergenceError, match="stalled .* residual"):
-        solve_fixed_point(system, config=SolverConfig(max_iter=10_000), arrivals=arrivals)
+        solve_fixed_point(tables, [0.2, 0.2], MAC, TIMING,
+                          config=SolverConfig(max_iter=10_000), arrivals=arrivals)
     assert len(calls) < 500
 
 
@@ -505,10 +493,8 @@ def test_transient_alpha_overshoot_does_not_warn():
     # long frames at high load overshoot L*H past 1 early in the iteration;
     # the solution is interior, so the clamped iterates leave no warning
     long_frames = TimingParams(l_pkt=30.0)
-    system = _toy_system(
-        3, p_det_fill=1.0, p_out_fill=1.0, p_fad=0.0, qs=[0.2] * 3, timing=long_frames
-    )
-    result = solve_fixed_point(system)
+    tables = _toy_tables(3, p_det_fill=1.0, p_out_fill=1.0, p_fad=0.0)
+    result = solve_fixed_point(tables, [0.2] * 3, MAC, long_frames)
     assert result.warnings == []
     assert np.all(result.state.alpha_pkt + result.state.alpha_ack < macmodel.ALPHA_CAP)
 
@@ -517,10 +503,8 @@ def test_fixed_point_reports_alpha_clamping():
     # a silent link that hears both long-frame senders is busy more than all
     # the time: its alpha stays pinned at the cap in the solution
     long_frames = TimingParams(l_pkt=30.0)
-    system = _toy_system(
-        3, p_det_fill=1.0, p_out_fill=1.0, p_fad=0.0, qs=[0.0, 0.2, 0.2], timing=long_frames
-    )
-    result = solve_fixed_point(system)
+    tables = _toy_tables(3, p_det_fill=1.0, p_out_fill=1.0, p_fad=0.0)
+    result = solve_fixed_point(tables, [0.0, 0.2, 0.2], MAC, long_frames)
     assert result.warnings == [f"alpha clamped to {macmodel.ALPHA_CAP} on 1 link(s)"]
     assert result.state.alpha[0] == macmodel.ALPHA_CAP
     assert np.all(result.state.alpha[1:] < macmodel.ALPHA_CAP)
@@ -528,8 +512,8 @@ def test_fixed_point_reports_alpha_clamping():
 
 def test_permissive_thresholds_leave_contention_only_losses():
     # perfect detection with no outage: gamma -> 0, failures only from access
-    system = _toy_system(3, p_det_fill=1.0, p_out_fill=0.0, p_fad=0.0, qs=[0.2] * 3)
-    result = solve_fixed_point(system)
+    tables = _toy_tables(3, p_det_fill=1.0, p_out_fill=0.0, p_fad=0.0)
+    result = solve_fixed_point(tables, [0.2] * 3, MAC, TIMING)
     assert np.all(result.state.gamma == 0.0)
     assert np.all(result.state.alpha > 0.0)
 
@@ -545,19 +529,33 @@ def test_solver_config_validation():
         SolverConfig(tol=-1.0)
 
 
-def test_contention_system_validates_table_sizes():
-    tables = [LinkTables(np.ones(1), np.ones(1), 0.0)]
-    with pytest.raises(ValidationError):
-        ContentionSystem(qs=np.array([0.1, 0.2]), mac=MAC, timing=TIMING, tables=tables)
-    bad = [
-        LinkTables(np.ones(3), np.ones(2), 0.0),
-        LinkTables(np.ones(2), np.ones(2), 0.0),
-    ]
-    with pytest.raises(ValidationError):
-        ContentionSystem(qs=np.array([0.1, 0.2]), mac=MAC, timing=TIMING, tables=bad)
+def test_contention_tables_validate_table_sizes():
+    # L links need (L, 2^(L-1)) rows of p_det and p_out, and L values of p_fad
+    good = np.ones((2, 2))
+    cases = [("p_det", (bad, bad, np.zeros(len(bad))), bad.shape)
+             for bad in (np.ones((2, 3)), np.ones((3, 2)), np.ones(2), np.ones((0, 0)))]
+    cases += [("p_out", (good, bad, np.zeros(2)), bad.shape)
+              for bad in (np.ones((2, 1)), np.ones((1, 2)), np.ones(4))]
+    cases += [("p_fad", (good, good, bad), bad.shape)
+              for bad in (np.zeros(1), np.zeros(3), np.zeros((2, 1)))]
+    for name, args, shape in cases:
+        with pytest.raises(ValidationError, match="table sizes") as refused:
+            contention_tables(*args)
+        assert f"{name} {shape}" in str(refused.value)
+    tables = contention_tables(good, 0.5 * good, [0.1, 0.2])
+    assert len(tables) == 2 and not tables.flags.writeable
+    assert tables.p_out.tolist() == [[0.5, 0.5]] * 2 and tables[1].p_fad == 0.2
 
 
-def test_contention_system_derives_contenders_in_mask_bit_order():
+def test_solve_fixed_point_refuses_qs_of_another_length():
+    tables = contention_tables([[1.0]], [[1.0]], [0.0])
+    for qs in ([0.1, 0.2], [], [[0.1]]):
+        with pytest.raises(ValidationError, match="qs length must match table count"):
+            solve_fixed_point(tables, qs, MAC, TIMING)
+
+
+def test_mask_bits_number_the_other_links_ascending():
     # mask bit z of link l's table is the z-th other link, ascending
-    system = _toy_system(4, 0.0, 0.0, 0.0, [0.1] * 4)
-    assert system.others.tolist() == [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
+    assert macmodel._other_links(4).tolist() == [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
+    bits, sizes = macmodel._subsets(3)
+    assert bits[0b101].tolist() == [True, False, True] and sizes.tolist() == [0, 1, 1, 2, 1, 2, 2, 3]

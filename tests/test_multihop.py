@@ -12,7 +12,6 @@ from csmafade import channel, multihop
 from csmafade.errors import ConvergenceError, ValidationError
 from csmafade.macmodel import (
     Chain,
-    ContentionSystem,
     MacParams,
     SolverConfig,
     TimingParams,
@@ -197,10 +196,7 @@ def test_single_hop_network_reduces_to_link_fixed_point():
     tables, hops, lam = _star_setup()
     solution = solve_network(tables, hops, lam, MAC, TIMING)
     q = arrival_probability(5.0)
-    system = ContentionSystem(
-        qs=np.full(7, q), mac=MAC, timing=TIMING, tables=tables
-    )
-    direct = solve_fixed_point(system)
+    direct = solve_fixed_point(tables, np.full(7, q), MAC, TIMING)
     # a star's arrival probabilities never move, so neither do its iterates
     for name in ("tau", "alpha_pkt", "alpha_ack", "gamma", "b000"):
         assert np.array_equal(getattr(solution.state, name), getattr(direct.state, name))
@@ -262,8 +258,7 @@ def test_network_solution_is_outer_fixed_point():
     tables, hops, lam = _line_setup()
     solution = solve_network(tables, hops, lam, MAC, TIMING)
     qs = np.array([arrival_probability(rate) for rate in solution.traffic])
-    system = ContentionSystem(qs=qs, mac=MAC, timing=TIMING, tables=tables)
-    re_solved = solve_fixed_point(system)
+    re_solved = solve_fixed_point(tables, qs, MAC, TIMING)
     rel = Chain(re_solved.state.alpha, re_solved.state.gamma, MAC).reliability
     rates = traffic_neumann(hops, lam, dict(zip(range(1, len(hops)), rel)))
     assert float(np.max(np.abs(rates[1:] - solution.traffic))) < 1e-10

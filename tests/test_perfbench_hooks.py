@@ -60,6 +60,10 @@ def test_traced_analytic_sweep_times_the_channel_fits(tmp_path):
     for name in ("channel.detection", "channel.outage", "channel.mma_fit", "channel.quad"):
         assert name in names, name
     assert names.count("channel.mma_fit") == names.count("channel.outage")
+    # the tracer counts rows by iterating each build's result: 2 links of 2^1 rows, twice
+    builds = [span[tracing.ATTRS] for span in tracer.spans
+              if span[tracing.NAME] == "scenarios.tables"]
+    assert len(builds) == 2 and sum(attrs["subsets"] for attrs in builds) == 2 * 4
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -8,7 +8,7 @@ import pytest
 
 from csmafade import channel
 from csmafade.errors import ValidationError
-from csmafade.macmodel import _bit_matrix
+from csmafade.macmodel import _subsets
 from csmafade.scenarios import (
     Topology,
     apply_override,
@@ -353,7 +353,7 @@ def test_tables_fit_each_distinct_subset_sum_once(monkeypatch):
     assert calls["mma_fit"] == calls["lognormal_expectation"] == calls["outage_probability"]
 
     # the distinct multisets of gains over all links' subsets, counted the long way
-    gain, bits = s.mean_gain_mw, _bit_matrix(k)
+    gain, (bits, _) = s.mean_gain_mw, _subsets(k)
     det, out = set(), set()
     for l, (tx, rx) in enumerate(s.links):
         senders = [s.links[o][0] for o in range(n_links) if o != l]

@@ -16,7 +16,6 @@ from csmafade.channel import ChannelParams, FadingParams
 from csmafade.errors import NumericsError, ValidationError
 from csmafade.macmodel import (
     Chain,
-    ContentionSystem,
     MacParams,
     TimingParams,
     arrival_probability,
@@ -59,10 +58,7 @@ def analytic_star(lam, sigma=0.0, n_tx=7, radius=1.0):
     positions, links = star_positions(n_tx, radius)
     tables = build_tables(positions, links, CHAN, FadingParams(sigma=sigma))
     q = arrival_probability(lam)
-    system = ContentionSystem(
-        qs=(q,) * n_tx, mac=MacParams(), timing=TimingParams(), tables=tables
-    )
-    return solve_fixed_point(system).state
+    return solve_fixed_point(tables, (q,) * n_tx, MacParams(), TimingParams()).state
 
 
 def test_replications_are_reproducible():

@@ -248,6 +248,7 @@ def test_malformed_value_is_an_error_row_and_the_sweep_continues(tmp_path):
     assert len(bad) == 1 and bad[0]["metric"] == "error"
     assert "invalid config value" in bad[0]["warnings"]
     assert len(good) == 9 and all(r["warnings"] == "" for r in good)
+    assert {r["scenario_id"] for r in rows} == {"tiny3"}  # error rows carry the sweep's id
 
 
 def test_rate_that_is_not_a_number_is_an_error_row_naming_lam(tmp_path):
@@ -647,6 +648,20 @@ def test_unassignable_axis_is_an_error_row_per_point(tmp_path):
     assert not (tmp_path / "strict.csv").exists()
 
 
+def test_refused_sweep_id_fails_before_any_point_runs(tmp_path, monkeypatch):
+    # out_name names the file, yet the id is still checked once, up front
+    def no_parse(*args):
+        raise AssertionError("a point was parsed")
+
+    monkeypatch.setattr(sweep, "_parse_point", no_parse)
+    for value in (None, [1], True):
+        config = tiny_config()
+        config["scenario_id"] = value
+        with pytest.raises(ValidationError, match="scenario_id must be a string or a number"):
+            run_sweep(config, sweep_from_config(config), out_dir=tmp_path, out_name="named.csv")
+    assert not list(tmp_path.iterdir())
+
+
 def test_multihop_sweeps_emit_end_to_end_rows(tmp_path):
     config = parse_config(
         """
@@ -697,6 +712,10 @@ def test_sweep_block_validation():
         SweepSpec(parameters=(("lam", (1,)), ("lam", (2,))), engine="analytic")
     with pytest.raises(ValidationError, match="engine"):
         SweepSpec(parameters=(), engine="guess")
+    # the id is the first column of every row: an axis over it would repeat it
+    for path in ("scenario_id", "scenario_id.x"):
+        with pytest.raises(ValidationError, match="scenario_id is the first column"):
+            SweepSpec(parameters=((path, ("a", "b")),), engine="analytic")
     config = tiny_config()
     del config["sweep"]
     with pytest.raises(ValidationError, match="sweep block"):

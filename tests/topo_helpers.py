@@ -10,14 +10,7 @@ import math
 import numpy as np
 
 from csmafade import channel
-from csmafade.macmodel import (
-    ContentionSystem,
-    LinkTables,
-    MacParams,
-    TimingParams,
-    _bit_matrix,
-    contention_terms,
-)
+from csmafade.macmodel import TimingParams, _subsets, contention_tables, contention_terms
 
 
 def one_row(n_terms):
@@ -35,7 +28,7 @@ def build_tables(positions, links, chan, fading, tx_power_dbm=0.0):
     """
     n_links = len(links)
     k = n_links - 1
-    bits = _bit_matrix(k)
+    bits, _ = _subsets(k)
     noise = channel.PowerTerm(weight=chan.noise_mw)
 
     def term(weight):
@@ -46,7 +39,7 @@ def build_tables(positions, links, chan, fading, tx_power_dbm=0.0):
     def mean_w(src, dst):
         return channel.mean_rx_power(tx_power_dbm, math.dist(positions[src], dst), chan)
 
-    tables = []
+    tables = []  # (p_det, p_out, p_fad) per link
     for l, (tx, rx) in enumerate(links):
         others = tuple(i for i in range(n_links) if i != l)
         p_det = np.zeros(2**k)
@@ -68,8 +61,8 @@ def build_tables(positions, links, chan, fading, tx_power_dbm=0.0):
                 p_out[mask] = channel.outage_probability(
                     useful, int_terms, one_row(len(int_terms)), noise, chan.sinr_threshold, fading
                 )[0]
-        tables.append(LinkTables(p_det=p_det, p_out=p_out, p_fad=p_fad))
-    return tables
+        tables.append((p_det, p_out, p_fad))
+    return contention_tables(*zip(*tables))
 
 
 def build_tables_per_link(gain, links, chan, fading):
@@ -81,7 +74,7 @@ def build_tables_per_link(gain, links, chan, fading):
     """
     n_links = len(links)
     k = n_links - 1
-    bits = _bit_matrix(k)
+    bits, _ = _subsets(k)
     noise = channel.PowerTerm(weight=chan.noise_mw)
 
     def term(weight):
@@ -89,7 +82,7 @@ def build_tables_per_link(gain, links, chan, fading):
             weight=weight, sigma=fading.sigma, has_multipath=fading.multipath
         )
 
-    tables = []
+    tables = []  # (p_det, p_out, p_fad) per link
     for l, (tx, rx) in enumerate(links):
         others = tuple(i for i in range(n_links) if i != l)
         senders = [links[o][0] for o in others]
@@ -105,8 +98,8 @@ def build_tables_per_link(gain, links, chan, fading):
         )
         p_fad = float(p_out[0])
         p_out[0] = 0.0
-        tables.append(LinkTables(p_det=p_det, p_out=p_out, p_fad=p_fad))
-    return tables
+        tables.append((p_det, p_out, p_fad))
+    return contention_tables(*zip(*tables))
 
 
 def star_positions(n_tx, radius):
@@ -169,15 +162,12 @@ def contention_h(taus, alphas, chi):
     chi_table = np.zeros(2**k)
     for mask in range(1, 2**k):
         chi_table[mask] = chi(tuple(z for z in range(k) if mask >> z & 1))
-    tables = [LinkTables(chi_table, chi_table, 0.0)]
-    tables += [LinkTables(np.zeros(2**k), np.zeros(2**k), 0.0) for _ in range(k)]
-    system = ContentionSystem(
-        qs=np.full(k + 1, 0.003),
-        mac=MacParams(),
-        timing=TimingParams(l_pkt=0.5),
-        tables=tables,
-    )
+    rows = np.zeros((k + 1, 2**k))
+    rows[0] = chi_table
+    tables = contention_tables(rows, rows, np.zeros(k + 1))
     full_taus = np.concatenate([[0.0], taus])
     full_alphas = np.concatenate([[0.0], alphas])
-    a_pkt, _, gamma = contention_terms(system, full_taus, full_alphas, np.zeros(k + 1))
+    a_pkt, _, gamma = contention_terms(
+        tables, TimingParams(l_pkt=0.5), full_taus, full_alphas, np.zeros(k + 1)
+    )
     return 2.0 * a_pkt[0], gamma[0]
