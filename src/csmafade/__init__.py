@@ -7,7 +7,7 @@ front end runs single scenarios, parameter sweeps, and model-versus-simulation
 comparisons.
 """
 
-from .channel import ChannelParams, FadingParams, PowerTerm, mean_rx_power
+from .channel import ChannelParams, FadingParams, mean_rx_power
 from .errors import ConvergenceError, NumericsError, ValidationError
 from .macmodel import (
     Chain,
@@ -32,7 +32,6 @@ __all__ = [
     "NetworkSolution",
     "NumericsError",
     "PowerProfile",
-    "PowerTerm",
     "Scenario",
     "SimConfig",
     "SimNetwork",

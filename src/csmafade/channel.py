@@ -12,19 +12,21 @@ such terms are approximated by a single lognormal, fitted in one of two ways:
 * Interference-plus-noise at a receiver (outage): matching the first two
   moments of the denominator normalized by the useful power (`mma_fit`,
   closed form in each subset's member sums).  The outage is then the
-  fitted lognormal's tail or, when the useful link also carries multipath,
-  the expectation of the Gamma CDF over it (`lognormal_expectation`, a
-  Gauss-Hermite ladder over the rows that have not yet converged).
+  fitted lognormal's tail or, with multipath, the expectation of the Gamma
+  CDF over it (`lognormal_expectation`, a Gauss-Hermite ladder over the rows
+  that have not yet converged).
 
-These two are the only entry points for the probabilities: each takes a
-bool `members` matrix with one row per subset, and a single sum is a
-one-row matrix.
+These two are the only entry points for the probabilities: each takes an
+array of mean powers, the scenario's FadingParams and a bool `members` matrix
+with one row per subset; a single sum is a one-row matrix.  Every term, the
+useful one included, has shadowing spread fading.sigma, and multipath exactly
+when fading.kappa is set.  Noise is deterministic.
 
 Both batched fits first put the terms in one canonical order, ascending
-(weight, sigma, has_multipath), and every per-row sum runs over the terms in
-that order.  A row's result therefore depends only on the multiset of terms
-it selects, bit for bit: the same sum listed in another order, or picked out
-of another table's columns, gives the same probability.  This is what lets
+weight, and every per-row sum runs over the terms in that order.  A row's
+result therefore depends only on the multiset of weights it selects, bit for
+bit: the same sum listed in another order, or picked out of another table's
+columns, gives the same probability.  This is what lets
 `scenarios.build_contention_tables` fit each distinct subset sum once.
 """
 
@@ -34,7 +36,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -80,6 +82,10 @@ MGF_BLOCK = 128  # rows per batched solve, which bounds its scratch arrays to ~0
 # dB and dBm levels (powers, thresholds) must lie within +-LEVEL_LIMIT_DB: no
 # radio comes near it, and their linear values and squares stay inside a float
 LEVEL_LIMIT_DB = 300.0
+# Largest multipath shape accepted.  An integer kappa costs int(kappa) terms per
+# Gamma CDF evaluation, and at 100 the unit-mean factor's standard deviation,
+# 1/sqrt(kappa), is already down to 0.1.
+KAPPA_MAX = 100.0
 
 
 @dataclass(frozen=True)
@@ -131,6 +137,8 @@ class ChannelParams:
 class FadingParams:
     """Stochastic channel state.
 
+    One for every link of a scenario, in both engines.
+
     sigma: shadowing spread of the natural-log power exponent (nepers).
     kappa: multipath shape parameter; None disables the multipath factor.
     """
@@ -139,34 +147,16 @@ class FadingParams:
     kappa: float | None = None
 
     def __post_init__(self) -> None:
-        if self.sigma < 0.0:
-            raise ValidationError(f"sigma={self.sigma} must be >= 0")
-        if self.kappa is not None and self.kappa < 0.5:
-            raise ValidationError(f"kappa={self.kappa} must be >= 0.5 (or None)")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValidationError(f"sigma={self.sigma} must be finite and >= 0")
+        if self.kappa is not None and not 0.5 <= self.kappa <= KAPPA_MAX:
+            raise ValidationError(
+                f"kappa={self.kappa} must lie in [0.5, {KAPPA_MAX:g}] (or be None)"
+            )
 
     @property
     def multipath(self) -> bool:
         return self.kappa is not None
-
-
-@dataclass(frozen=True)
-class PowerTerm:
-    """One additive component of a received-power sum.
-
-    weight: deterministic linear power coefficient (mW, or a ratio).
-    sigma: spread of the term's lognormal exponent (nepers).
-    has_multipath: whether the term carries the unit-mean Gamma power factor.
-    """
-
-    weight: float
-    sigma: float = 0.0
-    has_multipath: bool = False
-
-    def __post_init__(self) -> None:
-        if self.weight < 0.0:
-            raise ValidationError(f"term weight {self.weight} must be >= 0")
-        if self.sigma < 0.0:
-            raise ValidationError(f"term sigma {self.sigma} must be >= 0")
 
 
 # math.erfc over an array; numpy has no erfc of its own
@@ -186,12 +176,26 @@ def mean_rx_power(ptx_dbm: float, distance_m: float, chan: ChannelParams) -> flo
     return dbm_to_mw(level)
 
 
-def _second_moment_factor(term: PowerTerm, fading: FadingParams | None) -> float:
-    """E[f^2] of the term's multipath factor (1 when disabled)."""
-    if fading is not None and fading.multipath and term.has_multipath:
+def _second_moment_factor(fading: FadingParams) -> float:
+    """E[f^2] of the unit-mean multipath factor (1 when disabled)."""
+    if fading.multipath:
         kap = fading.kappa
         return (kap + 1.0) / kap
     return 1.0
+
+
+def _shadowing_moments(fading: FadingParams) -> tuple[float, float, float]:
+    """e^{sigma^2/2}, e^{sigma^2} and e^{2 sigma^2}, the moment factors of the shadowing.
+
+    From sigma ~ 18.8 nepers they leave the float range: a NumericsError.
+    """
+    try:
+        s2 = fading.sigma**2
+        return math.exp(0.5 * s2), math.exp(s2), math.exp(2.0 * s2)
+    except OverflowError:
+        raise NumericsError(
+            f"shadowing sigma={fading.sigma!r} overflows its moments e^(2 sigma^2)"
+        ) from None
 
 
 def _hermite_ratios(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -320,40 +324,38 @@ def _mgf_newton(target: np.ndarray, start: np.ndarray) -> np.ndarray:
     )
 
 
-def _canonical(
-    terms: Sequence[PowerTerm], members: np.ndarray
-) -> tuple[list[PowerTerm], np.ndarray]:
-    """The terms in ascending (weight, sigma, has_multipath) order, with the columns
-    of the (rows, len(terms)) bool `members` matrix permuted to match."""
+def _canonical(weights: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The weights in ascending order (ties in their given order), with the columns
+    of the (rows, len(weights)) bool `members` matrix permuted to match."""
+    weights = np.asarray(weights, dtype=float)
     members = np.asarray(members, dtype=bool)
-    if members.ndim != 2 or members.shape[1] != len(terms):
+    if weights.ndim != 1 or members.ndim != 2 or members.shape[1] != len(weights):
         raise ValidationError(
-            f"members shape {members.shape} does not select from {len(terms)} terms"
+            f"members shape {members.shape} does not select from {weights.shape} weights"
         )
-    order = sorted(
-        range(len(terms)),
-        key=lambda n: (terms[n].weight, terms[n].sigma, terms[n].has_multipath),
-    )
-    return [terms[n] for n in order], members[:, order]
+    if not np.all(weights >= 0.0):
+        raise ValidationError(f"term weights {weights.tolist()} must be >= 0")
+    order = np.argsort(weights, kind="stable")
+    return weights[order], members[:, order]
 
 
 def _sum_log_laplace(
-    terms: Sequence[PowerTerm],
+    weights: np.ndarray,
     members: np.ndarray,
     scale: np.ndarray,
-    kappa: float | None,
+    fading: FadingParams,
 ) -> np.ndarray:
     """ln E[exp(-s S / scale)] at s = MGF_POINTS for each row's sum S of independent terms."""
     nodes, wgt = _mgf_rule()
+    shadow = np.exp(fading.sigma * nodes)
+    kappa = fading.kappa
     total = np.zeros((len(members), len(MGF_POINTS)))
-    for n, term in enumerate(terms):
+    for n, weight in enumerate(weights):
         sel = members[:, n]
-        if term.weight == 0.0 or not sel.any():
+        if weight == 0.0 or not sel.any():
             continue
-        x = (MGF_POINTS * (term.weight / scale[sel])[:, None])[..., None] * np.exp(
-            term.sigma * nodes
-        )
-        if kappa is not None and term.has_multipath:
+        x = (MGF_POINTS * (weight / scale[sel])[:, None])[..., None] * shadow
+        if fading.multipath:
             g = np.exp(-kappa * np.log1p(x / kappa))
         else:
             g = np.exp(-x)
@@ -362,58 +364,51 @@ def _sum_log_laplace(
 
 
 def mgf_fit(
-    terms: Sequence[PowerTerm],
-    members: np.ndarray,
-    fading: FadingParams | None = None,
+    weights: np.ndarray, members: np.ndarray, fading: FadingParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lognormal (eta, sigma) fitted to the power sum of every subset of terms.
 
-    members is a (rows, len(terms)) bool matrix whose row r selects the
+    members is a (rows, len(weights)) bool matrix whose row r selects the
     independent terms summed in subset r.  The fit exp(Z), Z ~ N(eta,
     sigma^2), has the sum's exact Laplace transform E[exp(-s S)] at
     s = MGF_POINTS / E[S] (MGF matching: Mehta, Wu, Molisch, Zhang, IEEE
     Trans. Wireless Commun. 2007).  Both transforms are MGF_NODES-point
-    Gauss-Hermite sums; a multipath term enters through its closed-form Gamma
-    transform E[(1 + s w e^y / kappa)^-kappa].  Rows are solved together,
+    Gauss-Hermite sums; with multipath a term enters through its closed-form
+    Gamma transform E[(1 + s w e^y / kappa)^-kappa].  Rows are solved together,
     MGF_BLOCK at a time, by _mgf_newton started from the moment-matched fit.
 
     Rows that need no fitting keep closed forms: one term without multipath
     gets its own (ln w, sigma); a sum whose moment-matched log-variance is
-    below MGF_VAR_FLOOR (a point mass to working precision, e.g. every term
-    with sigma 0 and no multipath) keeps the moment-matched fit; a row with no
-    positive-weight term gets eta = -inf, sigma = 0.
+    below MGF_VAR_FLOOR (a point mass to working precision, e.g. sigma 0 and
+    no multipath) keeps the moment-matched fit; a row with no positive-weight
+    term gets eta = -inf, sigma = 0.
 
     The moments and the transform target are summed over the terms in
     canonical order (see _canonical), so a row's fit depends only on the
-    multiset of terms it selects, not on their order or on other columns.
+    multiset of weights it selects, not on their order or on other columns.
     """
-    terms, members = _canonical(terms, members)
-    kappa = fading.kappa if fading is not None and fading.multipath else None
+    weights, members = _canonical(weights, members)
+    e_half, _, e_two = _shadowing_moments(fading)
+    f2 = _second_moment_factor(fading)
     rows = len(members)
     m1 = np.zeros(rows)
     excess = np.zeros(rows)  # M2 - M1^2, the variance of the sum
     count = np.zeros(rows, dtype=int)
-    multipath = np.zeros(rows, dtype=bool)
     eta = np.full(rows, -math.inf)
     sigma = np.zeros(rows)
-    for n, term in enumerate(terms):
-        if term.weight == 0.0:
+    for n, weight in enumerate(weights):
+        if weight == 0.0:
             continue
         sel = members[:, n]
-        mean = term.weight * math.exp(0.5 * term.sigma**2)
-        second = (
-            term.weight**2 * _second_moment_factor(term, fading) * math.exp(2.0 * term.sigma**2)
-        )
+        mean = weight * e_half
         m1[sel] += mean
-        excess[sel] += second - mean**2
+        excess[sel] += weight**2 * f2 * e_two - mean**2
         count[sel] += 1
-        if kappa is not None and term.has_multipath:
-            multipath[sel] = True
-        else:  # the exact parameters, kept where this is the row's only term
-            eta[sel] = math.log(term.weight)
-            sigma[sel] = term.sigma
+        if not fading.multipath:  # the exact parameters, kept where this is the row's only term
+            eta[sel] = math.log(weight)
+            sigma[sel] = fading.sigma
 
-    exact = (count == 1) & ~multipath
+    exact = (count == 1) & (not fading.multipath)
     summed = count > 0
     with np.errstate(divide="ignore", invalid="ignore"):
         var = np.log1p(excess / m1**2)
@@ -425,7 +420,7 @@ def mgf_fit(
     for lo in range(0, len(fit), MGF_BLOCK):
         block = fit[lo : lo + MGF_BLOCK]
         scale = m1[block]
-        target = _sum_log_laplace(terms, members[block], scale, kappa)
+        target = _sum_log_laplace(weights, members[block], scale, fading)
         start = np.stack([-0.5 * var[block], 0.5 * np.log(var[block])], axis=1)
         solved = _mgf_newton(target, start)
         eta[block] = solved[:, 0] + np.log(scale)
@@ -434,10 +429,10 @@ def mgf_fit(
 
 
 def detection_probability(
-    terms: Sequence[PowerTerm],
+    weights: np.ndarray,
     members: np.ndarray,
     threshold_mw: float,
-    fading: FadingParams | None = None,
+    fading: FadingParams = FadingParams(),
 ) -> np.ndarray:
     """P[power sum exceeds threshold_mw] for every subset (row) of `members`.
 
@@ -446,7 +441,7 @@ def detection_probability(
     """
     if threshold_mw <= 0.0:
         raise ValidationError(f"threshold {threshold_mw} must be positive")
-    eta, sigma = mgf_fit(terms, members, fading)
+    eta, sigma = mgf_fit(weights, members, fading)
     return _lognormal_tails(eta, sigma, math.log(threshold_mw))
 
 
@@ -547,54 +542,50 @@ def _gammaincc_fraction(a: float, x: np.ndarray) -> np.ndarray:
 
 
 def mma_fit(
-    useful: PowerTerm,
-    terms: Sequence[PowerTerm],
+    useful: float,
+    weights: np.ndarray,
     members: np.ndarray,
-    noise: PowerTerm,
-    fading: FadingParams | None = None,
+    noise_mw: float,
+    fading: FadingParams,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lognormal (eta, sigma) fitted to the useful-normalized denominator of every subset.
 
-    members is a (rows, len(terms)) bool matrix whose row r selects the
+    members is a (rows, len(weights)) bool matrix whose row r selects the
     interferers transmitting in subset r; the denominator is those plus
     noise.  Normalized by the useful link's mean power and shadowing, it is
     sum_n (w_n / w_u) f_n e^{y_n - y_u} + (N0 / w_u) e^{-y_u}.  The shared
     -y_u makes its terms correlated, but with the term means
-    g_n = (w_n / w_u) e^{(sigma_n^2 + sigma_u^2)/2} and
-    g_0 = (N0 / w_u) e^{sigma_u^2/2} the first two moments stay closed form:
+    g_n = (w_n / w_u) e^{sigma^2} and g_0 = (N0 / w_u) e^{sigma^2/2}
+    the first two moments stay closed form:
 
         M1 = sum_n g_n + g_0
-        M2 = e^{sigma_u^2} M1^2 + sum_n g_n^2 (f2_n e^{sigma_n^2 + sigma_u^2} - e^{sigma_u^2})
+        M2 = e^{sigma^2} M1^2 + sum_n g_n^2 (f2 e^{2 sigma^2} - e^{sigma^2})
 
-    (f2_n the multipath second moment), which is what moment matching
+    (f2 the multipath second moment), which is what moment matching
     (Fenton-Wilkinson) gives with the induced exponent correlations.  The
     matched lognormal exp(Z) has var Z = ln(M2 / M1^2) and
     E Z = ln M1 - var Z / 2.
 
-    Member sums run column by column in canonical term order (see
-    _canonical), so a row's fit depends only on the multiset of
-    interferers it selects: not on the other rows, on columns it does not
-    select, or on the order the terms are listed in.
+    Member sums run column by column in canonical order (see _canonical), so
+    a row's fit depends only on the multiset of interferers it selects: not
+    on the other rows, on columns it does not select, or on the order the
+    weights are listed in.
     """
-    terms, members = _canonical(terms, members)
-
-    s_u2 = useful.sigma**2
-    e_u = math.exp(s_u2)
+    weights, members = _canonical(weights, members)
+    e_half, e_one, e_two = _shadowing_moments(fading)
+    spread = _second_moment_factor(fading) * e_two - e_one
     m1 = np.zeros(len(members))
-    excess = np.zeros(len(members))  # M2 - e^{sigma_u^2} M1^2
-    for n, term in enumerate(terms):
+    excess = np.zeros(len(members))  # M2 - e^{sigma^2} M1^2
+    for n, weight in enumerate(weights):
         sel = members[:, n]
-        s2 = term.sigma**2 + s_u2
-        g = term.weight / useful.weight * math.exp(0.5 * s2)
+        g = weight / useful * e_one
         m1[sel] += g
-        excess[sel] += g * g * (_second_moment_factor(term, fading) * math.exp(s2) - e_u)
-    m1 += noise.weight / useful.weight * math.exp(0.5 * s_u2)
+        excess[sel] += g * g * spread
+    m1 += noise_mw / useful * e_half
     with np.errstate(all="ignore"):
-        var = s_u2 + np.log1p(excess / (e_u * m1 * m1))
+        var = fading.sigma**2 + np.log1p(excess / (e_one * m1 * m1))
     if not np.all(np.isfinite(var)):
-        raise NumericsError(
-            f"outage moment matching overflowed (useful weight {useful.weight!r})"
-        )
+        raise NumericsError(f"outage moment matching overflowed (useful weight {useful!r})")
     return np.log(m1) - 0.5 * var, np.sqrt(var)
 
 
@@ -646,30 +637,28 @@ def lognormal_expectation(
 
 
 def outage_probability(
-    useful: PowerTerm,
-    terms: Sequence[PowerTerm],
+    useful: float,
+    weights: np.ndarray,
     members: np.ndarray,
-    noise: PowerTerm,
+    noise_mw: float,
     sinr_threshold: float,
-    fading: FadingParams | None = None,
+    fading: FadingParams,
 ) -> np.ndarray:
-    """P[SINR < sinr_threshold] of the useful term for every subset (row) of `members`.
+    """P[SINR < sinr_threshold] of the useful link for every subset (row) of `members`.
 
     The denominator over the useful power, interferers plus noise, is fitted
-    by mma_fit as exp(Z).  Without multipath on the useful link the outage
-    is its tail above 1 / b; with it, the outage is E[F(b exp(Z))] for the
-    unit-mean Gamma CDF F, by lognormal_expectation.
+    by mma_fit as exp(Z).  Without multipath the outage is its tail above
+    1 / b; with it, the outage is E[F(b exp(Z))] for the unit-mean Gamma CDF
+    F, by lognormal_expectation.
     """
-    if useful.weight <= 0.0:
-        raise ValidationError("useful term must have positive weight")
-    if noise.weight <= 0.0:
-        raise ValidationError("noise term must have positive weight")
-    if noise.sigma != 0.0 or noise.has_multipath:
-        raise ValidationError("noise term must be deterministic (sigma 0, no multipath)")
+    if useful <= 0.0:
+        raise ValidationError(f"useful mean power {useful!r} must be positive")
+    if noise_mw <= 0.0:
+        raise ValidationError(f"noise power {noise_mw!r} must be positive")
     if sinr_threshold <= 0.0:
         raise ValidationError(f"SINR threshold {sinr_threshold} must be positive")
-    eta, sigma = mma_fit(useful, terms, members, noise, fading)
-    if fading is not None and fading.multipath and useful.has_multipath:
+    eta, sigma = mma_fit(useful, weights, members, noise_mw, fading)
+    if fading.multipath:
         kappa = fading.kappa
 
         def outage(w: np.ndarray) -> np.ndarray:

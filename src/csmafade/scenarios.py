@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .channel import LEVEL_LIMIT_DB, ChannelParams, FadingParams, PowerTerm, mean_rx_power
+from .channel import LEVEL_LIMIT_DB, ChannelParams, FadingParams, mean_rx_power
 from . import channel
 from .errors import ValidationError
 from .macmodel import SYMBOLS_PER_BYTE, SYMBOLS_PER_UNIT, MacParams, SolverConfig, TimingParams
@@ -275,19 +275,12 @@ def build_contention_tables(scenario: Scenario, plans: dict | None = None) -> np
         )
     chan, fading = scenario.channel, scenario.fading
     gain = scenario.mean_gain_mw
-    noise = PowerTerm(weight=chan.noise_mw)
-
-    def faded(weight: float) -> PowerTerm:
-        return PowerTerm(
-            weight=weight, sigma=fading.sigma, has_multipath=fading.multipath
-        )
-
     tx, rx = np.array(links).T
     senders = tx[_other_links(n_links)]
     det_gain = gain[senders, tx[:, None]]  # (L, k): power at each transmitter
     out_gain = gain[senders, rx[:, None]]  # at each receiver; 0 where the receiver sends
     useful = gain[tx, rx]
-    # every term shares the fading's sigma and multipath, so its gain identifies it;
+    # every term shares the scenario's fading, so its gain identifies it;
     # keys hold gains as ranks from 1 up, 0 marking an unselected column
     _, rank = np.unique(np.hstack([det_gain, out_gain, useful[:, None]]), return_inverse=True)
     rank = (rank.reshape(n_links, 2 * k + 1) + 1).astype(np.min_scalar_type(rank.size + 1))
@@ -297,14 +290,13 @@ def build_contention_tables(scenario: Scenario, plans: dict | None = None) -> np
 
     p_det = plan.det.fit(
         lambda l, members: channel.detection_probability(
-            [faded(w) for w in det_gain[l]], members, chan.cca_threshold_mw, fading
+            det_gain[l], members, chan.cca_threshold_mw, fading
         ),
     ).reshape(n_links, 2**k)
     p_out = np.ones((n_links, 2**k))
     p_out[plan.free] = plan.out.fit(
         lambda l, members: channel.outage_probability(
-            faded(useful[l]), [faded(w) for w in out_gain[l]], members,
-            noise, chan.sinr_threshold, fading,
+            useful[l], out_gain[l], members, chan.noise_mw, chan.sinr_threshold, fading
         ),
     )
     p_fad = p_out[:, 0].copy()  # the empty subset: noise-only outage
@@ -389,16 +381,12 @@ def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def compile_sim_network(scenario: Scenario) -> SimNetwork:
     """Mean-gain matrix plus routing arrays for the event-driven engine."""
-    chan = scenario.channel
     return SimNetwork(
         mean_gain_mw=scenario.mean_gain_mw,
         lam=np.asarray(scenario.lam, dtype=float),
         next_hop=scenario.hops,
-        sigma=scenario.fading.sigma,
-        kappa=scenario.fading.kappa,
-        cca_threshold_mw=chan.cca_threshold_mw,
-        noise_mw=chan.noise_mw,
-        sinr_threshold=chan.sinr_threshold,
+        channel=scenario.channel,
+        fading=scenario.fading,
         mac=scenario.mac,
         timing=scenario.timing,
     )
@@ -420,7 +408,8 @@ def _take(section: dict, cls, where: str):
     """Build a dataclass from a config section, rejecting unknown keys.
 
     Numeric fields are checked against their annotations first, so a bad
-    value is reported under its dotted name.
+    value is reported under its dotted name; so is a value the class refuses
+    with a message that starts "field=".
     """
     types = _field_types(cls)
     values = {}
@@ -431,7 +420,9 @@ def _take(section: dict, cls, where: str):
     try:
         return cls(**values)
     except ValidationError as exc:
-        raise ValidationError(f"invalid config value in {where}: {exc}") from exc
+        field = str(exc).partition("=")[0]
+        path = f"{where}.{field}" if field in types else where
+        raise ValidationError(f"invalid config value in {path}: {exc}") from exc
 
 
 @cache

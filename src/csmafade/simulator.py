@@ -23,12 +23,14 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import ChannelParams, FadingParams
 from .errors import NumericsError, ValidationError
 from .macmodel import SYMBOL_SECONDS, SYMBOLS_PER_UNIT, MacParams, TimingParams
 from .metrics import PowerProfile
@@ -63,16 +65,16 @@ class SimNetwork:
 
     mean_gain_mw[i, j] is the mean received power at node j when node i
     transmits; next_hop[i] is -1 for nodes that never send data (the sink).
+    channel (noise, CCA and SINR thresholds) and fading (shadowing sigma and
+    multipath kappa of every drawn gain) are the scenario's own, as the
+    analytic engine reads them.
     """
 
     mean_gain_mw: np.ndarray
     lam: np.ndarray
     next_hop: np.ndarray
-    sigma: float
-    kappa: float | None
-    cca_threshold_mw: float
-    noise_mw: float
-    sinr_threshold: float
+    channel: ChannelParams
+    fading: FadingParams
     mac: MacParams
     timing: TimingParams
 
@@ -85,10 +87,6 @@ class SimNetwork:
         if (self.lam < 0).any():
             raise ValidationError("generation rates must be >= 0")
         route_links(self.next_hop)
-        if self.sigma < 0:
-            raise ValidationError("sigma must be >= 0")
-        if self.kappa is not None and self.kappa <= 0:
-            raise ValidationError("kappa must be positive")
 
     @property
     def n_nodes(self) -> int:
@@ -288,8 +286,8 @@ def run_replication(
     # symbols ago, so such a frame leaves `active`: it is in no sum any more.
     frame_life = max(data_sym, ack_sym)
     m0, mb, max_nb, max_rt = net.mac.m0, net.mac.mb, net.mac.m, net.mac.n
-    sigma, kappa, n_nodes = net.sigma, net.kappa, net.n_nodes
-    floor, noise, cca_threshold = net.sinr_threshold, net.noise_mw, net.cca_threshold_mw
+    sigma, kappa, n_nodes, chan = net.fading.sigma, net.fading.kappa, net.n_nodes, net.channel
+    floor, noise, cca_threshold = chan.sinr_threshold, chan.noise_mw, chan.cca_threshold_mw
     ack_loss = config.ack_loss
     lam = net.lam.tolist()
     next_hop = net.next_hop.tolist()
@@ -348,9 +346,10 @@ def run_replication(
                 return False
         return True
 
-    def schedule_arrival(node: _Node, now: float) -> None:
+    def schedule_arrival(node: _Node, now: int) -> None:
         gap = (1.0 / lam[node.index]) * draw_exponential() / SYMBOL_SECONDS
-        push(heap, (math.ceil(now + gap), next(seq), ARRIVAL, node, None))
+        # at least a tick on: a gap below the float spacing at `now` would stop the clock
+        push(heap, (max(math.ceil(now + gap), now + 1), next(seq), ARRIVAL, node, None))
 
     def start_backoff(node: _Node, now: int) -> None:
         slots = draw_slots(node.be)
@@ -388,7 +387,7 @@ def run_replication(
     # prime the generation processes
     for node, rate in zip(nodes, lam):
         if rate > 0.0 and node.dest is not None:
-            schedule_arrival(node, 0.0)
+            schedule_arrival(node, 0)
 
     while heap and heap[0][0] < horizon:
         now, _, kind, node, data = pop(heap)
@@ -522,6 +521,13 @@ def run_replication(
     )
 
 
+def pool_size(workers: int, tasks: int) -> int:
+    """Processes for a pool of `tasks` tasks: at most one per task and per CPU
+    this process may run on.  A fork pool starts all of them at once."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(workers, tasks, cpus or 1)
+
+
 def _rep_task(args) -> SimStats:
     net, config, rep = args
     return run_replication(net, config, rep)
@@ -563,14 +569,14 @@ def run_experiment(
     profile: PowerProfile | None = None,
     workers: int = 1,
 ) -> ExperimentResult:
-    """Run all replications, in a pool of at most one process per
-    replication if workers > 1, and aggregate them."""
+    """Run all replications, in a pool of pool_size processes if
+    workers > 1, and aggregate them."""
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")
     profile = profile or PowerProfile()
     reps = config.replications
     if workers > 1 and reps > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, reps)) as pool:
+        with ProcessPoolExecutor(max_workers=pool_size(workers, reps)) as pool:
             stats = list(pool.map(_rep_task, [(net, config, r) for r in range(reps)]))
     else:
         stats = [run_replication(net, config, r) for r in range(reps)]

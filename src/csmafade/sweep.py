@@ -37,7 +37,7 @@ from .errors import NumericsError, ValidationError
 from .multihop import end_to_end_reliability, route, solve_network
 from .scenarios import (RowPlan, Scenario, assign, build_contention_tables,
                         compile_sim_network, scenario_from_config, scenario_id)
-from .simulator import run_experiment
+from .simulator import pool_size, run_experiment
 
 ENGINES = ("analytic", "simulate", "compare")
 
@@ -361,9 +361,10 @@ def run_sweep(
     Each point is parsed once, here: a config error becomes its error row,
     or with strict=True is raised, as is an engine failure.
     With workers > 1 the points run in a process pool of at most one worker
-    per point.  Simulated points are dispatched heaviest first (by
-    _sim_work), so that no worker is left alone with a long point at the
-    end; the blocks are written in grid order all the same.
+    per point and per CPU (simulator.pool_size).  Simulated points are
+    dispatched heaviest first (by _sim_work), so that no worker is left alone
+    with a long point at the end; the blocks are written in grid order all
+    the same.
     """
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")
@@ -382,7 +383,7 @@ def run_sweep(
     if workers > 1 and len(points) > 1:
         if spec.engine != "simulate":
             _prebuild_tables(parsed)  # once here, not once per worker
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=pool_size(workers, len(tasks))) as pool:
             done = dict(zip(order, pool.map(_point_task, tasks)))
     else:
         done = dict(zip(order, map(_point_task, tasks)))

@@ -25,10 +25,8 @@ from csmafade.channel import (
     SQRT2,
     SQRTPI,
     FadingParams,
-    PowerTerm,
     _gamma_cdf_unit_mean,
     _gh_nodes,
-    _second_moment_factor,
 )
 from csmafade.errors import ConvergenceError, NumericsError, ValidationError
 from csmafade.macmodel import (
@@ -60,6 +58,27 @@ def linear_to_db(x: float) -> float:
 
 
 @dataclass(frozen=True)
+class Term:
+    """One additive component w * f * exp(y) of a power sum, y ~ N(0, sigma^2).
+
+    Unlike the package's fits, which give every term the scenario's sigma and
+    multipath, each term here has its own.
+    """
+
+    weight: float
+    sigma: float = 0.0
+    has_multipath: bool = False
+
+
+def second_moment_factor(term: Term, fading: FadingParams | None) -> float:
+    """E[f^2] of the term's unit-mean Gamma multipath factor: (kappa + 1) / kappa,
+    or 1 without multipath."""
+    if fading is not None and fading.multipath and term.has_multipath:
+        return (fading.kappa + 1.0) / fading.kappa
+    return 1.0
+
+
+@dataclass(frozen=True)
 class ScalarLognormal:
     """Lognormal exp(Z), Z ~ N(eta, sigma^2), fitted to a power sum."""
 
@@ -82,7 +101,7 @@ def gaussian_tail(z: float) -> float:
 
 
 def scalar_moment_fit(
-    terms: Sequence[PowerTerm],
+    terms: Sequence[Term],
     corr: np.ndarray | None = None,
     fading: FadingParams | None = None,
 ) -> ScalarLognormal:
@@ -110,7 +129,7 @@ def scalar_moment_fit(
 
     # E[A_m A_n] exp((s_m^2 + s_n^2)/2 + rho_mn s_m s_n); the diagonal carries
     # the multipath second moment, cross terms the product of unit means.
-    f2 = np.array([_second_moment_factor(t, fading) for t in terms])
+    f2 = np.array([second_moment_factor(t, fading) for t in terms])
     cross = np.outer(w, w) * np.exp(
         0.5 * (s**2)[:, None] + 0.5 * (s**2)[None, :] + rho * np.outer(s, s)
     )
@@ -246,10 +265,10 @@ def outage_fit_reference(useful, interferers, noise, fading=None) -> ScalarLogno
     m = len(base_sigma)
     tilde = [math.sqrt(s * s + s_u * s_u) for s in base_sigma]
     terms = [
-        PowerTerm(t.weight / useful.weight, tilde[j], t.has_multipath)
+        Term(t.weight / useful.weight, tilde[j], t.has_multipath)
         for j, t in enumerate(interferers)
     ]
-    terms.append(PowerTerm(noise.weight / useful.weight, tilde[-1]))
+    terms.append(Term(noise.weight / useful.weight, tilde[-1]))
     cov = np.empty((m, m))
     for a in range(m):
         for b in range(m):

@@ -17,7 +17,6 @@ import pytest
 from csmafade.channel import (
     ChannelParams,
     FadingParams,
-    PowerTerm,
     detection_probability,
     mean_rx_power,
     outage_probability,
@@ -244,7 +243,6 @@ def _check_mma_grid():
         (1, 2, 4, 8), (0.5, 1.0, 2.0), (True, False)
     ):
         weights = [1.0] * count if equal else [1.0 / (i + 1) for i in range(count)]
-        terms = [PowerTerm(w, sigma) for w in weights]
         seed += 1
         rng = np.random.default_rng(seed)
         total = oracles.sample_power_sum(
@@ -253,7 +251,8 @@ def _check_mma_grid():
         for tail in (0.01, 0.05, 0.1, 0.5, 0.9):
             thr = float(np.quantile(total, 1.0 - tail))
             mc = float(np.mean(total > thr))
-            err = abs(detection_probability(terms, one_row(len(terms)), thr)[0] - mc)
+            got = detection_probability(weights, one_row(count), thr, FadingParams(sigma=sigma))
+            err = abs(got[0] - mc)
             if tail <= 0.1:
                 if err > worst_tail:
                     worst_tail = err
@@ -275,12 +274,8 @@ def _check_rayleigh_closed_form():
     for r in (1.0, 3.0):
         pbar = mean_rx_power(0.0, r, chan)
         got = outage_probability(
-            PowerTerm(pbar, 0.0, True),
-            [],
-            one_row(0),
-            PowerTerm(chan.noise_mw),
-            chan.sinr_threshold,
-            fading=FadingParams(sigma=0.0, kappa=1.0),
+            pbar, [], one_row(0), chan.noise_mw, chan.sinr_threshold,
+            FadingParams(sigma=0.0, kappa=1.0),
         )[0]
         want = 1.0 - math.exp(-chan.sinr_threshold * chan.noise_mw / pbar)
         worst = max(worst, abs(got - want))
@@ -339,7 +334,7 @@ def _check_quadrature_refinement():
         (1, 2, 3), (0.25, 0.5, 1.0), (1.0, 3.0, 8.0)
     ):
         pbar = mean_rx_power(0.0, r, chan)
-        approx = oracles.scalar_moment_fit([PowerTerm(chan.noise_mw / pbar, sigma)])
+        approx = oracles.scalar_moment_fit([oracles.Term(chan.noise_mw / pbar, sigma)])
 
         def integrand(wv):
             return _gamma_cdf_unit_mean(kappa, b * wv)
@@ -347,12 +342,7 @@ def _check_quadrature_refinement():
         v32 = oracles.scalar_gh_expectation(integrand, approx.eta, approx.sigma, nodes=32)
         v64 = oracles.scalar_gh_expectation(integrand, approx.eta, approx.sigma, nodes=64)
         production = outage_probability(
-            PowerTerm(pbar, sigma, True),
-            [],
-            one_row(0),
-            PowerTerm(chan.noise_mw),
-            b,
-            fading=FadingParams(sigma=sigma, kappa=float(kappa)),
+            pbar, [], one_row(0), chan.noise_mw, b, FadingParams(sigma=sigma, kappa=float(kappa))
         )[0]
         worst = max(worst, abs(v32 - v64), abs(production - v64))
     assert worst <= 1e-6, worst

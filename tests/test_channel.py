@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 from scipy.special import gammainc, roots_hermite
 
 import oracles
-from oracles import ScalarLognormal, gaussian_tail, linear_to_db, scalar_moment_fit
+from oracles import ScalarLognormal, Term, gaussian_tail, linear_to_db, scalar_moment_fit
 from topo_helpers import one_row
 from csmafade.channel import (
     ChannelParams,
+    KAPPA_MAX,
     FadingParams,
-    PowerTerm,
     detection_probability,
     lognormal_expectation,
     mean_rx_power,
@@ -33,6 +33,11 @@ from csmafade.errors import NumericsError, ValidationError
 from csmafade.units import dbm_to_mw
 
 PACKAGE_DIR = str(Path(csmafade.__file__).resolve().parents[1])
+
+
+def faded(weight, fading):
+    """A reference term with the fading every production term carries."""
+    return Term(weight, fading.sigma, fading.multipath)
 
 
 # ---------------------------------------------------------------------------
@@ -105,14 +110,14 @@ def test_q_function_symmetry_and_monotonicity():
 
 
 def test_mma_single_term_is_exact():
-    fit = scalar_moment_fit([PowerTerm(1.0, 0.5)])
+    fit = scalar_moment_fit([Term(1.0, 0.5)])
     assert fit.eta == pytest.approx(0.0, abs=1e-12)
     assert fit.sigma == pytest.approx(0.5, abs=1e-12)
 
 
 def test_mma_single_term_cdf_matches_lognormal_everywhere():
     w, s = 2.3, 1.2
-    fit = scalar_moment_fit([PowerTerm(w, s)])
+    fit = scalar_moment_fit([Term(w, s)])
     for z in np.linspace(-3.0, 3.0, 20):
         t = math.exp(math.log(w) + s * z)
         exact = gaussian_tail((math.log(t) - math.log(w)) / s)
@@ -120,10 +125,10 @@ def test_mma_single_term_cdf_matches_lognormal_everywhere():
 
 
 def test_mma_weight_scaling_shifts_eta_only():
-    terms = [PowerTerm(1.0, 0.8), PowerTerm(0.4, 1.5)]
+    terms = [Term(1.0, 0.8), Term(0.4, 1.5)]
     base = scalar_moment_fit(terms)
     for c in (0.01, 0.5, 3.0, 250.0):
-        scaled = scalar_moment_fit([PowerTerm(c * t.weight, t.sigma) for t in terms])
+        scaled = scalar_moment_fit([Term(c * t.weight, t.sigma) for t in terms])
         assert scaled.eta - base.eta == pytest.approx(math.log(c), abs=1e-10)
         assert scaled.sigma == pytest.approx(base.sigma, abs=1e-12)
 
@@ -152,10 +157,10 @@ def _direct_moments(terms, corr, fading):
 def test_mma_reproduces_exact_moments():
     fading = FadingParams(sigma=1.0, kappa=3.0)
     cases = [
-        ([PowerTerm(1.0, 1.0), PowerTerm(1.0, 1.0)], None, None),
-        ([PowerTerm(2.0, 0.5), PowerTerm(0.3, 1.5), PowerTerm(0.1, 0.0)], None, None),
+        ([Term(1.0, 1.0), Term(1.0, 1.0)], None, None),
+        ([Term(2.0, 0.5), Term(0.3, 1.5), Term(0.1, 0.0)], None, None),
         (
-            [PowerTerm(1.0, 1.0, True), PowerTerm(0.5, 0.7, True)],
+            [Term(1.0, 1.0, True), Term(0.5, 0.7, True)],
             [[1.0, 0.4], [0.4, 1.0]],
             fading,
         ),
@@ -168,7 +173,7 @@ def test_mma_reproduces_exact_moments():
 
 
 def test_mma_two_term_moments_vs_monte_carlo():
-    fit = scalar_moment_fit([PowerTerm(1.0, 1.0), PowerTerm(1.0, 1.0)])
+    fit = scalar_moment_fit([Term(1.0, 1.0), Term(1.0, 1.0)])
     model_mean = math.exp(fit.eta + 0.5 * fit.sigma**2)
     model_var = (math.exp(fit.sigma**2) - 1.0) * math.exp(2 * fit.eta + fit.sigma**2)
     mc_mean, mc_var, _, _ = oracles.mc_sum_moments(
@@ -182,16 +187,21 @@ def test_mma_rejects_bad_input():
     with pytest.raises(ValidationError):
         scalar_moment_fit([])
     with pytest.raises(ValidationError):
-        scalar_moment_fit([PowerTerm(0.0, 1.0)])
+        scalar_moment_fit([Term(0.0, 1.0)])
     with pytest.raises(ValidationError):
-        scalar_moment_fit([PowerTerm(1.0, 1.0)], corr=np.eye(3))
+        scalar_moment_fit([Term(1.0, 1.0)], corr=np.eye(3))
 
 
 def test_fading_params_validation():
-    with pytest.raises(ValidationError):
-        FadingParams(sigma=-0.1)
+    for sigma in (-0.1, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="sigma"):
+            FadingParams(sigma=sigma)
     with pytest.raises(ValidationError):
         FadingParams(kappa=0.2)
+    assert FadingParams(kappa=KAPPA_MAX).kappa == KAPPA_MAX
+    for kappa in (np.nextafter(KAPPA_MAX, math.inf), 1e6, 1e308, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="kappa"):
+            FadingParams(kappa=kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +209,14 @@ def test_fading_params_validation():
 
 
 def test_detection_threshold_below_support():
-    assert detection_probability([PowerTerm(1.0, 0.7)], one_row(1), 1e-300)[0] == pytest.approx(1.0)
-    assert detection_probability([PowerTerm(1.0, 0.0)], one_row(1), 1e-300)[0] == pytest.approx(1.0)
+    fading = FadingParams(sigma=0.7)
+    assert detection_probability([1.0], one_row(1), 1e-300, fading)[0] == pytest.approx(1.0)
+    assert detection_probability([1.0], one_row(1), 1e-300)[0] == pytest.approx(1.0)
 
 
 def test_detection_at_median():
-    fit = scalar_moment_fit([PowerTerm(3.0, 1.1)])
-    p = detection_probability([PowerTerm(3.0, 1.1)], one_row(1), math.exp(fit.eta))[0]
+    fit = scalar_moment_fit([Term(3.0, 1.1)])
+    p = detection_probability([3.0], one_row(1), math.exp(fit.eta), FadingParams(sigma=1.1))[0]
     assert p == pytest.approx(0.5)
 
 
@@ -219,8 +230,7 @@ def test_detection_star_three_terms_vs_monte_carlo():
     dists = [2.0 * math.sin(math.pi * d / 7.0) for d in (1, 2, 3)]
     weights = [mean_rx_power(0.0, d, chan) for d in dists]
     a_mw = dbm_to_mw(-76.0)
-    terms = [PowerTerm(w, 2.0) for w in weights]
-    model = detection_probability(terms, one_row(3), a_mw)[0]
+    model = detection_probability(weights, one_row(3), a_mw, FadingParams(sigma=2.0))[0]
     mc = oracles.mc_tail_probability(
         weights, [2.0] * 3, [False] * 3, None, a_mw, n_samples=10**7, seed=12
     )
@@ -235,26 +245,28 @@ def test_detection_multipath_sum_vs_monte_carlo(kappa):
     weights = [1.0 / (i + 1) for i in range(8)]
     sigmas, multipath = [1.0] * 8, [True] * 8
     fading = FadingParams(sigma=1.0, kappa=kappa)
-    terms = [PowerTerm(w, 1.0, True) for w in weights]
     for tail in (0.01, 0.05, 0.1):
         thr = oracles.mc_quantile(weights, sigmas, multipath, kappa, tail, seed=31)
         mc = oracles.mc_tail_probability(
             weights, sigmas, multipath, kappa, thr, n_samples=2 * 10**6, seed=32
         )
-        model = detection_probability(terms, one_row(8), thr, fading)[0]
+        model = detection_probability(weights, one_row(8), thr, fading)[0]
         assert abs(model - mc) <= 0.015, (tail, mc)
 
 
 def test_detection_refuses_an_unconverged_mgf_fit(monkeypatch):
     monkeypatch.setattr(channel, "MGF_MAX_ITER", 1)
     with pytest.raises(NumericsError, match="MGF matching did not converge"):
-        detection_probability([PowerTerm(1.0, 1.0), PowerTerm(0.5, 1.0)], one_row(2), 1.0)
+        detection_probability([1.0, 0.5], one_row(2), 1.0, FadingParams(sigma=1.0))
 
 
 def test_detection_monotone_in_threshold():
-    terms = [PowerTerm(1.0, 1.0), PowerTerm(0.5, 2.0)]
-    probs = [detection_probability(terms, one_row(2), t)[0] for t in np.logspace(-4, 2, 25)]
-    assert all(a >= b - 1e-15 for a, b in zip(probs, probs[1:]))
+    for fading in (FadingParams(sigma=1.0), FadingParams(sigma=2.0)):
+        probs = [
+            detection_probability([1.0, 0.5], one_row(2), t, fading)[0]
+            for t in np.logspace(-4, 2, 25)
+        ]
+        assert all(a >= b - 1e-15 for a, b in zip(probs, probs[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +278,7 @@ def test_outage_rayleigh_closed_form():
     pbar = mean_rx_power(0.0, 1.0, chan)
     b = chan.sinr_threshold
     p = outage_probability(
-        PowerTerm(pbar, 0.0, True),
-        [],
-        one_row(0),
-        PowerTerm(chan.noise_mw),
-        b,
-        fading=FadingParams(sigma=0.0, kappa=1.0),
+        pbar, [], one_row(0), chan.noise_mw, b, FadingParams(sigma=0.0, kappa=1.0)
     )[0]
     assert p == pytest.approx(1.0 - math.exp(-b * chan.noise_mw / pbar), abs=1e-10)
 
@@ -281,20 +288,10 @@ def test_outage_large_kappa_approaches_no_multipath():
     pbar = mean_rx_power(0.0, 1.0, chan)
     b = chan.sinr_threshold
     with_mp = outage_probability(
-        PowerTerm(pbar, 2.0, True),
-        [],
-        one_row(0),
-        PowerTerm(chan.noise_mw),
-        b,
-        fading=FadingParams(sigma=2.0, kappa=64.0),
+        pbar, [], one_row(0), chan.noise_mw, b, FadingParams(sigma=2.0, kappa=64.0)
     )[0]
     without = outage_probability(
-        PowerTerm(pbar, 2.0),
-        [],
-        one_row(0),
-        PowerTerm(chan.noise_mw),
-        b,
-        fading=FadingParams(sigma=2.0),
+        pbar, [], one_row(0), chan.noise_mw, b, FadingParams(sigma=2.0)
     )[0]
     assert abs(with_mp - without) < 5e-3
 
@@ -306,35 +303,22 @@ def test_outage_kappa2_one_interferer_vs_monte_carlo():
     n0 = chan.noise_mw
     fading = FadingParams(sigma=1.0, kappa=2.0)
 
-    # interferer as a plain lognormal term
-    model = outage_probability(
-        PowerTerm(pbar, 1.0, True), [PowerTerm(pbar, 1.0)], one_row(1), PowerTerm(n0), b,
-        fading=fading,
-    )[0]
+    # the interferer carries the composite fading too: the moment-matched
+    # lognormal smooths its Gamma factor and carries a known body-region error
+    # (~0.018 measured here), inherent to the approximation rather than a bug.
+    model = outage_probability(pbar, [pbar], one_row(1), n0, b, fading)[0]
     mc = oracles.mc_sinr_outage(
-        pbar, 1.0, True, [pbar], [1.0], [False], n0, b, 2.0, n_samples=10**7, seed=13
-    )
-    assert abs(model - mc) < 0.01
-
-    # interferer with composite fading as well: the moment-matched lognormal
-    # smooths the Gamma factor and carries a known body-region error (~0.018
-    # measured here), inherent to the approximation rather than a bug.
-    model_full = outage_probability(
-        PowerTerm(pbar, 1.0, True), [PowerTerm(pbar, 1.0, True)], one_row(1), PowerTerm(n0), b,
-        fading=fading,
-    )[0]
-    mc_full = oracles.mc_sinr_outage(
         pbar, 1.0, True, [pbar], [1.0], [True], n0, b, 2.0, n_samples=10**7, seed=13
     )
-    assert abs(model_full - mc_full) < 0.03
+    assert abs(model - mc) < 0.03
 
 
 def test_outage_sigma0_is_exact_step():
     n0 = 1e-9
     # SNR comfortably above threshold: no outage
-    assert outage_probability(PowerTerm(1.0), [], one_row(0), PowerTerm(n0), 4.0)[0] == 0.0
+    assert outage_probability(1.0, [], one_row(0), n0, 4.0, FadingParams())[0] == 0.0
     # mean power below threshold*noise: certain outage
-    assert outage_probability(PowerTerm(1e-10), [], one_row(0), PowerTerm(n0), 4.0)[0] == 1.0
+    assert outage_probability(1e-10, [], one_row(0), n0, 4.0, FadingParams())[0] == 1.0
 
 
 def test_outage_monotone_in_threshold_and_interference():
@@ -342,79 +326,83 @@ def test_outage_monotone_in_threshold_and_interference():
     pbar = mean_rx_power(0.0, 2.0, chan)
     n0 = chan.noise_mw
     for fading in (FadingParams(sigma=1.0), FadingParams(sigma=1.0, kappa=2.0)):
-        mp = fading.multipath
         by_b = [
-            outage_probability(
-                PowerTerm(pbar, 1.0, mp), [PowerTerm(0.3 * pbar, 1.0)], one_row(1), PowerTerm(n0),
-                b, fading=fading,
-            )[0]
+            outage_probability(pbar, [0.3 * pbar], one_row(1), n0, b, fading)[0]
             for b in np.logspace(-1.5, 1.5, 9)
         ]
         assert all(x <= y + 1e-12 for x, y in zip(by_b, by_b[1:]))
         by_w = [
-            outage_probability(
-                PowerTerm(pbar, 1.0, mp), [PowerTerm(w * pbar, 1.0)], one_row(1), PowerTerm(n0),
-                3.98, fading=fading,
-            )[0]
+            outage_probability(pbar, [w * pbar], one_row(1), n0, 3.98, fading)[0]
             for w in (0.0, 0.1, 0.5, 1.0, 2.0)
         ]
         assert all(x <= y + 1e-12 for x, y in zip(by_w, by_w[1:]))
 
 
 def test_outage_validates_terms():
+    fading = FadingParams()
     with pytest.raises(ValidationError):
-        outage_probability(PowerTerm(0.0), [], one_row(0), PowerTerm(1e-9), 4.0)
+        outage_probability(0.0, [], one_row(0), 1e-9, 4.0, fading)
     with pytest.raises(ValidationError):
-        outage_probability(PowerTerm(1.0), [], one_row(0), PowerTerm(0.0), 4.0)
+        outage_probability(1.0, [], one_row(0), 0.0, 4.0, fading)
     with pytest.raises(ValidationError):
-        outage_probability(PowerTerm(1.0), [], one_row(0), PowerTerm(1e-9, sigma=1.0), 4.0)
-    with pytest.raises(ValidationError):
-        outage_probability(PowerTerm(1.0), [], one_row(0), PowerTerm(1e-9), -1.0)
+        outage_probability(1.0, [], one_row(0), 1e-9, -1.0, fading)
+
+
+def test_fits_reject_a_negative_weight():
+    fading = FadingParams(sigma=1.0)
+    with pytest.raises(ValidationError, match="must be >= 0"):
+        detection_probability([1.0, -0.1], one_row(2), 1.0, fading)
+    with pytest.raises(ValidationError, match="must be >= 0"):
+        outage_probability(1.0, [-0.1], one_row(1), 1e-9, 4.0, fading)
+
+
+@pytest.mark.parametrize("sigma", [20.0, 1e308])
+def test_fits_refuse_a_sigma_whose_moments_overflow(sigma):
+    # e^(2 sigma^2) leaves the float range from sigma ~ 18.84
+    fading = FadingParams(sigma=sigma, kappa=2.0)
+    with pytest.raises(NumericsError, match="overflows its moments"):
+        detection_probability([1.0, 0.5], one_row(2), 1.0, fading)
+    with pytest.raises(NumericsError, match="overflows its moments"):
+        outage_probability(1.0, [0.5], one_row(1), 1e-9, 4.0, fading)
 
 
 @pytest.mark.parametrize("kappa", [None, 1.5, 2.0])
 @pytest.mark.parametrize("sigma", [0.0, 1.0, 2.0])
 def test_batched_outage_matches_per_subset_reference(sigma, kappa):
     # closed-form subset moments against the explicit covariance +
-    # scalar_moment_fit construction, with interferer spreads unequal to the
-    # useful link's
+    # scalar_moment_fit construction
     chan = ChannelParams()
     b = chan.sinr_threshold
-    noise = PowerTerm(chan.noise_mw)
     fading = FadingParams(sigma=sigma, kappa=kappa)
     rng = np.random.default_rng(int(10 * sigma) + (0 if kappa is None else int(10 * kappa)))
     for k in (1, 3, 6):
-        useful = PowerTerm(
-            mean_rx_power(0.0, rng.uniform(1.0, 6.0), chan), sigma, kappa is not None
-        )
-        terms = [
-            PowerTerm(
-                mean_rx_power(0.0, rng.uniform(1.0, 12.0), chan),
-                sigma * rng.choice([0.0, 0.5, 1.0, 1.5]),
-                kappa is not None and bool(rng.integers(2)),
-            )
-            for _ in range(k)
-        ]
+        useful = mean_rx_power(0.0, rng.uniform(1.0, 6.0), chan)
+        weights = [mean_rx_power(0.0, rng.uniform(1.0, 12.0), chan) for _ in range(k)]
         members = np.vstack(
             [np.zeros(k, bool), np.ones(k, bool), rng.integers(0, 2, (12, k)).astype(bool)]
         )
-        batch = channel.outage_probability(useful, terms, members, noise, b, fading)
+        batch = channel.outage_probability(useful, weights, members, chan.noise_mw, b, fading)
         for row, got in zip(members, batch):
-            chosen = [t for t, on in zip(terms, row) if on]
-            want = oracles.outage_reference(useful, chosen, noise, b, fading)
+            chosen = [w for w, on in zip(weights, row) if on]
+            want = oracles.outage_reference(
+                faded(useful, fading), [faded(w, fading) for w in chosen],
+                Term(chan.noise_mw), b, fading,
+            )
             assert abs(got - want) <= 1e-12, (k, row, got, want)
             # a row comes out of the batch exactly as it does alone
-            alone = outage_probability(useful, chosen, one_row(len(chosen)), noise, b, fading)
+            alone = outage_probability(
+                useful, chosen, one_row(len(chosen)), chan.noise_mw, b, fading
+            )
             assert got == alone[0]
 
 
 def test_outage_quadrature_does_not_depend_on_its_block_size(monkeypatch):
     chan = ChannelParams()
     fading = FadingParams(sigma=1.5, kappa=2.0)
-    terms = [PowerTerm(mean_rx_power(0.0, r, chan), 1.5, True) for r in (1.5, 2.0, 3.0, 5.0)]
+    weights = [mean_rx_power(0.0, r, chan) for r in (1.5, 2.0, 3.0, 5.0)]
     members = (np.arange(16)[:, None] >> np.arange(4) & 1).astype(bool)
-    args = (PowerTerm(mean_rx_power(0.0, 1.0, chan), 1.5, True), terms, members,
-            PowerTerm(chan.noise_mw), chan.sinr_threshold, fading)
+    args = (mean_rx_power(0.0, 1.0, chan), weights, members,
+            chan.noise_mw, chan.sinr_threshold, fading)
     blocked = channel.outage_probability(*args)
     monkeypatch.setattr(channel, "QUAD_BLOCK", 1)
     assert np.array_equal(channel.outage_probability(*args), blocked)
@@ -424,15 +412,14 @@ def test_outage_refuses_an_unconverged_quadrature(monkeypatch):
     monkeypatch.setattr(channel, "QUAD_TOL", -1.0)
     with pytest.raises(NumericsError, match="did not converge"):
         outage_probability(
-            PowerTerm(1e-6, 1.0, True), [PowerTerm(1e-7, 1.0)], one_row(1), PowerTerm(1e-9), 4.0,
-            fading=FadingParams(sigma=1.0, kappa=2.0),
+            1e-6, [1e-7], one_row(1), 1e-9, 4.0, FadingParams(sigma=1.0, kappa=2.0)
         )
 
 
 def test_outage_rejects_a_members_matrix_of_the_wrong_width():
     with pytest.raises(ValidationError, match="members"):
         channel.outage_probability(
-            PowerTerm(1.0), [PowerTerm(0.1)], np.ones((2, 3), bool), PowerTerm(1e-9), 4.0
+            1.0, [0.1], np.ones((2, 3), bool), 1e-9, 4.0, FadingParams()
         )
 
 
@@ -447,39 +434,31 @@ def test_subset_fits_do_not_depend_on_term_order(kappa):
     chan = ChannelParams()
     fading = FadingParams(sigma=1.5, kappa=kappa)
     rng = np.random.default_rng(7 if kappa is None else 8)
-    terms = [
-        PowerTerm(
-            mean_rx_power(0.0, rng.uniform(3.0, 12.0), chan),
-            float(1.5 * rng.choice([0.0, 0.5, 1.0])),
-            kappa is not None and bool(rng.integers(2)),
-        )
-        for _ in range(6)
-    ]
-    terms += [terms[1], terms[4], PowerTerm(terms[2].weight, 0.25)]  # equal weights
-    k = len(terms)
+    weights = [mean_rx_power(0.0, rng.uniform(3.0, 12.0), chan) for _ in range(6)]
+    weights += [weights[1], weights[4], weights[2]]  # equal weights
+    weights = np.array(weights)
+    k = len(weights)
     members = np.vstack(
         [np.zeros(k, bool), np.ones(k, bool), rng.integers(0, 2, (40, k)).astype(bool)]
     )
-    useful = PowerTerm(mean_rx_power(0.0, 1.0, chan), 1.5, kappa is not None)
-    noise = PowerTerm(chan.noise_mw)
-    b, thr = chan.sinr_threshold, 0.5 * sum(t.weight for t in terms)
+    useful, noise = mean_rx_power(0.0, 1.0, chan), chan.noise_mw
+    b, thr = chan.sinr_threshold, 0.5 * weights.sum()
 
-    p_det = channel.detection_probability(terms, members, thr, fading)
-    p_out = channel.outage_probability(useful, terms, members, noise, b, fading)
+    p_det = channel.detection_probability(weights, members, thr, fading)
+    p_out = channel.outage_probability(useful, weights, members, noise, b, fading)
     assert np.sum((p_det > 1e-3) & (p_det < 0.999)) > 10
     assert np.sum((p_out > 1e-3) & (p_out < 0.999)) > 10
     for _ in range(5):
         perm = rng.permutation(k)
-        shuffled = [terms[n] for n in perm]
         assert np.array_equal(
-            channel.detection_probability(shuffled, members[:, perm], thr, fading), p_det
+            channel.detection_probability(weights[perm], members[:, perm], thr, fading), p_det
         )
         assert np.array_equal(
-            channel.outage_probability(useful, shuffled, members[:, perm], noise, b, fading),
+            channel.outage_probability(useful, weights[perm], members[:, perm], noise, b, fading),
             p_out,
         )
     for row, want_det, want_out in zip(members[2:8], p_det[2:8], p_out[2:8]):
-        chosen = [terms[n] for n in rng.permutation(k) if row[n]]
+        chosen = [weights[n] for n in rng.permutation(k) if row[n]]
         assert detection_probability(chosen, one_row(len(chosen)), thr, fading)[0] == want_det
         alone = outage_probability(useful, chosen, one_row(len(chosen)), noise, b, fading)
         assert alone[0] == want_out
@@ -563,18 +542,15 @@ def test_mma_fit_matches_the_scalar_fit_with_induced_correlation(kappa):
     chan = ChannelParams()
     fading = FadingParams(sigma=1.5, kappa=kappa)
     rng = np.random.default_rng(5)
-    useful = PowerTerm(mean_rx_power(0.0, 2.0, chan), 1.5, kappa is not None)
-    terms = [
-        PowerTerm(mean_rx_power(0.0, rng.uniform(1.0, 12.0), chan),
-                  float(rng.choice([0.0, 0.75, 1.5])), kappa is not None and bool(n % 2))
-        for n in range(5)
-    ]
+    useful = mean_rx_power(0.0, 2.0, chan)
+    weights = [mean_rx_power(0.0, rng.uniform(1.0, 12.0), chan) for _ in range(5)]
     members = (np.arange(32)[:, None] >> np.arange(5) & 1).astype(bool)
-    noise = PowerTerm(chan.noise_mw)
-    eta, sigma = mma_fit(useful, terms, members, noise, fading)
+    eta, sigma = mma_fit(useful, weights, members, chan.noise_mw, fading)
     for row, e, s in zip(members, eta, sigma):
-        chosen = [t for t, on in zip(terms, row) if on]
-        want = oracles.outage_fit_reference(useful, chosen, noise, fading)
+        chosen = [faded(w, fading) for w, on in zip(weights, row) if on]
+        want = oracles.outage_fit_reference(
+            faded(useful, fading), chosen, Term(chan.noise_mw), fading
+        )
         assert e == pytest.approx(want.eta, abs=1e-12)
         assert s == pytest.approx(want.sigma, abs=1e-12)
 
@@ -591,12 +567,7 @@ def test_outage_quadrature_matches_adaptive_integration():
             for r in (1.0, 3.0, 8.0):
                 pbar = mean_rx_power(0.0, r, chan)
                 model = outage_probability(
-                    PowerTerm(pbar, sigma, True),
-                    [],
-                    one_row(0),
-                    PowerTerm(n0),
-                    b,
-                    fading=FadingParams(sigma=sigma, kappa=kappa),
+                    pbar, [], one_row(0), n0, b, FadingParams(sigma=sigma, kappa=kappa)
                 )[0]
                 truth = oracles.quad_outage_truth(kappa, b, math.log(n0 / pbar), sigma)
                 assert model == pytest.approx(truth, abs=2e-6)
@@ -610,12 +581,11 @@ def test_outage_quadrature_matches_adaptive_integration():
 @given(
     w1=st.floats(0.01, 10.0),
     w2=st.floats(0.0, 10.0),
-    s1=st.floats(0.0, 2.0),
-    s2=st.floats(0.0, 2.0),
+    sigma=st.floats(0.0, 2.0),
     thr=st.floats(1e-6, 100.0),
 )
-def test_detection_probability_in_unit_interval(w1, w2, s1, s2, thr):
-    p = detection_probability([PowerTerm(w1, s1), PowerTerm(w2, s2)], one_row(2), thr)[0]
+def test_detection_probability_in_unit_interval(w1, w2, sigma, thr):
+    p = detection_probability([w1, w2], one_row(2), thr, FadingParams(sigma=sigma))[0]
     assert 0.0 <= p <= 1.0
 
 
@@ -623,21 +593,13 @@ def test_detection_probability_in_unit_interval(w1, w2, s1, s2, thr):
 @given(
     wu=st.floats(0.01, 10.0),
     wi=st.floats(0.0, 10.0),
-    su=st.floats(0.0, 1.5),
-    si=st.floats(0.0, 1.5),
+    sigma=st.floats(0.0, 1.5),
     b=st.floats(0.05, 30.0),
     kappa=st.one_of(st.none(), st.integers(1, 8).map(float)),
 )
-def test_outage_probability_in_unit_interval(wu, wi, su, si, b, kappa):
-    fading = FadingParams(sigma=su, kappa=kappa)
-    p = outage_probability(
-        PowerTerm(wu, su, kappa is not None),
-        [PowerTerm(wi, si)],
-        one_row(1),
-        PowerTerm(1e-6),
-        b,
-        fading=fading,
-    )[0]
+def test_outage_probability_in_unit_interval(wu, wi, sigma, b, kappa):
+    fading = FadingParams(sigma=sigma, kappa=kappa)
+    p = outage_probability(wu, [wi], one_row(1), 1e-6, b, fading)[0]
     assert 0.0 <= p <= 1.0
 
 

@@ -302,6 +302,53 @@ def test_oversized_topology_is_an_error_row_in_a_sweep(tmp_path, monkeypatch):
     assert any(r["topology.n_nodes"] == "3" and r["metric"] == "mean_reliability" for r in rows)
 
 
+@pytest.mark.parametrize("sigma", ["20", "1e308"])
+def test_sigma_whose_moments_overflow_reports_json_error(config_file, tmp_path, capsys, sigma):
+    rc = main(["analyze", "--config", str(config_file), "--set", f"fading.sigma={sigma}",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NumericsError"
+    assert "overflows its moments" in err["message"]
+
+
+def test_sigma_whose_moments_overflow_is_a_warning_in_a_sweep(tmp_path):
+    path = tmp_path / "tiny.yaml"
+    path.write_text(TINY.replace("path: lam\n      values: [1.0, 4.0]",
+                                 "path: fading.sigma\n      values: [1.0, 20.0]"))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 0
+    rows = read_rows(tmp_path / "tiny_sweep.csv")
+    fine = [r for r in rows if r["fading.sigma"] == "1"]
+    wide = [r for r in rows if r["fading.sigma"] == "20"]
+    assert fine and all(r["analytic_value"] and not r["warnings"] for r in fine)
+    assert [r["metric"] for r in wide] == [r["metric"] for r in fine]
+    assert all(r["analytic_value"] == "" and "overflows its moments" in r["warnings"]
+               for r in wide)
+
+
+def test_huge_kappa_is_refused_before_any_work(config_file, tmp_path, capsys):
+    start = time.monotonic()
+    rc = main(["analyze", "--config", str(config_file), "--set", "fading.kappa=1e308",
+               "--out", str(tmp_path)])
+    assert time.monotonic() - start < 1.0
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    assert "fading.kappa" in err["message"]
+
+
+def test_huge_kappa_is_an_error_row_in_a_sweep(tmp_path):
+    path = tmp_path / "tiny.yaml"
+    path.write_text(TINY.replace("path: lam\n      values: [1.0, 4.0]",
+                                 "path: fading.kappa\n      values: [2.0, 1e308]"))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 0
+    rows = read_rows(tmp_path / "tiny_sweep.csv")
+    errors = [r for r in rows if r["metric"] == "error"]
+    assert [r["fading.kappa"] for r in errors] == ["1e308"]
+    assert "fading.kappa" in errors[0]["warnings"]
+    assert any(r["fading.kappa"] == "2" and r["metric"] == "mean_reliability" for r in rows)
+
+
 def test_topology_without_a_link_reports_json_error(tmp_path, capsys):
     no_link = tmp_path / "no_link.yaml"
     no_link.write_text(

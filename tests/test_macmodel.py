@@ -316,39 +316,27 @@ def _star_system(n_tx=7, radius=1.0, lam=5.0, sigma=0.0):
     ]
     k = n_tx - 1
     bits, _ = macmodel._subsets(k)
-    noise = channel.PowerTerm(weight=chan.noise_mw)
-    useful_w = channel.mean_rx_power(0.0, radius, chan)
+    useful = channel.mean_rx_power(0.0, radius, chan)
 
     tables = []  # (p_det, p_out, p_fad) per link
     for l in range(n_tx):
         others = tuple(z for z in range(n_tx) if z != l)
         p_det = np.zeros(2**k)
         p_out = np.zeros(2**k)
-        useful = channel.PowerTerm(weight=useful_w, sigma=sigma, has_multipath=fading.multipath)
         p_fad = channel.outage_probability(
-            useful, [], one_row(0), noise, chan.sinr_threshold, fading
+            useful, [], one_row(0), chan.noise_mw, chan.sinr_threshold, fading
         )[0]
         for mask in range(1, 2**k):
             members = [others[z] for z in range(k) if bits[mask, z]]
-            det_terms = [
-                channel.PowerTerm(
-                    weight=channel.mean_rx_power(
-                        0.0, math.dist(pos[l], pos[z]), chan
-                    ),
-                    sigma=sigma,
-                    has_multipath=fading.multipath,
-                )
-                for z in members
+            det_gains = [
+                channel.mean_rx_power(0.0, math.dist(pos[l], pos[z]), chan) for z in members
             ]
             p_det[mask] = channel.detection_probability(
-                det_terms, one_row(len(det_terms)), chan.cca_threshold_mw, fading
+                det_gains, one_row(len(members)), chan.cca_threshold_mw, fading
             )[0]
-            int_terms = [
-                channel.PowerTerm(weight=useful_w, sigma=sigma, has_multipath=fading.multipath)
-                for _ in members
-            ]
             p_out[mask] = channel.outage_probability(
-                useful, int_terms, one_row(len(int_terms)), noise, chan.sinr_threshold, fading
+                useful, [useful] * len(members), one_row(len(members)), chan.noise_mw,
+                chan.sinr_threshold, fading,
             )[0]
         tables.append((p_det, p_out, p_fad))
 

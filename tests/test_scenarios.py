@@ -316,18 +316,18 @@ def test_tables_fit_each_distinct_subset_sum_once(monkeypatch):
     fitted = {"detection_probability": [], "outage_probability": []}
     calls = {name: 0 for name in (*fitted, "mma_fit", "lognormal_expectation")}
 
-    def chosen(terms, members):
-        return [tuple(sorted(t.weight for t, on in zip(terms, row) if on)) for row in members]
+    def chosen(weights, members):
+        return [tuple(sorted(w for w, on in zip(weights, row) if on)) for row in members]
 
-    def detection(terms, members, *args, _fn=channel.detection_probability):
+    def detection(weights, members, *args, _fn=channel.detection_probability):
         calls["detection_probability"] += 1
-        fitted["detection_probability"] += chosen(terms, members)
-        return _fn(terms, members, *args)
+        fitted["detection_probability"] += chosen(weights, members)
+        return _fn(weights, members, *args)
 
-    def outage(useful, terms, members, *args, _fn=channel.outage_probability):
+    def outage(useful, weights, members, *args, _fn=channel.outage_probability):
         calls["outage_probability"] += 1
-        fitted["outage_probability"] += [(useful.weight, *c) for c in chosen(terms, members)]
-        return _fn(useful, terms, members, *args)
+        fitted["outage_probability"] += [(useful, *c) for c in chosen(weights, members)]
+        return _fn(useful, weights, members, *args)
 
     def counted(name):
         fn = getattr(channel, name)
@@ -378,9 +378,7 @@ def test_sim_network_matches_reference_construction():
     np.testing.assert_allclose(net.mean_gain_mw, ref.mean_gain_mw)
     np.testing.assert_array_equal(net.next_hop, ref.next_hop)
     np.testing.assert_allclose(net.lam, ref.lam)
-    assert net.sigma == ref.sigma
-    assert net.cca_threshold_mw == pytest.approx(ref.cca_threshold_mw)
-    assert net.sinr_threshold == pytest.approx(ref.sinr_threshold)
+    assert net.channel == ref.channel and net.fading == ref.fading
 
 
 def test_bundled_configs_all_validate():

@@ -3,7 +3,10 @@
 import dataclasses
 import hashlib
 import io
+import json
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -315,6 +318,29 @@ def test_rejects_timing_not_on_the_symbol_grid():
         TimingParams(l_pkt=7.015)
 
 
+def test_an_absurd_rate_does_not_stop_the_clock():
+    # At 1e18 packets/s an arrival gap is below the float spacing at `now` after
+    # a few hundred ticks; it once rounded back onto `now` and the replication
+    # never ended.  Run in a subprocess, so that a regression fails, not hangs.
+    script = (
+        "import json, sys\n"
+        "from csmafade.scenarios import compile_sim_network, load_config, scenario_from_config\n"
+        "from csmafade.simulator import run_replication\n"
+        "config = load_config(sys.argv[1], ['lam=1e18', 'sim.horizon_seconds=1'])\n"
+        "s = scenario_from_config(config)\n"
+        "stats = run_replication(compile_sim_network(s), s.sim, 0)\n"
+        "print(json.dumps([stats.horizon_symbols, stats.generated.tolist(),\n"
+        "                  stats.conservation_gap().tolist()]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, str(ROOT / "configs" / "tiny3.yaml")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    horizon, generated, gap = json.loads(proc.stdout)
+    # one arrival a tick on each sender, from tick 1 to the horizon's last
+    assert generated == [horizon - 1, horizon - 1]
+    assert gap == [0, 0]
+
+
 def test_network_and_config_validation():
     net = single_link_net(2.0)
     with pytest.raises(ValidationError):
@@ -331,11 +357,8 @@ def test_network_and_config_validation():
             mean_gain_mw=np.zeros((2, 3)),
             lam=np.zeros(2),
             next_hop=np.array([-1, 0]),
-            sigma=0.0,
-            kappa=None,
-            cca_threshold_mw=1.0,
-            noise_mw=1.0,
-            sinr_threshold=1.0,
+            channel=ChannelParams(),
+            fading=FadingParams(),
             mac=MacParams(),
             timing=TimingParams(),
         )
@@ -347,11 +370,8 @@ def test_network_and_config_validation():
                 mean_gain_mw=np.zeros((n, n)),
                 lam=np.zeros(n),
                 next_hop=np.array(next_hop),
-                sigma=0.0,
-                kappa=None,
-                cca_threshold_mw=1.0,
-                noise_mw=1.0,
-                sinr_threshold=1.0,
+                channel=ChannelParams(),
+                fading=FadingParams(),
                 mac=MacParams(),
                 timing=TimingParams(),
             )

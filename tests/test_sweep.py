@@ -116,8 +116,10 @@ def test_pooled_compare_sweep_runs_the_heaviest_points_first(tmp_path, monkeypat
 @pytest.fixture()
 def inline_pool(monkeypatch):
     """Stand in for both process pools: record each pool's size and tasks, run
-    the tasks in this process, and start no process."""
+    the tasks in this process, and start no process.  The process may run on
+    64 CPUs, so that only the task count caps a pool."""
     log = {"sizes": [], "tasks": []}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
 
     class InlinePool:
         def __init__(self, max_workers):
@@ -149,6 +151,19 @@ def test_pools_are_capped_at_their_task_count(tmp_path, inline_pool):
     net = compile_sim_network(scenario_from_config(config))
     run_experiment(net, SimConfig(horizon_seconds=1.0, replications=3), workers=8)
     assert inline_pool["sizes"] == [2, 4, 3]
+
+
+def test_pools_are_capped_at_the_cpu_count(tmp_path, inline_pool, monkeypatch):
+    # a fork pool starts all its processes at once, however few tasks are left
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    config = tiny_config()
+    config["sweep"]["engine"] = "analytic"
+    config["sweep"]["parameters"] = [{"path": "lam", "values": [1.0, 2.0, 5.0, 10.0, 20.0]}]
+    run_sweep(config, sweep_from_config(config), out_dir=tmp_path, workers=5000)
+    net = compile_sim_network(scenario_from_config(config))
+    run_experiment(net, SimConfig(horizon_seconds=1.0, replications=5), workers=5000)
+    run_experiment(net, SimConfig(horizon_seconds=1.0, replications=5), workers=2)
+    assert inline_pool["sizes"] == [3, 3, 2]
 
 
 def test_analytic_pool_keeps_grid_order(tmp_path, inline_pool):

@@ -29,12 +29,7 @@ def build_tables(positions, links, chan, fading, tx_power_dbm=0.0):
     n_links = len(links)
     k = n_links - 1
     bits, _ = _subsets(k)
-    noise = channel.PowerTerm(weight=chan.noise_mw)
-
-    def term(weight):
-        return channel.PowerTerm(
-            weight=weight, sigma=fading.sigma, has_multipath=fading.multipath
-        )
+    noise = chan.noise_mw
 
     def mean_w(src, dst):
         return channel.mean_rx_power(tx_power_dbm, math.dist(positions[src], dst), chan)
@@ -44,22 +39,22 @@ def build_tables(positions, links, chan, fading, tx_power_dbm=0.0):
         others = tuple(i for i in range(n_links) if i != l)
         p_det = np.zeros(2**k)
         p_out = np.zeros(2**k)
-        useful = term(mean_w(tx, positions[rx]))
+        useful = mean_w(tx, positions[rx])
         p_fad = channel.outage_probability(
             useful, [], one_row(0), noise, chan.sinr_threshold, fading
         )[0]
         for mask in range(1, 2**k):
             senders = [links[others[z]][0] for z in range(k) if bits[mask, z]]
-            det_terms = [term(mean_w(src, positions[tx])) for src in senders]
+            det_gains = [mean_w(src, positions[tx]) for src in senders]
             p_det[mask] = channel.detection_probability(
-                det_terms, one_row(len(det_terms)), chan.cca_threshold_mw, fading
+                det_gains, one_row(len(senders)), chan.cca_threshold_mw, fading
             )[0]
             if rx in senders:
                 p_out[mask] = 1.0
             else:
-                int_terms = [term(mean_w(src, positions[rx])) for src in senders]
+                int_gains = [mean_w(src, positions[rx]) for src in senders]
                 p_out[mask] = channel.outage_probability(
-                    useful, int_terms, one_row(len(int_terms)), noise, chan.sinr_threshold, fading
+                    useful, int_gains, one_row(len(senders)), noise, chan.sinr_threshold, fading
                 )[0]
         tables.append((p_det, p_out, p_fad))
     return contention_tables(*zip(*tables))
@@ -75,26 +70,20 @@ def build_tables_per_link(gain, links, chan, fading):
     n_links = len(links)
     k = n_links - 1
     bits, _ = _subsets(k)
-    noise = channel.PowerTerm(weight=chan.noise_mw)
-
-    def term(weight):
-        return channel.PowerTerm(
-            weight=weight, sigma=fading.sigma, has_multipath=fading.multipath
-        )
 
     tables = []  # (p_det, p_out, p_fad) per link
     for l, (tx, rx) in enumerate(links):
         others = tuple(i for i in range(n_links) if i != l)
         senders = [links[o][0] for o in others]
         p_det = channel.detection_probability(
-            [term(gain[s, tx]) for s in senders], bits, chan.cca_threshold_mw, fading
+            gain[senders, tx], bits, chan.cca_threshold_mw, fading
         )
         heard = [z for z, s in enumerate(senders) if s != rx]
         free = ~bits[:, [z for z, s in enumerate(senders) if s == rx]].any(axis=1)
         p_out = np.ones(2**k)
         p_out[free] = channel.outage_probability(
-            term(gain[tx, rx]), [term(gain[senders[z], rx]) for z in heard],
-            bits[free][:, heard], noise, chan.sinr_threshold, fading,
+            gain[tx, rx], [gain[senders[z], rx] for z in heard],
+            bits[free][:, heard], chan.noise_mw, chan.sinr_threshold, fading,
         )
         p_fad = float(p_out[0])
         p_out[0] = 0.0
@@ -140,11 +129,8 @@ def build_sim_network(positions, links, lam, chan, fading, mac=None, timing=None
         mean_gain_mw=gain,
         lam=np.asarray(lam, dtype=float),
         next_hop=next_hop,
-        sigma=fading.sigma,
-        kappa=fading.kappa,
-        cca_threshold_mw=chan.cca_threshold_mw,
-        noise_mw=chan.noise_mw,
-        sinr_threshold=chan.sinr_threshold,
+        channel=chan,
+        fading=fading,
         mac=mac or MacParams(),
         timing=timing or TimingParams(),
     )
