@@ -270,6 +270,21 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
+def _subset_weights(eff: np.ndarray) -> np.ndarray:
+    """(..., 2^k) probabilities that each subset of k contenders transmits.
+
+    Mask m's weight multiplies, contender by contender, eff[..., z] where bit
+    z of m is set and 1 - eff[..., z] where it is clear: each contender
+    doubles the weights in one broadcast product, masks without it first.
+    """
+    lead = eff.shape[:-1]
+    factors = np.stack([1.0 - eff, eff], axis=-1)[..., None]
+    weights = np.ones(lead + (1, 1))
+    for z in range(eff.shape[-1]):
+        weights = (weights * factors[..., z, :, :]).reshape(lead + (1, -1))
+    return weights.reshape(lead + (-1,))
+
+
 def contention_terms(
     tables: np.recarray,
     timing: TimingParams,
@@ -279,31 +294,28 @@ def contention_terms(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Busy-channel components and packet loss of every link: (alpha_pkt, alpha_ack, gamma).
 
-    A contender is in the transmitting subset when it senses (tau) and finds
-    the channel idle (1 - alpha); the subset weights of all links form one
-    (L, 2^k) array, built by doubling over the contender columns.  alpha_pkt
-    weighs subset detection by the data duration; alpha_ack by the ACK
-    duration and the subset's mean transmission success.  gamma (clamped to
-    [0, 1]) adds fading-only loss when nobody else transmits, outage under
-    concurrent transmitters, and the hidden-terminal window where the
-    transmitter failed to detect them.
+    taus, alphas and gammas are (L,) per-link values, or a (P, L) stack of
+    P points on the same tables; the results have their shape.  A contender
+    is in the transmitting subset when it senses (tau) and finds the channel
+    idle (1 - alpha); the subset weights of all links form one (..., L, 2^k)
+    array (_subset_weights).  alpha_pkt weighs subset detection by the data
+    duration; alpha_ack by the ACK duration and the subset's mean
+    transmission success.  gamma (clamped to [0, 1]) adds fading-only loss
+    when nobody else transmits, outage under concurrent transmitters, and
+    the hidden-terminal window where the transmitter failed to detect them.
     """
     others = _other_links(len(tables))
     bits, sizes = _subsets(others.shape[1])
-    eff = (taus * (1.0 - alphas))[others]
-    weights = np.ones((len(eff), 1))
-    for z in range(eff.shape[1]):
-        e = eff[:, z : z + 1]
-        weights = np.concatenate([weights * (1.0 - e), weights * e], axis=1)
-    w = weights[:, 1:]
+    weights = _subset_weights((taus * (1.0 - alphas))[..., others])
+    w = weights[..., 1:]
     p_det = tables["p_det"][:, 1:]
     p_out = tables["p_out"][:, 1:]
 
-    gamma_bar = (gammas[others] @ bits.T)[:, 1:] / sizes[1:]
+    gamma_bar = (gammas[..., others] @ bits.T)[..., 1:] / sizes[1:]
     a_pkt = timing.l_pkt * _rowdot(w, p_det)
     a_ack = timing.l_ack * _rowdot(w, (1.0 - gamma_bar) * p_det)
 
-    h_one = 1.0 - weights[:, 0]
+    h_one = 1.0 - weights[..., 0]
     h_out = _rowdot(w, p_out)
     h_hidden = _rowdot(w, (1.0 - p_det) * p_out)
     raw = (1.0 - h_one) * tables["p_fad"] + h_out + (2.0 * timing.l_pkt - 1.0) * h_hidden
@@ -320,6 +332,19 @@ class SolveResult:
     warnings: list[str]
 
 
+class SolveResults(list):
+    """The SolveResult of each point of a stacked solve, in stack order."""
+
+    @property
+    def iterations(self) -> int:
+        """Applications of the map, summed over the points."""
+        return sum(result.iterations for result in self)
+
+    @property
+    def warnings(self) -> list[str]:
+        return [warning for result in self for warning in result.warnings]
+
+
 # Anderson acceleration: how many past iterates a step mixes, and the
 # mixing of the plain step it starts from.  A residual that sets no new low
 # for STALL iterations halves the mixing and restarts from the best iterate;
@@ -330,6 +355,45 @@ STALL = 20
 MIN_MIXING = MIXING / 2**6
 
 
+class _Anderson:
+    """One point's iterate x = (alpha, gamma) and the state of its step (see solve_fixed_point)."""
+
+    def __init__(self, x: np.ndarray) -> None:
+        self.x = x
+        self.mixing = MIXING
+        self.xs: list[np.ndarray] = []  # the last iterates and their residuals, oldest first
+        self.fs: list[np.ndarray] = []
+        self.best, self.best_x, self.best_f, self.since_best = math.inf, x, np.zeros_like(x), 0
+
+    def step(self, f: np.ndarray, residual: float, iteration: int, upper: np.ndarray) -> None:
+        """Move x by the accelerated step from its residual f = g(x) - x."""
+        x = self.x
+        if residual < self.best:
+            self.best, self.best_x, self.best_f, self.since_best = residual, x, f, 0
+        else:
+            self.since_best += 1
+        if self.since_best >= STALL:
+            self.mixing /= 2.0
+            if self.mixing < MIN_MIXING:
+                raise ConvergenceError(
+                    f"fixed point stalled after {iteration} iterations "
+                    f"(best residual {self.best:.3e}, last residual {residual:.3e})"
+                )
+            x, f, self.since_best = self.best_x, self.best_f, 0
+            self.xs.clear()
+            self.fs.clear()
+        self.xs.append(x)
+        self.fs.append(f)
+        step = x + self.mixing * f
+        if len(self.xs) > 1:
+            del self.xs[: -ANDERSON_DEPTH - 1], self.fs[: -ANDERSON_DEPTH - 1]
+            d_x = np.diff(self.xs, axis=0).T
+            d_f = np.diff(self.fs, axis=0).T
+            coef = np.linalg.lstsq(d_f, f, rcond=None)[0]
+            step -= (d_x + self.mixing * d_f) @ coef
+        self.x = np.clip(step, 0.0, upper)
+
+
 def solve_fixed_point(
     tables: np.recarray,
     qs: np.ndarray,
@@ -337,8 +401,9 @@ def solve_fixed_point(
     timing: TimingParams,
     config: SolverConfig = SolverConfig(),
     init: tuple[float, float] = (0.0, 0.0),
-    arrivals: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> SolveResult:
+    arrivals: Callable | None = None,
+    stacked: bool = False,
+) -> SolveResult | SolveResults:
     """Anderson-accelerated iteration of the (alpha, gamma) map of all links.
 
     One application of the map takes x = (alpha, gamma) to g(x): one Chain
@@ -353,77 +418,69 @@ def solve_fixed_point(
     least-squares fit of the residual differences (Walker & Ni 2011), and
     is clipped into the map's domain.  Converged when max |f| < config.tol;
     the returned state is then g(x) itself.
+
+    With stacked=True, qs is a (P, L) stack of points on the same tables,
+    and the result a SolveResults list.  The points still iterating share
+    each application of the map, and arrivals(rows, reliability) takes the
+    (A, L) reliability of stack rows `rows`.  Each point keeps its own step
+    (_Anderson) and polish, so its result does not depend on the others;
+    if one of them fails, the whole solve raises.
     """
     n = len(tables)
     qs = np.asarray(qs, dtype=float)
-    if qs.shape != (n,):
+    if qs.ndim != 1 + stacked or qs.shape[-1:] != (n,) or not len(qs):
         raise ValidationError("qs length must match table count")
-    x = np.concatenate([np.full(n, float(init[0])), np.full(n, float(init[1]))])
+    hook = arrivals
+    if not stacked:
+        qs = qs[None]
+        if arrivals is not None:
+            def hook(rows, reliability):
+                return arrivals(reliability[0])[None]
     upper = np.concatenate([np.full(n, ALPHA_CAP), np.ones(n)])
-    warnings: list[str] = []
+    init_x = np.concatenate([np.full(n, float(init[0])), np.full(n, float(init[1]))])
+    points = [_Anderson(init_x) for _ in qs]
+    results = SolveResults([None] * len(qs))
 
-    def cca(alphas: np.ndarray, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        chain = Chain(alphas, gammas, mac)
-        q = qs if arrivals is None else arrivals(chain.reliability)
-        active = q > 0.0
+    def cca(rows, alphas: np.ndarray, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        chain = Chain(alphas.ravel(), gammas.ravel(), mac)
+        q = qs[rows] if hook is None else hook(rows, chain.reliability.reshape(alphas.shape))
+        active = q.ravel() > 0.0
         # a silent link's chain is evaluated at q = 1 and its result dropped
-        taus, b000s = cca_probability(chain, np.where(active, q, 1.0), timing)
-        return np.where(active, taus, 0.0), np.where(active, b000s, 0.0)
+        taus, b000s = cca_probability(chain, np.where(active, q.ravel(), 1.0), timing)
+        return (np.where(active, taus, 0.0).reshape(alphas.shape),
+                np.where(active, b000s, 0.0).reshape(alphas.shape))
 
-    mixing = MIXING
-    xs: list[np.ndarray] = []  # the last iterates and their residuals, oldest first
-    fs: list[np.ndarray] = []
-    best, best_x, best_f, since_best = math.inf, x, np.zeros_like(x), 0
-    residual = math.inf
+    rows = np.arange(len(qs))
     for iteration in range(1, config.max_iter + 1):
-        alphas, gammas = x[:n], x[n:]
-        taus, b000s = cca(alphas, gammas)
+        x = np.array([points[p].x for p in rows])
+        alphas, gammas = x[:, :n], x[:, n:]
+        taus, b000s = cca(rows, alphas, gammas)
         a_pkts, a_acks, new_gamma = contention_terms(tables, timing, taus, alphas, gammas)
         raw_alpha = a_pkts + a_acks
         new_alpha = np.minimum(raw_alpha, ALPHA_CAP)
-        f = np.concatenate([new_alpha, new_gamma]) - x
-        residual = float(np.max(np.abs(f)))
-        if residual < config.tol:
+        f = np.concatenate([new_alpha, new_gamma], axis=1) - x
+        residuals = np.max(np.abs(f), axis=1)
+        done = residuals < config.tol
+        if done.any():
             # undamped polish: return the update map's own values so that
             # decoupled coordinates land exactly on their closed forms
-            alphas = new_alpha
-            gammas = new_gamma
-            taus, b000s = cca(alphas, gammas)
+            polished = cca(rows[done], new_alpha[done], new_gamma[done])
+            for i, tau, b000 in zip(np.flatnonzero(done), *polished):
+                # iterates may overshoot the cap on the way; only a clamped solution warns
+                clamped = int(np.count_nonzero(raw_alpha[i] > ALPHA_CAP))
+                warnings = [f"alpha clamped to {ALPHA_CAP} on {clamped} link(s)"] if clamped else []
+                state = LinkState(tau=tau, alpha_pkt=a_pkts[i], alpha_ack=a_acks[i],
+                                  gamma=new_gamma[i], b000=b000)
+                results[rows[i]] = SolveResult(state=state, iterations=iteration,
+                                               residual=float(residuals[i]), warnings=warnings)
+        for i in np.flatnonzero(~done):
+            points[rows[i]].step(f[i], float(residuals[i]), iteration, upper)
+        rows = rows[~done]
+        if not rows.size:
             break
-        if residual < best:
-            best, best_x, best_f, since_best = residual, x, f, 0
-        else:
-            since_best += 1
-        if since_best >= STALL:
-            mixing /= 2.0
-            if mixing < MIN_MIXING:
-                raise ConvergenceError(
-                    f"fixed point stalled after {iteration} iterations "
-                    f"(best residual {best:.3e}, last residual {residual:.3e})"
-                )
-            x, f, since_best = best_x, best_f, 0
-            xs.clear()
-            fs.clear()
-        xs.append(x)
-        fs.append(f)
-        step = x + mixing * f
-        if len(xs) > 1:
-            del xs[: -ANDERSON_DEPTH - 1], fs[: -ANDERSON_DEPTH - 1]
-            d_x = np.diff(xs, axis=0).T
-            d_f = np.diff(fs, axis=0).T
-            coef = np.linalg.lstsq(d_f, f, rcond=None)[0]
-            step -= (d_x + mixing * d_f) @ coef
-        x = np.clip(step, 0.0, upper)
     else:
         raise ConvergenceError(
             f"fixed point did not converge after {config.max_iter} iterations "
-            f"(last residual {residual:.3e})"
+            f"(last residual {residuals[~done].max():.3e})"
         )
-
-    # iterates may overshoot the cap on the way; only a clamped solution warns
-    clamped = int(np.count_nonzero(raw_alpha > ALPHA_CAP))
-    if clamped:
-        warnings.append(f"alpha clamped to {ALPHA_CAP} on {clamped} link(s)")
-
-    state = LinkState(tau=taus, alpha_pkt=a_pkts, alpha_ack=a_acks, gamma=gammas, b000=b000s)
-    return SolveResult(state=state, iterations=iteration, residual=residual, warnings=warnings)
+    return results if stacked else results[0]

@@ -87,19 +87,24 @@ def link_traffic(lam: np.ndarray, next_link: np.ndarray, reliability: np.ndarray
 
     Lambda = sum_k (T')^k lam with T[c, next_link[c]] = reliability[c]; each
     term adds a link's children in link order.  lam and reliability are per
-    link; next_link must come from route_links.
+    link, (L,) or a (P, L) stack of P points on the same routes; next_link
+    must come from route_links.
     """
-    relayed = next_link >= 0
-    parents = next_link[relayed]
-    forwarded = reliability[relayed]
-    total = lam.copy()
-    term = lam
-    for _ in range(len(lam)):
-        term = np.bincount(parents, weights=forwarded * term[relayed], minlength=len(lam))
+    n = lam.shape[-1]
+    children = np.flatnonzero(next_link >= 0)
+    # point p's links are entries p * n ... p * n + n - 1 of the flat arrays
+    offsets = np.arange(0, lam.size, n)[:, None]
+    sources = (offsets + children).ravel()
+    parents = (offsets + next_link[children]).ravel()
+    forwarded = reliability.ravel()[sources]
+    total = lam.flatten()
+    term = total
+    for _ in range(n):
+        term = np.bincount(parents, weights=forwarded * term[sources], minlength=lam.size)
         if not term.any():
             break
         total += term
-    return total
+    return total.reshape(lam.shape)
 
 
 @dataclass
@@ -120,6 +125,15 @@ class NetworkSolution:
     warnings: list[str]
 
 
+class NetworkSolutions(list):
+    """The NetworkSolution of each point of a stacked solve_network, in stack order."""
+
+    @property
+    def outer_iterations(self) -> int:
+        """Iterations that moved a transmitter's arrival probability, summed over the points."""
+        return sum(solution.outer_iterations for solution in self)
+
+
 def solve_network(
     tables: np.recarray,
     next_hop: np.ndarray,
@@ -128,7 +142,7 @@ def solve_network(
     timing: TimingParams,
     profile: metrics.PowerProfile | None = None,
     config: SolverConfig = SolverConfig(),
-) -> NetworkSolution:
+) -> NetworkSolution | NetworkSolutions:
     """Per-link fixed points and forwarded traffic, solved as one fixed point.
 
     When some transmitter relays, every iteration of the MAC fixed point
@@ -137,6 +151,10 @@ def solve_network(
     tables come from macmodel.contention_tables, which gives their mask
     layout: tables[l] must describe the link of the l-th node with a next
     hop, and the contending links of each mask are numbered in that order.
+
+    lambda_pkt_per_s is one point's per-node rates, the stack of one, or a
+    (P, n) stack of points that share everything else, solved as one stacked
+    fixed point into a NetworkSolutions list.
     """
     transmitters, next_link = route_links(next_hop)
     if len(tables) != len(transmitters):
@@ -144,37 +162,41 @@ def solve_network(
             f"{len(tables)} link tables for {len(transmitters)} transmitting nodes"
         )
     lam = np.asarray(lambda_pkt_per_s, dtype=float)
-    if lam.shape[0] != len(next_hop):
+    if lam.ndim not in (1, 2) or lam.shape[-1] != len(next_hop):
         raise ValidationError("rate vector length must match the node count")
-    lam = lam[transmitters]
+    stack = np.atleast_2d(lam)[:, transmitters]
 
     def probabilities(rates: np.ndarray) -> np.ndarray:
-        return np.array([arrival_probability(rate) for rate in rates])
+        return np.reshape([arrival_probability(rate) for rate in rates.ravel().tolist()],
+                          rates.shape)
 
-    qs = probabilities(lam)
-    moved = 0
+    qs = probabilities(stack)
+    moved = np.zeros(len(stack), dtype=int)
 
-    def arrivals(reliability):
-        nonlocal qs, moved
-        new_qs = probabilities(link_traffic(lam, next_link, reliability))
-        moved += not np.array_equal(new_qs, qs)
-        qs = new_qs
-        return qs
+    def arrivals(rows, reliability):
+        new_qs = probabilities(link_traffic(stack[rows], next_link, reliability))
+        moved[rows] += (new_qs != qs[rows]).any(axis=1)
+        qs[rows] = new_qs
+        return new_qs
 
     # without a relay, no transmitter's traffic depends on the state
     relays = bool((next_link >= 0).any())
-    result = solve_fixed_point(tables, qs, mac, timing, config=config,
-                               arrivals=arrivals if relays else None)
-    rep = metrics.report(result.state, profile or metrics.PowerProfile(), mac, timing, next_link)
-    by_node = dict(zip(transmitters.tolist(), rep.reliability.tolist()))
-    return NetworkSolution(
-        state=result.state,
-        traffic=link_traffic(lam, next_link, rep.reliability),
-        end_to_end={node: end_to_end_reliability(next_hop, by_node, node) for node in by_node},
-        report=rep,
-        outer_iterations=moved,
-        warnings=result.warnings,
-    )
+    results = solve_fixed_point(tables, qs.copy(), mac, timing, config=config,
+                                arrivals=arrivals if relays else None, stacked=True)
+    solutions = NetworkSolutions()
+    for rates, result, outer in zip(stack, results, moved.tolist()):
+        rep = metrics.report(result.state, profile or metrics.PowerProfile(), mac, timing,
+                             next_link)
+        by_node = dict(zip(transmitters.tolist(), rep.reliability.tolist()))
+        solutions.append(NetworkSolution(
+            state=result.state,
+            traffic=link_traffic(rates, next_link, rep.reliability),
+            end_to_end={node: end_to_end_reliability(next_hop, by_node, node) for node in by_node},
+            report=rep,
+            outer_iterations=outer,
+            warnings=result.warnings,
+        ))
+    return solutions if lam.ndim == 2 else solutions[0]
 
 
 def end_to_end_reliability(next_hop, reliability, node: int) -> float:

@@ -23,7 +23,6 @@ cell, and the other engine's cells are kept.
 
 from __future__ import annotations
 
-import copy
 import csv
 import itertools
 import math
@@ -157,25 +156,37 @@ def _keyed(scenario, per_link, aggregates, end_to_end) -> dict:
 
 # Contention tables built in this process, newest last, and the row plans
 # (see scenarios.RowPlan) they were built from, one per geometry and gain
-# rank pattern.  run_sweep empties both, so points of one sweep share tables
-# and plans but separate sweeps do not.  Pool workers are forked from the
-# process that filled them, and inherit them.
+# rank pattern; the stack of each point of a serial sweep (see _stacks) and
+# the points solved so far, by grid row.  run_sweep empties them all, so
+# points of one sweep share them but separate sweeps do not.  Pool workers
+# are forked from the process that filled the tables and plans, and inherit
+# them.
 _table_cache: dict[tuple, np.recarray] = {}
 _plan_cache: dict[tuple, RowPlan] = {}
+_stack_of: dict[int, tuple] = {}
+_solved: dict = {}
 TABLE_CACHE_SIZE = 8
+
+# The most subset weights, P points x L links x 2^(L-1) subsets, that one
+# stacked fixed point holds at once (2 MiB of floats).
+STACK_ELEMENTS = 2**18
+
+
+def _table_key(scenario) -> tuple:
+    """What a point's contention tables read: the links, the mean gains, the
+    channel and the fading."""
+    return (scenario.links, scenario.mean_gain_mw.tobytes(), scenario.channel, scenario.fading)
 
 
 def _contention_tables(scenario) -> np.recarray:
     """build_contention_tables, reused by points whose tables cannot differ.
 
-    The tables read only the links, the mean gains, the channel and the
-    fading, so points that differ in rates, MAC, timing or simulator
-    settings share one build.  Points whose gains rank alike (say, that
-    differ only in fading, thresholds or transmit power) share one row
-    plan, so their builds only refit.  The tables are read-only, so they
-    can be shared.
+    Points that differ in rates, MAC, timing or simulator settings share
+    one build.  Points whose gains rank alike (say, that differ only in
+    fading, thresholds or transmit power) share one row plan, so their
+    builds only refit.  The tables are read-only, so they can be shared.
     """
-    key = (scenario.links, scenario.mean_gain_mw.tobytes(), scenario.channel, scenario.fading)
+    key = _table_key(scenario)
     tables = _table_cache.get(key)
     if tables is None:
         tables = build_contention_tables(scenario, _plan_cache)
@@ -190,12 +201,20 @@ def _contention_tables(scenario) -> np.recarray:
 def _parse_point(config: dict, assignments, strict: bool):
     """Assign a grid point's values into a copy of the sweep's config and validate it.
 
-    Returns the point's Scenario, or for a config error the error row's
-    message; strict=True re-raises the error instead.
+    Only the sections along the assigned paths are copied; the parse reads
+    the rest of the config without changing it.  Returns the point's
+    Scenario, or for a config error the error row's message; strict=True
+    re-raises the error instead.
     """
-    point = copy.deepcopy(config)
+    point = dict(config)
     try:
         for path, value in assignments:
+            node = point
+            for key in path.split(".")[:-1]:
+                if not isinstance(node.get(key), dict):
+                    break
+                node[key] = dict(node[key])
+                node = node[key]
             assign(point, path, value)
         return scenario_from_config(point, default_id="scenario")
     except (ValidationError, NumericsError) as exc:
@@ -220,6 +239,47 @@ def _prebuild_tables(parsed) -> None:
                 pass
 
 
+def _stacks(parsed) -> dict[int, tuple]:
+    """{row: (rows, scenarios)} of the stack each parsed point is solved in.
+
+    A stack holds points that share their tables, routes, MAC, timing, power
+    profile and solver, in grid order, and at most STACK_ELEMENTS subset
+    weights; rows are their grid indices.  The stacks follow from the grid
+    alone, and no value depends on them.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for row, scenario in enumerate(parsed):
+        if isinstance(scenario, Scenario):
+            key = (_table_key(scenario), scenario.hops.tobytes(), scenario.mac,
+                   scenario.timing, scenario.power, scenario.solver)
+            groups.setdefault(key, []).append(row)
+    stacks = {}
+    for rows in groups.values():
+        n = len(parsed[rows[0]].links)
+        size = max(1, STACK_ELEMENTS // (n * 2 ** (n - 1)))
+        for start in range(0, len(rows), size):
+            stack = tuple(rows[start:start + size])
+            stacks.update(dict.fromkeys(stack, (stack, [parsed[row] for row in stack])))
+    return stacks
+
+
+def _solve_stack(scenarios) -> list:
+    """The solved network of each point of a stack, by one stacked solve_network.
+
+    If the stack fails, each point is solved alone, so that each gets the
+    solution, or the error, that it gets in a sweep of its own.
+    """
+    first = scenarios[0]
+    try:
+        return list(solve_network(_contention_tables(first), first.hops,
+                                  [scenario.lam for scenario in scenarios], first.mac,
+                                  first.timing, profile=first.power, config=first.solver))
+    except (NumericsError, ValidationError) as exc:
+        if len(scenarios) == 1:
+            return [exc]
+        return [solved for scenario in scenarios for solved in _solve_stack([scenario])]
+
+
 def _sim_work(scenario) -> float:
     """Packets a point's replications generate: sum of rates x horizon x replications."""
     if not isinstance(scenario, Scenario):
@@ -227,11 +287,21 @@ def _sim_work(scenario) -> float:
     return sum(scenario.lam) * scenario.sim.horizon_seconds * scenario.sim.replications
 
 
-def _analytic(scenario) -> tuple[dict, list[str]]:
-    """Fixed-point model: {(src, dst, metric): value} plus warnings."""
-    tables = _contention_tables(scenario)
-    solution = solve_network(tables, scenario.hops, scenario.lam, scenario.mac,
-                             scenario.timing, profile=scenario.power, config=scenario.solver)
+def _analytic(scenario, row: int) -> tuple[dict, list[str]]:
+    """Fixed-point model of the point at grid row `row`: {(src, dst, metric):
+    value} plus warnings.
+
+    In a serial sweep the first point of a stack solves the whole stack,
+    for the others to read.  A pool worker solves each point alone: which
+    worker runs which point is not known in advance, and the result is
+    the same.
+    """
+    if row not in _solved:
+        rows, scenarios = _stack_of.get(row, ((row,), [scenario]))
+        _solved.update(zip(rows, _solve_stack(scenarios)))
+    solution = _solved[row]
+    if isinstance(solution, Exception):
+        raise solution
     rep = solution.report
     values = _keyed(
         scenario,
@@ -283,11 +353,11 @@ def _point_task(args):
     An engine that fails is left out, with its message in the warnings, or
     with strict=True is raised.  A config error runs nothing.
     """
-    scenario, _, engine, sim_workers, strict = args
+    scenario, _, engine, sim_workers, strict, row = args
     results, warnings = {}, []
     if not isinstance(scenario, Scenario):
         return results, warnings
-    runners = {"analytic": lambda: _analytic(scenario),
+    runners = {"analytic": lambda: _analytic(scenario, row),
                "simulate": lambda: _simulate(scenario, sim_workers)}
     for name in runners if engine == "compare" else [engine]:
         try:
@@ -359,9 +429,10 @@ def run_sweep(
     An output path that cannot be written, or a refused scenario_id (even
     with out_name given), is a ValidationError before any point runs.
     Each point is parsed once, here: a config error becomes its error row,
-    or with strict=True is raised, as is an engine failure.
-    With workers > 1 the points run in a process pool of at most one worker
-    per point and per CPU (simulator.pool_size).  Simulated points are
+    or with strict=True is raised, as is an engine failure.  A serial sweep
+    stacks its analytic fixed points (_stacks).  With workers > 1 the points
+    run in a process pool of at most one worker per point and per CPU
+    (simulator.pool_size).  Simulated points are
     dispatched heaviest first (by _sim_work), so that no worker is left alone
     with a long point at the end; the blocks are written in grid order all
     the same.
@@ -374,13 +445,18 @@ def run_sweep(
 
     _table_cache.clear()
     _plan_cache.clear()
+    _stack_of.clear()
+    _solved.clear()
     parsed = [_parse_point(config, assignments, strict) for assignments in points]
+    pooled = workers > 1 and len(points) > 1
+    if spec.engine != "simulate" and not pooled:
+        _stack_of.update(_stacks(parsed))
     sim_workers = workers if len(points) == 1 else 1
     order = list(range(len(points)))
     if spec.engine != "analytic":
         order.sort(key=lambda i: _sim_work(parsed[i]), reverse=True)
-    tasks = [(parsed[i], points[i], spec.engine, sim_workers, strict) for i in order]
-    if workers > 1 and len(points) > 1:
+    tasks = [(parsed[i], points[i], spec.engine, sim_workers, strict, i) for i in order]
+    if pooled:
         if spec.engine != "simulate":
             _prebuild_tables(parsed)  # once here, not once per worker
         with ProcessPoolExecutor(max_workers=pool_size(workers, len(tasks))) as pool:

@@ -599,6 +599,21 @@ def ideal_star_fixed_point(
     return {"tau": tau, "alpha": alpha, "gamma": gamma, "reliability": reliability}
 
 
+def subset_weights_concat(eff: np.ndarray) -> np.ndarray:
+    """(..., 2^k) subset weights of k contenders with transmit probabilities eff.
+
+    The doubling loop that `macmodel._subset_weights` runs as one broadcast
+    product per contender, written as two products and a concatenation:
+    mask m's weight multiplies eff[z] for each bit z set in m and 1 - eff[z]
+    for each bit clear.
+    """
+    weights = np.ones(eff.shape[:-1] + (1,))
+    for z in range(eff.shape[-1]):
+        e = eff[..., z : z + 1]
+        weights = np.concatenate([weights * (1.0 - e), weights * e], axis=-1)
+    return weights
+
+
 def solve_fixed_point_damped(
     tables: np.recarray,
     qs: np.ndarray,

@@ -542,6 +542,16 @@ def test_solve_fixed_point_refuses_qs_of_another_length():
             solve_fixed_point(tables, qs, MAC, TIMING)
 
 
+@pytest.mark.parametrize("k", range(14))
+def test_subset_weights_match_the_concatenating_loop_bit_for_bit(k):
+    # one broadcast product per contender forms the very products of the concatenation
+    eff = np.random.default_rng(k).uniform(0.0, 1.0, size=(3, 2, k))
+    for stack in (eff, eff[0]):
+        got = macmodel._subset_weights(stack)
+        assert got.shape == stack.shape[:-1] + (2**k,)
+        assert np.array_equal(got, oracles.subset_weights_concat(stack))
+
+
 def test_mask_bits_number_the_other_links_ascending():
     # mask bit z of link l's table is the z-th other link, ascending
     assert macmodel._other_links(4).tolist() == [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]

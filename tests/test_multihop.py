@@ -344,3 +344,84 @@ def test_network_input_validation():
         solve_network(tables, hops, lam[:-1], MAC, TIMING)
     with pytest.raises(ValidationError, match="invalid next hop"):
         solve_network(tables, [-1, 0, 1, 2, 4], lam, MAC, TIMING)
+
+
+def _scenario_setup(text):
+    s = scenario_from_config(parse_config(text))
+    return build_contention_tables(s), s.hops, np.asarray(s.lam)
+
+
+STACKS = {
+    "star": lambda: _star_setup(sigma=1.0),
+    "line": lambda: _line_setup(n_nodes=6, sigma=1.0),
+    # node 1 relays nodes 4 and 5: two children add into one bin
+    "tree": lambda: _scenario_setup(
+        "topology: {kind: tree, n_nodes: 6, branching: 3}\nlam: 5.0\nfading: {sigma: 1.0}"),
+    "kappa2": lambda: _scenario_setup(
+        "topology: {kind: star, n_nodes: 6}\nlam: 5.0\nfading: {sigma: 1.0, kappa: 2.0}"),
+    # 15 links: 2^14 subsets each, the contender cap
+    "star16": lambda: _scenario_setup(
+        "topology: {kind: star, n_nodes: 16}\nlam: 5.0\nfading: {sigma: 1.0}"),
+}
+
+
+@pytest.mark.parametrize("name", STACKS)
+def test_a_point_solves_alike_alone_and_in_any_stack(name, monkeypatch):
+    tables, hops, lam = STACKS[name]()
+    rates = (2.0, 30.0) if name == "star16" else (2.0, 10.0, 30.0, 5.0)
+    lams = np.array([np.where(lam > 0.0, rate, 0.0) for rate in rates])
+    fixed_points = []
+
+    def recording(*args, **kwargs):
+        fixed_points.append(solve_fixed_point(*args, **kwargs))
+        return fixed_points[-1]
+
+    monkeypatch.setattr(multihop, "solve_fixed_point", recording)
+    stacks = [solve_network(tables, hops, lams, MAC, TIMING),
+              solve_network(tables, hops, lams[::-1], MAC, TIMING)[::-1]]
+    alone = [solve_network(tables, hops, row, MAC, TIMING) for row in lams]
+    assert [len(results) for results in fixed_points] == [len(rates)] * 2 + [1] * len(rates)
+    results = [fixed_points[0], fixed_points[1][::-1], [r for [r] in fixed_points[2:]]]
+    assert stacks[0].outer_iterations == sum(s.outer_iterations for s in alone)
+    for solutions, solves in zip(stacks, results):
+        for p, (solution, single) in enumerate(zip(solutions, alone)):
+            for field in ("tau", "alpha_pkt", "alpha_ack", "gamma", "b000"):
+                assert np.array_equal(getattr(solution.state, field),
+                                      getattr(single.state, field)), (p, field)
+            assert np.array_equal(solution.traffic, single.traffic)
+            assert np.array_equal(solution.report.delay_seconds, single.report.delay_seconds,
+                                  equal_nan=True)
+            assert np.array_equal(solution.report.power_mw, single.report.power_mw)
+            assert solution.end_to_end == single.end_to_end
+            assert solution.outer_iterations == single.outer_iterations
+            assert solution.warnings == single.warnings
+            assert solves[p].iterations == results[2][p].iterations
+            assert solves[p].residual == results[2][p].residual
+    if name in ("line", "tree"):
+        assert all(s.outer_iterations > 0 for s in alone)
+
+
+def test_a_stack_raises_when_one_of_its_points_fails(monkeypatch):
+    # the cap that the light point meets alone stops the heavy one, and so the stack
+    tables, hops, lam = _line_setup()
+    light, heavy = lam, lam * 15.0
+    solves = []
+
+    def recording(*args, **kwargs):
+        solves.append(solve_fixed_point(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(multihop, "solve_fixed_point", recording)
+    solve_network(tables, hops, [light, heavy], MAC, TIMING)
+    counts = [result.iterations for result in solves[0]]
+    assert counts[0] < counts[1]
+    config = SolverConfig(max_iter=counts[0])
+    assert solve_network(tables, hops, light, MAC, TIMING, config=config).warnings == []
+    with pytest.raises(ConvergenceError, match=f"did not converge after {counts[0]} iterations"):
+        solve_network(tables, hops, [light, heavy], MAC, TIMING, config=config)
+    with pytest.raises(ValidationError, match="rate vector"):
+        solve_network(tables, hops, [[lam]], MAC, TIMING)
+    with pytest.raises(ValidationError, match="qs length"):
+        solve_fixed_point(tables, lam[1:], MAC, TIMING, stacked=True)
+    with pytest.raises(ValidationError, match="qs length"):  # a stack of no points
+        solve_network(tables, hops, np.zeros((0, len(hops))), MAC, TIMING)

@@ -8,6 +8,7 @@ longer calls: its metrics would read 0.
 """
 
 import importlib.util
+import json
 import time
 from pathlib import Path
 
@@ -100,3 +101,25 @@ def test_row_plans_are_worked_out_inside_a_traced_table_build(tmp_path, monkeypa
     metrics = tracing.layer_metrics(tracer.spans, wall_s=1.0)
     assert metrics["scenarios.table_builds"] == 4
     assert metrics["channel.detection_calls"] == metrics["channel.outage_calls"] == 4
+
+
+def test_traced_sweep_of_stacked_points_reports_every_point_and_layer(tmp_path):
+    # three rates on a 4-node line share one table set, so one stacked solve
+    # serves all three points; the tracer still sees each point and each layer
+    tracing = _tracing_module()
+    tracer = tracing.Tracer(tmp_path / "spool")
+    config = load_config(ROOT / "configs" / "line5.yaml", ["topology.n_nodes=4", "lam=2.0"])
+    spec = sweep.SweepSpec(parameters=(("lam", (2.0, 10.0, 30.0)),), engine="analytic")
+    tracer.install()
+    try:
+        tracer.sweep(sweep.run_sweep, config, spec, out_dir=tmp_path)
+    finally:
+        tracer.uninstall()
+    names = [span[tracing.NAME] for span in tracer.spans]
+    assert names.count("sweep.point") == spec.n_points
+    metrics = tracing.layer_metrics(tracer.spans, wall_s=1.0)
+    assert metrics["macmodel.solves"] == metrics["scenarios.table_builds"] == 1
+    assert metrics["macmodel.iterations"] > 0 and metrics["multihop.outer_iterations"] > 0
+    for name in ("macmodel.iterations", "multihop.outer_iterations"):
+        assert type(metrics[name]) is int, name
+    json.dumps(metrics)

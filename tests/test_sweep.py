@@ -1,6 +1,8 @@
 """Sweep grids, CSV determinism, and failure bookkeeping."""
 
+import copy
 import csv
+import itertools
 import math
 import os
 import pathlib
@@ -11,6 +13,7 @@ import pytest
 
 from csmafade import scenarios, simulator, sweep
 from csmafade.errors import ValidationError
+from csmafade.macmodel import ALPHA_CAP
 from csmafade.multihop import solve_network
 from csmafade.scenarios import (
     build_contention_tables,
@@ -495,15 +498,17 @@ def test_points_that_differ_only_in_rate_share_their_tables(tmp_path, monkeypatc
 
 
 def build_every_point(monkeypatch) -> None:
-    """Empty the table and plan caches before every point of later sweeps."""
-    point_task = sweep._point_task
+    """Solve every point of later sweeps alone, and empty the table and plan
+    caches before each point's tables are looked up."""
+    contention_tables = sweep._contention_tables
 
-    def uncached(args):
+    def uncached(scenario):
         sweep._table_cache.clear()
         sweep._plan_cache.clear()
-        return point_task(args)
+        return contention_tables(scenario)
 
-    monkeypatch.setattr(sweep, "_point_task", uncached)
+    monkeypatch.setattr(sweep, "_contention_tables", uncached)
+    monkeypatch.setattr(sweep, "STACK_ELEMENTS", 1)
 
 
 def count_plans(monkeypatch, log=None) -> list:
@@ -735,3 +740,90 @@ def test_sweep_block_validation():
     del config["sweep"]
     with pytest.raises(ValidationError, match="sweep block"):
         sweep_from_config(config)
+
+
+def test_a_sweep_leaves_the_config_and_the_grid_as_they_were(tmp_path):
+    # each point copies only the sections it assigns into: the caller's
+    # config, the grid's own values and the other points are not touched
+    config = tiny_config()
+    config["fading"] = {"sigma": 1.0, "kappa": None}
+    config["sweep"]["engine"] = "analytic"
+    spec = SweepSpec(parameters=(("fading", ({"kappa": 2.0},)), ("fading.sigma", (0.5, 2.0)),
+                                 ("lam", (2.0, 10.0))), engine="analytic")
+    before = copy.deepcopy((config, spec))
+    rows = read_rows(run_sweep(config, spec, out_dir=tmp_path))
+    assert (config, spec) == before
+    assert {r["fading"] for r in rows} == {"{'kappa': 2.0}"}
+    sigma = sweep._parse_point(config, (("fading.sigma", 2.0),), strict=True)
+    rate = sweep._parse_point(config, (("lam", 3.0),), strict=True)
+    assert (sigma.fading.sigma, rate.fading.sigma) == (2.0, 1.0)
+    assert config == before[0]
+
+
+def _blocks(path, n_axes):
+    """{point's axis values: its rows without the axis columns} of a sweep CSV."""
+    with open(path, newline="") as f:
+        header, *rows = csv.reader(f)
+    axes = header[1:1 + n_axes]
+    blocks = {}
+    for row in rows:
+        key = tuple(sorted(zip(axes, row[1:1 + n_axes])))
+        blocks.setdefault(key, []).append([row[0], *row[1 + n_axes:]])
+    return blocks
+
+
+def test_each_point_keeps_its_own_block_when_others_of_its_stack_fail(tmp_path):
+    # long frames on the 8-hop line: at this iteration cap the sigma = 0 stack
+    # has a point that does not converge, and the sigma = 1 stack a clamped one
+    config = load_config(CONFIGS / "line5.yaml",
+                         ["scenario_id=line9", "topology.n_nodes=9", "lam=2.0",
+                          "timing.l_pkt=30", "solver.max_iter=240"])
+    axes = (("lam", (2.0, 10.0, 30.0, 50.0)), ("fading.sigma", (0.0, 1.0)))
+    spec = SweepSpec(parameters=axes, engine="analytic")
+    blocks = _blocks(run_sweep(config, spec, out_dir=tmp_path, out_name="all.csv"), 2)
+    warnings = {key: {row[-1] for row in block} for key, block in blocks.items()}
+    [failed] = warnings.pop((("fading.sigma", "0"), ("lam", "50")))
+    assert failed.startswith("analytic: fixed point did not converge after 240 iterations")
+    assert warnings.pop((("fading.sigma", "1"), ("lam", "50"))) == {
+        f"analytic: alpha clamped to {ALPHA_CAP} on 2 link(s)"}
+    assert set(map(frozenset, warnings.values())) == {frozenset({""})}
+    for lam, sigma in itertools.product(*(values for _, values in axes)):
+        alone = SweepSpec(parameters=(("lam", (lam,)), ("fading.sigma", (sigma,))),
+                          engine="analytic")
+        [(key, block)] = _blocks(run_sweep(config, alone, out_dir=tmp_path,
+                                           out_name="alone.csv"), 2).items()
+        assert blocks[key] == block, key
+
+
+def test_rows_do_not_depend_on_the_axis_order_or_the_worker_count(tmp_path):
+    # the line9 benchmark grid: its points stack by sigma, 5 rates at a time
+    config = load_config(CONFIGS / "line5.yaml",
+                         ["scenario_id=line9", "topology.n_nodes=9", "lam=2.0"])
+    axes = (("lam", (2.0, 5.0, 10.0, 20.0, 30.0)), ("fading.sigma", (0.0, 1.0, 2.0)))
+    runs = [
+        _blocks(run_sweep(config, SweepSpec(parameters=order, engine="analytic"),
+                          out_dir=tmp_path, out_name=f"{workers}.csv", workers=workers), 2)
+        for order in (axes, axes[::-1]) for workers in (1, 2)
+    ]
+    assert len(runs[0]) == 15
+    assert all(run == runs[0] for run in runs[1:])
+
+
+def test_a_pool_solves_each_point_alone_with_the_same_result(tmp_path, inline_pool, monkeypatch):
+    # which worker runs a point is not known in advance, so a pool does not stack
+    config = load_config(CONFIGS / "line5.yaml", ["topology.n_nodes=4", "lam=2.0"])
+    spec = SweepSpec(parameters=(("lam", (2.0, 10.0, 30.0)), ("fading.sigma", (0.0, 1.0))),
+                     engine="analytic")
+    solves = []
+
+    def counting(tables, next_hop, lam, *args, **kwargs):
+        solves.append(len(lam))
+        return solve_network(tables, next_hop, lam, *args, **kwargs)
+
+    monkeypatch.setattr(sweep, "solve_network", counting)
+    stacked = run_sweep(config, spec, out_dir=tmp_path, out_name="stacked.csv")
+    assert solves == [3, 3]
+    solves.clear()
+    pooled = run_sweep(config, spec, out_dir=tmp_path, out_name="pooled.csv", workers=2)
+    assert inline_pool["sizes"] == [2] and solves == [1] * spec.n_points
+    assert stacked.read_bytes() == pooled.read_bytes()
