@@ -424,7 +424,9 @@ def solve_fixed_point(
     each application of the map, and arrivals(rows, reliability) takes the
     (A, L) reliability of stack rows `rows`.  Each point keeps its own step
     (_Anderson) and polish, so its result does not depend on the others;
-    if one of them fails, the whole solve raises.
+    if one of them fails, the whole solve raises.  Without stacked=True a
+    2-D qs is refused as a qs of the wrong length: on one link, [[q]] is not
+    taken for a stack of one.
     """
     n = len(tables)
     qs = np.asarray(qs, dtype=float)

@@ -157,10 +157,11 @@ def _keyed(scenario, per_link, aggregates, end_to_end) -> dict:
 # Contention tables built in this process, newest last, and the row plans
 # (see scenarios.RowPlan) they were built from, one per geometry and gain
 # rank pattern; the stack of each point of a serial sweep (see _stacks) and
-# the points solved so far, by grid row.  run_sweep empties them all, so
-# points of one sweep share them but separate sweeps do not.  Pool workers
-# are forked from the process that filled the tables and plans, and inherit
-# them.
+# the solutions of its points not yet read, by grid row.  run_sweep empties
+# the tables and plans when it starts and the stacks and solutions when it
+# ends, so points of one sweep share them but separate sweeps do not.  Pool
+# workers are forked from the process that filled the tables and plans, and
+# inherit them.
 _table_cache: dict[tuple, np.recarray] = {}
 _plan_cache: dict[tuple, RowPlan] = {}
 _stack_of: dict[int, tuple] = {}
@@ -299,7 +300,7 @@ def _analytic(scenario, row: int) -> tuple[dict, list[str]]:
     if row not in _solved:
         rows, scenarios = _stack_of.get(row, ((row,), [scenario]))
         _solved.update(zip(rows, _solve_stack(scenarios)))
-    solution = _solved[row]
+    solution = _solved.pop(row)
     if isinstance(solution, Exception):
         raise solution
     rep = solution.report
@@ -445,12 +446,8 @@ def run_sweep(
 
     _table_cache.clear()
     _plan_cache.clear()
-    _stack_of.clear()
-    _solved.clear()
     parsed = [_parse_point(config, assignments, strict) for assignments in points]
     pooled = workers > 1 and len(points) > 1
-    if spec.engine != "simulate" and not pooled:
-        _stack_of.update(_stacks(parsed))
     sim_workers = workers if len(points) == 1 else 1
     order = list(range(len(points)))
     if spec.engine != "analytic":
@@ -462,7 +459,13 @@ def run_sweep(
         with ProcessPoolExecutor(max_workers=pool_size(workers, len(tasks))) as pool:
             done = dict(zip(order, pool.map(_point_task, tasks)))
     else:
-        done = dict(zip(order, map(_point_task, tasks)))
+        if spec.engine != "simulate":
+            _stack_of.update(_stacks(parsed))
+        try:
+            done = dict(zip(order, map(_point_task, tasks)))
+        finally:  # a point's solution is dropped once read; drop the rest too
+            _stack_of.clear()
+            _solved.clear()
 
     header = ["scenario_id", *spec.paths, *FIXED_COLUMNS]
     with open(out_path, "w", newline="") as f:

@@ -12,7 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from csmafade import scenarios, simulator, sweep
-from csmafade.errors import ValidationError
+from csmafade.errors import NumericsError, ValidationError
 from csmafade.macmodel import ALPHA_CAP
 from csmafade.multihop import solve_network
 from csmafade.scenarios import (
@@ -807,6 +807,26 @@ def test_rows_do_not_depend_on_the_axis_order_or_the_worker_count(tmp_path):
     ]
     assert len(runs[0]) == 15
     assert all(run == runs[0] for run in runs[1:])
+
+
+def test_a_stack_keeps_no_solution_once_its_points_are_read(tmp_path, monkeypatch):
+    config = load_config(CONFIGS / "line5.yaml", ["topology.n_nodes=4", "lam=2.0"])
+    spec = SweepSpec(parameters=(("lam", (2.0, 10.0, 30.0)),), engine="analytic")
+    unread = []
+
+    def keyed(*args):
+        unread.append(len(sweep._solved))
+        return keyed_values(*args)
+
+    keyed_values = sweep._keyed
+    monkeypatch.setattr(sweep, "_keyed", keyed)
+    run_sweep(config, spec, out_dir=tmp_path)
+    assert unread == [2, 1, 0]
+    assert sweep._solved == {} and sweep._stack_of == {}
+    config["solver"] = {"max_iter": 1}
+    with pytest.raises(NumericsError, match="did not converge"):
+        run_sweep(config, spec, out_dir=tmp_path, strict=True)
+    assert sweep._solved == {} and sweep._stack_of == {}
 
 
 def test_a_pool_solves_each_point_alone_with_the_same_result(tmp_path, inline_pool, monkeypatch):
