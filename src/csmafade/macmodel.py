@@ -259,6 +259,9 @@ def contention_tables(p_det, p_out, p_fad) -> np.recarray:
     return tables
 
 
+TABLE_FIELDS = ("p_det", "p_out", "p_fad")
+
+
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products over the last axis, broadcast over the leading ones.
 
@@ -286,38 +289,50 @@ def _subset_weights(eff: np.ndarray) -> np.ndarray:
 
 
 def contention_terms(
-    tables: np.recarray,
+    tables,
     timing: TimingParams,
     taus: np.ndarray,
     alphas: np.ndarray,
     gammas: np.ndarray,
+    hidden: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Busy-channel components and packet loss of every link: (alpha_pkt, alpha_ack, gamma).
 
     taus, alphas and gammas are (L,) per-link values, or a (P, L) stack of
-    P points on the same tables; the results have their shape.  A contender
-    is in the transmitting subset when it senses (tau) and finds the channel
+    P points, on one table set (L,) or on (P, L) tables of each point's own,
+    read by field name; the results have the shape of taus.  A contender is
+    in the transmitting subset when it senses (tau) and finds the channel
     idle (1 - alpha); the subset weights of all links form one (..., L, 2^k)
     array (_subset_weights).  alpha_pkt weighs subset detection by the data
     duration; alpha_ack by the ACK duration and the subset's mean
     transmission success.  gamma (clamped to [0, 1]) adds fading-only loss
     when nobody else transmits, outage under concurrent transmitters, and
-    the hidden-terminal window where the transmitter failed to detect them.
+    the hidden-terminal window where the transmitter failed to detect them,
+    whose table-only product (1 - p_det) p_out over the nonempty subsets a
+    caller may pass as `hidden`.
     """
-    others = _other_links(len(tables))
+    others = _other_links(taus.shape[-1])
     bits, sizes = _subsets(others.shape[1])
     weights = _subset_weights((taus * (1.0 - alphas))[..., others])
     w = weights[..., 1:]
-    p_det = tables["p_det"][:, 1:]
-    p_out = tables["p_out"][:, 1:]
+    p_det = tables["p_det"][..., 1:]
+    p_out = tables["p_out"][..., 1:]
+    if hidden is None:
+        hidden = (1.0 - p_det) * p_out
 
-    gamma_bar = (gammas[..., others] @ bits.T)[..., 1:] / sizes[1:]
+    # the subsets' mean transmission success 1 - gamma_bar, times p_det, worked
+    # out in place over whole rows (so without numpy's buffers for strided
+    # views); the empty subset's column is not read
+    success = gammas[..., others] @ bits.T
+    success /= np.maximum(sizes, 1.0)
+    np.subtract(1.0, success, out=success)
+    success *= tables["p_det"]
     a_pkt = timing.l_pkt * _rowdot(w, p_det)
-    a_ack = timing.l_ack * _rowdot(w, (1.0 - gamma_bar) * p_det)
+    a_ack = timing.l_ack * _rowdot(w, success[..., 1:])
 
     h_one = 1.0 - weights[..., 0]
     h_out = _rowdot(w, p_out)
-    h_hidden = _rowdot(w, (1.0 - p_det) * p_out)
+    h_hidden = _rowdot(w, hidden)
     raw = (1.0 - h_one) * tables["p_fad"] + h_out + (2.0 * timing.l_pkt - 1.0) * h_hidden
     return a_pkt, a_ack, np.clip(raw, 0.0, 1.0)
 
@@ -395,14 +410,13 @@ class _Anderson:
 
 
 def solve_fixed_point(
-    tables: np.recarray,
+    tables,
     qs: np.ndarray,
     mac: MacParams,
     timing: TimingParams,
     config: SolverConfig = SolverConfig(),
     init: tuple[float, float] = (0.0, 0.0),
     arrivals: Callable | None = None,
-    stacked: bool = False,
 ) -> SolveResult | SolveResults:
     """Anderson-accelerated iteration of the (alpha, gamma) map of all links.
 
@@ -419,18 +433,22 @@ def solve_fixed_point(
     is clipped into the map's domain.  Converged when max |f| < config.tol;
     the returned state is then g(x) itself.
 
-    With stacked=True, qs is a (P, L) stack of points on the same tables,
-    and the result a SolveResults list.  The points still iterating share
-    each application of the map, and arrivals(rows, reliability) takes the
-    (A, L) reliability of stack rows `rows`.  Each point keeps its own step
-    (_Anderson) and polish, so its result does not depend on the others;
-    if one of them fails, the whole solve raises.  Without stacked=True a
-    2-D qs is refused as a qs of the wrong length: on one link, [[q]] is not
-    taken for a stack of one.
+    The stack follows from the tables.  One table set (L,) takes (L,) qs and
+    gives a SolveResult.  A sequence of P table sets, one per point (a list,
+    or an np.broadcast_to view of one that all share), takes (P, L) qs and
+    gives a SolveResults list; arrivals(rows, reliability) then takes the
+    (A, L) reliability of stack rows `rows`.  The points still iterating
+    share each application of the map, each on its own tables: they are
+    gathered here field by field, into (P, L, 2^(L-1)) p_det and p_out and
+    (P, L) p_fad, and moved up in place as points leave.  Each point keeps
+    its own step (_Anderson) and polish, so its result does not depend on
+    the others; if one of them fails, the whole solve raises.
     """
-    n = len(tables)
+    stacked = not (isinstance(tables, np.ndarray) and tables.ndim == 1)
+    sets = list(tables) if stacked else [tables]
+    n = len(sets[0]) if sets else 0
     qs = np.asarray(qs, dtype=float)
-    if qs.ndim != 1 + stacked or qs.shape[-1:] != (n,) or not len(qs):
+    if qs.shape != ((len(sets), n) if stacked else (n,)) or not qs.size:
         raise ValidationError("qs length must match table count")
     hook = arrivals
     if not stacked:
@@ -438,6 +456,11 @@ def solve_fixed_point(
         if arrivals is not None:
             def hook(rows, reliability):
                 return arrivals(reliability[0])[None]
+    if len(sets) == 1:  # read where it lies: a point that leaves ends the solve
+        fields = {name: sets[0][name][None] for name in TABLE_FIELDS}
+    else:
+        fields = {name: np.stack([t[name] for t in sets]) for name in TABLE_FIELDS}
+    hidden = (1.0 - fields["p_det"][..., 1:]) * fields["p_out"][..., 1:]
     upper = np.concatenate([np.full(n, ALPHA_CAP), np.ones(n)])
     init_x = np.concatenate([np.full(n, float(init[0])), np.full(n, float(init[1]))])
     points = [_Anderson(init_x) for _ in qs]
@@ -457,7 +480,7 @@ def solve_fixed_point(
         x = np.array([points[p].x for p in rows])
         alphas, gammas = x[:, :n], x[:, n:]
         taus, b000s = cca(rows, alphas, gammas)
-        a_pkts, a_acks, new_gamma = contention_terms(tables, timing, taus, alphas, gammas)
+        a_pkts, a_acks, new_gamma = contention_terms(fields, timing, taus, alphas, gammas, hidden)
         raw_alpha = a_pkts + a_acks
         new_alpha = np.minimum(raw_alpha, ALPHA_CAP)
         f = np.concatenate([new_alpha, new_gamma], axis=1) - x
@@ -475,14 +498,21 @@ def solve_fixed_point(
                                   gamma=new_gamma[i], b000=b000)
                 results[rows[i]] = SolveResult(state=state, iterations=iteration,
                                                residual=float(residuals[i]), warnings=warnings)
-        for i in np.flatnonzero(~done):
-            points[rows[i]].step(f[i], float(residuals[i]), iteration, upper)
-        rows = rows[~done]
-        if not rows.size:
-            break
+            keep = ~done
+            rows, f, residuals = rows[keep], f[keep], residuals[keep]
+            if not rows.size:
+                break
+            kept = np.flatnonzero(keep).tolist()
+            for array in (*fields.values(), hidden):  # the kept points' tables move up
+                for i, j in enumerate(kept):
+                    array[i] = array[j]
+            fields = {name: table[:len(rows)] for name, table in fields.items()}
+            hidden = hidden[:len(rows)]
+        for p, f_p, residual in zip(rows.tolist(), f, residuals.tolist()):
+            points[p].step(f_p, residual, iteration, upper)
     else:
         raise ConvergenceError(
             f"fixed point did not converge after {config.max_iter} iterations "
-            f"(last residual {residuals[~done].max():.3e})"
+            f"(last residual {residuals.max():.3e})"
         )
     return results if stacked else results[0]

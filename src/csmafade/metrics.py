@@ -10,7 +10,7 @@ usual removable singularities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -92,17 +92,18 @@ def energy_rate(
     next_link[l] is the index of the link whose transmitter relays link l's
     packets, or -1 where l delivers to a node that does not transmit.
     Transmitters that relay idle-listen while waiting, the others sleep.
-    chain is the chain of the state's (alpha, gamma).
+    chain is the chain of the state's (alpha, gamma).  The state is one
+    point's (L,) arrays or a (P, L) stack of points on the same links.
     """
-    n = len(state.tau)
+    n = state.tau.shape[-1]
     next_link = np.full(n, -1) if next_link is None else np.asarray(next_link, dtype=int)
     if next_link.shape != (n,):
         raise ValidationError("next_link must have one entry per link")
     relayed = next_link >= 0
     e_t = _transaction_power(chain.alpha, chain.gamma, state.tau, profile, timing)
     is_relay = np.isin(np.arange(n), next_link)
-    e_x = np.zeros(n)
-    np.add.at(e_x, next_link[relayed], e_t[relayed])  # adds children in link order
+    e_x = np.zeros_like(e_t)
+    np.add.at(e_x, (..., next_link[relayed]), e_t[..., relayed])  # adds children in link order
     # the backoff window averaged over the CCA rounds reached
     mean_window = sum(r * w for r, w in zip(chain.rounds, chain.mac.windows)) / chain.round_sum
     return EnergyBreakdown(
@@ -144,13 +145,18 @@ def report(
     mac: MacParams,
     timing: TimingParams,
     next_link: np.ndarray | None = None,
-) -> MetricsReport:
-    """Assemble per-link reliability, delay, and power into one report."""
+) -> MetricsReport | list[MetricsReport]:
+    """Assemble per-link reliability, delay, and power into one report.
+
+    A (P, L) stack of states on the same links is evaluated at once and
+    gives one report per point, in stack order.
+    """
     chain = Chain(state.alpha, state.gamma, mac)
-    return MetricsReport(
-        reliability=chain.reliability,
-        p_cf=chain.p_cf,
-        p_cr=chain.p_cr,
-        delay_seconds=expected_delay(chain, timing),
-        energy=energy_rate(state, chain, profile, timing, next_link),
-    )
+    energy = energy_rate(state, chain, profile, timing, next_link)
+    columns = (chain.reliability, chain.p_cf, chain.p_cr, expected_delay(chain, timing))
+    if state.tau.ndim == 1:
+        return MetricsReport(*columns, energy)
+    parts = [getattr(energy, part.name) for part in fields(EnergyBreakdown)]
+    return [MetricsReport(*(column[p] for column in columns),
+                          EnergyBreakdown(*(part[p] for part in parts)))
+            for p in range(len(state.tau))]

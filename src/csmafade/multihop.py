@@ -135,7 +135,7 @@ class NetworkSolutions(list):
 
 
 def solve_network(
-    tables: np.recarray,
+    tables,
     next_hop: np.ndarray,
     lambda_pkt_per_s: np.ndarray,
     mac: MacParams,
@@ -153,18 +153,23 @@ def solve_network(
     hop, and the contending links of each mask are numbered in that order.
 
     lambda_pkt_per_s is one point's per-node rates, the stack of one, or a
-    (P, n) stack of points that share everything else, solved as one stacked
-    fixed point into a NetworkSolutions list.
+    (P, n) stack of points that share everything else but their tables,
+    solved as one stacked fixed point into a NetworkSolutions list.  Such a
+    stack takes one table set that all its points share, or a sequence of
+    each point's own.
     """
     transmitters, next_link = route_links(next_hop)
-    if len(tables) != len(transmitters):
-        raise ValidationError(
-            f"{len(tables)} link tables for {len(transmitters)} transmitting nodes"
-        )
     lam = np.asarray(lambda_pkt_per_s, dtype=float)
     if lam.ndim not in (1, 2) or lam.shape[-1] != len(next_hop):
         raise ValidationError("rate vector length must match the node count")
     stack = np.atleast_2d(lam)[:, transmitters]
+    if isinstance(tables, np.ndarray) and tables.ndim == 1:
+        tables = [tables] * len(stack)
+    for point_tables in tables:
+        if len(point_tables) != len(transmitters):
+            raise ValidationError(
+                f"{len(point_tables)} link tables for {len(transmitters)} transmitting nodes"
+            )
 
     def probabilities(rates: np.ndarray) -> np.ndarray:
         return np.reshape([arrival_probability(rate) for rate in rates.ravel().tolist()],
@@ -182,16 +187,21 @@ def solve_network(
     # without a relay, no transmitter's traffic depends on the state
     relays = bool((next_link >= 0).any())
     results = solve_fixed_point(tables, qs.copy(), mac, timing, config=config,
-                                arrivals=arrivals if relays else None, stacked=True)
+                                arrivals=arrivals if relays else None)
+    states = LinkState(*(np.array([getattr(result.state, name) for result in results])
+                         for name in ("tau", "alpha_pkt", "alpha_ack", "gamma", "b000")))
+    reports = metrics.report(states, profile or metrics.PowerProfile(), mac, timing, next_link)
+    reliability = np.array([rep.reliability for rep in reports])
+    traffic = link_traffic(stack, next_link, reliability)
+    paths = [route(next_hop, node) for node in transmitters.tolist()]
     solutions = NetworkSolutions()
-    for rates, result, outer in zip(stack, results, moved.tolist()):
-        rep = metrics.report(result.state, profile or metrics.PowerProfile(), mac, timing,
-                             next_link)
-        by_node = dict(zip(transmitters.tolist(), rep.reliability.tolist()))
+    for result, rep, point_traffic, by_link, outer in zip(
+            results, reports, traffic, reliability.tolist(), moved.tolist()):
+        by_node = dict(zip(transmitters.tolist(), by_link))
         solutions.append(NetworkSolution(
             state=result.state,
-            traffic=link_traffic(rates, next_link, rep.reliability),
-            end_to_end={node: end_to_end_reliability(next_hop, by_node, node) for node in by_node},
+            traffic=point_traffic,
+            end_to_end={path[0]: math.prod(by_node[t] for t in path[:-1]) for path in paths},
             report=rep,
             outer_iterations=outer,
             warnings=result.warnings,

@@ -28,7 +28,7 @@ import math
 import sys
 import typing
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +47,10 @@ from .units import db_to_neper
 # Contention subsets are enumerated exhaustively; 2^14 rows per link is the
 # supported ceiling.
 MAX_CONTENDERS = 14
+# The most entries of the members matrix of one detection fit call that
+# joins several links' rows (see DistinctRows.fit): each of its columns is
+# one pass over all its rows, so a larger join costs more than it saves.
+FIT_BATCH = 2**16
 # Every scenario derives distances and mean gains of all node pairs when it
 # is built; the node count is checked before that O(n^2) work starts.
 MAX_NODES = 1024
@@ -205,13 +209,11 @@ class Scenario:
         route_links(self.hops)  # rejects bad hops, cycles and a topology with no link
         self.mean_gain_mw  # rejects coincident nodes
 
-    # the geometry both engines share, derived once per scenario
+    # the geometry both engines share, worked out once per geometry (see _next_hops)
     @cached_property
     def hops(self) -> np.ndarray:
         """next_hop per node, -1 where the node terminates traffic."""
-        hops = self.topology.hops()
-        hops.flags.writeable = False
-        return hops
+        return _next_hops(self.topology)
 
     @cached_property
     def links(self) -> tuple[tuple[int, int], ...]:
@@ -221,24 +223,43 @@ class Scenario:
     @cached_property
     def mean_gain_mw(self) -> np.ndarray:
         """Mean power (mW) node j receives when node i transmits; 0 for i == j."""
-        dist = self.topology.distances()
-        gain = np.zeros((len(dist), len(dist)))
-        for i, j in itertools.permutations(range(len(dist)), 2):
-            distance = dist[i][j]
-            if distance == 0.0:
-                raise ValidationError(
-                    f"topology.positions_m: nodes {i} and {j} coincide at "
-                    f"{self.topology.positions()[i]} (distance 0.0)"
-                )
-            try:
-                gain[i, j] = mean_rx_power(self.tx_power_dbm, distance, self.channel)
-            except ValidationError as exc:
-                field = "positions_m" if self.topology.kind == "explicit" else "spacing_m"
-                raise ValidationError(
-                    f"invalid config value in topology.{field}: nodes {i} and {j}: {exc}"
-                ) from None
-        gain.flags.writeable = False
-        return gain
+        return _mean_gains(self.topology, self.tx_power_dbm, self.channel)
+
+
+# The next hops of the last few topologies, and the mean gains of the last
+# few topologies, transmit powers and channels, read-only, so that the
+# points of a sweep that share a geometry share its arrays; a sweep empties
+# both caches when it starts.
+GEOMETRY_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
+def _next_hops(topology: Topology) -> np.ndarray:
+    hops = topology.hops()
+    hops.flags.writeable = False
+    return hops
+
+
+@lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
+def _mean_gains(topology: Topology, tx_power_dbm: float, chan: ChannelParams) -> np.ndarray:
+    dist = topology.distances()
+    gain = np.zeros((len(dist), len(dist)))
+    for i, j in itertools.permutations(range(len(dist)), 2):
+        distance = dist[i][j]
+        if distance == 0.0:
+            raise ValidationError(
+                f"topology.positions_m: nodes {i} and {j} coincide at "
+                f"{topology.positions()[i]} (distance 0.0)"
+            )
+        try:
+            gain[i, j] = mean_rx_power(tx_power_dbm, distance, chan)
+        except ValidationError as exc:
+            field = "positions_m" if topology.kind == "explicit" else "spacing_m"
+            raise ValidationError(
+                f"invalid config value in topology.{field}: nodes {i} and {j}: {exc}"
+            ) from None
+    gain.flags.writeable = False
+    return gain
 
 
 def build_contention_tables(scenario: Scenario, plans: dict | None = None) -> np.recarray:
@@ -289,14 +310,16 @@ def build_contention_tables(scenario: Scenario, plans: dict | None = None) -> np
     plan = plans.get(key) or _row_plan(rank, senders, rx)
 
     p_det = plan.det.fit(
-        lambda l, members: channel.detection_probability(
-            det_gain[l], members, chan.cca_threshold_mw, fading
+        lambda links, members: channel.detection_probability(
+            det_gain[links].ravel(), members, chan.cca_threshold_mw, fading
         ),
+        batch=FIT_BATCH,
     ).reshape(n_links, 2**k)
     p_out = np.ones((n_links, 2**k))
     p_out[plan.free] = plan.out.fit(
-        lambda l, members: channel.outage_probability(
-            useful[l], out_gain[l], members, chan.noise_mw, chan.sinr_threshold, fading
+        lambda links, members: channel.outage_probability(
+            useful[links[0]], out_gain[links[0]], members, chan.noise_mw, chan.sinr_threshold,
+            fading
         ),
     )
     p_fad = p_out[:, 0].copy()  # the empty subset: noise-only outage
@@ -318,9 +341,22 @@ class DistinctRows:
     fits: tuple[tuple[int, np.ndarray], ...]
     group: np.ndarray
 
-    def fit(self, probability) -> np.ndarray:
-        """The selected rows' values: probability(link, members) once per entry of fits."""
-        return np.concatenate([probability(l, members) for l, members in self.fits])[self.group]
+    def fit(self, probability, batch: int = 0) -> np.ndarray:
+        """The selected rows' values, from probability(links, members) calls.
+
+        One call per entry of fits, with links = [link]; or one call for all,
+        when their joined members matrix has at most `batch` entries: it
+        lays the links' columns end to end, and each row selects its own
+        link's columns only.
+        """
+        links = [l for l, _ in self.fits]
+        blocks = [members for _, members in self.fits]
+        rows = sum(map(len, blocks))
+        if len(blocks) > 1 and rows * len(blocks) * blocks[0].shape[1] <= batch:
+            own = np.repeat(np.eye(len(blocks), dtype=bool), list(map(len, blocks)), axis=0)
+            joined = own[:, :, None] & np.concatenate(blocks)[:, None, :]
+            return probability(links, joined.reshape(rows, -1))[self.group]
+        return np.concatenate([probability([l], members) for l, members in self.fits])[self.group]
 
 
 @dataclass(frozen=True)
@@ -593,7 +629,7 @@ def _build_scenario(config: dict, default_id: str) -> Scenario:
         lam = tuple(_rate(v, f"lam[{i}]") for i, v in enumerate(lam_value))
     else:
         rate = _rate(lam_value, "lam")
-        lam = tuple(rate if h >= 0 else 0.0 for h in topology.hops())
+        lam = tuple(rate if h >= 0 else 0.0 for h in _next_hops(topology))
 
     return Scenario(
         scenario_id=scenario_id(config, default_id),

@@ -24,6 +24,7 @@ cell, and the other engine's cells are kept.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -34,8 +35,9 @@ import numpy as np
 
 from .errors import NumericsError, ValidationError
 from .multihop import end_to_end_reliability, route, solve_network
-from .scenarios import (RowPlan, Scenario, assign, build_contention_tables,
-                        compile_sim_network, scenario_from_config, scenario_id)
+from .scenarios import (RowPlan, Scenario, _mean_gains, _next_hops, assign,
+                        build_contention_tables, compile_sim_network, scenario_from_config,
+                        scenario_id)
 from .simulator import pool_size, run_experiment
 
 ENGINES = ("analytic", "simulate", "compare")
@@ -131,46 +133,55 @@ def _fmt(value) -> str:
     return str(value)
 
 
-LINK_METRICS = ("reliability", "delay_s", "power_mw")
-AGGREGATE_METRICS = ("mean_reliability", "mean_delay_s", "mean_power_mw")
-
-
-def _row_keys(scenario) -> list[tuple]:
-    """(src, dst, metric) of every row in a point's block, in output order."""
-    keys = [(src, dst, m) for src, dst in scenario.links for m in LINK_METRICS]
-    keys += [("", "", m) for m in AGGREGATE_METRICS]
-    routes = [route(scenario.hops, src) for src, _ in scenario.links]
-    if any(len(nodes) > 2 for nodes in routes):
-        keys += [(nodes[0], nodes[-1], "end_to_end_reliability") for nodes in routes]
-    return keys
-
-
-def _keyed(scenario, per_link, aggregates, end_to_end) -> dict:
-    """Key values by row: per-link triples in link order, the aggregate
-    triple, then end_to_end[origin] if the block has end-to-end rows."""
-    keys = _row_keys(scenario)
-    values = [v for triple in per_link for v in triple] + list(aggregates)
-    values += [end_to_end[src] for src, _, _ in keys[len(values):]]
-    return dict(zip(keys, values, strict=True))
-
-
 # Contention tables built in this process, newest last, and the row plans
 # (see scenarios.RowPlan) they were built from, one per geometry and gain
-# rank pattern; the stack of each point of a serial sweep (see _stacks) and
-# the solutions of its points not yet read, by grid row.  run_sweep empties
-# the tables and plans when it starts and the stacks and solutions when it
-# ends, so points of one sweep share them but separate sweeps do not.  Pool
-# workers are forked from the process that filled the tables and plans, and
-# inherit them.
+# rank pattern; the row keys of each geometry (_row_keys, next to the next
+# hops and gains that scenarios caches); the stack of each point of a
+# serial sweep (see _stacks) and the solutions of its points not yet read,
+# by grid row.  run_sweep empties the tables, plans and geometries when it
+# starts and the stacks and solutions when it ends, so points of one sweep
+# share them but separate sweeps do not.  Pool workers are forked from the
+# process that filled the tables, plans and geometries, and inherit them.
 _table_cache: dict[tuple, np.recarray] = {}
 _plan_cache: dict[tuple, RowPlan] = {}
 _stack_of: dict[int, tuple] = {}
 _solved: dict = {}
 TABLE_CACHE_SIZE = 8
 
-# The most subset weights, P points x L links x 2^(L-1) subsets, that one
-# stacked fixed point holds at once (2 MiB of floats).
-STACK_ELEMENTS = 2**18
+# A stack holds fewer than STACK_ELEMENTS entries, P points x L links x
+# 2^(L-1) subsets, in each of its arrays: the subset weights and their
+# temporaries, and each table it gathers (p_det, p_out and their
+# hidden-terminal product).  So each array stays below the 128 KiB from
+# which the C heap maps fresh pages for it.  At 2^18 the four 11-link
+# points of the star12-tables benchmark form one stack, and a sweep then
+# peaks 2 MiB higher with four times the minor page faults.
+STACK_ELEMENTS = 2**14
+
+
+LINK_METRICS = ("reliability", "delay_s", "power_mw")
+AGGREGATE_METRICS = ("mean_reliability", "mean_delay_s", "mean_power_mw")
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _row_keys(hops: bytes) -> tuple[tuple, ...]:
+    """(src, dst, metric) of every row in the block of a point whose next hops
+    have these bytes, in output order; worked out once per geometry per sweep."""
+    next_hop = np.frombuffer(hops, dtype=int)
+    routes = [route(next_hop, src) for src in np.flatnonzero(next_hop >= 0).tolist()]
+    keys = [(nodes[0], nodes[1], m) for nodes in routes for m in LINK_METRICS]
+    keys += [("", "", m) for m in AGGREGATE_METRICS]
+    if any(len(nodes) > 2 for nodes in routes):
+        keys += [(nodes[0], nodes[-1], "end_to_end_reliability") for nodes in routes]
+    return tuple(keys)
+
+
+def _keyed(scenario, per_link, aggregates, end_to_end) -> dict:
+    """Key values by row: per-link triples in link order, the aggregate
+    triple, then end_to_end[origin] if the block has end-to-end rows."""
+    keys = _row_keys(scenario.hops.tobytes())
+    values = [v for triple in per_link for v in triple] + list(aggregates)
+    values += [end_to_end[src] for src, _, _ in keys[len(values):]]
+    return dict(zip(keys, values, strict=True))
 
 
 def _table_key(scenario) -> tuple:
@@ -243,21 +254,22 @@ def _prebuild_tables(parsed) -> None:
 def _stacks(parsed) -> dict[int, tuple]:
     """{row: (rows, scenarios)} of the stack each parsed point is solved in.
 
-    A stack holds points that share their tables, routes, MAC, timing, power
-    profile and solver, in grid order, and at most STACK_ELEMENTS subset
-    weights; rows are their grid indices.  The stacks follow from the grid
-    alone, and no value depends on them.
+    A stack holds points that share their routes (and so their links), MAC,
+    timing, power profile and solver, in grid order, and fewer than
+    STACK_ELEMENTS entries in each array; rows are their grid indices.
+    Their tables may differ.  The stacks follow from the grid alone, and no
+    value depends on them.
     """
     groups: dict[tuple, list[int]] = {}
     for row, scenario in enumerate(parsed):
         if isinstance(scenario, Scenario):
-            key = (_table_key(scenario), scenario.hops.tobytes(), scenario.mac,
-                   scenario.timing, scenario.power, scenario.solver)
+            key = (scenario.hops.tobytes(), scenario.mac, scenario.timing, scenario.power,
+                   scenario.solver)
             groups.setdefault(key, []).append(row)
     stacks = {}
     for rows in groups.values():
         n = len(parsed[rows[0]].links)
-        size = max(1, STACK_ELEMENTS // (n * 2 ** (n - 1)))
+        size = max(1, (STACK_ELEMENTS - 1) // (n * 2 ** (n - 1)))
         for start in range(0, len(rows), size):
             stack = tuple(rows[start:start + size])
             stacks.update(dict.fromkeys(stack, (stack, [parsed[row] for row in stack])))
@@ -265,16 +277,18 @@ def _stacks(parsed) -> dict[int, tuple]:
 
 
 def _solve_stack(scenarios) -> list:
-    """The solved network of each point of a stack, by one stacked solve_network.
+    """The solved network of each point of a stack, by one stacked solve_network
+    on the points' own tables.
 
     If the stack fails, each point is solved alone, so that each gets the
     solution, or the error, that it gets in a sweep of its own.
     """
     first = scenarios[0]
     try:
-        return list(solve_network(_contention_tables(first), first.hops,
-                                  [scenario.lam for scenario in scenarios], first.mac,
-                                  first.timing, profile=first.power, config=first.solver))
+        return list(solve_network([_contention_tables(scenario) for scenario in scenarios],
+                                  first.hops, [scenario.lam for scenario in scenarios],
+                                  first.mac, first.timing, profile=first.power,
+                                  config=first.solver))
     except (NumericsError, ValidationError) as exc:
         if len(scenarios) == 1:
             return [exc]
@@ -380,13 +394,15 @@ def _block(sweep_id: str, scenario, assignments, results: dict,
     if not isinstance(scenario, Scenario):
         return [[sweep_id, *prefix, "", "", "error", "", "", "", "", scenario]]
     analytic, sim = results.get("analytic", {}), results.get("simulate", {})
+    replications, notes = _fmt(scenario.sim.replications), "; ".join(warnings)
     rows = []
-    for key in _row_keys(scenario):
+    for key in _row_keys(scenario.hops.tobytes()):
+        src, dst, metric = key  # src and dst are node numbers, or "" on aggregate rows
         sim_mean, sim_ci = sim.get(key, (None, None))
         rows.append([
-            sweep_id, *prefix, _fmt(key[0]), _fmt(key[1]), key[2],
+            sweep_id, *prefix, str(src), str(dst), metric,
             _fmt(analytic.get(key)), _fmt(sim_mean), _fmt(sim_ci),
-            _fmt(scenario.sim.replications) if key in sim else "", "; ".join(warnings),
+            replications if key in sim else "", notes,
         ])
     return rows
 
@@ -446,6 +462,8 @@ def run_sweep(
 
     _table_cache.clear()
     _plan_cache.clear()
+    for cached in (_row_keys, _next_hops, _mean_gains):
+        cached.cache_clear()
     parsed = [_parse_point(config, assignments, strict) for assignments in points]
     pooled = workers > 1 and len(points) > 1
     sim_workers = workers if len(points) == 1 else 1

@@ -401,6 +401,59 @@ def test_a_point_solves_alike_alone_and_in_any_stack(name, monkeypatch):
         assert all(s.outer_iterations > 0 for s in alone)
 
 
+# points of one geometry whose tables differ: shadowing, multipath, the SINR
+# threshold and the transmit power, at light and heavy rates
+OWN_TABLES = (
+    ("fading: {sigma: 0.0}", 2.0),
+    ("fading: {sigma: 2.0}", 10.0),
+    ("fading: {sigma: 1.0, kappa: 2.0}", 5.0),
+    ("channel: {b_db: 10.0}\nfading: {sigma: 1.0}", 2.0),
+    ("tx_power_dbm: -5.0\nfading: {sigma: 1.0}", 30.0),
+    ("fading: {sigma: 1.0}", 50.0),
+)
+
+
+@pytest.mark.parametrize("topology, timing", [
+    # long frames on the 8-hop line: the two heaviest points clamp alpha
+    ("{kind: line, n_nodes: 9}", TimingParams(l_pkt=30.0)),
+    ("{kind: star, n_nodes: 6}", TIMING),
+    ("{kind: tree, n_nodes: 6, branching: 3}", TIMING),
+])
+def test_a_point_solves_alike_alone_and_in_a_stack_of_other_tables(topology, timing,
+                                                                    monkeypatch):
+    scenarios = [scenario_from_config(parse_config(f"topology: {topology}\nlam: {rate}\n{text}"))
+                 for text, rate in OWN_TABLES]
+    tables = [build_contention_tables(s) for s in scenarios]
+    hops, lams = scenarios[0].hops, np.array([s.lam for s in scenarios])
+    assert len({t.tobytes() for t in tables}) == len(tables)
+    fixed_points = []
+
+    def recording(*args, **kwargs):
+        fixed_points.append(solve_fixed_point(*args, **kwargs))
+        return fixed_points[-1]
+
+    monkeypatch.setattr(multihop, "solve_fixed_point", recording)
+    stacked = solve_network(tables, hops, lams, MAC, timing)
+    alone = [solve_network(t, hops, lam, MAC, timing) for t, lam in zip(tables, lams)]
+    assert [len(results) for results in fixed_points] == [len(tables)] + [1] * len(tables)
+    if timing is not TIMING:
+        assert [bool(s.warnings) for s in alone] == [False] * 4 + [True] * 2
+    for p, (solution, single) in enumerate(zip(stacked, alone)):
+        for field in ("tau", "alpha_pkt", "alpha_ack", "gamma", "b000"):
+            assert np.array_equal(getattr(solution.state, field),
+                                  getattr(single.state, field)), (p, field)
+        assert np.array_equal(solution.traffic, single.traffic)
+        for field in ("reliability", "p_cf", "p_cr", "delay_seconds", "power_mw"):
+            assert np.array_equal(getattr(solution.report, field), getattr(single.report, field),
+                                  equal_nan=True), (p, field)
+        assert solution.end_to_end == single.end_to_end
+        assert (solution.outer_iterations, solution.warnings) == (
+            single.outer_iterations, single.warnings)
+        [lone] = fixed_points[1 + p]
+        assert fixed_points[0][p].iterations == lone.iterations
+        assert fixed_points[0][p].residual == lone.residual
+
+
 def test_a_stack_raises_when_one_of_its_points_fails(monkeypatch):
     # the cap that the light point meets alone stops the heavy one, and so the stack
     tables, hops, lam = _line_setup()
@@ -422,6 +475,6 @@ def test_a_stack_raises_when_one_of_its_points_fails(monkeypatch):
     with pytest.raises(ValidationError, match="rate vector"):
         solve_network(tables, hops, [[lam]], MAC, TIMING)
     with pytest.raises(ValidationError, match="qs length"):
-        solve_fixed_point(tables, lam[1:], MAC, TIMING, stacked=True)
+        solve_fixed_point(np.broadcast_to(tables, (2, len(tables))), lam[1:], MAC, TIMING)
     with pytest.raises(ValidationError, match="qs length"):  # a stack of no points
         solve_network(tables, hops, np.zeros((0, len(hops))), MAC, TIMING)

@@ -123,3 +123,29 @@ def test_traced_sweep_of_stacked_points_reports_every_point_and_layer(tmp_path):
     for name in ("macmodel.iterations", "multihop.outer_iterations"):
         assert type(metrics[name]) is int, name
     json.dumps(metrics)
+
+
+def test_traced_sweep_over_table_sets_solves_one_stack(tmp_path):
+    # a rate x sigma grid on a 4-node line: one stack over three table sets,
+    # each fitted by one detection call inside its traced build
+    tracing = _tracing_module()
+    tracer = tracing.Tracer(tmp_path / "spool")
+    config = load_config(ROOT / "configs" / "line5.yaml", ["topology.n_nodes=4", "lam=2.0"])
+    sigmas = (0.0, 1.0, 2.0)
+    spec = sweep.SweepSpec(parameters=(("lam", (2.0, 10.0, 30.0)), ("fading.sigma", sigmas)),
+                           engine="analytic")
+    tracer.install()
+    try:
+        tracer.sweep(sweep.run_sweep, config, spec, out_dir=tmp_path)
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans
+    metrics = tracing.layer_metrics(spans, wall_s=1.0)
+    assert metrics["macmodel.solves"] == 1
+    assert metrics["scenarios.table_builds"] == metrics["scenarios.table_builds_unique"] == 3
+    assert metrics["channel.detection_calls"] == len(sigmas)
+    builds = [i for i, span in enumerate(spans) if span[tracing.NAME] == "scenarios.tables"]
+    detections = [span[tracing.PARENT] for span in spans
+                  if span[tracing.NAME] == "channel.detection"]
+    assert sorted(detections) == builds  # one per build, inside it
+    json.dumps(metrics)

@@ -9,9 +9,10 @@ import pathlib
 import time
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
 
-from csmafade import scenarios, simulator, sweep
+from csmafade import multihop, scenarios, simulator, sweep
 from csmafade.errors import NumericsError, ValidationError
 from csmafade.macmodel import ALPHA_CAP
 from csmafade.multihop import solve_network
@@ -65,6 +66,7 @@ def test_golden_csv_is_reproduced(tmp_path):
     assert out.read_bytes() == GOLDEN.read_bytes()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize(
     "golden, config_name, overrides, axes",
     [
@@ -79,11 +81,13 @@ def test_golden_csv_is_reproduced(tmp_path):
          [("lam", [2.0, 30.0]), ("fading.sigma", [0.0, 2.0])]),
     ],
 )
-def test_analytic_golden_csv_is_reproduced(tmp_path, golden, config_name, overrides, axes):
+def test_analytic_golden_csv_is_reproduced(tmp_path, golden, config_name, overrides, axes,
+                                           workers):
+    # serially the points stack across their table sets; a pool solves each alone
     config = load_config(CONFIGS / config_name, overrides)
     config["sweep"] = {"engine": "analytic",
                        "parameters": [{"path": p, "values": v} for p, v in axes]}
-    out = run_sweep(config, sweep_from_config(config), out_dir=tmp_path)
+    out = run_sweep(config, sweep_from_config(config), out_dir=tmp_path, workers=workers)
     assert out.read_bytes() == (GOLDEN_DIR / golden).read_bytes()
 
 
@@ -773,8 +777,9 @@ def _blocks(path, n_axes):
 
 
 def test_each_point_keeps_its_own_block_when_others_of_its_stack_fail(tmp_path):
-    # long frames on the 8-hop line: at this iteration cap the sigma = 0 stack
-    # has a point that does not converge, and the sigma = 1 stack a clamped one
+    # long frames on the 8-hop line: the 8 points form one stack over both
+    # sigmas, and at this iteration cap one of them does not converge and
+    # another clamps alpha
     config = load_config(CONFIGS / "line5.yaml",
                          ["scenario_id=line9", "topology.n_nodes=9", "lam=2.0",
                           "timing.l_pkt=30", "solver.max_iter=240"])
@@ -795,8 +800,58 @@ def test_each_point_keeps_its_own_block_when_others_of_its_stack_fail(tmp_path):
         assert blocks[key] == block, key
 
 
+def _same_solution(a, b) -> bool:
+    """Two NetworkSolutions alike bit for bit, or two errors of one type and message."""
+    if isinstance(a, Exception):
+        return type(a) is type(b) and str(a) == str(b)
+    states = [np.array([getattr(s.state, f) for f in ("tau", "alpha_pkt", "alpha_ack",
+                                                       "gamma", "b000")]) for s in (a, b)]
+    reports = [np.array([getattr(s.report, f) for f in ("reliability", "delay_seconds",
+                                                        "power_mw")]) for s in (a, b)]
+    return (np.array_equal(*states) and np.array_equal(*reports, equal_nan=True)
+            and np.array_equal(a.traffic, b.traffic) and a.end_to_end == b.end_to_end
+            and (a.outer_iterations, a.warnings) == (b.outer_iterations, b.warnings))
+
+
+def test_a_stack_over_table_sets_gives_each_point_its_lone_solution(monkeypatch):
+    # long frames on the 8-hop line: every point has tables of its own (sigma,
+    # kappa, the SINR threshold, the transmit power), two points clamp alpha,
+    # and with the lam = 50, sigma = 0 point the stack meets the iteration cap
+    config = load_config(CONFIGS / "line5.yaml", ["topology.n_nodes=9", "lam=2.0",
+                                                   "timing.l_pkt=30", "solver.max_iter=240"])
+    grid = [(("fading.sigma", 1.0),),
+            (("fading.sigma", 2.0), ("lam", 10.0)),
+            (("fading.kappa", 2.0), ("fading.sigma", 1.0)),
+            (("channel.b_db", 10.0), ("fading.sigma", 1.0)),
+            (("tx_power_dbm", -5.0), ("fading.sigma", 1.0), ("lam", 30.0)),
+            (("fading.sigma", 1.0), ("lam", 50.0)),
+            (("lam", 50.0),)]
+    scenarios = [sweep._parse_point(config, point, strict=True) for point in grid]
+    assert len({sweep._table_key(s) for s in scenarios}) == 6  # rows 0 and 5 share theirs
+    assert {rows for rows, _ in sweep._stacks(scenarios).values()} == {tuple(range(len(grid)))}
+    solves = []
+
+    def counting(tables, next_hop, lam, *args, **kwargs):
+        solves.append(len(lam))
+        return solve_network(tables, next_hop, lam, *args, **kwargs)
+
+    monkeypatch.setattr(sweep, "solve_network", counting)
+    alone = [solved for s in scenarios for solved in sweep._solve_stack([s])]
+    assert [type(solved).__name__ for solved in alone] == ["NetworkSolution"] * 6 + [
+        "ConvergenceError"]
+    assert [bool(solved.warnings) for solved in alone[:-1]] == [False] * 4 + [True] * 2
+    solves.clear()
+    converging = sweep._solve_stack(scenarios[:-1])
+    assert solves == [6]  # one stacked solve, no point solved again alone
+    assert all(map(_same_solution, converging, alone[:-1]))
+    solves.clear()
+    failing = sweep._solve_stack(scenarios)
+    assert solves == [7] + [1] * 7  # the stack fails, so each point is solved alone
+    assert all(map(_same_solution, failing, alone))
+
+
 def test_rows_do_not_depend_on_the_axis_order_or_the_worker_count(tmp_path):
-    # the line9 benchmark grid: its points stack by sigma, 5 rates at a time
+    # the line9 benchmark grid: its 15 points over 3 table sets form one stack
     config = load_config(CONFIGS / "line5.yaml",
                          ["scenario_id=line9", "topology.n_nodes=9", "lam=2.0"])
     axes = (("lam", (2.0, 5.0, 10.0, 20.0, 30.0)), ("fading.sigma", (0.0, 1.0, 2.0)))
@@ -807,6 +862,56 @@ def test_rows_do_not_depend_on_the_axis_order_or_the_worker_count(tmp_path):
     ]
     assert len(runs[0]) == 15
     assert all(run == runs[0] for run in runs[1:])
+
+
+LINE9_GRID = (("lam", (2.0, 5.0, 10.0, 20.0, 30.0)), ("fading.sigma", (0.0, 1.0, 2.0)))
+
+
+def test_a_sweep_works_out_each_geometry_once(tmp_path, monkeypatch):
+    # the line9 benchmark grid: 15 points of one geometry, 9 nodes
+    config = load_config(CONFIGS / "line5.yaml", ["topology.n_nodes=9", "lam=2.0"])
+    spec = SweepSpec(parameters=LINE9_GRID, engine="analytic")
+    gains, hops = [], []
+    mean_rx_power, next_hops = scenarios.mean_rx_power, scenarios.Topology.hops
+
+    def counted_gain(*args):
+        gains.append(args)
+        return mean_rx_power(*args)
+
+    def counted_hops(topology):
+        hops.append(topology)
+        return next_hops(topology)
+
+    monkeypatch.setattr(scenarios, "mean_rx_power", counted_gain)
+    monkeypatch.setattr(scenarios.Topology, "hops", counted_hops)
+    first = run_sweep(config, spec, out_dir=tmp_path, out_name="first.csv")
+    assert len(gains) == 9 * 8 and len(hops) == 1
+    # separate sweeps share nothing
+    second = run_sweep(config, spec, out_dir=tmp_path, out_name="second.csv")
+    assert len(gains) == 2 * 9 * 8 and len(hops) == 2
+    assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("macs, stacks", [((0,), 1), ((0, 1), 2)])
+def test_each_route_is_walked_once_per_stack(tmp_path, monkeypatch, macs, stacks):
+    # solve_network walks each transmitter's route once per stack, and the
+    # row keys walk them once more per geometry
+    config = load_config(CONFIGS / "line5.yaml", ["topology.n_nodes=9", "lam=2.0"])
+    spec = SweepSpec(parameters=(("mac.n", macs), *LINE9_GRID), engine="analytic")
+    walks = []
+    walk = multihop.route
+
+    def counted(next_hop, node):
+        walks.append(node)
+        return walk(next_hop, node)
+
+    monkeypatch.setattr(multihop, "route", counted)
+    monkeypatch.setattr(sweep, "route", counted)
+    run_sweep(config, spec, out_dir=tmp_path)
+    assert len({rows for rows, _ in sweep._stacks(
+        [sweep._parse_point(config, point, strict=True) for point in spec.points()]
+    ).values()}) == stacks
+    assert sorted(walks) == sorted(list(range(1, 9)) * (stacks + 1))
 
 
 def test_a_stack_keeps_no_solution_once_its_points_are_read(tmp_path, monkeypatch):
@@ -842,7 +947,7 @@ def test_a_pool_solves_each_point_alone_with_the_same_result(tmp_path, inline_po
 
     monkeypatch.setattr(sweep, "solve_network", counting)
     stacked = run_sweep(config, spec, out_dir=tmp_path, out_name="stacked.csv")
-    assert solves == [3, 3]
+    assert solves == [6]  # one stack over both sigmas' table sets
     solves.clear()
     pooled = run_sweep(config, spec, out_dir=tmp_path, out_name="pooled.csv", workers=2)
     assert inline_pool["sizes"] == [2] and solves == [1] * spec.n_points
