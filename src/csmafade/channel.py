@@ -267,11 +267,15 @@ def _lognormal_log_laplace(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     nodes, wgt = _mgf_rule()
     mu, sigma = params[:, 0], np.exp(params[:, 1])
     x = MGF_POINTS[:, None] * np.exp(mu[:, None, None] + sigma[:, None, None] * nodes)
-    e = wgt * np.exp(-x)
+    # the products are formed in place, so that a block holds two arrays of its size
+    e = np.negative(x)
+    np.exp(e, out=e)
+    e *= wgt
     total = e.sum(axis=-1)
-    ex = e * x
-    d_mu = -ex.sum(axis=-1) / total
-    d_log_sigma = -(ex * nodes).sum(axis=-1) / total * sigma[:, None]
+    x *= e
+    d_mu = -x.sum(axis=-1) / total
+    x *= nodes
+    d_log_sigma = -x.sum(axis=-1) / total * sigma[:, None]
     return np.log(total), np.stack([d_mu, d_log_sigma], axis=-1)
 
 

@@ -294,7 +294,6 @@ def contention_terms(
     taus: np.ndarray,
     alphas: np.ndarray,
     gammas: np.ndarray,
-    hidden: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Busy-channel components and packet loss of every link: (alpha_pkt, alpha_ack, gamma).
 
@@ -307,9 +306,7 @@ def contention_terms(
     duration; alpha_ack by the ACK duration and the subset's mean
     transmission success.  gamma (clamped to [0, 1]) adds fading-only loss
     when nobody else transmits, outage under concurrent transmitters, and
-    the hidden-terminal window where the transmitter failed to detect them,
-    whose table-only product (1 - p_det) p_out over the nonempty subsets a
-    caller may pass as `hidden`.
+    the hidden-terminal window where the transmitter failed to detect them.
     """
     others = _other_links(taus.shape[-1])
     bits, sizes = _subsets(others.shape[1])
@@ -317,22 +314,23 @@ def contention_terms(
     w = weights[..., 1:]
     p_det = tables["p_det"][..., 1:]
     p_out = tables["p_out"][..., 1:]
-    if hidden is None:
-        hidden = (1.0 - p_det) * p_out
 
-    # the subsets' mean transmission success 1 - gamma_bar, times p_det, worked
-    # out in place over whole rows (so without numpy's buffers for strided
-    # views); the empty subset's column is not read
-    success = gammas[..., others] @ bits.T
-    success /= np.maximum(sizes, 1.0)
-    np.subtract(1.0, success, out=success)
-    success *= tables["p_det"]
+    # the subsets' mean transmission success 1 - gamma_bar, times p_det, and
+    # then the hidden-terminal product (1 - p_det) p_out, worked out in one
+    # buffer in place over whole rows (so without numpy's buffers for
+    # strided views); the empty subset's column is not read
+    product = gammas[..., others] @ bits.T
+    product /= np.maximum(sizes, 1.0)
+    np.subtract(1.0, product, out=product)
+    product *= tables["p_det"]
     a_pkt = timing.l_pkt * _rowdot(w, p_det)
-    a_ack = timing.l_ack * _rowdot(w, success[..., 1:])
+    a_ack = timing.l_ack * _rowdot(w, product[..., 1:])
+    np.subtract(1.0, tables["p_det"], out=product)
+    product *= tables["p_out"]
 
     h_one = 1.0 - weights[..., 0]
     h_out = _rowdot(w, p_out)
-    h_hidden = _rowdot(w, hidden)
+    h_hidden = _rowdot(w, product[..., 1:])
     raw = (1.0 - h_one) * tables["p_fad"] + h_out + (2.0 * timing.l_pkt - 1.0) * h_hidden
     return a_pkt, a_ack, np.clip(raw, 0.0, 1.0)
 
@@ -402,8 +400,8 @@ class _Anderson:
         step = x + self.mixing * f
         if len(self.xs) > 1:
             del self.xs[: -ANDERSON_DEPTH - 1], self.fs[: -ANDERSON_DEPTH - 1]
-            d_x = np.diff(self.xs, axis=0).T
-            d_f = np.diff(self.fs, axis=0).T
+            xs, fs = np.array(self.xs), np.array(self.fs)
+            d_x, d_f = (xs[1:] - xs[:-1]).T, (fs[1:] - fs[:-1]).T
             coef = np.linalg.lstsq(d_f, f, rcond=None)[0]
             step -= (d_x + self.mixing * d_f) @ coef
         self.x = np.clip(step, 0.0, upper)
@@ -460,7 +458,6 @@ def solve_fixed_point(
         fields = {name: sets[0][name][None] for name in TABLE_FIELDS}
     else:
         fields = {name: np.stack([t[name] for t in sets]) for name in TABLE_FIELDS}
-    hidden = (1.0 - fields["p_det"][..., 1:]) * fields["p_out"][..., 1:]
     upper = np.concatenate([np.full(n, ALPHA_CAP), np.ones(n)])
     init_x = np.concatenate([np.full(n, float(init[0])), np.full(n, float(init[1]))])
     points = [_Anderson(init_x) for _ in qs]
@@ -480,7 +477,7 @@ def solve_fixed_point(
         x = np.array([points[p].x for p in rows])
         alphas, gammas = x[:, :n], x[:, n:]
         taus, b000s = cca(rows, alphas, gammas)
-        a_pkts, a_acks, new_gamma = contention_terms(fields, timing, taus, alphas, gammas, hidden)
+        a_pkts, a_acks, new_gamma = contention_terms(fields, timing, taus, alphas, gammas)
         raw_alpha = a_pkts + a_acks
         new_alpha = np.minimum(raw_alpha, ALPHA_CAP)
         f = np.concatenate([new_alpha, new_gamma], axis=1) - x
@@ -503,11 +500,10 @@ def solve_fixed_point(
             if not rows.size:
                 break
             kept = np.flatnonzero(keep).tolist()
-            for array in (*fields.values(), hidden):  # the kept points' tables move up
+            for array in fields.values():  # the kept points' tables move up
                 for i, j in enumerate(kept):
                     array[i] = array[j]
             fields = {name: table[:len(rows)] for name, table in fields.items()}
-            hidden = hidden[:len(rows)]
         for p, f_p, residual in zip(rows.tolist(), f, residuals.tolist()):
             points[p].step(f_p, residual, iteration, upper)
     else:

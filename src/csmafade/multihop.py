@@ -201,7 +201,8 @@ def solve_network(
         solutions.append(NetworkSolution(
             state=result.state,
             traffic=point_traffic,
-            end_to_end={path[0]: math.prod(by_node[t] for t in path[:-1]) for path in paths},
+            end_to_end={path[0]: end_to_end_reliability(next_hop, by_node, path[0], path)
+                        for path in paths},
             report=rep,
             outer_iterations=outer,
             warnings=result.warnings,
@@ -209,9 +210,11 @@ def solve_network(
     return solutions if lam.ndim == 2 else solutions[0]
 
 
-def end_to_end_reliability(next_hop, reliability, node: int) -> float:
+def end_to_end_reliability(next_hop, reliability, node: int, path=None) -> float:
     """Product of per-hop reliabilities along the node's route, first hop first.
 
-    reliability[t] is the reliability of the link that node t transmits on.
+    reliability[t] is the reliability of the link that node t transmits on;
+    path is the node's route, route(next_hop, node), where already walked.
     """
-    return math.prod(reliability[t] for t in route(next_hop, node)[:-1])
+    path = route(next_hop, node) if path is None else path
+    return math.prod(reliability[t] for t in path[:-1])

@@ -48,9 +48,13 @@ from .units import db_to_neper
 # supported ceiling.
 MAX_CONTENDERS = 14
 # The most entries of the members matrix of one detection fit call that
-# joins several links' rows (see DistinctRows.fit): each of its columns is
-# one pass over all its rows, so a larger join costs more than it saves.
-FIT_BATCH = 2**16
+# joins several links' rows (see DistinctRows.fit_joined).  Each of its
+# columns is one pass over all its rows, so a join saves call overhead only
+# while it is small.  Measured on table builds (sigma 2 dB, best of 5 to 7
+# runs, 2-vCPU Xeon), joined over per-link time: a 9-node line (5 656
+# entries) 0.84, a 7-node layout of random distances (5 160) 0.97, but an
+# 8-node one (17 682) 1.54 and a 9-node one (55 384) 1.51.
+FIT_BATCH = 2**13
 # Every scenario derives distances and mean gains of all node pairs when it
 # is built; the node count is checked before that O(n^2) work starts.
 MAX_NODES = 1024
@@ -277,9 +281,11 @@ def build_contention_tables(scenario: Scenario, plans: dict | None = None) -> np
     subset of equally distant interferers is one outage sum.  So each
     distinct row of the whole table set is fitted once -- a detection row
     keyed by its sorted gains, an outage row by its useful gain and sorted
-    interferer gains -- in at most one `channel.detection_probability` and
-    one `channel.outage_probability` call per link, on the link where the
-    row first occurs, and copied to its repeats.
+    interferer gains -- on the link where the row first occurs, and copied
+    to its repeats.  The detection rows of all links are fitted in one
+    `channel.detection_probability` call while they are few (FIT_BATCH),
+    else in one call per link; the outage rows in one
+    `channel.outage_probability` call per link.
 
     Which rows those are (the RowPlan) depends on the links and on which
     gains are equal, not on their values, the fading or the thresholds.
@@ -309,17 +315,16 @@ def build_contention_tables(scenario: Scenario, plans: dict | None = None) -> np
     key = (links, rank.tobytes())
     plan = plans.get(key) or _row_plan(rank, senders, rx)
 
-    p_det = plan.det.fit(
-        lambda links, members: channel.detection_probability(
-            det_gain[links].ravel(), members, chan.cca_threshold_mw, fading
+    p_det = plan.det.fit_joined(
+        lambda terms, members: channel.detection_probability(
+            terms, members, chan.cca_threshold_mw, fading
         ),
-        batch=FIT_BATCH,
+        det_gain,
     ).reshape(n_links, 2**k)
     p_out = np.ones((n_links, 2**k))
     p_out[plan.free] = plan.out.fit(
-        lambda links, members: channel.outage_probability(
-            useful[links[0]], out_gain[links[0]], members, chan.noise_mw, chan.sinr_threshold,
-            fading
+        lambda l, members: channel.outage_probability(
+            useful[l], out_gain[l], members, chan.noise_mw, chan.sinr_threshold, fading
         ),
     )
     p_fad = p_out[:, 0].copy()  # the empty subset: noise-only outage
@@ -341,22 +346,26 @@ class DistinctRows:
     fits: tuple[tuple[int, np.ndarray], ...]
     group: np.ndarray
 
-    def fit(self, probability, batch: int = 0) -> np.ndarray:
-        """The selected rows' values, from probability(links, members) calls.
+    def fit(self, probability) -> np.ndarray:
+        """The selected rows' values: probability(link, members) once per entry of fits."""
+        return np.concatenate([probability(l, members) for l, members in self.fits])[self.group]
 
-        One call per entry of fits, with links = [link]; or one call for all,
-        when their joined members matrix has at most `batch` entries: it
-        lays the links' columns end to end, and each row selects its own
-        link's columns only.
+    def fit_joined(self, probability, terms: np.ndarray) -> np.ndarray:
+        """fit's values where link l's members select from terms[l], from one
+        probability(terms, members) call for all links while their joined
+        members matrix has at most FIT_BATCH entries, else one per link.
+
+        The joined call lays the links' terms end to end, and each row
+        selects its own link's only.
         """
         links = [l for l, _ in self.fits]
         blocks = [members for _, members in self.fits]
         rows = sum(map(len, blocks))
-        if len(blocks) > 1 and rows * len(blocks) * blocks[0].shape[1] <= batch:
+        if len(blocks) > 1 and rows * terms[links].size <= FIT_BATCH:
             own = np.repeat(np.eye(len(blocks), dtype=bool), list(map(len, blocks)), axis=0)
             joined = own[:, :, None] & np.concatenate(blocks)[:, None, :]
-            return probability(links, joined.reshape(rows, -1))[self.group]
-        return np.concatenate([probability([l], members) for l, members in self.fits])[self.group]
+            return probability(terms[links].ravel(), joined.reshape(rows, -1))[self.group]
+        return self.fit(lambda l, members: probability(terms[l], members))
 
 
 @dataclass(frozen=True)

@@ -148,14 +148,16 @@ _stack_of: dict[int, tuple] = {}
 _solved: dict = {}
 TABLE_CACHE_SIZE = 8
 
-# A stack holds fewer than STACK_ELEMENTS entries, P points x L links x
+# A stack holds at most STACK_ELEMENTS entries, P points x L links x
 # 2^(L-1) subsets, in each of its arrays: the subset weights and their
-# temporaries, and each table it gathers (p_det, p_out and their
-# hidden-terminal product).  So each array stays below the 128 KiB from
-# which the C heap maps fresh pages for it.  At 2^18 the four 11-link
-# points of the star12-tables benchmark form one stack, and a sweep then
-# peaks 2 MiB higher with four times the minor page faults.
-STACK_ELEMENTS = 2**14
+# temporaries, each table it gathers (p_det and p_out) and the products of
+# contention_terms.  So each array stays below the 128 KiB from which the C
+# heap maps fresh pages for it.  At 2^18 the four 11-link points of the
+# star12-tables benchmark form one stack, and a sweep then peaks 2 MiB
+# higher with four times the minor page faults; at 2^14 the 15 points of
+# line9-traffic form one stack, which peaks 0.15-0.4 MiB higher than stacks
+# of 8 and 7 do.
+STACK_ELEMENTS = 2**13
 
 
 LINK_METRICS = ("reliability", "delay_s", "power_mw")
@@ -163,10 +165,10 @@ AGGREGATE_METRICS = ("mean_reliability", "mean_delay_s", "mean_power_mw")
 
 
 @functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _row_keys(hops: bytes) -> tuple[tuple, ...]:
-    """(src, dst, metric) of every row in the block of a point whose next hops
-    have these bytes, in output order; worked out once per geometry per sweep."""
-    next_hop = np.frombuffer(hops, dtype=int)
+def _row_keys(topology) -> tuple[tuple, ...]:
+    """(src, dst, metric) of every row in the block of a point on this
+    topology, in output order; worked out once per geometry per sweep."""
+    next_hop = _next_hops(topology)
     routes = [route(next_hop, src) for src in np.flatnonzero(next_hop >= 0).tolist()]
     keys = [(nodes[0], nodes[1], m) for nodes in routes for m in LINK_METRICS]
     keys += [("", "", m) for m in AGGREGATE_METRICS]
@@ -178,7 +180,7 @@ def _row_keys(hops: bytes) -> tuple[tuple, ...]:
 def _keyed(scenario, per_link, aggregates, end_to_end) -> dict:
     """Key values by row: per-link triples in link order, the aggregate
     triple, then end_to_end[origin] if the block has end-to-end rows."""
-    keys = _row_keys(scenario.hops.tobytes())
+    keys = _row_keys(scenario.topology)
     values = [v for triple in per_link for v in triple] + list(aggregates)
     values += [end_to_end[src] for src, _, _ in keys[len(values):]]
     return dict(zip(keys, values, strict=True))
@@ -255,7 +257,7 @@ def _stacks(parsed) -> dict[int, tuple]:
     """{row: (rows, scenarios)} of the stack each parsed point is solved in.
 
     A stack holds points that share their routes (and so their links), MAC,
-    timing, power profile and solver, in grid order, and fewer than
+    timing, power profile and solver, in grid order, and at most
     STACK_ELEMENTS entries in each array; rows are their grid indices.
     Their tables may differ.  The stacks follow from the grid alone, and no
     value depends on them.
@@ -269,7 +271,7 @@ def _stacks(parsed) -> dict[int, tuple]:
     stacks = {}
     for rows in groups.values():
         n = len(parsed[rows[0]].links)
-        size = max(1, (STACK_ELEMENTS - 1) // (n * 2 ** (n - 1)))
+        size = max(1, STACK_ELEMENTS // (n * 2 ** (n - 1)))
         for start in range(0, len(rows), size):
             stack = tuple(rows[start:start + size])
             stacks.update(dict.fromkeys(stack, (stack, [parsed[row] for row in stack])))
@@ -396,7 +398,7 @@ def _block(sweep_id: str, scenario, assignments, results: dict,
     analytic, sim = results.get("analytic", {}), results.get("simulate", {})
     replications, notes = _fmt(scenario.sim.replications), "; ".join(warnings)
     rows = []
-    for key in _row_keys(scenario.hops.tobytes()):
+    for key in _row_keys(scenario.topology):
         src, dst, metric = key  # src and dst are node numbers, or "" on aggregate rows
         sim_mean, sim_ci = sim.get(key, (None, None))
         rows.append([

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from csmafade import channel
+from csmafade import channel, scenarios
 from csmafade.errors import ValidationError
 from csmafade.macmodel import _subsets
 from csmafade.scenarios import (
@@ -306,6 +306,26 @@ def test_shared_rows_equal_the_per_link_construction(topology, kappa):
     assert len(built) == len(reference) == len(s.links)
     for mine, ref in zip(built, reference):
         _tables_equal(mine, ref)
+
+
+def test_detection_rows_fit_alike_joined_and_per_link(monkeypatch):
+    # a 9-node line's detection rows fit in one joined call below FIT_BATCH,
+    # and in one call per link above it, with the same bits
+    s = scenario_of("topology: {kind: line, n_nodes: 9}\nlam: 5.0\nfading: {sigma: 2.0}\n")
+    calls = []
+
+    def detection(weights, members, *args, _fn=channel.detection_probability):
+        calls.append(len(members))
+        return _fn(weights, members, *args)
+
+    monkeypatch.setattr(channel, "detection_probability", detection)
+    joined = build_contention_tables(s)
+    assert len(calls) == 1
+    monkeypatch.setattr(scenarios, "FIT_BATCH", 0)
+    per_link = build_contention_tables(s)
+    assert len(calls) == 1 + 4 and sum(calls[1:]) == calls[0]
+    for a, b in zip(joined, per_link):
+        _tables_equal(a, b)
 
 
 def test_tables_fit_each_distinct_subset_sum_once(monkeypatch):
