@@ -13,10 +13,9 @@ import argparse
 
 import numpy as np
 
-from csmafade.scenarios import (build_contention_tables, compile_sim_network,
-                                parse_config, scenario_from_config)
-from csmafade.multihop import solve_network
+from csmafade.scenarios import compile_sim_network, parse_config, scenario_from_config
 from csmafade.simulator import run_experiment
+from csmafade.sweep import solve_points
 
 SIGMAS = (0.0, 1.0, 2.0, 3.0)
 
@@ -33,9 +32,7 @@ sim: {{horizon_seconds: 200.0, replications: {reps}, master_seed: 1}}
 
 
 def analytic_delay(scenario):
-    sol = solve_network(build_contention_tables(scenario), scenario.hops,
-                        np.array(scenario.lam), scenario.mac, scenario.timing,
-                        profile=scenario.power, config=scenario.solver)
+    [sol] = solve_points([scenario])
     return float(np.nanmean(sol.report.delay_seconds))
 
 

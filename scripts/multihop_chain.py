@@ -9,12 +9,10 @@ calm and a strongly shadowed channel.
 
 import argparse
 
-import numpy as np
-
-from csmafade.scenarios import (build_contention_tables, compile_sim_network,
-                                parse_config, scenario_from_config)
-from csmafade.multihop import end_to_end_reliability, route, solve_network
+from csmafade.scenarios import compile_sim_network, parse_config, scenario_from_config
+from csmafade.multihop import end_to_end_reliability, route
 from csmafade.simulator import run_experiment
+from csmafade.sweep import solve_points
 
 
 def chain_scenario(sigma, reps):
@@ -35,9 +33,7 @@ def main() -> None:
 
     for sigma in args.sigmas:
         scenario = chain_scenario(sigma, args.reps)
-        sol = solve_network(build_contention_tables(scenario), scenario.hops,
-                            np.array(scenario.lam), scenario.mac, scenario.timing,
-                            profile=scenario.power, config=scenario.solver)
+        [sol] = solve_points([scenario])
         result = run_experiment(compile_sim_network(scenario), scenario.sim)
         sim_link = dict(zip(result.transmitters, result.reliability_mean))
 

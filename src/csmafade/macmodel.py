@@ -22,6 +22,7 @@ defined here next to TimingParams.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -209,15 +210,40 @@ def cca_probability(chain: Chain, q: Values, timing: TimingParams) -> tuple[Valu
 
 
 @functools.cache
-def _subsets(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(bits, sizes) of the 2^k subsets of k contenders, both read-only:
-    bits (2^k, k) has row mask, column z -> contender z in the subset, and
-    sizes[mask] is the subset's member count."""
-    masks = np.arange(2**k, dtype=np.uint32)
-    bits = (masks[:, None] >> np.arange(k)[None, :]) & 1 == 1
-    sizes = bits.sum(axis=1)
+def _subsets(k: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """(bits, sizes) of the subset list of k contenders at depth s = `depth`:
+    every subset of at most s members, by ascending mask, so the empty
+    subset comes first and depth k lists all 2^k masks.  Both read-only:
+    bits (rows, k) has row r, column z -> contender z in the r-th subset,
+    and sizes[r] is its member count.
+
+    The list over contenders 0..z is the list's head, the rows whose masks
+    are below 2^(z + 1); each contender extends it by the head rows that
+    have room for one more member, with its bit set.
+    """
+    bits = np.zeros((1, k), dtype=bool)
+    sizes = np.zeros(1, dtype=int)
+    for z in range(k):
+        grow = sizes < depth
+        new = bits[grow]
+        new[:, z] = True
+        bits, sizes = np.concatenate([bits, new]), np.concatenate([sizes, sizes[grow] + 1])
     bits.flags.writeable = sizes.flags.writeable = False
     return bits, sizes
+
+
+@functools.cache
+def _list_rows(k: int) -> tuple[int, ...]:
+    """The row count of the subset list of k contenders at each depth 0..k."""
+    return tuple(itertools.accumulate(math.comb(k, j) for j in range(k + 1)))
+
+
+def list_depth(k: int, rows: int) -> int:
+    """The depth whose subset list of k contenders has `rows` rows."""
+    try:
+        return _list_rows(k).index(rows)
+    except ValueError:
+        raise ValidationError(f"no subset list of {k} contenders has {rows} rows") from None
 
 
 @functools.cache
@@ -232,24 +258,27 @@ def _other_links(n: int) -> np.ndarray:
 def contention_tables(p_det, p_out, p_fad) -> np.recarray:
     """The per-subset channel probabilities of L links, as one read-only record array.
 
-    Record l holds link l's tables, indexed by subset mask over the other
-    links: bit z of link l's mask is link z for z < l, and link z + 1
-    otherwise (see _other_links and _subsets).
+    Record l holds link l's tables, indexed by the rows of one subset list
+    of its k = L - 1 contenders (_subsets): bit z of a row is link z for
+    z < l, and link z + 1 otherwise (see _other_links).  The row count
+    gives the list's depth (list_depth); all 2^k rows are the whole table.
 
-    p_det: (L, 2^(L-1)) detection probability of each subset's aggregate
+    p_det: (L, rows) detection probability of each subset's aggregate
         power at the link's transmitter.
-    p_out: (L, 2^(L-1)) SINR outage probability at the link's receiver
+    p_out: (L, rows) SINR outage probability at the link's receiver
         under each subset.
     p_fad: (L,) no-interferer outage probability of the link itself.
 
-    `tables.p_det` is the (L, 2^(L-1)) stack; `tables[l].p_det` is link l's row.
+    `tables.p_det` is the (L, rows) stack; `tables[l].p_det` is link l's row.
     """
     p_det, p_out, p_fad = (np.asarray(a, dtype=float) for a in (p_det, p_out, p_fad))
     n = len(p_det) if p_det.ndim else 0
-    if p_det.shape != (n, 2 ** (n - 1)) or p_out.shape != p_det.shape or p_fad.shape != (n,):
+    if (p_det.ndim != 2 or n < 1 or p_det.shape[1] not in _list_rows(n - 1)
+            or p_out.shape != p_det.shape or p_fad.shape != (n,)):
         raise ValidationError(
             f"table sizes p_det {p_det.shape}, p_out {p_out.shape}, p_fad {p_fad.shape}: "
-            "L links need (L, 2^(L-1)), (L, 2^(L-1)) and (L,)"
+            "L links need (L, rows), (L, rows) and (L,), rows the length of a "
+            "subset list of L - 1 contenders"
         )
     row = p_det.shape[1:]
     tables = np.rec.fromarrays(
@@ -273,19 +302,40 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def _subset_weights(eff: np.ndarray) -> np.ndarray:
-    """(..., 2^k) probabilities that each subset of k contenders transmits.
+def _subset_weights(eff: np.ndarray, depth: int) -> np.ndarray:
+    """(..., rows) probabilities that each subset of the depth's list of k
+    contenders transmits (_subsets).
 
-    Mask m's weight multiplies, contender by contender, eff[..., z] where bit
-    z of m is set and 1 - eff[..., z] where it is clear: each contender
-    doubles the weights in one broadcast product, masks without it first.
+    A row's weight multiplies, contender by contender, eff[..., z] where it
+    holds contender z and 1 - eff[..., z] where not.  The weights double
+    the way _subsets extends the list: each contender multiplies the head
+    rows by 1 - eff and the rows it extends by eff, in one broadcast
+    product while every row has room for it, and drops the rows that have
+    none.  So each weight is the product, in the same order, of the
+    doubling over all 2^k masks.
     """
     lead = eff.shape[:-1]
     factors = np.stack([1.0 - eff, eff], axis=-1)[..., None]
     weights = np.ones(lead + (1, 1))
-    for z in range(eff.shape[-1]):
-        weights = (weights * factors[..., z, :, :]).reshape(lead + (1, -1))
+    for z, grow in enumerate(_list_growth(eff.shape[-1], depth)):
+        if len(grow) == weights.shape[-1]:
+            weights = (weights * factors[..., z, :, :]).reshape(lead + (1, -1))
+        else:
+            weights = np.concatenate([weights * factors[..., z, :1, :],
+                                      weights[..., grow] * factors[..., z, 1:, :]], axis=-1)
     return weights.reshape(lead + (-1,))
+
+
+@functools.cache
+def _list_growth(k: int, depth: int) -> tuple[np.ndarray, ...]:
+    """For each contender z, the head rows of the depth's subset list that
+    it extends (see _subsets)."""
+    sizes = _subsets(k, depth)[1]
+    growth, head = [], 1
+    for _ in range(k):
+        growth.append(np.flatnonzero(sizes[:head] < depth))
+        head += len(growth[-1])
+    return tuple(growth)
 
 
 def contention_terms(
@@ -301,16 +351,20 @@ def contention_terms(
     P points, on one table set (L,) or on (P, L) tables of each point's own,
     read by field name; the results have the shape of taus.  A contender is
     in the transmitting subset when it senses (tau) and finds the channel
-    idle (1 - alpha); the subset weights of all links form one (..., L, 2^k)
-    array (_subset_weights).  alpha_pkt weighs subset detection by the data
+    idle (1 - alpha); the weights of the tables' subset list of all links
+    form one (..., L, rows) array (_subset_weights).  A list that leaves out
+    the subsets of more than s members leaves out their weight, at most
+    the tail P[|S| > s], from each sum (see truncation_bounds).  alpha_pkt weighs subset detection by the data
     duration; alpha_ack by the ACK duration and the subset's mean
     transmission success.  gamma (clamped to [0, 1]) adds fading-only loss
     when nobody else transmits, outage under concurrent transmitters, and
     the hidden-terminal window where the transmitter failed to detect them.
     """
     others = _other_links(taus.shape[-1])
-    bits, sizes = _subsets(others.shape[1])
-    weights = _subset_weights((taus * (1.0 - alphas))[..., others])
+    k = others.shape[1]
+    depth = list_depth(k, tables["p_det"].shape[-1])
+    bits, sizes = _subsets(k, depth)
+    weights = _subset_weights((taus * (1.0 - alphas))[..., others], depth)
     w = weights[..., 1:]
     p_det = tables["p_det"][..., 1:]
     p_out = tables["p_out"][..., 1:]
@@ -333,6 +387,57 @@ def contention_terms(
     h_hidden = _rowdot(w, product[..., 1:])
     raw = (1.0 - h_one) * tables["p_fad"] + h_out + (2.0 * timing.l_pkt - 1.0) * h_hidden
     return a_pkt, a_ack, np.clip(raw, 0.0, 1.0)
+
+
+def subset_tails(eff: np.ndarray, top: int) -> np.ndarray:
+    """(..., top + 1) tails P[|S| > s], s = 0..top, of the number |S| of k
+    contenders that transmit, contender z alone with probability eff[..., z].
+
+    |S| is Poisson-binomial, and the recursion over contenders gives its
+    point masses in O(k top) (Chen & Liu, "Statistical applications of the
+    Poisson-binomial and conditional Bernoulli distributions", Statistica
+    Sinica 1997), here those of 0..top members and one more mass for all
+    counts above top.  Each tail is summed from the masses above s, so a
+    small tail keeps its relative precision.
+    """
+    mass = np.zeros(eff.shape[:-1] + (top + 2,))
+    mass[..., 0] = 1.0
+    by_contender = np.moveaxis(eff, -1, 0)[..., None]
+    for e, stay in zip(by_contender, 1.0 - by_contender):
+        moved = mass * e  # one member more; the last mass keeps what it had
+        mass *= stay
+        mass[..., 1:] += moved[..., :-1]
+        mass[..., -1] += moved[..., -1]
+    return np.cumsum(mass[..., :0:-1], axis=-1)[..., ::-1]
+
+
+def truncation_bounds(eff: np.ndarray, timing: TimingParams, top: int) -> np.ndarray:
+    """(top + 1,) bounds B(s), s = 0..top, on how far a subset list of depth s
+    moves alpha_pkt, alpha_ack or gamma of any of the links from the whole
+    table, at per-link e = tau (1 - alpha) of eff (L,).
+
+    The list leaves out the subsets of more than s members, whose weights
+    sum to a link's tail T = P[|S| > s] (subset_tails of its contenders).
+    Each left-out subset adds at most l_pkt times its weight to alpha_pkt,
+    l_ack times it to alpha_ack, and 1 + |2 l_pkt - 1| times it to gamma
+    (contention_terms), so B(s) is the largest factor times the largest T.
+    """
+    tails = subset_tails(eff[_other_links(len(eff))], top)
+    factor = max(timing.l_pkt, timing.l_ack, 1.0 + abs(2.0 * timing.l_pkt - 1.0))
+    return factor * tails.max(axis=0)
+
+
+def table_depth(bounds: np.ndarray, tol: float, k: int) -> int | None:
+    """The depth of k contenders' subset lists for bounds B(0..top): the
+    smallest s with B(s) <= tol, or None if there is none.  A list that
+    keeps half the 2^k masks or more saves too little to pay, so the whole
+    table (depth k) replaces it.
+    """
+    fits = np.flatnonzero(bounds <= tol)
+    if not fits.size:
+        return None
+    depth = int(fits[0])
+    return depth if 2 * _list_rows(k)[depth] < 2**k else k
 
 
 @dataclass

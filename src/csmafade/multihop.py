@@ -31,7 +31,9 @@ from .macmodel import (
     SolverConfig,
     TimingParams,
     arrival_probability,
+    list_depth,
     solve_fixed_point,
+    truncation_bounds,
 )
 
 
@@ -114,7 +116,10 @@ class NetworkSolution:
     traffic[l] is the packet rate link l carries, its own and forwarded.
     outer_iterations counts the fixed-point iterations in which forwarded
     traffic moved a transmitter's arrival probability; it is 0 for a star,
-    whose transmitters carry only their own traffic.
+    whose transmitters carry only their own traffic.  depth is the depth of
+    the subset lists the tables hold, and truncation_bound the bound, at
+    the solved state, on how far the left-out subsets could move any
+    alpha or gamma (macmodel.truncation_bounds); 0 for whole tables.
     """
 
     state: LinkState
@@ -123,6 +128,8 @@ class NetworkSolution:
     report: metrics.MetricsReport
     outer_iterations: int
     warnings: list[str]
+    depth: int
+    truncation_bound: float
 
 
 class NetworkSolutions(list):
@@ -148,9 +155,9 @@ def solve_network(
     When some transmitter relays, every iteration of the MAC fixed point
     takes its arrival probabilities from the link traffic of its current
     per-link reliability, so config.tol bounds the residual of the joint map.
-    tables come from macmodel.contention_tables, which gives their mask
+    tables come from macmodel.contention_tables, which gives their row
     layout: tables[l] must describe the link of the l-th node with a next
-    hop, and the contending links of each mask are numbered in that order.
+    hop, and the contending links of each row are numbered in that order.
 
     lambda_pkt_per_s is one point's per-node rates, the stack of one, or a
     (P, n) stack of points that share everything else but their tables,
@@ -195,9 +202,11 @@ def solve_network(
     traffic = link_traffic(stack, next_link, reliability)
     paths = [route(next_hop, node) for node in transmitters.tolist()]
     solutions = NetworkSolutions()
-    for result, rep, point_traffic, by_link, outer in zip(
-            results, reports, traffic, reliability.tolist(), moved.tolist()):
+    for result, point_tables, rep, point_traffic, by_link, outer in zip(
+            results, tables, reports, traffic, reliability.tolist(), moved.tolist()):
         by_node = dict(zip(transmitters.tolist(), by_link))
+        depth = list_depth(len(transmitters) - 1, point_tables.p_det.shape[-1])
+        eff = result.state.tau * (1.0 - result.state.alpha)
         solutions.append(NetworkSolution(
             state=result.state,
             traffic=point_traffic,
@@ -206,6 +215,9 @@ def solve_network(
             report=rep,
             outer_iterations=outer,
             warnings=result.warnings,
+            depth=depth,
+            truncation_bound=(0.0 if depth == len(transmitters) - 1
+                              else float(truncation_bounds(eff, timing, depth)[depth])),
         ))
     return solutions if lam.ndim == 2 else solutions[0]
 

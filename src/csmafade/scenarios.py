@@ -38,15 +38,16 @@ from .channel import LEVEL_LIMIT_DB, ChannelParams, FadingParams, mean_rx_power
 from . import channel
 from .errors import ValidationError
 from .macmodel import SYMBOLS_PER_BYTE, SYMBOLS_PER_UNIT, MacParams, SolverConfig, TimingParams
-from .macmodel import _other_links, _subsets, contention_tables
+from .macmodel import (Chain, _list_rows, _other_links, _subsets, arrival_probability,
+                       cca_probability, contention_tables, table_depth, truncation_bounds)
 from .metrics import PowerProfile
-from .multihop import route_links
+from .multihop import link_traffic, route_links
 from .simulator import SimConfig, SimNetwork
 from .units import db_to_neper
 
-# Contention subsets are enumerated exhaustively; 2^14 rows per link is the
-# supported ceiling.
-MAX_CONTENDERS = 14
+# The most rows, links x subset-list rows, of one table set: the whole
+# tables of 15 links, 14 contenders each.  Checked before any channel call.
+ROW_BUDGET = 15 * 2**14
 # The most entries of the members matrix of one detection fit call that
 # joins several links' rows (see DistinctRows.fit_joined).  Each of its
 # columns is one pass over all its rows, so a join saves call overhead only
@@ -232,8 +233,9 @@ class Scenario:
 
 # The next hops of the last few topologies, and the mean gains of the last
 # few topologies, transmit powers and channels, read-only, so that the
-# points of a sweep that share a geometry share its arrays; a sweep empties
-# both caches when it starts.
+# points of a sweep that share a geometry share its arrays; and the start
+# depths (start_depth) of the last few routes, rates, MAC and timing.  A
+# sweep empties these caches when it starts.
 GEOMETRY_CACHE_SIZE = 8
 
 
@@ -266,15 +268,18 @@ def _mean_gains(topology: Topology, tx_power_dbm: float, chan: ChannelParams) ->
     return gain
 
 
-def build_contention_tables(scenario: Scenario, plans: dict | None = None) -> np.recarray:
+def build_contention_tables(scenario: Scenario, plans: dict | None = None,
+                            depth: int | None = None) -> np.recarray:
     """Geometry-dependent probability tables for the analytic engine (see
     macmodel.contention_tables for their layout).
 
     For every link and every subset of concurrently transmitting other
-    links: the probability the transmitter's CCA detects them, and the
+    links in the subset list of depth `depth` (all of them by default):
+    the probability the transmitter's CCA detects them, and the
     probability the receiver suffers outage.  A subset containing the
     link's own receiver pins outage to 1 (a transmitting radio hears
-    nothing).
+    nothing).  A table set of more than ROW_BUDGET rows is refused before
+    any channel call.
 
     The channel fits a row from the multiset of its terms alone (see the
     channel module), and most rows repeat another's: in a star every
@@ -287,18 +292,21 @@ def build_contention_tables(scenario: Scenario, plans: dict | None = None) -> np
     else in one call per link; the outage rows in one
     `channel.outage_probability` call per link.
 
-    Which rows those are (the RowPlan) depends on the links and on which
-    gains are equal, not on their values, the fading or the thresholds.
-    `plans` maps (links, gain ranks) to a plan; the plan is looked up
-    there, or worked out and stored there.
+    Which rows those are (the RowPlan) depends on the links, the depth and
+    which gains are equal, not on their values, the fading or the
+    thresholds.  `plans` maps (links, depth, gain ranks) to a plan; the
+    plan is looked up there, or worked out and stored there.
     """
     links = scenario.links
     n_links = len(links)
     k = n_links - 1
-    if k > MAX_CONTENDERS:
+    depth = k if depth is None else depth
+    rows = _list_rows(k)[depth]
+    if n_links * rows > ROW_BUDGET:
         raise ValidationError(
-            f"{k} contending links exceeds the enumeration cap {MAX_CONTENDERS}; "
-            "reduce the topology or split the scenario"
+            f"{n_links} links with subset lists of depth {depth} need {n_links * rows} "
+            f"table rows, beyond the row budget {ROW_BUDGET}; reduce the topology or "
+            "split the scenario"
         )
     chan, fading = scenario.channel, scenario.fading
     gain = scenario.mean_gain_mw
@@ -312,16 +320,16 @@ def build_contention_tables(scenario: Scenario, plans: dict | None = None) -> np
     _, rank = np.unique(np.hstack([det_gain, out_gain, useful[:, None]]), return_inverse=True)
     rank = (rank.reshape(n_links, 2 * k + 1) + 1).astype(np.min_scalar_type(rank.size + 1))
     plans = {} if plans is None else plans
-    key = (links, rank.tobytes())
-    plan = plans.get(key) or _row_plan(rank, senders, rx)
+    key = (links, depth, rank.tobytes())
+    plan = plans.get(key) or _row_plan(rank, senders, rx, depth)
 
     p_det = plan.det.fit_joined(
         lambda terms, members: channel.detection_probability(
             terms, members, chan.cca_threshold_mw, fading
         ),
         det_gain,
-    ).reshape(n_links, 2**k)
-    p_out = np.ones((n_links, 2**k))
+    ).reshape(n_links, rows)
+    p_out = np.ones((n_links, rows))
     p_out[plan.free] = plan.out.fit(
         lambda l, members: channel.outage_probability(
             useful[l], out_gain[l], members, chan.noise_mw, chan.sinr_threshold, fading
@@ -331,6 +339,43 @@ def build_contention_tables(scenario: Scenario, plans: dict | None = None) -> np
     p_out[:, 0] = 0.0
     plans[key] = plan  # stored once its fits have run
     return contention_tables(p_det, p_out, p_fad)
+
+
+def start_depth(scenario: Scenario) -> int:
+    """The depth of a point's subset lists before any solve (list_depth_at):
+    at the chain's start, (alpha, gamma) = (0, 0), with the link traffic
+    that forwards every packet, which bounds the traffic from above."""
+    return _start_depth(scenario.topology, scenario.lam, scenario.mac, scenario.timing,
+                        scenario.solver.tol)
+
+
+@lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
+def _start_depth(topology: Topology, lam: tuple, mac: MacParams, timing: TimingParams,
+                 tol: float) -> int:
+    transmitters, next_link = route_links(_next_hops(topology))
+    traffic = link_traffic(np.asarray(lam)[transmitters], next_link, np.ones(len(transmitters)))
+    q = np.array([arrival_probability(rate) for rate in traffic.tolist()])
+    tau, _ = cca_probability(Chain(0.0, 0.0, mac), np.where(q > 0.0, q, 1.0), timing)
+    return list_depth_at(np.where(q > 0.0, tau, 0.0), timing, tol)
+
+
+def list_depth_at(eff: np.ndarray, timing: TimingParams, tol: float) -> int:
+    """The depth of the subset lists of links at per-link e = tau (1 - alpha)
+    of eff: the smallest whose truncation bound is at most tol
+    (macmodel.table_depth).  Only depths within ROW_BUDGET are tried, and
+    links that need a deeper one are refused."""
+    n_links = len(eff)
+    k = n_links - 1
+    rows = _list_rows(k)
+    top = max(s for s in range(k + 1) if n_links * rows[s] <= ROW_BUDGET)
+    depth = table_depth(truncation_bounds(eff, timing, top), tol, k)
+    if depth is None or n_links * rows[depth] > ROW_BUDGET:
+        raise ValidationError(
+            f"{n_links} links need subsets of more than {top} members to bound the "
+            f"truncation by solver.tol = {tol:g}, beyond the row budget {ROW_BUDGET}; "
+            "reduce the topology or the traffic"
+        )
+    return depth
 
 
 @dataclass(frozen=True)
@@ -371,7 +416,7 @@ class DistinctRows:
 @dataclass(frozen=True)
 class RowPlan:
     """The geometry stage of a table build: detection rows, outage rows, and
-    `free`, the (L, 2^k) mask of rows whose receiver is silent (the outage
+    `free`, the (L, rows) mask of rows whose receiver is silent (the outage
     rows that are fitted; the others are 1)."""
 
     det: DistinctRows
@@ -379,37 +424,61 @@ class RowPlan:
     free: np.ndarray
 
 
-def _row_plan(rank: np.ndarray, senders: np.ndarray, rx: np.ndarray) -> RowPlan:
+def _row_plan(rank: np.ndarray, senders: np.ndarray, rx: np.ndarray, depth: int) -> RowPlan:
     """The RowPlan of links whose det/out/useful gains have ranks `rank`
-    ((L, 2k + 1), from 1 up); senders is (L, k), each link's contenders."""
+    ((L, 2k + 1), from 1 up), over the subset list of depth `depth`;
+    senders is (L, k), each link's contenders.
+
+    A row's key holds the ranks of its members, sorted, with 0 for each of
+    the depth's places it leaves empty: the key over all k contenders
+    without its k - depth leading columns, which are 0 in every row of the
+    list.
+    """
     n_links, k = senders.shape
-    bits, _ = _subsets(k)
-    det_rank, out_rank, useful_rank = rank[:, :k], rank[:, k : 2 * k], rank[:, 2 * k :]
-    det_keys = np.sort(np.where(bits, det_rank[:, None, :], 0), axis=-1)
+    bits, _ = _subsets(k, depth)
+    members = _members(k, depth)
+    # column k of each (L, k + 1) array is the empty place
+    det_rank, out_rank = (np.pad(rank[:, part], ((0, 0), (0, 1)))
+                          for part in (slice(0, k), slice(k, 2 * k)))
+    det_keys = np.sort(det_rank[:, members], axis=-1)
     out_keys = np.concatenate(
         [
-            np.broadcast_to(useful_rank[:, None], (n_links, 2**k, 1)),
-            np.sort(np.where(bits, out_rank[:, None, :], 0), axis=-1),
+            np.broadcast_to(rank[:, 2 * k :, None], (n_links, len(bits), 1)),
+            np.sort(out_rank[:, members], axis=-1),
         ],
         axis=-1,
     )
-    free = ~(bits & (senders == rx[:, None])[:, None, :]).any(axis=-1)
+    receiver_sends = np.pad(senders == rx[:, None], ((0, 0), (0, 1)))
+    free = ~receiver_sends[:, members].any(axis=-1)
     return RowPlan(
-        det=_distinct(det_keys, np.ones((n_links, 2**k), dtype=bool), bits),
+        det=_distinct(det_keys, np.ones((n_links, len(bits)), dtype=bool), bits),
         out=_distinct(out_keys, free, bits),
         free=free,
     )
 
 
+@cache
+def _members(k: int, depth: int) -> np.ndarray:
+    """(rows, depth) read-only: the members of each subset of the depth's
+    list of k contenders (macmodel._subsets), ascending, then k for each
+    place left empty."""
+    bits, sizes = _subsets(k, depth)
+    members = np.argsort(~bits, axis=1, kind="stable")[:, :depth]
+    members[np.arange(depth) >= sizes[:, None]] = k
+    members.flags.writeable = False
+    return members
+
+
 def _distinct(keys: np.ndarray, rows: np.ndarray, bits: np.ndarray) -> DistinctRows:
-    """DistinctRows of the rows selected by the (links, 2^k) mask `rows`,
-    keyed by keys, (links, 2^k, width); each distinct key is fitted on the
-    link holding its first occurrence."""
+    """DistinctRows of the rows selected by the (links, list rows) mask
+    `rows`, keyed by keys, (links, list rows, width); bits are the list's
+    member rows.  Each distinct key is fitted on the link holding its first
+    occurrence."""
     at = np.flatnonzero(rows)
     first, group = _distinct_rows(keys.reshape(rows.size, keys.shape[-1])[at])
-    link, mask = np.divmod(at[first], rows.shape[1])
+    link, row = np.divmod(at[first], rows.shape[1])
     by_link = np.argsort(link, kind="stable")  # the fits' order of the distinct rows
-    fits = tuple((int(l), bits[mask[link == l]]) for l in np.unique(link))
+    fits = tuple((int(l), bits[row[link == l]]) for l in np.unique(link))
     return DistinctRows(fits, np.argsort(by_link)[group])
 
 

@@ -34,10 +34,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .multihop import end_to_end_reliability, route, solve_network
-from .scenarios import (RowPlan, Scenario, _mean_gains, _next_hops, assign,
-                        build_contention_tables, compile_sim_network, scenario_from_config,
-                        scenario_id)
+from .macmodel import _list_rows
+from .multihop import NetworkSolution, end_to_end_reliability, route, solve_network
+from .scenarios import (RowPlan, Scenario, _mean_gains, _next_hops, _start_depth, assign,
+                        build_contention_tables, compile_sim_network, list_depth_at,
+                        scenario_from_config, scenario_id, start_depth)
 from .simulator import pool_size, run_experiment
 
 ENGINES = ("analytic", "simulate", "compare")
@@ -134,9 +135,9 @@ def _fmt(value) -> str:
 
 
 # Contention tables built in this process, newest last, and the row plans
-# (see scenarios.RowPlan) they were built from, one per geometry and gain
-# rank pattern; the row keys of each geometry (_row_keys, next to the next
-# hops and gains that scenarios caches); the stack of each point of a
+# (see scenarios.RowPlan) they were built from, one per geometry, depth and
+# gain rank pattern; the row keys of each geometry (_row_keys, next to the
+# next hops and gains that scenarios caches); the stack of each point of a
 # serial sweep (see _stacks) and the solutions of its points not yet read,
 # by grid row.  run_sweep empties the tables, plans and geometries when it
 # starts and the stacks and solutions when it ends, so points of one sweep
@@ -149,14 +150,13 @@ _solved: dict = {}
 TABLE_CACHE_SIZE = 8
 
 # A stack holds at most STACK_ELEMENTS entries, P points x L links x
-# 2^(L-1) subsets, in each of its arrays: the subset weights and their
-# temporaries, each table it gathers (p_det and p_out) and the products of
-# contention_terms.  So each array stays below the 128 KiB from which the C
-# heap maps fresh pages for it.  At 2^18 the four 11-link points of the
-# star12-tables benchmark form one stack, and a sweep then peaks 2 MiB
-# higher with four times the minor page faults; at 2^14 the 15 points of
-# line9-traffic form one stack, which peaks 0.15-0.4 MiB higher than stacks
-# of 8 and 7 do.
+# subset-list rows, in each of its arrays: the subset weights, each table
+# it gathers (p_det and p_out) and the products of contention_terms.  So
+# each array stays below the 128 KiB from which the C heap maps fresh pages
+# for it.  At 2^18 the four 11-link points of the star12-tables benchmark
+# form one stack, and a sweep then peaks 2 MiB higher with four times the
+# minor page faults; at 2^14 the 15 points of line9-traffic form one stack,
+# which peaks 0.15-0.4 MiB higher than stacks of 8 and 7 do.
 STACK_ELEMENTS = 2**13
 
 
@@ -187,23 +187,24 @@ def _keyed(scenario, per_link, aggregates, end_to_end) -> dict:
 
 
 def _table_key(scenario) -> tuple:
-    """What a point's contention tables read: the links, the mean gains, the
-    channel and the fading."""
+    """What a point's contention tables read besides their depth: the links,
+    the mean gains, the channel and the fading."""
     return (scenario.links, scenario.mean_gain_mw.tobytes(), scenario.channel, scenario.fading)
 
 
-def _contention_tables(scenario) -> np.recarray:
-    """build_contention_tables, reused by points whose tables cannot differ.
+def _contention_tables(scenario, depth: int) -> np.recarray:
+    """build_contention_tables at `depth`, reused by points whose tables cannot differ.
 
     Points that differ in rates, MAC, timing or simulator settings share
-    one build.  Points whose gains rank alike (say, that differ only in
-    fading, thresholds or transmit power) share one row plan, so their
-    builds only refit.  The tables are read-only, so they can be shared.
+    one build at each depth.  Points whose gains rank alike (say, that
+    differ only in fading, thresholds or transmit power) share one row plan
+    at each depth, so their builds only refit.  The tables are read-only,
+    so they can be shared.
     """
-    key = _table_key(scenario)
+    key = (_table_key(scenario), depth)
     tables = _table_cache.get(key)
     if tables is None:
-        tables = build_contention_tables(scenario, _plan_cache)
+        tables = build_contention_tables(scenario, _plan_cache, depth)
         if len(_table_cache) >= TABLE_CACHE_SIZE:
             del _table_cache[next(iter(_table_cache))]
         _table_cache[key] = tables
@@ -238,7 +239,8 @@ def _parse_point(config: dict, assignments, strict: bool):
 
 
 def _prebuild_tables(parsed) -> None:
-    """Build the distinct table sets of the parsed points, as many as the cache holds.
+    """Build the distinct table sets of the parsed points at their start
+    depths, as many as the cache holds.
 
     A point whose tables fail is skipped: it reports the failure itself when
     it runs.
@@ -248,7 +250,7 @@ def _prebuild_tables(parsed) -> None:
             return
         if isinstance(scenario, Scenario):
             try:
-                _contention_tables(scenario)
+                _contention_tables(scenario, start_depth(scenario))
             except (ValidationError, NumericsError):
                 pass
 
@@ -257,40 +259,77 @@ def _stacks(parsed) -> dict[int, tuple]:
     """{row: (rows, scenarios)} of the stack each parsed point is solved in.
 
     A stack holds points that share their routes (and so their links), MAC,
-    timing, power profile and solver, in grid order, and at most
-    STACK_ELEMENTS entries in each array; rows are their grid indices.
+    timing, power profile, solver and start depth, in grid order, and at
+    most STACK_ELEMENTS entries in each array; rows are their grid indices.
     Their tables may differ.  The stacks follow from the grid alone, and no
-    value depends on them.
+    value depends on them.  A point whose start depth is refused is left
+    to solve alone, and so to report it.
     """
     groups: dict[tuple, list[int]] = {}
     for row, scenario in enumerate(parsed):
         if isinstance(scenario, Scenario):
+            try:
+                depth = start_depth(scenario)
+            except (ValidationError, NumericsError):
+                continue
             key = (scenario.hops.tobytes(), scenario.mac, scenario.timing, scenario.power,
-                   scenario.solver)
+                   scenario.solver, depth)
             groups.setdefault(key, []).append(row)
     stacks = {}
-    for rows in groups.values():
+    for key, rows in groups.items():
         n = len(parsed[rows[0]].links)
-        size = max(1, STACK_ELEMENTS // (n * 2 ** (n - 1)))
+        size = max(1, STACK_ELEMENTS // (n * _list_rows(n - 1)[key[-1]]))
         for start in range(0, len(rows), size):
             stack = tuple(rows[start:start + size])
             stacks.update(dict.fromkeys(stack, (stack, [parsed[row] for row in stack])))
     return stacks
 
 
+def solve_points(scenarios) -> list[NetworkSolution]:
+    """The solved network of each of the points, which share their routes,
+    MAC, timing, power profile and solver: build, solve, check.
+
+    Each point's tables hold the subset lists of its start depth
+    (scenarios.start_depth), and the points of one depth are solved as one
+    stacked solve_network.  A point whose truncation bound at its solution
+    exceeds solver.tol is built again at the depth that bound asks for
+    (scenarios.list_depth_at) and solved again alone, cold, until its
+    bound is within tol; so each point gets the solution it gets alone.
+    """
+    first = scenarios[0]
+    depths = [start_depth(scenario) for scenario in scenarios]
+    solutions = [None] * len(scenarios)
+    for depth in dict.fromkeys(depths):
+        at = [i for i, d in enumerate(depths) if d == depth]
+        solved = solve_network([_contention_tables(scenarios[i], depth) for i in at],
+                               first.hops, [scenarios[i].lam for i in at], first.mac,
+                               first.timing, profile=first.power, config=first.solver)
+        for i, solution in zip(at, solved):
+            solutions[i] = _grown(scenarios[i], solution)
+    return solutions
+
+
+def _grown(scenario, solution: NetworkSolution) -> NetworkSolution:
+    """The solution, or while its truncation bound exceeds solver.tol, the
+    lone cold solve at the deeper depth its bound asks for."""
+    while solution.truncation_bound > scenario.solver.tol:
+        state = solution.state
+        depth = max(list_depth_at(state.tau * (1.0 - state.alpha), scenario.timing,
+                                  scenario.solver.tol), solution.depth + 1)
+        solution = solve_network(_contention_tables(scenario, depth), scenario.hops,
+                                 scenario.lam, scenario.mac, scenario.timing,
+                                 profile=scenario.power, config=scenario.solver)
+    return solution
+
+
 def _solve_stack(scenarios) -> list:
-    """The solved network of each point of a stack, by one stacked solve_network
-    on the points' own tables.
+    """solve_points of a stack's points, each solution or the error it ends in.
 
     If the stack fails, each point is solved alone, so that each gets the
     solution, or the error, that it gets in a sweep of its own.
     """
-    first = scenarios[0]
     try:
-        return list(solve_network([_contention_tables(scenario) for scenario in scenarios],
-                                  first.hops, [scenario.lam for scenario in scenarios],
-                                  first.mac, first.timing, profile=first.power,
-                                  config=first.solver))
+        return solve_points(scenarios)
     except (NumericsError, ValidationError) as exc:
         if len(scenarios) == 1:
             return [exc]
@@ -464,7 +503,7 @@ def run_sweep(
 
     _table_cache.clear()
     _plan_cache.clear()
-    for cached in (_row_keys, _next_hops, _mean_gains):
+    for cached in (_row_keys, _next_hops, _mean_gains, _start_depth):
         cached.cache_clear()
     parsed = [_parse_point(config, assignments, strict) for assignments in points]
     pooled = workers > 1 and len(points) > 1

@@ -762,6 +762,9 @@ def solve_network_nested(
         )
 
     rep = metrics.report(state, profile or metrics.PowerProfile(), mac, timing, next_link)
+    k = len(transmitters) - 1
+    if tables.p_det.shape[-1] != 2**k:
+        raise ValidationError("the nested oracle solves whole tables only")
     return NetworkSolution(
         state=state,
         traffic=rates[transmitters],
@@ -769,4 +772,6 @@ def solve_network_nested(
         report=rep,
         outer_iterations=outer,
         warnings=warnings,
+        depth=k,
+        truncation_bound=0.0,
     )

@@ -250,12 +250,13 @@ def test_timing_the_simulator_cannot_run_is_rejected_by_analyze(config_file, tmp
 
 def test_contender_cap_fails_before_building_tables(config_file, tmp_path, capsys):
     start = time.monotonic()
-    rc = main(["analyze", "--config", str(config_file), "--set", "topology.n_nodes=17",
+    # the subset lists a 40-node star needs would pass the row budget
+    rc = main(["analyze", "--config", str(config_file), "--set", "topology.n_nodes=40",
                "--out", str(tmp_path)])
     assert rc == 1
     assert time.monotonic() - start < 5.0
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ValidationError" and "cap" in err["message"]
+    assert err["error"] == "ValidationError" and "row budget" in err["message"]
 
 
 def _no_geometry(*args, **kwargs):

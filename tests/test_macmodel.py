@@ -8,7 +8,7 @@ from pytest import approx
 
 import oracles
 from topo_helpers import contention_h, one_row
-from csmafade import channel, macmodel
+from csmafade import channel, macmodel, sweep
 from csmafade.errors import ConvergenceError, ValidationError
 from csmafade.macmodel import (
     SYMBOL_SECONDS,
@@ -207,28 +207,46 @@ def test_h_functional_monotone_in_chi():
 
 
 def test_h_functional_rejects_oversized_topologies(monkeypatch):
-    # the enumeration cap is checked before any channel probability is computed
+    # the row budget is checked before any channel probability is computed
     def no_channel_work(*args, **kwargs):
-        raise AssertionError("channel layer called before the cap check")
+        raise AssertionError("channel layer called before the row budget check")
 
     monkeypatch.setattr(channel, "outage_probability", no_channel_work)
     monkeypatch.setattr(channel, "detection_probability", no_channel_work)
+    # a 40-node star at lam = 10 needs subsets of more than 2 of its 38
+    # contenders, whose lists would pass the budget
+    scenario = scenario_from_config({"topology": {"kind": "star", "n_nodes": 40}, "lam": 10.0})
+    with pytest.raises(ValidationError, match="row budget"):
+        sweep.solve_points([scenario])
+    # and so would the whole tables of 16 links, 15 contenders each
     scenario = scenario_from_config({"topology": {"kind": "star", "n_nodes": 17}})
-    with pytest.raises(ValidationError, match="cap"):
+    with pytest.raises(ValidationError, match="row budget"):
         build_contention_tables(scenario)
 
 
 def test_star_at_the_contender_cap_builds_one_table_and_solves():
-    # 16 nodes: 15 links, each with k = 14 contenders, the enumeration cap
+    # 16 nodes: 15 links, each with k = 14 contenders, the most that whole
+    # tables allow; the lists of subsets of at most 4 contenders keep 1 471
+    # of each link's 2^14 rows
     scenario = scenario_from_config(
         {"topology": {"kind": "star", "n_nodes": 16}, "lam": 10.0, "fading": {"sigma": 1.0}}
     )
-    tables = build_contention_tables(scenario)
-    assert tables.p_det.shape == tables.p_out.shape == (15, 2**14)
+    [solution] = sweep.solve_points([scenario])
+    tol = scenario.solver.tol
+    assert solution.depth == 4 and 0.0 < solution.truncation_bound <= tol
+    tables = build_contention_tables(scenario, depth=solution.depth)
+    assert tables.p_det.shape == tables.p_out.shape == (15, 1471)
     assert not (tables.flags.writeable or tables.p_det.flags.writeable)
-    result = solve_fixed_point(tables, np.full(15, arrival_probability(10.0)), MAC, TIMING)
-    assert result.residual < 1e-8
-    assert np.ptp(result.state.gamma) < 1e-9 and 0.0 < result.state.gamma[0] < 1.0
+    state = solution.state
+    assert np.ptp(state.gamma) < 1e-9 and 0.0 < state.gamma[0] < 1.0
+
+    whole = build_contention_tables(scenario, depth=14)
+    assert whole.p_det.shape == (15, 2**14)
+    exhaustive = solve_fixed_point(whole, np.full(15, arrival_probability(10.0)), MAC, TIMING)
+    assert exhaustive.residual < tol
+    within = solution.truncation_bound + tol
+    assert np.max(np.abs(state.alpha - exhaustive.state.alpha)) <= within
+    assert np.max(np.abs(state.gamma - exhaustive.state.gamma)) <= within
 
 
 def _toy_tables(n_links, p_det_fill, p_out_fill, p_fad):
@@ -315,7 +333,7 @@ def _star_system(n_tx=7, radius=1.0, lam=5.0, sigma=0.0):
         for i in range(n_tx)
     ]
     k = n_tx - 1
-    bits, _ = macmodel._subsets(k)
+    bits, _ = macmodel._subsets(k, k)
     useful = channel.mean_rx_power(0.0, radius, chan)
 
     tables = []  # (p_det, p_out, p_fad) per link
@@ -547,7 +565,7 @@ def test_subset_weights_match_the_concatenating_loop_bit_for_bit(k):
     # one broadcast product per contender forms the very products of the concatenation
     eff = np.random.default_rng(k).uniform(0.0, 1.0, size=(3, 2, k))
     for stack in (eff, eff[0]):
-        got = macmodel._subset_weights(stack)
+        got = macmodel._subset_weights(stack, k)
         assert got.shape == stack.shape[:-1] + (2**k,)
         assert np.array_equal(got, oracles.subset_weights_concat(stack))
 
@@ -555,5 +573,5 @@ def test_subset_weights_match_the_concatenating_loop_bit_for_bit(k):
 def test_mask_bits_number_the_other_links_ascending():
     # mask bit z of link l's table is the z-th other link, ascending
     assert macmodel._other_links(4).tolist() == [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
-    bits, sizes = macmodel._subsets(3)
+    bits, sizes = macmodel._subsets(3, 3)
     assert bits[0b101].tolist() == [True, False, True] and sizes.tolist() == [0, 1, 1, 2, 1, 2, 2, 3]

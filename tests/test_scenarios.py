@@ -373,7 +373,7 @@ def test_tables_fit_each_distinct_subset_sum_once(monkeypatch):
     assert calls["mma_fit"] == calls["lognormal_expectation"] == calls["outage_probability"]
 
     # the distinct multisets of gains over all links' subsets, counted the long way
-    gain, (bits, _) = s.mean_gain_mw, _subsets(k)
+    gain, (bits, _) = s.mean_gain_mw, _subsets(k, k)
     det, out = set(), set()
     for l, (tx, rx) in enumerate(s.links):
         senders = [s.links[o][0] for o in range(n_links) if o != l]

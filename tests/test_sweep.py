@@ -460,13 +460,15 @@ sim: {horizon_seconds: 10.0, replications: 3, master_seed: 5}
 def test_point_over_the_contender_cap_fails_fast_and_the_sweep_continues(tmp_path):
     config = tiny_config()
     config["sweep"]["engine"] = "analytic"
-    config["sweep"]["parameters"] = [{"path": "topology.n_nodes", "values": [17, 3]}]
+    # a 40-node star needs subsets of more than 2 of its 38 contenders,
+    # whose lists would pass the row budget
+    config["sweep"]["parameters"] = [{"path": "topology.n_nodes", "values": [40, 3]}]
     start = time.monotonic()
     rows = read_rows(run_sweep(config, sweep_from_config(config), out_dir=tmp_path))
     assert time.monotonic() - start < 5.0
-    big = [r for r in rows if r["topology.n_nodes"] == "17"]
+    big = [r for r in rows if r["topology.n_nodes"] == "40"]
     small = [r for r in rows if r["topology.n_nodes"] == "3"]
-    assert big and all(r["analytic_value"] == "" and "cap" in r["warnings"] for r in big)
+    assert big and all(r["analytic_value"] == "" and "row budget" in r["warnings"] for r in big)
     assert len(small) == 9 and all(r["warnings"] == "" for r in small)
 
 
@@ -480,9 +482,9 @@ def test_points_that_differ_only_in_rate_share_their_tables(tmp_path, monkeypatc
     spec = sweep_from_config(config)
     builds = []
 
-    def counting(scenario, plans=None):
+    def counting(scenario, plans=None, depth=None):
         builds.append(scenario.fading.sigma)
-        return build_contention_tables(scenario, plans)
+        return build_contention_tables(scenario, plans, depth)
 
     monkeypatch.setattr(sweep, "build_contention_tables", counting)
     plans = count_plans(monkeypatch)
@@ -506,10 +508,10 @@ def build_every_point(monkeypatch) -> None:
     caches before each point's tables are looked up."""
     contention_tables = sweep._contention_tables
 
-    def uncached(scenario):
+    def uncached(scenario, depth):
         sweep._table_cache.clear()
         sweep._plan_cache.clear()
-        return contention_tables(scenario)
+        return contention_tables(scenario, depth)
 
     monkeypatch.setattr(sweep, "_contention_tables", uncached)
     monkeypatch.setattr(sweep, "STACK_ELEMENTS", 1)
@@ -617,10 +619,10 @@ def test_pooled_sweep_builds_each_table_set_once(tmp_path, monkeypatch):
     spec = sweep_from_config(config)
     log = tmp_path / "builds.log"  # pool workers log their builds here too
 
-    def logging_build(scenario, plans=None):
+    def logging_build(scenario, plans=None, depth=None):
         with open(log, "a") as f:
             f.write(f"{os.getpid()} {scenario.fading.sigma}\n")
-        return build_contention_tables(scenario, plans)
+        return build_contention_tables(scenario, plans, depth)
 
     monkeypatch.setattr(sweep, "build_contention_tables", logging_build)
     plan_log = tmp_path / "plans.log"

@@ -28,7 +28,7 @@ def build_tables(positions, links, chan, fading, tx_power_dbm=0.0):
     """
     n_links = len(links)
     k = n_links - 1
-    bits, _ = _subsets(k)
+    bits, _ = _subsets(k, k)
     noise = chan.noise_mw
 
     def mean_w(src, dst):
@@ -69,7 +69,7 @@ def build_tables_per_link(gain, links, chan, fading):
     """
     n_links = len(links)
     k = n_links - 1
-    bits, _ = _subsets(k)
+    bits, _ = _subsets(k, k)
 
     tables = []  # (p_det, p_out, p_fad) per link
     for l, (tx, rx) in enumerate(links):
