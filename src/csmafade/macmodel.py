@@ -239,11 +239,9 @@ def _list_rows(k: int) -> tuple[int, ...]:
 
 
 def list_depth(k: int, rows: int) -> int:
-    """The depth whose subset list of k contenders has `rows` rows."""
-    try:
-        return _list_rows(k).index(rows)
-    except ValueError:
-        raise ValidationError(f"no subset list of {k} contenders has {rows} rows") from None
+    """The depth whose subset list of k contenders has `rows` rows, a row
+    count that contention_tables accepts."""
+    return _list_rows(k).index(rows)
 
 
 @functools.cache
@@ -353,10 +351,10 @@ def contention_terms(
     in the transmitting subset when it senses (tau) and finds the channel
     idle (1 - alpha); the weights of the tables' subset list of all links
     form one (..., L, rows) array (_subset_weights).  A list that leaves out
-    the subsets of more than s members leaves out their weight, at most
-    the tail P[|S| > s], from each sum (see truncation_bounds).  alpha_pkt weighs subset detection by the data
-    duration; alpha_ack by the ACK duration and the subset's mean
-    transmission success.  gamma (clamped to [0, 1]) adds fading-only loss
+    the subsets of more than s members leaves their weight, the tail
+    P[|S| > s], out of each sum (see truncation_bounds).  alpha_pkt weighs
+    subset detection by the data duration; alpha_ack by the ACK duration
+    and the subset's mean transmission success.  gamma (clamped to [0, 1]) adds fading-only loss
     when nobody else transmits, outage under concurrent transmitters, and
     the hidden-terminal window where the transmitter failed to detect them.
     """
@@ -404,17 +402,18 @@ def subset_tails(eff: np.ndarray, top: int) -> np.ndarray:
     mass[..., 0] = 1.0
     by_contender = np.moveaxis(eff, -1, 0)[..., None]
     for e, stay in zip(by_contender, 1.0 - by_contender):
-        moved = mass * e  # one member more; the last mass keeps what it had
+        moved = mass * e  # one member more
         mass *= stay
         mass[..., 1:] += moved[..., :-1]
-        mass[..., -1] += moved[..., -1]
+        mass[..., -1] += moved[..., -1]  # above top stays above top
     return np.cumsum(mass[..., :0:-1], axis=-1)[..., ::-1]
 
 
 def truncation_bounds(eff: np.ndarray, timing: TimingParams, top: int) -> np.ndarray:
-    """(top + 1,) bounds B(s), s = 0..top, on how far a subset list of depth s
-    moves alpha_pkt, alpha_ack or gamma of any of the links from the whole
-    table, at per-link e = tau (1 - alpha) of eff (L,).
+    """(..., top + 1) bounds B(s), s = 0..top, on how far a subset list of
+    depth s moves alpha_pkt, alpha_ack or gamma of any of the links from the
+    whole table, at per-link e = tau (1 - alpha) of eff, (L,) or a (P, L)
+    stack of P points.
 
     The list leaves out the subsets of more than s members, whose weights
     sum to a link's tail T = P[|S| > s] (subset_tails of its contenders).
@@ -422,12 +421,12 @@ def truncation_bounds(eff: np.ndarray, timing: TimingParams, top: int) -> np.nda
     l_ack times it to alpha_ack, and 1 + |2 l_pkt - 1| times it to gamma
     (contention_terms), so B(s) is the largest factor times the largest T.
     """
-    tails = subset_tails(eff[_other_links(len(eff))], top)
+    tails = subset_tails(eff[..., _other_links(eff.shape[-1])], top)
     factor = max(timing.l_pkt, timing.l_ack, 1.0 + abs(2.0 * timing.l_pkt - 1.0))
-    return factor * tails.max(axis=0)
+    return factor * tails.max(axis=-2)
 
 
-def table_depth(bounds: np.ndarray, tol: float, k: int) -> int | None:
+def bounded_depth(bounds: np.ndarray, tol: float, k: int) -> int | None:
     """The depth of k contenders' subset lists for bounds B(0..top): the
     smallest s with B(s) <= tol, or None if there is none.  A list that
     keeps half the 2^k masks or more saves too little to pay, so the whole

@@ -206,7 +206,6 @@ def solve_network(
             results, tables, reports, traffic, reliability.tolist(), moved.tolist()):
         by_node = dict(zip(transmitters.tolist(), by_link))
         depth = list_depth(len(transmitters) - 1, point_tables.p_det.shape[-1])
-        eff = result.state.tau * (1.0 - result.state.alpha)
         solutions.append(NetworkSolution(
             state=result.state,
             traffic=point_traffic,
@@ -216,10 +215,17 @@ def solve_network(
             outer_iterations=outer,
             warnings=result.warnings,
             depth=depth,
-            truncation_bound=(0.0 if depth == len(transmitters) - 1
-                              else float(truncation_bounds(eff, timing, depth)[depth])),
+            truncation_bound=_truncation_bound(result.state, timing, depth),
         ))
     return solutions if lam.ndim == 2 else solutions[0]
+
+
+def _truncation_bound(state: LinkState, timing: TimingParams, depth: int) -> float:
+    """The truncation bound of subset lists of depth `depth` at the state;
+    0 for whole tables, which leave nothing out."""
+    if depth == len(state.tau) - 1:
+        return 0.0
+    return float(truncation_bounds(state.tau * (1.0 - state.alpha), timing, depth)[depth])
 
 
 def end_to_end_reliability(next_hop, reliability, node: int, path=None) -> float:

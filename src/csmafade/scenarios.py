@@ -39,7 +39,7 @@ from . import channel
 from .errors import ValidationError
 from .macmodel import SYMBOLS_PER_BYTE, SYMBOLS_PER_UNIT, MacParams, SolverConfig, TimingParams
 from .macmodel import (Chain, _list_rows, _other_links, _subsets, arrival_probability,
-                       cca_probability, contention_tables, table_depth, truncation_bounds)
+                       bounded_depth, cca_probability, contention_tables, truncation_bounds)
 from .metrics import PowerProfile
 from .multihop import link_traffic, route_links
 from .simulator import SimConfig, SimNetwork
@@ -233,9 +233,8 @@ class Scenario:
 
 # The next hops of the last few topologies, and the mean gains of the last
 # few topologies, transmit powers and channels, read-only, so that the
-# points of a sweep that share a geometry share its arrays; and the start
-# depths (start_depth) of the last few routes, rates, MAC and timing.  A
-# sweep empties these caches when it starts.
+# points of a sweep that share a geometry share its arrays; a sweep empties
+# both caches when it starts.
 GEOMETRY_CACHE_SIZE = 8
 
 
@@ -341,41 +340,38 @@ def build_contention_tables(scenario: Scenario, plans: dict | None = None,
     return contention_tables(p_det, p_out, p_fad)
 
 
-def start_depth(scenario: Scenario) -> int:
-    """The depth of a point's subset lists before any solve (list_depth_at):
+def start_depths(points) -> list[int]:
+    """The depth of each point's subset lists before any solve (depths_at):
     at the chain's start, (alpha, gamma) = (0, 0), with the link traffic
-    that forwards every packet, which bounds the traffic from above."""
-    return _start_depth(scenario.topology, scenario.lam, scenario.mac, scenario.timing,
-                        scenario.solver.tol)
+    that forwards every packet, which bounds the traffic from above.  The
+    points share their routes, MAC, timing and solver; their rates may
+    differ."""
+    first = points[0]
+    transmitters, next_link = route_links(first.hops)
+    lam = np.array([point.lam for point in points])[:, transmitters]
+    traffic = link_traffic(lam, next_link, np.ones(lam.shape))
+    q = np.reshape([arrival_probability(rate) for rate in traffic.ravel().tolist()], lam.shape)
+    tau, _ = cca_probability(Chain(0.0, 0.0, first.mac), np.where(q > 0.0, q, 1.0), first.timing)
+    return depths_at(np.where(q > 0.0, tau, 0.0), first.timing, first.solver.tol)
 
 
-@lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
-def _start_depth(topology: Topology, lam: tuple, mac: MacParams, timing: TimingParams,
-                 tol: float) -> int:
-    transmitters, next_link = route_links(_next_hops(topology))
-    traffic = link_traffic(np.asarray(lam)[transmitters], next_link, np.ones(len(transmitters)))
-    q = np.array([arrival_probability(rate) for rate in traffic.tolist()])
-    tau, _ = cca_probability(Chain(0.0, 0.0, mac), np.where(q > 0.0, q, 1.0), timing)
-    return list_depth_at(np.where(q > 0.0, tau, 0.0), timing, tol)
-
-
-def list_depth_at(eff: np.ndarray, timing: TimingParams, tol: float) -> int:
-    """The depth of the subset lists of links at per-link e = tau (1 - alpha)
-    of eff: the smallest whose truncation bound is at most tol
-    (macmodel.table_depth).  Only depths within ROW_BUDGET are tried, and
-    links that need a deeper one are refused."""
-    n_links = len(eff)
+def depths_at(eff: np.ndarray, timing: TimingParams, tol: float) -> list[int]:
+    """The depth of the subset lists of each point's links at per-link
+    e = tau (1 - alpha) of eff, (P, L): the smallest whose truncation bound
+    is at most tol (macmodel.bounded_depth).  Only depths within ROW_BUDGET
+    are tried, and points that need a deeper one are refused."""
+    n_links = eff.shape[-1]
     k = n_links - 1
     rows = _list_rows(k)
     top = max(s for s in range(k + 1) if n_links * rows[s] <= ROW_BUDGET)
-    depth = table_depth(truncation_bounds(eff, timing, top), tol, k)
-    if depth is None or n_links * rows[depth] > ROW_BUDGET:
+    depths = [bounded_depth(bounds, tol, k) for bounds in truncation_bounds(eff, timing, top)]
+    if None in depths or n_links * rows[max(depths)] > ROW_BUDGET:
         raise ValidationError(
-            f"{n_links} links need subsets of more than {top} members to bound the "
+            f"{n_links} links need lists of subsets larger than {top} to bound the "
             f"truncation by solver.tol = {tol:g}, beyond the row budget {ROW_BUDGET}; "
             "reduce the topology or the traffic"
         )
-    return depth
+    return depths
 
 
 @dataclass(frozen=True)

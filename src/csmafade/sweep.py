@@ -36,9 +36,9 @@ import numpy as np
 from .errors import NumericsError, ValidationError
 from .macmodel import _list_rows
 from .multihop import NetworkSolution, end_to_end_reliability, route, solve_network
-from .scenarios import (RowPlan, Scenario, _mean_gains, _next_hops, _start_depth, assign,
-                        build_contention_tables, compile_sim_network, list_depth_at,
-                        scenario_from_config, scenario_id, start_depth)
+from .scenarios import (RowPlan, Scenario, _mean_gains, _next_hops, assign,
+                        build_contention_tables, compile_sim_network, depths_at,
+                        scenario_from_config, scenario_id, start_depths)
 from .simulator import pool_size, run_experiment
 
 ENGINES = ("analytic", "simulate", "compare")
@@ -250,58 +250,63 @@ def _prebuild_tables(parsed) -> None:
             return
         if isinstance(scenario, Scenario):
             try:
-                _contention_tables(scenario, start_depth(scenario))
+                _contention_tables(scenario, start_depths([scenario])[0])
             except (ValidationError, NumericsError):
                 pass
 
 
 def _stacks(parsed) -> dict[int, tuple]:
-    """{row: (rows, scenarios)} of the stack each parsed point is solved in.
+    """{row: (rows, scenarios, depth)} of the stack each parsed point is solved in.
 
     A stack holds points that share their routes (and so their links), MAC,
     timing, power profile, solver and start depth, in grid order, and at
     most STACK_ELEMENTS entries in each array; rows are their grid indices.
     Their tables may differ.  The stacks follow from the grid alone, and no
-    value depends on them.  A point whose start depth is refused is left
-    to solve alone, and so to report it.
+    value depends on them.  Where some point's start depth is refused, the
+    points that share its routes, MAC and so on are left to solve alone,
+    each to report its own refusal or solution.
     """
     groups: dict[tuple, list[int]] = {}
     for row, scenario in enumerate(parsed):
         if isinstance(scenario, Scenario):
-            try:
-                depth = start_depth(scenario)
-            except (ValidationError, NumericsError):
-                continue
             key = (scenario.hops.tobytes(), scenario.mac, scenario.timing, scenario.power,
-                   scenario.solver, depth)
+                   scenario.solver)
             groups.setdefault(key, []).append(row)
     stacks = {}
-    for key, rows in groups.items():
+    for rows in groups.values():
+        try:
+            depths = start_depths([parsed[row] for row in rows])
+        except (ValidationError, NumericsError):
+            continue
         n = len(parsed[rows[0]].links)
-        size = max(1, STACK_ELEMENTS // (n * _list_rows(n - 1)[key[-1]]))
-        for start in range(0, len(rows), size):
-            stack = tuple(rows[start:start + size])
-            stacks.update(dict.fromkeys(stack, (stack, [parsed[row] for row in stack])))
+        for depth in dict.fromkeys(depths):
+            at = [row for row, d in zip(rows, depths) if d == depth]
+            size = max(1, STACK_ELEMENTS // (n * _list_rows(n - 1)[depth]))
+            for start in range(0, len(at), size):
+                stack = tuple(at[start:start + size])
+                points = [parsed[row] for row in stack]
+                stacks.update(dict.fromkeys(stack, (stack, points, depth)))
     return stacks
 
 
-def solve_points(scenarios) -> list[NetworkSolution]:
+def solve_points(scenarios, depth: int | None = None) -> list[NetworkSolution]:
     """The solved network of each of the points, which share their routes,
     MAC, timing, power profile and solver: build, solve, check.
 
-    Each point's tables hold the subset lists of its start depth
-    (scenarios.start_depth), and the points of one depth are solved as one
+    Each point's tables hold the subset lists of its start depth: `depth`
+    for all of them, as _stacks gives it, or by default each point's own
+    (scenarios.start_depths).  The points of one depth are solved as one
     stacked solve_network.  A point whose truncation bound at its solution
     exceeds solver.tol is built again at the depth that bound asks for
-    (scenarios.list_depth_at) and solved again alone, cold, until its
-    bound is within tol; so each point gets the solution it gets alone.
+    (scenarios.depths_at) and solved again alone, cold, until its bound
+    is within tol; so each point gets the solution it gets alone.
     """
     first = scenarios[0]
-    depths = [start_depth(scenario) for scenario in scenarios]
+    depths = start_depths(scenarios) if depth is None else [depth] * len(scenarios)
     solutions = [None] * len(scenarios)
-    for depth in dict.fromkeys(depths):
-        at = [i for i, d in enumerate(depths) if d == depth]
-        solved = solve_network([_contention_tables(scenarios[i], depth) for i in at],
+    for start in dict.fromkeys(depths):
+        at = [i for i, d in enumerate(depths) if d == start]
+        solved = solve_network([_contention_tables(scenarios[i], start) for i in at],
                                first.hops, [scenarios[i].lam for i in at], first.mac,
                                first.timing, profile=first.power, config=first.solver)
         for i, solution in zip(at, solved):
@@ -314,22 +319,22 @@ def _grown(scenario, solution: NetworkSolution) -> NetworkSolution:
     lone cold solve at the deeper depth its bound asks for."""
     while solution.truncation_bound > scenario.solver.tol:
         state = solution.state
-        depth = max(list_depth_at(state.tau * (1.0 - state.alpha), scenario.timing,
-                                  scenario.solver.tol), solution.depth + 1)
-        solution = solve_network(_contention_tables(scenario, depth), scenario.hops,
-                                 scenario.lam, scenario.mac, scenario.timing,
+        [depth] = depths_at((state.tau * (1.0 - state.alpha))[None], scenario.timing,
+                            scenario.solver.tol)
+        solution = solve_network(_contention_tables(scenario, max(depth, solution.depth + 1)),
+                                 scenario.hops, scenario.lam, scenario.mac, scenario.timing,
                                  profile=scenario.power, config=scenario.solver)
     return solution
 
 
-def _solve_stack(scenarios) -> list:
+def _solve_stack(scenarios, depth: int | None = None) -> list:
     """solve_points of a stack's points, each solution or the error it ends in.
 
     If the stack fails, each point is solved alone, so that each gets the
     solution, or the error, that it gets in a sweep of its own.
     """
     try:
-        return solve_points(scenarios)
+        return solve_points(scenarios, depth)
     except (NumericsError, ValidationError) as exc:
         if len(scenarios) == 1:
             return [exc]
@@ -353,8 +358,8 @@ def _analytic(scenario, row: int) -> tuple[dict, list[str]]:
     the same.
     """
     if row not in _solved:
-        rows, scenarios = _stack_of.get(row, ((row,), [scenario]))
-        _solved.update(zip(rows, _solve_stack(scenarios)))
+        rows, scenarios, depth = _stack_of.get(row, ((row,), [scenario], None))
+        _solved.update(zip(rows, _solve_stack(scenarios, depth)))
     solution = _solved.pop(row)
     if isinstance(solution, Exception):
         raise solution
@@ -503,7 +508,7 @@ def run_sweep(
 
     _table_cache.clear()
     _plan_cache.clear()
-    for cached in (_row_keys, _next_hops, _mean_gains, _start_depth):
+    for cached in (_row_keys, _next_hops, _mean_gains):
         cached.cache_clear()
     parsed = [_parse_point(config, assignments, strict) for assignments in points]
     pooled = workers > 1 and len(points) > 1

@@ -614,6 +614,19 @@ def subset_weights_concat(eff: np.ndarray) -> np.ndarray:
     return weights
 
 
+def subset_size_tails(eff: Sequence[float]) -> list[float]:
+    """P[|S| > s] for s = 0..k, |S| the number of k contenders that transmit,
+    contender z alone with probability eff[z]: every one of the 2^k subsets'
+    weights, added to the tails of the sizes below it."""
+    k = len(eff)
+    tails = [0.0] * (k + 1)
+    for members in itertools.product((False, True), repeat=k):
+        weight = math.prod(e if on else 1.0 - e for e, on in zip(eff, members))
+        for s in range(sum(members)):
+            tails[s] += weight
+    return tails
+
+
 def solve_fixed_point_damped(
     tables: np.recarray,
     qs: np.ndarray,

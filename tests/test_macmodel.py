@@ -8,7 +8,7 @@ from pytest import approx
 
 import oracles
 from topo_helpers import contention_h, one_row
-from csmafade import channel, macmodel, sweep
+from csmafade import channel, macmodel, scenarios, sweep
 from csmafade.errors import ConvergenceError, ValidationError
 from csmafade.macmodel import (
     SYMBOL_SECONDS,
@@ -247,6 +247,20 @@ def test_star_at_the_contender_cap_builds_one_table_and_solves():
     within = solution.truncation_bound + tol
     assert np.max(np.abs(state.alpha - exhaustive.state.alpha)) <= within
     assert np.max(np.abs(state.gamma - exhaustive.state.gamma)) <= within
+
+
+def test_a_20_node_star_solves_within_the_row_budget():
+    # 19 links with 18 contenders each, past the whole tables' 14: the lists
+    # of at most 5 contenders keep 12 616 of each link's 2^18 subsets
+    scenario = scenario_from_config(
+        {"topology": {"kind": "star", "n_nodes": 20}, "lam": 10.0, "fading": {"sigma": 1.0}}
+    )
+    [solution] = sweep.solve_points([scenario])
+    assert solution.depth == 5 and 0.0 < solution.truncation_bound <= scenario.solver.tol
+    assert 19 * macmodel._list_rows(18)[5] == 239_704 <= scenarios.ROW_BUDGET
+    state = solution.state
+    assert np.ptp(state.alpha) < 1e-9 and np.ptp(state.gamma) < 1e-9
+    assert 0.0 < state.gamma[0] < solution.report.reliability[0] < 1.0
 
 
 def _toy_tables(n_links, p_det_fill, p_out_fill, p_fad):
@@ -575,3 +589,76 @@ def test_mask_bits_number_the_other_links_ascending():
     assert macmodel._other_links(4).tolist() == [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
     bits, sizes = macmodel._subsets(3, 3)
     assert bits[0b101].tolist() == [True, False, True] and sizes.tolist() == [0, 1, 1, 2, 1, 2, 2, 3]
+
+
+@pytest.mark.parametrize("k", range(11))
+def test_listed_weights_are_the_whole_doublings_at_the_listed_masks(k):
+    # a list of depth s holds the masks of at most s members, ascending, and
+    # each row's weight is the very product the doubling over all 2^k forms
+    eff = np.random.default_rng(k).uniform(0.0, 1.0, size=(3, 2, k))
+    whole = oracles.subset_weights_concat(eff)
+    for depth in range(k + 1):
+        bits, sizes = macmodel._subsets(k, depth)
+        masks = bits @ (1 << np.arange(k))
+        assert masks.tolist() == [m for m in range(2**k) if bin(m).count("1") <= depth]
+        assert sizes.tolist() == [bin(m).count("1") for m in masks.tolist()]
+        assert len(masks) == macmodel._list_rows(k)[depth]
+        got = macmodel._subset_weights(eff, depth)
+        assert np.array_equal(got, whole[..., masks])
+        assert np.array_equal(macmodel._subset_weights(eff[0], depth), got[0])
+
+
+@pytest.mark.parametrize("k", range(11))
+def test_subset_tails_match_the_sum_over_all_subsets(k):
+    rng = np.random.default_rng(100 + k)
+    eff = rng.uniform(0.0, 0.8, size=(3, k)) ** 3  # tails from near 1 to below 1e-20
+    reference = [oracles.subset_size_tails(row.tolist()) for row in eff]
+    for top in range(k + 1):
+        got = macmodel.subset_tails(eff, top)
+        assert got.shape == (3, top + 1)
+        np.testing.assert_allclose(got, [ref[: top + 1] for ref in reference], rtol=1e-12, atol=0)
+        assert np.array_equal(got[0], macmodel.subset_tails(eff[0], top))
+
+
+@pytest.mark.parametrize("k", [1, 3, 6, 8])
+def test_truncated_tables_move_each_term_by_at_most_its_bound(k):
+    # one application of the map on a list of depth s and on the whole
+    # tables differs by at most l_pkt T, l_ack T and (1 + |2 l_pkt - 1|) T
+    # in alpha_pkt, alpha_ack and gamma, T the tail P[|S| > s] of the link
+    rng = np.random.default_rng(200 + k)
+    n = k + 1
+    p_det, p_out = rng.uniform(size=(2, n, 2**k))
+    p_out[:, 0] = 0.0
+    p_fad = rng.uniform(size=n)
+    whole = contention_tables(p_det, p_out, p_fad)
+    taus, alphas, gammas = rng.uniform(0.0, 0.6, size=(3, n))
+    eff = taus * (1.0 - alphas)
+    others = macmodel._other_links(n)
+    for timing in (TIMING, TimingParams(l_pkt=0.25)):
+        factors = (timing.l_pkt, timing.l_ack, 1.0 + abs(2.0 * timing.l_pkt - 1.0))
+        exact = contention_terms(whole, timing, taus, alphas, gammas)
+        bounds = macmodel.truncation_bounds(eff, timing, k)
+        for depth in range(k + 1):
+            bits, _ = macmodel._subsets(k, depth)
+            masks = bits @ (1 << np.arange(k))
+            listed = contention_tables(p_det[:, masks], p_out[:, masks], p_fad)
+            got = contention_terms(listed, timing, taus, alphas, gammas)
+            tails = np.array([oracles.subset_size_tails(eff[others[l]].tolist())[depth]
+                              for l in range(n)])
+            assert bounds[depth] == approx(max(factors) * tails.max(), rel=1e-12, abs=1e-300)
+            for value, reference, factor in zip(got, exact, factors):
+                assert np.all(np.abs(value - reference) <= factor * tails + 1e-15)
+            if depth == k:
+                assert all(np.array_equal(a, b) for a, b in zip(got, exact))
+
+
+def test_bounded_depth_is_the_least_bounded_list_that_halves_the_table():
+    # k = 10: lists of depth 0..4 keep 1, 11, 56, 176 and 386 of 1 024 rows;
+    # from depth 5 (638 rows) on, a list keeps more than half
+    bounds = np.array([1.0, 1e-3, 1e-6, 2.4e-7, 8e-10, 1e-13, 0.0, 0.0, 0.0, 0.0, 0.0])
+    assert macmodel._list_rows(10)[:6] == (1, 11, 56, 176, 386, 638)
+    assert macmodel.bounded_depth(bounds, 1e-8, 10) == 4
+    assert macmodel.bounded_depth(bounds, 1e-6, 10) == 2
+    assert macmodel.bounded_depth(bounds, 1e-10, 10) == 10
+    assert macmodel.bounded_depth(bounds[:4], 1e-8, 10) is None
+    assert macmodel.list_depth(10, 386) == 4

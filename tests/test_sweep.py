@@ -812,7 +812,8 @@ def _same_solution(a, b) -> bool:
                                                         "power_mw")]) for s in (a, b)]
     return (np.array_equal(*states) and np.array_equal(*reports, equal_nan=True)
             and np.array_equal(a.traffic, b.traffic) and a.end_to_end == b.end_to_end
-            and (a.outer_iterations, a.warnings) == (b.outer_iterations, b.warnings))
+            and (a.outer_iterations, a.warnings) == (b.outer_iterations, b.warnings)
+            and (a.depth, a.truncation_bound) == (b.depth, b.truncation_bound))
 
 
 def test_a_stack_over_table_sets_gives_each_point_its_lone_solution(monkeypatch):
@@ -830,7 +831,7 @@ def test_a_stack_over_table_sets_gives_each_point_its_lone_solution(monkeypatch)
             (("lam", 50.0),)]
     scenarios = [sweep._parse_point(config, point, strict=True) for point in grid]
     assert len({sweep._table_key(s) for s in scenarios}) == 6  # rows 0 and 5 share theirs
-    assert {rows for rows, _ in sweep._stacks(scenarios).values()} == {tuple(range(len(grid)))}
+    assert {rows for rows, *_ in sweep._stacks(scenarios).values()} == {tuple(range(len(grid)))}
     solves = []
 
     def counting(tables, next_hop, lam, *args, **kwargs):
@@ -910,7 +911,7 @@ def test_each_route_is_walked_once_per_stack(tmp_path, monkeypatch, macs, stacks
     monkeypatch.setattr(multihop, "route", counted)
     monkeypatch.setattr(sweep, "route", counted)
     run_sweep(config, spec, out_dir=tmp_path)
-    assert len({rows for rows, _ in sweep._stacks(
+    assert len({rows for rows, *_ in sweep._stacks(
         [sweep._parse_point(config, point, strict=True) for point in spec.points()]
     ).values()}) == stacks
     assert sorted(walks) == sorted(list(range(1, 9)) * (stacks + 1))
@@ -954,3 +955,64 @@ def test_a_pool_solves_each_point_alone_with_the_same_result(tmp_path, inline_po
     pooled = run_sweep(config, spec, out_dir=tmp_path, out_name="pooled.csv", workers=2)
     assert inline_pool["sizes"] == [2] and solves == [1] * spec.n_points
     assert stacked.read_bytes() == pooled.read_bytes()
+
+
+# the star12 benchmark grid: 11 links whose tables start at depth 4, lists
+# of 386 of the 1 024 subsets of 10 contenders
+STAR12 = ["topology.n_nodes=12", "lam=10"]
+STAR12_GRID = (("fading.kappa", (None, 2.0)), ("fading.sigma", (1.0, 2.0)))
+
+
+def test_a_point_started_too_shallow_is_solved_again_at_the_depth_its_bound_asks(
+        tmp_path, monkeypatch):
+    config = load_config(CONFIGS / "star7.yaml", STAR12)
+    spec = SweepSpec(parameters=STAR12_GRID, engine="analytic")
+    solves = []
+
+    def counting(tables, next_hop, lam, *args, **kwargs):
+        solves.append((np.ndim(lam), tables[0].p_det.shape[-1]))
+        return solve_network(tables, next_hop, lam, *args, **kwargs)
+
+    monkeypatch.setattr(sweep, "solve_network", counting)
+    right = run_sweep(config, spec, out_dir=tmp_path, out_name="right.csv")
+    assert solves == [(2, 386)] * 4  # one point per stack
+    start_depths = sweep.start_depths
+    monkeypatch.setattr(sweep, "start_depths",
+                        lambda points: [depth - 1 for depth in start_depths(points)])
+    solves.clear()
+    grown = run_sweep(config, spec, out_dir=tmp_path, out_name="grown.csv")
+    # at depth 3 the four points form one stack, and each bound, near 2e-7,
+    # sends its point alone to depth 4
+    assert solves == [(2, 176)] + [(1, 386)] * 4
+    assert grown.read_bytes() == right.read_bytes()
+
+
+def test_a_truncating_sweep_does_not_depend_on_the_axis_order_or_the_worker_count(tmp_path):
+    config = load_config(CONFIGS / "star7.yaml", STAR12)
+    runs = [
+        _blocks(run_sweep(config, SweepSpec(parameters=order, engine="analytic"),
+                          out_dir=tmp_path, out_name=f"{workers}.csv", workers=workers), 2)
+        for order in (STAR12_GRID, STAR12_GRID[::-1]) for workers in (1, 2)
+    ]
+    assert len(runs[0]) == 4
+    assert all(run == runs[0] for run in runs[1:])
+
+
+def test_points_of_a_stack_get_their_lone_solutions_at_each_depth(monkeypatch):
+    # star12's points at depth 4 in one stack, and star7's points at
+    # lam = 0.5 (depth 2) and lam = 2 (whole tables) in one solve
+    star12 = load_config(CONFIGS / "star7.yaml", STAR12)
+    star7 = load_config(CONFIGS / "star7.yaml")
+    groups = [
+        [sweep._parse_point(star12, point, strict=True)
+         for point in SweepSpec(parameters=STAR12_GRID).points()],
+        [sweep._parse_point(star7, point, strict=True)
+         for point in SweepSpec(parameters=(("lam", (0.5, 2.0, 0.5)),)).points()],
+    ]
+    monkeypatch.setattr(sweep, "STACK_ELEMENTS", 4 * 11 * 386)
+    assert {rows for rows, *_ in sweep._stacks(groups[0]).values()} == {(0, 1, 2, 3)}
+    for points, depths in zip(groups, ([4] * 4, [2, 6, 2])):
+        stacked = sweep.solve_points(points)
+        assert [solution.depth for solution in stacked] == depths
+        assert all(solution.truncation_bound <= 1e-8 for solution in stacked)
+        assert all(map(_same_solution, stacked, [sweep.solve_points([p])[0] for p in points]))
