@@ -541,7 +541,7 @@ def solve_fixed_point(
     gives a SolveResults list; arrivals(rows, reliability) then takes the
     (A, L) reliability of stack rows `rows`.  The points still iterating
     share each application of the map, each on its own tables: they are
-    gathered here field by field, into (P, L, 2^(L-1)) p_det and p_out and
+    gathered here field by field, into (P, L, rows) p_det and p_out and
     (P, L) p_fad, and moved up in place as points leave.  Each point keeps
     its own step (_Anderson) and polish, so its result does not depend on
     the others; if one of them fails, the whole solve raises.

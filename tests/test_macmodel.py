@@ -550,7 +550,8 @@ def test_solver_config_validation():
 
 
 def test_contention_tables_validate_table_sizes():
-    # L links need (L, 2^(L-1)) rows of p_det and p_out, and L values of p_fad
+    # L links need (L, rows) p_det and p_out, rows the length of a subset
+    # list of L - 1 contenders (1, then 2 for two links), and L values of p_fad
     good = np.ones((2, 2))
     cases = [("p_det", (bad, bad, np.zeros(len(bad))), bad.shape)
              for bad in (np.ones((2, 3)), np.ones((3, 2)), np.ones(2), np.ones((0, 0)))]

@@ -359,7 +359,7 @@ STACKS = {
         "topology: {kind: tree, n_nodes: 6, branching: 3}\nlam: 5.0\nfading: {sigma: 1.0}"),
     "kappa2": lambda: _scenario_setup(
         "topology: {kind: star, n_nodes: 6}\nlam: 5.0\nfading: {sigma: 1.0, kappa: 2.0}"),
-    # 15 links: 2^14 subsets each, the contender cap
+    # 15 links: 2^14 subsets each, the most that whole tables allow
     "star16": lambda: _scenario_setup(
         "topology: {kind: star, n_nodes: 16}\nlam: 5.0\nfading: {sigma: 1.0}"),
 }
