@@ -217,19 +217,30 @@ def _subsets(k: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
     bits (rows, k) has row r, column z -> contender z in the r-th subset,
     and sizes[r] is its member count.
 
-    The list over contenders 0..z is the list's head, the rows whose masks
-    are below 2^(z + 1); each contender extends it by the head rows that
-    have room for one more member, with its bit set.
+    The list over contenders 0..z - 1 is the list's head, the rows whose
+    masks are below 2^z; contender z extends it by the head rows that have
+    room for one more member (_list_growth), with its bit set.
     """
     bits = np.zeros((1, k), dtype=bool)
-    sizes = np.zeros(1, dtype=int)
-    for z in range(k):
-        grow = sizes < depth
+    for z, grow in enumerate(_list_growth(k, depth)):
         new = bits[grow]
         new[:, z] = True
-        bits, sizes = np.concatenate([bits, new]), np.concatenate([sizes, sizes[grow] + 1])
+        bits = np.concatenate([bits, new])
+    sizes = bits.sum(axis=1)
     bits.flags.writeable = sizes.flags.writeable = False
     return bits, sizes
+
+
+@functools.cache
+def _list_growth(k: int, depth: int) -> tuple[np.ndarray, ...]:
+    """For each contender z, the rows of the head of the depth's subset list
+    of k contenders that it extends: those with fewer than depth members."""
+    sizes = np.zeros(1, dtype=int)
+    growth = []
+    for _ in range(k):
+        growth.append(np.flatnonzero(sizes < depth))
+        sizes = np.concatenate([sizes, sizes[growth[-1]] + 1])
+    return tuple(growth)
 
 
 @functools.cache
@@ -322,18 +333,6 @@ def _subset_weights(eff: np.ndarray, depth: int) -> np.ndarray:
             weights = np.concatenate([weights * factors[..., z, :1, :],
                                       weights[..., grow] * factors[..., z, 1:, :]], axis=-1)
     return weights.reshape(lead + (-1,))
-
-
-@functools.cache
-def _list_growth(k: int, depth: int) -> tuple[np.ndarray, ...]:
-    """For each contender z, the head rows of the depth's subset list that
-    it extends (see _subsets)."""
-    sizes = _subsets(k, depth)[1]
-    growth, head = [], 1
-    for _ in range(k):
-        growth.append(np.flatnonzero(sizes[:head] < depth))
-        head += len(growth[-1])
-    return tuple(growth)
 
 
 def contention_terms(
