@@ -159,8 +159,9 @@ class FadingParams:
         return self.kappa is not None
 
 
-# math.erfc over an array; numpy has no erfc of its own
-_erfc = np.vectorize(math.erfc, otypes=[float])
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """math.erfc over an array; numpy has no erfc of its own."""
+    return np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def mean_rx_power(ptx_dbm: float, distance_m: float, chan: ChannelParams) -> float:

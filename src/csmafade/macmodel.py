@@ -145,11 +145,18 @@ class SolverConfig:
             raise ValidationError("tol must be positive and max_iter >= 1")
 
 
-def arrival_probability(lambda_pkt_per_s: float) -> float:
-    """Per-backoff-unit probability of at least one Poisson arrival."""
-    if lambda_pkt_per_s < 0.0:
-        raise ValidationError(f"arrival rate {lambda_pkt_per_s} must be >= 0")
-    return 1.0 - math.exp(-lambda_pkt_per_s * UNIT_SECONDS)
+def arrival_probability(lambda_pkt_per_s: Values) -> Values:
+    """Per-backoff-unit probability of at least one Poisson arrival.
+
+    Works elementwise on an array of rates, with one math.exp per entry, so
+    each entry is the value of its scalar call.
+    """
+    rates = np.asarray(lambda_pkt_per_s, dtype=float)
+    if (rates < 0.0).any():
+        raise ValidationError(f"arrival rate {rates[rates < 0.0].flat[0]} must be >= 0")
+    exps = np.fromiter(map(math.exp, (-rates * UNIT_SECONDS).ravel().tolist()), float, rates.size)
+    q = 1.0 - exps.reshape(rates.shape)
+    return q if rates.ndim else float(q)
 
 
 class Chain:
@@ -229,6 +236,16 @@ def _subsets(k: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
     sizes = bits.sum(axis=1)
     bits.flags.writeable = sizes.flags.writeable = False
     return bits, sizes
+
+
+@functools.cache
+def _float_bits(k: int, depth: int) -> np.ndarray:
+    """The bits of _subsets(k, depth) as read-only float64, the operand of
+    the products of contention_terms, which would otherwise cast the bool
+    bits on every call."""
+    bits = _subsets(k, depth)[0].astype(float)
+    bits.flags.writeable = False
+    return bits
 
 
 @functools.cache
@@ -360,7 +377,7 @@ def contention_terms(
     others = _other_links(taus.shape[-1])
     k = others.shape[1]
     depth = list_depth(k, tables["p_det"].shape[-1])
-    bits, sizes = _subsets(k, depth)
+    sizes = _subsets(k, depth)[1]
     weights = _subset_weights((taus * (1.0 - alphas))[..., others], depth)
     w = weights[..., 1:]
     p_det = tables["p_det"][..., 1:]
@@ -370,7 +387,7 @@ def contention_terms(
     # then the hidden-terminal product (1 - p_det) p_out, worked out in one
     # buffer in place over whole rows (so without numpy's buffers for
     # strided views); the empty subset's column is not read
-    product = gammas[..., others] @ bits.T
+    product = gammas[..., others] @ _float_bits(k, depth).T
     product /= np.maximum(sizes, 1.0)
     np.subtract(1.0, product, out=product)
     product *= tables["p_det"]

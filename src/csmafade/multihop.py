@@ -178,15 +178,11 @@ def solve_network(
                 f"{len(point_tables)} link tables for {len(transmitters)} transmitting nodes"
             )
 
-    def probabilities(rates: np.ndarray) -> np.ndarray:
-        return np.reshape([arrival_probability(rate) for rate in rates.ravel().tolist()],
-                          rates.shape)
-
-    qs = probabilities(stack)
+    qs = arrival_probability(stack)
     moved = np.zeros(len(stack), dtype=int)
 
     def arrivals(rows, reliability):
-        new_qs = probabilities(link_traffic(stack[rows], next_link, reliability))
+        new_qs = arrival_probability(link_traffic(stack[rows], next_link, reliability))
         moved[rows] += (new_qs != qs[rows]).any(axis=1)
         qs[rows] = new_qs
         return new_qs
@@ -201,11 +197,15 @@ def solve_network(
     reliability = np.array([rep.reliability for rep in reports])
     traffic = link_traffic(stack, next_link, reliability)
     paths = [route(next_hop, node) for node in transmitters.tolist()]
+    # the points of a stack share their lists' depth (contention_terms stacks their tables)
+    k = len(transmitters) - 1
+    depth = list_depth(k, tables[0].p_det.shape[-1])
+    bounds = (np.zeros(len(stack)) if depth == k else
+              truncation_bounds(states.tau * (1.0 - states.alpha), timing, depth)[:, depth])
     solutions = NetworkSolutions()
-    for result, point_tables, rep, point_traffic, by_link, outer in zip(
-            results, tables, reports, traffic, reliability.tolist(), moved.tolist()):
+    for result, rep, point_traffic, by_link, outer, bound in zip(
+            results, reports, traffic, reliability.tolist(), moved.tolist(), bounds.tolist()):
         by_node = dict(zip(transmitters.tolist(), by_link))
-        depth = list_depth(len(transmitters) - 1, point_tables.p_det.shape[-1])
         solutions.append(NetworkSolution(
             state=result.state,
             traffic=point_traffic,
@@ -215,17 +215,9 @@ def solve_network(
             outer_iterations=outer,
             warnings=result.warnings,
             depth=depth,
-            truncation_bound=_truncation_bound(result.state, timing, depth),
+            truncation_bound=bound,
         ))
     return solutions if lam.ndim == 2 else solutions[0]
-
-
-def _truncation_bound(state: LinkState, timing: TimingParams, depth: int) -> float:
-    """The truncation bound of subset lists of depth `depth` at the state;
-    0 for whole tables, which leave nothing out."""
-    if depth == len(state.tau) - 1:
-        return 0.0
-    return float(truncation_bounds(state.tau * (1.0 - state.alpha), timing, depth)[depth])
 
 
 def end_to_end_reliability(next_hop, reliability, node: int, path=None) -> float:

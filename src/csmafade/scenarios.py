@@ -350,7 +350,7 @@ def start_depths(points) -> list[int]:
     transmitters, next_link = route_links(first.hops)
     lam = np.array([point.lam for point in points])[:, transmitters]
     traffic = link_traffic(lam, next_link, np.ones(lam.shape))
-    q = np.reshape([arrival_probability(rate) for rate in traffic.ravel().tolist()], lam.shape)
+    q = arrival_probability(traffic)
     tau, _ = cca_probability(Chain(0.0, 0.0, first.mac), np.where(q > 0.0, q, 1.0), first.timing)
     return depths_at(np.where(q > 0.0, tau, 0.0), first.timing, first.solver.tol)
 

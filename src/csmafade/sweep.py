@@ -151,13 +151,15 @@ TABLE_CACHE_SIZE = 8
 
 # A stack holds at most STACK_ELEMENTS entries, P points x L links x
 # subset-list rows, in each of its arrays: the subset weights, each table
-# it gathers (p_det and p_out) and the products of contention_terms.  So
-# each array stays below the 128 KiB from which the C heap maps fresh pages
-# for it.  At 2^18 the four 11-link points of the star12-tables benchmark
-# form one stack, and a sweep then peaks 2 MiB higher with four times the
-# minor page faults; at 2^14 the 15 points of line9-traffic form one stack,
-# which peaks 0.15-0.4 MiB higher than stacks of 8 and 7 do.
-STACK_ELEMENTS = 2**13
+# it gathers (p_det and p_out) and the products of contention_terms.  The
+# budget sits at the knee of a measured curve: a 16-point grid on the
+# 11-link star (kappa x sigma x channel.b_db, mostly 386 rows per link)
+# took 4.5, 3.3, 3.1 and 3.1 ms per point at 2^13, 2^14, 2^15 and 2^16,
+# with a tracemalloc peak per sweep of 1.0, 1.2, 1.8 and 3.5 MiB: past
+# 2^15 a stack is hardly faster, and its memory doubles.  At 2^15 the four
+# points of the star12-tables benchmark and the 15 of line9-traffic each
+# form one stack.
+STACK_ELEMENTS = 2**15
 
 
 LINK_METRICS = ("reliability", "delay_s", "power_mw")

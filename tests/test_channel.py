@@ -105,6 +105,14 @@ def test_q_function_symmetry_and_monotonicity():
         assert gaussian_tail(z) + gaussian_tail(-z) == pytest.approx(1.0, abs=1e-14)
 
 
+def test_erfc_maps_math_erfc_over_an_array_of_any_shape():
+    x = np.linspace(-7.0, 30.0, 24).reshape(2, 3, 4)
+    for arg in (x, x[0, 0], np.array(0.75), np.zeros((0, 3))):
+        got = channel._erfc(arg)
+        assert got.shape == arg.shape and got.dtype == float
+        assert got.ravel().tolist() == [math.erfc(v) for v in arg.ravel().tolist()]
+
+
 # ---------------------------------------------------------------------------
 # moment matching
 

@@ -75,6 +75,18 @@ def test_arrival_probability_examples():
         arrival_probability(-1.0)
 
 
+def test_arrival_probability_works_elementwise_with_each_scalar_value():
+    rates = np.array([[0.0, 0.5, 2.0], [10.0, 33.3, 1e4]])
+    got = arrival_probability(rates)
+    assert got.shape == rates.shape
+    assert got.tolist() == [[arrival_probability(rate) for rate in row] for row in rates.tolist()]
+    assert got.tolist() == [[1.0 - math.exp(-rate * UNIT_SECONDS) for rate in row]
+                            for row in rates.tolist()]
+    assert type(arrival_probability(np.float64(2.0))) is float
+    with pytest.raises(ValidationError, match="arrival rate -3.0 must be >= 0"):
+        arrival_probability(np.array([1.0, -3.0, -4.0]))
+
+
 def test_cca_probability_idle_channel_collapses_to_first_terms():
     q = 0.003
     tau, b000 = cca_probability(Chain(0.0, 0.0, MAC), q, TIMING)
@@ -590,6 +602,17 @@ def test_mask_bits_number_the_other_links_ascending():
     assert macmodel._other_links(4).tolist() == [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
     bits, sizes = macmodel._subsets(3, 3)
     assert bits[0b101].tolist() == [True, False, True] and sizes.tolist() == [0, 1, 1, 2, 1, 2, 2, 3]
+
+
+@pytest.mark.parametrize("k, depth", [(3, 3), (7, 2), (10, 4)])
+def test_the_float_bits_give_the_products_of_the_bool_bits(k, depth):
+    bits, _ = macmodel._subsets(k, depth)
+    floats = macmodel._float_bits(k, depth)
+    assert floats.dtype == float and not floats.flags.writeable
+    assert np.array_equal(floats, bits) and macmodel._float_bits(k, depth) is floats
+    gammas = np.random.default_rng(k).uniform(0.0, 1.0, size=(4, k + 1, k))
+    for stack in (gammas, gammas[0]):
+        assert np.array_equal(stack @ floats.T, stack @ bits.T)
 
 
 @pytest.mark.parametrize("k", range(11))

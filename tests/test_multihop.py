@@ -17,6 +17,7 @@ from csmafade.macmodel import (
     TimingParams,
     arrival_probability,
     solve_fixed_point,
+    truncation_bounds,
 )
 from csmafade.multihop import (
     end_to_end_reliability,
@@ -452,6 +453,23 @@ def test_a_point_solves_alike_alone_and_in_a_stack_of_other_tables(topology, tim
         [lone] = fixed_points[1 + p]
         assert fixed_points[0][p].iterations == lone.iterations
         assert fixed_points[0][p].residual == lone.residual
+
+
+@pytest.mark.parametrize("topology", ["{kind: star, n_nodes: 8}", "{kind: line, n_nodes: 9}"])
+def test_stacked_truncation_bounds_are_each_points_lone_bound(topology):
+    # lists of at most 2 of the 6 or 7 contenders, on tables of each point's own
+    scenarios = [scenario_from_config(parse_config(f"topology: {topology}\nlam: {rate}\n{text}"))
+                 for text, rate in OWN_TABLES]
+    tables = [build_contention_tables(s, depth=2) for s in scenarios]
+    hops, lams = scenarios[0].hops, np.array([s.lam for s in scenarios])
+    stacked = solve_network(tables, hops, lams, MAC, TIMING)
+    for solution, point_tables, lam in zip(stacked, tables, lams):
+        state = solution.state
+        lone = float(truncation_bounds(state.tau * (1.0 - state.alpha), TIMING, 2)[2])
+        assert solution.depth == 2 and 0.0 < solution.truncation_bound == lone
+        assert solve_network(point_tables, hops, lam, MAC, TIMING).truncation_bound == lone
+    whole = solve_network([build_contention_tables(s) for s in scenarios], hops, lams, MAC, TIMING)
+    assert [solution.truncation_bound for solution in whole] == [0.0] * len(scenarios)
 
 
 def test_a_stack_raises_when_one_of_its_points_fails(monkeypatch):

@@ -854,7 +854,7 @@ def test_a_stack_over_table_sets_gives_each_point_its_lone_solution(monkeypatch)
 
 
 def test_rows_do_not_depend_on_the_axis_order_or_the_worker_count(tmp_path):
-    # the line9 benchmark grid: its 15 points over 3 table sets form stacks of 8 and 7
+    # the line9 benchmark grid: its 15 points over 3 table sets form one stack
     config = load_config(CONFIGS / "line5.yaml",
                          ["scenario_id=line9", "topology.n_nodes=9", "lam=2.0"])
     axes = (("lam", (2.0, 5.0, 10.0, 20.0, 30.0)), ("fading.sigma", (0.0, 1.0, 2.0)))
@@ -895,7 +895,7 @@ def test_a_sweep_works_out_each_geometry_once(tmp_path, monkeypatch):
     assert first.read_bytes() == second.read_bytes()
 
 
-@pytest.mark.parametrize("macs, stacks", [((0,), 2), ((0, 1), 4)])
+@pytest.mark.parametrize("macs, stacks", [((0,), 1), ((0, 1), 2)])
 def test_each_route_is_walked_once_per_stack(tmp_path, monkeypatch, macs, stacks):
     # solve_network walks each transmitter's route once per stack, and the
     # row keys walk them once more per geometry
@@ -915,6 +915,28 @@ def test_each_route_is_walked_once_per_stack(tmp_path, monkeypatch, macs, stacks
         [sweep._parse_point(config, point, strict=True) for point in spec.points()]
     ).values()}) == stacks
     assert sorted(walks) == sorted(list(range(1, 9)) * (stacks + 1))
+
+
+def test_a_group_larger_than_the_budget_splits_into_stacks_with_the_same_csv(
+        tmp_path, monkeypatch):
+    # the line9 grid: 15 points of 8 links with whole lists of 128 rows
+    config = load_config(CONFIGS / "line5.yaml", ["topology.n_nodes=9", "lam=2.0"])
+    spec = SweepSpec(parameters=LINE9_GRID, engine="analytic")
+    solves = []
+
+    def counting(tables, next_hop, lam, *args, **kwargs):
+        solves.append(len(lam))
+        return solve_network(tables, next_hop, lam, *args, **kwargs)
+
+    monkeypatch.setattr(sweep, "solve_network", counting)
+    assert 15 * 8 * 128 <= sweep.STACK_ELEMENTS
+    whole = run_sweep(config, spec, out_dir=tmp_path, out_name="whole.csv")
+    assert solves == [15]
+    solves.clear()
+    monkeypatch.setattr(sweep, "STACK_ELEMENTS", 4 * 8 * 128)
+    split = run_sweep(config, spec, out_dir=tmp_path, out_name="split.csv")
+    assert solves == [4, 4, 4, 3]
+    assert split.read_bytes() == whole.read_bytes()
 
 
 def test_a_stack_keeps_no_solution_once_its_points_are_read(tmp_path, monkeypatch):
@@ -975,7 +997,7 @@ def test_a_point_started_too_shallow_is_solved_again_at_the_depth_its_bound_asks
 
     monkeypatch.setattr(sweep, "solve_network", counting)
     right = run_sweep(config, spec, out_dir=tmp_path, out_name="right.csv")
-    assert solves == [(2, 386)] * 4  # one point per stack
+    assert solves == [(2, 386)]  # one stack of the four points
     start_depths = sweep.start_depths
     monkeypatch.setattr(sweep, "start_depths",
                         lambda points: [depth - 1 for depth in start_depths(points)])
@@ -998,7 +1020,7 @@ def test_a_truncating_sweep_does_not_depend_on_the_axis_order_or_the_worker_coun
     assert all(run == runs[0] for run in runs[1:])
 
 
-def test_points_of_a_stack_get_their_lone_solutions_at_each_depth(monkeypatch):
+def test_points_of_a_stack_get_their_lone_solutions_at_each_depth():
     # star12's points at depth 4 in one stack, and star7's points at
     # lam = 0.5 (depth 2) and lam = 2 (whole tables) in one solve
     star12 = load_config(CONFIGS / "star7.yaml", STAR12)
@@ -1009,7 +1031,6 @@ def test_points_of_a_stack_get_their_lone_solutions_at_each_depth(monkeypatch):
         [sweep._parse_point(star7, point, strict=True)
          for point in SweepSpec(parameters=(("lam", (0.5, 2.0, 0.5)),)).points()],
     ]
-    monkeypatch.setattr(sweep, "STACK_ELEMENTS", 4 * 11 * 386)
     assert {rows for rows, *_ in sweep._stacks(groups[0]).values()} == {(0, 1, 2, 3)}
     for points, depths in zip(groups, ([4] * 4, [2, 6, 2])):
         stacked = sweep.solve_points(points)
