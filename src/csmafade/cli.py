@@ -33,7 +33,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--reps", type=int, default=None,
                      help="replication count (overrides sim.replications)")
     sub.add_argument("--workers", type=int, default=1,
-                     help="worker processes (replications, or sweep points)")
+                     help="simulator processes (replications, or sweep points); "
+                          "the analytic engine always runs in one")
 
 
 def build_parser() -> argparse.ArgumentParser:

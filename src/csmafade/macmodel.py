@@ -535,15 +535,16 @@ def solve_fixed_point(
     config: SolverConfig = SolverConfig(),
     init: tuple[float, float] = (0.0, 0.0),
     arrivals: Callable | None = None,
-) -> SolveResult | SolveResults:
-    """Anderson-accelerated iteration of the (alpha, gamma) map of all links.
+) -> SolveResults:
+    """Anderson-accelerated iteration of the (alpha, gamma) map of all links
+    of each of P points.
 
     One application of the map takes x = (alpha, gamma) to g(x): one Chain
     of x, tau and b000 from the chain and q, then the contention terms.
-    The arrival probabilities q are `qs` throughout, or, when
-    `arrivals` is given, arrivals(reliability) of the chain's per-link
-    reliability (forwarded traffic).  Links with q = 0 never transmit and
-    are held at tau = b000 = 0.
+    The arrival probabilities q are `qs` throughout, or, when `arrivals` is
+    given, arrivals(rows, reliability) of the chain's (A, L) per-link
+    reliability at stack rows `rows` (forwarded traffic).  Links with q = 0
+    never transmit and are held at tau = b000 = 0.
 
     The first step is x + MIXING * f with residual f = g(x) - x; each later
     step mixes the last ANDERSON_DEPTH + 1 iterates and residuals by a
@@ -551,29 +552,20 @@ def solve_fixed_point(
     is clipped into the map's domain.  Converged when max |f| < config.tol;
     the returned state is then g(x) itself.
 
-    The stack follows from the tables.  One table set (L,) takes (L,) qs and
-    gives a SolveResult.  A sequence of P table sets, one per point (a list,
-    or an np.broadcast_to view of one that all share), takes (P, L) qs and
-    gives a SolveResults list; arrivals(rows, reliability) then takes the
-    (A, L) reliability of stack rows `rows`.  The points still iterating
-    share each application of the map, each on its own tables: they are
-    gathered here field by field, into (P, L, rows) p_det and p_out and
-    (P, L) p_fad, and moved up in place as points leave.  Each point keeps
-    its own step (_Anderson) and polish, so its result does not depend on
-    the others; if one of them fails, the whole solve raises.
+    tables is a sequence of P table sets, one per point, and qs their
+    (P, L) arrival probabilities; the result is a SolveResults list in
+    stack order, and one point is a stack of one.  The points still
+    iterating share each application of the map, each on its own tables:
+    they are gathered here field by field, into (P, L, rows) p_det and p_out
+    and (P, L) p_fad, and moved up in place as points leave.  Each point
+    keeps its own step (_Anderson) and polish, so its result does not
+    depend on the others; if one of them fails, the whole solve raises.
     """
-    stacked = not (isinstance(tables, np.ndarray) and tables.ndim == 1)
-    sets = list(tables) if stacked else [tables]
+    sets = list(tables)
     n = len(sets[0]) if sets else 0
     qs = np.asarray(qs, dtype=float)
-    if qs.shape != ((len(sets), n) if stacked else (n,)) or not qs.size:
+    if qs.shape != (len(sets), n) or not qs.size:
         raise ValidationError("qs length must match table count")
-    hook = arrivals
-    if not stacked:
-        qs = qs[None]
-        if arrivals is not None:
-            def hook(rows, reliability):
-                return arrivals(reliability[0])[None]
     if len(sets) == 1:  # read where it lies: a point that leaves ends the solve
         fields = {name: sets[0][name][None] for name in TABLE_FIELDS}
     else:
@@ -585,7 +577,8 @@ def solve_fixed_point(
 
     def cca(rows, alphas: np.ndarray, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         chain = Chain(alphas.ravel(), gammas.ravel(), mac)
-        q = qs[rows] if hook is None else hook(rows, chain.reliability.reshape(alphas.shape))
+        q = (qs[rows] if arrivals is None
+             else arrivals(rows, chain.reliability.reshape(alphas.shape)))
         active = q.ravel() > 0.0
         # a silent link's chain is evaluated at q = 1 and its result dropped
         taus, b000s = cca_probability(chain, np.where(active, q.ravel(), 1.0), timing)
@@ -631,4 +624,4 @@ def solve_fixed_point(
             f"fixed point did not converge after {config.max_iter} iterations "
             f"(last residual {residuals.max():.3e})"
         )
-    return results if stacked else results[0]
+    return results

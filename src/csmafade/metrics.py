@@ -145,17 +145,13 @@ def report(
     mac: MacParams,
     timing: TimingParams,
     next_link: np.ndarray | None = None,
-) -> MetricsReport | list[MetricsReport]:
-    """Assemble per-link reliability, delay, and power into one report.
-
-    A (P, L) stack of states on the same links is evaluated at once and
-    gives one report per point, in stack order.
+) -> list[MetricsReport]:
+    """Per-link reliability, delay, and power of a (P, L) stack of states on
+    the same links, evaluated at once: one report per point, in stack order.
     """
     chain = Chain(state.alpha, state.gamma, mac)
     energy = energy_rate(state, chain, profile, timing, next_link)
     columns = (chain.reliability, chain.p_cf, chain.p_cr, expected_delay(chain, timing))
-    if state.tau.ndim == 1:
-        return MetricsReport(*columns, energy)
     parts = [getattr(energy, part.name) for part in fields(EnergyBreakdown)]
     return [MetricsReport(*(column[p] for column in columns),
                           EnergyBreakdown(*(part[p] for part in parts)))

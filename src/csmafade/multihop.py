@@ -149,29 +149,26 @@ def solve_network(
     timing: TimingParams,
     profile: metrics.PowerProfile | None = None,
     config: SolverConfig = SolverConfig(),
-) -> NetworkSolution | NetworkSolutions:
-    """Per-link fixed points and forwarded traffic, solved as one fixed point.
+) -> NetworkSolutions:
+    """Per-link fixed points and forwarded traffic of P points, solved as
+    one stacked fixed point.
 
     When some transmitter relays, every iteration of the MAC fixed point
     takes its arrival probabilities from the link traffic of its current
     per-link reliability, so config.tol bounds the residual of the joint map.
-    tables come from macmodel.contention_tables, which gives their row
-    layout: tables[l] must describe the link of the l-th node with a next
-    hop, and the contending links of each row are numbered in that order.
-
-    lambda_pkt_per_s is one point's per-node rates, the stack of one, or a
-    (P, n) stack of points that share everything else but their tables,
-    solved as one stacked fixed point into a NetworkSolutions list.  Such a
-    stack takes one table set that all its points share, or a sequence of
-    each point's own.
+    tables is a sequence of P table sets from macmodel.contention_tables,
+    one per point, which gives their row layout: each set's l-th record
+    must describe the link of the l-th node with a next hop, and the
+    contending links of each row are numbered in that order.
+    lambda_pkt_per_s is the (P, n) per-node rates of the points, which
+    share everything else but their tables.  The result is a
+    NetworkSolutions list in stack order; one point is a stack of one.
     """
     transmitters, next_link = route_links(next_hop)
     lam = np.asarray(lambda_pkt_per_s, dtype=float)
-    if lam.ndim not in (1, 2) or lam.shape[-1] != len(next_hop):
+    if lam.ndim != 2 or lam.shape[-1] != len(next_hop):
         raise ValidationError("rate vector length must match the node count")
-    stack = np.atleast_2d(lam)[:, transmitters]
-    if isinstance(tables, np.ndarray) and tables.ndim == 1:
-        tables = [tables] * len(stack)
+    stack = lam[:, transmitters]
     for point_tables in tables:
         if len(point_tables) != len(transmitters):
             raise ValidationError(
@@ -217,7 +214,7 @@ def solve_network(
             depth=depth,
             truncation_bound=bound,
         ))
-    return solutions if lam.ndim == 2 else solutions[0]
+    return solutions
 
 
 def end_to_end_reliability(next_hop, reliability, node: int, path=None) -> float:

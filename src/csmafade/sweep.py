@@ -136,17 +136,13 @@ def _fmt(value) -> str:
 
 # Contention tables built in this process, newest last, and the row plans
 # (see scenarios.RowPlan) they were built from, one per geometry, depth and
-# gain rank pattern; the row keys of each geometry (_row_keys, next to the
-# next hops and gains that scenarios caches); the stack of each point of a
-# serial sweep (see _stacks) and the solutions of its points not yet read,
-# by grid row.  run_sweep empties the tables, plans and geometries when it
-# starts and the stacks and solutions when it ends, so points of one sweep
-# share them but separate sweeps do not.  Pool workers are forked from the
-# process that filled the tables, plans and geometries, and inherit them.
+# gain rank pattern; and the row keys of each geometry (_row_keys, next to
+# the next hops and gains that scenarios caches).  run_sweep empties them
+# when it starts, so points of one sweep share them but separate sweeps do
+# not.  Only the sweep's own process builds tables: it solves every
+# analytic stack before any point runs, and pool workers only simulate.
 _table_cache: dict[tuple, np.recarray] = {}
 _plan_cache: dict[tuple, RowPlan] = {}
-_stack_of: dict[int, tuple] = {}
-_solved: dict = {}
 TABLE_CACHE_SIZE = 8
 
 # A stack holds at most STACK_ELEMENTS entries, P points x L links x
@@ -240,33 +236,17 @@ def _parse_point(config: dict, assignments, strict: bool):
         return f"config: {exc}"
 
 
-def _prebuild_tables(parsed) -> None:
-    """Build the distinct table sets of the parsed points at their start
-    depths, as many as the cache holds.
-
-    A point whose tables fail is skipped: it reports the failure itself when
-    it runs.
-    """
-    for scenario in parsed:
-        if len(_table_cache) >= TABLE_CACHE_SIZE:
-            return
-        if isinstance(scenario, Scenario):
-            try:
-                _contention_tables(scenario, start_depths([scenario])[0])
-            except (ValidationError, NumericsError):
-                pass
-
-
-def _stacks(parsed) -> dict[int, tuple]:
-    """{row: (rows, scenarios, depth)} of the stack each parsed point is solved in.
+def _stacks(parsed) -> list[tuple]:
+    """(rows, scenarios, depth) of each stack the parsed points are solved
+    in; every parsed Scenario is in one.
 
     A stack holds points that share their routes (and so their links), MAC,
     timing, power profile, solver and start depth, in grid order, and at
     most STACK_ELEMENTS entries in each array; rows are their grid indices.
     Their tables may differ.  The stacks follow from the grid alone, and no
     value depends on them.  Where some point's start depth is refused, the
-    points that share its routes, MAC and so on are left to solve alone,
-    each to report its own refusal or solution.
+    points that share its routes, MAC and so on are each a stack of their
+    own, at depth None, to report its own refusal or solution.
     """
     groups: dict[tuple, list[int]] = {}
     for row, scenario in enumerate(parsed):
@@ -274,11 +254,12 @@ def _stacks(parsed) -> dict[int, tuple]:
             key = (scenario.hops.tobytes(), scenario.mac, scenario.timing, scenario.power,
                    scenario.solver)
             groups.setdefault(key, []).append(row)
-    stacks = {}
+    stacks = []
     for rows in groups.values():
         try:
             depths = start_depths([parsed[row] for row in rows])
         except (ValidationError, NumericsError):
+            stacks += [((row,), [parsed[row]], None) for row in rows]
             continue
         n = len(parsed[rows[0]].links)
         for depth in dict.fromkeys(depths):
@@ -286,8 +267,7 @@ def _stacks(parsed) -> dict[int, tuple]:
             size = max(1, STACK_ELEMENTS // (n * _list_rows(n - 1)[depth]))
             for start in range(0, len(at), size):
                 stack = tuple(at[start:start + size])
-                points = [parsed[row] for row in stack]
-                stacks.update(dict.fromkeys(stack, (stack, points, depth)))
+                stacks.append((stack, [parsed[row] for row in stack], depth))
     return stacks
 
 
@@ -323,9 +303,10 @@ def _grown(scenario, solution: NetworkSolution) -> NetworkSolution:
         state = solution.state
         [depth] = depths_at((state.tau * (1.0 - state.alpha))[None], scenario.timing,
                             scenario.solver.tol)
-        solution = solve_network(_contention_tables(scenario, max(depth, solution.depth + 1)),
-                                 scenario.hops, scenario.lam, scenario.mac, scenario.timing,
-                                 profile=scenario.power, config=scenario.solver)
+        tables = _contention_tables(scenario, max(depth, solution.depth + 1))
+        [solution] = solve_network([tables], scenario.hops, [scenario.lam], scenario.mac,
+                                   scenario.timing, profile=scenario.power,
+                                   config=scenario.solver)
     return solution
 
 
@@ -350,21 +331,14 @@ def _sim_work(scenario) -> float:
     return sum(scenario.lam) * scenario.sim.horizon_seconds * scenario.sim.replications
 
 
-def _analytic(scenario, row: int) -> tuple[dict, list[str]]:
-    """Fixed-point model of the point at grid row `row`: {(src, dst, metric):
-    value} plus warnings.
-
-    In a serial sweep the first point of a stack solves the whole stack,
-    for the others to read.  A pool worker solves each point alone: which
-    worker runs which point is not known in advance, and the result is
-    the same.
-    """
-    if row not in _solved:
-        rows, scenarios, depth = _stack_of.get(row, ((row,), [scenario], None))
-        _solved.update(zip(rows, _solve_stack(scenarios, depth)))
-    solution = _solved.pop(row)
+def _analytic(scenario, solution, strict: bool) -> tuple[dict, list[str]]:
+    """A point's analytic {(src, dst, metric): value} plus warnings, from
+    its solution, or no values and the message of the error it ended in;
+    strict=True raises that error instead."""
     if isinstance(solution, Exception):
-        raise solution
+        if strict:
+            raise solution
+        return {}, [str(solution)]
     rep = solution.report
     values = _keyed(
         scenario,
@@ -411,25 +385,26 @@ def _pooled(pairs, finite_only: bool = False) -> tuple[float, float]:
 
 
 def _point_task(args):
-    """Run the engines on one parsed point: ({engine: values}, warnings).
+    """Run the simulator on one parsed point, next to its analytic outcome:
+    ({engine: values}, warnings).
 
-    An engine that fails is left out, with its message in the warnings, or
-    with strict=True is raised.  A config error runs nothing.
+    args are (scenario, assignments, engine, sim_workers, strict, analytic);
+    analytic is the point's (values, warnings) that run_sweep solved, or
+    None where the engine is simulate or the point has a config error.  A
+    simulation that fails leaves no values, with its message in the
+    warnings, or with strict=True is raised.  A config error runs nothing.
     """
-    scenario, _, engine, sim_workers, strict, row = args
-    results, warnings = {}, []
-    if not isinstance(scenario, Scenario):
-        return results, warnings
-    runners = {"analytic": lambda: _analytic(scenario, row),
-               "simulate": lambda: _simulate(scenario, sim_workers)}
-    for name in runners if engine == "compare" else [engine]:
+    scenario, _, engine, sim_workers, strict, analytic = args
+    outcomes = {} if analytic is None else {"analytic": analytic}
+    if engine != "analytic" and isinstance(scenario, Scenario):
         try:
-            results[name], notes = runners[name]()
+            outcomes["simulate"] = _simulate(scenario, sim_workers)
         except (NumericsError, ValidationError) as exc:
             if strict:
                 raise
-            notes = [str(exc)]
-        warnings += [f"{name}: {note}" for note in notes]
+            outcomes["simulate"] = ({}, [str(exc)])
+    results = {name: values for name, (values, _) in outcomes.items()}
+    warnings = [f"{name}: {note}" for name, (_, notes) in outcomes.items() for note in notes]
     return results, warnings
 
 
@@ -494,13 +469,17 @@ def run_sweep(
     An output path that cannot be written, or a refused scenario_id (even
     with out_name given), is a ValidationError before any point runs.
     Each point is parsed once, here: a config error becomes its error row,
-    or with strict=True is raised, as is an engine failure.  A serial sweep
-    stacks its analytic fixed points (_stacks).  With workers > 1 the points
-    run in a process pool of at most one worker per point and per CPU
-    (simulator.pool_size).  Simulated points are
-    dispatched heaviest first (by _sim_work), so that no worker is left alone
-    with a long point at the end; the blocks are written in grid order all
-    the same.
+    or with strict=True is raised.  Unless the engine is simulate, this
+    process then solves every analytic stack (_stacks) before any point
+    runs, and keeps each point's values and warnings, or its error; with
+    strict=True the first point that fails raises its error, before any
+    simulation.  _point_task then runs once per point, and simulates: in
+    this process, or, when more than one point is simulated and workers >
+    1, in a process pool of at most one worker per point and per CPU
+    (simulator.pool_size).  An analytic sweep never starts a pool.  Pooled
+    points are dispatched heaviest first (by _sim_work), so that no worker
+    is left alone with a long point at the end; the blocks are written in
+    grid order all the same.
     """
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")
@@ -513,25 +492,22 @@ def run_sweep(
     for cached in (_row_keys, _next_hops, _mean_gains):
         cached.cache_clear()
     parsed = [_parse_point(config, assignments, strict) for assignments in points]
-    pooled = workers > 1 and len(points) > 1
+    analytic = {}
+    if spec.engine != "simulate":
+        for rows, scenarios, depth in _stacks(parsed):
+            # the stack's solutions are dropped once read
+            analytic.update(zip(rows, [_analytic(scenario, solved, strict) for scenario, solved
+                                       in zip(scenarios, _solve_stack(scenarios, depth))]))
     sim_workers = workers if len(points) == 1 else 1
-    order = list(range(len(points)))
-    if spec.engine != "analytic":
-        order.sort(key=lambda i: _sim_work(parsed[i]), reverse=True)
-    tasks = [(parsed[i], points[i], spec.engine, sim_workers, strict, i) for i in order]
-    if pooled:
-        if spec.engine != "simulate":
-            _prebuild_tables(parsed)  # once here, not once per worker
+    tasks = [(scenario, assignments, spec.engine, sim_workers, strict, analytic.get(i))
+             for i, (scenario, assignments) in enumerate(zip(parsed, points))]
+    if spec.engine != "analytic" and workers > 1 and len(points) > 1:
+        order = sorted(range(len(tasks)), key=lambda i: _sim_work(parsed[i]), reverse=True)
         with ProcessPoolExecutor(max_workers=pool_size(workers, len(tasks))) as pool:
-            done = dict(zip(order, pool.map(_point_task, tasks)))
+            by_row = dict(zip(order, pool.map(_point_task, [tasks[i] for i in order])))
+        done = [by_row[i] for i in range(len(tasks))]
     else:
-        if spec.engine != "simulate":
-            _stack_of.update(_stacks(parsed))
-        try:
-            done = dict(zip(order, map(_point_task, tasks)))
-        finally:  # a point's solution is dropped once read; drop the rest too
-            _stack_of.clear()
-            _solved.clear()
+        done = list(map(_point_task, tasks))
 
     header = ["scenario_id", *spec.paths, *FIXED_COLUMNS]
     with open(out_path, "w", newline="") as f:

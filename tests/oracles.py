@@ -17,6 +17,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gammainc
 
+import one_point
 from csmafade import metrics
 from csmafade.channel import (
     QUAD_LADDER,
@@ -41,7 +42,6 @@ from csmafade.macmodel import (
     _rowdot,
     arrival_probability,
     contention_terms,
-    solve_fixed_point,
 )
 from csmafade.multihop import NetworkSolution, end_to_end_reliability, route_links
 
@@ -758,7 +758,7 @@ def solve_network_nested(
         # star's second pass changes just the sink's), the last solve stands
         if result is None or not np.array_equal(qs, solved_qs):
             solved_qs = qs
-            result = solve_fixed_point(tables, qs, mac, timing, config=config)
+            result = one_point.fixed_point(tables, qs, mac, timing, config=config)
         warnings = result.warnings
         state = result.state
         by_node = dict(zip(transmitters.tolist(),
@@ -774,7 +774,7 @@ def solve_network_nested(
             f"(last residual {residual:.3e})"
         )
 
-    rep = metrics.report(state, profile or metrics.PowerProfile(), mac, timing, next_link)
+    rep = one_point.report(state, profile or metrics.PowerProfile(), mac, timing, next_link)
     k = len(transmitters) - 1
     if tables.p_det.shape[-1] != 2**k:
         raise ValidationError("the nested oracle solves whole tables only")

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from one_point import network
 from csmafade.channel import (
     ChannelParams,
     FadingParams,
@@ -24,7 +25,7 @@ from csmafade.channel import (
 from csmafade.channel import _gamma_cdf_unit_mean
 from csmafade.macmodel import UNIT_SECONDS, Chain, MacParams, TimingParams
 from csmafade.metrics import expected_delay
-from csmafade.multihop import end_to_end_reliability, link_traffic, route_links, solve_network
+from csmafade.multihop import end_to_end_reliability, link_traffic, route_links
 from csmafade.scenarios import (
     build_contention_tables,
     compile_sim_network,
@@ -69,7 +70,7 @@ sim: {{horizon_seconds: {HORIZON}, replications: {reps}, master_seed: {SEED}}}
 
 
 def analytic_solution(scenario):
-    return solve_network(
+    return network(
         build_contention_tables(scenario),
         scenario.hops,
         np.array(scenario.lam),

@@ -7,6 +7,7 @@ import pytest
 from pytest import approx
 
 import oracles
+from one_point import fixed_point
 from topo_helpers import contention_h, one_row
 from csmafade import channel, macmodel, scenarios, sweep
 from csmafade.errors import ConvergenceError, ValidationError
@@ -22,7 +23,6 @@ from csmafade.macmodel import (
     cca_probability,
     contention_tables,
     contention_terms,
-    solve_fixed_point,
 )
 from csmafade.scenarios import build_contention_tables, scenario_from_config
 
@@ -254,7 +254,7 @@ def test_star_at_the_contender_cap_builds_one_table_and_solves():
 
     whole = build_contention_tables(scenario, depth=14)
     assert whole.p_det.shape == (15, 2**14)
-    exhaustive = solve_fixed_point(whole, np.full(15, arrival_probability(10.0)), MAC, TIMING)
+    exhaustive = fixed_point(whole, np.full(15, arrival_probability(10.0)), MAC, TIMING)
     assert exhaustive.residual < tol
     within = solution.truncation_bound + tol
     assert np.max(np.abs(state.alpha - exhaustive.state.alpha)) <= within
@@ -339,7 +339,7 @@ def test_packet_loss_clamps_to_unit_interval():
 
 def test_single_link_fixed_point_is_decoupled():
     tables = contention_tables([[1.0]], [[1.0]], [0.05])
-    result = solve_fixed_point(tables, [0.003], MAC, TIMING)
+    result = fixed_point(tables, [0.003], MAC, TIMING)
     state = result.state
     tau_ref, b_ref = cca_probability(Chain(0.0, 0.05, MAC), 0.003, TIMING)
     assert state.alpha[0] == 0.0
@@ -391,7 +391,7 @@ def test_star_fixed_point_matches_ideal_contention_benchmark():
     # sigma=0 at close range resolves every threshold, so the coupled model
     # must land on the perfect-sensing, collisions-fatal benchmark
     lam = 5.0
-    result = solve_fixed_point(*_star_system(lam=lam), MAC, TIMING)
+    result = fixed_point(*_star_system(lam=lam), MAC, TIMING)
     q = arrival_probability(lam)
     ideal = oracles.ideal_star_fixed_point(6, q)
     state = result.state
@@ -403,7 +403,7 @@ def test_star_fixed_point_matches_ideal_contention_benchmark():
 
 
 def test_star_fixed_point_symmetry():
-    result = solve_fixed_point(*_star_system(lam=10.0), MAC, TIMING)
+    result = fixed_point(*_star_system(lam=10.0), MAC, TIMING)
     assert np.ptp(result.state.tau) < 1e-9
     assert np.ptp(result.state.gamma) < 1e-9
 
@@ -412,14 +412,14 @@ def test_constant_arrivals_iterate_exactly_like_fixed_qs():
     tables, qs = _star_system(lam=10.0, sigma=2.0)
     calls = []
 
-    def arrivals(reliability):
-        calls.append(1)
-        return qs.copy()
+    def arrivals(rows, reliability):
+        calls.append(rows.tolist())
+        return qs[None].copy()
 
-    hooked = solve_fixed_point(tables, qs, MAC, TIMING, arrivals=arrivals)
-    plain = solve_fixed_point(tables, qs, MAC, TIMING)
+    hooked = fixed_point(tables, qs, MAC, TIMING, arrivals=arrivals)
+    plain = fixed_point(tables, qs, MAC, TIMING)
     assert hooked.iterations == plain.iterations
-    assert len(calls) == plain.iterations + 1  # every sweep and the polish
+    assert calls == [[0]] * (plain.iterations + 1)  # every sweep and the polish
     for name in ("tau", "alpha_pkt", "alpha_ack", "gamma", "b000"):
         assert np.array_equal(getattr(hooked.state, name), getattr(plain.state, name))
 
@@ -434,12 +434,12 @@ def test_one_chain_per_map_application_feeds_the_arrivals_hook(monkeypatch):
             super().__init__(alpha, gamma, mac)
             iterates.append((alpha.copy(), gamma.copy()))
 
-    def arrivals(reliability):
-        received.append(reliability.copy())
-        return qs.copy()
+    def arrivals(rows, reliability):
+        received.append(reliability[0].copy())
+        return qs[None].copy()
 
     monkeypatch.setattr(macmodel, "Chain", RecordedChain)
-    result = solve_fixed_point(tables, qs, MAC, TIMING, arrivals=arrivals)
+    result = fixed_point(tables, qs, MAC, TIMING, arrivals=arrivals)
     assert len(iterates) == len(received) == result.iterations + 1  # every sweep and the polish
     for (alpha, gamma), reliability in zip(iterates, received):
         assert np.array_equal(reliability, Chain(alpha, gamma, MAC).reliability)
@@ -448,14 +448,14 @@ def test_one_chain_per_map_application_feeds_the_arrivals_hook(monkeypatch):
 
 def test_fixed_point_independent_of_initialization():
     tables, qs = _star_system(lam=10.0)
-    a = solve_fixed_point(tables, qs, MAC, TIMING, init=(0.0, 0.0))
-    b = solve_fixed_point(tables, qs, MAC, TIMING, init=(0.5, 0.5))
+    a = fixed_point(tables, qs, MAC, TIMING, init=(0.0, 0.0))
+    b = fixed_point(tables, qs, MAC, TIMING, init=(0.5, 0.5))
     for name in ("tau", "alpha", "gamma"):
         assert np.max(np.abs(getattr(a.state, name) - getattr(b.state, name))) < 1e-6
 
 
 def test_fixed_point_outputs_stay_in_unit_interval_under_shadowing():
-    result = solve_fixed_point(*_star_system(lam=10.0, sigma=2.0), MAC, TIMING)
+    result = fixed_point(*_star_system(lam=10.0, sigma=2.0), MAC, TIMING)
     assert result.residual < 1e-8
     state = result.state
     for values in (
@@ -471,7 +471,7 @@ def test_fixed_point_outputs_stay_in_unit_interval_under_shadowing():
 
 def test_fixed_point_holds_inactive_links_silent():
     tables = contention_tables([[0.0, 1.0]] * 2, [[0.0, 1.0]] * 2, [0.05, 0.05])
-    result = solve_fixed_point(tables, [0.003, 0.0], MAC, TIMING)
+    result = fixed_point(tables, [0.003, 0.0], MAC, TIMING)
     state = result.state
     assert state.tau[1] == 0.0 and state.b000[1] == 0.0
     # with its only contender silent, the active link decouples
@@ -481,7 +481,7 @@ def test_fixed_point_holds_inactive_links_silent():
 
 def test_fixed_point_nonconvergence_raises_with_residual():
     with pytest.raises(ConvergenceError, match="residual"):
-        solve_fixed_point(*_star_system(lam=10.0), MAC, TIMING, config=SolverConfig(max_iter=2))
+        fixed_point(*_star_system(lam=10.0), MAC, TIMING, config=SolverConfig(max_iter=2))
 
 
 def _heavy_star_system(n_tx):
@@ -496,7 +496,7 @@ def _heavy_star_system(n_tx):
 def test_heavy_load_star_converges_with_default_settings(n_tx):
     # a damping of 0.5 oscillates here without end; the accelerated step needs no tuning
     system = _heavy_star_system(n_tx)
-    result = solve_fixed_point(*system)
+    result = fixed_point(*system)
     reference = oracles.solve_fixed_point_damped(*system, damping=0.1)
     assert result.iterations < reference.iterations
     for name in ("tau", "alpha", "gamma", "b000"):
@@ -510,14 +510,14 @@ def test_stalled_iteration_gives_up_long_before_max_iter():
     tables = _toy_tables(2, p_det_fill=1.0, p_out_fill=0.0, p_fad=0.0)
     calls = []
 
-    def arrivals(reliability):
+    def arrivals(rows, reliability):
         calls.append(1)
         # gamma stays 0, so reliability is 1 - alpha^5: the jump sits at alpha = 0.1
-        return np.full(2, 0.2 if reliability[0] > 1.0 - 0.1**5 else 0.001)
+        return np.full((1, 2), 0.2 if reliability[0, 0] > 1.0 - 0.1**5 else 0.001)
 
     with pytest.raises(ConvergenceError, match="stalled .* residual"):
-        solve_fixed_point(tables, [0.2, 0.2], MAC, TIMING,
-                          config=SolverConfig(max_iter=10_000), arrivals=arrivals)
+        fixed_point(tables, [0.2, 0.2], MAC, TIMING,
+                    config=SolverConfig(max_iter=10_000), arrivals=arrivals)
     assert len(calls) < 500
 
 
@@ -526,7 +526,7 @@ def test_transient_alpha_overshoot_does_not_warn():
     # the solution is interior, so the clamped iterates leave no warning
     long_frames = TimingParams(l_pkt=30.0)
     tables = _toy_tables(3, p_det_fill=1.0, p_out_fill=1.0, p_fad=0.0)
-    result = solve_fixed_point(tables, [0.2] * 3, MAC, long_frames)
+    result = fixed_point(tables, [0.2] * 3, MAC, long_frames)
     assert result.warnings == []
     assert np.all(result.state.alpha_pkt + result.state.alpha_ack < macmodel.ALPHA_CAP)
 
@@ -536,7 +536,7 @@ def test_fixed_point_reports_alpha_clamping():
     # the time: its alpha stays pinned at the cap in the solution
     long_frames = TimingParams(l_pkt=30.0)
     tables = _toy_tables(3, p_det_fill=1.0, p_out_fill=1.0, p_fad=0.0)
-    result = solve_fixed_point(tables, [0.0, 0.2, 0.2], MAC, long_frames)
+    result = fixed_point(tables, [0.0, 0.2, 0.2], MAC, long_frames)
     assert result.warnings == [f"alpha clamped to {macmodel.ALPHA_CAP} on 1 link(s)"]
     assert result.state.alpha[0] == macmodel.ALPHA_CAP
     assert np.all(result.state.alpha[1:] < macmodel.ALPHA_CAP)
@@ -545,7 +545,7 @@ def test_fixed_point_reports_alpha_clamping():
 def test_permissive_thresholds_leave_contention_only_losses():
     # perfect detection with no outage: gamma -> 0, failures only from access
     tables = _toy_tables(3, p_det_fill=1.0, p_out_fill=0.0, p_fad=0.0)
-    result = solve_fixed_point(tables, [0.2] * 3, MAC, TIMING)
+    result = fixed_point(tables, [0.2] * 3, MAC, TIMING)
     assert np.all(result.state.gamma == 0.0)
     assert np.all(result.state.alpha > 0.0)
 
@@ -581,10 +581,13 @@ def test_contention_tables_validate_table_sizes():
 
 
 def test_solve_fixed_point_refuses_qs_of_another_length():
-    tables = contention_tables([[1.0]], [[1.0]], [0.0])
-    for qs in ([0.1, 0.2], [], [[0.1]]):
+    # P table sets of L links take (P, L) qs: one point is a stack of one
+    tables = [contention_tables([[1.0]], [[1.0]], [0.0])]
+    for sets, qs in ((tables, [[0.1, 0.2]]), (tables, []), (tables, [0.1]), (tables, 0.1),
+                     (tables, [[0.1], [0.2]]), (tables * 2, [[0.1]]), ([], np.zeros((0, 1)))):
         with pytest.raises(ValidationError, match="qs length must match table count"):
-            solve_fixed_point(tables, qs, MAC, TIMING)
+            macmodel.solve_fixed_point(sets, qs, MAC, TIMING)
+    assert len(macmodel.solve_fixed_point(tables * 2, [[0.1], [0.2]], MAC, TIMING)) == 2
 
 
 @pytest.mark.parametrize("k", range(14))

@@ -7,10 +7,11 @@ import pytest
 from pytest import approx
 
 import oracles
+from one_point import report
 from csmafade import metrics
 from csmafade.errors import ValidationError
 from csmafade.macmodel import UNIT_SECONDS, Chain, LinkState, MacParams, TimingParams, cca_probability
-from csmafade.metrics import EnergyBreakdown, PowerProfile, energy_rate, expected_delay, report
+from csmafade.metrics import EnergyBreakdown, PowerProfile, energy_rate, expected_delay
 
 MAC = MacParams()
 MAC_RETRY = MacParams(n=3)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
+from one_point import fixed_point, network
 from oracles import solve_network_nested, traffic_neumann
 from topo_helpers import build_tables, line_positions, star_positions
 from csmafade import channel, multihop
@@ -195,9 +196,9 @@ def _star_setup(n_tx=7, radius=1.0, lam_rate=5.0, sigma=0.0):
 
 def test_single_hop_network_reduces_to_link_fixed_point():
     tables, hops, lam = _star_setup()
-    solution = solve_network(tables, hops, lam, MAC, TIMING)
+    solution = network(tables, hops, lam, MAC, TIMING)
     q = arrival_probability(5.0)
-    direct = solve_fixed_point(tables, np.full(7, q), MAC, TIMING)
+    direct = fixed_point(tables, np.full(7, q), MAC, TIMING)
     # a star's arrival probabilities never move, so neither do its iterates
     for name in ("tau", "alpha_pkt", "alpha_ack", "gamma", "b000"):
         assert np.array_equal(getattr(solution.state, name), getattr(direct.state, name))
@@ -217,10 +218,10 @@ def test_star_solves_its_fixed_point_once(monkeypatch):
         return solve_fixed_point(*args, **kwargs)
 
     monkeypatch.setattr(multihop, "solve_fixed_point", counting)
-    solution = solve_network(*_star_setup(), MAC, TIMING)
+    solution = network(*_star_setup(), MAC, TIMING)
     assert (len(calls), solution.outer_iterations) == (1, 0)
     calls.clear()
-    solution = solve_network(*_line_setup(), MAC, TIMING)
+    solution = network(*_line_setup(), MAC, TIMING)
     assert len(calls) == 1 and solution.outer_iterations > 0
 
 
@@ -237,7 +238,7 @@ def _line_setup(n_nodes=5, spacing=1.0, lam_rate=2.0, sigma=0.0):
 def test_line_end_to_end_reliability_decreases_with_hops():
     for sigma in (0.0, 2.0):
         tables, hops, lam = _line_setup(sigma=sigma)
-        solution = solve_network(tables, hops, lam, MAC, TIMING)
+        solution = network(tables, hops, lam, MAC, TIMING)
         e2e = [solution.end_to_end[node] for node in (1, 2, 3, 4)]
         assert e2e[0] < 1.0
         for nearer, farther in zip(e2e, e2e[1:]):
@@ -246,7 +247,7 @@ def test_line_end_to_end_reliability_decreases_with_hops():
 
 def test_line_relays_accumulate_forwarded_traffic():
     tables, hops, lam = _line_setup()
-    solution = solve_network(tables, hops, lam, MAC, TIMING)
+    solution = network(tables, hops, lam, MAC, TIMING)
     rates = solution.traffic  # links of nodes 1, 2, 3, 4
     assert rates[0] > rates[1] > rates[2] > rates[3]
     assert rates[3] == approx(2.0, rel=1e-12)
@@ -257,9 +258,9 @@ def test_line_relays_accumulate_forwarded_traffic():
 
 def test_network_solution_is_outer_fixed_point():
     tables, hops, lam = _line_setup()
-    solution = solve_network(tables, hops, lam, MAC, TIMING)
+    solution = network(tables, hops, lam, MAC, TIMING)
     qs = np.array([arrival_probability(rate) for rate in solution.traffic])
-    re_solved = solve_fixed_point(tables, qs, MAC, TIMING)
+    re_solved = fixed_point(tables, qs, MAC, TIMING)
     rel = Chain(re_solved.state.alpha, re_solved.state.gamma, MAC).reliability
     rates = traffic_neumann(hops, lam, dict(zip(range(1, len(hops)), rel)))
     assert float(np.max(np.abs(rates[1:] - solution.traffic))) < 1e-10
@@ -267,7 +268,7 @@ def test_network_solution_is_outer_fixed_point():
 
 def test_network_relay_energy_profile():
     tables, hops, lam = _line_setup()
-    solution = solve_network(tables, hops, lam, MAC, TIMING)
+    solution = network(tables, hops, lam, MAC, TIMING)
     energy = solution.report.energy  # transmitter order (1, 2, 3, 4)
     assert np.all(energy.relay[:3] > 0.0)
     assert energy.relay[3] == 0.0
@@ -281,7 +282,7 @@ def test_relay_power_sums_its_childrens_transmit_power():
     s = scenario_from_config(parse_config(
         "topology: {kind: tree, n_nodes: 10, branching: 3}\nlam: 7.0\nfading: {sigma: 1.0}"
     ))
-    solution = solve_network(build_contention_tables(s), s.hops, s.lam, s.mac, s.timing)
+    solution = network(build_contention_tables(s), s.hops, s.lam, s.mac, s.timing)
     link = {src: l for l, (src, _) in enumerate(s.links)}
     energy = solution.report.energy
     children = [link[c] for c, hop in enumerate(s.hops) if hop == 1]
@@ -313,7 +314,7 @@ def _tree_setup(n_nodes, lam_rate):
 )
 def test_joint_solve_matches_nested_traffic_loop(setup):
     tables, hops, lam = setup()
-    joint = solve_network(tables, hops, lam, MAC, TIMING)
+    joint = network(tables, hops, lam, MAC, TIMING)
     nested = solve_network_nested(tables, hops, lam, MAC, TIMING)
     assert joint.state.alpha == approx(nested.state.alpha, rel=0, abs=1e-7)
     assert joint.state.gamma == approx(nested.state.gamma, rel=0, abs=1e-7)
@@ -324,7 +325,7 @@ def test_joint_solve_matches_nested_traffic_loop(setup):
 
 def test_reported_traffic_solves_the_traffic_recursion():
     for tables, hops, lam in (_line_setup(n_nodes=9, lam_rate=30.0), _tree_setup(13, 30.0)):
-        solution = solve_network(tables, hops, lam, MAC, TIMING)
+        solution = network(tables, hops, lam, MAC, TIMING)
         tx, next_link = route_links(hops)
         t = _link_matrix(next_link, solution.report.reliability)
         rates = solution.traffic
@@ -334,17 +335,17 @@ def test_reported_traffic_solves_the_traffic_recursion():
 def test_network_nonconvergence_raises():
     tables, hops, lam = _line_setup()
     with pytest.raises(ConvergenceError, match="fixed point did not converge"):
-        solve_network(tables, hops, lam, MAC, TIMING, config=SolverConfig(max_iter=5))
+        network(tables, hops, lam, MAC, TIMING, config=SolverConfig(max_iter=5))
 
 
 def test_network_input_validation():
     tables, hops, lam = _line_setup()
     with pytest.raises(ValidationError, match="link tables"):
-        solve_network(tables[:-1], hops, lam, MAC, TIMING)
+        network(tables[:-1], hops, lam, MAC, TIMING)
     with pytest.raises(ValidationError, match="rate vector"):
-        solve_network(tables, hops, lam[:-1], MAC, TIMING)
+        network(tables, hops, lam[:-1], MAC, TIMING)
     with pytest.raises(ValidationError, match="invalid next hop"):
-        solve_network(tables, [-1, 0, 1, 2, 4], lam, MAC, TIMING)
+        network(tables, [-1, 0, 1, 2, 4], lam, MAC, TIMING)
 
 
 def _scenario_setup(text):
@@ -378,9 +379,10 @@ def test_a_point_solves_alike_alone_and_in_any_stack(name, monkeypatch):
         return fixed_points[-1]
 
     monkeypatch.setattr(multihop, "solve_fixed_point", recording)
-    stacks = [solve_network(tables, hops, lams, MAC, TIMING),
-              solve_network(tables, hops, lams[::-1], MAC, TIMING)[::-1]]
-    alone = [solve_network(tables, hops, row, MAC, TIMING) for row in lams]
+    shared = [tables] * len(lams)
+    stacks = [solve_network(shared, hops, lams, MAC, TIMING),
+              solve_network(shared, hops, lams[::-1], MAC, TIMING)[::-1]]
+    alone = [network(tables, hops, row, MAC, TIMING) for row in lams]
     assert [len(results) for results in fixed_points] == [len(rates)] * 2 + [1] * len(rates)
     results = [fixed_points[0], fixed_points[1][::-1], [r for [r] in fixed_points[2:]]]
     assert stacks[0].outer_iterations == sum(s.outer_iterations for s in alone)
@@ -435,7 +437,7 @@ def test_a_point_solves_alike_alone_and_in_a_stack_of_other_tables(topology, tim
 
     monkeypatch.setattr(multihop, "solve_fixed_point", recording)
     stacked = solve_network(tables, hops, lams, MAC, timing)
-    alone = [solve_network(t, hops, lam, MAC, timing) for t, lam in zip(tables, lams)]
+    alone = [network(t, hops, lam, MAC, timing) for t, lam in zip(tables, lams)]
     assert [len(results) for results in fixed_points] == [len(tables)] + [1] * len(tables)
     if timing is not TIMING:
         assert [bool(s.warnings) for s in alone] == [False] * 4 + [True] * 2
@@ -467,7 +469,7 @@ def test_stacked_truncation_bounds_are_each_points_lone_bound(topology):
         state = solution.state
         lone = float(truncation_bounds(state.tau * (1.0 - state.alpha), TIMING, 2)[2])
         assert solution.depth == 2 and 0.0 < solution.truncation_bound == lone
-        assert solve_network(point_tables, hops, lam, MAC, TIMING).truncation_bound == lone
+        assert network(point_tables, hops, lam, MAC, TIMING).truncation_bound == lone
     whole = solve_network([build_contention_tables(s) for s in scenarios], hops, lams, MAC, TIMING)
     assert [solution.truncation_bound for solution in whole] == [0.0] * len(scenarios)
 
@@ -483,16 +485,17 @@ def test_a_stack_raises_when_one_of_its_points_fails(monkeypatch):
         return solves[-1]
 
     monkeypatch.setattr(multihop, "solve_fixed_point", recording)
-    solve_network(tables, hops, [light, heavy], MAC, TIMING)
+    solve_network([tables] * 2, hops, [light, heavy], MAC, TIMING)
     counts = [result.iterations for result in solves[0]]
     assert counts[0] < counts[1]
     config = SolverConfig(max_iter=counts[0])
-    assert solve_network(tables, hops, light, MAC, TIMING, config=config).warnings == []
+    assert network(tables, hops, light, MAC, TIMING, config=config).warnings == []
     with pytest.raises(ConvergenceError, match=f"did not converge after {counts[0]} iterations"):
-        solve_network(tables, hops, [light, heavy], MAC, TIMING, config=config)
-    with pytest.raises(ValidationError, match="rate vector"):
-        solve_network(tables, hops, [[lam]], MAC, TIMING)
+        solve_network([tables] * 2, hops, [light, heavy], MAC, TIMING, config=config)
+    for rates in ([[lam]], lam):  # one point's rates are a stack of one
+        with pytest.raises(ValidationError, match="rate vector"):
+            solve_network([tables], hops, rates, MAC, TIMING)
     with pytest.raises(ValidationError, match="qs length"):
-        solve_fixed_point(np.broadcast_to(tables, (2, len(tables))), lam[1:], MAC, TIMING)
+        solve_fixed_point([tables] * 2, [lam[1:]], MAC, TIMING)
     with pytest.raises(ValidationError, match="qs length"):  # a stack of no points
-        solve_network(tables, hops, np.zeros((0, len(hops))), MAC, TIMING)
+        solve_network([], hops, np.zeros((0, len(hops))), MAC, TIMING)

@@ -149,3 +149,31 @@ def test_traced_sweep_over_table_sets_solves_one_stack(tmp_path):
                   if span[tracing.NAME] == "channel.detection"]
     assert sorted(detections) == builds  # one per build, inside it
     json.dumps(metrics)
+
+
+def test_traced_pooled_compare_sweep_simulates_in_the_pool_and_solves_in_the_parent(tmp_path):
+    # the tiny3 grid with two workers: each point's span holds its simulation,
+    # spooled back from a pool worker, and the parent solves each stack once,
+    # outside every point's span
+    tracing = _tracing_module()
+    tracer = tracing.Tracer(tmp_path / "spool")
+    config = load_config(ROOT / "configs" / "tiny3.yaml")
+    spec = sweep.sweep_from_config(config)
+    assert spec.engine == "compare" and spec.n_points == 2
+    stacks = sweep._stacks([sweep._parse_point(config, point, strict=True)
+                            for point in spec.points()])
+    tracer.install()
+    try:
+        tracer.sweep(sweep.run_sweep, config, spec, out_dir=tmp_path, workers=2)
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans
+    assert [span[tracing.NAME] for span in spans].count("sweep.point") == spec.n_points
+    metrics = tracing.layer_metrics(spans, wall_s=1.0)
+    assert metrics["simulator.replications"] == spec.n_points * config["sim"]["replications"]
+    assert metrics["macmodel.solves"] == len(stacks) == 1
+    for span in spans:
+        if span[tracing.NAME] == "macmodel.solve_fixed_point":
+            assert span[tracing.POINT] == -1
+        if span[tracing.NAME] == "simulator.replication":
+            assert span[tracing.POINT] in (0, 1)

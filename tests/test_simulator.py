@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from one_point import fixed_point
 from topo_helpers import build_sim_network, build_tables, line_positions, star_positions
 
 from csmafade.channel import ChannelParams, FadingParams
@@ -22,7 +23,6 @@ from csmafade.macmodel import (
     MacParams,
     TimingParams,
     arrival_probability,
-    solve_fixed_point,
 )
 from csmafade.metrics import PowerProfile
 from csmafade.scenarios import compile_sim_network, load_config, scenario_from_config
@@ -61,7 +61,7 @@ def analytic_star(lam, sigma=0.0, n_tx=7, radius=1.0):
     positions, links = star_positions(n_tx, radius)
     tables = build_tables(positions, links, CHAN, FadingParams(sigma=sigma))
     q = arrival_probability(lam)
-    return solve_fixed_point(tables, (q,) * n_tx, MacParams(), TimingParams()).state
+    return fixed_point(tables, (q,) * n_tx, MacParams(), TimingParams()).state
 
 
 def test_replications_are_reproducible():

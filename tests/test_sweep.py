@@ -7,11 +7,13 @@ import math
 import os
 import pathlib
 import time
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from one_point import network
 from csmafade import multihop, scenarios, simulator, sweep
 from csmafade.errors import NumericsError, ValidationError
 from csmafade.macmodel import ALPHA_CAP
@@ -83,7 +85,7 @@ def test_golden_csv_is_reproduced(tmp_path):
 )
 def test_analytic_golden_csv_is_reproduced(tmp_path, golden, config_name, overrides, axes,
                                            workers):
-    # serially the points stack across their table sets; a pool solves each alone
+    # the points stack across their table sets, whatever the worker count
     config = load_config(CONFIGS / config_name, overrides)
     config["sweep"] = {"engine": "analytic",
                        "parameters": [{"path": p, "values": v} for p, v in axes]}
@@ -164,7 +166,7 @@ def test_pools_are_capped_at_the_cpu_count(tmp_path, inline_pool, monkeypatch):
     # a fork pool starts all its processes at once, however few tasks are left
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     config = tiny_config()
-    config["sweep"]["engine"] = "analytic"
+    config["sweep"]["engine"] = "simulate"
     config["sweep"]["parameters"] = [{"path": "lam", "values": [1.0, 2.0, 5.0, 10.0, 20.0]}]
     run_sweep(config, sweep_from_config(config), out_dir=tmp_path, workers=5000)
     net = compile_sim_network(scenario_from_config(config))
@@ -173,14 +175,22 @@ def test_pools_are_capped_at_the_cpu_count(tmp_path, inline_pool, monkeypatch):
     assert inline_pool["sizes"] == [3, 3, 2]
 
 
-def test_analytic_pool_keeps_grid_order(tmp_path, inline_pool):
+def test_an_analytic_sweep_starts_no_pool_and_runs_its_points_in_grid_order(
+        tmp_path, inline_pool, monkeypatch):
     config = tiny_config()
     config["sweep"]["engine"] = "analytic"
-    config["sweep"]["parameters"] = [{"path": "lam", "values": [2.0, 5.0, 10.0]}]
+    config["sweep"]["parameters"] = [{"path": "lam", "values": [10.0, 2.0, 5.0]}]
+    ran = []
+    point_task = sweep._point_task
+
+    def recording(args):
+        ran.append(args[1])
+        return point_task(args)
+
+    monkeypatch.setattr(sweep, "_point_task", recording)
     run_sweep(config, sweep_from_config(config), out_dir=tmp_path, workers=2)
-    [tasks] = inline_pool["tasks"]
-    assert [assignments for _, assignments, *_ in tasks] == [
-        (("lam", 2.0),), (("lam", 5.0),), (("lam", 10.0),)]
+    assert inline_pool["sizes"] == [] and inline_pool["tasks"] == []
+    assert ran == [(("lam", 10.0),), (("lam", 2.0),), (("lam", 5.0),)]
 
 
 def test_workers_below_one_are_rejected(tmp_path):
@@ -436,7 +446,7 @@ sim: {horizon_seconds: 10.0, replications: 3, master_seed: 5}
     s = scenario_from_config(config)
     assert s.links == ((0, 1), (2, 1))
     sim = run_experiment(compile_sim_network(s), s.sim, s.power)
-    report = solve_network(
+    report = network(
         build_contention_tables(s), s.hops, s.lam, s.mac, s.timing,
         profile=s.power, config=s.solver,
     ).report
@@ -611,7 +621,7 @@ def test_a_second_sweep_starts_with_an_empty_plan_cache(tmp_path, monkeypatch):
 
 def test_pooled_sweep_builds_each_table_set_once(tmp_path, monkeypatch):
     config = tiny_config()
-    config["sweep"]["engine"] = "analytic"
+    config["sim"]["replications"] = 1
     config["sweep"]["parameters"] = [
         {"path": "lam", "values": [2.0, 10.0, 20.0]},
         {"path": "fading.sigma", "values": [0.0, 1.0]},
@@ -636,7 +646,7 @@ def test_pooled_sweep_builds_each_table_set_once(tmp_path, monkeypatch):
 
 def test_pooled_sweep_parses_each_point_once_in_the_parent(tmp_path, monkeypatch):
     config = tiny_config()
-    config["sweep"]["engine"] = "analytic"
+    config["sim"]["replications"] = 1
     config["sweep"]["parameters"] = [{"path": "lam", "values": [2.0, 5.0, 10.0]}]
     spec = sweep_from_config(config)
     log = tmp_path / "parses.log"  # pool workers would log their parses here too
@@ -831,7 +841,7 @@ def test_a_stack_over_table_sets_gives_each_point_its_lone_solution(monkeypatch)
             (("lam", 50.0),)]
     scenarios = [sweep._parse_point(config, point, strict=True) for point in grid]
     assert len({sweep._table_key(s) for s in scenarios}) == 6  # rows 0 and 5 share theirs
-    assert {rows for rows, *_ in sweep._stacks(scenarios).values()} == {tuple(range(len(grid)))}
+    assert [rows for rows, *_ in sweep._stacks(scenarios)] == [tuple(range(len(grid)))]
     solves = []
 
     def counting(tables, next_hop, lam, *args, **kwargs):
@@ -911,9 +921,9 @@ def test_each_route_is_walked_once_per_stack(tmp_path, monkeypatch, macs, stacks
     monkeypatch.setattr(multihop, "route", counted)
     monkeypatch.setattr(sweep, "route", counted)
     run_sweep(config, spec, out_dir=tmp_path)
-    assert len({rows for rows, *_ in sweep._stacks(
+    assert len(sweep._stacks(
         [sweep._parse_point(config, point, strict=True) for point in spec.points()]
-    ).values()}) == stacks
+    )) == stacks
     assert sorted(walks) == sorted(list(range(1, 9)) * (stacks + 1))
 
 
@@ -940,27 +950,37 @@ def test_a_group_larger_than_the_budget_splits_into_stacks_with_the_same_csv(
 
 
 def test_a_stack_keeps_no_solution_once_its_points_are_read(tmp_path, monkeypatch):
+    # two MAC settings: two stacks of three rates, the second solved once
+    # the first stack's points are read
     config = load_config(CONFIGS / "line5.yaml", ["topology.n_nodes=4", "lam=2.0"])
-    spec = SweepSpec(parameters=(("lam", (2.0, 10.0, 30.0)),), engine="analytic")
-    unread = []
+    spec = SweepSpec(parameters=(("mac.n", (0, 1)), ("lam", (2.0, 10.0, 30.0))),
+                     engine="analytic")
+    made, alive = [], []  # weak references to each solution, and the live ones per solve
 
-    def keyed(*args):
-        unread.append(len(sweep._solved))
-        return keyed_values(*args)
+    def counting(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in made))
+        solved = solve_network(*args, **kwargs)
+        made.extend(weakref.ref(solution) for solution in solved)
+        return solved
 
-    keyed_values = sweep._keyed
-    monkeypatch.setattr(sweep, "_keyed", keyed)
+    monkeypatch.setattr(sweep, "solve_network", counting)
     run_sweep(config, spec, out_dir=tmp_path)
-    assert unread == [2, 1, 0]
-    assert sweep._solved == {} and sweep._stack_of == {}
-    config["solver"] = {"max_iter": 1}
-    with pytest.raises(NumericsError, match="did not converge"):
+    assert alive == [0, 0] and len(made) == spec.n_points
+    assert all(ref() is None for ref in made)
+    assert not any(hasattr(sweep, name) for name in ("_solved", "_stack_of", "_prebuild_tables"))
+    # the second stack fails: the first one's solutions are gone all the same
+    made.clear()
+    alive.clear()
+    spec = SweepSpec(parameters=(("solver.max_iter", (10_000, 1)), ("lam", (2.0, 10.0, 30.0))),
+                     engine="analytic")
+    with pytest.raises(NumericsError, match="did not converge after 1 iterations"):
         run_sweep(config, spec, out_dir=tmp_path, strict=True)
-    assert sweep._solved == {} and sweep._stack_of == {}
+    assert alive == [0] * 5 and len(made) == 3  # the failing stack, then each point alone
+    assert all(ref() is None for ref in made)
 
 
-def test_a_pool_solves_each_point_alone_with_the_same_result(tmp_path, inline_pool, monkeypatch):
-    # which worker runs a point is not known in advance, so a pool does not stack
+def test_an_analytic_sweep_solves_one_stack_at_any_worker_count(
+        tmp_path, inline_pool, monkeypatch):
     config = load_config(CONFIGS / "line5.yaml", ["topology.n_nodes=4", "lam=2.0"])
     spec = SweepSpec(parameters=(("lam", (2.0, 10.0, 30.0)), ("fading.sigma", (0.0, 1.0))),
                      engine="analytic")
@@ -971,12 +991,54 @@ def test_a_pool_solves_each_point_alone_with_the_same_result(tmp_path, inline_po
         return solve_network(tables, next_hop, lam, *args, **kwargs)
 
     monkeypatch.setattr(sweep, "solve_network", counting)
-    stacked = run_sweep(config, spec, out_dir=tmp_path, out_name="stacked.csv")
+    serial = run_sweep(config, spec, out_dir=tmp_path, out_name="serial.csv")
     assert solves == [6]  # one stack over both sigmas' table sets
     solves.clear()
+    workers = run_sweep(config, spec, out_dir=tmp_path, out_name="workers.csv", workers=2)
+    assert solves == [6] and inline_pool["sizes"] == []
+    assert serial.read_bytes() == workers.read_bytes()
+
+
+def test_a_pooled_compare_sweep_solves_every_stack_in_the_parent(tmp_path, monkeypatch):
+    # the stack at solver.max_iter = 1 fails, and so does each of its points alone
+    config = tiny_config()
+    config["sim"]["replications"] = 2
+    spec = SweepSpec(parameters=(("solver.max_iter", (10_000, 1)), ("lam", (2.0, 10.0))),
+                     engine="compare")
+    solves, sims = tmp_path / "solves.log", tmp_path / "sims.log"
+
+    def logged(log, fn):
+        def call(*args, **kwargs):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(sweep, "solve_network", logged(solves, solve_network))
+    monkeypatch.setattr(sweep, "run_experiment", logged(sims, run_experiment))
     pooled = run_sweep(config, spec, out_dir=tmp_path, out_name="pooled.csv", workers=2)
-    assert inline_pool["sizes"] == [2] and solves == [1] * spec.n_points
-    assert stacked.read_bytes() == pooled.read_bytes()
+    parent = str(os.getpid())
+    assert solves.read_text().splitlines() == [parent] * 4  # a stack of 2, then 2 alone
+    simulated = sims.read_text().splitlines()
+    assert len(simulated) == spec.n_points and parent not in simulated
+    serial = run_sweep(config, spec, out_dir=tmp_path, out_name="serial.csv")
+    assert pooled.read_bytes() == serial.read_bytes()
+    rows = read_rows(pooled)
+    failed = [r for r in rows if r["solver.max_iter"] == "1"]
+    assert len(failed) == 18 and all(
+        r["analytic_value"] == "" and r["sim_mean"] != ""
+        and r["warnings"].startswith("analytic: fixed point did not converge after 1 iterations")
+        for r in failed)
+    assert all(r["analytic_value"] != "" for r in rows if r["solver.max_iter"] == "10000")
+
+    # strict: the first failing point's error, before any simulation, and no CSV
+    solves.unlink()
+    sims.unlink()
+    out = tmp_path / "strict"
+    with pytest.raises(NumericsError, match="did not converge after 1 iterations"):
+        run_sweep(config, spec, out_dir=out, workers=2, strict=True)
+    assert not sims.exists() and not list(out.iterdir())
+    assert solves.read_text().splitlines() == [parent] * 4
 
 
 # the star12 benchmark grid: 11 links whose tables start at depth 4, lists
@@ -992,12 +1054,12 @@ def test_a_point_started_too_shallow_is_solved_again_at_the_depth_its_bound_asks
     solves = []
 
     def counting(tables, next_hop, lam, *args, **kwargs):
-        solves.append((np.ndim(lam), tables[0].p_det.shape[-1]))
+        solves.append((len(lam), tables[0].p_det.shape[-1]))
         return solve_network(tables, next_hop, lam, *args, **kwargs)
 
     monkeypatch.setattr(sweep, "solve_network", counting)
     right = run_sweep(config, spec, out_dir=tmp_path, out_name="right.csv")
-    assert solves == [(2, 386)]  # one stack of the four points
+    assert solves == [(4, 386)]  # one stack of the four points
     start_depths = sweep.start_depths
     monkeypatch.setattr(sweep, "start_depths",
                         lambda points: [depth - 1 for depth in start_depths(points)])
@@ -1005,7 +1067,7 @@ def test_a_point_started_too_shallow_is_solved_again_at_the_depth_its_bound_asks
     grown = run_sweep(config, spec, out_dir=tmp_path, out_name="grown.csv")
     # at depth 3 the four points form one stack, and each bound, near 2e-7,
     # sends its point alone to depth 4
-    assert solves == [(2, 176)] + [(1, 386)] * 4
+    assert solves == [(4, 176)] + [(1, 386)] * 4
     assert grown.read_bytes() == right.read_bytes()
 
 
@@ -1031,7 +1093,7 @@ def test_points_of_a_stack_get_their_lone_solutions_at_each_depth():
         [sweep._parse_point(star7, point, strict=True)
          for point in SweepSpec(parameters=(("lam", (0.5, 2.0, 0.5)),)).points()],
     ]
-    assert {rows for rows, *_ in sweep._stacks(groups[0]).values()} == {(0, 1, 2, 3)}
+    assert [rows for rows, *_ in sweep._stacks(groups[0])] == [(0, 1, 2, 3)]
     for points, depths in zip(groups, ([4] * 4, [2, 6, 2])):
         stacked = sweep.solve_points(points)
         assert [solution.depth for solution in stacked] == depths
