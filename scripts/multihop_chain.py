@@ -25,15 +25,25 @@ sim: {{horizon_seconds: 200.0, replications: {reps}, master_seed: 1}}
 """))
 
 
+def solved(scenarios):
+    """The model's solution of each scenario, all from one solve_points
+    call; the first error met is raised."""
+    solutions = {}
+    for i, sol in solve_points(scenarios):
+        if isinstance(sol, Exception):
+            raise sol
+        solutions[i] = sol
+    return [solutions[i] for i in range(len(scenarios))]
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--reps", type=int, default=20)
     parser.add_argument("--sigmas", type=float, nargs="+", default=[0.0, 2.0])
     args = parser.parse_args()
 
-    for sigma in args.sigmas:
-        scenario = chain_scenario(sigma, args.reps)
-        [sol] = solve_points([scenario])
+    scenarios = [chain_scenario(sigma, args.reps) for sigma in args.sigmas]
+    for sigma, scenario, sol in zip(args.sigmas, scenarios, solved(scenarios)):
         result = run_experiment(compile_sim_network(scenario), scenario.sim)
         sim_link = dict(zip(result.transmitters, result.reliability_mean))
 

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import NumericsError, ValidationError
 from .macmodel import _list_rows
 from .multihop import NetworkSolution, end_to_end_reliability, route, solve_network
-from .scenarios import (RowPlan, Scenario, _mean_gains, _next_hops, assign,
+from .scenarios import (ROW_BUDGET, RowPlan, Scenario, _mean_gains, _next_hops, assign,
                         build_contention_tables, compile_sim_network, depths_at,
                         scenario_from_config, scenario_id, start_depths)
 from .simulator import pool_size, run_experiment
@@ -134,15 +134,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# Contention tables built in this process, newest last, and the row plans
-# (see scenarios.RowPlan) they were built from, one per geometry, depth and
-# gain rank pattern; and the row keys of each geometry (_row_keys, next to
-# the next hops and gains that scenarios caches).  run_sweep empties them
-# when it starts, so points of one sweep share them but separate sweeps do
-# not.  Only the sweep's own process builds tables: it solves every
-# analytic stack before any point runs, and pool workers only simulate.
-_table_cache: dict[tuple, np.recarray] = {}
-_plan_cache: dict[tuple, RowPlan] = {}
+# How many table sets of ROW_BUDGET rows one pass may hold (_TableCache)
 TABLE_CACHE_SIZE = 8
 
 # A stack holds at most STACK_ELEMENTS entries, P points x L links x
@@ -190,25 +182,35 @@ def _table_key(scenario) -> tuple:
     return (scenario.links, scenario.mean_gain_mw.tobytes(), scenario.channel, scenario.fading)
 
 
-def _contention_tables(scenario, depth: int) -> np.recarray:
-    """build_contention_tables at `depth`, reused by points whose tables cannot differ.
-
-    Points that differ in rates, MAC, timing or simulator settings share
-    one build at each depth.  Points whose gains rank alike (say, that
-    differ only in fading, thresholds or transmit power) share one row plan
-    at each depth, so their builds only refit.  The tables are read-only,
-    so they can be shared.
+class _TableCache:
+    """The contention tables that one solve_points call has built, oldest
+    first, and their row plans (scenarios.RowPlan), one per geometry, depth
+    and gain rank pattern.  Called with a point and a depth, it gives
+    build_contention_tables at that depth, reused by points whose tables
+    cannot differ: points that differ in rates, MAC, timing or simulator
+    settings share one build, and points whose gains rank alike (say, that
+    differ only in fading, thresholds or transmit power) one row plan, so
+    their builds only refit.  The tables are read-only, so they can be
+    shared.  It holds at most TABLE_CACHE_SIZE x ROW_BUDGET entries of
+    p_det, and no more plans than table sets; the oldest go first.
     """
-    key = (_table_key(scenario), depth)
-    tables = _table_cache.get(key)
-    if tables is None:
-        tables = build_contention_tables(scenario, _plan_cache, depth)
-        if len(_table_cache) >= TABLE_CACHE_SIZE:
-            del _table_cache[next(iter(_table_cache))]
-        _table_cache[key] = tables
-        if len(_plan_cache) > TABLE_CACHE_SIZE:  # a build adds at most one plan
-            del _plan_cache[next(iter(_plan_cache))]
-    return tables
+
+    def __init__(self) -> None:
+        self.sets: dict[tuple, np.recarray] = {}
+        self.plans: dict[tuple, RowPlan] = {}
+        self.entries = 0  # of p_det, over the sets held
+
+    def __call__(self, scenario, depth: int) -> np.recarray:
+        key = (_table_key(scenario), depth)
+        tables = self.sets.get(key)
+        if tables is None:
+            tables = self.sets[key] = build_contention_tables(scenario, self.plans, depth)
+            self.entries += tables.p_det.size
+            while self.entries > TABLE_CACHE_SIZE * ROW_BUDGET:
+                self.entries -= self.sets.pop(next(iter(self.sets))).p_det.size
+            while len(self.plans) > len(self.sets):
+                del self.plans[next(iter(self.plans))]
+        return tables
 
 
 def _parse_point(config: dict, assignments, strict: bool):
@@ -237,8 +239,9 @@ def _parse_point(config: dict, assignments, strict: bool):
 
 
 def _stacks(parsed) -> list[tuple]:
-    """(rows, scenarios, depth) of each stack the parsed points are solved
-    in; every parsed Scenario is in one.
+    """(rows, scenarios, depth) of each stack that solve_points solves the
+    parsed points in; every parsed Scenario is in one, and config errors
+    are in none.
 
     A stack holds points that share their routes (and so their links), MAC,
     timing, power profile, solver and start depth, in grid order, and at
@@ -271,57 +274,58 @@ def _stacks(parsed) -> list[tuple]:
     return stacks
 
 
-def solve_points(scenarios, depth: int | None = None) -> list[NetworkSolution]:
-    """The solved network of each of the points, which share their routes,
-    MAC, timing, power profile and solver: build, solve, check.
+def solve_points(points):
+    """(index, solution or error) of each Scenario among the parsed points,
+    one stack (see _stacks) at a time, as the caller reads them.
 
-    Each point's tables hold the subset lists of its start depth: `depth`
-    for all of them, as _stacks gives it, or by default each point's own
-    (scenarios.start_depths).  The points of one depth are solved as one
-    stacked solve_network.  A point whose truncation bound at its solution
-    exceeds solver.tol is built again at the depth that bound asks for
-    (scenarios.depths_at) and solved again alone, cold, until its bound
-    is within tol; so each point gets the solution it gets alone.
+    The points of a stack are solved as one stacked solve_network, on
+    tables that hold the subset lists of their start depth
+    (scenarios.start_depths); a point whose start depth is refused gives
+    its refusal.  A point whose truncation bound at its solution exceeds
+    solver.tol is built again at the depth that bound asks for and solved
+    again alone, cold, until its bound is within tol (_grown).  If a stack
+    fails, its points are solved alone, each only once the caller reads
+    it.  So each point gets the solution, or the error, that it gets
+    alone, and a caller that stops at an error pays for no further solve.
+    The call is one pass: its tables and row plans (_TableCache) are made
+    for it and dropped when it ends.
     """
-    first = scenarios[0]
-    depths = start_depths(scenarios) if depth is None else [depth] * len(scenarios)
-    solutions = [None] * len(scenarios)
-    for start in dict.fromkeys(depths):
-        at = [i for i, d in enumerate(depths) if d == start]
-        solved = solve_network([_contention_tables(scenarios[i], start) for i in at],
-                               first.hops, [scenarios[i].lam for i in at], first.mac,
+    tables = _TableCache()
+    for rows, scenarios, depth in _stacks(points):
+        yield from zip(rows, _stack_solutions(scenarios, depth, tables))
+
+
+def _stack_solutions(scenarios, depth: int | None, tables: _TableCache):
+    """The solutions of a stack's points at `depth` (None: a lone point at
+    its own start depth); or if the stack fails, an iterator that solves
+    each point alone as it is read, and for a lone point, its error."""
+    try:
+        first = scenarios[0]
+        if depth is None:
+            [depth] = start_depths(scenarios)
+        solved = solve_network([tables(scenario, depth) for scenario in scenarios], first.hops,
+                               [scenario.lam for scenario in scenarios], first.mac,
                                first.timing, profile=first.power, config=first.solver)
-        for i, solution in zip(at, solved):
-            solutions[i] = _grown(scenarios[i], solution)
-    return solutions
+        return [_grown(scenario, solution, tables)
+                for scenario, solution in zip(scenarios, solved)]
+    except (NumericsError, ValidationError) as exc:
+        if len(scenarios) == 1:
+            return [exc]
+        return (_stack_solutions([scenario], depth, tables)[0] for scenario in scenarios)
 
 
-def _grown(scenario, solution: NetworkSolution) -> NetworkSolution:
+def _grown(scenario, solution: NetworkSolution, tables: _TableCache) -> NetworkSolution:
     """The solution, or while its truncation bound exceeds solver.tol, the
     lone cold solve at the deeper depth its bound asks for."""
     while solution.truncation_bound > scenario.solver.tol:
         state = solution.state
         [depth] = depths_at((state.tau * (1.0 - state.alpha))[None], scenario.timing,
                             scenario.solver.tol)
-        tables = _contention_tables(scenario, max(depth, solution.depth + 1))
-        [solution] = solve_network([tables], scenario.hops, [scenario.lam], scenario.mac,
+        [solution] = solve_network([tables(scenario, max(depth, solution.depth + 1))],
+                                   scenario.hops, [scenario.lam], scenario.mac,
                                    scenario.timing, profile=scenario.power,
                                    config=scenario.solver)
     return solution
-
-
-def _solve_stack(scenarios, depth: int | None = None) -> list:
-    """solve_points of a stack's points, each solution or the error it ends in.
-
-    If the stack fails, each point is solved alone, so that each gets the
-    solution, or the error, that it gets in a sweep of its own.
-    """
-    try:
-        return solve_points(scenarios, depth)
-    except (NumericsError, ValidationError) as exc:
-        if len(scenarios) == 1:
-            return [exc]
-        return [solved for scenario in scenarios for solved in _solve_stack([scenario])]
 
 
 def _sim_work(scenario) -> float:
@@ -385,39 +389,36 @@ def _pooled(pairs, finite_only: bool = False) -> tuple[float, float]:
 
 
 def _point_task(args):
-    """Run the simulator on one parsed point, next to its analytic outcome:
-    ({engine: values}, warnings).
+    """Simulate one parsed point: its (values, warnings) from _simulate, or
+    None where the engine is analytic or the point has a config error.
 
-    args are (scenario, assignments, engine, sim_workers, strict, analytic);
-    analytic is the point's (values, warnings) that run_sweep solved, or
-    None where the engine is simulate or the point has a config error.  A
+    args are (scenario, assignments, engine, sim_workers, strict); the
+    analytic engine runs in the sweep's own process (see run_sweep).  A
     simulation that fails leaves no values, with its message in the
-    warnings, or with strict=True is raised.  A config error runs nothing.
+    warnings, or with strict=True is raised.
     """
-    scenario, _, engine, sim_workers, strict, analytic = args
-    outcomes = {} if analytic is None else {"analytic": analytic}
-    if engine != "analytic" and isinstance(scenario, Scenario):
-        try:
-            outcomes["simulate"] = _simulate(scenario, sim_workers)
-        except (NumericsError, ValidationError) as exc:
-            if strict:
-                raise
-            outcomes["simulate"] = ({}, [str(exc)])
-    results = {name: values for name, (values, _) in outcomes.items()}
-    warnings = [f"{name}: {note}" for name, (_, notes) in outcomes.items() for note in notes]
-    return results, warnings
+    scenario, _, engine, sim_workers, strict = args
+    if engine == "analytic" or not isinstance(scenario, Scenario):
+        return None
+    try:
+        return _simulate(scenario, sim_workers)
+    except (NumericsError, ValidationError) as exc:
+        if strict:
+            raise
+        return {}, [str(exc)]
 
 
-def _block(sweep_id: str, scenario, assignments, results: dict,
-           warnings: list[str]) -> list[list[str]]:
+def _block(sweep_id: str, scenario, assignments, analytic, simulated) -> list[list[str]]:
     """A point's CSV rows, each starting with the sweep's id: one error row
-    for a config error, else its block, with empty cells for an engine that
-    did not run."""
+    for a config error, else its block from each engine's (values,
+    warnings), with empty cells for an engine that did not run (None)."""
     prefix = [_fmt(value) for _, value in assignments]
     if not isinstance(scenario, Scenario):
         return [[sweep_id, *prefix, "", "", "error", "", "", "", "", scenario]]
-    analytic, sim = results.get("analytic", {}), results.get("simulate", {})
-    replications, notes = _fmt(scenario.sim.replications), "; ".join(warnings)
+    (analytic, a_notes), (sim, s_notes) = analytic or ({}, []), simulated or ({}, [])
+    notes = "; ".join([f"analytic: {note}" for note in a_notes]
+                      + [f"simulate: {note}" for note in s_notes])
+    replications = _fmt(scenario.sim.replications)
     rows = []
     for key in _row_keys(scenario.topology):
         src, dst, metric = key  # src and dst are node numbers, or "" on aggregate rows
@@ -470,16 +471,16 @@ def run_sweep(
     with out_name given), is a ValidationError before any point runs.
     Each point is parsed once, here: a config error becomes its error row,
     or with strict=True is raised.  Unless the engine is simulate, this
-    process then solves every analytic stack (_stacks) before any point
-    runs, and keeps each point's values and warnings, or its error; with
-    strict=True the first point that fails raises its error, before any
-    simulation.  _point_task then runs once per point, and simulates: in
-    this process, or, when more than one point is simulated and workers >
-    1, in a process pool of at most one worker per point and per CPU
-    (simulator.pool_size).  An analytic sweep never starts a pool.  Pooled
-    points are dispatched heaviest first (by _sim_work), so that no worker
-    is left alone with a long point at the end; the blocks are written in
-    grid order all the same.
+    process then solves the parsed points in one solve_points pass before
+    any point runs, and keeps each point's values and warnings, or its
+    error, once its stack is read; with strict=True the first point that
+    fails raises its error, before any simulation.  _point_task then runs
+    once per point and simulates: in this process, or, when more than one
+    point is simulated and workers > 1, in a process pool of at most one
+    worker per point and per CPU (simulator.pool_size).  An analytic sweep
+    never starts a pool.  Pooled points are dispatched heaviest first (by
+    _sim_work), so that no worker is left alone with a long point at the
+    end; each block is written in grid order from both engines' outcomes.
     """
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")
@@ -487,32 +488,30 @@ def run_sweep(
     sweep_id = scenario_id(config)  # no axis can set it (see SweepSpec)
     out_path = _csv_path(out_dir, out_name or f"{sweep_id}_sweep.csv")
 
-    _table_cache.clear()
-    _plan_cache.clear()
     for cached in (_row_keys, _next_hops, _mean_gains):
         cached.cache_clear()
     parsed = [_parse_point(config, assignments, strict) for assignments in points]
     analytic = {}
     if spec.engine != "simulate":
-        for rows, scenarios, depth in _stacks(parsed):
-            # the stack's solutions are dropped once read
-            analytic.update(zip(rows, [_analytic(scenario, solved, strict) for scenario, solved
-                                       in zip(scenarios, _solve_stack(scenarios, depth))]))
+        for row, solved in solve_points(parsed):
+            analytic[row] = _analytic(parsed[row], solved, strict)
+            del solved  # so that a stack's solutions are dropped once its points are read
     sim_workers = workers if len(points) == 1 else 1
-    tasks = [(scenario, assignments, spec.engine, sim_workers, strict, analytic.get(i))
-             for i, (scenario, assignments) in enumerate(zip(parsed, points))]
+    tasks = [(scenario, assignments, spec.engine, sim_workers, strict)
+             for scenario, assignments in zip(parsed, points)]
     if spec.engine != "analytic" and workers > 1 and len(points) > 1:
         order = sorted(range(len(tasks)), key=lambda i: _sim_work(parsed[i]), reverse=True)
         with ProcessPoolExecutor(max_workers=pool_size(workers, len(tasks))) as pool:
             by_row = dict(zip(order, pool.map(_point_task, [tasks[i] for i in order])))
-        done = [by_row[i] for i in range(len(tasks))]
+        simulated = [by_row[i] for i in range(len(tasks))]
     else:
-        done = list(map(_point_task, tasks))
+        simulated = list(map(_point_task, tasks))
 
     header = ["scenario_id", *spec.paths, *FIXED_COLUMNS]
     with open(out_path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
         for i, (scenario, assignments) in enumerate(zip(parsed, points)):
-            writer.writerows(_block(sweep_id, scenario, assignments, *done[i]))
+            writer.writerows(_block(sweep_id, scenario, assignments, analytic.get(i),
+                                    simulated[i]))
     return out_path

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import hashlib
 import itertools
 import math
 import os
@@ -498,10 +499,12 @@ def test_points_that_differ_only_in_rate_share_their_tables(tmp_path, monkeypatc
 
     monkeypatch.setattr(sweep, "build_contention_tables", counting)
     plans = count_plans(monkeypatch)
+    caches = watch_caches(monkeypatch)
     shared = run_sweep(config, spec, out_dir=tmp_path, out_name="shared.csv")
     assert sorted(builds) == [0.0, 1.0]
     assert len(plans) == 1
-    for tables in sweep._table_cache.values():
+    [cache] = caches  # one pass
+    for tables in cache.sets.values():
         assert not any(t.p_det.flags.writeable or t.p_out.flags.writeable for t in tables)
 
     # the same sweep with both caches emptied before every point
@@ -514,17 +517,32 @@ def test_points_that_differ_only_in_rate_share_their_tables(tmp_path, monkeypatc
 
 
 def build_every_point(monkeypatch) -> None:
-    """Solve every point of later sweeps alone, and empty the table and plan
-    caches before each point's tables are looked up."""
-    contention_tables = sweep._contention_tables
-
-    def uncached(scenario, depth):
-        sweep._table_cache.clear()
-        sweep._plan_cache.clear()
-        return contention_tables(scenario, depth)
-
-    monkeypatch.setattr(sweep, "_contention_tables", uncached)
+    """Solve every point of later sweeps alone, and leave no room for any
+    table set or plan in their caches, so that each lookup builds again."""
+    monkeypatch.setattr(sweep, "TABLE_CACHE_SIZE", 0)
     monkeypatch.setattr(sweep, "STACK_ELEMENTS", 1)
+
+
+def watch_caches(monkeypatch, lookup=None) -> list:
+    """Record each table cache that later sweeps make; with lookup, call
+    lookup(cache, key, tables, built) after each of its lookups."""
+    made = []
+
+    class Watched(sweep._TableCache):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+        def __call__(self, scenario, depth):
+            key = (sweep._table_key(scenario), depth)
+            built = key not in self.sets
+            tables = super().__call__(scenario, depth)
+            if lookup is not None:
+                lookup(self, key, tables, built)
+            return tables
+
+    monkeypatch.setattr(sweep, "_TableCache", Watched)
+    return made
 
 
 def count_plans(monkeypatch, log=None) -> list:
@@ -556,9 +574,11 @@ def test_fading_and_power_points_on_one_star_share_one_plan(tmp_path, monkeypatc
     ]
     spec = sweep_from_config(config)
     plans = count_plans(monkeypatch)
+    caches = watch_caches(monkeypatch)
     planned = run_sweep(config, spec, out_dir=tmp_path, out_name="planned.csv")
     assert plans == [os.getpid()]
-    assert len(sweep._table_cache) == 8 and len(sweep._plan_cache) == 1
+    [cache] = caches
+    assert len(cache.sets) == 8 and len(cache.plans) == 1
 
     # the same sweep, each point from scratch
     build_every_point(monkeypatch)
@@ -569,6 +589,7 @@ def test_fading_and_power_points_on_one_star_share_one_plan(tmp_path, monkeypatc
 
 
 def test_each_geometry_has_its_own_plan_and_the_cache_stays_bounded(tmp_path, monkeypatch):
+    # stars of 3 to 12 nodes at two sigmas: 20 table sets of 4 to 5 120 entries
     n_geometries = sweep.TABLE_CACHE_SIZE + 2
     config = tiny_config()
     config["sweep"]["engine"] = "analytic"
@@ -576,10 +597,37 @@ def test_each_geometry_has_its_own_plan_and_the_cache_stays_bounded(tmp_path, mo
         {"path": "topology.n_nodes", "values": list(range(3, 3 + n_geometries))},
         {"path": "fading.sigma", "values": [0.0, 1.0]},
     ]
+    spec = sweep_from_config(config)
+    built = {}  # the p_det entries of each set built, oldest first
+
+    def bounded(cache, key, tables, was_built):
+        if was_built:
+            built[key] = tables.p_det.size
+        limit = sweep.TABLE_CACHE_SIZE * sweep.ROW_BUDGET
+        held = [held_tables.p_det.size for held_tables in cache.sets.values()]
+        assert cache.entries == sum(held) <= limit
+        # the newest sets that fit in the limit, the oldest dropped first
+        newest = list(built)
+        while sum(built[k] for k in newest) > limit:
+            newest.pop(0)
+        assert list(cache.sets) == newest
+        assert len(cache.plans) <= len(cache.sets)
+
     plans = count_plans(monkeypatch)
-    run_sweep(config, sweep_from_config(config), out_dir=tmp_path)
-    assert len(plans) == n_geometries
-    assert len(sweep._plan_cache) == len(sweep._table_cache) == sweep.TABLE_CACHE_SIZE
+    caches = watch_caches(monkeypatch, bounded)
+    roomy = run_sweep(config, spec, out_dir=tmp_path, out_name="roomy.csv")
+    assert len(plans) == n_geometries and len(built) == 2 * n_geometries
+    assert len(caches[0].sets) == 2 * n_geometries  # all 20 sets, 23 990 entries, fit
+    assert max(built.values()) == 5120 and sum(built.values()) == 23_990
+
+    # a limit of 8 x 1 024 entries holds some of the sets: the oldest go first
+    monkeypatch.setattr(sweep, "ROW_BUDGET", 1024)
+    built.clear()
+    plans.clear()
+    tight = run_sweep(config, spec, out_dir=tmp_path, out_name="tight.csv")
+    assert len(plans) == n_geometries and len(built) == 2 * n_geometries
+    assert len(caches[1].sets) < 2 * n_geometries
+    assert tight.read_bytes() == roomy.read_bytes()
 
 
 def test_links_whose_gains_rank_differently_do_not_share_a_plan(tmp_path, monkeypatch):
@@ -603,20 +651,51 @@ def test_a_second_sweep_starts_with_an_empty_plan_cache(tmp_path, monkeypatch):
     config = tiny_config()
     config["sweep"]["engine"] = "analytic"
     spec = sweep_from_config(config)
-    run_sweep(config, spec, out_dir=tmp_path)
-    assert len(sweep._plan_cache) == 1
-    seen = []
-    parse_point = sweep._parse_point
+    seen = []  # the plans and table sets a cache holds at each of its lookups
 
-    def parse_and_look(*args):
-        seen.append(len(sweep._plan_cache))
-        return parse_point(*args)
+    def look(cache, key, tables, built):
+        seen.append((cache, len(cache.plans), len(cache.sets)))
 
-    monkeypatch.setattr(sweep, "_parse_point", parse_and_look)
+    caches = watch_caches(monkeypatch, look)
     plans = count_plans(monkeypatch)
     run_sweep(config, spec, out_dir=tmp_path)
-    assert seen == [0] * spec.n_points
-    assert len(plans) == 1
+    run_sweep(config, spec, out_dir=tmp_path)
+    first, second = caches
+    # each sweep's pass makes its own cache: it starts empty, and one plan serves it
+    assert seen == [(first, 1, 1), (first, 1, 1), (second, 1, 1), (second, 1, 1)]
+    assert len(plans) == 2
+
+
+# a design grid of MAC x PHY x fading points on the 7-link star at lam = 5:
+# 64 MAC settings, each one stack over the 10 table sets of b_db x sigma
+DESIGN_GRID = (("mac.m0", (2, 3, 4, 5)), ("mac.m", (2, 3, 4, 5)), ("mac.n", (0, 1, 2, 3)),
+               ("channel.b_db", (0.0, 4.0, 8.0, 12.0, 14.0)), ("fading.sigma", (0.0, 2.0)))
+
+
+def test_a_design_grid_builds_each_table_set_once(tmp_path, monkeypatch):
+    # every stack reads all 10 table sets: a cache of 8 sets, whatever their
+    # size, built one for each of the 640 points
+    config = load_config(CONFIGS / "star7.yaml", ["lam=5"])
+    spec = SweepSpec(parameters=DESIGN_GRID, engine="analytic")
+    builds, solves = [], []
+
+    def counting(scenario, plans=None, depth=None):
+        builds.append((scenario.channel.b_db, scenario.fading.sigma))
+        return build_contention_tables(scenario, plans, depth)
+
+    def solving(tables, next_hop, lam, *args, **kwargs):
+        solves.append(len(lam))
+        return solve_network(tables, next_hop, lam, *args, **kwargs)
+
+    monkeypatch.setattr(sweep, "build_contention_tables", counting)
+    monkeypatch.setattr(sweep, "solve_network", solving)
+    out = run_sweep(config, spec, out_dir=tmp_path)
+    assert spec.n_points == 640 and solves == [10] * 64
+    assert sorted(builds) == [(b, sigma) for b in (0.0, 4.0, 8.0, 12.0, 14.0)
+                              for sigma in (0.0, 2.0)]
+    # the CSV that the cache of 8 sets wrote, 15 361 lines
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "a8de569040b0f371ea7e3957da02552420baadd628136369c904b4cb99dda34a")
 
 
 def test_pooled_sweep_builds_each_table_set_once(tmp_path, monkeypatch):
@@ -826,6 +905,12 @@ def _same_solution(a, b) -> bool:
             and (a.depth, a.truncation_bound) == (b.depth, b.truncation_bound))
 
 
+def solved_in_order(points) -> list:
+    """solve_points' solution or error of each of the points, in their order."""
+    solved = dict(sweep.solve_points(points))
+    return [solved[i] for i in range(len(points))]
+
+
 def test_a_stack_over_table_sets_gives_each_point_its_lone_solution(monkeypatch):
     # long frames on the 8-hop line: every point has tables of its own (sigma,
     # kappa, the SINR threshold, the transmit power), two points clamp alpha,
@@ -849,18 +934,20 @@ def test_a_stack_over_table_sets_gives_each_point_its_lone_solution(monkeypatch)
         return solve_network(tables, next_hop, lam, *args, **kwargs)
 
     monkeypatch.setattr(sweep, "solve_network", counting)
-    alone = [solved for s in scenarios for solved in sweep._solve_stack([s])]
+    alone = [solved for s in scenarios for solved in solved_in_order([s])]
     assert [type(solved).__name__ for solved in alone] == ["NetworkSolution"] * 6 + [
         "ConvergenceError"]
     assert [bool(solved.warnings) for solved in alone[:-1]] == [False] * 4 + [True] * 2
     solves.clear()
-    converging = sweep._solve_stack(scenarios[:-1])
+    converging = solved_in_order(scenarios[:-1])
     assert solves == [6]  # one stacked solve, no point solved again alone
     assert all(map(_same_solution, converging, alone[:-1]))
     solves.clear()
-    failing = sweep._solve_stack(scenarios)
-    assert solves == [7] + [1] * 7  # the stack fails, so each point is solved alone
-    assert all(map(_same_solution, failing, alone))
+    failing = sweep.solve_points(scenarios)
+    assert solves == []  # nothing is solved before the first point is read
+    assert next(failing)[0] == 0 and solves == [7, 1]  # the stack fails: each point alone
+    assert all(map(_same_solution, [solved for _, solved in failing], alone[1:]))
+    assert solves == [7] + [1] * 7
 
 
 def test_rows_do_not_depend_on_the_axis_order_or_the_worker_count(tmp_path):
@@ -975,8 +1062,33 @@ def test_a_stack_keeps_no_solution_once_its_points_are_read(tmp_path, monkeypatc
                      engine="analytic")
     with pytest.raises(NumericsError, match="did not converge after 1 iterations"):
         run_sweep(config, spec, out_dir=tmp_path, strict=True)
-    assert alive == [0] * 5 and len(made) == 3  # the failing stack, then each point alone
+    assert alive == [0] * 3 and len(made) == 3  # the failing stack, then its first point alone
     assert all(ref() is None for ref in made)
+
+
+def test_a_strict_sweep_solves_no_point_alone_after_the_first_error(tmp_path, monkeypatch):
+    # long frames on the 8-hop line: at lam = 50 the fixed point meets the
+    # iteration cap, so the stack of the three rates fails, and so does its
+    # first point alone; the other two points are solved alone only when read
+    config = load_config(CONFIGS / "line5.yaml", ["topology.n_nodes=9", "lam=2.0",
+                                                   "timing.l_pkt=30", "solver.max_iter=240"])
+    spec = SweepSpec(parameters=(("lam", (50.0, 2.0, 10.0)),), engine="analytic")
+    solves = []
+
+    def counting(tables, next_hop, lam, *args, **kwargs):
+        solves.append(len(lam))
+        return solve_network(tables, next_hop, lam, *args, **kwargs)
+
+    monkeypatch.setattr(sweep, "solve_network", counting)
+    out = tmp_path / "strict"
+    with pytest.raises(NumericsError, match="did not converge after 240 iterations"):
+        run_sweep(config, spec, out_dir=out, strict=True)
+    assert solves == [3, 1] and not list(out.iterdir())
+    solves.clear()
+    rows = read_rows(run_sweep(config, spec, out_dir=tmp_path))
+    assert solves == [3, 1, 1, 1]
+    failed = {r["analytic_value"] == "" for r in rows if r["lam"] == "50"}
+    assert failed == {True} and all(r["analytic_value"] != "" for r in rows if r["lam"] != "50")
 
 
 def test_an_analytic_sweep_solves_one_stack_at_any_worker_count(
@@ -1038,7 +1150,7 @@ def test_a_pooled_compare_sweep_solves_every_stack_in_the_parent(tmp_path, monke
     with pytest.raises(NumericsError, match="did not converge after 1 iterations"):
         run_sweep(config, spec, out_dir=out, workers=2, strict=True)
     assert not sims.exists() and not list(out.iterdir())
-    assert solves.read_text().splitlines() == [parent] * 4
+    assert solves.read_text().splitlines() == [parent] * 3  # a stack of 2, 2, then 1 alone
 
 
 # the star12 benchmark grid: 11 links whose tables start at depth 4, lists
@@ -1095,7 +1207,7 @@ def test_points_of_a_stack_get_their_lone_solutions_at_each_depth():
     ]
     assert [rows for rows, *_ in sweep._stacks(groups[0])] == [(0, 1, 2, 3)]
     for points, depths in zip(groups, ([4] * 4, [2, 6, 2])):
-        stacked = sweep.solve_points(points)
+        stacked = solved_in_order(points)
         assert [solution.depth for solution in stacked] == depths
         assert all(solution.truncation_bound <= 1e-8 for solution in stacked)
-        assert all(map(_same_solution, stacked, [sweep.solve_points([p])[0] for p in points]))
+        assert all(map(_same_solution, stacked, [solved_in_order([p])[0] for p in points]))
