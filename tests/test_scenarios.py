@@ -1,6 +1,7 @@
 """Config parsing, topology construction, and compilation to both engines."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -385,6 +386,49 @@ def test_tables_fit_each_distinct_subset_sum_once(monkeypatch):
     assert sorted(fitted["detection_probability"]) == sorted(det)
     assert sorted(fitted["outage_probability"]) == sorted(out)
     assert len(det) < n_links * 2**k // 10 and len(out) == k + 1
+
+
+# sha256 of the p_det, p_out and p_fad bytes of whole table sets, recorded
+# before the channel fits took rows of terms.  The sets cover one detection
+# call joined over all links (the stars and the 9-node line) and one per link
+# (the trees and the 12-node line), kappa None, 0.7 (_gammainc), integer and
+# 1.5.  Depths are the sets' start depths at lam = 5 (start_depths), except
+# the 20-node star's 5, or the whole table (None).  A mismatch means the fit moved: fix the code, never
+# re-record.
+TABLE_FINGERPRINTS = {
+    "star12-s1": ("{kind: star, n_nodes: 12}", "{sigma: 1.0}", 4,
+                  "c97a867d1bb7021d1b34fabdb52290e19eb82960c28b324259d511ce7aa2b6cd"),
+    "star12-s2-k2": ("{kind: star, n_nodes: 12}", "{sigma: 2.0, kappa: 2}", 4,
+                     "8750a0d96c67961f7dee3a7129b891c7b3d44e913f950eeab3e93aae7475eb7a"),
+    "star12-k1.5-whole": ("{kind: star, n_nodes: 12}", "{sigma: 1.0, kappa: 1.5}", None,
+                          "94d3a103a4ee2cd3332f6aa52b1c0e098dd8f1e89711a876277d692352786b52"),
+    "star8-s0": ("{kind: star, n_nodes: 8}", "{sigma: 0.0}", None,
+                 "6d46320c5ed6cbafd66ab7b882bbdbe2ab4fc9a0ef828e9f086b888ee7fe1ec7"),
+    "line9": ("{kind: line, n_nodes: 9}", "{sigma: 2.0}", None,
+              "f17593966dda057b20909e9b728be3b4e1ded39c20d9bd530f27e28d5d1d50bd"),
+    "tree9-k3": ("{kind: tree, n_nodes: 9}", "{sigma: 1.5, kappa: 3}", None,
+                 "9a3668a3dd633b47f83785e83dbda094f7f954ffb7da8e244b83b0b29c27899b"),
+    "star20-depth5": ("{kind: star, n_nodes: 20}", "{sigma: 1.0}", 5,
+                      "c2ac723715ab49a6462026cd0c918cd6888e28fe795946ae9b6d47335ac067ff"),
+    "tree15": ("{kind: tree, n_nodes: 15}", "{sigma: 2.0}", 4,
+               "5f40926e3689c30c1976701422720029f13c3644de8d5e3f543c45d41fad5f5d"),
+    "line12-k2": ("{kind: line, n_nodes: 12}", "{sigma: 1.5, kappa: 2}", 10,
+                  "9a8d88039bee4c31ab578e61518aee9ae3db036646fd96e9b0bdbbd2cc939264"),
+    "tree13-ternary-k0.7": ("{kind: tree, n_nodes: 13, branching: 3}",
+                            "{sigma: 1.0, kappa: 0.7}", 4,
+                            "3f67a06ad9266a19b077bbe1e8b47ad4b8fdfa0d3bc673017524b078772ed8c2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_FINGERPRINTS))
+def test_tables_match_recorded_fingerprint(case):
+    topology, fading, depth, digest = TABLE_FINGERPRINTS[case]
+    s = scenario_of(f"topology: {topology}\nlam: 5.0\nfading: {fading}\n")
+    tables = build_contention_tables(s, depth=depth)
+    h = hashlib.sha256()
+    for field in ("p_det", "p_out", "p_fad"):
+        h.update(np.ascontiguousarray(tables[field]).tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_sim_network_matches_reference_construction():
