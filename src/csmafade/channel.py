@@ -16,17 +16,17 @@ such terms are approximated by a single lognormal, fitted in one of two ways:
   CDF over it (`lognormal_expectation`, a Gauss-Hermite ladder over the rows
   that have not yet converged).
 
-These two are the only entry points for the probabilities: each takes an
-array of mean powers, the scenario's FadingParams and a bool `members` matrix
-with one row per subset; a single sum is a one-row matrix.  Every term, the
-useful one included, has shadowing spread fading.sigma, and multipath exactly
-when fading.kappa is set.  Noise is deterministic.
+These two are the only entry points for the probabilities: each takes the
+scenario's FadingParams and `terms`, a (rows, places) matrix of mean powers
+with one row per subset sum and 0 for a place the row leaves empty; a single
+sum is a one-row matrix.  Outage takes each row's useful mean power as well.
+Every term, the useful one included, has shadowing spread fading.sigma, and
+multipath exactly when fading.kappa is set.  Noise is deterministic.
 
-Both batched fits first put the terms in one canonical order, ascending
-weight, and every per-row sum runs over the terms in that order.  A row's
-result therefore depends only on the multiset of weights it selects, bit for
-bit: the same sum listed in another order, or picked out of another table's
-columns, gives the same probability.  This is what lets
+Both fits sum each row's terms in ascending order of power (see _terms).  A
+row's result therefore depends only on the multiset of its powers, bit for
+bit: the same sum listed in another order, padded with other empty places,
+or fitted among other rows, gives the same probability.  This is what lets
 `scenarios.build_contention_tables` fit each distinct subset sum once.
 """
 
@@ -329,37 +329,35 @@ def _mgf_newton(target: np.ndarray, start: np.ndarray) -> np.ndarray:
     )
 
 
-def _canonical(weights: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The weights in ascending order (ties in their given order), with the columns
-    of the (rows, len(weights)) bool `members` matrix permuted to match."""
-    weights = np.asarray(weights, dtype=float)
-    members = np.asarray(members, dtype=bool)
-    if weights.ndim != 1 or members.ndim != 2 or members.shape[1] != len(weights):
-        raise ValidationError(
-            f"members shape {members.shape} does not select from {weights.shape} weights"
-        )
-    if not np.all(weights >= 0.0):
-        raise ValidationError(f"term weights {weights.tolist()} must be >= 0")
-    order = np.argsort(weights, kind="stable")
-    return weights[order], members[:, order]
+def _terms(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct positive powers of the (rows, places) `terms` matrix, ascending,
+    and each row's indices into them, ascending, len(powers) for an empty place."""
+    terms = np.asarray(terms, dtype=float)
+    if terms.ndim != 2:
+        raise ValidationError(f"terms of shape {terms.shape} are not a (rows, places) matrix")
+    if not np.all((terms >= 0.0) & (terms < math.inf)):
+        raise ValidationError(f"term powers {terms.tolist()} must be >= 0 and finite")
+    powers, index = np.unique(np.where(terms > 0.0, terms, math.inf), return_inverse=True)
+    if powers.size and powers[-1] == math.inf:  # the empty places' index is len(powers)
+        powers = powers[:-1]
+    return powers, np.sort(index.reshape(terms.shape), axis=1)
 
 
 def _sum_log_laplace(
-    weights: np.ndarray,
-    members: np.ndarray,
+    powers: np.ndarray,
+    index: np.ndarray,
     scale: np.ndarray,
     fading: FadingParams,
 ) -> np.ndarray:
-    """ln E[exp(-s S / scale)] at s = MGF_POINTS for each row's sum S of independent terms."""
+    """ln E[exp(-s S / scale)] at s = MGF_POINTS for each row's sum S of independent
+    terms, powers[index[row]] (see _terms)."""
     nodes, wgt = _mgf_rule()
     shadow = np.exp(fading.sigma * nodes)
     kappa = fading.kappa
-    total = np.zeros((len(members), len(MGF_POINTS)))
-    for n, weight in enumerate(weights):
-        sel = members[:, n]
-        if weight == 0.0 or not sel.any():
-            continue
-        x = (MGF_POINTS * (weight / scale[sel])[:, None])[..., None] * shadow
+    total = np.zeros((len(index), len(MGF_POINTS)))
+    for place in index.T:
+        sel = place < len(powers)
+        x = (MGF_POINTS * (powers[place[sel]] / scale[sel])[:, None])[..., None] * shadow
         if fading.multipath:
             g = np.exp(-kappa * np.log1p(x / kappa))
         else:
@@ -368,16 +366,14 @@ def _sum_log_laplace(
     return total
 
 
-def mgf_fit(
-    weights: np.ndarray, members: np.ndarray, fading: FadingParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lognormal (eta, sigma) fitted to the power sum of every subset of terms.
+def mgf_fit(terms: np.ndarray, fading: FadingParams) -> tuple[np.ndarray, np.ndarray]:
+    """Lognormal (eta, sigma) fitted to the power sum S of each row of terms.
 
-    members is a (rows, len(weights)) bool matrix whose row r selects the
-    independent terms summed in subset r.  The fit exp(Z), Z ~ N(eta,
-    sigma^2), has the sum's exact Laplace transform E[exp(-s S)] at
-    s = MGF_POINTS / E[S] (MGF matching: Mehta, Wu, Molisch, Zhang, IEEE
-    Trans. Wireless Commun. 2007).  Both transforms are MGF_NODES-point
+    Row r of the (rows, places) `terms` matrix holds the mean powers of the
+    independent terms summed in subset r, 0 for an empty place.  The fit
+    exp(Z), Z ~ N(eta, sigma^2), has the sum's exact Laplace transform
+    E[exp(-s S)] at s = MGF_POINTS / E[S] (MGF matching: Mehta, Wu, Molisch,
+    Zhang, IEEE Trans. Wireless Commun. 2007).  Both transforms are MGF_NODES-point
     Gauss-Hermite sums; with multipath a term enters through its closed-form
     Gamma transform E[(1 + s w e^y / kappa)^-kappa].  Rows are solved together,
     MGF_BLOCK at a time, by _mgf_newton started from the moment-matched fit.
@@ -385,35 +381,34 @@ def mgf_fit(
     Rows that need no fitting keep closed forms: one term without multipath
     gets its own (ln w, sigma); a sum whose moment-matched log-variance is
     below MGF_VAR_FLOOR (a point mass to working precision, e.g. sigma 0 and
-    no multipath) keeps the moment-matched fit; a row with no positive-weight
-    term gets eta = -inf, sigma = 0.
+    no multipath) keeps the moment-matched fit; a row with no positive term
+    gets eta = -inf, sigma = 0.
 
-    The moments and the transform target are summed over the terms in
-    canonical order (see _canonical), so a row's fit depends only on the
-    multiset of weights it selects, not on their order or on other columns.
+    The moments and the transform target are summed over each row's terms
+    in ascending order (see _terms), so a row's fit depends only on the
+    multiset of its powers, not on their order or on other rows.
     """
-    weights, members = _canonical(weights, members)
+    powers, index = _terms(terms)
     e_half, _, e_two = _shadowing_moments(fading)
     f2 = _second_moment_factor(fading)
-    rows = len(members)
+    # per distinct power, then 0 for an empty place; ** and log as scalars, whose
+    # last bit the array versions do not always match
+    mean = np.append(powers * e_half, 0.0)
+    spread = np.array([w**2 * f2 * e_two - (w * e_half) ** 2 for w in powers] + [0.0])
+    rows = len(index)
     m1 = np.zeros(rows)
     excess = np.zeros(rows)  # M2 - M1^2, the variance of the sum
-    count = np.zeros(rows, dtype=int)
+    for place in index.T:
+        m1 += mean[place]
+        excess += spread[place]
+    count = np.sum(index < len(powers), axis=1)
+
     eta = np.full(rows, -math.inf)
     sigma = np.zeros(rows)
-    for n, weight in enumerate(weights):
-        if weight == 0.0:
-            continue
-        sel = members[:, n]
-        mean = weight * e_half
-        m1[sel] += mean
-        excess[sel] += weight**2 * f2 * e_two - mean**2
-        count[sel] += 1
-        if not fading.multipath:  # the exact parameters, kept where this is the row's only term
-            eta[sel] = math.log(weight)
-            sigma[sel] = fading.sigma
-
-    exact = (count == 1) & (not fading.multipath)
+    exact = (count == 1) & (not fading.multipath)  # the term's own parameters
+    if exact.any():
+        eta[exact] = np.array([math.log(w) for w in powers])[index[exact, 0]]
+    sigma[exact] = fading.sigma
     summed = count > 0
     with np.errstate(divide="ignore", invalid="ignore"):
         var = np.log1p(excess / m1**2)
@@ -425,7 +420,7 @@ def mgf_fit(
     for lo in range(0, len(fit), MGF_BLOCK):
         block = fit[lo : lo + MGF_BLOCK]
         scale = m1[block]
-        target = _sum_log_laplace(weights, members[block], scale, fading)
+        target = _sum_log_laplace(powers, index[block], scale, fading)
         start = np.stack([-0.5 * var[block], 0.5 * np.log(var[block])], axis=1)
         solved = _mgf_newton(target, start)
         eta[block] = solved[:, 0] + np.log(scale)
@@ -434,19 +429,18 @@ def mgf_fit(
 
 
 def detection_probability(
-    weights: np.ndarray,
-    members: np.ndarray,
+    terms: np.ndarray,
     threshold_mw: float,
     fading: FadingParams = FadingParams(),
 ) -> np.ndarray:
-    """P[power sum exceeds threshold_mw] for every subset (row) of `members`.
+    """P[power sum exceeds threshold_mw] for every row of `terms` (see mgf_fit).
 
-    Independent terms only; each subset's sum is fitted by mgf_fit.  An
-    empty subset never exceeds the (positive) threshold.
+    Independent terms only; each row's sum is fitted by mgf_fit.  An empty
+    row never exceeds the (positive) threshold.
     """
     if threshold_mw <= 0.0:
         raise ValidationError(f"threshold {threshold_mw} must be positive")
-    eta, sigma = mgf_fit(weights, members, fading)
+    eta, sigma = mgf_fit(terms, fading)
     return _lognormal_tails(eta, sigma, math.log(threshold_mw))
 
 
@@ -547,17 +541,17 @@ def _gammaincc_fraction(a: float, x: np.ndarray) -> np.ndarray:
 
 
 def mma_fit(
-    useful: float,
-    weights: np.ndarray,
-    members: np.ndarray,
+    useful: np.ndarray,
+    terms: np.ndarray,
     noise_mw: float,
     fading: FadingParams,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lognormal (eta, sigma) fitted to the useful-normalized denominator of every subset.
+    """Lognormal (eta, sigma) fitted to the useful-normalized denominator of every row.
 
-    members is a (rows, len(weights)) bool matrix whose row r selects the
-    interferers transmitting in subset r; the denominator is those plus
-    noise.  Normalized by the useful link's mean power and shadowing, it is
+    Row r of the (rows, places) `terms` matrix holds the mean powers of the
+    interferers transmitting in subset r, 0 for an empty place, and useful[r]
+    the mean power w_u of its useful link; the denominator is those
+    interferers plus noise.  Normalized by the useful power and shadowing, it is
     sum_n (w_n / w_u) f_n e^{y_n - y_u} + (N0 / w_u) e^{-y_u}.  The shared
     -y_u makes its terms correlated, but with the term means
     g_n = (w_n / w_u) e^{sigma^2} and g_0 = (N0 / w_u) e^{sigma^2/2}
@@ -571,26 +565,32 @@ def mma_fit(
     matched lognormal exp(Z) has var Z = ln(M2 / M1^2) and
     E Z = ln M1 - var Z / 2.
 
-    Member sums run column by column in canonical order (see _canonical), so
-    a row's fit depends only on the multiset of interferers it selects: not
-    on the other rows, on columns it does not select, or on the order the
-    weights are listed in.
+    Each row's sums run over its terms in ascending order (see _terms), so
+    its fit depends only on its useful power and the multiset of its
+    interferers: not on the other rows, on empty places, or on the order
+    the terms are listed in.
     """
-    weights, members = _canonical(weights, members)
+    powers, index = _terms(terms)
+    useful = np.asarray(useful, dtype=float)
+    if useful.shape != (len(index),) or not np.all((useful > 0.0) & (useful < math.inf)):
+        raise ValidationError(
+            f"useful mean powers {useful.tolist()} must be finite and positive, one per row"
+        )
     e_half, e_one, e_two = _shadowing_moments(fading)
     spread = _second_moment_factor(fading) * e_two - e_one
-    m1 = np.zeros(len(members))
-    excess = np.zeros(len(members))  # M2 - e^{sigma^2} M1^2
-    for n, weight in enumerate(weights):
-        sel = members[:, n]
-        g = weight / useful * e_one
+    m1 = np.zeros(len(index))
+    excess = np.zeros(len(index))  # M2 - e^{sigma^2} M1^2
+    for place in index.T:
+        sel = place < len(powers)
+        g = powers[place[sel]] / useful[sel] * e_one
         m1[sel] += g
         excess[sel] += g * g * spread
     m1 += noise_mw / useful * e_half
     with np.errstate(all="ignore"):
         var = fading.sigma**2 + np.log1p(excess / (e_one * m1 * m1))
     if not np.all(np.isfinite(var)):
-        raise NumericsError(f"outage moment matching overflowed (useful weight {useful!r})")
+        bad = useful[~np.isfinite(var)][0]
+        raise NumericsError(f"outage moment matching overflowed (useful power {bad!r})")
     return np.log(m1) - 0.5 * var, np.sqrt(var)
 
 
@@ -642,27 +642,24 @@ def lognormal_expectation(
 
 
 def outage_probability(
-    useful: float,
-    weights: np.ndarray,
-    members: np.ndarray,
+    useful: np.ndarray,
+    terms: np.ndarray,
     noise_mw: float,
     sinr_threshold: float,
     fading: FadingParams,
 ) -> np.ndarray:
-    """P[SINR < sinr_threshold] of the useful link for every subset (row) of `members`.
+    """P[SINR < sinr_threshold] of the useful link of every row of `terms` (see mma_fit).
 
     The denominator over the useful power, interferers plus noise, is fitted
     by mma_fit as exp(Z).  Without multipath the outage is its tail above
     1 / b; with it, the outage is E[F(b exp(Z))] for the unit-mean Gamma CDF
     F, by lognormal_expectation.
     """
-    if useful <= 0.0:
-        raise ValidationError(f"useful mean power {useful!r} must be positive")
     if noise_mw <= 0.0:
         raise ValidationError(f"noise power {noise_mw!r} must be positive")
     if sinr_threshold <= 0.0:
         raise ValidationError(f"SINR threshold {sinr_threshold} must be positive")
-    eta, sigma = mma_fit(useful, weights, members, noise_mw, fading)
+    eta, sigma = mma_fit(useful, terms, noise_mw, fading)
     if fading.multipath:
         kappa = fading.kappa
 

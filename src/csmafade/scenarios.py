@@ -48,14 +48,6 @@ from .units import db_to_neper
 # The most rows, links x subset-list rows, of one table set: the whole
 # tables of 15 links, 14 contenders each.  Checked before any channel call.
 ROW_BUDGET = 15 * 2**14
-# The most entries of the members matrix of one detection fit call that
-# joins several links' rows (see DistinctRows.fit_joined).  Each of its
-# columns is one pass over all its rows, so a join saves call overhead only
-# while it is small.  Measured on table builds (sigma 2 dB, best of 5 to 7
-# runs, 2-vCPU Xeon), joined over per-link time: a 9-node line (5 656
-# entries) 0.84, a 7-node layout of random distances (5 160) 0.97, but an
-# 8-node one (17 682) 1.54 and a 9-node one (55 384) 1.51.
-FIT_BATCH = 2**13
 # Every scenario derives distances and mean gains of all node pairs when it
 # is built; the node count is checked before that O(n^2) work starts.
 MAX_NODES = 1024
@@ -287,9 +279,8 @@ def build_contention_tables(scenario: Scenario, plans: dict | None = None,
     keyed by its sorted gains, an outage row by its useful gain and sorted
     interferer gains -- on the link where the row first occurs, and copied
     to its repeats.  The detection rows of all links are fitted in one
-    `channel.detection_probability` call while they are few (FIT_BATCH),
-    else in one call per link; the outage rows in one
-    `channel.outage_probability` call per link.
+    `channel.detection_probability` call, and the outage rows in one
+    `channel.outage_probability` call.
 
     Which rows those are (the RowPlan) depends on the links, the depth and
     which gains are equal, not on their values, the fading or the
@@ -322,17 +313,16 @@ def build_contention_tables(scenario: Scenario, plans: dict | None = None,
     key = (links, depth, rank.tobytes())
     plan = plans.get(key) or _row_plan(rank, senders, rx, depth)
 
-    p_det = plan.det.fit_joined(
-        lambda terms, members: channel.detection_probability(
-            terms, members, chan.cca_threshold_mw, fading
-        ),
+    p_det = plan.det.fit(
+        lambda l, terms: channel.detection_probability(terms, chan.cca_threshold_mw, fading),
         det_gain,
     ).reshape(n_links, rows)
     p_out = np.ones((n_links, rows))
     p_out[plan.free] = plan.out.fit(
-        lambda l, members: channel.outage_probability(
-            useful[l], out_gain[l], members, chan.noise_mw, chan.sinr_threshold, fading
+        lambda l, terms: channel.outage_probability(
+            useful[l], terms, chan.noise_mw, chan.sinr_threshold, fading
         ),
+        out_gain,
     )
     p_fad = p_out[:, 0].copy()  # the empty subset: noise-only outage
     p_out[:, 0] = 0.0
@@ -376,37 +366,23 @@ def depths_at(eff: np.ndarray, timing: TimingParams, tol: float) -> list[int]:
 
 @dataclass(frozen=True)
 class DistinctRows:
-    """The fits that give a table's selected rows, and where each row's value lands.
+    """The distinct rows of a table's selected rows, and where each row's value lands.
 
-    fits holds (link, members) per fit call, links ascending: members are
-    the subset bit rows whose key first occurs on that link.  group gives,
-    for each selected row in C order, its position among the fits' values
-    laid end to end.
+    Distinct row d is fitted on link links[d], over the contenders
+    members[d] (a _members row, k marking an empty place).  group gives,
+    for each selected row in C order, its distinct row.
     """
 
-    fits: tuple[tuple[int, np.ndarray], ...]
+    links: np.ndarray
+    members: np.ndarray
     group: np.ndarray
 
-    def fit(self, probability) -> np.ndarray:
-        """The selected rows' values: probability(link, members) once per entry of fits."""
-        return np.concatenate([probability(l, members) for l, members in self.fits])[self.group]
-
-    def fit_joined(self, probability, terms: np.ndarray) -> np.ndarray:
-        """fit's values where link l's members select from terms[l], from one
-        probability(terms, members) call for all links while their joined
-        members matrix has at most FIT_BATCH entries, else one per link.
-
-        The joined call lays the links' terms end to end, and each row
-        selects its own link's only.
-        """
-        links = [l for l, _ in self.fits]
-        blocks = [members for _, members in self.fits]
-        rows = sum(map(len, blocks))
-        if len(blocks) > 1 and rows * terms[links].size <= FIT_BATCH:
-            own = np.repeat(np.eye(len(blocks), dtype=bool), list(map(len, blocks)), axis=0)
-            joined = own[:, :, None] & np.concatenate(blocks)[:, None, :]
-            return probability(terms[links].ravel(), joined.reshape(rows, -1))[self.group]
-        return self.fit(lambda l, members: probability(terms[l], members))
+    def fit(self, probability, gains: np.ndarray) -> np.ndarray:
+        """The selected rows' values from one probability(links, terms) call, where
+        terms holds each distinct row's gains, gains[link] of its members, 0 for
+        an empty place."""
+        terms = np.pad(gains, ((0, 0), (0, 1)))[self.links[:, None], self.members]
+        return probability(self.links, terms)[self.group]
 
 
 @dataclass(frozen=True)
@@ -431,7 +407,6 @@ def _row_plan(rank: np.ndarray, senders: np.ndarray, rx: np.ndarray, depth: int)
     list.
     """
     n_links, k = senders.shape
-    bits, _ = _subsets(k, depth)
     members = _members(k, depth)
     # column k of each (L, k + 1) array is the empty place
     det_rank, out_rank = (np.pad(rank[:, part], ((0, 0), (0, 1)))
@@ -439,7 +414,7 @@ def _row_plan(rank: np.ndarray, senders: np.ndarray, rx: np.ndarray, depth: int)
     det_keys = np.sort(det_rank[:, members], axis=-1)
     out_keys = np.concatenate(
         [
-            np.broadcast_to(rank[:, 2 * k :, None], (n_links, len(bits), 1)),
+            np.broadcast_to(rank[:, 2 * k :, None], (n_links, len(members), 1)),
             np.sort(out_rank[:, members], axis=-1),
         ],
         axis=-1,
@@ -447,8 +422,8 @@ def _row_plan(rank: np.ndarray, senders: np.ndarray, rx: np.ndarray, depth: int)
     receiver_sends = np.pad(senders == rx[:, None], ((0, 0), (0, 1)))
     free = ~receiver_sends[:, members].any(axis=-1)
     return RowPlan(
-        det=_distinct(det_keys, np.ones((n_links, len(bits)), dtype=bool), bits),
-        out=_distinct(out_keys, free, bits),
+        det=_distinct(det_keys, np.ones((n_links, len(members)), dtype=bool), members),
+        out=_distinct(out_keys, free, members),
         free=free,
     )
 
@@ -465,17 +440,15 @@ def _members(k: int, depth: int) -> np.ndarray:
     return members
 
 
-def _distinct(keys: np.ndarray, rows: np.ndarray, bits: np.ndarray) -> DistinctRows:
+def _distinct(keys: np.ndarray, rows: np.ndarray, members: np.ndarray) -> DistinctRows:
     """DistinctRows of the rows selected by the (links, list rows) mask
-    `rows`, keyed by keys, (links, list rows, width); bits are the list's
-    member rows.  Each distinct key is fitted on the link holding its first
+    `rows`, keyed by keys, (links, list rows, width); members are the list's
+    _members rows.  Each distinct key is fitted on the link holding its first
     occurrence."""
     at = np.flatnonzero(rows)
     first, group = _distinct_rows(keys.reshape(rows.size, keys.shape[-1])[at])
     link, row = np.divmod(at[first], rows.shape[1])
-    by_link = np.argsort(link, kind="stable")  # the fits' order of the distinct rows
-    fits = tuple((int(l), bits[row[link == l]]) for l in np.unique(link))
-    return DistinctRows(fits, np.argsort(by_link)[group])
+    return DistinctRows(link, members[row], group)
 
 
 def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

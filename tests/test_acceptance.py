@@ -36,7 +36,7 @@ from csmafade.simulator import run_experiment, run_replication
 from csmafade.sweep import run_sweep, sweep_from_config
 
 import oracles
-from topo_helpers import contention_h, one_row
+from topo_helpers import contention_h
 
 HORIZON = 200.0
 REPS = 20
@@ -252,7 +252,7 @@ def _check_mma_grid():
         for tail in (0.01, 0.05, 0.1, 0.5, 0.9):
             thr = float(np.quantile(total, 1.0 - tail))
             mc = float(np.mean(total > thr))
-            got = detection_probability(weights, one_row(count), thr, FadingParams(sigma=sigma))
+            got = detection_probability([weights], thr, FadingParams(sigma=sigma))
             err = abs(got[0] - mc)
             if tail <= 0.1:
                 if err > worst_tail:
@@ -275,7 +275,7 @@ def _check_rayleigh_closed_form():
     for r in (1.0, 3.0):
         pbar = mean_rx_power(0.0, r, chan)
         got = outage_probability(
-            pbar, [], one_row(0), chan.noise_mw, chan.sinr_threshold,
+            [pbar], [[]], chan.noise_mw, chan.sinr_threshold,
             FadingParams(sigma=0.0, kappa=1.0),
         )[0]
         want = 1.0 - math.exp(-chan.sinr_threshold * chan.noise_mw / pbar)
@@ -343,7 +343,7 @@ def _check_quadrature_refinement():
         v32 = oracles.scalar_gh_expectation(integrand, approx.eta, approx.sigma, nodes=32)
         v64 = oracles.scalar_gh_expectation(integrand, approx.eta, approx.sigma, nodes=64)
         production = outage_probability(
-            pbar, [], one_row(0), chan.noise_mw, b, FadingParams(sigma=sigma, kappa=float(kappa))
+            [pbar], [[]], chan.noise_mw, b, FadingParams(sigma=sigma, kappa=float(kappa))
         )[0]
         worst = max(worst, abs(v32 - v64), abs(production - v64))
     assert worst <= 1e-6, worst

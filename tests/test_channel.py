@@ -15,7 +15,6 @@ from scipy.special import gammainc, roots_hermite
 
 import oracles
 from oracles import ScalarLognormal, Term, gaussian_tail, linear_to_db, scalar_moment_fit
-from topo_helpers import one_row
 from csmafade.channel import (
     ChannelParams,
     KAPPA_MAX,
@@ -218,18 +217,18 @@ def test_fading_params_validation():
 
 def test_detection_threshold_below_support():
     fading = FadingParams(sigma=0.7)
-    assert detection_probability([1.0], one_row(1), 1e-300, fading)[0] == pytest.approx(1.0)
-    assert detection_probability([1.0], one_row(1), 1e-300)[0] == pytest.approx(1.0)
+    assert detection_probability([[1.0]], 1e-300, fading)[0] == pytest.approx(1.0)
+    assert detection_probability([[1.0]], 1e-300)[0] == pytest.approx(1.0)
 
 
 def test_detection_at_median():
     fit = scalar_moment_fit([Term(3.0, 1.1)])
-    p = detection_probability([3.0], one_row(1), math.exp(fit.eta), FadingParams(sigma=1.1))[0]
+    p = detection_probability([[3.0]], math.exp(fit.eta), FadingParams(sigma=1.1))[0]
     assert p == pytest.approx(0.5)
 
 
 def test_detection_no_transmitters():
-    assert detection_probability([], one_row(0), dbm_to_mw(-76.0))[0] == 0.0
+    assert detection_probability([[]], dbm_to_mw(-76.0))[0] == 0.0
 
 
 def test_detection_star_three_terms_vs_monte_carlo():
@@ -238,7 +237,7 @@ def test_detection_star_three_terms_vs_monte_carlo():
     dists = [2.0 * math.sin(math.pi * d / 7.0) for d in (1, 2, 3)]
     weights = [mean_rx_power(0.0, d, chan) for d in dists]
     a_mw = dbm_to_mw(-76.0)
-    model = detection_probability(weights, one_row(3), a_mw, FadingParams(sigma=2.0))[0]
+    model = detection_probability([weights], a_mw, FadingParams(sigma=2.0))[0]
     mc = oracles.mc_tail_probability(
         weights, [2.0] * 3, [False] * 3, None, a_mw, n_samples=10**7, seed=12
     )
@@ -258,20 +257,20 @@ def test_detection_multipath_sum_vs_monte_carlo(kappa):
         mc = oracles.mc_tail_probability(
             weights, sigmas, multipath, kappa, thr, n_samples=2 * 10**6, seed=32
         )
-        model = detection_probability(weights, one_row(8), thr, fading)[0]
+        model = detection_probability([weights], thr, fading)[0]
         assert abs(model - mc) <= 0.015, (tail, mc)
 
 
 def test_detection_refuses_an_unconverged_mgf_fit(monkeypatch):
     monkeypatch.setattr(channel, "MGF_MAX_ITER", 1)
     with pytest.raises(NumericsError, match="MGF matching did not converge"):
-        detection_probability([1.0, 0.5], one_row(2), 1.0, FadingParams(sigma=1.0))
+        detection_probability([[1.0, 0.5]], 1.0, FadingParams(sigma=1.0))
 
 
 def test_detection_monotone_in_threshold():
     for fading in (FadingParams(sigma=1.0), FadingParams(sigma=2.0)):
         probs = [
-            detection_probability([1.0, 0.5], one_row(2), t, fading)[0]
+            detection_probability([[1.0, 0.5]], t, fading)[0]
             for t in np.logspace(-4, 2, 25)
         ]
         assert all(a >= b - 1e-15 for a, b in zip(probs, probs[1:]))
@@ -286,7 +285,7 @@ def test_outage_rayleigh_closed_form():
     pbar = mean_rx_power(0.0, 1.0, chan)
     b = chan.sinr_threshold
     p = outage_probability(
-        pbar, [], one_row(0), chan.noise_mw, b, FadingParams(sigma=0.0, kappa=1.0)
+        [pbar], [[]], chan.noise_mw, b, FadingParams(sigma=0.0, kappa=1.0)
     )[0]
     assert p == pytest.approx(1.0 - math.exp(-b * chan.noise_mw / pbar), abs=1e-10)
 
@@ -296,10 +295,10 @@ def test_outage_large_kappa_approaches_no_multipath():
     pbar = mean_rx_power(0.0, 1.0, chan)
     b = chan.sinr_threshold
     with_mp = outage_probability(
-        pbar, [], one_row(0), chan.noise_mw, b, FadingParams(sigma=2.0, kappa=64.0)
+        [pbar], [[]], chan.noise_mw, b, FadingParams(sigma=2.0, kappa=64.0)
     )[0]
     without = outage_probability(
-        pbar, [], one_row(0), chan.noise_mw, b, FadingParams(sigma=2.0)
+        [pbar], [[]], chan.noise_mw, b, FadingParams(sigma=2.0)
     )[0]
     assert abs(with_mp - without) < 5e-3
 
@@ -314,7 +313,7 @@ def test_outage_kappa2_one_interferer_vs_monte_carlo():
     # the interferer carries the composite fading too: the moment-matched
     # lognormal smooths its Gamma factor and carries a known body-region error
     # (~0.018 measured here), inherent to the approximation rather than a bug.
-    model = outage_probability(pbar, [pbar], one_row(1), n0, b, fading)[0]
+    model = outage_probability([pbar], [[pbar]], n0, b, fading)[0]
     mc = oracles.mc_sinr_outage(
         pbar, 1.0, True, [pbar], [1.0], [True], n0, b, 2.0, n_samples=10**7, seed=13
     )
@@ -324,9 +323,9 @@ def test_outage_kappa2_one_interferer_vs_monte_carlo():
 def test_outage_sigma0_is_exact_step():
     n0 = 1e-9
     # SNR comfortably above threshold: no outage
-    assert outage_probability(1.0, [], one_row(0), n0, 4.0, FadingParams())[0] == 0.0
+    assert outage_probability([1.0], [[]], n0, 4.0, FadingParams())[0] == 0.0
     # mean power below threshold*noise: certain outage
-    assert outage_probability(1e-10, [], one_row(0), n0, 4.0, FadingParams())[0] == 1.0
+    assert outage_probability([1e-10], [[]], n0, 4.0, FadingParams())[0] == 1.0
 
 
 def test_outage_monotone_in_threshold_and_interference():
@@ -335,12 +334,12 @@ def test_outage_monotone_in_threshold_and_interference():
     n0 = chan.noise_mw
     for fading in (FadingParams(sigma=1.0), FadingParams(sigma=1.0, kappa=2.0)):
         by_b = [
-            outage_probability(pbar, [0.3 * pbar], one_row(1), n0, b, fading)[0]
+            outage_probability([pbar], [[0.3 * pbar]], n0, b, fading)[0]
             for b in np.logspace(-1.5, 1.5, 9)
         ]
         assert all(x <= y + 1e-12 for x, y in zip(by_b, by_b[1:]))
         by_w = [
-            outage_probability(pbar, [w * pbar], one_row(1), n0, 3.98, fading)[0]
+            outage_probability([pbar], [[w * pbar]], n0, 3.98, fading)[0]
             for w in (0.0, 0.1, 0.5, 1.0, 2.0)
         ]
         assert all(x <= y + 1e-12 for x, y in zip(by_w, by_w[1:]))
@@ -349,19 +348,19 @@ def test_outage_monotone_in_threshold_and_interference():
 def test_outage_validates_terms():
     fading = FadingParams()
     with pytest.raises(ValidationError):
-        outage_probability(0.0, [], one_row(0), 1e-9, 4.0, fading)
+        outage_probability([0.0], [[]], 1e-9, 4.0, fading)
     with pytest.raises(ValidationError):
-        outage_probability(1.0, [], one_row(0), 0.0, 4.0, fading)
+        outage_probability([1.0], [[]], 0.0, 4.0, fading)
     with pytest.raises(ValidationError):
-        outage_probability(1.0, [], one_row(0), 1e-9, -1.0, fading)
+        outage_probability([1.0], [[]], 1e-9, -1.0, fading)
 
 
 def test_fits_reject_a_negative_weight():
     fading = FadingParams(sigma=1.0)
     with pytest.raises(ValidationError, match="must be >= 0"):
-        detection_probability([1.0, -0.1], one_row(2), 1.0, fading)
+        detection_probability([[1.0, -0.1]], 1.0, fading)
     with pytest.raises(ValidationError, match="must be >= 0"):
-        outage_probability(1.0, [-0.1], one_row(1), 1e-9, 4.0, fading)
+        outage_probability([1.0], [[-0.1]], 1e-9, 4.0, fading)
 
 
 @pytest.mark.parametrize("sigma", [20.0, 1e308])
@@ -369,9 +368,9 @@ def test_fits_refuse_a_sigma_whose_moments_overflow(sigma):
     # e^(2 sigma^2) leaves the float range from sigma ~ 18.84
     fading = FadingParams(sigma=sigma, kappa=2.0)
     with pytest.raises(NumericsError, match="overflows its moments"):
-        detection_probability([1.0, 0.5], one_row(2), 1.0, fading)
+        detection_probability([[1.0, 0.5]], 1.0, fading)
     with pytest.raises(NumericsError, match="overflows its moments"):
-        outage_probability(1.0, [0.5], one_row(1), 1e-9, 4.0, fading)
+        outage_probability([1.0], [[0.5]], 1e-9, 4.0, fading)
 
 
 @pytest.mark.parametrize("kappa", [None, 1.5, 2.0])
@@ -389,7 +388,10 @@ def test_batched_outage_matches_per_subset_reference(sigma, kappa):
         members = np.vstack(
             [np.zeros(k, bool), np.ones(k, bool), rng.integers(0, 2, (12, k)).astype(bool)]
         )
-        batch = channel.outage_probability(useful, weights, members, chan.noise_mw, b, fading)
+        batch = channel.outage_probability(
+            np.full(len(members), useful), np.where(members, weights, 0.0),
+            chan.noise_mw, b, fading,
+        )
         for row, got in zip(members, batch):
             chosen = [w for w, on in zip(weights, row) if on]
             want = oracles.outage_reference(
@@ -399,7 +401,7 @@ def test_batched_outage_matches_per_subset_reference(sigma, kappa):
             assert abs(got - want) <= 1e-12, (k, row, got, want)
             # a row comes out of the batch exactly as it does alone
             alone = outage_probability(
-                useful, chosen, one_row(len(chosen)), chan.noise_mw, b, fading
+                [useful], [chosen], chan.noise_mw, b, fading
             )
             assert got == alone[0]
 
@@ -409,7 +411,7 @@ def test_outage_quadrature_does_not_depend_on_its_block_size(monkeypatch):
     fading = FadingParams(sigma=1.5, kappa=2.0)
     weights = [mean_rx_power(0.0, r, chan) for r in (1.5, 2.0, 3.0, 5.0)]
     members = (np.arange(16)[:, None] >> np.arange(4) & 1).astype(bool)
-    args = (mean_rx_power(0.0, 1.0, chan), weights, members,
+    args = (np.full(16, mean_rx_power(0.0, 1.0, chan)), np.where(members, weights, 0.0),
             chan.noise_mw, chan.sinr_threshold, fading)
     blocked = channel.outage_probability(*args)
     monkeypatch.setattr(channel, "QUAD_BLOCK", 1)
@@ -420,15 +422,34 @@ def test_outage_refuses_an_unconverged_quadrature(monkeypatch):
     monkeypatch.setattr(channel, "QUAD_TOL", -1.0)
     with pytest.raises(NumericsError, match="did not converge"):
         outage_probability(
-            1e-6, [1e-7], one_row(1), 1e-9, 4.0, FadingParams(sigma=1.0, kappa=2.0)
+            [1e-6], [[1e-7]], 1e-9, 4.0, FadingParams(sigma=1.0, kappa=2.0)
         )
 
 
-def test_outage_rejects_a_members_matrix_of_the_wrong_width():
-    with pytest.raises(ValidationError, match="members"):
-        channel.outage_probability(
-            1.0, [0.1], np.ones((2, 3), bool), 1e-9, 4.0, FadingParams()
-        )
+@pytest.mark.parametrize(
+    "terms, match",
+    [
+        ([[1.0, math.nan]], ">= 0 and finite"),
+        ([[1.0, math.inf]], ">= 0 and finite"),
+        ([1.0, 0.5], "not a .rows, places. matrix"),
+    ],
+    ids=["nan", "inf", "1-d"],
+)
+def test_fits_reject_terms_that_are_not_a_matrix_of_powers(terms, match):
+    fading = FadingParams(sigma=1.0)
+    with pytest.raises(ValidationError, match=match):
+        detection_probability(terms, 1.0, fading)
+    with pytest.raises(ValidationError, match=match):
+        outage_probability([1.0] * len(terms), terms, 1e-9, 4.0, fading)
+
+
+@pytest.mark.parametrize(
+    "useful", [[1.0, 0.0], [1.0, -1.0], [1.0, math.nan], [1.0], 1.0],
+    ids=["zero", "negative", "nan", "short", "scalar"],
+)
+def test_outage_rejects_a_useful_row_that_is_not_one_positive_power(useful):
+    with pytest.raises(ValidationError, match="useful mean powers"):
+        outage_probability(useful, [[0.1], [0.2]], 1e-9, 4.0, FadingParams())
 
 
 # ---------------------------------------------------------------------------
@@ -452,23 +473,26 @@ def test_subset_fits_do_not_depend_on_term_order(kappa):
     useful, noise = mean_rx_power(0.0, 1.0, chan), chan.noise_mw
     b, thr = chan.sinr_threshold, 0.5 * weights.sum()
 
-    p_det = channel.detection_probability(weights, members, thr, fading)
-    p_out = channel.outage_probability(useful, weights, members, noise, b, fading)
+    terms, rows = np.where(members, weights, 0.0), np.full(len(members), useful)
+
+    p_det = channel.detection_probability(terms, thr, fading)
+    p_out = channel.outage_probability(rows, terms, noise, b, fading)
     assert np.sum((p_det > 1e-3) & (p_det < 0.999)) > 10
     assert np.sum((p_out > 1e-3) & (p_out < 0.999)) > 10
     for _ in range(5):
         perm = rng.permutation(k)
+        assert np.array_equal(channel.detection_probability(terms[:, perm], thr, fading), p_det)
         assert np.array_equal(
-            channel.detection_probability(weights[perm], members[:, perm], thr, fading), p_det
+            channel.outage_probability(rows, terms[:, perm], noise, b, fading), p_out
         )
-        assert np.array_equal(
-            channel.outage_probability(useful, weights[perm], members[:, perm], noise, b, fading),
-            p_out,
-        )
+    # other rows around it and extra empty places leave a row's bits alone
+    padded = np.pad(terms, ((0, 0), (2, 3)))
+    assert np.array_equal(channel.detection_probability(padded, thr, fading), p_det)
+    assert np.array_equal(channel.outage_probability(rows, padded, noise, b, fading), p_out)
     for row, want_det, want_out in zip(members[2:8], p_det[2:8], p_out[2:8]):
         chosen = [weights[n] for n in rng.permutation(k) if row[n]]
-        assert detection_probability(chosen, one_row(len(chosen)), thr, fading)[0] == want_det
-        alone = outage_probability(useful, chosen, one_row(len(chosen)), noise, b, fading)
+        assert detection_probability([chosen], thr, fading)[0] == want_det
+        alone = outage_probability([useful], [chosen], noise, b, fading)
         assert alone[0] == want_out
 
 
@@ -553,7 +577,9 @@ def test_mma_fit_matches_the_scalar_fit_with_induced_correlation(kappa):
     useful = mean_rx_power(0.0, 2.0, chan)
     weights = [mean_rx_power(0.0, rng.uniform(1.0, 12.0), chan) for _ in range(5)]
     members = (np.arange(32)[:, None] >> np.arange(5) & 1).astype(bool)
-    eta, sigma = mma_fit(useful, weights, members, chan.noise_mw, fading)
+    eta, sigma = mma_fit(
+        np.full(32, useful), np.where(members, weights, 0.0), chan.noise_mw, fading
+    )
     for row, e, s in zip(members, eta, sigma):
         chosen = [faded(w, fading) for w, on in zip(weights, row) if on]
         want = oracles.outage_fit_reference(
@@ -575,7 +601,7 @@ def test_outage_quadrature_matches_adaptive_integration():
             for r in (1.0, 3.0, 8.0):
                 pbar = mean_rx_power(0.0, r, chan)
                 model = outage_probability(
-                    pbar, [], one_row(0), n0, b, FadingParams(sigma=sigma, kappa=kappa)
+                    [pbar], [[]], n0, b, FadingParams(sigma=sigma, kappa=kappa)
                 )[0]
                 truth = oracles.quad_outage_truth(kappa, b, math.log(n0 / pbar), sigma)
                 assert model == pytest.approx(truth, abs=2e-6)
@@ -593,7 +619,7 @@ def test_outage_quadrature_matches_adaptive_integration():
     thr=st.floats(1e-6, 100.0),
 )
 def test_detection_probability_in_unit_interval(w1, w2, sigma, thr):
-    p = detection_probability([w1, w2], one_row(2), thr, FadingParams(sigma=sigma))[0]
+    p = detection_probability([[w1, w2]], thr, FadingParams(sigma=sigma))[0]
     assert 0.0 <= p <= 1.0
 
 
@@ -607,7 +633,7 @@ def test_detection_probability_in_unit_interval(w1, w2, sigma, thr):
 )
 def test_outage_probability_in_unit_interval(wu, wi, sigma, b, kappa):
     fading = FadingParams(sigma=sigma, kappa=kappa)
-    p = outage_probability(wu, [wi], one_row(1), 1e-6, b, fading)[0]
+    p = outage_probability([wu], [[wi]], 1e-6, b, fading)[0]
     assert 0.0 <= p <= 1.0
 
 

@@ -8,7 +8,7 @@ from pytest import approx
 
 import oracles
 from one_point import fixed_point
-from topo_helpers import contention_h, one_row
+from topo_helpers import contention_h
 from csmafade import channel, macmodel, scenarios, sweep
 from csmafade.errors import ConvergenceError, ValidationError
 from csmafade.macmodel import (
@@ -368,7 +368,7 @@ def _star_system(n_tx=7, radius=1.0, lam=5.0, sigma=0.0):
         p_det = np.zeros(2**k)
         p_out = np.zeros(2**k)
         p_fad = channel.outage_probability(
-            useful, [], one_row(0), chan.noise_mw, chan.sinr_threshold, fading
+            [useful], [[]], chan.noise_mw, chan.sinr_threshold, fading
         )[0]
         for mask in range(1, 2**k):
             members = [others[z] for z in range(k) if bits[mask, z]]
@@ -376,10 +376,10 @@ def _star_system(n_tx=7, radius=1.0, lam=5.0, sigma=0.0):
                 channel.mean_rx_power(0.0, math.dist(pos[l], pos[z]), chan) for z in members
             ]
             p_det[mask] = channel.detection_probability(
-                det_gains, one_row(len(members)), chan.cca_threshold_mw, fading
+                [det_gains], chan.cca_threshold_mw, fading
             )[0]
             p_out[mask] = channel.outage_probability(
-                useful, [useful] * len(members), one_row(len(members)), chan.noise_mw,
+                [useful], [[useful] * len(members)], chan.noise_mw,
                 chan.sinr_threshold, fading,
             )[0]
         tables.append((p_det, p_out, p_fad))

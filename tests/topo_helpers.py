@@ -13,11 +13,6 @@ from csmafade import channel
 from csmafade.macmodel import TimingParams, _subsets, contention_tables, contention_terms
 
 
-def one_row(n_terms):
-    """A members matrix with one row that selects all n_terms terms: a single subset."""
-    return np.ones((1, n_terms), dtype=bool)
-
-
 def build_tables(positions, links, chan, fading, tx_power_dbm=0.0):
     """Per-link subset tables for nodes at the given (x, y) positions.
 
@@ -41,20 +36,20 @@ def build_tables(positions, links, chan, fading, tx_power_dbm=0.0):
         p_out = np.zeros(2**k)
         useful = mean_w(tx, positions[rx])
         p_fad = channel.outage_probability(
-            useful, [], one_row(0), noise, chan.sinr_threshold, fading
+            [useful], [[]], noise, chan.sinr_threshold, fading
         )[0]
         for mask in range(1, 2**k):
             senders = [links[others[z]][0] for z in range(k) if bits[mask, z]]
             det_gains = [mean_w(src, positions[tx]) for src in senders]
             p_det[mask] = channel.detection_probability(
-                det_gains, one_row(len(senders)), chan.cca_threshold_mw, fading
+                [det_gains], chan.cca_threshold_mw, fading
             )[0]
             if rx in senders:
                 p_out[mask] = 1.0
             else:
                 int_gains = [mean_w(src, positions[rx]) for src in senders]
                 p_out[mask] = channel.outage_probability(
-                    useful, int_gains, one_row(len(senders)), noise, chan.sinr_threshold, fading
+                    [useful], [int_gains], noise, chan.sinr_threshold, fading
                 )[0]
         tables.append((p_det, p_out, p_fad))
     return contention_tables(*zip(*tables))
@@ -76,14 +71,13 @@ def build_tables_per_link(gain, links, chan, fading):
         others = tuple(i for i in range(n_links) if i != l)
         senders = [links[o][0] for o in others]
         p_det = channel.detection_probability(
-            gain[senders, tx], bits, chan.cca_threshold_mw, fading
+            np.where(bits, gain[senders, tx], 0.0), chan.cca_threshold_mw, fading
         )
-        heard = [z for z, s in enumerate(senders) if s != rx]
         free = ~bits[:, [z for z, s in enumerate(senders) if s == rx]].any(axis=1)
         p_out = np.ones(2**k)
         p_out[free] = channel.outage_probability(
-            gain[tx, rx], [gain[senders[z], rx] for z in heard],
-            bits[free][:, heard], chan.noise_mw, chan.sinr_threshold, fading,
+            np.full(free.sum(), gain[tx, rx]), np.where(bits[free], gain[senders, rx], 0.0),
+            chan.noise_mw, chan.sinr_threshold, fading,
         )
         p_fad = float(p_out[0])
         p_out[0] = 0.0
