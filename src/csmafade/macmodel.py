@@ -216,60 +216,47 @@ def cca_probability(chain: Chain, q: Values, timing: TimingParams) -> tuple[Valu
 # contention functional
 
 
-@functools.cache
-def _subsets(k: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """(bits, sizes) of the subset list of k contenders at depth s = `depth`:
-    every subset of at most s members, by ascending mask, so the empty
-    subset comes first and depth k lists all 2^k masks.  Both read-only:
-    bits (rows, k) has row r, column z -> contender z in the r-th subset,
-    and sizes[r] is its member count.
-
-    The list over contenders 0..z - 1 is the list's head, the rows whose
-    masks are below 2^z; contender z extends it by the head rows that have
-    room for one more member (_list_growth), with its bit set.
+class SubsetList:
+    """The subset list of k contenders at depth s = `depth`: every subset of
+    at most s members, by ascending mask, so the empty subset comes first
+    and depth k lists all 2^k masks.  The list over contenders 0..z - 1 is
+    the list's head, the rows whose masks are below 2^z; contender z extends
+    it by the head rows that have room for one more member (growth[z]), with
+    its bit set.  Read-only: bits (rows, k) holds 1.0 at row r, column z when
+    contender z is in the r-th subset, the float operand of contention_terms'
+    products; sizes (rows,) counts each subset's members; members (rows, s)
+    lists them ascending, then k for each place left empty.  sizes and
+    members are int8, or int16 from k = 128 on (scenarios.MAX_NODES bounds k).
     """
-    bits = np.zeros((1, k), dtype=bool)
-    for z, grow in enumerate(_list_growth(k, depth)):
-        new = bits[grow]
-        new[:, z] = True
-        bits = np.concatenate([bits, new])
-    sizes = bits.sum(axis=1)
-    bits.flags.writeable = sizes.flags.writeable = False
-    return bits, sizes
 
-
-@functools.cache
-def _float_bits(k: int, depth: int) -> np.ndarray:
-    """The bits of _subsets(k, depth) as read-only float64, the operand of
-    the products of contention_terms, which would otherwise cast the bool
-    bits on every call."""
-    bits = _subsets(k, depth)[0].astype(float)
-    bits.flags.writeable = False
-    return bits
-
-
-@functools.cache
-def _list_growth(k: int, depth: int) -> tuple[np.ndarray, ...]:
-    """For each contender z, the rows of the head of the depth's subset list
-    of k contenders that it extends: those with fewer than depth members."""
-    sizes = np.zeros(1, dtype=int)
-    growth = []
-    for _ in range(k):
-        growth.append(np.flatnonzero(sizes < depth))
-        sizes = np.concatenate([sizes, sizes[growth[-1]] + 1])
-    return tuple(growth)
+    def __init__(self, k: int, depth: int) -> None:
+        self.k, self.depth = k, depth
+        small = np.int8 if k < 128 else np.int16
+        sizes = np.zeros(1, dtype=small)
+        growth = []
+        for _ in range(k):
+            growth.append(np.flatnonzero(sizes < depth))
+            sizes = np.concatenate([sizes, sizes[growth[-1]] + 1])
+        bits = np.zeros((len(sizes), k))
+        members = np.full((len(sizes), depth), k, dtype=small)
+        head = 1
+        for z, grow in enumerate(growth):
+            new = slice(head, head + len(grow))
+            bits[new] = bits[grow]
+            bits[new, z] = 1.0
+            members[new] = members[grow]
+            members[new][np.arange(len(grow)), sizes[grow]] = z
+            head += len(grow)
+        for array in (bits, sizes, members, *growth):
+            array.flags.writeable = False
+        self.bits, self.sizes, self.growth, self.members = bits, sizes, tuple(growth), members
+        self.rows = len(sizes)
 
 
 @functools.cache
 def _list_rows(k: int) -> tuple[int, ...]:
     """The row count of the subset list of k contenders at each depth 0..k."""
     return tuple(itertools.accumulate(math.comb(k, j) for j in range(k + 1)))
-
-
-def list_depth(k: int, rows: int) -> int:
-    """The depth whose subset list of k contenders has `rows` rows, a row
-    count that contention_tables accepts."""
-    return _list_rows(k).index(rows)
 
 
 @functools.cache
@@ -285,9 +272,9 @@ def contention_tables(p_det, p_out, p_fad) -> np.recarray:
     """The per-subset channel probabilities of L links, as one read-only record array.
 
     Record l holds link l's tables, indexed by the rows of one subset list
-    of its k = L - 1 contenders (_subsets): bit z of a row is link z for
-    z < l, and link z + 1 otherwise (see _other_links).  The row count
-    gives the list's depth (list_depth); all 2^k rows are the whole table.
+    of its k = L - 1 contenders (SubsetList): bit z of a row is link z for
+    z < l, and link z + 1 otherwise (see _other_links).  All 2^k rows are
+    the whole table.
 
     p_det: (L, rows) detection probability of each subset's aggregate
         power at the link's transmitter.
@@ -328,13 +315,13 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def _subset_weights(eff: np.ndarray, depth: int) -> np.ndarray:
-    """(..., rows) probabilities that each subset of the depth's list of k
-    contenders transmits (_subsets).
+def _subset_weights(eff: np.ndarray, subsets: SubsetList) -> np.ndarray:
+    """(..., rows) probabilities that each subset of the list of k
+    contenders transmits.
 
     A row's weight multiplies, contender by contender, eff[..., z] where it
     holds contender z and 1 - eff[..., z] where not.  The weights double
-    the way _subsets extends the list: each contender multiplies the head
+    the way the list grows (SubsetList): each contender multiplies the head
     rows by 1 - eff and the rows it extends by eff, in one broadcast
     product while every row has room for it, and drops the rows that have
     none.  So each weight is the product, in the same order, of the
@@ -343,7 +330,7 @@ def _subset_weights(eff: np.ndarray, depth: int) -> np.ndarray:
     lead = eff.shape[:-1]
     factors = np.stack([1.0 - eff, eff], axis=-1)[..., None]
     weights = np.ones(lead + (1, 1))
-    for z, grow in enumerate(_list_growth(eff.shape[-1], depth)):
+    for z, grow in enumerate(subsets.growth):
         if len(grow) == weights.shape[-1]:
             weights = (weights * factors[..., z, :, :]).reshape(lead + (1, -1))
         else:
@@ -354,6 +341,7 @@ def _subset_weights(eff: np.ndarray, depth: int) -> np.ndarray:
 
 def contention_terms(
     tables,
+    subsets: SubsetList,
     timing: TimingParams,
     taus: np.ndarray,
     alphas: np.ndarray,
@@ -363,9 +351,9 @@ def contention_terms(
 
     taus, alphas and gammas are (L,) per-link values, or a (P, L) stack of
     P points, on one table set (L,) or on (P, L) tables of each point's own,
-    read by field name; the results have the shape of taus.  A contender is
-    in the transmitting subset when it senses (tau) and finds the channel
-    idle (1 - alpha); the weights of the tables' subset list of all links
+    read by field name on the rows of `subsets`; the results have the shape
+    of taus.  A contender is in the transmitting subset when it senses (tau)
+    and finds the channel idle (1 - alpha); the list's weights of all links
     form one (..., L, rows) array (_subset_weights).  A list that leaves out
     the subsets of more than s members leaves their weight, the tail
     P[|S| > s], out of each sum (see truncation_bounds).  alpha_pkt weighs
@@ -375,10 +363,7 @@ def contention_terms(
     the hidden-terminal window where the transmitter failed to detect them.
     """
     others = _other_links(taus.shape[-1])
-    k = others.shape[1]
-    depth = list_depth(k, tables["p_det"].shape[-1])
-    sizes = _subsets(k, depth)[1]
-    weights = _subset_weights((taus * (1.0 - alphas))[..., others], depth)
+    weights = _subset_weights((taus * (1.0 - alphas))[..., others], subsets)
     w = weights[..., 1:]
     p_det = tables["p_det"][..., 1:]
     p_out = tables["p_out"][..., 1:]
@@ -387,8 +372,8 @@ def contention_terms(
     # then the hidden-terminal product (1 - p_det) p_out, worked out in one
     # buffer in place over whole rows (so without numpy's buffers for
     # strided views); the empty subset's column is not read
-    product = gammas[..., others] @ _float_bits(k, depth).T
-    product /= np.maximum(sizes, 1.0)
+    product = gammas[..., others] @ subsets.bits.T
+    product /= np.maximum(subsets.sizes, 1.0, dtype=float)
     np.subtract(1.0, product, out=product)
     product *= tables["p_det"]
     a_pkt = timing.l_pkt * _rowdot(w, p_det)
@@ -529,6 +514,7 @@ class _Anderson:
 
 def solve_fixed_point(
     tables,
+    subsets: SubsetList,
     qs: np.ndarray,
     mac: MacParams,
     timing: TimingParams,
@@ -552,20 +538,23 @@ def solve_fixed_point(
     is clipped into the map's domain.  Converged when max |f| < config.tol;
     the returned state is then g(x) itself.
 
-    tables is a sequence of P table sets, one per point, and qs their
-    (P, L) arrival probabilities; the result is a SolveResults list in
-    stack order, and one point is a stack of one.  The points still
-    iterating share each application of the map, each on its own tables:
-    they are gathered here field by field, into (P, L, rows) p_det and p_out
-    and (P, L) p_fad, and moved up in place as points leave.  Each point
-    keeps its own step (_Anderson) and polish, so its result does not
-    depend on the others; if one of them fails, the whole solve raises.
+    tables is a sequence of P table sets, one per point, on the rows of
+    `subsets`, and qs their (P, L) arrival probabilities; the result is a
+    SolveResults list in stack order, and one point is a stack of one.  The
+    points still iterating share each application of the map, each on its
+    own tables: they are gathered here field by field, into (P, L, rows)
+    p_det and p_out and (P, L) p_fad, and moved up in place as points leave.
+    Each point keeps its own step (_Anderson) and polish, so its result does
+    not depend on the others; if one of them fails, the whole solve raises.
     """
     sets = list(tables)
     n = len(sets[0]) if sets else 0
     qs = np.asarray(qs, dtype=float)
     if qs.shape != (len(sets), n) or not qs.size:
         raise ValidationError("qs length must match table count")
+    if (subsets.k, subsets.rows) != (n - 1, sets[0].p_det.shape[-1]):
+        raise ValidationError(f"tables of {n} links are not on the list of "
+                              f"{subsets.k} contenders at depth {subsets.depth}")
     if len(sets) == 1:  # read where it lies: a point that leaves ends the solve
         fields = {name: sets[0][name][None] for name in TABLE_FIELDS}
     else:
@@ -590,7 +579,8 @@ def solve_fixed_point(
         x = np.array([points[p].x for p in rows])
         alphas, gammas = x[:, :n], x[:, n:]
         taus, b000s = cca(rows, alphas, gammas)
-        a_pkts, a_acks, new_gamma = contention_terms(fields, timing, taus, alphas, gammas)
+        a_pkts, a_acks, new_gamma = contention_terms(fields, subsets, timing, taus, alphas,
+                                                     gammas)
         raw_alpha = a_pkts + a_acks
         new_alpha = np.minimum(raw_alpha, ALPHA_CAP)
         f = np.concatenate([new_alpha, new_gamma], axis=1) - x

@@ -29,9 +29,9 @@ from .macmodel import (
     LinkState,
     MacParams,
     SolverConfig,
+    SubsetList,
     TimingParams,
     arrival_probability,
-    list_depth,
     solve_fixed_point,
     truncation_bounds,
 )
@@ -143,6 +143,7 @@ class NetworkSolutions(list):
 
 def solve_network(
     tables,
+    subsets: SubsetList,
     next_hop: np.ndarray,
     lambda_pkt_per_s: np.ndarray,
     mac: MacParams,
@@ -157,9 +158,9 @@ def solve_network(
     takes its arrival probabilities from the link traffic of its current
     per-link reliability, so config.tol bounds the residual of the joint map.
     tables is a sequence of P table sets from macmodel.contention_tables,
-    one per point, which gives their row layout: each set's l-th record
-    must describe the link of the l-th node with a next hop, and the
-    contending links of each row are numbered in that order.
+    one per point, on the rows of the subset list `subsets`: each set's
+    l-th record must describe the link of the l-th node with a next hop,
+    and the contending links of each row are numbered in that order.
     lambda_pkt_per_s is the (P, n) per-node rates of the points, which
     share everything else but their tables.  The result is a
     NetworkSolutions list in stack order; one point is a stack of one.
@@ -186,7 +187,7 @@ def solve_network(
 
     # without a relay, no transmitter's traffic depends on the state
     relays = bool((next_link >= 0).any())
-    results = solve_fixed_point(tables, qs.copy(), mac, timing, config=config,
+    results = solve_fixed_point(tables, subsets, qs.copy(), mac, timing, config=config,
                                 arrivals=arrivals if relays else None)
     states = LinkState(*(np.array([getattr(result.state, name) for result in results])
                          for name in ("tau", "alpha_pkt", "alpha_ack", "gamma", "b000")))
@@ -194,10 +195,8 @@ def solve_network(
     reliability = np.array([rep.reliability for rep in reports])
     traffic = link_traffic(stack, next_link, reliability)
     paths = [route(next_hop, node) for node in transmitters.tolist()]
-    # the points of a stack share their lists' depth (contention_terms stacks their tables)
-    k = len(transmitters) - 1
-    depth = list_depth(k, tables[0].p_det.shape[-1])
-    bounds = (np.zeros(len(stack)) if depth == k else
+    depth = subsets.depth
+    bounds = (np.zeros(len(stack)) if depth == subsets.k else
               truncation_bounds(states.tau * (1.0 - states.alpha), timing, depth)[:, depth])
     solutions = NetworkSolutions()
     for result, rep, point_traffic, by_link, outer, bound in zip(

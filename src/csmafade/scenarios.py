@@ -27,8 +27,8 @@ import itertools
 import math
 import sys
 import typing
-from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from dataclasses import InitVar, dataclass, field
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,7 @@ from .channel import LEVEL_LIMIT_DB, ChannelParams, FadingParams, mean_rx_power
 from . import channel
 from .errors import ValidationError
 from .macmodel import SYMBOLS_PER_BYTE, SYMBOLS_PER_UNIT, MacParams, SolverConfig, TimingParams
-from .macmodel import (Chain, _list_rows, _other_links, _subsets, arrival_probability,
+from .macmodel import (Chain, SubsetList, _list_rows, _other_links, arrival_probability,
                        bounded_depth, cca_probability, contention_tables, truncation_bounds)
 from .metrics import PowerProfile
 from .multihop import link_traffic, route_links
@@ -174,7 +174,15 @@ class Topology:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully validated experiment description."""
+    """A fully validated experiment description.
+
+    hops (next hop per node, -1 where the node terminates traffic) and
+    mean_gain_mw (mean power in mW that node j receives when node i
+    transmits, 0 for i == j) are the geometry both engines share, read-only,
+    taken from the memo `geometry` or worked out into it: scenarios parsed
+    with one memo share one array per geometry.  links holds (transmitter,
+    next hop) per link, in transmitter order.
+    """
 
     scenario_id: str
     topology: Topology
@@ -187,8 +195,14 @@ class Scenario:
     solver: SolverConfig
     sim: SimConfig
     tx_power_dbm: float = 0.0
+    geometry: InitVar[dict | None] = None
+    hops: np.ndarray = field(init=False, repr=False, compare=False)
+    mean_gain_mw: np.ndarray = field(init=False, repr=False, compare=False)
+    links: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, geometry: dict | None) -> None:
+        geometry = {} if geometry is None else geometry
+        object.__setattr__(self, "hops", _shared(geometry, self.topology, self.topology.hops))
         n = self.topology.size
         if len(self.lam) != n:
             raise ValidationError(
@@ -204,40 +218,21 @@ class Scenario:
                     f"node {i} generates traffic but has no route"
                 )
         route_links(self.hops)  # rejects bad hops, cycles and a topology with no link
-        self.mean_gain_mw  # rejects coincident nodes
-
-    # the geometry both engines share, worked out once per geometry (see _next_hops)
-    @cached_property
-    def hops(self) -> np.ndarray:
-        """next_hop per node, -1 where the node terminates traffic."""
-        return _next_hops(self.topology)
-
-    @cached_property
-    def links(self) -> tuple[tuple[int, int], ...]:
-        """(transmitter, next hop) per link, in transmitter order."""
-        return tuple((i, int(h)) for i, h in enumerate(self.hops) if h >= 0)
-
-    @cached_property
-    def mean_gain_mw(self) -> np.ndarray:
-        """Mean power (mW) node j receives when node i transmits; 0 for i == j."""
-        return _mean_gains(self.topology, self.tx_power_dbm, self.channel)
+        object.__setattr__(self, "links",
+                           tuple((i, int(h)) for i, h in enumerate(self.hops) if h >= 0))
+        key = (self.topology, self.tx_power_dbm, self.channel)
+        object.__setattr__(self, "mean_gain_mw", _shared(  # rejects coincident nodes
+            geometry, key, lambda: _mean_gains(*key)))
 
 
-# The next hops of the last few topologies, and the mean gains of the last
-# few topologies, transmit powers and channels, read-only, so that the
-# points of a sweep that share a geometry share its arrays; a sweep empties
-# both caches when it starts.
-GEOMETRY_CACHE_SIZE = 8
+def _shared(geometry: dict, key, make) -> np.ndarray:
+    """geometry[key], or make() made read-only and stored there."""
+    if key not in geometry:
+        geometry[key] = make()
+        geometry[key].flags.writeable = False
+    return geometry[key]
 
 
-@lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
-def _next_hops(topology: Topology) -> np.ndarray:
-    hops = topology.hops()
-    hops.flags.writeable = False
-    return hops
-
-
-@lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
 def _mean_gains(topology: Topology, tx_power_dbm: float, chan: ChannelParams) -> np.ndarray:
     dist = topology.distances()
     gain = np.zeros((len(dist), len(dist)))
@@ -255,17 +250,16 @@ def _mean_gains(topology: Topology, tx_power_dbm: float, chan: ChannelParams) ->
             raise ValidationError(
                 f"invalid config value in topology.{field}: nodes {i} and {j}: {exc}"
             ) from None
-    gain.flags.writeable = False
     return gain
 
 
-def build_contention_tables(scenario: Scenario, plans: dict | None = None,
-                            depth: int | None = None) -> np.recarray:
+def build_contention_tables(scenario: Scenario, subsets: SubsetList,
+                            plans: dict | None = None) -> np.recarray:
     """Geometry-dependent probability tables for the analytic engine (see
     macmodel.contention_tables for their layout).
 
     For every link and every subset of concurrently transmitting other
-    links in the subset list of depth `depth` (all of them by default):
+    links in the subset list `subsets` of the scenario's L - 1 contenders:
     the probability the transmitter's CCA detects them, and the
     probability the receiver suffers outage.  A subset containing the
     link's own receiver pins outage to 1 (a transmitting radio hears
@@ -289,9 +283,9 @@ def build_contention_tables(scenario: Scenario, plans: dict | None = None,
     """
     links = scenario.links
     n_links = len(links)
-    k = n_links - 1
-    depth = k if depth is None else depth
-    rows = _list_rows(k)[depth]
+    k, depth, rows = subsets.k, subsets.depth, subsets.rows
+    if k != n_links - 1:
+        raise ValidationError(f"{n_links} links need a list of {n_links - 1} contenders, not {k}")
     if n_links * rows > ROW_BUDGET:
         raise ValidationError(
             f"{n_links} links with subset lists of depth {depth} need {n_links * rows} "
@@ -311,7 +305,7 @@ def build_contention_tables(scenario: Scenario, plans: dict | None = None,
     rank = (rank.reshape(n_links, 2 * k + 1) + 1).astype(np.min_scalar_type(rank.size + 1))
     plans = {} if plans is None else plans
     key = (links, depth, rank.tobytes())
-    plan = plans.get(key) or _row_plan(rank, senders, rx, depth)
+    plan = plans.get(key) or _row_plan(rank, senders, rx, subsets.members)
 
     p_det = plan.det.fit(
         lambda l, terms: channel.detection_probability(terms, chan.cca_threshold_mw, fading),
@@ -369,7 +363,7 @@ class DistinctRows:
     """The distinct rows of a table's selected rows, and where each row's value lands.
 
     Distinct row d is fitted on link links[d], over the contenders
-    members[d] (a _members row, k marking an empty place).  group gives,
+    members[d] (a SubsetList.members row, k marking an empty place).  group gives,
     for each selected row in C order, its distinct row.
     """
 
@@ -396,10 +390,12 @@ class RowPlan:
     free: np.ndarray
 
 
-def _row_plan(rank: np.ndarray, senders: np.ndarray, rx: np.ndarray, depth: int) -> RowPlan:
+def _row_plan(rank: np.ndarray, senders: np.ndarray, rx: np.ndarray,
+              members: np.ndarray) -> RowPlan:
     """The RowPlan of links whose det/out/useful gains have ranks `rank`
-    ((L, 2k + 1), from 1 up), over the subset list of depth `depth`;
-    senders is (L, k), each link's contenders.
+    ((L, 2k + 1), from 1 up), over the subset list whose rows hold the
+    contenders `members` (SubsetList.members); senders is (L, k), each
+    link's contenders.
 
     A row's key holds the ranks of its members, sorted, with 0 for each of
     the depth's places it leaves empty: the key over all k contenders
@@ -407,7 +403,6 @@ def _row_plan(rank: np.ndarray, senders: np.ndarray, rx: np.ndarray, depth: int)
     list.
     """
     n_links, k = senders.shape
-    members = _members(k, depth)
     # column k of each (L, k + 1) array is the empty place
     det_rank, out_rank = (np.pad(rank[:, part], ((0, 0), (0, 1)))
                           for part in (slice(0, k), slice(k, 2 * k)))
@@ -428,22 +423,10 @@ def _row_plan(rank: np.ndarray, senders: np.ndarray, rx: np.ndarray, depth: int)
     )
 
 
-@cache
-def _members(k: int, depth: int) -> np.ndarray:
-    """(rows, depth) read-only: the members of each subset of the depth's
-    list of k contenders (macmodel._subsets), ascending, then k for each
-    place left empty."""
-    bits, sizes = _subsets(k, depth)
-    members = np.argsort(~bits, axis=1, kind="stable")[:, :depth]
-    members[np.arange(depth) >= sizes[:, None]] = k
-    members.flags.writeable = False
-    return members
-
-
 def _distinct(keys: np.ndarray, rows: np.ndarray, members: np.ndarray) -> DistinctRows:
     """DistinctRows of the rows selected by the (links, list rows) mask
     `rows`, keyed by keys, (links, list rows, width); members are the list's
-    _members rows.  Each distinct key is fitted on the link holding its first
+    SubsetList.members.  Each distinct key is fitted on the link holding its first
     occurrence."""
     at = np.flatnonzero(rows)
     first, group = _distinct_rows(keys.reshape(rows.size, keys.shape[-1])[at])
@@ -610,22 +593,24 @@ def apply_override(config: dict, assignment: str) -> None:
     assign(config, ".".join(key.strip() for key in path.split(".")), value)
 
 
-def scenario_from_config(config: dict, default_id: str = "scenario") -> Scenario:
+def scenario_from_config(config: dict, default_id: str = "scenario",
+                         geometry: dict | None = None) -> Scenario:
     """Validate a parsed config mapping into a Scenario with defaults.
 
     A value of the wrong type or form (say `lam: abc`, or a YAML 1.1 string
     such as `1e-9` where a number belongs), or one that overflows a float on
-    the way in, is reported as ValidationError.
+    the way in, is reported as ValidationError.  Scenarios parsed with one
+    `geometry` memo share its arrays (see Scenario).
     """
     try:
-        return _build_scenario(config, default_id)
+        return _build_scenario(config, default_id, {} if geometry is None else geometry)
     except ValidationError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"invalid config value: {exc}") from exc
 
 
-def _build_scenario(config: dict, default_id: str) -> Scenario:
+def _build_scenario(config: dict, default_id: str, geometry: dict) -> Scenario:
     config = dict(config)
     config.pop("sweep", None)  # owned by the sweep layer
 
@@ -676,7 +661,7 @@ def _build_scenario(config: dict, default_id: str) -> Scenario:
         lam = tuple(_rate(v, f"lam[{i}]") for i, v in enumerate(lam_value))
     else:
         rate = _rate(lam_value, "lam")
-        lam = tuple(rate if h >= 0 else 0.0 for h in _next_hops(topology))
+        lam = tuple(rate if h >= 0 else 0.0 for h in _shared(geometry, topology, topology.hops))
 
     return Scenario(
         scenario_id=scenario_id(config, default_id),
@@ -693,6 +678,7 @@ def _build_scenario(config: dict, default_id: str) -> Scenario:
                      SolverConfig, "solver"),
         sim=_take(_require_mapping(config.get("sim"), "sim"), SimConfig, "sim"),
         tx_power_dbm=float(_coerce(config.get("tx_power_dbm", 0.0), float, "tx_power_dbm")),
+        geometry=geometry,
     )
 
 

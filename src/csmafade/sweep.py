@@ -24,7 +24,6 @@ cell, and the other engine's cells are kept.
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -34,11 +33,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .macmodel import _list_rows
+from .macmodel import SubsetList, _list_rows
 from .multihop import NetworkSolution, end_to_end_reliability, route, solve_network
-from .scenarios import (ROW_BUDGET, RowPlan, Scenario, _mean_gains, _next_hops, assign,
-                        build_contention_tables, compile_sim_network, depths_at,
-                        scenario_from_config, scenario_id, start_depths)
+from .scenarios import (ROW_BUDGET, RowPlan, Scenario, assign, build_contention_tables,
+                        compile_sim_network, depths_at, scenario_from_config, scenario_id,
+                        start_depths)
 from .simulator import pool_size, run_experiment
 
 ENGINES = ("analytic", "simulate", "compare")
@@ -134,7 +133,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# How many table sets of ROW_BUDGET rows one pass may hold (_TableCache)
+# How many table sets of ROW_BUDGET rows one pass may hold (_Pass.tables)
 TABLE_CACHE_SIZE = 8
 
 # A stack holds at most STACK_ELEMENTS entries, P points x L links x
@@ -154,26 +153,18 @@ LINK_METRICS = ("reliability", "delay_s", "power_mw")
 AGGREGATE_METRICS = ("mean_reliability", "mean_delay_s", "mean_power_mw")
 
 
-@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _row_keys(topology) -> tuple[tuple, ...]:
-    """(src, dst, metric) of every row in the block of a point on this
-    topology, in output order; worked out once per geometry per sweep."""
-    next_hop = _next_hops(topology)
-    routes = [route(next_hop, src) for src in np.flatnonzero(next_hop >= 0).tolist()]
-    keys = [(nodes[0], nodes[1], m) for nodes in routes for m in LINK_METRICS]
-    keys += [("", "", m) for m in AGGREGATE_METRICS]
-    if any(len(nodes) > 2 for nodes in routes):
-        keys += [(nodes[0], nodes[-1], "end_to_end_reliability") for nodes in routes]
-    return tuple(keys)
-
-
-def _keyed(scenario, per_link, aggregates, end_to_end) -> dict:
-    """Key values by row: per-link triples in link order, the aggregate
-    triple, then end_to_end[origin] if the block has end-to-end rows."""
-    keys = _row_keys(scenario.topology)
-    values = [v for triple in per_link for v in triple] + list(aggregates)
-    values += [end_to_end[src] for src, _, _ in keys[len(values):]]
-    return dict(zip(keys, values, strict=True))
+def _keyed(keys, outcome) -> tuple[dict, list[str]]:
+    """An engine's (values, warnings) with its values keyed by row: values
+    are per-link triples in link order, the aggregate triple, and
+    end_to_end[origin] for the block's end-to-end rows.  An engine that did
+    not run (None) or ran into an error (values None) keys nothing."""
+    values, warnings = outcome or (None, [])
+    if values is None:
+        return {}, warnings
+    per_link, aggregates, end_to_end = values
+    cells = [v for triple in per_link for v in triple] + list(aggregates)
+    cells += [end_to_end[src] for src, _, _ in keys[len(cells):]]
+    return dict(zip(keys, cells, strict=True)), warnings
 
 
 def _table_key(scenario) -> tuple:
@@ -182,29 +173,80 @@ def _table_key(scenario) -> tuple:
     return (scenario.links, scenario.mean_gain_mw.tobytes(), scenario.channel, scenario.fading)
 
 
-class _TableCache:
-    """The contention tables that one solve_points call has built, oldest
-    first, and their row plans (scenarios.RowPlan), one per geometry, depth
-    and gain rank pattern.  Called with a point and a depth, it gives
-    build_contention_tables at that depth, reused by points whose tables
-    cannot differ: points that differ in rates, MAC, timing or simulator
-    settings share one build, and points whose gains rank alike (say, that
-    differ only in fading, thresholds or transmit power) one row plan, so
-    their builds only refit.  The tables are read-only, so they can be
-    shared.  It holds at most TABLE_CACHE_SIZE x ROW_BUDGET entries of
-    p_det, and no more plans than table sets; the oldest go first.
+class _Pass:
+    """What one run_sweep or solve_points call works out once for all its
+    points, dropped when the call ends: the geometry memo the points are
+    parsed with (parse), which holds only arrays that the parsed Scenarios
+    reference and so needs no bound; each topology's CSV row keys
+    (row_keys); one macmodel.SubsetList per contender count and depth
+    (subset_list); and the contention tables built, oldest first, with
+    their row plans (scenarios.RowPlan), one per geometry, depth and gain
+    rank pattern (tables).
     """
 
     def __init__(self) -> None:
+        self.geometry: dict = {}
+        self.rows: dict = {}
+        self.lists: dict[tuple[int, int], SubsetList] = {}
         self.sets: dict[tuple, np.recarray] = {}
         self.plans: dict[tuple, RowPlan] = {}
         self.entries = 0  # of p_det, over the sets held
 
-    def __call__(self, scenario, depth: int) -> np.recarray:
+    def parse(self, config: dict, assignments, strict: bool):
+        """Assign a grid point's values into a copy of the sweep's config and validate it.
+
+        Only the sections along the assigned paths are copied; the parse
+        reads the rest of the config without changing it.  Returns the
+        point's Scenario, or for a config error the error row's message;
+        strict=True re-raises the error instead.
+        """
+        point = dict(config)
+        try:
+            for path, value in assignments:
+                node = point
+                for key in path.split(".")[:-1]:
+                    if not isinstance(node.get(key), dict):
+                        break
+                    node[key] = dict(node[key])
+                    node = node[key]
+                assign(point, path, value)
+            return scenario_from_config(point, default_id="scenario", geometry=self.geometry)
+        except (ValidationError, NumericsError) as exc:
+            if strict:
+                raise
+            return f"config: {exc}"
+
+    def row_keys(self, scenario) -> tuple[tuple, ...]:
+        """(src, dst, metric) of every row in the block of a point on the
+        scenario's topology, in output order; its routes are walked once."""
+        if scenario.topology not in self.rows:
+            next_hop = scenario.hops
+            routes = [route(next_hop, src) for src in np.flatnonzero(next_hop >= 0).tolist()]
+            keys = [(nodes[0], nodes[1], m) for nodes in routes for m in LINK_METRICS]
+            keys += [("", "", m) for m in AGGREGATE_METRICS]
+            if any(len(nodes) > 2 for nodes in routes):
+                keys += [(nodes[0], nodes[-1], "end_to_end_reliability") for nodes in routes]
+            self.rows[scenario.topology] = tuple(keys)
+        return self.rows[scenario.topology]
+
+    def subset_list(self, k: int, depth: int) -> SubsetList:
+        if (k, depth) not in self.lists:
+            self.lists[k, depth] = SubsetList(k, depth)
+        return self.lists[k, depth]
+
+    def tables(self, scenario, depth: int) -> np.recarray:
+        """build_contention_tables of the point at the depth, read-only and
+        shared by points whose tables cannot differ (that differ in rates,
+        MAC, timing or simulator settings); points whose gains rank alike
+        (say, that differ only in fading, thresholds or transmit power) share
+        one row plan, so their builds only refit.  The pass holds at most
+        TABLE_CACHE_SIZE x ROW_BUDGET entries of p_det, and no more plans
+        than table sets; the oldest go first."""
         key = (_table_key(scenario), depth)
         tables = self.sets.get(key)
         if tables is None:
-            tables = self.sets[key] = build_contention_tables(scenario, self.plans, depth)
+            subsets = self.subset_list(len(scenario.links) - 1, depth)
+            tables = self.sets[key] = build_contention_tables(scenario, subsets, self.plans)
             self.entries += tables.p_det.size
             while self.entries > TABLE_CACHE_SIZE * ROW_BUDGET:
                 self.entries -= self.sets.pop(next(iter(self.sets))).p_det.size
@@ -212,30 +254,13 @@ class _TableCache:
                 del self.plans[next(iter(self.plans))]
         return tables
 
-
-def _parse_point(config: dict, assignments, strict: bool):
-    """Assign a grid point's values into a copy of the sweep's config and validate it.
-
-    Only the sections along the assigned paths are copied; the parse reads
-    the rest of the config without changing it.  Returns the point's
-    Scenario, or for a config error the error row's message; strict=True
-    re-raises the error instead.
-    """
-    point = dict(config)
-    try:
-        for path, value in assignments:
-            node = point
-            for key in path.split(".")[:-1]:
-                if not isinstance(node.get(key), dict):
-                    break
-                node[key] = dict(node[key])
-                node = node[key]
-            assign(point, path, value)
-        return scenario_from_config(point, default_id="scenario")
-    except (ValidationError, NumericsError) as exc:
-        if strict:
-            raise
-        return f"config: {exc}"
+    def solve(self, scenarios, depth: int):
+        """solve_network of a stack's points on their tables at the depth."""
+        first = scenarios[0]
+        return solve_network([self.tables(scenario, depth) for scenario in scenarios],
+                             self.subset_list(len(first.links) - 1, depth), first.hops,
+                             [scenario.lam for scenario in scenarios], first.mac,
+                             first.timing, profile=first.power, config=first.solver)
 
 
 def _stacks(parsed) -> list[tuple]:
@@ -287,44 +312,41 @@ def solve_points(points):
     fails, its points are solved alone, each only once the caller reads
     it.  So each point gets the solution, or the error, that it gets
     alone, and a caller that stops at an error pays for no further solve.
-    The call is one pass: its tables and row plans (_TableCache) are made
-    for it and dropped when it ends.
+    The call is one pass (_Pass): its subset lists, tables and row plans
+    are made for it and dropped when it ends.
     """
-    tables = _TableCache()
+    return _solve(points, _Pass())
+
+
+def _solve(points, run: _Pass):
+    """solve_points within the pass `run`."""
     for rows, scenarios, depth in _stacks(points):
-        yield from zip(rows, _stack_solutions(scenarios, depth, tables))
+        yield from zip(rows, _stack_solutions(scenarios, depth, run))
 
 
-def _stack_solutions(scenarios, depth: int | None, tables: _TableCache):
+def _stack_solutions(scenarios, depth: int | None, run: _Pass):
     """The solutions of a stack's points at `depth` (None: a lone point at
     its own start depth); or if the stack fails, an iterator that solves
     each point alone as it is read, and for a lone point, its error."""
     try:
-        first = scenarios[0]
         if depth is None:
             [depth] = start_depths(scenarios)
-        solved = solve_network([tables(scenario, depth) for scenario in scenarios], first.hops,
-                               [scenario.lam for scenario in scenarios], first.mac,
-                               first.timing, profile=first.power, config=first.solver)
-        return [_grown(scenario, solution, tables)
-                for scenario, solution in zip(scenarios, solved)]
+        solved = run.solve(scenarios, depth)
+        return [_grown(scenario, solution, run) for scenario, solution in zip(scenarios, solved)]
     except (NumericsError, ValidationError) as exc:
         if len(scenarios) == 1:
             return [exc]
-        return (_stack_solutions([scenario], depth, tables)[0] for scenario in scenarios)
+        return (_stack_solutions([scenario], depth, run)[0] for scenario in scenarios)
 
 
-def _grown(scenario, solution: NetworkSolution, tables: _TableCache) -> NetworkSolution:
+def _grown(scenario, solution: NetworkSolution, run: _Pass) -> NetworkSolution:
     """The solution, or while its truncation bound exceeds solver.tol, the
     lone cold solve at the deeper depth its bound asks for."""
     while solution.truncation_bound > scenario.solver.tol:
         state = solution.state
         [depth] = depths_at((state.tau * (1.0 - state.alpha))[None], scenario.timing,
                             scenario.solver.tol)
-        [solution] = solve_network([tables(scenario, max(depth, solution.depth + 1))],
-                                   scenario.hops, [scenario.lam], scenario.mac,
-                                   scenario.timing, profile=scenario.power,
-                                   config=scenario.solver)
+        [solution] = run.solve([scenario], max(depth, solution.depth + 1))
     return solution
 
 
@@ -335,29 +357,27 @@ def _sim_work(scenario) -> float:
     return sum(scenario.lam) * scenario.sim.horizon_seconds * scenario.sim.replications
 
 
-def _analytic(scenario, solution, strict: bool) -> tuple[dict, list[str]]:
-    """A point's analytic {(src, dst, metric): value} plus warnings, from
-    its solution, or no values and the message of the error it ended in;
-    strict=True raises that error instead."""
+def _analytic(solution, strict: bool) -> tuple:
+    """A point's analytic values in link order (see _keyed) plus warnings,
+    from its solution, or no values (None) and the message of the error it
+    ended in; strict=True raises that error instead."""
     if isinstance(solution, Exception):
         if strict:
             raise solution
-        return {}, [str(solution)]
+        return None, [str(solution)]
     rep = solution.report
-    values = _keyed(
-        scenario,
-        zip(rep.reliability, rep.delay_seconds, rep.power_mw),
-        (rep.mean_reliability, rep.mean_delay_seconds, rep.mean_power_mw),
-        solution.end_to_end,
-    )
+    values = (list(zip(rep.reliability, rep.delay_seconds, rep.power_mw)),
+              (rep.mean_reliability, rep.mean_delay_seconds, rep.mean_power_mw),
+              solution.end_to_end)
     warnings = list(solution.warnings)
     if np.isnan(rep.delay_seconds).any():
         warnings.append("delay undefined on some links")
     return values, warnings
 
 
-def _simulate(scenario, workers: int) -> tuple[dict, list[str]]:
-    """Event simulator: {(src, dst, metric): (mean, ci95_half)} plus warnings."""
+def _simulate(scenario, workers: int) -> tuple:
+    """Event simulator: (mean, ci95_half) values in link order (see _keyed)
+    plus warnings."""
     net = compile_sim_network(scenario)
     result = run_experiment(net, scenario.sim, scenario.power, workers=workers)
     # reliability and delay arrays are per link, in transmitter order; power is per node
@@ -368,7 +388,7 @@ def _simulate(scenario, workers: int) -> tuple[dict, list[str]]:
     end_to_end = {src: (end_to_end_reliability(scenario.hops, by_node, src), math.nan)
                   for src in by_node}
     aggregates = (_pooled(rel), _pooled(delay, finite_only=True), _pooled(power))
-    values = _keyed(scenario, list(zip(rel, delay, power)), aggregates, end_to_end)
+    values = (list(zip(rel, delay, power)), aggregates, end_to_end)
     if any(math.isnan(mean) for mean, _ in rel):
         return values, ["no completed packets on some links"]
     return values, []
@@ -394,8 +414,8 @@ def _point_task(args):
 
     args are (scenario, assignments, engine, sim_workers, strict); the
     analytic engine runs in the sweep's own process (see run_sweep).  A
-    simulation that fails leaves no values, with its message in the
-    warnings, or with strict=True is raised.
+    simulation that fails leaves no values (None), with its message in
+    the warnings, or with strict=True is raised.
     """
     scenario, _, engine, sim_workers, strict = args
     if engine == "analytic" or not isinstance(scenario, Scenario):
@@ -405,22 +425,25 @@ def _point_task(args):
     except (NumericsError, ValidationError) as exc:
         if strict:
             raise
-        return {}, [str(exc)]
+        return None, [str(exc)]
 
 
-def _block(sweep_id: str, scenario, assignments, analytic, simulated) -> list[list[str]]:
+def _block(sweep_id: str, scenario, assignments, analytic, simulated,
+           run: _Pass) -> list[list[str]]:
     """A point's CSV rows, each starting with the sweep's id: one error row
-    for a config error, else its block from each engine's (values,
-    warnings), with empty cells for an engine that did not run (None)."""
+    for a config error, else its block of the pass's row keys from each
+    engine's (values, warnings), with empty cells for an engine that did
+    not run (None)."""
     prefix = [_fmt(value) for _, value in assignments]
     if not isinstance(scenario, Scenario):
         return [[sweep_id, *prefix, "", "", "error", "", "", "", "", scenario]]
-    (analytic, a_notes), (sim, s_notes) = analytic or ({}, []), simulated or ({}, [])
+    keys = run.row_keys(scenario)
+    (analytic, a_notes), (sim, s_notes) = _keyed(keys, analytic), _keyed(keys, simulated)
     notes = "; ".join([f"analytic: {note}" for note in a_notes]
                       + [f"simulate: {note}" for note in s_notes])
     replications = _fmt(scenario.sim.replications)
     rows = []
-    for key in _row_keys(scenario.topology):
+    for key in keys:
         src, dst, metric = key  # src and dst are node numbers, or "" on aggregate rows
         sim_mean, sim_ci = sim.get(key, (None, None))
         rows.append([
@@ -469,18 +492,19 @@ def run_sweep(
 
     An output path that cannot be written, or a refused scenario_id (even
     with out_name given), is a ValidationError before any point runs.
-    Each point is parsed once, here: a config error becomes its error row,
-    or with strict=True is raised.  Unless the engine is simulate, this
-    process then solves the parsed points in one solve_points pass before
-    any point runs, and keeps each point's values and warnings, or its
-    error, once its stack is read; with strict=True the first point that
-    fails raises its error, before any simulation.  _point_task then runs
-    once per point and simulates: in this process, or, when more than one
-    point is simulated and workers > 1, in a process pool of at most one
-    worker per point and per CPU (simulator.pool_size).  An analytic sweep
-    never starts a pool.  Pooled points are dispatched heaviest first (by
-    _sim_work), so that no worker is left alone with a long point at the
-    end; each block is written in grid order from both engines' outcomes.
+    The call is one pass (_Pass).  Each point is parsed once, here: a config
+    error becomes its error row, or with strict=True is raised.  Unless the
+    engine is simulate, this process then solves the parsed points as
+    solve_points does before any point runs, and keeps each point's values
+    and warnings, or its error, once its stack is read; with strict=True the
+    first point that fails raises its error, before any simulation.
+    _point_task then runs once per point and simulates: in this process, or,
+    when more than one point is simulated and workers > 1, in a process pool
+    of at most one worker per point and per CPU (simulator.pool_size).  An
+    analytic sweep never starts a pool.  Pooled points are dispatched
+    heaviest first (by _sim_work), so that no worker is left alone with a
+    long point at the end; each block is keyed by the pass's row keys and
+    written in grid order.
     """
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")
@@ -488,13 +512,12 @@ def run_sweep(
     sweep_id = scenario_id(config)  # no axis can set it (see SweepSpec)
     out_path = _csv_path(out_dir, out_name or f"{sweep_id}_sweep.csv")
 
-    for cached in (_row_keys, _next_hops, _mean_gains):
-        cached.cache_clear()
-    parsed = [_parse_point(config, assignments, strict) for assignments in points]
+    run = _Pass()
+    parsed = [run.parse(config, assignments, strict) for assignments in points]
     analytic = {}
     if spec.engine != "simulate":
-        for row, solved in solve_points(parsed):
-            analytic[row] = _analytic(parsed[row], solved, strict)
+        for row, solved in _solve(parsed, run):
+            analytic[row] = _analytic(solved, strict)
             del solved  # so that a stack's solutions are dropped once its points are read
     sim_workers = workers if len(points) == 1 else 1
     tasks = [(scenario, assignments, spec.engine, sim_workers, strict)
@@ -513,5 +536,5 @@ def run_sweep(
         writer.writerow(header)
         for i, (scenario, assignments) in enumerate(zip(parsed, points)):
             writer.writerows(_block(sweep_id, scenario, assignments, analytic.get(i),
-                                    simulated[i]))
+                                    simulated[i], run))
     return out_path

@@ -644,6 +644,7 @@ def solve_fixed_point_damped(
     with a damping tuned by hand.  Each sweep evaluates `cca_reference`.
     """
     n = len(tables)
+    subsets = one_point.listed(tables)
     alphas = np.full(n, float(init[0]))
     gammas = np.full(n, float(init[1]))
     warnings: list[str] = []
@@ -661,7 +662,8 @@ def solve_fixed_point_damped(
     residual = math.inf
     for iteration in range(1, config.max_iter + 1):
         taus, b000s = cca(alphas, gammas)
-        a_pkts, a_acks, new_gamma = contention_terms(tables, timing, taus, alphas, gammas)
+        a_pkts, a_acks, new_gamma = contention_terms(tables, subsets, timing, taus, alphas,
+                                                     gammas)
         raw_alpha = a_pkts + a_acks
         new_alpha = np.minimum(raw_alpha, ALPHA_CAP)
 

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from one_point import network
+from one_point import network, whole
 from csmafade.channel import (
     ChannelParams,
     FadingParams,
@@ -71,7 +71,7 @@ sim: {{horizon_seconds: {HORIZON}, replications: {reps}, master_seed: {SEED}}}
 
 def analytic_solution(scenario):
     return network(
-        build_contention_tables(scenario),
+        build_contention_tables(scenario, whole(scenario)),
         scenario.hops,
         np.array(scenario.lam),
         scenario.mac,

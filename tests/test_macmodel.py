@@ -7,7 +7,7 @@ import pytest
 from pytest import approx
 
 import oracles
-from one_point import fixed_point
+from one_point import fixed_point, whole
 from topo_helpers import contention_h
 from csmafade import channel, macmodel, scenarios, sweep
 from csmafade.errors import ConvergenceError, ValidationError
@@ -18,6 +18,7 @@ from csmafade.macmodel import (
     Chain,
     MacParams,
     SolverConfig,
+    SubsetList,
     TimingParams,
     arrival_probability,
     cca_probability,
@@ -28,6 +29,7 @@ from csmafade.scenarios import build_contention_tables, scenario_from_config
 
 MAC = MacParams()
 TIMING = TimingParams()
+PAIR = SubsetList(1, 1)  # the whole list of the one contender of each of two links
 
 
 def test_mac_params_windows_follow_backoff_exponent_cap():
@@ -233,7 +235,7 @@ def test_h_functional_rejects_oversized_topologies(monkeypatch):
     # and so would the whole tables of 16 links, 15 contenders each
     scenario = scenario_from_config({"topology": {"kind": "star", "n_nodes": 17}})
     with pytest.raises(ValidationError, match="row budget"):
-        build_contention_tables(scenario)
+        build_contention_tables(scenario, whole(scenario))
 
 
 def test_star_at_the_contender_cap_builds_one_table_and_solves():
@@ -246,15 +248,15 @@ def test_star_at_the_contender_cap_builds_one_table_and_solves():
     [(_, solution)] = sweep.solve_points([scenario])
     tol = scenario.solver.tol
     assert solution.depth == 4 and 0.0 < solution.truncation_bound <= tol
-    tables = build_contention_tables(scenario, depth=solution.depth)
+    tables = build_contention_tables(scenario, SubsetList(14, solution.depth))
     assert tables.p_det.shape == tables.p_out.shape == (15, 1471)
     assert not (tables.flags.writeable or tables.p_det.flags.writeable)
     state = solution.state
     assert np.ptp(state.gamma) < 1e-9 and 0.0 < state.gamma[0] < 1.0
 
-    whole = build_contention_tables(scenario, depth=14)
-    assert whole.p_det.shape == (15, 2**14)
-    exhaustive = fixed_point(whole, np.full(15, arrival_probability(10.0)), MAC, TIMING)
+    unlisted = build_contention_tables(scenario, SubsetList(14, 14))
+    assert unlisted.p_det.shape == (15, 2**14)
+    exhaustive = fixed_point(unlisted, np.full(15, arrival_probability(10.0)), MAC, TIMING)
     assert exhaustive.residual < tol
     within = solution.truncation_bound + tol
     assert np.max(np.abs(state.alpha - exhaustive.state.alpha)) <= within
@@ -288,28 +290,28 @@ def test_busy_channel_linear_in_frame_lengths():
     taus = np.array([0.0, 0.01])
     alphas = np.zeros(2)
     gammas = np.zeros(2)
-    a_pkt, a_ack, _ = contention_terms(tables, TIMING, taus, alphas, gammas)
+    a_pkt, a_ack, _ = contention_terms(tables, PAIR, TIMING, taus, alphas, gammas)
     assert a_pkt[0] == approx(0.07, rel=1e-12)
     assert a_ack[0] == approx(0.011, rel=1e-12)
 
 
 def test_busy_channel_zero_without_contenders():
     tables = _toy_tables(2, 1.0, 0.0, 0.0)
-    a_pkt, a_ack, _ = contention_terms(tables, TIMING, np.zeros(2), np.zeros(2), np.zeros(2))
+    a_pkt, a_ack, _ = contention_terms(tables, PAIR, TIMING, np.zeros(2), np.zeros(2), np.zeros(2))
     assert a_pkt[0] == 0.0 and a_ack[0] == 0.0
 
 
 def test_busy_channel_ack_component_scales_with_contender_success():
     tables = _toy_tables(2, 1.0, 0.0, 0.0)
     taus = np.array([0.0, 0.01])
-    _, ack_good, _ = contention_terms(tables, TIMING, taus, np.zeros(2), np.array([0.0, 0.0]))
-    _, ack_bad, _ = contention_terms(tables, TIMING, taus, np.zeros(2), np.array([0.0, 0.8]))
+    _, ack_good, _ = contention_terms(tables, PAIR, TIMING, taus, np.zeros(2), np.array([0.0, 0.0]))
+    _, ack_bad, _ = contention_terms(tables, PAIR, TIMING, taus, np.zeros(2), np.array([0.0, 0.8]))
     assert ack_bad[0] == approx(0.2 * ack_good[0], rel=1e-12)
 
 
 def test_packet_loss_reduces_to_fading_when_alone():
     tables = _toy_tables(2, 1.0, 0.3, 0.05)
-    _, _, gamma = contention_terms(tables, TIMING, np.zeros(2), np.zeros(2), np.zeros(2))
+    _, _, gamma = contention_terms(tables, PAIR, TIMING, np.zeros(2), np.zeros(2), np.zeros(2))
     assert gamma[0] == approx(0.05, rel=1e-12)
 
 
@@ -322,7 +324,7 @@ def test_packet_loss_longhand_single_contender():
     alphas = np.array([0.0, 0.2])
     w1 = 0.1 * 0.8
     expected = (1 - w1) * 0.02 + w1 * 0.3 + 13.0 * w1 * 0.1 * 0.3
-    _, _, gamma = contention_terms(tables, TIMING, taus, alphas, np.zeros(2))
+    _, _, gamma = contention_terms(tables, PAIR, TIMING, taus, alphas, np.zeros(2))
     assert gamma[0] == approx(expected, rel=1e-12)
 
 
@@ -332,7 +334,7 @@ def test_packet_loss_clamps_to_unit_interval():
         [[0.0, 0.1], [0.0, 0.0]], [[0.0, 0.9], [0.0, 0.0]], [0.0, 0.0]
     )
     _, _, gamma = contention_terms(
-        tables, TIMING, np.array([0.0, 1.0]), np.zeros(2), np.zeros(2)
+        tables, PAIR, TIMING, np.array([0.0, 1.0]), np.zeros(2), np.zeros(2)
     )
     assert gamma[0] == 1.0
 
@@ -359,7 +361,7 @@ def _star_system(n_tx=7, radius=1.0, lam=5.0, sigma=0.0):
         for i in range(n_tx)
     ]
     k = n_tx - 1
-    bits, _ = macmodel._subsets(k, k)
+    bits = SubsetList(k, k).bits
     useful = channel.mean_rx_power(0.0, radius, chan)
 
     tables = []  # (p_det, p_out, p_fad) per link
@@ -489,7 +491,8 @@ def _heavy_star_system(n_tx):
         {"topology": {"kind": "star", "n_nodes": n_tx + 1}, "lam": 200.0, "fading": {"sigma": 1.0}}
     )
     q = arrival_probability(200.0)
-    return build_contention_tables(scenario), np.full(n_tx, q), scenario.mac, scenario.timing
+    return (build_contention_tables(scenario, whole(scenario)), np.full(n_tx, q), scenario.mac,
+            scenario.timing)
 
 
 @pytest.mark.parametrize("n_tx", [11, 14])
@@ -586,8 +589,9 @@ def test_solve_fixed_point_refuses_qs_of_another_length():
     for sets, qs in ((tables, [[0.1, 0.2]]), (tables, []), (tables, [0.1]), (tables, 0.1),
                      (tables, [[0.1], [0.2]]), (tables * 2, [[0.1]]), ([], np.zeros((0, 1)))):
         with pytest.raises(ValidationError, match="qs length must match table count"):
-            macmodel.solve_fixed_point(sets, qs, MAC, TIMING)
-    assert len(macmodel.solve_fixed_point(tables * 2, [[0.1], [0.2]], MAC, TIMING)) == 2
+            macmodel.solve_fixed_point(sets, SubsetList(0, 0), qs, MAC, TIMING)
+    assert len(macmodel.solve_fixed_point(tables * 2, SubsetList(0, 0), [[0.1], [0.2]], MAC,
+                                          TIMING)) == 2
 
 
 @pytest.mark.parametrize("k", range(14))
@@ -595,7 +599,7 @@ def test_subset_weights_match_the_concatenating_loop_bit_for_bit(k):
     # one broadcast product per contender forms the very products of the concatenation
     eff = np.random.default_rng(k).uniform(0.0, 1.0, size=(3, 2, k))
     for stack in (eff, eff[0]):
-        got = macmodel._subset_weights(stack, k)
+        got = macmodel._subset_weights(stack, SubsetList(k, k))
         assert got.shape == stack.shape[:-1] + (2**k,)
         assert np.array_equal(got, oracles.subset_weights_concat(stack))
 
@@ -603,16 +607,19 @@ def test_subset_weights_match_the_concatenating_loop_bit_for_bit(k):
 def test_mask_bits_number_the_other_links_ascending():
     # mask bit z of link l's table is the z-th other link, ascending
     assert macmodel._other_links(4).tolist() == [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
-    bits, sizes = macmodel._subsets(3, 3)
+    subsets = SubsetList(3, 3)
+    bits, sizes = subsets.bits, subsets.sizes
     assert bits[0b101].tolist() == [True, False, True] and sizes.tolist() == [0, 1, 1, 2, 1, 2, 2, 3]
 
 
 @pytest.mark.parametrize("k, depth", [(3, 3), (7, 2), (10, 4)])
 def test_the_float_bits_give_the_products_of_the_bool_bits(k, depth):
-    bits, _ = macmodel._subsets(k, depth)
-    floats = macmodel._float_bits(k, depth)
+    bits = np.array([[m >> z & 1 for z in range(k)] for m in range(2**k)
+                     if bin(m).count("1") <= depth], dtype=bool)
+    run = sweep._Pass()  # a pass makes each list once
+    floats = run.subset_list(k, depth).bits
     assert floats.dtype == float and not floats.flags.writeable
-    assert np.array_equal(floats, bits) and macmodel._float_bits(k, depth) is floats
+    assert np.array_equal(floats, bits) and run.subset_list(k, depth).bits is floats
     gammas = np.random.default_rng(k).uniform(0.0, 1.0, size=(4, k + 1, k))
     for stack in (gammas, gammas[0]):
         assert np.array_equal(stack @ floats.T, stack @ bits.T)
@@ -625,14 +632,14 @@ def test_listed_weights_are_the_whole_doublings_at_the_listed_masks(k):
     eff = np.random.default_rng(k).uniform(0.0, 1.0, size=(3, 2, k))
     whole = oracles.subset_weights_concat(eff)
     for depth in range(k + 1):
-        bits, sizes = macmodel._subsets(k, depth)
-        masks = bits @ (1 << np.arange(k))
+        subsets = SubsetList(k, depth)
+        masks = subsets.bits.astype(int) @ (1 << np.arange(k))
         assert masks.tolist() == [m for m in range(2**k) if bin(m).count("1") <= depth]
-        assert sizes.tolist() == [bin(m).count("1") for m in masks.tolist()]
+        assert subsets.sizes.tolist() == [bin(m).count("1") for m in masks.tolist()]
         assert len(masks) == macmodel._list_rows(k)[depth]
-        got = macmodel._subset_weights(eff, depth)
+        got = macmodel._subset_weights(eff, subsets)
         assert np.array_equal(got, whole[..., masks])
-        assert np.array_equal(macmodel._subset_weights(eff[0], depth), got[0])
+        assert np.array_equal(macmodel._subset_weights(eff[0], subsets), got[0])
 
 
 @pytest.mark.parametrize("k", range(11))
@@ -663,13 +670,13 @@ def test_truncated_tables_move_each_term_by_at_most_its_bound(k):
     others = macmodel._other_links(n)
     for timing in (TIMING, TimingParams(l_pkt=0.25)):
         factors = (timing.l_pkt, timing.l_ack, 1.0 + abs(2.0 * timing.l_pkt - 1.0))
-        exact = contention_terms(whole, timing, taus, alphas, gammas)
+        exact = contention_terms(whole, SubsetList(k, k), timing, taus, alphas, gammas)
         bounds = macmodel.truncation_bounds(eff, timing, k)
         for depth in range(k + 1):
-            bits, _ = macmodel._subsets(k, depth)
-            masks = bits @ (1 << np.arange(k))
+            subsets = SubsetList(k, depth)
+            masks = subsets.bits.astype(int) @ (1 << np.arange(k))
             listed = contention_tables(p_det[:, masks], p_out[:, masks], p_fad)
-            got = contention_terms(listed, timing, taus, alphas, gammas)
+            got = contention_terms(listed, subsets, timing, taus, alphas, gammas)
             tails = np.array([oracles.subset_size_tails(eff[others[l]].tolist())[depth]
                               for l in range(n)])
             assert bounds[depth] == approx(max(factors) * tails.max(), rel=1e-12, abs=1e-300)
@@ -688,4 +695,4 @@ def test_bounded_depth_is_the_least_bounded_list_that_halves_the_table():
     assert macmodel.bounded_depth(bounds, 1e-6, 10) == 2
     assert macmodel.bounded_depth(bounds, 1e-10, 10) == 10
     assert macmodel.bounded_depth(bounds[:4], 1e-8, 10) is None
-    assert macmodel.list_depth(10, 386) == 4
+    assert SubsetList(10, 4).rows == 386

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from one_point import fixed_point, network
+from one_point import fixed_point, listed, network, whole
 from oracles import solve_network_nested, traffic_neumann
 from topo_helpers import build_tables, line_positions, star_positions
 from csmafade import channel, multihop
@@ -15,6 +15,7 @@ from csmafade.macmodel import (
     Chain,
     MacParams,
     SolverConfig,
+    SubsetList,
     TimingParams,
     arrival_probability,
     solve_fixed_point,
@@ -126,7 +127,7 @@ def test_traffic_vector_rejects_cycles():
     with pytest.raises(ValidationError, match="cycle"):
         traffic_neumann([1, 0], [1.0, 1.0], [0.5, 0.5])
     with pytest.raises(ValidationError, match="cycle"):
-        solve_network([], [1, 0], [1.0, 1.0], MAC, TIMING)
+        solve_network([], SubsetList(0, 0), [1, 0], [1.0, 1.0], MAC, TIMING)
 
 
 def test_end_to_end_products_match_hand_computation():
@@ -282,7 +283,7 @@ def test_relay_power_sums_its_childrens_transmit_power():
     s = scenario_from_config(parse_config(
         "topology: {kind: tree, n_nodes: 10, branching: 3}\nlam: 7.0\nfading: {sigma: 1.0}"
     ))
-    solution = network(build_contention_tables(s), s.hops, s.lam, s.mac, s.timing)
+    solution = network(build_contention_tables(s, whole(s)), s.hops, s.lam, s.mac, s.timing)
     link = {src: l for l, (src, _) in enumerate(s.links)}
     energy = solution.report.energy
     children = [link[c] for c, hop in enumerate(s.hops) if hop == 1]
@@ -296,7 +297,7 @@ def _tree_setup(n_nodes, lam_rate):
         f"topology: {{kind: tree, n_nodes: {n_nodes}, branching: 3}}\n"
         f"lam: {lam_rate}\nfading: {{sigma: 1.0}}"
     ))
-    return build_contention_tables(s), s.hops, s.lam
+    return build_contention_tables(s, whole(s)), s.hops, s.lam
 
 
 @pytest.mark.parametrize(
@@ -350,7 +351,7 @@ def test_network_input_validation():
 
 def _scenario_setup(text):
     s = scenario_from_config(parse_config(text))
-    return build_contention_tables(s), s.hops, np.asarray(s.lam)
+    return build_contention_tables(s, whole(s)), s.hops, np.asarray(s.lam)
 
 
 STACKS = {
@@ -380,8 +381,8 @@ def test_a_point_solves_alike_alone_and_in_any_stack(name, monkeypatch):
 
     monkeypatch.setattr(multihop, "solve_fixed_point", recording)
     shared = [tables] * len(lams)
-    stacks = [solve_network(shared, hops, lams, MAC, TIMING),
-              solve_network(shared, hops, lams[::-1], MAC, TIMING)[::-1]]
+    stacks = [solve_network(shared, listed(tables), hops, lams, MAC, TIMING),
+              solve_network(shared, listed(tables), hops, lams[::-1], MAC, TIMING)[::-1]]
     alone = [network(tables, hops, row, MAC, TIMING) for row in lams]
     assert [len(results) for results in fixed_points] == [len(rates)] * 2 + [1] * len(rates)
     results = [fixed_points[0], fixed_points[1][::-1], [r for [r] in fixed_points[2:]]]
@@ -426,7 +427,7 @@ def test_a_point_solves_alike_alone_and_in_a_stack_of_other_tables(topology, tim
                                                                     monkeypatch):
     scenarios = [scenario_from_config(parse_config(f"topology: {topology}\nlam: {rate}\n{text}"))
                  for text, rate in OWN_TABLES]
-    tables = [build_contention_tables(s) for s in scenarios]
+    tables = [build_contention_tables(s, whole(s)) for s in scenarios]
     hops, lams = scenarios[0].hops, np.array([s.lam for s in scenarios])
     assert len({t.tobytes() for t in tables}) == len(tables)
     fixed_points = []
@@ -436,7 +437,7 @@ def test_a_point_solves_alike_alone_and_in_a_stack_of_other_tables(topology, tim
         return fixed_points[-1]
 
     monkeypatch.setattr(multihop, "solve_fixed_point", recording)
-    stacked = solve_network(tables, hops, lams, MAC, timing)
+    stacked = solve_network(tables, listed(tables[0]), hops, lams, MAC, timing)
     alone = [network(t, hops, lam, MAC, timing) for t, lam in zip(tables, lams)]
     assert [len(results) for results in fixed_points] == [len(tables)] + [1] * len(tables)
     if timing is not TIMING:
@@ -462,16 +463,18 @@ def test_stacked_truncation_bounds_are_each_points_lone_bound(topology):
     # lists of at most 2 of the 6 or 7 contenders, on tables of each point's own
     scenarios = [scenario_from_config(parse_config(f"topology: {topology}\nlam: {rate}\n{text}"))
                  for text, rate in OWN_TABLES]
-    tables = [build_contention_tables(s, depth=2) for s in scenarios]
+    subsets = SubsetList(len(scenarios[0].links) - 1, 2)
+    tables = [build_contention_tables(s, subsets) for s in scenarios]
     hops, lams = scenarios[0].hops, np.array([s.lam for s in scenarios])
-    stacked = solve_network(tables, hops, lams, MAC, TIMING)
+    stacked = solve_network(tables, subsets, hops, lams, MAC, TIMING)
     for solution, point_tables, lam in zip(stacked, tables, lams):
         state = solution.state
         lone = float(truncation_bounds(state.tau * (1.0 - state.alpha), TIMING, 2)[2])
         assert solution.depth == 2 and 0.0 < solution.truncation_bound == lone
         assert network(point_tables, hops, lam, MAC, TIMING).truncation_bound == lone
-    whole = solve_network([build_contention_tables(s) for s in scenarios], hops, lams, MAC, TIMING)
-    assert [solution.truncation_bound for solution in whole] == [0.0] * len(scenarios)
+    unlisted = solve_network([build_contention_tables(s, whole(s)) for s in scenarios],
+                             whole(scenarios[0]), hops, lams, MAC, TIMING)
+    assert [solution.truncation_bound for solution in unlisted] == [0.0] * len(scenarios)
 
 
 def test_a_stack_raises_when_one_of_its_points_fails(monkeypatch):
@@ -485,17 +488,18 @@ def test_a_stack_raises_when_one_of_its_points_fails(monkeypatch):
         return solves[-1]
 
     monkeypatch.setattr(multihop, "solve_fixed_point", recording)
-    solve_network([tables] * 2, hops, [light, heavy], MAC, TIMING)
+    solve_network([tables] * 2, listed(tables), hops, [light, heavy], MAC, TIMING)
     counts = [result.iterations for result in solves[0]]
     assert counts[0] < counts[1]
     config = SolverConfig(max_iter=counts[0])
     assert network(tables, hops, light, MAC, TIMING, config=config).warnings == []
     with pytest.raises(ConvergenceError, match=f"did not converge after {counts[0]} iterations"):
-        solve_network([tables] * 2, hops, [light, heavy], MAC, TIMING, config=config)
+        solve_network([tables] * 2, listed(tables), hops, [light, heavy], MAC, TIMING,
+                      config=config)
     for rates in ([[lam]], lam):  # one point's rates are a stack of one
         with pytest.raises(ValidationError, match="rate vector"):
-            solve_network([tables], hops, rates, MAC, TIMING)
+            solve_network([tables], listed(tables), hops, rates, MAC, TIMING)
     with pytest.raises(ValidationError, match="qs length"):
-        solve_fixed_point([tables] * 2, [lam[1:]], MAC, TIMING)
+        solve_fixed_point([tables] * 2, listed(tables), [lam[1:]], MAC, TIMING)
     with pytest.raises(ValidationError, match="qs length"):  # a stack of no points
-        solve_network([], hops, np.zeros((0, len(hops))), MAC, TIMING)
+        solve_network([], listed(tables), hops, np.zeros((0, len(hops))), MAC, TIMING)

@@ -160,7 +160,7 @@ def test_traced_pooled_compare_sweep_simulates_in_the_pool_and_solves_in_the_par
     config = load_config(ROOT / "configs" / "tiny3.yaml")
     spec = sweep.sweep_from_config(config)
     assert spec.engine == "compare" and spec.n_points == 2
-    stacks = sweep._stacks([sweep._parse_point(config, point, strict=True)
+    stacks = sweep._stacks([sweep._Pass().parse(config, point, strict=True)
                             for point in spec.points()])
     tracer.install()
     try:

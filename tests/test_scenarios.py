@@ -9,7 +9,7 @@ import pytest
 
 from csmafade import channel, scenarios
 from csmafade.errors import ValidationError
-from csmafade.macmodel import _subsets
+from csmafade.macmodel import SubsetList
 from csmafade.scenarios import (
     Topology,
     apply_override,
@@ -21,6 +21,7 @@ from csmafade.scenarios import (
 )
 
 import topo_helpers
+from one_point import whole
 
 
 MINIMAL_STAR = """
@@ -261,7 +262,7 @@ def test_contention_tables_match_reference_construction():
     positions = s.topology.positions()
     links = s.links
     reference = topo_helpers.build_tables(positions, links, s.channel, s.fading)
-    built = build_contention_tables(s)
+    built = build_contention_tables(s, whole(s))
     assert len(built) == len(reference) == 2
     for mine, ref in zip(built, reference):
         _tables_equal(mine, ref)
@@ -278,7 +279,7 @@ def test_batched_detection_table_equals_per_subset_detection(kappa):
     )
     assert s.fading.kappa == kappa
     reference = topo_helpers.build_tables(s.topology.positions(), s.links, s.channel, s.fading)
-    built = build_contention_tables(s)
+    built = build_contention_tables(s, whole(s))
     assert len(built) == len(reference) == 5
     for mine, ref in zip(built, reference):
         assert len(mine.p_det) == 2**4
@@ -303,7 +304,7 @@ def test_shared_rows_equal_the_per_link_construction(topology, kappa):
         set=[f"fading.kappa={'null' if kappa is None else kappa}"],
     )
     reference = topo_helpers.build_tables_per_link(s.mean_gain_mw, s.links, s.channel, s.fading)
-    built = build_contention_tables(s)
+    built = build_contention_tables(s, whole(s))
     assert len(built) == len(reference) == len(s.links)
     for mine, ref in zip(built, reference):
         _tables_equal(mine, ref)
@@ -347,13 +348,13 @@ def test_tables_fit_each_distinct_subset_sum_once(monkeypatch):
         for record in (calls, fitted):
             record.update((name, type(value)()) for name, value in record.items())
         s = scenario_of(f"topology: {topology}\nlam: 5.0\nfading: {{sigma: 1.5, kappa: 2}}\n")
-        tables = build_contention_tables(s)
+        tables = build_contention_tables(s, whole(s))
         n_links, k = len(s.links), len(s.links) - 1
         assert len(tables) == n_links and len(tables[0].p_out) == 2**k
         assert calls == {name: 1 for name in calls}, topology
 
         # the distinct multisets of gains over all links' subsets, counted the long way
-        gain, (bits, _) = s.mean_gain_mw, _subsets(k, k)
+        gain, bits = s.mean_gain_mw, SubsetList(k, k).bits
         det, out = set(), set()
         for l, (tx, rx) in enumerate(s.links):
             senders = [s.links[o][0] for o in range(n_links) if o != l]
@@ -404,7 +405,8 @@ TABLE_FINGERPRINTS = {
 def test_tables_match_recorded_fingerprint(case):
     topology, fading, depth, digest = TABLE_FINGERPRINTS[case]
     s = scenario_of(f"topology: {topology}\nlam: 5.0\nfading: {fading}\n")
-    tables = build_contention_tables(s, depth=depth)
+    k = len(s.links) - 1
+    tables = build_contention_tables(s, SubsetList(k, k if depth is None else depth))
     h = hashlib.sha256()
     for field in ("p_det", "p_out", "p_fad"):
         h.update(np.ascontiguousarray(tables[field]).tobytes())

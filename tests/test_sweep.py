@@ -2,11 +2,14 @@
 
 import copy
 import csv
+import gc
 import hashlib
+import importlib
 import itertools
 import math
 import os
 import pathlib
+import pkgutil
 import time
 import weakref
 from concurrent.futures import ProcessPoolExecutor
@@ -14,10 +17,11 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from one_point import network
-from csmafade import multihop, scenarios, simulator, sweep
+from one_point import network, whole
+import csmafade
+from csmafade import cli, multihop, scenarios, simulator, sweep
 from csmafade.errors import NumericsError, ValidationError
-from csmafade.macmodel import ALPHA_CAP
+from csmafade.macmodel import ALPHA_CAP, SubsetList
 from csmafade.multihop import solve_network
 from csmafade.scenarios import (
     build_contention_tables,
@@ -448,7 +452,7 @@ sim: {horizon_seconds: 10.0, replications: 3, master_seed: 5}
     assert s.links == ((0, 1), (2, 1))
     sim = run_experiment(compile_sim_network(s), s.sim, s.power)
     report = network(
-        build_contention_tables(s), s.hops, s.lam, s.mac, s.timing,
+        build_contention_tables(s, whole(s)), s.hops, s.lam, s.mac, s.timing,
         profile=s.power, config=s.solver,
     ).report
     out = run_sweep(config, SweepSpec(parameters=(), engine="compare"), out_dir=tmp_path)
@@ -493,9 +497,9 @@ def test_points_that_differ_only_in_rate_share_their_tables(tmp_path, monkeypatc
     spec = sweep_from_config(config)
     builds = []
 
-    def counting(scenario, plans=None, depth=None):
+    def counting(scenario, subsets, plans=None):
         builds.append(scenario.fading.sigma)
-        return build_contention_tables(scenario, plans, depth)
+        return build_contention_tables(scenario, subsets, plans)
 
     monkeypatch.setattr(sweep, "build_contention_tables", counting)
     plans = count_plans(monkeypatch)
@@ -524,24 +528,24 @@ def build_every_point(monkeypatch) -> None:
 
 
 def watch_caches(monkeypatch, lookup=None) -> list:
-    """Record each table cache that later sweeps make; with lookup, call
-    lookup(cache, key, tables, built) after each of its lookups."""
+    """Record each pass that later sweeps make; with lookup, call
+    lookup(cache, key, tables, built) after each of its table lookups."""
     made = []
 
-    class Watched(sweep._TableCache):
+    class Watched(sweep._Pass):
         def __init__(self):
             super().__init__()
             made.append(self)
 
-        def __call__(self, scenario, depth):
+        def tables(self, scenario, depth):
             key = (sweep._table_key(scenario), depth)
             built = key not in self.sets
-            tables = super().__call__(scenario, depth)
+            tables = super().tables(scenario, depth)
             if lookup is not None:
                 lookup(self, key, tables, built)
             return tables
 
-    monkeypatch.setattr(sweep, "_TableCache", Watched)
+    monkeypatch.setattr(sweep, "_Pass", Watched)
     return made
 
 
@@ -618,6 +622,8 @@ def test_each_geometry_has_its_own_plan_and_the_cache_stays_bounded(tmp_path, mo
     roomy = run_sweep(config, spec, out_dir=tmp_path, out_name="roomy.csv")
     assert len(plans) == n_geometries and len(built) == 2 * n_geometries
     assert len(caches[0].sets) == 2 * n_geometries  # all 20 sets, 23 990 entries, fit
+    # each topology's next hops and mean gains, and its row keys
+    assert len(caches[0].geometry) == 2 * n_geometries and len(caches[0].rows) == n_geometries
     assert max(built.values()) == 5120 and sum(built.values()) == 23_990
 
     # a limit of 8 x 1 024 entries holds some of the sets: the oldest go first
@@ -628,6 +634,86 @@ def test_each_geometry_has_its_own_plan_and_the_cache_stays_bounded(tmp_path, mo
     assert len(plans) == n_geometries and len(built) == 2 * n_geometries
     assert len(caches[1].sets) < 2 * n_geometries
     assert tight.read_bytes() == roomy.read_bytes()
+
+
+@pytest.mark.parametrize("n_nodes_first", [True, False])
+def test_a_grid_of_geometries_works_out_each_once(tmp_path, monkeypatch, n_nodes_first):
+    # stars of 3 to 12 nodes at two sigmas: 10 geometries of n (n - 1) mean
+    # gains each, 570 in all, whichever axis varies fastest
+    config = tiny_config()
+    config["sweep"]["engine"] = "analytic"
+    axes = [{"path": "topology.n_nodes", "values": list(range(3, 13))},
+            {"path": "fading.sigma", "values": [0.0, 1.0]}]
+    config["sweep"]["parameters"] = axes if n_nodes_first else axes[::-1]
+    hops, gains, walks = [], [], []
+    topology_hops, rx_power, walk = scenarios.Topology.hops, scenarios.mean_rx_power, sweep.route
+
+    def counted_hops(topology):
+        hops.append(topology.size)
+        return topology_hops(topology)
+
+    def counted_gain(*args):
+        gains.append(1)
+        return rx_power(*args)
+
+    def counted_walk(next_hop, src):
+        walks.append(len(next_hop))
+        return walk(next_hop, src)
+
+    monkeypatch.setattr(scenarios.Topology, "hops", counted_hops)
+    monkeypatch.setattr(scenarios, "mean_rx_power", counted_gain)
+    monkeypatch.setattr(sweep, "route", counted_walk)
+    rows = read_rows(run_sweep(config, sweep_from_config(config), out_dir=tmp_path))
+    assert len({(r["topology.n_nodes"], r["fading.sigma"]) for r in rows}) == 20
+    assert sorted(hops) == list(range(3, 13)) and len(gains) == 570
+    # one row-key walk per geometry: one route per transmitter
+    assert sorted(walks) == sorted(n for n in range(3, 13) for _ in range(n - 1))
+
+
+def module_caches() -> set[str]:
+    """Every functools cache wrapper that csmafade's modules define, at
+    module level or on a class, by qualified name."""
+    found = set()
+    for info in pkgutil.iter_modules(csmafade.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"csmafade.{info.name}")
+        spaces = [(module.__name__, vars(module))]
+        spaces += [(f"{module.__name__}.{cls.__name__}", vars(cls))
+                   for cls in vars(module).values()
+                   if isinstance(cls, type) and cls.__module__ == module.__name__]
+        for where, space in spaces:
+            for name, value in space.items():
+                value = getattr(value, "__func__", value)  # a static or class method
+                if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                    found.add(f"{where}.{name}")
+    return found
+
+
+def test_the_only_module_caches_hold_quadrature_rules_ints_or_capped_arrays(tmp_path,
+                                                                           monkeypatch):
+    # quadrature rules, row counts per k, (n, n - 1) arrays for n <= MAX_NODES,
+    # and type hints; a sweep's geometry, row keys and subset lists are its pass's
+    allowed = {"csmafade.channel._gh_nodes", "csmafade.channel._mgf_rule",
+               "csmafade.macmodel._other_links", "csmafade.macmodel._list_rows",
+               "csmafade.scenarios._field_types"}
+    lists = []
+
+    class Recorded(SubsetList):
+        def __init__(self, k, depth):
+            super().__init__(k, depth)
+            lists.append(weakref.ref(self))
+
+    monkeypatch.setattr(sweep, "SubsetList", Recorded)
+    config = tiny_config()
+    config["sweep"]["engine"] = "analytic"
+    run_sweep(config, sweep_from_config(config), out_dir=tmp_path)
+    assert module_caches() == allowed
+    assert cli.main(["analyze", "--config", str(CONFIGS / "tiny3.yaml"),
+                     "--out", str(tmp_path)]) == 0
+    assert module_caches() == allowed
+    gc.collect()
+    assert len(lists) == 2 and all(ref() is None for ref in lists)  # dropped with their pass
 
 
 def test_links_whose_gains_rank_differently_do_not_share_a_plan(tmp_path, monkeypatch):
@@ -679,13 +765,13 @@ def test_a_design_grid_builds_each_table_set_once(tmp_path, monkeypatch):
     spec = SweepSpec(parameters=DESIGN_GRID, engine="analytic")
     builds, solves = [], []
 
-    def counting(scenario, plans=None, depth=None):
+    def counting(scenario, subsets, plans=None):
         builds.append((scenario.channel.b_db, scenario.fading.sigma))
-        return build_contention_tables(scenario, plans, depth)
+        return build_contention_tables(scenario, subsets, plans)
 
-    def solving(tables, next_hop, lam, *args, **kwargs):
+    def solving(tables, subsets, next_hop, lam, *args, **kwargs):
         solves.append(len(lam))
-        return solve_network(tables, next_hop, lam, *args, **kwargs)
+        return solve_network(tables, subsets, next_hop, lam, *args, **kwargs)
 
     monkeypatch.setattr(sweep, "build_contention_tables", counting)
     monkeypatch.setattr(sweep, "solve_network", solving)
@@ -708,10 +794,10 @@ def test_pooled_sweep_builds_each_table_set_once(tmp_path, monkeypatch):
     spec = sweep_from_config(config)
     log = tmp_path / "builds.log"  # pool workers log their builds here too
 
-    def logging_build(scenario, plans=None, depth=None):
+    def logging_build(scenario, subsets, plans=None):
         with open(log, "a") as f:
             f.write(f"{os.getpid()} {scenario.fading.sigma}\n")
-        return build_contention_tables(scenario, plans, depth)
+        return build_contention_tables(scenario, subsets, plans)
 
     monkeypatch.setattr(sweep, "build_contention_tables", logging_build)
     plan_log = tmp_path / "plans.log"
@@ -730,10 +816,10 @@ def test_pooled_sweep_parses_each_point_once_in_the_parent(tmp_path, monkeypatch
     spec = sweep_from_config(config)
     log = tmp_path / "parses.log"  # pool workers would log their parses here too
 
-    def logging_parse(point, default_id):
+    def logging_parse(point, default_id, geometry):
         with open(log, "a") as f:
             f.write(f"{os.getpid()}\n")
-        return scenario_from_config(point, default_id)
+        return scenario_from_config(point, default_id, geometry)
 
     monkeypatch.setattr(sweep, "scenario_from_config", logging_parse)
     run_sweep(config, spec, out_dir=tmp_path, workers=2)
@@ -768,7 +854,7 @@ def test_refused_sweep_id_fails_before_any_point_runs(tmp_path, monkeypatch):
     def no_parse(*args):
         raise AssertionError("a point was parsed")
 
-    monkeypatch.setattr(sweep, "_parse_point", no_parse)
+    monkeypatch.setattr(sweep._Pass, "parse", no_parse)
     for value in (None, [1], True):
         config = tiny_config()
         config["scenario_id"] = value
@@ -849,8 +935,8 @@ def test_a_sweep_leaves_the_config_and_the_grid_as_they_were(tmp_path):
     rows = read_rows(run_sweep(config, spec, out_dir=tmp_path))
     assert (config, spec) == before
     assert {r["fading"] for r in rows} == {"{'kappa': 2.0}"}
-    sigma = sweep._parse_point(config, (("fading.sigma", 2.0),), strict=True)
-    rate = sweep._parse_point(config, (("lam", 3.0),), strict=True)
+    sigma = sweep._Pass().parse(config, (("fading.sigma", 2.0),), strict=True)
+    rate = sweep._Pass().parse(config, (("lam", 3.0),), strict=True)
     assert (sigma.fading.sigma, rate.fading.sigma) == (2.0, 1.0)
     assert config == before[0]
 
@@ -924,14 +1010,14 @@ def test_a_stack_over_table_sets_gives_each_point_its_lone_solution(monkeypatch)
             (("tx_power_dbm", -5.0), ("fading.sigma", 1.0), ("lam", 30.0)),
             (("fading.sigma", 1.0), ("lam", 50.0)),
             (("lam", 50.0),)]
-    scenarios = [sweep._parse_point(config, point, strict=True) for point in grid]
+    scenarios = [sweep._Pass().parse(config, point, strict=True) for point in grid]
     assert len({sweep._table_key(s) for s in scenarios}) == 6  # rows 0 and 5 share theirs
     assert [rows for rows, *_ in sweep._stacks(scenarios)] == [tuple(range(len(grid)))]
     solves = []
 
-    def counting(tables, next_hop, lam, *args, **kwargs):
+    def counting(tables, subsets, next_hop, lam, *args, **kwargs):
         solves.append(len(lam))
-        return solve_network(tables, next_hop, lam, *args, **kwargs)
+        return solve_network(tables, subsets, next_hop, lam, *args, **kwargs)
 
     monkeypatch.setattr(sweep, "solve_network", counting)
     alone = [solved for s in scenarios for solved in solved_in_order([s])]
@@ -1009,7 +1095,7 @@ def test_each_route_is_walked_once_per_stack(tmp_path, monkeypatch, macs, stacks
     monkeypatch.setattr(sweep, "route", counted)
     run_sweep(config, spec, out_dir=tmp_path)
     assert len(sweep._stacks(
-        [sweep._parse_point(config, point, strict=True) for point in spec.points()]
+        [sweep._Pass().parse(config, point, strict=True) for point in spec.points()]
     )) == stacks
     assert sorted(walks) == sorted(list(range(1, 9)) * (stacks + 1))
 
@@ -1021,9 +1107,9 @@ def test_a_group_larger_than_the_budget_splits_into_stacks_with_the_same_csv(
     spec = SweepSpec(parameters=LINE9_GRID, engine="analytic")
     solves = []
 
-    def counting(tables, next_hop, lam, *args, **kwargs):
+    def counting(tables, subsets, next_hop, lam, *args, **kwargs):
         solves.append(len(lam))
-        return solve_network(tables, next_hop, lam, *args, **kwargs)
+        return solve_network(tables, subsets, next_hop, lam, *args, **kwargs)
 
     monkeypatch.setattr(sweep, "solve_network", counting)
     assert 15 * 8 * 128 <= sweep.STACK_ELEMENTS
@@ -1075,9 +1161,9 @@ def test_a_strict_sweep_solves_no_point_alone_after_the_first_error(tmp_path, mo
     spec = SweepSpec(parameters=(("lam", (50.0, 2.0, 10.0)),), engine="analytic")
     solves = []
 
-    def counting(tables, next_hop, lam, *args, **kwargs):
+    def counting(tables, subsets, next_hop, lam, *args, **kwargs):
         solves.append(len(lam))
-        return solve_network(tables, next_hop, lam, *args, **kwargs)
+        return solve_network(tables, subsets, next_hop, lam, *args, **kwargs)
 
     monkeypatch.setattr(sweep, "solve_network", counting)
     out = tmp_path / "strict"
@@ -1098,9 +1184,9 @@ def test_an_analytic_sweep_solves_one_stack_at_any_worker_count(
                      engine="analytic")
     solves = []
 
-    def counting(tables, next_hop, lam, *args, **kwargs):
+    def counting(tables, subsets, next_hop, lam, *args, **kwargs):
         solves.append(len(lam))
-        return solve_network(tables, next_hop, lam, *args, **kwargs)
+        return solve_network(tables, subsets, next_hop, lam, *args, **kwargs)
 
     monkeypatch.setattr(sweep, "solve_network", counting)
     serial = run_sweep(config, spec, out_dir=tmp_path, out_name="serial.csv")
@@ -1165,9 +1251,9 @@ def test_a_point_started_too_shallow_is_solved_again_at_the_depth_its_bound_asks
     spec = SweepSpec(parameters=STAR12_GRID, engine="analytic")
     solves = []
 
-    def counting(tables, next_hop, lam, *args, **kwargs):
+    def counting(tables, subsets, next_hop, lam, *args, **kwargs):
         solves.append((len(lam), tables[0].p_det.shape[-1]))
-        return solve_network(tables, next_hop, lam, *args, **kwargs)
+        return solve_network(tables, subsets, next_hop, lam, *args, **kwargs)
 
     monkeypatch.setattr(sweep, "solve_network", counting)
     right = run_sweep(config, spec, out_dir=tmp_path, out_name="right.csv")
@@ -1200,9 +1286,9 @@ def test_points_of_a_stack_get_their_lone_solutions_at_each_depth():
     star12 = load_config(CONFIGS / "star7.yaml", STAR12)
     star7 = load_config(CONFIGS / "star7.yaml")
     groups = [
-        [sweep._parse_point(star12, point, strict=True)
+        [sweep._Pass().parse(star12, point, strict=True)
          for point in SweepSpec(parameters=STAR12_GRID).points()],
-        [sweep._parse_point(star7, point, strict=True)
+        [sweep._Pass().parse(star7, point, strict=True)
          for point in SweepSpec(parameters=(("lam", (0.5, 2.0, 0.5)),)).points()],
     ]
     assert [rows for rows, *_ in sweep._stacks(groups[0])] == [(0, 1, 2, 3)]

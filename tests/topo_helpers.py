@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from csmafade import channel
-from csmafade.macmodel import TimingParams, _subsets, contention_tables, contention_terms
+from csmafade.macmodel import SubsetList, TimingParams, contention_tables, contention_terms
 
 
 def build_tables(positions, links, chan, fading, tx_power_dbm=0.0):
@@ -23,7 +23,7 @@ def build_tables(positions, links, chan, fading, tx_power_dbm=0.0):
     """
     n_links = len(links)
     k = n_links - 1
-    bits, _ = _subsets(k, k)
+    bits = SubsetList(k, k).bits == 1.0
     noise = chan.noise_mw
 
     def mean_w(src, dst):
@@ -64,7 +64,7 @@ def build_tables_per_link(gain, links, chan, fading):
     """
     n_links = len(links)
     k = n_links - 1
-    bits, _ = _subsets(k, k)
+    bits = SubsetList(k, k).bits == 1.0
 
     tables = []  # (p_det, p_out, p_fad) per link
     for l, (tx, rx) in enumerate(links):
@@ -148,6 +148,7 @@ def contention_h(taus, alphas, chi):
     full_taus = np.concatenate([[0.0], taus])
     full_alphas = np.concatenate([[0.0], alphas])
     a_pkt, _, gamma = contention_terms(
-        tables, TimingParams(l_pkt=0.5), full_taus, full_alphas, np.zeros(k + 1)
+        tables, SubsetList(k, k), TimingParams(l_pkt=0.5), full_taus, full_alphas,
+        np.zeros(k + 1)
     )
     return 2.0 * a_pkt[0], gamma[0]
