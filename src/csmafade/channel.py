@@ -580,16 +580,16 @@ def mma_fit(
     spread = _second_moment_factor(fading) * e_two - e_one
     m1 = np.zeros(len(index))
     excess = np.zeros(len(index))  # M2 - e^{sigma^2} M1^2
-    for place in index.T:
-        sel = place < len(powers)
-        g = powers[place[sel]] / useful[sel] * e_one
-        m1[sel] += g
-        excess[sel] += g * g * spread
-    m1 += noise_mw / useful * e_half
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # an overflow leaves var non-finite: refused below
+        for place in index.T:
+            sel = place < len(powers)
+            g = powers[place[sel]] / useful[sel] * e_one
+            m1[sel] += g
+            excess[sel] += g * g * spread
+        m1 += noise_mw / useful * e_half
         var = fading.sigma**2 + np.log1p(excess / (e_one * m1 * m1))
     if not np.all(np.isfinite(var)):
-        bad = useful[~np.isfinite(var)][0]
+        bad = float(useful[~np.isfinite(var)][0])
         raise NumericsError(f"outage moment matching overflowed (useful power {bad!r})")
     return np.log(m1) - 0.5 * var, np.sqrt(var)
 
@@ -615,7 +615,9 @@ def lognormal_expectation(
         step = max(1, QUAD_BLOCK // nodes)
         for lo in range(0, len(rows), step):
             r = rows[lo : lo + step]
-            f = fn(np.exp(eta[r, None] + (SQRT2 * sigma[r])[:, None] * t))
+            with np.errstate(over="ignore"):  # a W beyond the float range is inf
+                w = np.exp(eta[r, None] + (SQRT2 * sigma[r])[:, None] * t)
+            f = fn(w)
             # one BLAS dot per row, as a 1-D `wgt @ f`, whatever the block size
             val[lo : lo + step] = np.matmul(f[:, None, :], wgt[:, None])[:, 0, 0] / SQRTPI
         return val
@@ -664,7 +666,8 @@ def outage_probability(
         kappa = fading.kappa
 
         def outage(w: np.ndarray) -> np.ndarray:
-            return _gamma_cdf_unit_mean(kappa, sinr_threshold * w)
+            with np.errstate(over="ignore"):  # an infinite b W has F = 1
+                return _gamma_cdf_unit_mean(kappa, sinr_threshold * w)
 
         return np.clip(lognormal_expectation(outage, eta, sigma), 0.0, 1.0)
     return _lognormal_tails(eta, sigma, -math.log(sinr_threshold))

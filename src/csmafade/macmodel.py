@@ -519,7 +519,6 @@ def solve_fixed_point(
     mac: MacParams,
     timing: TimingParams,
     config: SolverConfig = SolverConfig(),
-    init: tuple[float, float] = (0.0, 0.0),
     arrivals: Callable | None = None,
 ) -> SolveResults:
     """Anderson-accelerated iteration of the (alpha, gamma) map of all links
@@ -532,11 +531,12 @@ def solve_fixed_point(
     reliability at stack rows `rows` (forwarded traffic).  Links with q = 0
     never transmit and are held at tau = b000 = 0.
 
-    The first step is x + MIXING * f with residual f = g(x) - x; each later
-    step mixes the last ANDERSON_DEPTH + 1 iterates and residuals by a
-    least-squares fit of the residual differences (Walker & Ni 2011), and
-    is clipped into the map's domain.  Converged when max |f| < config.tol;
-    the returned state is then g(x) itself.
+    The first step, from x = 0, is x + MIXING * f with residual
+    f = g(x) - x; each later step mixes the last ANDERSON_DEPTH + 1
+    iterates and residuals by a least-squares fit of the residual
+    differences (Walker & Ni 2011), and is clipped into the map's domain.
+    Converged when max |f| < config.tol; the returned state is then g(x)
+    itself.
 
     tables is a sequence of P table sets, one per point, on the rows of
     `subsets`, and qs their (P, L) arrival probabilities; the result is a
@@ -560,8 +560,7 @@ def solve_fixed_point(
     else:
         fields = {name: np.stack([t[name] for t in sets]) for name in TABLE_FIELDS}
     upper = np.concatenate([np.full(n, ALPHA_CAP), np.ones(n)])
-    init_x = np.concatenate([np.full(n, float(init[0])), np.full(n, float(init[1]))])
-    points = [_Anderson(init_x) for _ in qs]
+    points = [_Anderson(np.zeros(2 * n)) for _ in qs]
     results = SolveResults([None] * len(qs))
 
     def cca(rows, alphas: np.ndarray, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -27,7 +27,7 @@ import itertools
 import math
 import sys
 import typing
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, fields, is_dataclass
 from functools import cache
 from pathlib import Path
 
@@ -53,6 +53,16 @@ ROW_BUDGET = 15 * 2**14
 MAX_NODES = 1024
 
 
+# The Topology fields each kind reads besides its kind; a field that its kind
+# does not read must keep its default.
+KIND_KEYS = {
+    "star": ("n_nodes", "spacing_m"),
+    "line": ("n_nodes", "spacing_m"),
+    "tree": ("n_nodes", "spacing_m", "branching"),
+    "explicit": ("positions_m", "next_hop"),
+}
+
+
 @dataclass(frozen=True)
 class Topology:
     """Node placement plus routing, generated or explicit."""
@@ -65,8 +75,15 @@ class Topology:
     next_hop: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("star", "line", "tree", "explicit"):
+        if self.kind not in KIND_KEYS:
             raise ValidationError(f"unknown topology kind {self.kind!r}")
+        for f in fields(self)[1:]:  # the fields after kind
+            if f.name not in KIND_KEYS[self.kind] and getattr(self, f.name) != f.default:
+                kinds = [kind for kind, keys in KIND_KEYS.items() if f.name in keys]
+                raise ValidationError(
+                    f"{f.name} is read by kind{'s' * (len(kinds) > 1)} "
+                    f"{', '.join(map(repr, kinds))} only, not {self.kind!r}"
+                )
         if self.kind == "explicit":
             if self.positions_m is None or self.next_hop is None:
                 raise ValidationError(
@@ -80,11 +97,6 @@ class Topology:
                         f"positions_m entries must be (x, y) pairs of finite numbers, got {p}"
                     )
         else:
-            for name in ("positions_m", "next_hop"):
-                if getattr(self, name) is not None:
-                    raise ValidationError(
-                        f"{name} is read by kind 'explicit' only, not {self.kind!r}"
-                    )
             if self.n_nodes < 2:
                 raise ValidationError("need at least one transmitter and a sink")
             if self.spacing_m <= 0.0:
@@ -180,7 +192,9 @@ class Scenario:
     mean_gain_mw (mean power in mW that node j receives when node i
     transmits, 0 for i == j) are the geometry both engines share, read-only,
     taken from the memo `geometry` or worked out into it: scenarios parsed
-    with one memo share one array per geometry.  links holds (transmitter,
+    with one memo share one array per geometry.  The memo keys hops by the
+    topology, and gains by what mean_rx_power reads: the topology,
+    tx_power_dbm, channel.c0_db and channel.k.  links holds (transmitter,
     next hop) per link, in transmitter order.
     """
 
@@ -220,9 +234,9 @@ class Scenario:
         route_links(self.hops)  # rejects bad hops, cycles and a topology with no link
         object.__setattr__(self, "links",
                            tuple((i, int(h)) for i, h in enumerate(self.hops) if h >= 0))
-        key = (self.topology, self.tx_power_dbm, self.channel)
+        key = (self.topology, self.tx_power_dbm, self.channel.c0_db, self.channel.k)
         object.__setattr__(self, "mean_gain_mw", _shared(  # rejects coincident nodes
-            geometry, key, lambda: _mean_gains(*key)))
+            geometry, key, lambda: _mean_gains(self.topology, self.tx_power_dbm, self.channel)))
 
 
 def _shared(geometry: dict, key, make) -> np.ndarray:
@@ -462,14 +476,6 @@ def compile_sim_network(scenario: Scenario) -> SimNetwork:
 # configuration parsing
 
 
-def _require_mapping(value, where: str) -> dict:
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ValidationError(f"{where} must be a mapping")
-    return dict(value)
-
-
 def _take(section: dict, cls, where: str):
     """Build a dataclass from a config section, rejecting unknown keys.
 
@@ -611,75 +617,70 @@ def scenario_from_config(config: dict, default_id: str = "scenario",
 
 
 def _build_scenario(config: dict, default_id: str, geometry: dict) -> Scenario:
+    """The Scenario of a config.  Its top-level keys are Scenario's init
+    fields, each field annotated with a dataclass is a section (_section,
+    _take), and the fields are checked in their order."""
     config = dict(config)
     config.pop("sweep", None)  # owned by the sweep layer
-
-    allowed = {
-        "scenario_id", "topology", "lam", "channel", "fading", "mac",
-        "timing", "power", "solver", "sim", "tx_power_dbm",
-    }
-    unknown = set(config) - allowed
+    unknown = set(config) - {f.name for f in fields(Scenario) if f.init}
     if unknown:
         raise ValidationError(f"unknown top-level keys: {sorted(unknown)}")
 
-    topo_section = _require_mapping(config.get("topology"), "topology")
-    if "positions_m" in topo_section:
-        try:
-            topo_section["positions_m"] = tuple(
-                tuple(float(_coerce(c, float, f"topology.positions_m[{i}]")) for c in p)
-                for i, p in enumerate(topo_section["positions_m"])
-            )
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(
-                f"topology.positions_m must be a list of (x, y) pairs of numbers: {exc}"
-            ) from None
-    if "next_hop" in topo_section:
-        topo_section["next_hop"] = tuple(
-            _coerce(h, int, "topology.next_hop") for h in topo_section["next_hop"]
-        )
-    topology = _take(topo_section, Topology, "topology")
+    values = {"scenario_id": scenario_id(config, default_id)}
+    for name, cls in _field_types(Scenario).items():
+        if is_dataclass(cls):
+            values[name] = _take(_section(config.get(name), name), cls, name)
+        elif name == "lam":
+            values[name] = _rates(config.get(name, 0.0), values["topology"], geometry)
+    tx_power = float(_coerce(config.get("tx_power_dbm", 0.0), float, "tx_power_dbm"))
+    return Scenario(**values, tx_power_dbm=tx_power, geometry=geometry)
 
-    fading_section = _require_mapping(config.get("fading"), "fading")
-    if "sigma_db" in fading_section:
-        if "sigma" in fading_section:
-            raise ValidationError("give fading.sigma or fading.sigma_db, not both")
-        sigma_db = _coerce(fading_section.pop("sigma_db"), float, "fading.sigma_db")
-        fading_section["sigma"] = db_to_neper(sigma_db)
 
-    timing_section = _require_mapping(config.get("timing"), "timing")
-    for byte_key, field_name in (("packet_bytes", "l_pkt"), ("ack_bytes", "l_ack")):
-        if byte_key in timing_section:
-            if field_name in timing_section:
-                raise ValidationError(
-                    f"give timing.{byte_key} or timing.{field_name}, not both"
+def _section(value, where: str) -> dict:
+    """A config section (a mapping, or None for all defaults) as a mapping of
+    its class's fields: the topology's positions and next hops as tuples,
+    fading.sigma_db as fading.sigma, and the timing's packet_bytes and
+    ack_bytes as l_pkt and l_ack."""
+    if value is not None and not isinstance(value, dict):
+        raise ValidationError(f"{where} must be a mapping")
+    section = dict(value or {})
+    if where == "topology":
+        if "positions_m" in section:
+            try:
+                section["positions_m"] = tuple(
+                    tuple(float(_coerce(c, float, f"topology.positions_m[{i}]")) for c in p)
+                    for i, p in enumerate(section["positions_m"])
                 )
-            nbytes = _coerce(timing_section.pop(byte_key), float, f"timing.{byte_key}")
-            timing_section[field_name] = nbytes * SYMBOLS_PER_BYTE / SYMBOLS_PER_UNIT
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(
+                    f"topology.positions_m must be a list of (x, y) pairs of numbers: {exc}"
+                ) from None
+        if "next_hop" in section:
+            section["next_hop"] = tuple(
+                _coerce(h, int, "topology.next_hop") for h in section["next_hop"]
+            )
+    if where == "fading" and "sigma_db" in section:
+        if "sigma" in section:
+            raise ValidationError("give fading.sigma or fading.sigma_db, not both")
+        section["sigma"] = db_to_neper(_coerce(section.pop("sigma_db"), float, "fading.sigma_db"))
+    if where == "timing":
+        for byte_key, field_name in (("packet_bytes", "l_pkt"), ("ack_bytes", "l_ack")):
+            if byte_key in section:
+                if field_name in section:
+                    raise ValidationError(
+                        f"give timing.{byte_key} or timing.{field_name}, not both"
+                    )
+                nbytes = _coerce(section.pop(byte_key), float, f"timing.{byte_key}")
+                section[field_name] = nbytes * SYMBOLS_PER_BYTE / SYMBOLS_PER_UNIT
+    return section
 
-    lam_value = config.get("lam", 0.0)
-    if isinstance(lam_value, (list, tuple)):
-        lam = tuple(_rate(v, f"lam[{i}]") for i, v in enumerate(lam_value))
-    else:
-        rate = _rate(lam_value, "lam")
-        lam = tuple(rate if h >= 0 else 0.0 for h in _shared(geometry, topology, topology.hops))
 
-    return Scenario(
-        scenario_id=scenario_id(config, default_id),
-        topology=topology,
-        lam=lam,
-        channel=_take(_require_mapping(config.get("channel"), "channel"),
-                      ChannelParams, "channel"),
-        fading=_take(fading_section, FadingParams, "fading"),
-        mac=_take(_require_mapping(config.get("mac"), "mac"), MacParams, "mac"),
-        timing=_take(timing_section, TimingParams, "timing"),
-        power=_take(_require_mapping(config.get("power"), "power"),
-                    PowerProfile, "power"),
-        solver=_take(_require_mapping(config.get("solver"), "solver"),
-                     SolverConfig, "solver"),
-        sim=_take(_require_mapping(config.get("sim"), "sim"), SimConfig, "sim"),
-        tx_power_dbm=float(_coerce(config.get("tx_power_dbm", 0.0), float, "tx_power_dbm")),
-        geometry=geometry,
-    )
+def _rates(value, topology: Topology, geometry: dict) -> tuple[float, ...]:
+    """The config's lam: a rate per node, or one rate for every node with a route."""
+    if isinstance(value, (list, tuple)):
+        return tuple(_rate(v, f"lam[{i}]") for i, v in enumerate(value))
+    rate = _rate(value, "lam")
+    return tuple(rate if h >= 0 else 0.0 for h in _shared(geometry, topology, topology.hops))
 
 
 def load_config(path, overrides=()) -> dict:

@@ -137,29 +137,22 @@ class SimStats:
         )
 
     def reliability(self) -> np.ndarray:
-        completed = self.success + self.discard_cf + self.discard_cr
-        with np.errstate(invalid="ignore"):
-            return np.where(completed > 0, self.success / completed, np.nan)
+        return _ratio(self.success, self.success + self.discard_cf + self.discard_cr)
 
     def mean_delay_seconds(self) -> np.ndarray:
-        with np.errstate(invalid="ignore"):
-            mean = np.where(
-                self.delay_count > 0, self.delay_symbols_sum / self.delay_count, np.nan
-            )
-        return mean * SYMBOL_SECONDS
+        return _ratio(self.delay_symbols_sum, self.delay_count) * SYMBOL_SECONDS
 
     def busy_cca_fraction(self) -> np.ndarray:
-        with np.errstate(invalid="ignore"):
-            return np.where(
-                self.cca_attempts > 0, self.cca_busy / self.cca_attempts, np.nan
-            )
+        return _ratio(self.cca_busy, self.cca_attempts)
 
     def data_loss_fraction(self) -> np.ndarray:
         """Fraction of transmitted frames the destination failed to receive."""
-        with np.errstate(invalid="ignore"):
-            return np.where(
-                self.data_attempts > 0, self.data_lost / self.data_attempts, np.nan
-            )
+        return _ratio(self.data_lost, self.data_attempts)
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den per link where den > 0, else NaN."""
+    return np.divide(num, den, out=np.full(np.shape(num), np.nan), where=den > 0)
 
 
 def measure_energy(stats: SimStats, profile: PowerProfile) -> np.ndarray:
@@ -588,12 +581,11 @@ def run_experiment(
                 f"packet conservation violated in replication {r}: {gap.tolist()}"
             )
 
-    with np.errstate(invalid="ignore"):
-        rel = np.stack([s.reliability() for s in stats])
-        delay = np.stack([s.mean_delay_seconds() for s in stats])
-        power = np.stack([measure_energy(s, profile) for s in stats])
-        busy = np.stack([s.busy_cca_fraction() for s in stats])
-        loss = np.stack([s.data_loss_fraction() for s in stats])
+    rel = np.stack([s.reliability() for s in stats])
+    delay = np.stack([s.mean_delay_seconds() for s in stats])
+    power = np.stack([measure_energy(s, profile) for s in stats])
+    busy = np.stack([s.busy_cca_fraction() for s in stats])
+    loss = np.stack([s.data_loss_fraction() for s in stats])
 
     rel_m, rel_h = _mean_ci(rel)
     del_m, del_h = _mean_ci(delay)

@@ -168,9 +168,10 @@ def _keyed(keys, outcome) -> tuple[dict, list[str]]:
 
 
 def _table_key(scenario) -> tuple:
-    """What a point's contention tables read besides their depth: the links,
-    the mean gains, the channel and the fading."""
-    return (scenario.links, scenario.mean_gain_mw.tobytes(), scenario.channel, scenario.fading)
+    """What a point's contention tables read besides their depth, as parsed:
+    the topology and transmit power (its links and mean gains), the channel
+    and the fading."""
+    return (scenario.topology, scenario.tx_power_dbm, scenario.channel, scenario.fading)
 
 
 class _Pass:

@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -13,6 +15,8 @@ from csmafade import scenarios, sweep
 from csmafade.cli import main
 from csmafade.scenarios import compile_sim_network, load_config, scenario_from_config
 from csmafade.simulator import run_replication
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 TINY = """
 topology:
@@ -325,6 +329,48 @@ def test_sigma_whose_moments_overflow_is_a_warning_in_a_sweep(tmp_path):
     assert [r["metric"] for r in wide] == [r["metric"] for r in fine]
     assert all(r["analytic_value"] == "" and "overflows its moments" in r["warnings"]
                for r in wide)
+
+
+def analyze_stderr(tmp_path, *overrides) -> tuple[int, str]:
+    """The exit code and stderr of `python -m csmafade analyze` on tiny3."""
+    src = pathlib.Path(scenarios.__file__).parents[1]
+    sets = [arg for override in overrides for arg in ("--set", override)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "csmafade", "analyze", "--config", str(CONFIGS / "tiny3.yaml"),
+         *sets, "--out", str(tmp_path)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    return proc.returncode, proc.stderr
+
+
+def test_an_outage_moment_overflow_prints_its_json_error_only(tmp_path):
+    # sigma = 18 overflows the outage moments: no numpy warning precedes the error
+    rc, err = analyze_stderr(tmp_path, "fading.sigma=18")
+    assert rc == 1 and len(err.splitlines()) == 1
+    assert json.loads(err)["message"] == (
+        "outage moment matching overflowed (useful power 3.162277660168379e-06)")
+
+
+def test_quadrature_nodes_beyond_the_float_range_print_nothing(tmp_path):
+    # such a node is W = inf, whose outage term is 1
+    assert analyze_stderr(tmp_path, "fading.kappa=0.5", "fading.sigma=8") == (0, "")
+
+
+@pytest.mark.parametrize("config, override, message", [
+    ("tiny3.yaml", "topology.branching=3", "branching is read by kind 'tree' only, not 'star'"),
+    ("line5.yaml", "topology.branching=0", "branching is read by kind 'tree' only, not 'line'"),
+    ("tiny3.yaml", "topology={kind: explicit, positions_m: [[0, 0], [1, 0], [0, 1]], "
+     "next_hop: [-1, 0, 0], n_nodes: 99, spacing_m: -5}",
+     "n_nodes is read by kinds 'star', 'line', 'tree' only, not 'explicit'"),
+])
+def test_a_topology_key_its_kind_does_not_read_reports_json_error(tmp_path, capsys, config,
+                                                                   override, message):
+    rc = main(["analyze", "--config", str(CONFIGS / config), "--set", override,
+               "--out", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError" and message in err["message"]
 
 
 def test_huge_kappa_is_refused_before_any_work(config_file, tmp_path, capsys):

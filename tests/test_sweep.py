@@ -329,6 +329,19 @@ def test_routing_on_a_generated_topology_is_an_error_row(tmp_path):
     assert len(good) > 1 and all(r["metric"] != "error" for r in good)
 
 
+def test_a_tree_only_key_is_an_error_row_on_a_star(tmp_path):
+    config = tiny_config()
+    config["topology"] = {"n_nodes": 4, "branching": 3}
+    config["sweep"]["engine"] = "analytic"
+    config["sweep"]["parameters"] = [{"path": "topology.kind", "values": ["star", "tree"]}]
+    rows = read_rows(run_sweep(config, sweep_from_config(config), out_dir=tmp_path))
+    bad = [r for r in rows if r["topology.kind"] == "star"]
+    good = [r for r in rows if r["topology.kind"] == "tree"]
+    assert len(bad) == 1 and bad[0]["metric"] == "error"
+    assert "branching is read by kind 'tree' only, not 'star'" in bad[0]["warnings"]
+    assert len(good) > 1 and all(r["metric"] != "error" for r in good)
+
+
 def test_solver_damping_is_an_error_row_per_point(tmp_path):
     config = tiny_config()
     config["sweep"]["engine"] = "analytic"
@@ -782,6 +795,28 @@ def test_a_design_grid_builds_each_table_set_once(tmp_path, monkeypatch):
     # the CSV that the cache of 8 sets wrote, 15 361 lines
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "a8de569040b0f371ea7e3957da02552420baadd628136369c904b4cb99dda34a")
+
+
+def test_thresholds_and_fading_share_the_gains_of_a_geometry(tmp_path, monkeypatch):
+    # 5 SINR margins x 2 sigmas on the 8-node star: one geometry of 8 x 7
+    # mean gains, and 10 table sets
+    config = load_config(CONFIGS / "star7.yaml", ["lam=5"])
+    spec = SweepSpec(parameters=DESIGN_GRID[3:], engine="analytic")
+    gains, builds = [], []
+    rx_power = scenarios.mean_rx_power
+
+    def counted_gain(*args):
+        gains.append(1)
+        return rx_power(*args)
+
+    def counting(scenario, subsets, plans=None):
+        builds.append((scenario.channel.b_db, scenario.fading.sigma))
+        return build_contention_tables(scenario, subsets, plans)
+
+    monkeypatch.setattr(scenarios, "mean_rx_power", counted_gain)
+    monkeypatch.setattr(sweep, "build_contention_tables", counting)
+    run_sweep(config, spec, out_dir=tmp_path)
+    assert len(gains) == 56 and len(set(builds)) == len(builds) == 10
 
 
 def test_pooled_sweep_builds_each_table_set_once(tmp_path, monkeypatch):
