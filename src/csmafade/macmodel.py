@@ -25,7 +25,7 @@ import functools
 import itertools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -85,15 +85,21 @@ class TimingParams:
     t_sc: float = 0.4
 
     def __post_init__(self) -> None:
-        for name in ("l_pkt", "l_ack", "t_ack", "t_m_ack", "ifs", "turnaround", "t_sc"):
-            units = getattr(self, name)
+        for f in fields(self):
+            name, units = f.name, getattr(self, f.name)
             if not 0.0 <= units < math.inf:
                 raise ValidationError(f"timing field {name} must be finite and >= 0")
             if abs(units * SYMBOLS_PER_UNIT - round(units * SYMBOLS_PER_UNIT)) > 1e-9:
                 raise ValidationError(
                     f"timing field {name} = {units} backoff units is not a whole number of symbols"
                 )
-        ack_wait, success_tail = self.symbols[4:]
+        data, ack, cca, _, ack_wait, success_tail = self.symbols
+        # a frame or CCA window lasts a symbol at least; the gaps may be empty
+        for name, count in (("l_pkt", data), ("l_ack", ack), ("t_sc", cca)):
+            if count < 1:
+                raise ValidationError(
+                    f"{name}={getattr(self, name)} backoff units is shorter than one symbol"
+                )
         if ack_wait > success_tail:
             raise ValidationError("ACK timing is inconsistent with the transaction tail")
 
@@ -556,9 +562,9 @@ def solve_fixed_point(
         raise ValidationError(f"tables of {n} links are not on the list of "
                               f"{subsets.k} contenders at depth {subsets.depth}")
     if len(sets) == 1:  # read where it lies: a point that leaves ends the solve
-        fields = {name: sets[0][name][None] for name in TABLE_FIELDS}
+        stacked = {name: sets[0][name][None] for name in TABLE_FIELDS}
     else:
-        fields = {name: np.stack([t[name] for t in sets]) for name in TABLE_FIELDS}
+        stacked = {name: np.stack([t[name] for t in sets]) for name in TABLE_FIELDS}
     upper = np.concatenate([np.full(n, ALPHA_CAP), np.ones(n)])
     points = [_Anderson(np.zeros(2 * n)) for _ in qs]
     results = SolveResults([None] * len(qs))
@@ -578,7 +584,7 @@ def solve_fixed_point(
         x = np.array([points[p].x for p in rows])
         alphas, gammas = x[:, :n], x[:, n:]
         taus, b000s = cca(rows, alphas, gammas)
-        a_pkts, a_acks, new_gamma = contention_terms(fields, subsets, timing, taus, alphas,
+        a_pkts, a_acks, new_gamma = contention_terms(stacked, subsets, timing, taus, alphas,
                                                      gammas)
         raw_alpha = a_pkts + a_acks
         new_alpha = np.minimum(raw_alpha, ALPHA_CAP)
@@ -602,10 +608,10 @@ def solve_fixed_point(
             if not rows.size:
                 break
             kept = np.flatnonzero(keep).tolist()
-            for array in fields.values():  # the kept points' tables move up
+            for array in stacked.values():  # the kept points' tables move up
                 for i, j in enumerate(kept):
                     array[i] = array[j]
-            fields = {name: table[:len(rows)] for name, table in fields.items()}
+            stacked = {name: table[:len(rows)] for name, table in stacked.items()}
         for p, f_p, residual in zip(rows.tolist(), f, residuals.tolist()):
             points[p].step(f_p, residual, iteration, upper)
     else:

@@ -29,9 +29,9 @@ class PowerProfile:
     p_sleep: float = 0.06
 
     def __post_init__(self) -> None:
-        for name in ("p_idle", "p_sense", "p_tx", "p_rx", "p_sleep"):
-            if getattr(self, name) < 0.0:
-                raise ValidationError(f"power draw {name} must be >= 0")
+        for f in fields(self):
+            if getattr(self, f.name) < 0.0:
+                raise ValidationError(f"power draw {f.name} must be >= 0")
 
 
 def expected_delay(chain: Chain, timing: TimingParams) -> Values:
@@ -62,7 +62,8 @@ class EnergyBreakdown:
 
     @property
     def total(self) -> np.ndarray:
-        return self.backoff + self.sense + self.transmit + self.queue + self.relay
+        first, *rest = (getattr(self, f.name) for f in fields(self))
+        return sum(rest, first)  # added in field order
 
 
 def _transaction_power(

@@ -19,7 +19,7 @@ next_link[c] = l; acyclic routes make this Neumann series finite and exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -189,8 +189,8 @@ def solve_network(
     relays = bool((next_link >= 0).any())
     results = solve_fixed_point(tables, subsets, qs.copy(), mac, timing, config=config,
                                 arrivals=arrivals if relays else None)
-    states = LinkState(*(np.array([getattr(result.state, name) for result in results])
-                         for name in ("tau", "alpha_pkt", "alpha_ack", "gamma", "b000")))
+    states = LinkState(*(np.array([getattr(result.state, f.name) for result in results])
+                         for f in fields(LinkState)))
     reports = metrics.report(states, profile or metrics.PowerProfile(), mac, timing, next_link)
     reliability = np.array([rep.reliability for rep in reports])
     traffic = link_traffic(stack, next_link, reliability)

@@ -646,19 +646,26 @@ def _section(value, where: str) -> dict:
     section = dict(value or {})
     if where == "topology":
         if "positions_m" in section:
+            points = section["positions_m"]
             try:
+                if not isinstance(points, (list, tuple)):
+                    raise ValueError(f"got {points!r}")
+                for i, p in enumerate(points):
+                    if not isinstance(p, (list, tuple)) or len(p) != 2:
+                        raise ValueError(f"topology.positions_m[{i}] is {p!r}")
                 section["positions_m"] = tuple(
                     tuple(float(_coerce(c, float, f"topology.positions_m[{i}]")) for c in p)
-                    for i, p in enumerate(section["positions_m"])
+                    for i, p in enumerate(points)
                 )
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise ValidationError(
                     f"topology.positions_m must be a list of (x, y) pairs of numbers: {exc}"
                 ) from None
         if "next_hop" in section:
-            section["next_hop"] = tuple(
-                _coerce(h, int, "topology.next_hop") for h in section["next_hop"]
-            )
+            hops = section["next_hop"]
+            if not isinstance(hops, (list, tuple)):
+                raise ValidationError(f"topology.next_hop must be a list of integers, got {hops!r}")
+            section["next_hop"] = tuple(_coerce(h, int, "topology.next_hop") for h in hops)
     if where == "fading" and "sigma_db" in section:
         if "sigma" in section:
             raise ValidationError("give fading.sigma or fading.sigma_db, not both")

@@ -26,7 +26,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -36,9 +36,9 @@ from .macmodel import SYMBOL_SECONDS, SYMBOLS_PER_UNIT, MacParams, TimingParams
 from .metrics import PowerProfile
 from .multihop import route_links
 
-# radio-state indices in the residency table
-SLEEP, IDLE, SENSE, TX, RX = range(5)
+# radio states, in the order of the residency table's columns
 STATE_NAMES = ("sleep", "idle", "sense", "tx", "rx")
+SLEEP, IDLE, SENSE, TX, RX = range(len(STATE_NAMES))
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,11 @@ class SimNetwork:
 
 @dataclass
 class SimStats:
-    """Per-replication counters, delays, and radio-state residencies."""
+    """Per-replication counters, delays, and radio-state residencies.
+
+    The fields from generated to delay_count are the per-link counters:
+    run_replication keeps one int per link for each while it runs.
+    """
 
     transmitters: tuple[int, ...]
     horizon_symbols: int
@@ -161,63 +165,30 @@ def measure_energy(stats: SimStats, profile: PowerProfile) -> np.ndarray:
     if (sums != stats.horizon_symbols).any():
         gaps = sums - stats.horizon_symbols
         raise NumericsError(f"radio-state accounting gap (symbols): {gaps.tolist()}")
-    draws = np.array(
-        [profile.p_sleep, profile.p_idle, profile.p_sense, profile.p_tx, profile.p_rx]
-    )
+    draws = np.array([getattr(profile, f"p_{name}") for name in STATE_NAMES])
     return stats.residency @ draws / stats.horizon_symbols
 
 
+@dataclass(slots=True, eq=False)
 class _Node:
-    __slots__ = (
-        "index",
-        "link",
-        "dest",
-        "baseline",
-        "radio",
-        "radio_since",
-        "residency",
-        "serving",
-        "service_start",
-        "nb",
-        "be",
-        "rt",
-        "rx_until",
-        "ack_busy_until",
-    )
+    """A node's MAC and radio state during one replication."""
 
-    def __init__(self, index: int, link: int | None, baseline: int):
-        self.index = index
-        self.link = link  # row in the per-link counters, None for pure receivers
-        self.dest = None  # next-hop node, None for pure receivers
-        self.baseline = baseline
-        self.radio = baseline
-        self.radio_since = 0
-        self.residency = [0] * len(STATE_NAMES)  # symbols spent in each radio state
-        self.serving = False
-        self.service_start = 0
-        self.nb = 0
-        self.be = 0
-        self.rt = 0
-        self.rx_until = 0
-        self.ack_busy_until = 0
+    index: int
+    link: int | None  # row in the per-link counters, None for pure receivers
+    baseline: int  # radio state between services: IDLE for relays, else SLEEP
+    radio: int  # current radio state; a node starts in its baseline
+    dest: _Node | None = None  # next-hop node, None for pure receivers
+    radio_since: int = 0
+    # symbols spent in each radio state
+    residency: list[int] = field(default_factory=lambda: [0] * len(STATE_NAMES))
+    serving: bool = False
+    service_start: int = 0
+    nb: int = 0
+    be: int = 0
+    rt: int = 0
+    rx_until: int = 0
+    ack_busy_until: int = 0
 
-
-# per-link counters of SimStats, kept as int lists while a replication runs
-_LINK_COUNTERS = (
-    "generated",
-    "success",
-    "discard_cf",
-    "discard_cr",
-    "queue_dropped",
-    "in_flight",
-    "cca_attempts",
-    "cca_busy",
-    "data_attempts",
-    "data_lost",
-    "ack_failed",
-    "delay_symbols_sum",
-    "delay_count",
-)
 
 # Event kinds, roughly most frequent first (the dispatch tests them in order).
 # DATA_END also restores the receiver's radio, ACK_START switches both ends
@@ -287,18 +258,16 @@ def run_replication(
 
     transmitters = net.transmitters
     link_of = {node: l for l, node in enumerate(transmitters)}
-    counters = {name: [0] * len(transmitters) for name in _LINK_COUNTERS}
+    # the SimStats fields between horizon_symbols and residency
+    counters = {f.name: [0] * len(transmitters) for f in fields(SimStats)[2:-1]}
     cca_attempts, cca_busy = counters["cca_attempts"], counters["cca_busy"]
     data_attempts, data_lost = counters["data_attempts"], counters["data_lost"]
     generated, queue_dropped = counters["generated"], counters["queue_dropped"]
     success, delay_sum, delay_count = (
         counters["success"], counters["delay_symbols_sum"], counters["delay_count"])
 
-    relay_like = net.has_children
-    nodes = [
-        _Node(i, link_of.get(i), IDLE if relay_like[i] else SLEEP)
-        for i in range(n_nodes)
-    ]
+    baselines = np.where(net.has_children, IDLE, SLEEP).tolist()
+    nodes = [_Node(i, link_of.get(i), state, state) for i, state in enumerate(baselines)]
     for node, hop in zip(nodes, next_hop):
         if hop >= 0:
             node.dest = nodes[hop]

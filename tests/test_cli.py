@@ -164,6 +164,12 @@ def test_malformed_value_reports_json_error(config_file, tmp_path, capsys, overr
         ("lam=[0, true, 1]", "lam[1]=True"),
         ("topology={kind: explicit, positions_m: [[0, 0], [true, 0], [0, 1]], "
          "next_hop: [-1, 0, 0]}", "topology.positions_m[1] must be a finite number, got True"),
+        # a scalar is no list of points, coordinates or hops
+        ('topology={kind: explicit, positions_m: [[0, 0], "34", [0, 2]], next_hop: [-1, 0, 0]}',
+         "topology.positions_m[1] is '34'"),
+        ('topology={kind: explicit, positions_m: "12", next_hop: [-1, 0]}',
+         "topology.positions_m must be a list of (x, y) pairs of numbers: got '12'"),
+        ("topology.next_hop=5", "topology.next_hop must be a list of integers, got 5"),
     ],
 )
 def test_malformed_value_names_its_field(config_file, tmp_path, capsys, override, field):
@@ -252,6 +258,25 @@ def test_timing_the_simulator_cannot_run_is_rejected_by_analyze(config_file, tmp
     assert err["error"] == "ValidationError" and "whole number of symbols" in err["message"]
 
 
+@pytest.mark.parametrize("override, field", [
+    ("timing.packet_bytes=0", "timing.l_pkt"),
+    ("timing.ack_bytes=0", "timing.l_ack"),
+    ("timing.t_sc=0", "timing.t_sc"),
+])
+def test_frames_and_cca_windows_shorter_than_a_symbol_are_refused(tmp_path, capsys,
+                                                                   override, field):
+    # a frame of no symbol is never on air, and a CCA of none samples the
+    # symbol before sensing began
+    rc = main(["compare", "--config", str(CONFIGS / "tiny3.yaml"), "--set", override,
+               "--out", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    assert f"invalid config value in {field}:" in err["message"]
+    assert "shorter than one symbol" in err["message"]
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_contender_cap_fails_before_building_tables(config_file, tmp_path, capsys):
     start = time.monotonic()
     # the subset lists a 40-node star needs would pass the row budget
@@ -331,15 +356,19 @@ def test_sigma_whose_moments_overflow_is_a_warning_in_a_sweep(tmp_path):
                for r in wide)
 
 
+def child_env() -> dict:
+    """The environment of a `python -m csmafade` child: it imports the package
+    under test, whether or not that is installed."""
+    return {**os.environ, "PYTHONPATH": str(pathlib.Path(scenarios.__file__).parents[1])}
+
+
 def analyze_stderr(tmp_path, *overrides) -> tuple[int, str]:
     """The exit code and stderr of `python -m csmafade analyze` on tiny3."""
-    src = pathlib.Path(scenarios.__file__).parents[1]
     sets = [arg for override in overrides for arg in ("--set", override)]
     proc = subprocess.run(
         [sys.executable, "-m", "csmafade", "analyze", "--config", str(CONFIGS / "tiny3.yaml"),
          *sets, "--out", str(tmp_path)],
-        capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, env=child_env(),
     )
     return proc.returncode, proc.stderr
 
@@ -531,6 +560,7 @@ def test_module_entry_point_runs(config_file, tmp_path):
          "--config", str(config_file), "--out", str(tmp_path)],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "tiny_analyze.csv").exists()

@@ -69,6 +69,15 @@ def test_timing_params_count_whole_symbols_on_the_one_clock():
         TimingParams(t_ack=0.0, ifs=0.0)
 
 
+def test_timing_params_frames_and_cca_last_one_symbol_at_least():
+    for name in ("l_pkt", "l_ack", "t_sc"):
+        with pytest.raises(ValidationError, match=f"{name}=0.0 backoff units is shorter"):
+            TimingParams(**{name: 0.0})
+        TimingParams(**{name: 1 / SYMBOLS_PER_UNIT})  # one symbol
+    # the gaps between them may be empty
+    TimingParams(turnaround=0.0, t_m_ack=0.0)
+
+
 def test_arrival_probability_examples():
     assert arrival_probability(0.0) == 0.0
     assert arrival_probability(10.0) == approx(0.0031949, abs=1e-7)

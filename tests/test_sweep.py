@@ -389,6 +389,29 @@ def test_malformed_positions_are_error_rows(tmp_path):
     assert len(rows) == 3 + 6 and all(r["warnings"] == "" for r in rows[3:])
 
 
+@pytest.mark.parametrize("path, values, messages", [
+    ("topology.positions_m", "['12', [[0, 0], '10'], [[0, 0], [1, 0]]]",
+     ["positions_m must be a list of (x, y) pairs of numbers: got '12'",
+      "topology.positions_m[1] is '10'"]),
+    ("topology.next_hop", "[5, '10', [-1, 0]]",
+     ["topology.next_hop must be a list of integers, got 5",
+      "topology.next_hop must be a list of integers, got '10'"]),
+])
+def test_scalar_positions_and_hops_are_error_rows(tmp_path, path, values, messages):
+    # a scalar is not read as a list of points, coordinates or hops: a string
+    # was read character by character
+    config = parse_config(
+        "topology: {kind: explicit, positions_m: [[0, 0], [1, 0]], next_hop: [-1, 0]}\n"
+        "lam: [0.0, 2.0]\n"
+        f"sweep: {{engine: analytic, parameters: [{{path: {path}, values: {values}}}]}}\n"
+    )
+    rows = read_rows(run_sweep(config, sweep_from_config(config), out_dir=tmp_path))
+    assert [r["metric"] for r in rows[:2]] == ["error"] * 2
+    for row, text in zip(rows, messages):
+        assert text in row["warnings"]
+    assert len(rows) == 2 + 6 and all(r["warnings"] == "" for r in rows[2:])
+
+
 def test_overflowing_geometry_is_an_error_row(tmp_path):
     config = parse_config(
         "topology: {kind: explicit, positions_m: [[0, 0], [1, 0]], next_hop: [-1, 0]}\n"
